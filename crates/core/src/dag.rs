@@ -5,7 +5,8 @@
 //! into numbered line blocks — see Figure 2). **Edges** are data-flow
 //! edges: statement *j* depends on statement *i* when *j* reads a variable
 //! whose latest definition is *i*. **1-gram atoms** are the individual
-//! operation invocations inside each line.
+//! operation invocations inside each line ([`stmt_unigrams`]); only the
+//! corpus vocabulary counts them, so a script's DAG does not carry them.
 //!
 //! The standardness objective models the step space `X` with the edge
 //! vocabulary `V_E'` because edges encode step order (Section 3, "From
@@ -13,27 +14,16 @@
 
 use lucid_pyast::{Expr, Module, Stmt};
 use std::collections::HashMap;
+use std::sync::Arc;
 
-/// A script's DAG view: atoms in line order, data-flow edges, and the
-/// invocation-level 1-grams.
+/// A script's DAG view: atoms in line order and data-flow edges.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScriptDag {
-    /// Line-level (n-gram) atom keys, in statement order.
-    pub atoms: Vec<String>,
+    /// Line-level (n-gram) atom keys, in statement order. Shared handles:
+    /// a candidate DAG points at its statements' interned text.
+    pub atoms: Vec<Arc<str>>,
     /// Data-flow edges as (from, to) positions into `atoms`.
     pub edge_positions: Vec<(usize, usize)>,
-    /// Invocation-level 1-gram atoms (with repetition).
-    pub unigrams: Vec<String>,
-}
-
-impl ScriptDag {
-    /// Edges as atom-key pairs (the units counted by `V_E'`).
-    pub fn edge_keys(&self) -> Vec<(String, String)> {
-        self.edge_positions
-            .iter()
-            .map(|&(i, j)| (self.atoms[i].clone(), self.atoms[j].clone()))
-            .collect()
-    }
 }
 
 /// Canonical key of a statement: its printed (lemmatized) source.
@@ -43,16 +33,9 @@ pub fn atom_key(stmt: &Stmt) -> String {
 
 /// Builds the DAG for a (lemmatized) module.
 pub fn build_dag(module: &Module) -> ScriptDag {
-    let atoms: Vec<String> = module.stmts.iter().map(atom_key).collect();
-    let edge_positions = dataflow_edges(module);
-    let mut unigrams = Vec::new();
-    for stmt in &module.stmts {
-        collect_unigrams(stmt, &mut unigrams);
-    }
     ScriptDag {
-        atoms,
-        edge_positions,
-        unigrams,
+        atoms: module.stmts.iter().map(|s| Arc::from(atom_key(s))).collect(),
+        edge_positions: dataflow_edges(module),
     }
 }
 
@@ -152,16 +135,11 @@ pub fn dataflow_edges(module: &Module) -> Vec<(usize, usize)> {
     edges
 }
 
-/// Invocation-level 1-gram atoms of a single statement, in visit order.
+/// Invocation-level 1-gram atoms of a single statement: every call,
+/// subscript, and comparison sub-expression, in canonical printed form
+/// and visit order.
 pub fn stmt_unigrams(stmt: &Stmt) -> Vec<String> {
     let mut out = Vec::new();
-    collect_unigrams(stmt, &mut out);
-    out
-}
-
-/// Collects invocation-level 1-gram atoms: every call, subscript, and
-/// comparison sub-expression, in canonical printed form.
-fn collect_unigrams(stmt: &Stmt, out: &mut Vec<String>) {
     let mut visit = |e: &Expr| match e {
         Expr::Call { .. } | Expr::Subscript { .. } | Expr::Compare { .. } => {
             out.push(lucid_pyast::print_expr(e));
@@ -169,6 +147,7 @@ fn collect_unigrams(stmt: &Stmt, out: &mut Vec<String>) {
         _ => {}
     };
     stmt.for_each_expr(&mut visit);
+    out
 }
 
 #[cfg(test)]
@@ -192,7 +171,7 @@ y = df['Outcome']
     fn atoms_are_printed_lines() {
         let d = dag(PIPELINE);
         assert_eq!(d.atoms.len(), 5);
-        assert_eq!(d.atoms[1], "df = pd.read_csv('t.csv')");
+        assert_eq!(&*d.atoms[1], "df = pd.read_csv('t.csv')");
     }
 
     #[test]
@@ -211,7 +190,7 @@ y = df['Outcome']
     #[test]
     fn edge_keys_pair_atom_text() {
         let d = dag(PIPELINE);
-        let keys = d.edge_keys();
+        let keys = crate::oracle::edge_keys(&d);
         assert!(keys.contains(&(
             "df = pd.read_csv('t.csv')".to_string(),
             "df = df.fillna(df.mean())".to_string()
@@ -245,11 +224,13 @@ y = df['Outcome']
 
     #[test]
     fn unigrams_capture_invocations() {
-        let d = dag("import pandas as pd\ndf = pd.read_csv('t.csv')\ndf = df[df['Age'] < 50]\n");
-        assert!(d.unigrams.contains(&"pd.read_csv('t.csv')".to_string()));
-        assert!(d.unigrams.contains(&"df['Age']".to_string()));
-        assert!(d.unigrams.contains(&"df['Age'] < 50".to_string()));
-        assert!(d.unigrams.contains(&"df[df['Age'] < 50]".to_string()));
+        let m = parse_module("import pandas as pd\ndf = pd.read_csv('t.csv')\ndf = df[df['Age'] < 50]\n")
+            .unwrap();
+        let unigrams: Vec<String> = m.stmts.iter().flat_map(stmt_unigrams).collect();
+        assert!(unigrams.contains(&"pd.read_csv('t.csv')".to_string()));
+        assert!(unigrams.contains(&"df['Age']".to_string()));
+        assert!(unigrams.contains(&"df['Age'] < 50".to_string()));
+        assert!(unigrams.contains(&"df[df['Age'] < 50]".to_string()));
     }
 
     #[test]
@@ -268,6 +249,7 @@ y = df['Outcome']
         let d = dag("");
         assert!(d.atoms.is_empty());
         assert!(d.edge_positions.is_empty());
-        assert!(d.unigrams.is_empty());
+        let m = parse_module("").unwrap();
+        assert!(m.stmts.iter().flat_map(stmt_unigrams).next().is_none());
     }
 }

@@ -9,55 +9,36 @@
 //! DESIGN.md §6. `P` needs no smoothing since `0 · log 0 = 0`.
 
 use crate::dag::ScriptDag;
-use crate::vocab::{CorpusModel, EdgeKey};
-use std::collections::HashMap;
+use crate::vocab::{CorpusModel, OrderKey};
 
-/// Multiset of a script's edges.
-pub fn edge_multiset(dag: &ScriptDag) -> HashMap<EdgeKey, usize> {
-    let mut counts = HashMap::new();
-    for e in dag.edge_keys() {
-        *counts.entry(e).or_insert(0) += 1;
-    }
-    counts
-}
-
-/// Relative entropy of a script's edge counts w.r.t. the corpus model.
+/// Relative entropy of a DAG w.r.t. the corpus model, in one integer
+/// pass: each atom is keyed once ([`CorpusModel::order_key`]), edges
+/// become key pairs, and a sort plus a run count yields the script's
+/// distinct edges in lexicographic order of their text — the summation
+/// order of the string-keyed definition kept in [`crate::oracle`], so
+/// the float result is bit-identical to it. Corpus counts are looked up
+/// by ID.
+///
 /// A script with no edges scores the worst-case divergence of a
 /// one-unknown-edge script, keeping the measure total and monotone.
-pub fn relative_entropy_of_counts(
-    script_edges: &HashMap<EdgeKey, usize>,
-    corpus: &CorpusModel,
-) -> f64 {
-    let total: usize = script_edges.values().sum();
-    // The augmented sample space: corpus edges plus the script's unseen ones.
-    let extra = script_edges
-        .keys()
-        .filter(|e| !corpus.edge_counts.contains_key(*e))
-        .count();
+pub fn relative_entropy(dag: &ScriptDag, corpus: &CorpusModel) -> f64 {
+    let total = dag.edge_positions.len();
     if total == 0 {
         // Defined fallback: divergence of a singleton unseen edge.
-        let q = corpus.q_smoothed(&(String::new(), String::new()), 1);
-        return (1.0 / q).ln();
+        return (1.0 / corpus.q(0, 1)).ln();
     }
-    // Deterministic summation order: float addition is non-associative,
-    // and hash-map iteration order varies between instances.
-    let mut terms: Vec<(&EdgeKey, usize)> =
-        script_edges.iter().map(|(e, &c)| (e, c)).collect();
-    terms.sort();
-    let mut re = 0.0;
-    for (edge, count) in terms {
-        let p = count as f64 / total as f64;
-        let q = corpus.q_smoothed(edge, extra);
-        re += p * (p / q).ln();
-    }
-    // Numerical floor: RE is non-negative analytically, but smoothing can
-    // push Q mass above P for very standard scripts; clamp at zero.
-    re.max(0.0)
-}
-
-/// Relative entropy of a DAG.
-pub fn relative_entropy(dag: &ScriptDag, corpus: &CorpusModel) -> f64 {
-    relative_entropy_of_counts(&edge_multiset(dag), corpus)
+    let keys: Vec<OrderKey> = dag.atoms.iter().map(|a| corpus.order_key(a)).collect();
+    let mut edges: Vec<(OrderKey, OrderKey)> = dag
+        .edge_positions
+        .iter()
+        .map(|&(i, j)| (keys[i], keys[j]))
+        .collect();
+    edges.sort_unstable();
+    let terms = count_runs(&edges, |(from, to)| match (from.id(), to.id()) {
+        (Some(a), Some(b)) => corpus.edge_count(a, b),
+        _ => 0,
+    });
+    divergence(&terms, total, |count, extra| corpus.q(count, extra))
 }
 
 /// Ablation variant: relative entropy over the *atom* vocabulary `V_A`
@@ -65,30 +46,44 @@ pub fn relative_entropy(dag: &ScriptDag, corpus: &CorpusModel) -> f64 {
 /// because they encode step order (Section 3); this variant drops order
 /// information and is provided for the ablation benches.
 pub fn relative_entropy_atoms(dag: &ScriptDag, corpus: &CorpusModel) -> f64 {
-    let mut counts: HashMap<&str, usize> = HashMap::new();
-    for a in &dag.atoms {
-        *counts.entry(a.as_str()).or_insert(0) += 1;
-    }
-    let total: usize = counts.values().sum();
+    let total = dag.atoms.len();
     if total == 0 {
-        let q = 1.0 / (corpus.atom_counts.len() as f64 + 1.0);
+        let q = 1.0 / (corpus.n_unique_atoms() as f64 + 1.0);
         return (1.0 / q).ln();
     }
-    let corpus_total: usize = corpus.atom_counts.values().sum();
-    let extra = counts
-        .keys()
-        .filter(|a| !corpus.atom_counts.contains_key(**a))
-        .count();
-    let space = corpus.atom_counts.len() + extra;
-    let mut terms: Vec<(&str, usize)> = counts.into_iter().collect();
-    terms.sort();
+    let mut keys: Vec<OrderKey> = dag.atoms.iter().map(|a| corpus.order_key(a)).collect();
+    keys.sort_unstable();
+    let terms = count_runs(&keys, |key| {
+        key.id().map_or(0, |id| corpus.atom_count_by_id(id))
+    });
+    let corpus_total = corpus.total_atoms();
+    divergence(&terms, total, |count, extra| {
+        let space = corpus.n_unique_atoms() + extra;
+        (count as f64 + 1.0) / (corpus_total as f64 + space as f64)
+    })
+}
+
+/// Collapses a sorted slice into `(multiplicity, corpus count)` per
+/// distinct element, in order.
+fn count_runs<T: PartialEq>(sorted: &[T], corpus_count: impl Fn(&T) -> usize) -> Vec<(usize, usize)> {
+    sorted
+        .chunk_by(|a, b| a == b)
+        .map(|run| (run.len(), corpus_count(&run[0])))
+        .collect()
+}
+
+/// `Σ P · ln(P / Q)` over `(script count, corpus count)` terms, where `q`
+/// maps a corpus count and the number of terms absent from the corpus
+/// (the augmented sample space) to the smoothed corpus probability.
+fn divergence(terms: &[(usize, usize)], total: usize, q: impl Fn(usize, usize) -> f64) -> f64 {
+    let extra = terms.iter().filter(|&&(_, in_corpus)| in_corpus == 0).count();
     let mut re = 0.0;
-    for (atom, count) in terms {
+    for &(count, in_corpus) in terms {
         let p = count as f64 / total as f64;
-        let q = (corpus.atom_counts.get(atom).copied().unwrap_or(0) as f64 + 1.0)
-            / (corpus_total as f64 + space as f64);
-        re += p * (p / q).ln();
+        re += p * (p / q(in_corpus, extra)).ln();
     }
+    // Numerical floor: RE is non-negative analytically, but smoothing can
+    // push Q mass above P for very standard scripts; clamp at zero.
     re.max(0.0)
 }
 

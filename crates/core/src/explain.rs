@@ -16,6 +16,7 @@ use crate::vocab::CorpusModel;
 use lucid_pyast::parse_module;
 use serde::Serialize;
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// Why a change was made.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -61,11 +62,11 @@ pub fn explain_diff(model: &CorpusModel, input: &str, output: &str) -> Vec<Expla
     let interner = StmtInterner::new();
     let in_atoms = program_atoms(&in_mod, &interner);
     let out_atoms = program_atoms(&out_mod, &interner);
-    let in_set: HashSet<&String> = in_atoms.iter().collect();
-    let out_set: HashSet<&String> = out_atoms.iter().collect();
+    let in_set: HashSet<&Arc<str>> = in_atoms.iter().collect();
+    let out_set: HashSet<&Arc<str>> = out_atoms.iter().collect();
 
-    let added: Vec<&String> = out_atoms.iter().filter(|a| !in_set.contains(a)).collect();
-    let removed: Vec<&String> = in_atoms.iter().filter(|a| !out_set.contains(a)).collect();
+    let added: Vec<&Arc<str>> = out_atoms.iter().filter(|a| !in_set.contains(a)).collect();
+    let removed: Vec<&Arc<str>> = in_atoms.iter().filter(|a| !out_set.contains(a)).collect();
 
     let mut out = Vec::new();
     for atom in &removed {
@@ -95,11 +96,11 @@ pub fn explain_diff(model: &CorpusModel, input: &str, output: &str) -> Vec<Expla
 }
 
 /// Lemmatized statement atoms of a parsed module, via the interned IR.
-fn program_atoms(module: &lucid_pyast::Module, interner: &StmtInterner) -> Vec<String> {
+fn program_atoms(module: &lucid_pyast::Module, interner: &StmtInterner) -> Vec<Arc<str>> {
     Program::from_module(&lemmatize(module), interner)
         .stmts()
         .iter()
-        .map(|info| info.atom.clone())
+        .map(|info| Arc::clone(&info.atom))
         .collect()
 }
 
@@ -159,14 +160,19 @@ fn same_stage(a: &str, b: &str) -> bool {
 }
 
 /// The corpus's most frequent predecessor of `atom` (highest-count edge
-/// `(p, atom)`).
+/// `(p, atom)`, ties to the lexically smallest `p`).
 fn typical_predecessor(model: &CorpusModel, atom: &str) -> Option<String> {
-    model
-        .edge_counts
-        .iter()
-        .filter(|((_, to), _)| to == atom)
-        .max_by(|a, b| a.1.cmp(b.1).then(b.0 .0.cmp(&a.0 .0)))
-        .map(|((from, _), _)| from.clone())
+    let to = model.atom_id(atom)?;
+    let mut best: Option<(usize, u32)> = None;
+    // IDs ascend in text order, so keeping only strictly greater counts
+    // resolves ties to the smallest predecessor text.
+    for from in 0..model.n_unique_atoms() as u32 {
+        let count = model.edge_count(from, to);
+        if count > 0 && best.is_none_or(|(c, _)| count > c) {
+            best = Some((count, from));
+        }
+    }
+    best.map(|(_, from)| model.atoms()[from as usize].to_string())
 }
 
 #[cfg(test)]

@@ -6,8 +6,8 @@
 //! rebuilt the DAG from scratch. This module hash-conses statements into
 //! a [`StmtInterner`] so a candidate is a [`Program`]: a `Vec<Arc<StmtInfo>>`
 //! where applying a transformation is an O(edit) splice of pointer bumps,
-//! and per-statement facts (structural hash, atom key, def/use sets,
-//! 1-gram atoms) are computed once per *unique* statement, ever.
+//! and per-statement facts (structural hash, atom key, def/use sets) are
+//! computed once per *unique* statement, ever.
 //!
 //! [`Program::update_dag`] rebuilds only the data-flow edges at or after
 //! the edited index, reusing the parent's prefix edges; the legacy full
@@ -35,24 +35,22 @@ pub struct StmtInfo {
     /// shared ingredient of prefix-cache chain keys and fault-plan
     /// decisions, computed exactly once here.
     pub hash: u64,
-    /// Line-level atom key (`dag::atom_key`, the printed source).
-    pub atom: String,
+    /// Line-level atom key (`dag::atom_key`, the printed source), shared
+    /// with every DAG that contains the statement.
+    pub atom: Arc<str>,
     /// Variables the statement defines (`dag::defined_vars`).
     pub defs: Vec<String>,
     /// Variables the statement reads (`dag::read_vars`), in read order —
     /// edge replay depends on this order matching `dag::dataflow_edges`.
     pub uses: Vec<String>,
-    /// Invocation-level 1-gram atoms (`dag::stmt_unigrams`).
-    pub unigrams: Vec<String>,
 }
 
 impl StmtInfo {
     fn new(stmt: Stmt, hash: u64) -> StmtInfo {
         StmtInfo {
-            atom: dag::atom_key(&stmt),
+            atom: Arc::from(dag::atom_key(&stmt)),
             defs: dag::defined_vars(&stmt),
             uses: dag::read_vars(&stmt),
-            unigrams: dag::stmt_unigrams(&stmt),
             stmt,
             hash,
         }
@@ -70,7 +68,7 @@ pub struct StmtInterner {
     by_hash: Mutex<HashMap<u64, Vec<Arc<StmtInfo>>>>,
     /// Memo from corpus-atom source text to its interned statement, so
     /// repeated `Add` applications skip re-parsing the atom.
-    by_atom: Mutex<HashMap<String, Arc<StmtInfo>>>,
+    by_atom: Mutex<HashMap<Arc<str>, Arc<StmtInfo>>>,
     unique: AtomicU64,
     hits: AtomicU64,
     dag_updates: AtomicU64,
@@ -128,7 +126,14 @@ impl StmtInterner {
             .next()
             .ok_or_else(|| CoreError::BadConfig("empty atom".to_string()))?;
         let info = self.intern(&stmt);
-        lock(&self.by_atom).insert(atom.to_string(), Arc::clone(&info));
+        // Corpus atoms are printed statements, so the memo key can
+        // usually share the interned text instead of copying it.
+        let key = if *info.atom == *atom {
+            Arc::clone(&info.atom)
+        } else {
+            Arc::from(atom)
+        };
+        lock(&self.by_atom).insert(key, Arc::clone(&info));
         Ok(info)
     }
 
@@ -245,7 +250,6 @@ impl Program {
         let out = ScriptDag {
             atoms: self.atom_keys(),
             edge_positions: edges,
-            unigrams: self.unigram_keys(),
         };
         debug_assert_eq!(
             out,
@@ -283,7 +287,6 @@ impl Program {
         let out = ScriptDag {
             atoms: self.atom_keys(),
             edge_positions: edges,
-            unigrams: self.unigram_keys(),
         };
         debug_assert_eq!(
             out,
@@ -293,15 +296,9 @@ impl Program {
         out
     }
 
-    fn atom_keys(&self) -> Vec<String> {
-        self.stmts.iter().map(|info| info.atom.clone()).collect()
-    }
-
-    fn unigram_keys(&self) -> Vec<String> {
-        self.stmts
-            .iter()
-            .flat_map(|info| info.unigrams.iter().cloned())
-            .collect()
+    /// Shared atom handles, in line order (reference-count bumps only).
+    fn atom_keys(&self) -> Vec<Arc<str>> {
+        self.stmts.iter().map(|info| Arc::clone(&info.atom)).collect()
     }
 }
 
@@ -316,8 +313,9 @@ fn replay_edges<'a>(
     last_def: &mut HashMap<&'a str, usize>,
     edges: &mut Vec<(usize, usize)>,
 ) {
+    let mut seen_from: Vec<usize> = Vec::new();
     for (j, info) in stmts.iter().enumerate().skip(start) {
-        let mut seen_from: Vec<usize> = Vec::new();
+        seen_from.clear();
         for var in &info.uses {
             if let Some(&i) = last_def.get(var.as_str()) {
                 if i != j && !seen_from.contains(&i) {

@@ -51,6 +51,7 @@ pub mod ir;
 pub mod kmeans;
 pub mod leakage;
 pub mod lemma;
+pub mod oracle;
 pub mod pareto;
 pub mod provenance;
 pub mod report;

@@ -470,8 +470,9 @@ pub fn standardize_search(ctx: &SearchContext, input: &Module) -> SearchOutcome 
             // GetTopKBeams / GetDiverseTopKBeams.
             let t1 = Instant::now();
             if ctx.config.diversity {
-                get_diverse_top_k(cand, ranked, ctx, &exec, &mut next, &mut stats, &mut prov);
+                get_diverse_top_k(cand, &ranked, ctx, &exec, &mut next, &mut stats, &mut prov);
             } else {
+                let ranked: Vec<&ScoredStep> = ranked.iter().collect();
                 get_top_k(&ranked, ctx, &exec, &mut next, &mut stats, usize::MAX, &mut prov);
             }
             stats.get_top_k_ms += t1.elapsed().as_secs_f64() * 1e3;
@@ -1188,7 +1189,7 @@ fn score_steps_parallel(
 /// `next`. `budget` caps how many steps may be *admitted* from this list
 /// (used by the diversity wrapper to give each cluster K/M slots).
 fn get_top_k(
-    ranked: &[ScoredStep],
+    ranked: &[&ScoredStep],
     ctx: &SearchContext,
     exec: &ExecEnv,
     next: &mut Vec<Candidate>,
@@ -1312,7 +1313,7 @@ fn dedup_and_cap(
 /// so the beams explore different parts of the space.
 fn get_diverse_top_k(
     cand: &Candidate,
-    ranked: Vec<ScoredStep>,
+    ranked: &[ScoredStep],
     ctx: &SearchContext,
     exec: &ExecEnv,
     next: &mut Vec<Candidate>,
@@ -1331,23 +1332,16 @@ fn get_diverse_top_k(
     let clustering = kmeans(&features, m, 25);
     let per_cluster = (ctx.config.beam_k / m.min(clustering.k.max(1))).max(1);
     for cluster in 0..clustering.k {
+        // Members inherit the global ranking order (ascending RE).
         let members: Vec<&ScoredStep> = ranked
             .iter()
             .zip(&clustering.assignments)
             .filter(|(_, &a)| a == cluster)
             .map(|(s, _)| s)
             .collect();
-        // Members inherit the global ranking order (ascending RE).
-        let member_refs: Vec<ScoredStep> = members
-            .into_iter()
-            .map(|s| ScoredStep {
-                transformation: s.transformation.clone(),
-                candidate: s.candidate.clone(),
-            })
-            .collect();
         // Clusters partition the ranked list, so each candidate reaches
         // exactly one `get_top_k` call — single-fate holds.
-        get_top_k(&member_refs, ctx, exec, next, stats, per_cluster, prov);
+        get_top_k(&members, ctx, exec, next, stats, per_cluster, prov);
     }
 }
 
@@ -1362,17 +1356,14 @@ fn step_features(
     n_lines: f64,
     re_after: f64,
 ) -> Vec<f64> {
-    let (is_add, atom) = match &t.kind {
-        TransformKind::Add { atom } => (1.0, Some(atom)),
+    let (is_add, id) = match &t.kind {
+        TransformKind::Add { atom } => (1.0, atom.id),
         TransformKind::Delete => (0.0, None),
     };
-    let popularity = atom
-        .map(|a| corpus.atom_prevalence(a))
-        .unwrap_or(0.0);
+    let popularity =
+        id.map_or(0.0, |id| corpus.atom_count_by_id(id) as f64 / corpus.n_scripts as f64);
     let rel_pos = t.line as f64 / n_lines;
-    let typical = atom
-        .and_then(|a| corpus.mean_rel_pos.get(a).copied())
-        .unwrap_or(0.5);
+    let typical = id.map_or(0.5, |id| corpus.rel_pos(id));
     vec![is_add * 4.0, rel_pos, re_after, popularity, typical]
 }
 

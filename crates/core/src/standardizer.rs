@@ -12,6 +12,7 @@ use crate::vocab::CorpusModel;
 use lucid_frame::DataFrame;
 use lucid_interp::Interpreter;
 use lucid_pyast::{parse_module, print_module, Module};
+use std::sync::Arc;
 
 /// A ready-to-use script standardizer (offline phase already done).
 #[derive(Debug, Clone)]
@@ -222,16 +223,15 @@ fn emit_diff_audit(
     let interner = StmtInterner::new();
     let mut prog = Program::from_module(input, &interner);
     // (sign, atom, chain index, op description) per applied step.
-    let mut chain: Vec<(char, String, usize, String)> = Vec::new();
+    let mut chain: Vec<(char, Arc<str>, usize, String)> = Vec::new();
     for (i, t) in applied.iter().enumerate() {
         let (sign, atom) = match &t.kind {
-            TransformKind::Add { atom } => ('+', atom.clone()),
+            TransformKind::Add { atom } => ('+', Arc::clone(&atom.text)),
             TransformKind::Delete => (
                 '-',
                 prog.stmts()
                     .get(t.line)
-                    .map(|info| info.atom.clone())
-                    .unwrap_or_default(),
+                    .map_or_else(|| Arc::from(""), |info| Arc::clone(&info.atom)),
             ),
         };
         chain.push((sign, atom, i, t.describe()));
@@ -247,7 +247,7 @@ fn emit_diff_audit(
         let hit = chain
             .iter()
             .enumerate()
-            .find(|(ci, (sign, atom, _, _))| !consumed[*ci] && *sign == e.change && *atom == e.step)
+            .find(|(ci, (sign, atom, _, _))| !consumed[*ci] && *sign == e.change && **atom == *e.step)
             .map(|(ci, (_, _, idx, op))| (ci, *idx, op.clone()));
         let (cand, chain_index, op) = match hit {
             Some((ci, idx, op)) => {
@@ -282,7 +282,7 @@ fn configure_interp(interp: &mut Interpreter, config: &SearchConfig) {
     interp.budget = config.budget;
     interp.fault_plan = config.fault_plan.clone();
     interp.obs = (config.trace.is_some() || config.profile_out.is_some())
-        .then(|| std::sync::Arc::new(lucid_obs::Collector::new(true)));
+        .then(|| Arc::new(lucid_obs::Collector::new(true)));
 }
 
 #[cfg(test)]

@@ -4,16 +4,17 @@
 use crate::dag::ScriptDag;
 use crate::error::{CoreError, Result};
 use crate::ir::{Program, StmtInterner};
-use crate::vocab::CorpusModel;
+use crate::vocab::{Atom, CorpusModel};
 use lucid_pyast::{parse_module, Module, Span};
+use std::collections::HashSet;
 
 /// What a transformation does.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum TransformKind {
     /// Insert a corpus atom (a lemmatized statement) into the script.
     Add {
-        /// The atom key (printable statement source) to insert.
-        atom: String,
+        /// Handle to the atom (printable statement source) to insert.
+        atom: Atom,
     },
     /// Remove the statement at the transformation's line.
     Delete,
@@ -67,7 +68,7 @@ impl Transformation {
                         stmts.len()
                     )));
                 }
-                let parsed = parse_module(atom)?;
+                let parsed = parse_module(atom.as_str())?;
                 let mut stmt = parsed
                     .stmts
                     .into_iter()
@@ -110,7 +111,7 @@ impl Transformation {
                         program.len()
                     )));
                 }
-                let info = interner.intern_atom(atom)?;
+                let info = interner.intern_atom(atom.as_str())?;
                 Ok(program.with_inserted(self.line, info))
             }
         }
@@ -239,98 +240,83 @@ fn enumerate_with_pruned(
     let mut pruned: Vec<Transformation> = Vec::new();
     let n = dag.atoms.len();
     let mut out = Vec::new();
-    let mut seen = std::collections::HashSet::new();
-    let mut push = |t: Transformation, out: &mut Vec<Transformation>| {
-        if seen.insert(t.clone()) {
-            out.push(t);
+    let add = |id: u32, line: usize| Transformation {
+        kind: TransformKind::Add {
+            atom: corpus.handle(id),
+        },
+        line,
+    };
+    // Only adds can repeat (deletes are one per line): dedup on
+    // (atom ID, line).
+    let mut seen: HashSet<(u32, usize)> = HashSet::new();
+    let mut push_add = |id: u32, line: usize, out: &mut Vec<Transformation>| {
+        if seen.insert((id, line)) {
+            out.push(add(id, line));
         }
     };
 
     // Deletes — exempt from the cursor (see `Transformation::next_cursor`).
     for (i, atom) in dag.atoms.iter().enumerate() {
-        if is_protected(atom) {
-            continue;
-        }
-        push(
-            Transformation {
+        if !is_protected(atom) {
+            out.push(Transformation {
                 kind: TransformKind::Delete,
                 line: i,
-            },
-            &mut out,
-        );
+            });
+        }
     }
 
-    let present: std::collections::HashSet<&String> = dag.atoms.iter().collect();
+    // Script atoms keyed once; atoms the corpus never saw have no
+    // successors and can never be proposed.
+    let ids: Vec<Option<u32>> = dag.atoms.iter().map(|a| corpus.atom_id(a)).collect();
+    let mut present: Vec<u32> = ids.iter().flatten().copied().collect();
+    present.sort_unstable();
+    let is_present = |id: u32| present.binary_search(&id).is_ok();
     // End of the import block: imports are always inserted there.
-    let import_end = dag
-        .atoms
-        .iter()
-        .take_while(|a| a.starts_with("import ") || a.starts_with("from "))
-        .count();
+    let import_end = dag.atoms.iter().take_while(|a| is_import(a)).count();
 
     // Edge-driven adds.
-    for (i, atom) in dag.atoms.iter().enumerate() {
-        let insert_at = i + 1;
-        let Some(succs) = corpus.successors.get(atom) else {
+    for (i, id) in ids.iter().enumerate() {
+        let Some(id) = *id else {
             continue;
         };
-        for (next_atom, _) in succs.iter().take(opts.max_successors_per_atom) {
+        let insert_at = i + 1;
+        for &next in corpus.successors(id).iter().take(opts.max_successors_per_atom) {
             // A preparation step never usefully repeats verbatim — and a
             // repeated `read_csv` would silently reset all prior work —
             // so atoms already present anywhere are not re-added.
-            if present.contains(next_atom) {
+            if is_present(next) {
                 continue;
             }
-            let line = if is_import(next_atom) {
+            let line = if is_import(&corpus.atoms()[next as usize]) {
                 import_end
             } else if insert_at < cursor {
                 stats.pruned_monotonicity += 1; // audit fate: Disposition::PrunedMonotonicity
                 if collect_pruned {
-                    pruned.push(Transformation {
-                        kind: TransformKind::Add {
-                            atom: next_atom.clone(),
-                        },
-                        line: insert_at,
-                    });
+                    pruned.push(add(next, insert_at));
                 }
                 continue;
             } else {
                 insert_at
             };
-            push(
-                Transformation {
-                    kind: TransformKind::Add {
-                        atom: next_atom.clone(),
-                    },
-                    line,
-                },
-                &mut out,
-            );
+            push_add(next, line, &mut out);
         }
     }
 
-    // Position-driven adds for atoms missing from the script.
-    let mut by_count: Vec<(&String, &usize)> = corpus.atom_counts.iter().collect();
-    by_count.sort_by(|a, b| b.1.cmp(a.1).then(a.0.cmp(b.0)));
-    for (atom, _) in by_count.into_iter().take(opts.max_positional_atoms) {
+    // Position-driven adds for atoms missing from the script, most
+    // frequent corpus atoms first.
+    for &id in corpus.by_count().iter().take(opts.max_positional_atoms) {
+        let atom = &corpus.atoms()[id as usize];
         // `read_csv` loads are never re-proposed; imports are fine (they
         // pin to the import block).
-        if present.contains(atom) || atom.contains("read_csv(") {
+        if is_present(id) || atom.contains("read_csv(") {
             continue;
         }
         let line = if is_import(atom) {
             import_end
         } else {
-            let rel = corpus.mean_rel_pos.get(atom).copied().unwrap_or(0.5);
-            ((rel * n as f64).round() as usize).clamp(cursor.min(n), n)
+            ((corpus.rel_pos(id) * n as f64).round() as usize).clamp(cursor.min(n), n)
         };
-        push(
-            Transformation {
-                kind: TransformKind::Add { atom: atom.clone() },
-                line,
-            },
-            &mut out,
-        );
+        push_add(id, line, &mut out);
     }
 
     (out, stats, pruned)
@@ -340,12 +326,12 @@ fn enumerate_with_pruned(
 /// removal always kills executability or disconnects the script from
 /// `D_IN`; pruning them here saves the execution check the paper's
 /// monotonic search would spend discovering the same thing).
-fn is_protected(atom: &str) -> bool {
+pub(crate) fn is_protected(atom: &str) -> bool {
     is_import(atom) || atom.contains("read_csv(")
 }
 
 /// Whether an atom is an import statement.
-fn is_import(atom: &str) -> bool {
+pub(crate) fn is_import(atom: &str) -> bool {
     atom.starts_with("import ") || atom.starts_with("from ")
 }
 
@@ -439,7 +425,7 @@ df = pd.get_dummies(df)
         let (module, ..) = setup();
         let t = Transformation {
             kind: TransformKind::Add {
-                atom: "df = df.dropna()".to_string(),
+                atom: Atom::new("df = df.dropna()"),
             },
             line: 2,
         };
@@ -456,14 +442,14 @@ df = pd.get_dummies(df)
         let (module, ..) = setup();
         let t = Transformation {
             kind: TransformKind::Add {
-                atom: "y = df['Outcome']".to_string(),
+                atom: Atom::new("y = df['Outcome']"),
             },
             line: 4,
         };
         assert_eq!(t.apply(&module).unwrap().stmts.len(), 5);
         assert!(Transformation {
             kind: TransformKind::Add {
-                atom: "y = 1".to_string()
+                atom: Atom::new("y = 1")
             },
             line: 6
         }
@@ -476,7 +462,7 @@ df = pd.get_dummies(df)
         let (module, ..) = setup();
         let t = Transformation {
             kind: TransformKind::Add {
-                atom: "df = (".to_string(),
+                atom: Atom::new("df = ("),
             },
             line: 1,
         };
@@ -499,7 +485,7 @@ df = pd.get_dummies(df)
         for t in &late {
             match &t.kind {
                 TransformKind::Add { atom }
-                    if !(atom.starts_with("import ") || atom.starts_with("from ")) =>
+                    if !is_import(atom.as_str()) =>
                 {
                     assert!(t.line >= 3, "cursor violated: {t:?}");
                 }
@@ -514,11 +500,11 @@ df = pd.get_dummies(df)
         let (_, dag, corpus) = setup();
         let all = enumerate_transformations(&dag, &corpus, 0, &EnumOptions::default());
         let has_mean_impute = all.iter().any(|t| {
-            matches!(&t.kind, TransformKind::Add { atom } if atom == "df = df.fillna(df.mean())")
+            matches!(&t.kind, TransformKind::Add { atom } if atom.as_str() == "df = df.fillna(df.mean())")
         });
         assert!(has_mean_impute, "corpus edge successor not proposed");
         let has_outlier_filter = all.iter().any(|t| {
-            matches!(&t.kind, TransformKind::Add { atom } if atom.contains("df['x'] < 80"))
+            matches!(&t.kind, TransformKind::Add { atom } if atom.as_str().contains("df['x'] < 80"))
         });
         assert!(has_outlier_filter, "positional add not proposed");
     }
@@ -544,7 +530,7 @@ df = pd.get_dummies(df)
         assert_eq!(t.next_cursor(2), 2);
         let t = Transformation {
             kind: TransformKind::Add {
-                atom: "x = 1".to_string(),
+                atom: Atom::new("x = 1"),
             },
             line: 2,
         };
@@ -560,7 +546,7 @@ df = pd.get_dummies(df)
         for t in &all {
             if let TransformKind::Add { atom } = &t.kind {
                 assert!(
-                    !dag.atoms.contains(atom),
+                    !dag.atoms.contains(&atom.text),
                     "re-added existing atom: {atom}"
                 );
             }
@@ -588,7 +574,7 @@ df = pd.get_dummies(df)
         let all = enumerate_transformations(&dag, &corpus, 2, &EnumOptions::default());
         let np_import = all
             .iter()
-            .find(|t| matches!(&t.kind, TransformKind::Add { atom } if atom == "import numpy as np"))
+            .find(|t| matches!(&t.kind, TransformKind::Add { atom } if atom.as_str() == "import numpy as np"))
             .expect("numpy import proposed");
         assert_eq!(np_import.line, 1, "import must land in the import block");
     }

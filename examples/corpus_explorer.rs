@@ -37,20 +37,21 @@ fn main() {
         model.total_edges
     );
 
-    let mut atoms: Vec<(&String, &usize)> = model.atom_counts.iter().collect();
-    atoms.sort_by(|a, b| b.1.cmp(a.1).then(a.0.cmp(b.0)));
     println!("top steps by prevalence:");
-    for (atom, count) in atoms.iter().take(12) {
+    for &id in model.by_count().iter().take(12) {
+        let (count, atom) = (model.atom_count_by_id(id), &model.atoms()[id as usize]);
         println!(
             "  {:>5.1}%  ({count:>3}×)  {atom}",
             model.atom_prevalence(atom) * 100.0
         );
     }
 
-    let mut edges: Vec<(&(String, String), &usize)> = model.edge_counts.iter().collect();
-    edges.sort_by(|a, b| b.1.cmp(a.1).then(a.0.cmp(b.0)));
+    // Edges come in text order; a stable sort keeps that as the tiebreak.
+    let mut edges: Vec<(u32, u32, usize)> = model.edges().collect();
+    edges.sort_by_key(|e| std::cmp::Reverse(e.2));
     println!("\ntop data-flow edges:");
-    for ((from, to), count) in edges.iter().take(8) {
+    for (from, to, count) in edges.into_iter().take(8) {
+        let (from, to) = (&model.atoms()[from as usize], &model.atoms()[to as usize]);
         println!("  {count:>3}×  {from}  →  {to}");
     }
 

@@ -28,6 +28,21 @@ trap 'rm -rf "$bench_smoke"' EXIT
 ./target/release/lucid bench --quick --kernels --reps 2 --out "$bench_smoke/smoke.json"
 ./scripts/bench_gate.sh BENCH_search.json
 
+# Decision-stability smoke: the committed standardization benchmark, built
+# and run as-is, must reproduce the pinned output digest of search-titanic
+# seed 1 with no failed check. The digest covers every output script and
+# the bits of its RE, so any scoring refactor that moves a search decision
+# (or a single float of RE) trips it.
+echo "==> decision-stability smoke (benchmark search-titanic seed 1)"
+stdbench_out=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+  --workload search-titanic --seed 1 --seconds 1 --trace 0)
+if ! grep -q '"output_digest":"3c9f33ec7c8a1338"' <<<"$stdbench_out" \
+  || ! grep -q '"failed":0,' <<<"$stdbench_out"; then
+  echo "$stdbench_out"
+  echo "==> FAIL: search-titanic seed 1 must report output_digest 3c9f33ec7c8a1338 and failed 0"
+  exit 1
+fi
+
 # The interpreter must stay panic-free outside #[cfg(test)]: a panicking
 # candidate is survivable (search.rs catches it) but always a bug. Scan
 # each source file up to its test module, ignore comment lines, and fail

@@ -142,12 +142,57 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(code) => code,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            eprintln!("\n{USAGE}");
+        Err(err) => {
+            eprintln!("error: {err}");
+            if let CliError::Usage(_) = err {
+                eprintln!("\n{USAGE}");
+            }
             ExitCode::FAILURE
         }
     }
+}
+
+/// Why an invocation failed. Only a malformed command line earns the
+/// usage text; an unreadable file, bad CSV or failed search is a fault of
+/// the input, and the usage text would bury its message.
+#[derive(Debug)]
+enum CliError {
+    /// Unknown command or flag, missing or malformed flag value.
+    Usage(String),
+    /// The command line was fine; running it failed.
+    Failed(String),
+}
+
+impl CliError {
+    fn message(&self) -> &str {
+        match self {
+            CliError::Usage(msg) | CliError::Failed(msg) => msg,
+        }
+    }
+}
+
+impl std::fmt::Display for CliError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.message())
+    }
+}
+
+impl From<String> for CliError {
+    fn from(msg: String) -> CliError {
+        CliError::Failed(msg)
+    }
+}
+
+#[cfg(test)]
+impl PartialEq<&str> for CliError {
+    fn eq(&self, other: &&str) -> bool {
+        self.message() == *other
+    }
+}
+
+/// A usage error for a flag whose value does not parse.
+fn bad(name: &str) -> CliError {
+    CliError::Usage(format!("bad --{name}"))
 }
 
 /// Boolean switches of the standardize/score/corpus-stats family.
@@ -211,7 +256,7 @@ struct Flags {
 }
 
 impl Flags {
-    fn parse(args: &[String]) -> Result<Flags, String> {
+    fn parse(args: &[String]) -> Result<Flags, CliError> {
         Flags::parse_with(args, SWITCH_FLAGS, VALUE_FLAGS)
     }
 
@@ -219,23 +264,24 @@ impl Flags {
         args: &[String],
         switch_flags: &[&str],
         value_flags: &[&str],
-    ) -> Result<Flags, String> {
+    ) -> Result<Flags, CliError> {
+        let usage = |msg: String| Err(CliError::Usage(msg));
         let mut pairs = Vec::new();
         let mut switches = Vec::new();
         let mut it = args.iter().peekable();
         while let Some(a) = it.next() {
             let Some(name) = a.strip_prefix("--") else {
-                return Err(format!("unexpected argument '{a}'"));
+                return usage(format!("unexpected argument '{a}'"));
             };
             if switch_flags.contains(&name) {
                 switches.push(name.to_string());
             } else if value_flags.contains(&name) {
-                let value = it
-                    .next()
-                    .ok_or_else(|| format!("--{name} requires a value"))?;
+                let Some(value) = it.next() else {
+                    return usage(format!("--{name} requires a value"));
+                };
                 pairs.push((name.to_string(), value.clone()));
             } else {
-                return Err(format!("unknown flag '--{name}'"));
+                return usage(format!("unknown flag '--{name}'"));
             }
         }
         Ok(Flags { pairs, switches })
@@ -248,8 +294,15 @@ impl Flags {
             .map(|(_, v)| v.as_str())
     }
 
-    fn require(&self, name: &str) -> Result<&str, String> {
-        self.get(name).ok_or_else(|| format!("--{name} is required"))
+    fn require(&self, name: &str) -> Result<&str, CliError> {
+        self.get(name)
+            .ok_or_else(|| CliError::Usage(format!("--{name} is required")))
+    }
+
+    /// The parsed value of `--name`, or `default` when absent.
+    fn parse_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, CliError> {
+        self.get(name)
+            .map_or(Ok(default), |v| v.parse().map_err(|_| bad(name)))
     }
 
     fn has(&self, name: &str) -> bool {
@@ -257,9 +310,9 @@ impl Flags {
     }
 }
 
-fn run(args: &[String]) -> Result<ExitCode, String> {
+fn run(args: &[String]) -> Result<ExitCode, CliError> {
     let Some(command) = args.first() else {
-        return Err("missing command".to_string());
+        return Err(CliError::Usage("missing command".to_string()));
     };
     match command.as_str() {
         // Positional argument, not a flag pair.
@@ -281,7 +334,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         "standardize" => standardize(&flags),
         "score" => score(&flags),
         "corpus-stats" => corpus_stats(&flags),
-        other => Err(format!("unknown command '{other}'")),
+        other => Err(CliError::Usage(format!("unknown command '{other}'"))),
     }
     .map(|()| ExitCode::SUCCESS)
 }
@@ -293,11 +346,11 @@ const TRACE_USAGE: &str = "usage: lucid trace <FILE.jsonl> | lucid trace --aggre
 /// `lucid trace --aggregate <FILE>...` merges several logs into one
 /// cross-search table. Both fold a rotated `<FILE>.1` segment back in
 /// front of the current one when rotation split the log.
-fn trace_report(rest: &[String]) -> Result<(), String> {
+fn trace_report(rest: &[String]) -> Result<(), CliError> {
     if rest.first().map(String::as_str) == Some("--aggregate") {
         let files = &rest[1..];
         if files.is_empty() {
-            return Err(TRACE_USAGE.to_string());
+            return Err(CliError::Usage(TRACE_USAGE.to_string()));
         }
         let mut inputs = Vec::with_capacity(files.len());
         for path in files {
@@ -313,7 +366,7 @@ fn trace_report(rest: &[String]) -> Result<(), String> {
         return Ok(());
     }
     let [path] = rest else {
-        return Err(TRACE_USAGE.to_string());
+        return Err(CliError::Usage(TRACE_USAGE.to_string()));
     };
     let summary = lucidscript::obs::parse_trace(&read_trace_folding_rotation(path)?)?;
     print!("{}", summary.render());
@@ -350,9 +403,9 @@ const WHY_USAGE: &str = "usage: lucid why <FILE.audit.jsonl>";
 /// pruned-candidate graveyard, the winner's lineage, the diff-line join,
 /// and the Timings reconciliation verdict. Rotated `<FILE>.1` segments
 /// fold back in front, as with `lucid trace`.
-fn why_report(rest: &[String]) -> Result<(), String> {
+fn why_report(rest: &[String]) -> Result<(), CliError> {
     let [path] = rest else {
-        return Err(WHY_USAGE.to_string());
+        return Err(CliError::Usage(WHY_USAGE.to_string()));
     };
     let summary = lucidscript::obs::parse_audit(&read_trace_folding_rotation(path)?)?;
     print!("{}", summary.render());
@@ -362,9 +415,11 @@ fn why_report(rest: &[String]) -> Result<(), String> {
 /// `lucid profile <FILE.jsonl> [--out DIR]`: extract the profile record
 /// of a trace (or read a standalone `profile.json`) and print the folded
 /// flamegraph + percentile table — or write them into `--out`.
-fn profile_report(rest: &[String]) -> Result<(), String> {
+fn profile_report(rest: &[String]) -> Result<(), CliError> {
     let Some((path, flag_args)) = rest.split_first() else {
-        return Err("usage: lucid profile <FILE.jsonl> [--out <DIR>]".to_string());
+        return Err(CliError::Usage(
+            "usage: lucid profile <FILE.jsonl> [--out <DIR>]".to_string(),
+        ));
     };
     let flags = Flags::parse_with(flag_args, &[], PROFILE_VALUE_FLAGS)?;
     let text = std::fs::read_to_string(path)
@@ -402,23 +457,16 @@ fn profile_report(rest: &[String]) -> Result<(), String> {
 
 /// `lucid bench`: run the pinned workload suite, append a trajectory
 /// entry, and (with `--compare`) gate against a baseline.
-fn bench(flags: &Flags) -> Result<ExitCode, String> {
-    let parse_f64 = |name: &str, default: f64| -> Result<f64, String> {
-        flags
-            .get(name)
-            .map_or(Ok(default), |v| v.parse().map_err(|_| format!("bad --{name}")))
-    };
-    let reps: usize = flags
-        .get("reps")
-        .map_or(Ok(5), |v| v.parse().map_err(|_| "bad --reps".to_string()))?;
-    let inject = parse_f64("inject-slowdown", 1.0)?;
-    let inject_mem = parse_f64("inject-mem-regression", 1.0)?;
+fn bench(flags: &Flags) -> Result<ExitCode, CliError> {
+    let reps: usize = flags.parse_or("reps", 5)?;
+    let inject = flags.parse_or("inject-slowdown", 1.0)?;
+    let inject_mem = flags.parse_or("inject-mem-regression", 1.0)?;
     // Parsed up front so a typo fails before minutes of suite running.
     let gate_opts = lucidscript::bench::GateOptions {
-        rel_threshold: parse_f64("rel-threshold", 0.5)?,
-        noise_mult: parse_f64("noise-mult", 1.5)?,
-        abs_floor_ms: parse_f64("abs-floor-ms", 1.0)?,
-        abs_floor_bytes: parse_f64("abs-floor-bytes", (1u64 << 20) as f64)?,
+        rel_threshold: flags.parse_or("rel-threshold", 0.5)?,
+        noise_mult: flags.parse_or("noise-mult", 1.5)?,
+        abs_floor_ms: flags.parse_or("abs-floor-ms", 1.0)?,
+        abs_floor_bytes: flags.parse_or("abs-floor-bytes", (1u64 << 20) as f64)?,
     };
     let workloads = if flags.has("quick") {
         lucidscript::bench::quick_suite()
@@ -572,30 +620,19 @@ fn read_script(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("cannot read script '{path}': {e}"))
 }
 
-fn intent_from(flags: &Flags) -> Result<IntentMeasure, String> {
+fn intent_from(flags: &Flags) -> Result<IntentMeasure, CliError> {
     if let Some(tm) = flags.get("tau-m") {
-        let tau: f64 = tm.parse().map_err(|_| "bad --tau-m".to_string())?;
+        let tau: f64 = tm.parse().map_err(|_| bad("tau-m"))?;
         let target = flags.require("target")?;
         return Ok(IntentMeasure::model_perf(tau, target));
     }
-    let tau: f64 = flags
-        .get("tau-j")
-        .unwrap_or("0.9")
-        .parse()
-        .map_err(|_| "bad --tau-j".to_string())?;
-    Ok(IntentMeasure::jaccard(tau))
+    Ok(IntentMeasure::jaccard(flags.parse_or("tau-j", 0.9)?))
 }
 
 /// Builds the per-candidate resource budget from `--fuel`, `--max-cells`,
 /// and `--deadline-ms`; every unset axis stays unlimited.
-fn budget_from(flags: &Flags) -> Result<lucidscript::interp::Budget, String> {
-    let axis = |name: &str| -> Result<u64, String> {
-        flags
-            .get(name)
-            .map_or(Ok(lucidscript::interp::budget::UNLIMITED), |v| {
-                v.parse().map_err(|_| format!("bad --{name}"))
-            })
-    };
+fn budget_from(flags: &Flags) -> Result<lucidscript::interp::Budget, CliError> {
+    let axis = |name: &str| flags.parse_or(name, lucidscript::interp::budget::UNLIMITED);
     Ok(lucidscript::interp::Budget {
         fuel: axis("fuel")?,
         max_cells: axis("max-cells")?,
@@ -605,7 +642,9 @@ fn budget_from(flags: &Flags) -> Result<lucidscript::interp::Budget, String> {
 
 /// Parses `--telemetry off|counting|full` (None when the flag is absent,
 /// leaving the process default — counting — in place).
-fn telemetry_mode_from(flags: &Flags) -> Result<Option<lucidscript::obs::TelemetryMode>, String> {
+fn telemetry_mode_from(
+    flags: &Flags,
+) -> Result<Option<lucidscript::obs::TelemetryMode>, CliError> {
     use lucidscript::obs::TelemetryMode;
     flags
         .get("telemetry")
@@ -613,71 +652,75 @@ fn telemetry_mode_from(flags: &Flags) -> Result<Option<lucidscript::obs::Telemet
             "off" => Ok(TelemetryMode::Off),
             "counting" => Ok(TelemetryMode::Counting),
             "full" => Ok(TelemetryMode::Full),
-            other => Err(format!("bad --telemetry '{other}' (off|counting|full)")),
+            other => Err(CliError::Usage(format!(
+                "bad --telemetry '{other}' (off|counting|full)"
+            ))),
         })
         .transpose()
 }
 
 /// Parses the `--stats-out` / `--stats-interval-ms` pair: the snapshot
 /// destination and the optional periodic re-export interval.
-fn stats_export_from(flags: &Flags) -> Result<Option<(PathBuf, Option<u64>)>, String> {
+fn stats_export_from(flags: &Flags) -> Result<Option<(PathBuf, Option<u64>)>, CliError> {
     let interval: Option<u64> = flags
         .get("stats-interval-ms")
         .map(|v| {
             v.parse()
                 .ok()
                 .filter(|&n| n > 0)
-                .ok_or_else(|| "bad --stats-interval-ms".to_string())
+                .ok_or_else(|| bad("stats-interval-ms"))
         })
         .transpose()?;
     match flags.get("stats-out") {
         Some(path) => Ok(Some((PathBuf::from(path), interval))),
-        None if interval.is_some() => Err("--stats-interval-ms requires --stats-out".to_string()),
+        None if interval.is_some() => Err(CliError::Usage(
+            "--stats-interval-ms requires --stats-out".to_string(),
+        )),
         None => Ok(None),
     }
 }
 
 /// Builds the `--trace` sink, honoring `--trace-max-bytes` rotation.
-fn trace_sink_from(flags: &Flags) -> Result<Option<lucidscript::obs::TraceSink>, String> {
+fn trace_sink_from(flags: &Flags) -> Result<Option<lucidscript::obs::TraceSink>, CliError> {
     let max_bytes: u64 = flags
         .get("trace-max-bytes")
         .map_or(Ok(u64::MAX), |v| {
             v.parse()
                 .ok()
                 .filter(|&n| n > 0)
-                .ok_or_else(|| "bad --trace-max-bytes".to_string())
+                .ok_or_else(|| bad("trace-max-bytes"))
         })?;
     let Some(path) = flags.get("trace") else {
         if flags.get("trace-max-bytes").is_some() {
-            return Err("--trace-max-bytes requires --trace".to_string());
+            return Err(CliError::Usage("--trace-max-bytes requires --trace".to_string()));
         }
         return Ok(None);
     };
-    lucidscript::obs::TraceSink::to_file_capped(path, max_bytes)
+    Ok(lucidscript::obs::TraceSink::to_file_capped(path, max_bytes)
         .map(Some)
-        .map_err(|e| format!("cannot create trace file '{path}': {e}"))
+        .map_err(|e| format!("cannot create trace file '{path}': {e}"))?)
 }
 
 /// Builds the `--audit` sink, honoring `--audit-max-bytes` rotation —
 /// the decision-provenance analog of [`trace_sink_from`].
-fn audit_sink_from(flags: &Flags) -> Result<Option<lucidscript::obs::TraceSink>, String> {
+fn audit_sink_from(flags: &Flags) -> Result<Option<lucidscript::obs::TraceSink>, CliError> {
     let max_bytes: u64 = flags
         .get("audit-max-bytes")
         .map_or(Ok(u64::MAX), |v| {
             v.parse()
                 .ok()
                 .filter(|&n| n > 0)
-                .ok_or_else(|| "bad --audit-max-bytes".to_string())
+                .ok_or_else(|| bad("audit-max-bytes"))
         })?;
     let Some(path) = flags.get("audit") else {
         if flags.get("audit-max-bytes").is_some() {
-            return Err("--audit-max-bytes requires --audit".to_string());
+            return Err(CliError::Usage("--audit-max-bytes requires --audit".to_string()));
         }
         return Ok(None);
     };
-    lucidscript::obs::TraceSink::to_file_capped(path, max_bytes)
+    Ok(lucidscript::obs::TraceSink::to_file_capped(path, max_bytes)
         .map(Some)
-        .map_err(|e| format!("cannot create audit file '{path}': {e}"))
+        .map_err(|e| format!("cannot create audit file '{path}': {e}"))?)
 }
 
 /// Builds the [`SearchConfig`] shared by `standardize` and `batch` from
@@ -686,22 +729,16 @@ fn audit_sink_from(flags: &Flags) -> Result<Option<lucidscript::obs::TraceSink>,
 fn search_config_from(
     flags: &Flags,
     fleet: Option<std::sync::Arc<lucidscript::obs::Registry>>,
-) -> Result<SearchConfig, String> {
+) -> Result<SearchConfig, CliError> {
     Ok(SearchConfig {
         intent: intent_from(flags)?,
-        seq_len: flags
-            .get("seq")
-            .map_or(Ok(16), |v| v.parse().map_err(|_| "bad --seq".to_string()))?,
-        beam_k: flags
-            .get("beam")
-            .map_or(Ok(3), |v| v.parse().map_err(|_| "bad --beam".to_string()))?,
+        seq_len: flags.parse_or("seq", 16)?,
+        beam_k: flags.parse_or("beam", 3)?,
         sample_rows: flags
             .get("sample")
-            .map(|v| v.parse().map_err(|_| "bad --sample".to_string()))
+            .map(|v| v.parse().map_err(|_| bad("sample")))
             .transpose()?,
-        threads: flags.get("threads").map_or(Ok(1), |v| {
-            v.parse().map_err(|_| "bad --threads".to_string())
-        })?,
+        threads: flags.parse_or("threads", 1)?,
         prefix_cache: !flags.has("no-cache"),
         budget: budget_from(flags)?,
         trace: trace_sink_from(flags)?,
@@ -720,7 +757,7 @@ fn search_config_from(
     })
 }
 
-fn standardize(flags: &Flags) -> Result<(), String> {
+fn standardize(flags: &Flags) -> Result<(), CliError> {
     let corpus = load_corpus(flags.require("corpus")?)?;
     let data_path = flags.require("data")?;
     let data = read_csv(data_path).map_err(|e| e.to_string())?;
@@ -798,7 +835,7 @@ fn standardize(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn batch(flags: &Flags) -> Result<ExitCode, String> {
+fn batch(flags: &Flags) -> Result<ExitCode, CliError> {
     let corpus_dir = flags.require("corpus")?;
     let scripts = lucidscript::corpus::batch::load_dir(Path::new(corpus_dir))?;
     let data_path = flags.require("data")?;
@@ -821,9 +858,7 @@ fn batch(flags: &Flags) -> Result<ExitCode, String> {
 
     let config = search_config_from(flags, fleet.clone())?;
     let opts = lucidscript::core::batch::BatchOptions {
-        jobs: flags.get("jobs").map_or(Ok(1), |v| {
-            v.parse().map_err(|_| "bad --jobs".to_string())
-        })?,
+        jobs: flags.parse_or("jobs", 1)?,
         memo: flags.has("memo"),
         trace_dir: flags
             .get("trace-dir")
@@ -903,7 +938,7 @@ fn batch(flags: &Flags) -> Result<ExitCode, String> {
     })
 }
 
-fn score(flags: &Flags) -> Result<(), String> {
+fn score(flags: &Flags) -> Result<(), CliError> {
     let corpus = load_corpus(flags.require("corpus")?)?;
     let script = read_script(flags.require("script")?)?;
     let model = CorpusModel::build_from_sources(&corpus).map_err(|e| e.to_string())?;
@@ -914,7 +949,7 @@ fn score(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn corpus_stats(flags: &Flags) -> Result<(), String> {
+fn corpus_stats(flags: &Flags) -> Result<(), CliError> {
     let corpus = load_corpus(flags.require("corpus")?)?;
     let model = CorpusModel::build_from_sources(&corpus).map_err(|e| e.to_string())?;
     println!("scripts:        {}", model.n_scripts);
@@ -922,10 +957,9 @@ fn corpus_stats(flags: &Flags) -> Result<(), String> {
     println!("unique 1-grams: {}", model.n_unique_unigrams());
     println!("unique edges:   {}", model.n_unique_edges());
     println!("total edges:    {}", model.total_edges);
-    let mut atoms: Vec<(&String, &usize)> = model.atom_counts.iter().collect();
-    atoms.sort_by(|a, b| b.1.cmp(a.1).then(a.0.cmp(b.0)));
     println!("top steps:");
-    for (atom, count) in atoms.iter().take(10) {
+    for &id in model.by_count().iter().take(10) {
+        let (count, atom) = (model.atom_count_by_id(id), &model.atoms()[id as usize]);
         println!("  {count:>4}x  {atom}");
     }
     Ok(())
@@ -982,7 +1016,26 @@ mod tests {
             "d.csv",
         ]))
         .unwrap_err();
-        assert!(err.contains("/nonexistent_lucid_batch_dir"), "{err}");
+        assert!(matches!(&err, CliError::Failed(m) if m.contains("/nonexistent_lucid_batch_dir")), "{err:?}");
+    }
+
+    #[test]
+    fn only_command_line_errors_are_usage_errors() {
+        for args in [
+            &["standardize", "--copus", "dir"][..],
+            &["bench", "--quick", "--noise-mult", "wide"],
+            &["standardize", "--trace-max-bytes", "9"],
+            &["bench", "--reps", "x"],
+            &["batch", "--data", "d.csv"],
+            &["why"],
+            &[],
+        ] {
+            let err = run(&argv(args)).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{args:?}: {err:?}");
+        }
+        let err = run(&argv(&["score", "--corpus", "/nonexistent_lucid_dir", "--script", "s.py"]))
+            .unwrap_err();
+        assert!(matches!(err, CliError::Failed(_)), "{err:?}");
     }
 
     #[test]
@@ -1011,7 +1064,7 @@ mod tests {
             "many",
         ]))
         .unwrap_err();
-        assert!(err.contains("corpus") || err.contains("threads"), "{err}");
+        assert!(err.to_string().contains("corpus") || err.to_string().contains("threads"), "{err}");
     }
 
     #[test]
@@ -1086,9 +1139,9 @@ mod tests {
     #[test]
     fn profile_command_validates_its_arguments() {
         let err = run(&argv(&["profile"])).unwrap_err();
-        assert!(err.contains("usage: lucid profile"), "{err}");
+        assert!(matches!(&err, CliError::Usage(m) if m.contains("usage: lucid profile")), "{err:?}");
         let err = run(&argv(&["profile", "/nonexistent_lucid_profile.jsonl"])).unwrap_err();
-        assert!(err.contains("cannot read profile source"), "{err}");
+        assert!(matches!(&err, CliError::Failed(m) if m.contains("cannot read profile source")), "{err:?}");
         let err = run(&argv(&["profile", "f.jsonl", "--json"])).unwrap_err();
         assert_eq!(err, "unknown flag '--json'");
     }
@@ -1156,7 +1209,7 @@ mod tests {
         let err = run(&argv(&["why", "a", "b"])).unwrap_err();
         assert_eq!(err, WHY_USAGE);
         let err = run(&argv(&["why", "/nonexistent_lucid_audit.jsonl"])).unwrap_err();
-        assert!(err.contains("cannot read trace"), "{err}");
+        assert!(matches!(&err, CliError::Failed(m) if m.contains("cannot read trace")), "{err:?}");
     }
 
     #[test]
@@ -1187,10 +1240,10 @@ mod tests {
         let err = run(&argv(&["trace", "--aggregate"])).unwrap_err();
         assert_eq!(err, TRACE_USAGE);
         let err = run(&argv(&["trace", "/nonexistent_lucid_trace.jsonl"])).unwrap_err();
-        assert!(err.contains("cannot read trace"), "{err}");
+        assert!(matches!(&err, CliError::Failed(m) if m.contains("cannot read trace")), "{err:?}");
         let err =
             run(&argv(&["trace", "--aggregate", "/nonexistent_lucid_trace.jsonl"])).unwrap_err();
-        assert!(err.contains("cannot read trace"), "{err}");
+        assert!(matches!(&err, CliError::Failed(m) if m.contains("cannot read trace")), "{err:?}");
     }
 
     #[test]

@@ -141,6 +141,58 @@ fn bad_usage_fails_with_usage_text() {
 }
 
 #[test]
+fn bad_flag_values_fail_with_usage_text() {
+    let dir = workdir();
+    let out = lucid()
+        .args([
+            "standardize",
+            "--corpus",
+            dir.join("corpus").to_str().unwrap(),
+            "--data",
+            dir.join("diabetes.csv").to_str().unwrap(),
+            "--script",
+            dir.join("draft.py").to_str().unwrap(),
+            "--seq",
+            "many",
+        ])
+        .output()
+        .expect("runs");
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("error: bad --seq"), "{stderr}");
+    assert!(stderr.contains("USAGE"), "usage shown for a bad flag value:\n{stderr}");
+}
+
+#[test]
+fn data_errors_fail_without_usage_text() {
+    let dir = workdir();
+    std::fs::write(dir.join("broken.csv"), "Age,Outcome\n1,\"open\n").expect("write csv");
+    let corpus = dir.join("corpus");
+    let corpus = corpus.to_str().unwrap();
+    let draft = dir.join("draft.py");
+    let draft = draft.to_str().unwrap();
+    let broken = dir.join("broken.csv");
+    let missing = dir.join("no_such_dir");
+    for (args, message) in [
+        (
+            vec!["standardize", "--corpus", corpus, "--data", broken.to_str().unwrap(), "--script", draft],
+            "csv error: unterminated quoted field",
+        ),
+        (
+            vec!["score", "--corpus", missing.to_str().unwrap(), "--script", draft],
+            "cannot read corpus dir",
+        ),
+        (vec!["trace", "/nonexistent_lucid_cli_trace.jsonl"], "cannot read trace"),
+    ] {
+        let out = lucid().args(&args).output().expect("runs");
+        assert!(!out.status.success(), "args {args:?} should fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(message), "{args:?}:\n{stderr}");
+        assert!(!stderr.contains("USAGE"), "usage printed for a data error {args:?}:\n{stderr}");
+    }
+}
+
+#[test]
 fn profile_renders_a_traced_search() {
     let dir = workdir();
     let trace = dir.join("profile_trace.jsonl");

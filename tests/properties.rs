@@ -6,13 +6,16 @@ use lucidscript::core::batch::{
     BatchScript, MemoKey, ResultMemo,
 };
 use lucidscript::core::config::SearchConfig;
-use lucidscript::core::dag::build_dag;
-use lucidscript::core::entropy::relative_entropy;
+use lucidscript::core::dag::{build_dag, ScriptDag};
+use lucidscript::core::entropy::{relative_entropy, relative_entropy_atoms};
 use lucidscript::core::intent::IntentMeasure;
 use lucidscript::core::ir::{Program, StmtInterner};
 use lucidscript::core::lemma::lemmatize;
 use lucidscript::core::standardizer::Standardizer;
-use lucidscript::core::transform::{enumerate_transformations, EnumOptions};
+use lucidscript::core::oracle;
+use lucidscript::core::transform::{
+    enumerate_transformations, enumerate_transformations_counted, EnumOptions,
+};
 use lucidscript::core::vocab::CorpusModel;
 use lucidscript::corpus::script_gen::generate_script;
 use lucidscript::corpus::Profile;
@@ -597,4 +600,158 @@ proptest! {
         }
         prop_assert!(interner.dag_incremental_updates() <= 4);
     }
+}
+
+/// Atom pool for random DAGs: every atom of `model`, plus unseen variants
+/// that sort right after a corpus atom — several per corpus atom, so
+/// groups of unseen atoms share a lower bound and only their text can
+/// order them.
+fn atom_pool(model: &CorpusModel) -> Vec<std::sync::Arc<str>> {
+    let mut pool: Vec<std::sync::Arc<str>> = model.atoms().to_vec();
+    for (i, atom) in model.atoms().iter().enumerate().step_by(3) {
+        for suffix in ["0", "1", "a", &i.to_string()] {
+            pool.push(format!("{atom}{suffix}").into());
+        }
+    }
+    pool.push("a = 1".into());
+    pool.push("zzz = 1".into());
+    pool
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Integer-keyed RE (over edges and over atoms) equals the
+    /// string-keyed oracle bit for bit on random corpora and random DAGs:
+    /// repeated atoms and repeated edges, edge-free scripts, and unseen
+    /// atoms sharing a lower bound.
+    #[test]
+    fn integer_re_matches_string_oracle_bit_for_bit(
+        corpus_seed in 0u64..40,
+        picks in proptest::collection::vec(0usize..10_000, 0..14),
+        edge_picks in proptest::collection::vec((0usize..1_000, 0usize..1_000), 0..30),
+    ) {
+        let profile = if corpus_seed % 2 == 0 { Profile::titanic() } else { Profile::medical() };
+        let corpus: Vec<String> = profile
+            .generate_corpus(corpus_seed)
+            .into_iter()
+            .take(8)
+            .map(|s| s.source)
+            .collect();
+        let model = CorpusModel::build_from_sources(&corpus).expect("nonempty");
+        let pool = atom_pool(&model);
+        let atoms: Vec<std::sync::Arc<str>> =
+            picks.iter().map(|&p| pool[p % pool.len()].clone()).collect();
+        let edge_positions = if atoms.is_empty() {
+            Vec::new()
+        } else {
+            edge_picks.iter().map(|&(i, j)| (i % atoms.len(), j % atoms.len())).collect()
+        };
+        let dag = ScriptDag { atoms, edge_positions };
+        prop_assert_eq!(
+            relative_entropy(&dag, &model).to_bits(),
+            oracle::relative_entropy(&dag, &model).to_bits(),
+            "{:?}", dag
+        );
+        prop_assert_eq!(
+            relative_entropy_atoms(&dag, &model).to_bits(),
+            oracle::relative_entropy_atoms(&dag, &model).to_bits(),
+            "{:?}", dag
+        );
+    }
+
+    /// The same on real scripts: generated user scripts against generated
+    /// corpora, through the interned IR the search uses.
+    #[test]
+    fn integer_re_matches_oracle_on_generated_scripts(seed in 0u64..5_000) {
+        let profile = Profile::titanic();
+        let corpus: Vec<String> = profile
+            .generate_corpus(seed % 13)
+            .into_iter()
+            .take(10)
+            .map(|s| s.source)
+            .collect();
+        let model = CorpusModel::build_from_sources(&corpus).expect("nonempty");
+        let script = generate_script(&profile, seed);
+        let module = lemmatize(&parse_module(&script.source).expect("parses"));
+        let dag = Program::from_module(&module, &StmtInterner::new()).full_dag();
+        prop_assert_eq!(
+            relative_entropy(&dag, &model).to_bits(),
+            oracle::relative_entropy(&dag, &model).to_bits()
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The ID-keyed enumerator returns the string enumerator's candidates
+    /// in the same order, with the same cursor-pruning count, along random
+    /// transformation sequences.
+    #[test]
+    fn id_enumerator_matches_string_oracle(seed in 0u64..2_000, cursor_pick in 0usize..64) {
+        let profile = if seed % 2 == 0 { Profile::medical() } else { Profile::titanic() };
+        let corpus: Vec<String> = profile
+            .generate_corpus(seed % 7)
+            .into_iter()
+            .take(12)
+            .map(|s| s.source)
+            .collect();
+        let model = CorpusModel::build_from_sources(&corpus).expect("nonempty");
+        let script = generate_script(&profile, seed);
+        let module = lemmatize(&parse_module(&script.source).expect("parses"));
+        let interner = StmtInterner::new();
+        let mut program = Program::from_module(&module, &interner);
+        let mut dag = program.full_dag();
+        let opts = EnumOptions::default();
+        for k in 0..3usize {
+            let cursor = cursor_pick.wrapping_mul(k + 1) % (dag.atoms.len() + 2);
+            let (ts, stats) = enumerate_transformations_counted(&dag, &model, cursor, &opts);
+            let (want_ts, want_stats) = oracle::enumerate_transformations_counted(&dag, &model, cursor, &opts);
+            let got: Vec<String> = ts.iter().map(|t| t.describe()).collect();
+            let want: Vec<String> = want_ts.iter().map(|t| t.describe()).collect();
+            prop_assert_eq!(&got, &want, "cursor {}", cursor);
+            // Handles compare by text, so ID-carrying and ID-less adds agree.
+            prop_assert_eq!(&ts, &want_ts);
+            prop_assert_eq!(stats.pruned_monotonicity, want_stats.pruned_monotonicity);
+            if ts.is_empty() {
+                break;
+            }
+            let t = &ts[(seed as usize).wrapping_add(k * 7) % ts.len()];
+            program = t.apply_ir(&program, &interner).expect("applies");
+            dag = program.update_dag(&dag, t.line, &interner);
+        }
+    }
+}
+
+/// Unseen atoms that fall between the same two corpus atoms get the same
+/// integer rank; their text must still order the edges exactly as the
+/// string-keyed definition sums them.
+#[test]
+fn unseen_atoms_between_the_same_corpus_atoms_keep_text_order() {
+    let model = CorpusModel::build_from_sources(&[
+        "import pandas as pd\ndf = pd.read_csv('t.csv')\ndf = df.fillna(0)\ndf = pd.get_dummies(df)\n",
+        "import pandas as pd\ndf = pd.read_csv('t.csv')\ndf = df.dropna()\ndf = pd.get_dummies(df)\n",
+    ])
+    .unwrap();
+    // Three unseen atoms strictly between `df = df.dropna()` and
+    // `df = df.fillna(0)`, listed out of text order.
+    let unseen = ["df = df.ffill()", "df = df.dropna(how='all')", "df = df.dropna(axis=1)"];
+    let lb = |a: &str| model.atoms().partition_point(|c| **c < *a);
+    assert!(unseen.iter().all(|a| model.atom_id(a).is_none() && lb(a) == lb(unseen[0])));
+    let known = "df = pd.read_csv('t.csv')";
+    let atoms: Vec<std::sync::Arc<str>> = [known, unseen[0], unseen[1], unseen[2], "df = df.fillna(0)"]
+        .iter()
+        .map(|&a| a.into())
+        .collect();
+    // Edges into, out of and between the unseen atoms, one repeated.
+    let dag = ScriptDag {
+        atoms,
+        edge_positions: vec![(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4), (2, 1), (3, 1), (2, 4)],
+    };
+    let re = relative_entropy(&dag, &model);
+    assert_eq!(re.to_bits(), oracle::relative_entropy(&dag, &model).to_bits());
+    // Ranks tie, so the keys fall back to text.
+    let keys: Vec<_> = unseen.iter().map(|a| model.order_key(a)).collect();
+    assert!(keys[2] < keys[1] && keys[1] < keys[0]);
 }
