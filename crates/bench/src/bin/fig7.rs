@@ -34,69 +34,6 @@ struct Fig7Row {
     dag_incremental_updates: u64,
 }
 
-/// One arm of the serial-vs-optimized search comparison persisted to
-/// `BENCH_search.json`.
-#[derive(Serialize)]
-struct SearchBenchArm {
-    label: String,
-    threads: usize,
-    prefix_cache: bool,
-    median_total_ms: f64,
-    median_get_steps_ms: f64,
-    median_check_execute_ms: f64,
-    get_steps_speedup: f64,
-    prefix_cache_hit_rate: f64,
-    prefix_cache_evictions: u64,
-    prefix_cache_peak_snapshots: u64,
-    search_steps: usize,
-    scripts: usize,
-}
-
-/// Cost of the structured event log: the same sweep with tracing off
-/// (no collector attached, the default) vs on (in-memory sink).
-#[derive(Serialize)]
-struct TraceOverhead {
-    trace_off_total_ms: f64,
-    trace_on_total_ms: f64,
-    overhead_pct: f64,
-    trace_events: u64,
-}
-
-/// Before/after wall-clock comparison persisted to `BENCH_search.json`.
-#[derive(Serialize)]
-struct SearchBench {
-    before: SearchBenchArm,
-    after: SearchBenchArm,
-    tracing: TraceOverhead,
-}
-
-fn arm_from_reports(
-    label: &str,
-    cfg: &SearchConfig,
-    reports: &[lucid_core::report::StandardizeReport],
-) -> SearchBenchArm {
-    let mut agg = lucid_core::report::Timings::default();
-    for r in reports {
-        agg.accumulate(&r.timings);
-    }
-    SearchBenchArm {
-        label: label.to_string(),
-        threads: cfg.resolved_threads(),
-        prefix_cache: cfg.prefix_cache,
-        median_total_ms: median(reports.iter().map(|r| r.timings.total_ms).collect()),
-        median_get_steps_ms: median(reports.iter().map(|r| r.timings.get_steps_ms).collect()),
-        median_check_execute_ms: median(
-            reports.iter().map(|r| r.timings.check_execute_ms).collect(),
-        ),
-        get_steps_speedup: agg.get_steps_speedup(),
-        prefix_cache_hit_rate: agg.prefix_cache_hit_rate(),
-        prefix_cache_evictions: agg.prefix_cache_evictions,
-        prefix_cache_peak_snapshots: agg.prefix_cache_peak_snapshots,
-        search_steps: agg.search_steps,
-        scripts: reports.len(),
-    }
-}
-
 fn median(mut v: Vec<f64>) -> f64 {
     if v.is_empty() {
         return 0.0;
@@ -194,88 +131,6 @@ fn main() {
         ],
         &rows,
     );
-
-    // Serial reference vs parallel + prefix-cached search on one profile:
-    // identical outputs (enforced by lucid-core's determinism test), so the
-    // only question is wall clock. Persisted as BENCH_search.json.
-    println!("\nSearch execution: serial reference vs parallel + prefix cache (Medical):");
-    let medical = Profile::medical();
-    let base = SearchConfig {
-        intent: IntentMeasure::jaccard(0.9),
-        sample_rows: env.sample_rows(),
-        ..Default::default()
-    };
-    let serial_cfg = SearchConfig {
-        threads: 1,
-        prefix_cache: false,
-        ..base.clone()
-    };
-    let optimized_cfg = SearchConfig {
-        threads: 0,
-        prefix_cache: true,
-        ..base
-    };
-    let serial_res = leave_one_out_ls(&env, &medical, CorpusVariant::Full, &serial_cfg);
-    let optimized_res = leave_one_out_ls(&env, &medical, CorpusVariant::Full, &optimized_cfg);
-    let before = arm_from_reports("serial, cache off", &serial_cfg, &serial_res.ls_reports);
-    let after = arm_from_reports(
-        "parallel, cache on",
-        &optimized_cfg,
-        &optimized_res.ls_reports,
-    );
-    for arm in [&before, &after] {
-        println!(
-            "  {:<18} total {:.1} ms  GetSteps {:.1} ms (speedup {:.2}x, {} threads)  CheckIfExecutes {:.1} ms (cache hit rate {:.0}%)",
-            arm.label,
-            arm.median_total_ms,
-            arm.median_get_steps_ms,
-            arm.get_steps_speedup,
-            arm.threads,
-            arm.median_check_execute_ms,
-            arm.prefix_cache_hit_rate * 100.0,
-        );
-    }
-    println!(
-        "  end-to-end change: {:.2}x",
-        before.median_total_ms / after.median_total_ms.max(1e-9)
-    );
-
-    // Tracing cost: the optimized arm again, with the search event log on
-    // (in-memory sink). The trace-off run is the default path — no span
-    // collector is attached at all, so its only instrumentation cost is
-    // the per-search metrics registry.
-    let sink = lucid_obs::TraceSink::in_memory();
-    let traced_cfg = SearchConfig {
-        threads: 0,
-        prefix_cache: true,
-        trace: Some(sink.clone()),
-        intent: IntentMeasure::jaccard(0.9),
-        sample_rows: env.sample_rows(),
-        ..Default::default()
-    };
-    let traced_res = leave_one_out_ls(&env, &medical, CorpusVariant::Full, &traced_cfg);
-    let trace_off_total_ms: f64 = optimized_res.ls_reports.iter().map(|r| r.timings.total_ms).sum();
-    let trace_on_total_ms: f64 = traced_res.ls_reports.iter().map(|r| r.timings.total_ms).sum();
-    let tracing = TraceOverhead {
-        trace_off_total_ms,
-        trace_on_total_ms,
-        overhead_pct: 100.0 * (trace_on_total_ms - trace_off_total_ms)
-            / trace_off_total_ms.max(1e-9),
-        trace_events: sink.records(),
-    };
-    println!(
-        "  event log: off {:.1} ms, on {:.1} ms ({:+.1}%), {} events",
-        tracing.trace_off_total_ms,
-        tracing.trace_on_total_ms,
-        tracing.overhead_pct,
-        tracing.trace_events,
-    );
-    let bench = SearchBench {
-        before,
-        after,
-        tracing,
-    };
-    env.write_json("BENCH_search", &bench);
 
     // §6.5: sampling ablation on Sales (the paper: 20× slower unsampled).
     println!("\n§6.5 sampling ablation on Sales (median end-to-end ms per script):");

@@ -14,10 +14,6 @@
 //! and a real 2× slowdown (or memory blow-up) can't hide. Schema-v2
 //! documents (no `mem` arrays) still load; their memory rows simply
 //! don't gate.
-//!
-//! The old `results/BENCH_search.json` (PR 1's one-off before/after
-//! object) is superseded by this trajectory and left in place as a
-//! historical artifact.
 
 use crate::stats::Stats;
 use lucid_core::config::SearchConfig;

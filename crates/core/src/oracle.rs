@@ -5,13 +5,13 @@
 //! are string maps rebuilt from the model's public view, RE sums over
 //! string-sorted edges, and enumeration dedups whole transformations.
 //! `entropy::{relative_entropy, relative_entropy_atoms}` and
-//! `transform::enumerate_transformations` must agree with these bit for
+//! `transform::enumerate` must agree with these bit for
 //! bit and item for item (`tests/properties.rs`); nothing on the search
 //! path calls them.
 
 use crate::dag::ScriptDag;
 use crate::transform::{
-    is_import, is_protected, EnumOptions, EnumStats, TransformKind, Transformation,
+    is_import, is_protected, EnumOptions, Enumerated, TransformKind, Transformation,
 };
 use crate::vocab::{Atom, CorpusModel};
 use std::collections::{HashMap, HashSet};
@@ -119,16 +119,15 @@ pub fn relative_entropy_atoms(dag: &ScriptDag, corpus: &CorpusModel) -> f64 {
     re.max(0.0)
 }
 
-/// The string-keyed enumerator: the same candidates, in the same order,
-/// with the same cursor-pruning count as
-/// `transform::enumerate_transformations_counted`. Its adds carry
-/// ID-less [`Atom`] handles.
-pub fn enumerate_transformations_counted(
+/// The string-keyed enumerator: the same kept and pruned
+/// transformations, in the same order, as `transform::enumerate`. Its
+/// adds carry ID-less [`Atom`] handles.
+pub fn enumerate(
     dag: &ScriptDag,
     corpus: &CorpusModel,
     cursor: usize,
     opts: &EnumOptions,
-) -> (Vec<Transformation>, EnumStats) {
+) -> Enumerated {
     let mut successors: HashMap<String, Vec<(String, usize)>> = HashMap::new();
     for ((from, to), count) in corpus_edge_counts(corpus) {
         successors.entry(from).or_default().push((to, count));
@@ -144,7 +143,7 @@ pub fn enumerate_transformations_counted(
         line,
     };
 
-    let mut stats = EnumStats::default();
+    let mut pruned = Vec::new();
     let n = atoms.len();
     let mut out = Vec::new();
     let mut seen = HashSet::new();
@@ -178,7 +177,7 @@ pub fn enumerate_transformations_counted(
             let line = if is_import(next_atom) {
                 import_end
             } else if insert_at < cursor {
-                stats.pruned_monotonicity += 1;
+                pruned.push(add(next_atom, insert_at));
                 continue;
             } else {
                 insert_at
@@ -208,5 +207,5 @@ pub fn enumerate_transformations_counted(
         };
         push(add(&atom, line), &mut out);
     }
-    (out, stats)
+    Enumerated { kept: out, pruned }
 }

@@ -1,13 +1,13 @@
-//! Candidate identity and lineage bookkeeping for the decision-provenance
-//! audit stream (trace schema v2, [`lucid_obs::audit`]).
+//! The search's candidate ledger: identity, lineage and every drop.
 //!
 //! The search mints a stable ID for every candidate it ever considers —
 //! *including* the ones enumeration prunes before scoring — and records,
 //! when auditing is enabled, each candidate's parent, minting step, the
 //! transformation that produced it, its RE score (when it was scored at
-//! all), and exactly one terminal [`Disposition`].
+//! all), and exactly one terminal [`Disposition`] for the decision-
+//! provenance audit stream (trace schema v2, [`lucid_obs::audit`]).
 //!
-//! Two invariants make the stream trustworthy:
+//! Three invariants make the stream trustworthy:
 //!
 //! 1. **IDs are thread-count-independent.** Minting happens only on the
 //!    serial enumeration path (jobs are built beam-major, in enumeration
@@ -15,14 +15,19 @@
 //!    candidate at any `threads` setting. IDs are minted whether or not
 //!    auditing is on — they are never read by ranking — which is what
 //!    lets the audited and unaudited runs make identical decisions.
-//! 2. **Counter-tied fates are recorded where the counter increments.**
-//!    `Deduped`/`PrunedMonotonicity`/`BudgetTripped`/`Panicked` fates are
-//!    assigned at the exact sites that bump the matching `Timings`
-//!    counters, so disposition counts reconcile with `Timings` exactly.
-//!    Drops with no counter (beam truncation of still-live finalists,
-//!    never-verified finalists) are swept as `OutRanked` at search end —
-//!    the safety net that guarantees every candidate gets exactly one
-//!    fate without perturbing any counter.
+//! 2. **One call per drop.** `Provenance::drop` (and
+//!    `Provenance::fail` for execution failures) is the only way a
+//!    candidate leaves the search, and the only code that moves a drop
+//!    counter. The counter is a function of the disposition's kind
+//!    (`DropCounts`), so disposition counts reconcile with `Timings`
+//!    by construction. The fate is recorded only when auditing is on;
+//!    the counter moves either way. Candidates that stop being considered
+//!    without a drop (finalists verification never reached, beam entries
+//!    removed while protected) are swept as `OutRanked` at search end.
+//! 3. **Counts leave per phase.** The counts stay private to the ledger
+//!    and leave each beam step and the verify phase as one
+//!    `DropCounts` value (`Provenance::take_counts`), which feeds the
+//!    registry and that phase's trace event alike.
 //!
 //! The *protected* set tracks candidates that are terminal-fate-exempt at
 //! beam-drop sites because they are still alive elsewhere (the input,
@@ -30,8 +35,127 @@
 //! auditing is off because [`crate::search`]'s dedup counter branches on
 //! it — the counter must not depend on the audit flag.
 
-use lucid_obs::Disposition;
+use crate::report::metric;
+use lucid_interp::{BudgetKind, InterpError};
+use lucid_obs::{Disposition, Registry};
 use std::collections::HashSet;
+
+/// Cap on panic payloads quoted per phase. Panics beyond the cap are
+/// still *counted*; only the payload text is dropped, keeping a
+/// pathological step from bloating the event log.
+const MAX_PANIC_PAYLOADS: usize = 8;
+
+/// How an isolated candidate execution (or scoring) failed.
+#[derive(Debug)]
+pub(crate) enum ExecFailure {
+    /// A typed interpreter error, budget trips included.
+    Error(InterpError),
+    /// A caught panic, its payload rendered for the event log.
+    Panic(String),
+}
+
+/// The drop counters of one phase (a beam step, or verification). Only
+/// the ledger moves them; everyone else reads.
+#[derive(Debug, Default)]
+pub(crate) struct DropCounts {
+    rejected_execution: u64,
+    candidates_panicked: u64,
+    budget_trips_fuel: u64,
+    budget_trips_cells: u64,
+    budget_trips_deadline: u64,
+    candidates_deduped: u64,
+    pruned_monotonicity: u64,
+    rejected_intent: u64,
+    panic_payloads: Vec<String>,
+}
+
+impl DropCounts {
+    /// The counters a drop moves, by disposition kind.
+    fn count(&mut self, disposition: &Disposition) {
+        match disposition {
+            Disposition::Deduped { .. } => self.candidates_deduped += 1,
+            Disposition::PrunedMonotonicity => self.pruned_monotonicity += 1,
+            Disposition::BudgetTripped { kind } => {
+                self.rejected_execution += 1;
+                match kind.as_str() {
+                    "fuel" => self.budget_trips_fuel += 1,
+                    "cells" => self.budget_trips_cells += 1,
+                    _ => self.budget_trips_deadline += 1,
+                }
+            }
+            Disposition::Panicked => {
+                self.rejected_execution += 1;
+                self.candidates_panicked += 1;
+            }
+            Disposition::FailedExecution => self.rejected_execution += 1,
+            Disposition::RejectedIntent => self.rejected_intent += 1,
+            Disposition::Selected
+            | Disposition::OutRanked { .. }
+            | Disposition::BeamCut { .. }
+            | Disposition::FailedApply
+            | Disposition::MemoHit { .. } => {}
+        }
+    }
+
+    /// Folds the counts into the search registry (whence
+    /// `Timings::from_registry` projects them).
+    pub(crate) fn record(&self, reg: &Registry) {
+        reg.counter(metric::PANICKED).add(self.candidates_panicked);
+        reg.counter(metric::BUDGET_FUEL).add(self.budget_trips_fuel);
+        reg.counter(metric::BUDGET_CELLS)
+            .add(self.budget_trips_cells);
+        reg.counter(metric::BUDGET_DEADLINE)
+            .add(self.budget_trips_deadline);
+        reg.counter(metric::DEDUPED).add(self.candidates_deduped);
+        reg.counter(metric::PRUNED_MONOTONICITY)
+            .add(self.pruned_monotonicity);
+    }
+
+    /// Candidates pruned by execution checks or panic isolation.
+    pub(crate) fn rejected_execution(&self) -> u64 {
+        self.rejected_execution
+    }
+
+    /// Candidates whose execution (or scoring) panicked.
+    pub(crate) fn candidates_panicked(&self) -> u64 {
+        self.candidates_panicked
+    }
+
+    /// Candidates that exhausted the fuel budget.
+    pub(crate) fn budget_trips_fuel(&self) -> u64 {
+        self.budget_trips_fuel
+    }
+
+    /// Candidates that exceeded the materialized-cell cap.
+    pub(crate) fn budget_trips_cells(&self) -> u64 {
+        self.budget_trips_cells
+    }
+
+    /// Candidates that overran the wall-clock deadline.
+    pub(crate) fn budget_trips_deadline(&self) -> u64 {
+        self.budget_trips_deadline
+    }
+
+    /// Structural duplicates dropped.
+    pub(crate) fn candidates_deduped(&self) -> u64 {
+        self.candidates_deduped
+    }
+
+    /// Edge-driven adds refused by the monotonicity cursor.
+    pub(crate) fn pruned_monotonicity(&self) -> u64 {
+        self.pruned_monotonicity
+    }
+
+    /// Finalists that failed the user-intent constraint.
+    pub(crate) fn rejected_intent(&self) -> u64 {
+        self.rejected_intent
+    }
+
+    /// The first captured panic payloads, in drop order.
+    pub(crate) fn panic_payloads(&self) -> &[String] {
+        &self.panic_payloads
+    }
+}
 
 /// Per-candidate lineage metadata (dense, indexed by candidate ID).
 #[derive(Debug, Clone)]
@@ -48,7 +172,7 @@ pub struct CandMeta {
     pub fate: Option<Disposition>,
 }
 
-/// The search-lifetime provenance ledger. Constructed once per search;
+/// The search-lifetime candidate ledger. Constructed once per search;
 /// all mutation happens on the serial control path.
 #[derive(Debug)]
 pub struct Provenance {
@@ -56,6 +180,7 @@ pub struct Provenance {
     next_id: u64,
     metas: Vec<CandMeta>,
     protected: HashSet<u64>,
+    counts: DropCounts,
     /// The beam step currently executing; drop sites read this instead of
     /// threading a step parameter through every helper.
     pub cur_step: usize,
@@ -64,23 +189,20 @@ pub struct Provenance {
 impl Provenance {
     /// Creates the ledger and mints ID 0 for the input candidate (op
     /// `"input"`, protected — the input is always alive as the fallback).
+    /// `enabled` turns on recording of lineage and fates; ID minting,
+    /// the protected set and the drop counters run regardless.
     pub fn new(enabled: bool) -> Provenance {
         let mut prov = Provenance {
             enabled,
             next_id: 0,
             metas: Vec::new(),
             protected: HashSet::new(),
+            counts: DropCounts::default(),
             cur_step: 0,
         };
         let id = prov.mint(0, || "input".to_string());
         prov.protect(id);
         prov
-    }
-
-    /// Whether audit metadata is being recorded. ID minting and the
-    /// protected set are maintained regardless.
-    pub fn enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Mints the next candidate ID. The op description is only built
@@ -102,14 +224,6 @@ impl Provenance {
         id
     }
 
-    /// Advances the ID counter past `n` candidates without recording
-    /// metadata — the audit-off fast path for enumeration-pruned
-    /// candidates, whose count is known without materializing them.
-    pub fn skip(&mut self, n: usize) {
-        debug_assert!(!self.enabled, "skip() loses lineage when auditing");
-        self.next_id += n as u64;
-    }
-
     /// Records the RE score a candidate reached.
     pub fn set_re(&mut self, id: u64, re: f64) {
         if self.enabled {
@@ -117,10 +231,53 @@ impl Provenance {
         }
     }
 
-    /// Assigns a candidate's terminal fate. Each candidate gets exactly
-    /// one: call sites guard still-alive candidates via the protected
-    /// set, so a second assignment is a drop-site accounting bug.
-    pub fn fate(&mut self, id: u64, disposition: Disposition) {
+    /// Drops a candidate from the search: moves the phase counter its
+    /// disposition kind maps to, and records the fate when auditing.
+    /// Each candidate is dropped at most once: call sites guard
+    /// still-alive candidates via the protected set, so a second drop is
+    /// an accounting bug.
+    pub(crate) fn drop(&mut self, id: u64, disposition: Disposition) {
+        self.counts.count(&disposition);
+        self.fate(id, disposition);
+    }
+
+    /// Drops a candidate whose isolated execution (or scoring) failed:
+    /// budget trips by axis, caught panics (payload captured up to the
+    /// per-phase cap), every other error as a failed execution.
+    pub(crate) fn fail(&mut self, id: u64, failure: ExecFailure) {
+        let disposition = match failure {
+            ExecFailure::Error(InterpError::Budget(kind)) => Disposition::BudgetTripped {
+                kind: match kind {
+                    BudgetKind::Fuel => "fuel",
+                    BudgetKind::Cells => "cells",
+                    BudgetKind::Deadline => "deadline",
+                }
+                .to_string(),
+            },
+            ExecFailure::Error(_) => Disposition::FailedExecution,
+            ExecFailure::Panic(payload) => {
+                if self.counts.panic_payloads.len() < MAX_PANIC_PAYLOADS {
+                    self.counts.panic_payloads.push(payload);
+                }
+                Disposition::Panicked
+            }
+        };
+        self.drop(id, disposition);
+    }
+
+    /// Records the candidate that became the output script.
+    pub(crate) fn select(&mut self, id: u64) {
+        self.fate(id, Disposition::Selected);
+    }
+
+    /// Hands over the drop counts accumulated since the last call (one
+    /// beam step, or the verify phase) and starts the next phase at zero.
+    pub(crate) fn take_counts(&mut self) -> DropCounts {
+        std::mem::take(&mut self.counts)
+    }
+
+    /// Records a terminal fate when auditing; the first one wins.
+    fn fate(&mut self, id: u64, disposition: Disposition) {
         if self.enabled {
             let meta = &mut self.metas[id as usize];
             debug_assert!(
@@ -135,12 +292,10 @@ impl Provenance {
         }
     }
 
-    /// Assigns a fate only if the candidate has none yet — the search-end
-    /// sweep for candidates that were simply never selected.
-    pub fn fate_if_unfated(&mut self, id: u64, disposition: Disposition) {
-        if self.enabled && self.metas[id as usize].fate.is_none() {
-            self.metas[id as usize].fate = Some(disposition);
-        }
+    /// The beam step at which a candidate was minted (0 when auditing is
+    /// off — nothing records it then).
+    pub(crate) fn minted_at(&self, id: u64) -> usize {
+        self.metas.get(id as usize).map_or(0, |meta| meta.step)
     }
 
     /// Marks a candidate as alive outside the beam (input / finalist):
@@ -225,16 +380,75 @@ mod tests {
     }
 
     #[test]
-    fn disabled_ledger_advances_ids_without_metadata() {
+    fn disabled_ledger_advances_ids_and_counters_without_metadata() {
         let mut prov = Provenance::new(false);
-        prov.skip(3);
-        let id = prov.mint(0, || unreachable!("op must not be built when disabled"));
-        assert_eq!(id, 4);
-        assert_eq!(prov.total(), 5);
+        let a = prov.mint(0, || unreachable!("op must not be built when disabled"));
+        assert_eq!(a, 1);
+        assert_eq!(prov.total(), 2);
         assert!(prov.metas().is_empty());
-        prov.set_re(id, 1.0); // no-op, must not panic
-        prov.fate(id, Disposition::Panicked);
+        prov.set_re(a, 1.0); // no-op, must not panic
+        prov.fail(a, ExecFailure::Panic("boom".to_string()));
         assert!(prov.is_protected(0));
+        // Counters move whether or not fates are recorded.
+        let counts = prov.take_counts();
+        assert_eq!(counts.candidates_panicked(), 1);
+        assert_eq!(counts.rejected_execution(), 1);
+        assert_eq!(counts.panic_payloads(), ["boom".to_string()]);
+    }
+
+    #[test]
+    fn counters_are_a_function_of_the_disposition() {
+        let mut prov = Provenance::new(true);
+        let ids: Vec<u64> = (0..9).map(|_| prov.mint(0, String::new)).collect();
+        prov.drop(ids[0], Disposition::Deduped { against: 0 });
+        prov.drop(ids[1], Disposition::PrunedMonotonicity);
+        prov.fail(
+            ids[2],
+            ExecFailure::Error(InterpError::Budget(BudgetKind::Fuel)),
+        );
+        prov.fail(
+            ids[3],
+            ExecFailure::Error(InterpError::Budget(BudgetKind::Deadline)),
+        );
+        prov.fail(ids[4], ExecFailure::Error(InterpError::BudgetExhausted));
+        prov.drop(ids[5], Disposition::RejectedIntent);
+        prov.drop(ids[6], Disposition::BeamCut { rank: 2 });
+        prov.drop(ids[7], Disposition::FailedApply);
+        prov.select(ids[8]);
+        let counts = prov.take_counts();
+        assert_eq!(counts.candidates_deduped(), 1);
+        assert_eq!(counts.pruned_monotonicity(), 1);
+        assert_eq!(counts.budget_trips_fuel(), 1);
+        assert_eq!(counts.budget_trips_cells(), 0);
+        assert_eq!(counts.budget_trips_deadline(), 1);
+        assert_eq!(counts.rejected_execution(), 3);
+        assert_eq!(counts.candidates_panicked(), 0);
+        assert_eq!(counts.rejected_intent(), 1);
+        assert_eq!(
+            prov.metas()[ids[2] as usize].fate,
+            Some(Disposition::BudgetTripped {
+                kind: "fuel".to_string()
+            })
+        );
+        assert_eq!(
+            prov.metas()[ids[4] as usize].fate,
+            Some(Disposition::FailedExecution)
+        );
+        // Taking the counts starts the next phase at zero.
+        assert_eq!(prov.take_counts().rejected_execution(), 0);
+    }
+
+    #[test]
+    fn panic_payloads_are_capped_but_every_panic_counts() {
+        let mut prov = Provenance::new(false);
+        for i in 0..MAX_PANIC_PAYLOADS + 3 {
+            let id = prov.mint(0, String::new);
+            prov.fail(id, ExecFailure::Panic(format!("p{i}")));
+        }
+        let counts = prov.take_counts();
+        assert_eq!(counts.candidates_panicked(), MAX_PANIC_PAYLOADS as u64 + 3);
+        assert_eq!(counts.panic_payloads().len(), MAX_PANIC_PAYLOADS);
+        assert_eq!(counts.panic_payloads()[0], "p0");
     }
 
     #[test]
@@ -252,27 +466,12 @@ mod tests {
     }
 
     #[test]
-    fn fates_are_single_assignment_with_end_sweep() {
-        let mut prov = Provenance::new(true);
-        let a = prov.mint(0, || "op".to_string());
-        prov.fate(a, Disposition::Deduped { against: 0 });
-        prov.fate_if_unfated(a, Disposition::Selected); // already fated: kept
-        assert_eq!(
-            prov.metas()[a as usize].fate,
-            Some(Disposition::Deduped { against: 0 })
-        );
-        let b = prov.mint(0, || "op2".to_string());
-        prov.fate_if_unfated(b, Disposition::Selected);
-        assert_eq!(prov.metas()[b as usize].fate, Some(Disposition::Selected));
-    }
-
-    #[test]
     fn sweep_out_ranks_only_unfated_candidates() {
         let mut prov = Provenance::new(true);
         let a = prov.mint(0, || "a".to_string());
         prov.set_re(a, 0.9);
         let b = prov.mint(0, || "b".to_string());
-        prov.fate(b, Disposition::Selected);
+        prov.select(b);
         let c = prov.mint(0, || "c".to_string()); // never scored
         prov.sweep_out_ranked(0.5);
         assert_eq!(

@@ -22,15 +22,12 @@ use crate::dag::ScriptDag;
 use crate::entropy;
 use crate::ir::{Program, StmtInterner};
 use crate::kmeans::kmeans;
-use crate::provenance::Provenance;
+use crate::provenance::{ExecFailure, Provenance};
 use crate::report::{metric, Timings};
-use crate::transform::{
-    enumerate_transformations_audited, enumerate_transformations_counted, TransformKind,
-    Transformation,
-};
+use crate::transform::{enumerate, Enumerated, TransformKind, Transformation};
 use crate::vocab::CorpusModel;
 use lucid_frame::DataFrame;
-use lucid_interp::{BudgetKind, ExecOutcome, InjectedPanic, Interpreter, InterpError, PrefixCache};
+use lucid_interp::{ExecOutcome, InjectedPanic, Interpreter, InterpError, PrefixCache};
 use lucid_obs::audit::{
     AuditEndRecord, CandRecord, Disposition, LineageRecord, AUDIT_SCHEMA_VERSION,
 };
@@ -41,7 +38,6 @@ use lucid_obs::event::{
 use lucid_obs::alloc::{self, Phase, PhaseGuard};
 use lucid_obs::Registry;
 use lucid_pyast::Module;
-use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -227,19 +223,6 @@ impl<'a> ExecEnv<'a> {
     }
 }
 
-/// Cap on panic payloads quoted per trace event. Panics beyond the cap
-/// are still *counted*; only the payload text is dropped, keeping a
-/// pathological step from bloating the event log.
-const MAX_PANIC_PAYLOADS: usize = 8;
-
-/// How an isolated candidate execution failed: a typed interpreter error
-/// (including budget trips) or a caught panic, its payload rendered for
-/// the event log.
-enum ExecFailure {
-    Error(InterpError),
-    Panic(String),
-}
-
 /// Renders a caught panic payload. Handles the payload types candidate
 /// code can actually raise — `&str`/`String` from `panic!`, and the
 /// fault-injection hook's [`InjectedPanic`] marker — and reports anything
@@ -256,81 +239,12 @@ fn panic_payload(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Maps an execution failure onto the audit disposition recorded for the
-/// failing candidate. Called *before* [`FailureTally::note`] consumes the
-/// failure, at the same site — which is what keeps disposition counts and
-/// `Timings` counters (`budget_trips_*`, `candidates_panicked`) in exact
-/// agreement.
-fn disposition_of(failure: &ExecFailure) -> Disposition {
-    match failure {
-        ExecFailure::Error(InterpError::Budget(kind)) => Disposition::BudgetTripped {
-            kind: match kind {
-                BudgetKind::Fuel => "fuel",
-                BudgetKind::Cells => "cells",
-                BudgetKind::Deadline => "deadline",
-            }
-            .to_string(),
-        },
-        ExecFailure::Error(_) => Disposition::FailedExecution,
-        ExecFailure::Panic(_) => Disposition::Panicked,
-    }
-}
-
-/// Per-phase failure accounting: how many candidates were pruned and
-/// why. Budget trips and panics are classified per axis so the registry,
-/// the trace events, and `Timings` all report the same counts — the
-/// reconciliation the fault-injection suite asserts exactly.
-#[derive(Debug, Default)]
-struct FailureTally {
-    /// Candidates pruned by execution checks or panic isolation.
-    rejected_execution: u64,
-    /// Candidates whose execution (or scoring) panicked.
-    candidates_panicked: u64,
-    /// Candidates that exhausted the fuel budget.
-    budget_trips_fuel: u64,
-    /// Candidates that exceeded the materialized-cell cap.
-    budget_trips_cells: u64,
-    /// Candidates that overran the wall-clock deadline.
-    budget_trips_deadline: u64,
-    /// Captured panic payloads (first [`MAX_PANIC_PAYLOADS`]).
-    panic_payloads: Vec<String>,
-}
-
-impl FailureTally {
-    /// Classifies and counts one candidate failure.
-    fn note(&mut self, failure: ExecFailure) {
-        self.rejected_execution += 1;
-        match failure {
-            ExecFailure::Error(InterpError::Budget(kind)) => match kind {
-                BudgetKind::Fuel => self.budget_trips_fuel += 1,
-                BudgetKind::Cells => self.budget_trips_cells += 1,
-                BudgetKind::Deadline => self.budget_trips_deadline += 1,
-            },
-            ExecFailure::Error(_) => {}
-            ExecFailure::Panic(payload) => {
-                self.candidates_panicked += 1;
-                if self.panic_payloads.len() < MAX_PANIC_PAYLOADS {
-                    self.panic_payloads.push(payload);
-                }
-            }
-        }
-    }
-
-    /// Folds the tally into the search registry (whence
-    /// `Timings::from_registry` projects it).
-    fn record(&self, reg: &Registry) {
-        reg.counter(metric::PANICKED).add(self.candidates_panicked);
-        reg.counter(metric::BUDGET_FUEL).add(self.budget_trips_fuel);
-        reg.counter(metric::BUDGET_CELLS).add(self.budget_trips_cells);
-        reg.counter(metric::BUDGET_DEADLINE).add(self.budget_trips_deadline);
-    }
-}
-
 /// Per-beam-step measurements, accumulated by the phase helpers and then
 /// recorded into the search registry (one histogram observation per step)
 /// and the step's trace event. Keeping one struct per step is what lets
 /// the event log and the `Timings` projection report the *same* measured
-/// values.
+/// values. Drop counts live in the [`Provenance`] ledger, which hands
+/// them over per step.
 #[derive(Debug, Default)]
 struct StepStats {
     get_steps_ms: f64,
@@ -338,11 +252,8 @@ struct StepStats {
     get_top_k_ms: f64,
     check_execute_ms: f64,
     enumerated: usize,
-    pruned_monotonicity: usize,
     scored: usize,
     admitted: u64,
-    candidates_deduped: u64,
-    failures: FailureTally,
 }
 
 /// Converts a millisecond measurement into the integer nanoseconds the
@@ -432,10 +343,10 @@ pub fn standardize_search(ctx: &SearchContext, input: &Module) -> SearchOutcome 
     let interner_dag_base = interner.dag_incremental_updates();
     let input_candidate =
         Candidate::from_module(input, interner, ctx.corpus, ctx.config.objective);
-    // The decision-provenance ledger. IDs are minted (serially, in
-    // enumeration order) whether or not auditing is on, and the protected
-    // set is always maintained — beam-drop accounting branches on it — so
-    // auditing never changes a search decision or a counter.
+    // The candidate ledger. IDs are minted (serially, in enumeration
+    // order), drops are counted and the protected set is maintained
+    // whether or not auditing is on — beam-drop accounting branches on
+    // it — so auditing never changes a search decision or a counter.
     let mut prov = Provenance::new(ctx.config.audit.is_some());
     prov.set_re(input_candidate.id, input_candidate.re);
     let mut beams: Vec<Candidate> = vec![input_candidate.clone()];
@@ -472,16 +383,16 @@ pub fn standardize_search(ctx: &SearchContext, input: &Module) -> SearchOutcome 
             if ctx.config.diversity {
                 get_diverse_top_k(cand, &ranked, ctx, &exec, &mut next, &mut stats, &mut prov);
             } else {
-                let ranked: Vec<&ScoredStep> = ranked.iter().collect();
+                let ranked: Vec<&Candidate> = ranked.iter().collect();
                 get_top_k(&ranked, ctx, &exec, &mut next, &mut stats, usize::MAX, &mut prov);
             }
             stats.get_top_k_ms += t1.elapsed().as_secs_f64() * 1e3;
         }
         drop(mem_score);
         // Deduplicate identical scripts (different sequences can converge)
-        // and cap at K — the audit-aware twin of the old
-        // sort/dedup_by/truncate, fating what it removes.
-        dedup_and_cap(&mut next, ctx.config.beam_k.max(1), &mut stats, &mut prov);
+        // and cap at K — the ledger-aware twin of the old
+        // sort/dedup_by/truncate, dropping what it removes.
+        dedup_and_cap(&mut next, ctx.config.beam_k.max(1), &mut prov);
         let converged = next
             .iter()
             .zip(&beams)
@@ -493,10 +404,8 @@ pub fn standardize_search(ctx: &SearchContext, input: &Module) -> SearchOutcome 
         h_get_steps_cpu.record_ns(ms_to_ns(stats.get_steps_cpu_ms));
         h_get_top_k.record_ns(ms_to_ns(stats.get_top_k_ms));
         h_check.record_ns(ms_to_ns(stats.check_execute_ms));
-        reg.counter(metric::DEDUPED).add(stats.candidates_deduped);
-        reg.counter(metric::PRUNED_MONOTONICITY)
-            .add(stats.pruned_monotonicity as u64);
-        stats.failures.record(&reg);
+        let drops = prov.take_counts();
+        drops.record(&reg);
         if let Some(sink) = trace {
             let cache_after = exec.cache_counters();
             sink.emit(&StepEvent {
@@ -505,15 +414,15 @@ pub fn standardize_search(ctx: &SearchContext, input: &Module) -> SearchOutcome 
                 step,
                 beams_in,
                 enumerated: stats.enumerated,
-                pruned_monotonicity: stats.pruned_monotonicity,
+                pruned_monotonicity: drops.pruned_monotonicity() as usize,
                 scored: stats.scored,
-                rejected_execution: stats.failures.rejected_execution,
-                candidates_panicked: stats.failures.candidates_panicked,
-                budget_trips_fuel: stats.failures.budget_trips_fuel,
-                budget_trips_cells: stats.failures.budget_trips_cells,
-                budget_trips_deadline: stats.failures.budget_trips_deadline,
-                panic_payloads: std::mem::take(&mut stats.failures.panic_payloads),
-                candidates_deduped: stats.candidates_deduped,
+                rejected_execution: drops.rejected_execution(),
+                candidates_panicked: drops.candidates_panicked(),
+                budget_trips_fuel: drops.budget_trips_fuel(),
+                budget_trips_cells: drops.budget_trips_cells(),
+                budget_trips_deadline: drops.budget_trips_deadline(),
+                panic_payloads: drops.panic_payloads().to_vec(),
+                candidates_deduped: drops.candidates_deduped(),
                 admitted: stats.admitted,
                 kept: beams
                     .iter()
@@ -572,8 +481,6 @@ pub fn standardize_search(ctx: &SearchContext, input: &Module) -> SearchOutcome 
     let n_finalists = finalists.len();
     let mut checked = 0usize;
     let mut verify_check_ms = 0.0f64;
-    let mut verify_failures = FailureTally::default();
-    let mut rejected_intent = 0u64;
     finalists.sort_by(|a, b| a.re.partial_cmp(&b.re).expect("finite RE"));
     let mut best: Option<(Candidate, crate::intent::IntentEval)> = None;
     for cand in finalists {
@@ -581,44 +488,33 @@ pub fn standardize_search(ctx: &SearchContext, input: &Module) -> SearchOutcome 
         // (§6.3.1): candidates no more standard than the input lose to
         // the input fallback.
         if cand.re >= input_candidate.re - 1e-12 {
-            if prov.enabled() {
-                let at_step = prov.metas()[cand.id as usize].step;
-                prov.fate(
-                    cand.id,
-                    Disposition::OutRanked {
-                        at_step,
-                        score_gap: (cand.re - input_candidate.re).max(0.0),
-                    },
-                );
-            }
+            prov.drop(
+                cand.id,
+                Disposition::OutRanked {
+                    at_step: prov.minted_at(cand.id),
+                    score_gap: (cand.re - input_candidate.re).max(0.0),
+                },
+            );
             continue;
         }
         checked += 1;
+        // One run yields both the execution check and the output. Under
+        // late checking it is the candidate's first run, so its time is
+        // CheckIfExecutes time.
+        let t3 = Instant::now();
+        let res = exec.run_isolated(&cand.program);
         if !ctx.config.early_check {
-            let t3 = Instant::now();
-            let res = exec.run_isolated(&cand.program);
             verify_check_ms += t3.elapsed().as_secs_f64() * 1e3;
-            if let Err(failure) = res {
-                if prov.enabled() {
-                    prov.fate(cand.id, disposition_of(&failure));
-                }
-                verify_failures.note(failure);
-                continue;
-            }
         }
-        let outcome = match exec.run_isolated(&cand.program) {
+        let outcome = match res {
             Ok(outcome) => outcome,
             Err(failure) => {
-                if prov.enabled() {
-                    prov.fate(cand.id, disposition_of(&failure));
-                }
-                verify_failures.note(failure);
+                prov.fail(cand.id, failure);
                 continue;
             }
         };
         let Some(out_frame) = outcome.output_frame() else {
-            verify_failures.rejected_execution += 1;
-            prov.fate(cand.id, Disposition::FailedExecution);
+            prov.drop(cand.id, Disposition::FailedExecution);
             continue;
         };
         let eval = {
@@ -626,11 +522,10 @@ pub fn standardize_search(ctx: &SearchContext, input: &Module) -> SearchOutcome 
             ctx.config.intent.evaluate(ctx.base_output, out_frame)
         };
         if !eval.satisfied {
-            rejected_intent += 1;
-            prov.fate(cand.id, Disposition::RejectedIntent);
+            prov.drop(cand.id, Disposition::RejectedIntent);
             continue;
         }
-        prov.fate(cand.id, Disposition::Selected);
+        prov.select(cand.id);
         best = Some((cand, eval));
         break;
     }
@@ -638,20 +533,21 @@ pub fn standardize_search(ctx: &SearchContext, input: &Module) -> SearchOutcome 
     drop(mem_verify);
     h_check.record_ns(ms_to_ns(verify_check_ms));
     h_verify.record_ns(ms_to_ns(verify_ms));
-    verify_failures.record(&reg);
+    let drops = prov.take_counts();
+    drops.record(&reg);
     if let Some(sink) = trace {
         sink.emit(&VerifyEvent {
             v: TRACE_SCHEMA_VERSION,
             event: "verify".to_string(),
             finalists: n_finalists,
             checked,
-            rejected_execution: verify_failures.rejected_execution,
-            candidates_panicked: verify_failures.candidates_panicked,
-            budget_trips_fuel: verify_failures.budget_trips_fuel,
-            budget_trips_cells: verify_failures.budget_trips_cells,
-            budget_trips_deadline: verify_failures.budget_trips_deadline,
-            panic_payloads: std::mem::take(&mut verify_failures.panic_payloads),
-            rejected_intent,
+            rejected_execution: drops.rejected_execution(),
+            candidates_panicked: drops.candidates_panicked(),
+            budget_trips_fuel: drops.budget_trips_fuel(),
+            budget_trips_cells: drops.budget_trips_cells(),
+            budget_trips_deadline: drops.budget_trips_deadline(),
+            panic_payloads: drops.panic_payloads().to_vec(),
+            rejected_intent: drops.rejected_intent(),
             accepted: best.is_some(),
             check_execute_ms: verify_check_ms,
             verify_ms,
@@ -663,7 +559,7 @@ pub fn standardize_search(ctx: &SearchContext, input: &Module) -> SearchOutcome 
     let input_re = input_candidate.re;
     if best.is_none() {
         // Nothing beat the constraints: the input itself is the selection.
-        prov.fate(input_candidate.id, Disposition::Selected);
+        prov.select(input_candidate.id);
     }
     let (best, intent) = match best {
         Some(found) => found,
@@ -934,17 +830,10 @@ fn stmt_span_aggregates(interp: &Interpreter) -> Vec<StmtSpanAgg> {
         .collect()
 }
 
-/// A scored next step: the transformation, the resulting candidate, and
-/// its RE (used both for ranking and as the clustering feature source).
-struct ScoredStep {
-    transformation: Transformation,
-    candidate: Candidate,
-}
-
 /// `GetSteps()` for every beam of one search step: enumerate legal next
 /// transformations from the corpus vocabularies, apply each, score by RE,
-/// and return per-beam lists ranked best (lowest RE) first, capped at
-/// `max_steps_ranked`.
+/// and return per-beam lists of the resulting candidates ranked best
+/// (lowest RE) first, capped at `max_steps_ranked`.
 ///
 /// With `threads > 1` the apply→DAG→score work fans out across scoped
 /// worker threads over all (beam, transformation) pairs; results are
@@ -959,177 +848,142 @@ fn get_steps_all(
     explored: &mut usize,
     stats: &mut StepStats,
     prov: &mut Provenance,
-) -> Vec<Vec<ScoredStep>> {
+) -> Vec<Vec<Candidate>> {
     let t0 = Instant::now();
     // The whole of `GetSteps` — enumeration, apply, scoring, ranking —
     // is the "enumerate" slot of the allocator's phase attribution.
     let _mem = PhaseGuard::enter(Phase::Enumerate);
     // Enumeration order defines job identity; everything downstream keys
     // off the job index. Candidate IDs are minted here, on the serial
-    // path, before any fan-out — pruned candidates first (audited runs
-    // materialize them, unaudited runs skip the same count), then kept
-    // ones — so IDs are identical at any thread count and any audit
-    // setting.
+    // path, before any fan-out — pruned candidates first, then kept ones
+    // — so IDs are identical at any thread count and any audit setting.
     let mut jobs: Vec<(usize, Transformation, u64)> = Vec::new();
     for (beam_idx, cand) in beams.iter().enumerate() {
-        let (ts, enum_stats) = if prov.enabled() {
-            let (ts, enum_stats, pruned) = enumerate_transformations_audited(
-                &cand.dag,
-                ctx.corpus,
-                cand.cursor,
-                &ctx.config.enum_opts,
-            );
-            for t in &pruned {
-                let pid = prov.mint(cand.id, || t.describe());
-                prov.fate(pid, Disposition::PrunedMonotonicity);
-            }
-            (ts, enum_stats)
-        } else {
-            let (ts, enum_stats) = enumerate_transformations_counted(
-                &cand.dag,
-                ctx.corpus,
-                cand.cursor,
-                &ctx.config.enum_opts,
-            );
-            prov.skip(enum_stats.pruned_monotonicity);
-            (ts, enum_stats)
-        };
-        stats.pruned_monotonicity += enum_stats.pruned_monotonicity;
-        jobs.extend(ts.into_iter().map(|t| {
+        let Enumerated { kept, pruned } =
+            enumerate(&cand.dag, ctx.corpus, cand.cursor, &ctx.config.enum_opts);
+        for t in &pruned {
+            let id = prov.mint(cand.id, || t.describe());
+            prov.drop(id, Disposition::PrunedMonotonicity);
+        }
+        jobs.extend(kept.into_iter().map(|t| {
             let id = prov.mint(cand.id, || t.describe());
             (beam_idx, t, id)
         }));
     }
     stats.enumerated += jobs.len();
     let workers = ctx.config.resolved_threads().min(jobs.len()).max(1);
-    let (slots, cpu_ms, panics) = if workers == 1 {
+    let (slots, cpu_ms) = if workers == 1 {
         let mut cpu_ms = 0.0;
-        let mut panics: Vec<(usize, String)> = Vec::new();
         let slots = jobs
             .iter()
-            .enumerate()
-            .map(|(i, (beam_idx, t, id))| {
+            .map(|(beam_idx, t, id)| {
                 let t_job = Instant::now();
                 // The same per-candidate isolation as the parallel path:
-                // a panicking scorer drops its slot instead of aborting.
+                // a panicking scorer drops its candidate instead of
+                // aborting.
                 let step = catch_unwind(AssertUnwindSafe(|| {
                     score_step(&beams[*beam_idx], t, ctx, interner, *id)
-                }));
+                }))
+                .map_err(panic_payload);
                 cpu_ms += t_job.elapsed().as_secs_f64() * 1e3;
-                match step {
-                    Ok(step) => step,
-                    Err(payload) => {
-                        panics.push((i, panic_payload(payload)));
-                        None
-                    }
-                }
+                step
             })
             .collect();
-        (slots, cpu_ms, panics)
+        (slots, cpu_ms)
     } else {
         score_steps_parallel(beams, &jobs, ctx, interner, workers)
     };
-    let panicked: HashSet<usize> = panics.iter().map(|(i, _)| *i).collect();
-    for (i, payload) in panics {
-        // The synthetic worker-died entry uses index jobs.len(), which
-        // maps to no candidate; `get` guards it.
-        if let Some((_, _, id)) = jobs.get(i) {
-            prov.fate(*id, Disposition::Panicked);
-        }
-        stats.failures.note(ExecFailure::Panic(payload));
-    }
     stats.get_steps_cpu_ms += cpu_ms;
 
     // Regroup by beam. Jobs were enumerated beam-major, so pushing in job
     // order reproduces the serial per-beam ordering exactly.
-    let mut per_beam: Vec<Vec<ScoredStep>> = beams.iter().map(|_| Vec::new()).collect();
-    for (job_idx, ((beam_idx, _, id), slot)) in jobs.iter().zip(slots).enumerate() {
+    let mut per_beam: Vec<Vec<Candidate>> = beams.iter().map(|_| Vec::new()).collect();
+    for ((beam_idx, _, id), slot) in jobs.iter().zip(slots) {
         match slot {
-            Some(step) => {
+            Ok(Some(scored)) => {
                 *explored += 1;
                 stats.scored += 1;
-                prov.set_re(*id, step.candidate.re);
-                per_beam[*beam_idx].push(step);
+                prov.set_re(*id, scored.re);
+                per_beam[*beam_idx].push(scored);
             }
-            // An empty slot that did not panic means the transformation
-            // failed to apply (splice out of range, etc.).
-            None if !panicked.contains(&job_idx) => {
-                prov.fate(*id, Disposition::FailedApply);
-            }
-            None => {}
+            // The transformation failed to apply (splice out of range,
+            // etc.).
+            Ok(None) => prov.drop(*id, Disposition::FailedApply),
+            Err(payload) => prov.fail(*id, ExecFailure::Panic(payload)),
         }
     }
+    let cap = ctx.config.max_steps_ranked;
     for ranked in &mut per_beam {
-        ranked.sort_by(|a, b| a.candidate.re.partial_cmp(&b.candidate.re).expect("finite"));
-        if ranked.len() > ctx.config.max_steps_ranked {
-            if prov.enabled() {
-                let cutoff_re = ranked[ctx.config.max_steps_ranked - 1].candidate.re;
-                let at_step = prov.cur_step;
-                for dropped in &ranked[ctx.config.max_steps_ranked..] {
-                    prov.fate(
-                        dropped.candidate.id,
-                        Disposition::OutRanked {
-                            at_step,
-                            score_gap: (dropped.candidate.re - cutoff_re).max(0.0),
-                        },
-                    );
-                }
+        ranked.sort_by(|a, b| a.re.partial_cmp(&b.re).expect("finite"));
+        if ranked.len() > cap {
+            let cutoff_re = ranked[cap.saturating_sub(1)].re;
+            for dropped in ranked.drain(cap..) {
+                prov.drop(
+                    dropped.id,
+                    Disposition::OutRanked {
+                        at_step: prov.cur_step,
+                        score_gap: (dropped.re - cutoff_re).max(0.0),
+                    },
+                );
             }
-            ranked.truncate(ctx.config.max_steps_ranked);
         }
     }
     stats.get_steps_ms += t0.elapsed().as_secs_f64() * 1e3;
     per_beam
 }
 
-/// Applies and scores one enumerated transformation (`None` if it fails
-/// to apply). The apply is an O(edit) splice of shared statements, and
-/// the DAG is derived incrementally from the parent's — only edges at or
-/// after the edited line are recomputed. Reads only the candidate, the
-/// corpus model, and the (thread-safe) interner, so it fans out freely.
+/// Applies and scores one enumerated transformation, yielding the
+/// resulting candidate (`None` if it fails to apply). The apply is an
+/// O(edit) splice of shared statements, and the DAG is derived
+/// incrementally from the parent's — only edges at or after the edited
+/// line are recomputed. Reads only the candidate, the corpus model, and
+/// the (thread-safe) interner, so it fans out freely.
 fn score_step(
     cand: &Candidate,
     t: &Transformation,
     ctx: &SearchContext,
     interner: &StmtInterner,
     id: u64,
-) -> Option<ScoredStep> {
+) -> Option<Candidate> {
     let program = t.apply_ir(&cand.program, interner).ok()?;
     let dag = Arc::new(program.update_dag(&cand.dag, t.line, interner));
     let re = score_dag(&dag, ctx.corpus, ctx.config.objective);
     let mut applied = cand.applied.clone();
     let cursor = t.next_cursor(cand.cursor);
     applied.push(t.clone());
-    Some(ScoredStep {
-        transformation: t.clone(),
-        candidate: Candidate {
-            program,
-            dag,
-            re,
-            cursor,
-            applied,
-            id,
-        },
+    Some(Candidate {
+        program,
+        dag,
+        re,
+        cursor,
+        applied,
+        id,
     })
 }
+
+/// One scoring job's result: the scored candidate (`None` when the
+/// transformation failed to apply), or the payload of a caught panic.
+type ScoreSlot = Result<Option<Candidate>, String>;
 
 /// Fans `score_step` across scoped worker threads (work-stealing via an
 /// atomic job counter, reassembly by job index — the same idiom the
 /// bench runner uses). Each job runs under `catch_unwind`, so a panicking
-/// candidate surfaces as an empty slot plus a captured payload instead of
+/// candidate surfaces as a captured payload in its slot instead of
 /// poisoning the scope and aborting the whole search. Returns the
-/// index-aligned result slots, the summed per-worker CPU time, and the
-/// captured panic payloads in job order.
+/// index-aligned result slots and the summed per-worker CPU time.
 fn score_steps_parallel(
     beams: &[Candidate],
     jobs: &[(usize, Transformation, u64)],
     ctx: &SearchContext,
     interner: &StmtInterner,
     workers: usize,
-) -> (Vec<Option<ScoredStep>>, f64, Vec<(usize, String)>) {
+) -> (Vec<ScoreSlot>, f64) {
     let counter = AtomicUsize::new(0);
     let (tx, rx) = crossbeam::channel::unbounded();
-    let scope_result = crossbeam::thread::scope(|scope| {
+    // A worker dying outside the isolated region is unreachable in
+    // practice; the jobs it claimed simply never report, and are counted
+    // as panicked below rather than aborting the search.
+    let _ = crossbeam::thread::scope(|scope| {
         for _ in 0..workers {
             let tx = tx.clone();
             let counter = &counter;
@@ -1162,26 +1016,21 @@ fn score_steps_parallel(
         }
     });
     drop(tx);
-    let mut slots: Vec<Option<ScoredStep>> = jobs.iter().map(|_| None).collect();
+    let mut slots: Vec<Option<ScoreSlot>> = jobs.iter().map(|_| None).collect();
     let mut cpu_ms = 0.0;
-    // Panics are re-ordered into job order so the captured payload list —
-    // and everything downstream of it — is identical across thread counts.
-    let mut panics: Vec<(usize, String)> = Vec::new();
     for (i, step, job_ms) in rx {
         cpu_ms += job_ms;
-        match step {
-            Ok(step) => slots[i] = step,
-            Err(payload) => panics.push((i, payload)),
-        }
+        slots[i] = Some(step);
     }
-    if scope_result.is_err() {
-        // Unreachable in practice (every job is isolated above), but a
-        // worker dying outside the isolated region must degrade to one
-        // counted panic, never to an abort.
-        panics.push((jobs.len(), "scoring worker died outside candidate isolation".to_string()));
-    }
-    panics.sort_by_key(|(i, _)| *i);
-    (slots, cpu_ms, panics)
+    let slots = slots
+        .into_iter()
+        .map(|slot| {
+            slot.unwrap_or_else(|| {
+                Err("scoring worker died outside candidate isolation".to_string())
+            })
+        })
+        .collect();
+    (slots, cpu_ms)
 }
 
 /// Algorithm 2: `GetTopKBeams` — walk the ranked steps, early-check
@@ -1189,7 +1038,7 @@ fn score_steps_parallel(
 /// `next`. `budget` caps how many steps may be *admitted* from this list
 /// (used by the diversity wrapper to give each cluster K/M slots).
 fn get_top_k(
-    ranked: &[&ScoredStep],
+    ranked: &[&Candidate],
     ctx: &SearchContext,
     exec: &ExecEnv,
     next: &mut Vec<Candidate>,
@@ -1203,10 +1052,8 @@ fn get_top_k(
         if admitted >= budget {
             // The diversity wrapper's per-cluster slot cap: everything
             // still ranked in this cluster is cut, not out-scored.
-            if prov.enabled() {
-                for later in &ranked[idx..] {
-                    prov.fate(later.candidate.id, Disposition::BeamCut { rank: budget });
-                }
+            for later in &ranked[idx..] {
+                prov.drop(later.id, Disposition::BeamCut { rank: budget });
             }
             break;
         }
@@ -1214,19 +1061,16 @@ fn get_top_k(
             .iter()
             .map(|c| c.re)
             .fold(f64::NEG_INFINITY, f64::max);
-        if next.len() >= k && step.candidate.re >= worst {
+        if next.len() >= k && step.re >= worst {
             // Ranked ascending: nothing later can qualify either.
-            if prov.enabled() {
-                let at_step = prov.cur_step;
-                for later in &ranked[idx..] {
-                    prov.fate(
-                        later.candidate.id,
-                        Disposition::OutRanked {
-                            at_step,
-                            score_gap: (later.candidate.re - worst).max(0.0),
-                        },
-                    );
-                }
+            for later in &ranked[idx..] {
+                prov.drop(
+                    later.id,
+                    Disposition::OutRanked {
+                        at_step: prov.cur_step,
+                        score_gap: (later.re - worst).max(0.0),
+                    },
+                );
             }
             break;
         }
@@ -1234,31 +1078,21 @@ fn get_top_k(
         // scripts (e.g. deleting either of two equal lines). Interned
         // statements make spotting them a pointer walk — skip before
         // burning an execution check on a script already in `next`.
-        if let Some(twin) = next
-            .iter()
-            .find(|c| c.program.same_stmts(&step.candidate.program))
-        {
-            stats.candidates_deduped += 1;
-            prov.fate(
-                step.candidate.id,
-                Disposition::Deduped { against: twin.id },
-            );
+        if let Some(twin) = next.iter().find(|c| c.program.same_stmts(&step.program)) {
+            prov.drop(step.id, Disposition::Deduped { against: twin.id });
             continue;
         }
         if ctx.config.early_check {
             let t0 = Instant::now();
-            let res = exec.run_isolated(&step.candidate.program);
+            let res = exec.run_isolated(&step.program);
             stats.check_execute_ms += t0.elapsed().as_secs_f64() * 1e3;
             if let Err(failure) = res {
-                if prov.enabled() {
-                    prov.fate(step.candidate.id, disposition_of(&failure));
-                }
-                stats.failures.note(failure);
+                prov.fail(step.id, failure);
                 continue;
             }
         }
-        next.push(step.candidate.clone());
-        dedup_and_cap(next, k, stats, prov);
+        next.push((*step).clone());
+        dedup_and_cap(next, k, prov);
         admitted += 1;
         stats.admitted += 1;
     }
@@ -1268,28 +1102,22 @@ fn get_top_k(
 /// carried-over protected candidate precedes an equal fresh one), drops
 /// structural duplicates keeping the best-ranked copy, and caps at `k`.
 /// Exactly the old `sort / dedup_by / truncate` semantics, with every
-/// *unprotected* removal counted and fated: structural twins as
+/// *unprotected* removal dropped through the ledger: structural twins as
 /// [`Disposition::Deduped`] against the surviving copy, cap overflow as
 /// [`Disposition::BeamCut`]. Protected candidates (the input, accepted
-/// finalists) are still alive elsewhere, so dropping them from the beam
-/// is neither a dedup nor a terminal fate — the counter branches on the
-/// protected set, never on the audit flag, so counts match across
-/// audited and unaudited runs. Idempotent: safe both after each
-/// admission and as the step-level re-cap across beams.
-fn dedup_and_cap(
-    next: &mut Vec<Candidate>,
-    k: usize,
-    stats: &mut StepStats,
-    prov: &mut Provenance,
-) {
+/// finalists) are still alive elsewhere, so removing them from the beam
+/// is no drop at all — the dedup counter branches on the protected set,
+/// never on the audit flag, so counts match across audited and
+/// unaudited runs. Idempotent: safe both after each admission and as the
+/// step-level re-cap across beams.
+fn dedup_and_cap(next: &mut Vec<Candidate>, k: usize, prov: &mut Provenance) {
     next.sort_by(|a, b| a.re.partial_cmp(&b.re).expect("finite"));
     let mut i = 1;
     while i < next.len() {
         if next[i].dag.atoms == next[i - 1].dag.atoms {
             let removed = next.remove(i);
             if !prov.is_protected(removed.id) {
-                stats.candidates_deduped += 1;
-                prov.fate(
+                prov.drop(
                     removed.id,
                     Disposition::Deduped {
                         against: next[i - 1].id,
@@ -1303,7 +1131,7 @@ fn dedup_and_cap(
     while next.len() > k {
         let dropped = next.pop().expect("len > k implies non-empty");
         if !prov.is_protected(dropped.id) {
-            prov.fate(dropped.id, Disposition::BeamCut { rank: k });
+            prov.drop(dropped.id, Disposition::BeamCut { rank: k });
         }
     }
 }
@@ -1313,7 +1141,7 @@ fn dedup_and_cap(
 /// so the beams explore different parts of the space.
 fn get_diverse_top_k(
     cand: &Candidate,
-    ranked: &[ScoredStep],
+    ranked: &[Candidate],
     ctx: &SearchContext,
     exec: &ExecEnv,
     next: &mut Vec<Candidate>,
@@ -1327,13 +1155,13 @@ fn get_diverse_top_k(
     let n_lines = cand.dag.atoms.len().max(1) as f64;
     let features: Vec<Vec<f64>> = ranked
         .iter()
-        .map(|s| step_features(&s.transformation, ctx.corpus, n_lines, s.candidate.re))
+        .map(|s| step_features(s, ctx.corpus, n_lines))
         .collect();
     let clustering = kmeans(&features, m, 25);
     let per_cluster = (ctx.config.beam_k / m.min(clustering.k.max(1))).max(1);
     for cluster in 0..clustering.k {
         // Members inherit the global ranking order (ascending RE).
-        let members: Vec<&ScoredStep> = ranked
+        let members: Vec<&Candidate> = ranked
             .iter()
             .zip(&clustering.assignments)
             .filter(|(_, &a)| a == cluster)
@@ -1345,17 +1173,16 @@ fn get_diverse_top_k(
     }
 }
 
-/// Feature vector describing a transformation for diversity clustering:
-/// kind, relative position, resulting RE, atom popularity, and atom
-/// typical position. (The paper clusters "updated vectors"; a compact
-/// feature set keeps clustering O(candidates) instead of O(candidates ×
-/// |V_E'|) — ablated in `bench`.)
-fn step_features(
-    t: &Transformation,
-    corpus: &CorpusModel,
-    n_lines: f64,
-    re_after: f64,
-) -> Vec<f64> {
+/// Feature vector describing a scored step — its last applied
+/// transformation — for diversity clustering: kind, relative position,
+/// resulting RE, atom popularity, and atom typical position. (The paper
+/// clusters "updated vectors"; a compact feature set keeps clustering
+/// O(candidates) instead of O(candidates × |V_E'|) — ablated in `bench`.)
+fn step_features(step: &Candidate, corpus: &CorpusModel, n_lines: f64) -> Vec<f64> {
+    let t = step
+        .applied
+        .last()
+        .expect("a scored step applied a transformation");
     let (is_add, id) = match &t.kind {
         TransformKind::Add { atom } => (1.0, atom.id),
         TransformKind::Delete => (0.0, None),
@@ -1364,7 +1191,7 @@ fn step_features(
         id.map_or(0.0, |id| corpus.atom_count_by_id(id) as f64 / corpus.n_scripts as f64);
     let rel_pos = t.line as f64 / n_lines;
     let typical = id.map_or(0.5, |id| corpus.rel_pos(id));
-    vec![is_add * 4.0, rel_pos, re_after, popularity, typical]
+    vec![is_add * 4.0, rel_pos, step.re, popularity, typical]
 }
 
 #[cfg(test)]
@@ -1407,6 +1234,16 @@ mod tests {
     }
 
     fn run_search(input_src: &str, config: &SearchConfig) -> (SearchOutcome, f64) {
+        run_search_with_faults(input_src, config, None)
+    }
+
+    /// [`run_search`] with a fault plan installed after the (clean) base
+    /// run, so only candidate executions fault.
+    fn run_search_with_faults(
+        input_src: &str,
+        config: &SearchConfig,
+        faults: Option<lucid_interp::FaultPlan>,
+    ) -> (SearchOutcome, f64) {
         let corpus = corpus_model();
         let mut interp = Interpreter::new();
         interp.register_table("train.csv", titanic_like_table());
@@ -1417,6 +1254,7 @@ mod tests {
             .output_frame()
             .expect("has output")
             .clone();
+        interp.fault_plan = faults.map(Arc::new);
         let re_before =
             entropy::relative_entropy(&crate::dag::build_dag(&input), &corpus);
         let ctx = context(&corpus, &interp, config, &base);
@@ -1556,6 +1394,40 @@ y = df['Survived']
         let ctx = context(&corpus, &interp, &config, &base);
         let outcome = standardize_search(&ctx, &input);
         assert!(interp.check_executes(&outcome.best.program.to_module()));
+    }
+
+    #[test]
+    fn late_checking_runs_each_finalist_once() {
+        // Verification under late checking must get the check and the
+        // output from one run: one `interp.run` span per checked finalist.
+        let sink = lucid_obs::TraceSink::in_memory();
+        let config = SearchConfig {
+            seq_len: 4,
+            early_check: false,
+            intent: IntentMeasure::jaccard(0.3),
+            trace: Some(sink.clone()),
+            ..Default::default()
+        };
+        let corpus = corpus_model();
+        let mut interp = Interpreter::new();
+        interp.register_table("train.csv", titanic_like_table());
+        let input = crate::lemma::lemmatize(&parse_module(NONSTANDARD).unwrap());
+        let base = interp.run(&input).unwrap().output_frame().unwrap().clone();
+        let collector = Arc::new(lucid_obs::Collector::new(true));
+        interp.obs = Some(collector.clone());
+        let ctx = context(&corpus, &interp, &config, &base);
+        let outcome = standardize_search(&ctx, &input);
+        assert!(!outcome.best.applied.is_empty());
+        let verify: serde_json::Value = sink
+            .memory_lines()
+            .unwrap()
+            .iter()
+            .find(|l| l.contains("\"event\":\"verify\""))
+            .map(|l| serde_json::from_str(l).unwrap())
+            .expect("verify record");
+        let checked = verify.get("checked").and_then(|v| v.as_f64()).unwrap() as u64;
+        assert!(checked > 0);
+        assert_eq!(collector.registry().histogram_count("interp.run"), checked);
     }
 
     #[test]
@@ -1810,25 +1682,74 @@ y = df['Survived']
 
     /// Runs an audited search and returns (outcome, audit stream text).
     fn run_audited(config_base: &SearchConfig) -> (SearchOutcome, String) {
+        run_audited_with_faults(config_base, None)
+    }
+
+    fn run_audited_with_faults(
+        config_base: &SearchConfig,
+        faults: Option<lucid_interp::FaultPlan>,
+    ) -> (SearchOutcome, String) {
         let sink = lucid_obs::TraceSink::in_memory();
         let config = SearchConfig {
             audit: Some(sink.clone()),
             ..config_base.clone()
         };
-        let (outcome, _) = run_search(NONSTANDARD, &config);
+        let (outcome, _) = run_search_with_faults(NONSTANDARD, &config, faults);
         let text = sink.memory_lines().unwrap().join("\n");
         (outcome, text)
     }
 
-    #[test]
-    fn audit_stream_reconciles_with_timings_exactly() {
-        let config = SearchConfig {
+    /// The audit suite's inputs: an early-checked search, and a
+    /// late-checked one whose verification runs panic and trip budgets
+    /// (see [`faults_for`]).
+    fn audit_cases() -> [SearchConfig; 2] {
+        lucid_interp::silence_injected_panics();
+        let early = SearchConfig {
             seq_len: 5,
             intent: IntentMeasure::jaccard(0.3),
             ..Default::default()
         };
-        let (outcome, text) = run_audited(&config);
-        let summary = lucid_obs::parse_audit(&text).unwrap();
+        let late = SearchConfig {
+            early_check: false,
+            ..early.clone()
+        };
+        [early, late]
+    }
+
+    /// A fresh fault plan (counters at zero) for the late-checked audit
+    /// case; none for the early-checked one.
+    fn faults_for(config: &SearchConfig) -> Option<lucid_interp::FaultPlan> {
+        use lucid_interp::FaultClass;
+        (!config.early_check).then(|| {
+            lucid_interp::FaultPlan::new(
+                5,
+                0.3,
+                vec![
+                    FaultClass::Panic,
+                    FaultClass::BudgetFuel,
+                    FaultClass::BudgetCells,
+                    FaultClass::BudgetDeadline,
+                    FaultClass::Value,
+                ],
+            )
+        })
+    }
+
+    #[test]
+    fn audit_stream_reconciles_with_timings_exactly() {
+        for config in audit_cases() {
+            let (outcome, text) = run_audited_with_faults(&config, faults_for(&config));
+            if !config.early_check {
+                // The late case must exercise the failure drops.
+                assert!(outcome.timings.candidates_panicked > 0, "no panic");
+                assert!(outcome.timings.budget_trips_total() > 0, "no budget trip");
+            }
+            assert_audit_reconciles(&outcome, &text);
+        }
+    }
+
+    fn assert_audit_reconciles(outcome: &SearchOutcome, text: &str) {
+        let summary = lucid_obs::parse_audit(text).unwrap();
         assert_eq!(summary.skipped_lines, 0, "own stream must parse fully");
         // Internal consistency: every candidate has exactly one fate and
         // the trailer's counts match the records (both directions).
@@ -1883,32 +1804,28 @@ y = df['Survived']
 
     #[test]
     fn auditing_does_not_perturb_decisions_or_counters() {
-        let config = SearchConfig {
-            seq_len: 5,
-            intent: IntentMeasure::jaccard(0.3),
-            ..Default::default()
-        };
-        let (plain, _) = run_search(NONSTANDARD, &config);
-        let (audited, text) = run_audited(&config);
-        assert_eq!(
-            print_module(&audited.best.program.to_module()),
-            print_module(&plain.best.program.to_module())
-        );
-        assert_eq!(audited.best.re, plain.best.re);
-        assert_eq!(audited.explored, plain.explored);
-        assert_eq!(
-            audited.timings.candidates_deduped,
-            plain.timings.candidates_deduped
-        );
-        assert_eq!(
-            audited.timings.pruned_monotonicity,
-            plain.timings.pruned_monotonicity
-        );
-        // Audit-off runs surface no lineage but mint the same ID space:
-        // the audited stream's total covers every candidate either run
-        // considered (`explored` counts only the scored subset).
-        assert!(plain.audit_lineage.is_empty());
-        let summary = lucid_obs::parse_audit(&text).unwrap();
-        assert!(summary.end.unwrap().total >= plain.explored as u64);
+        for config in audit_cases() {
+            let (plain, _) = run_search_with_faults(NONSTANDARD, &config, faults_for(&config));
+            let (audited, text) = run_audited_with_faults(&config, faults_for(&config));
+            assert_eq!(
+                print_module(&audited.best.program.to_module()),
+                print_module(&plain.best.program.to_module())
+            );
+            assert_eq!(audited.best.re, plain.best.re);
+            assert_eq!(audited.explored, plain.explored);
+            let (a, p) = (&audited.timings, &plain.timings);
+            assert_eq!(a.candidates_deduped, p.candidates_deduped);
+            assert_eq!(a.pruned_monotonicity, p.pruned_monotonicity);
+            assert_eq!(a.candidates_panicked, p.candidates_panicked);
+            assert_eq!(a.budget_trips_fuel, p.budget_trips_fuel);
+            assert_eq!(a.budget_trips_cells, p.budget_trips_cells);
+            assert_eq!(a.budget_trips_deadline, p.budget_trips_deadline);
+            // Audit-off runs surface no lineage but mint the same ID space:
+            // the audited stream's total covers every candidate either run
+            // considered (`explored` counts only the scored subset).
+            assert!(plain.audit_lineage.is_empty());
+            let summary = lucid_obs::parse_audit(&text).unwrap();
+            assert!(summary.end.unwrap().total >= plain.explored as u64);
+        }
     }
 }

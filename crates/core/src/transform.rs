@@ -171,6 +171,28 @@ impl Default for EnumOptions {
     }
 }
 
+/// The kept list of [`enumerate`]: the candidate transformations alone.
+pub fn enumerate_transformations(
+    dag: &ScriptDag,
+    corpus: &CorpusModel,
+    cursor: usize,
+    opts: &EnumOptions,
+) -> Vec<Transformation> {
+    enumerate(dag, corpus, cursor, opts).kept
+}
+
+/// One enumeration pass: the candidates, and what the cursor refused.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Enumerated {
+    /// Candidate transformations, in enumeration order, duplicate-free.
+    pub kept: Vec<Transformation>,
+    /// Edge-driven adds refused because their insertion point fell below
+    /// the monotonicity cursor, in enumeration order, one entry per
+    /// refusal (duplicates included). Position-driven adds clamp to the
+    /// cursor instead of being refused, so they never appear here.
+    pub pruned: Vec<Transformation>,
+}
+
 /// Enumerates candidate transformations for a (lemmatized) script, honoring
 /// the monotonicity cursor: only positions ≥ `cursor` are produced.
 ///
@@ -183,60 +205,12 @@ impl Default for EnumOptions {
 /// * **Add via relative position (n-gram placement)**: corpus atoms not
 ///   yet in the script may be inserted at their corpus-typical relative
 ///   position.
-pub fn enumerate_transformations(
+pub fn enumerate(
     dag: &ScriptDag,
     corpus: &CorpusModel,
     cursor: usize,
     opts: &EnumOptions,
-) -> Vec<Transformation> {
-    enumerate_transformations_counted(dag, corpus, cursor, opts).0
-}
-
-/// Counters describing one enumeration pass (fed into the search event
-/// log).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EnumStats {
-    /// Edge-driven adds skipped because their insertion point fell below
-    /// the monotonicity cursor. (Position-driven adds clamp to the cursor
-    /// instead of being discarded, so they never count here.)
-    pub pruned_monotonicity: usize,
-}
-
-/// [`enumerate_transformations`] plus an [`EnumStats`] describing what the
-/// monotonicity cursor pruned.
-pub fn enumerate_transformations_counted(
-    dag: &ScriptDag,
-    corpus: &CorpusModel,
-    cursor: usize,
-    opts: &EnumOptions,
-) -> (Vec<Transformation>, EnumStats) {
-    let (out, stats, _) = enumerate_with_pruned(dag, corpus, cursor, opts, false);
-    (out, stats)
-}
-
-/// [`enumerate_transformations_counted`] that additionally materializes
-/// the cursor-pruned transformations themselves (in enumeration order,
-/// duplicates included — one entry per [`EnumStats::pruned_monotonicity`]
-/// increment), so the audit stream can mint a candidate ID and a
-/// `Disposition::PrunedMonotonicity` fate for each. The plain counted
-/// variant stays allocation-free for unaudited searches.
-pub fn enumerate_transformations_audited(
-    dag: &ScriptDag,
-    corpus: &CorpusModel,
-    cursor: usize,
-    opts: &EnumOptions,
-) -> (Vec<Transformation>, EnumStats, Vec<Transformation>) {
-    enumerate_with_pruned(dag, corpus, cursor, opts, true)
-}
-
-fn enumerate_with_pruned(
-    dag: &ScriptDag,
-    corpus: &CorpusModel,
-    cursor: usize,
-    opts: &EnumOptions,
-    collect_pruned: bool,
-) -> (Vec<Transformation>, EnumStats, Vec<Transformation>) {
-    let mut stats = EnumStats::default();
+) -> Enumerated {
     let mut pruned: Vec<Transformation> = Vec::new();
     let n = dag.atoms.len();
     let mut out = Vec::new();
@@ -290,10 +264,7 @@ fn enumerate_with_pruned(
             let line = if is_import(&corpus.atoms()[next as usize]) {
                 import_end
             } else if insert_at < cursor {
-                stats.pruned_monotonicity += 1; // audit fate: Disposition::PrunedMonotonicity
-                if collect_pruned {
-                    pruned.push(add(next, insert_at));
-                }
+                pruned.push(add(next, insert_at));
                 continue;
             } else {
                 insert_at
@@ -319,7 +290,7 @@ fn enumerate_with_pruned(
         push_add(id, line, &mut out);
     }
 
-    (out, stats, pruned)
+    Enumerated { kept: out, pruned }
 }
 
 /// Atoms the search never deletes: imports and `read_csv` loads (their
@@ -359,45 +330,47 @@ df = pd.get_dummies(df)
         (module, dag, corpus)
     }
 
-    #[test]
-    fn counted_enumeration_reports_cursor_pruning() {
-        let (_, dag, corpus) = setup();
-        let opts = EnumOptions::default();
-        let (open, stats_open) = enumerate_transformations_counted(&dag, &corpus, 0, &opts);
-        assert_eq!(stats_open.pruned_monotonicity, 0);
-        // A cursor past the whole script prunes every edge-driven add that
-        // the open cursor produced below it.
-        let cursor = dag.atoms.len() + 1;
-        let (clamped, stats) = enumerate_transformations_counted(&dag, &corpus, cursor, &opts);
-        assert!(stats.pruned_monotonicity > 0);
-        // Pruned edge-driven adds may re-enter through positional
-        // placement (clamped to the cursor), so the list can only shrink
-        // or stay the same size — never grow.
-        assert!(clamped.len() <= open.len());
-        // The wrapper returns the same list as the counted variant.
-        assert_eq!(
-            enumerate_transformations(&dag, &corpus, cursor, &opts),
-            clamped
-        );
+    /// Kept and pruned lists, as `describe()` strings.
+    fn described(e: &Enumerated) -> (Vec<String>, Vec<String>) {
+        let d = |ts: &[Transformation]| ts.iter().map(Transformation::describe).collect();
+        (d(&e.kept), d(&e.pruned))
     }
 
     #[test]
-    fn audited_enumeration_materializes_exactly_the_pruned_set() {
+    fn enumeration_reports_cursor_pruning() {
         let (_, dag, corpus) = setup();
         let opts = EnumOptions::default();
+        let open = enumerate(&dag, &corpus, 0, &opts);
+        assert!(open.pruned.is_empty());
+        // A cursor past the whole script prunes every edge-driven add that
+        // the open cursor produced below it.
         let cursor = dag.atoms.len() + 1;
-        let (kept, stats, pruned) =
-            enumerate_transformations_audited(&dag, &corpus, cursor, &opts);
-        // One pruned transformation per counter increment, and the kept
-        // list + stats are identical to the unaudited variant.
-        assert!(stats.pruned_monotonicity > 0);
-        assert_eq!(pruned.len(), stats.pruned_monotonicity);
-        let (kept2, stats2) = enumerate_transformations_counted(&dag, &corpus, cursor, &opts);
-        assert_eq!(kept, kept2);
-        assert_eq!(stats, stats2);
-        for t in &pruned {
+        let clamped = enumerate(&dag, &corpus, cursor, &opts);
+        assert!(!clamped.pruned.is_empty());
+        // Pruned edge-driven adds may re-enter through positional
+        // placement (clamped to the cursor), so the list can only shrink
+        // or stay the same size — never grow.
+        assert!(clamped.kept.len() <= open.kept.len());
+        // The kept-only projection returns the same list.
+        assert_eq!(
+            enumerate_transformations(&dag, &corpus, cursor, &opts),
+            clamped.kept
+        );
+        for t in &clamped.pruned {
             assert!(matches!(t.kind, TransformKind::Add { .. }), "{t:?}");
             assert!(t.line < cursor, "{t:?}");
+        }
+    }
+
+    #[test]
+    fn enumeration_matches_the_string_oracle_kept_and_pruned() {
+        let (_, dag, corpus) = setup();
+        let opts = EnumOptions::default();
+        for cursor in 0..=dag.atoms.len() + 1 {
+            let got = enumerate(&dag, &corpus, cursor, &opts);
+            let want = crate::oracle::enumerate(&dag, &corpus, cursor, &opts);
+            assert_eq!(described(&got), described(&want), "cursor {cursor}");
+            assert_eq!(got, want, "cursor {cursor}");
         }
     }
 

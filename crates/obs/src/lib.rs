@@ -14,7 +14,7 @@
 //!    hand-threaded `Timings` fields used to accumulate. No allocation,
 //!    no locks on the hot path, no formatting.
 //! 2. **`Timings` is a projection.** The report struct consumed by fig7
-//!    and `results/BENCH_search.json` is derived from registry metrics at
+//!    and the `lucid bench` trajectory is derived from registry metrics at
 //!    the end of a search, so the trace, the metrics, and the report can
 //!    never disagree by more than float rounding.
 //! 3. **No registry deps.** Vendored like the rest of the workspace's

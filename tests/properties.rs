@@ -14,7 +14,7 @@ use lucidscript::core::lemma::lemmatize;
 use lucidscript::core::standardizer::Standardizer;
 use lucidscript::core::oracle;
 use lucidscript::core::transform::{
-    enumerate_transformations, enumerate_transformations_counted, EnumOptions,
+    enumerate, enumerate_transformations, EnumOptions, Transformation,
 };
 use lucidscript::core::vocab::CorpusModel;
 use lucidscript::corpus::script_gen::generate_script;
@@ -685,8 +685,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The ID-keyed enumerator returns the string enumerator's candidates
-    /// in the same order, with the same cursor-pruning count, along random
+    /// The ID-keyed enumerator returns the string enumerator's kept and
+    /// cursor-pruned transformations in the same order, along random
     /// transformation sequences.
     #[test]
     fn id_enumerator_matches_string_oracle(seed in 0u64..2_000, cursor_pick in 0usize..64) {
@@ -706,14 +706,16 @@ proptest! {
         let opts = EnumOptions::default();
         for k in 0..3usize {
             let cursor = cursor_pick.wrapping_mul(k + 1) % (dag.atoms.len() + 2);
-            let (ts, stats) = enumerate_transformations_counted(&dag, &model, cursor, &opts);
-            let (want_ts, want_stats) = oracle::enumerate_transformations_counted(&dag, &model, cursor, &opts);
-            let got: Vec<String> = ts.iter().map(|t| t.describe()).collect();
-            let want: Vec<String> = want_ts.iter().map(|t| t.describe()).collect();
-            prop_assert_eq!(&got, &want, "cursor {}", cursor);
+            let got = enumerate(&dag, &model, cursor, &opts);
+            let want = oracle::enumerate(&dag, &model, cursor, &opts);
+            let described = |ts: &[Transformation]| -> Vec<String> {
+                ts.iter().map(|t| t.describe()).collect()
+            };
+            prop_assert_eq!(described(&got.kept), described(&want.kept), "kept, cursor {}", cursor);
+            prop_assert_eq!(described(&got.pruned), described(&want.pruned), "pruned, cursor {}", cursor);
             // Handles compare by text, so ID-carrying and ID-less adds agree.
-            prop_assert_eq!(&ts, &want_ts);
-            prop_assert_eq!(stats.pruned_monotonicity, want_stats.pruned_monotonicity);
+            prop_assert_eq!(&got, &want);
+            let ts = got.kept;
             if ts.is_empty() {
                 break;
             }
