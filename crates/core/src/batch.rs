@@ -380,6 +380,10 @@ pub struct BatchReport {
     pub cache_store_misses: u64,
     /// Pooled prefix-cache store eviction total.
     pub cache_store_evictions: u64,
+    /// Pooled fit-memo hits (sum of every search's view).
+    pub fit_memo_store_hits: u64,
+    /// Pooled fit-memo misses (sum of every search's view).
+    pub fit_memo_store_misses: u64,
     /// Distinct statements in the batch-shared interner.
     pub unique_stmts: u64,
     /// Worker count the batch ran with (resolved).
@@ -500,6 +504,10 @@ impl BatchReport {
         out.push_str(&format!(
             "prefix cache (pooled): {} hits, {} misses, {} evictions\n",
             self.cache_store_hits, self.cache_store_misses, self.cache_store_evictions
+        ));
+        out.push_str(&format!(
+            "fit memo (pooled): {} hits, {} misses\n",
+            self.fit_memo_store_hits, self.fit_memo_store_misses
         ));
         out.push_str(&format!(
             "interner: {} unique statements across the batch\n",
@@ -869,6 +877,9 @@ pub fn standardize_corpus(
         Some(cache) => (cache.store_hits(), cache.store_misses(), cache.store_evictions()),
         None => (0, 0, 0),
     };
+    let (fit_memo_store_hits, fit_memo_store_misses) = shared
+        .cache()
+        .map_or((0, 0), |cache| (cache.store_fit_hits(), cache.store_fit_misses()));
     let distribution = ReDistribution::from_results(&results);
     Ok(BatchReport {
         scripts: results,
@@ -879,6 +890,8 @@ pub fn standardize_corpus(
         cache_store_hits,
         cache_store_misses,
         cache_store_evictions,
+        fit_memo_store_hits,
+        fit_memo_store_misses,
         unique_stmts: shared.interner().unique_stmts(),
         jobs: jobs_n,
         elapsed_ms: t_batch.elapsed().as_secs_f64() * 1e3,

@@ -32,6 +32,10 @@ pub mod metric {
     pub const CACHE_EVICTIONS: &str = "cache.evictions";
     /// Peak retained prefix snapshots (recorded via `set_max`).
     pub const CACHE_PEAK: &str = "cache.peak_snapshots";
+    /// Model fits served from the execution cache's fit memo.
+    pub const FIT_MEMO_HITS: &str = "cache.fit_memo_hits";
+    /// Model fits that trained (fit-memo misses).
+    pub const FIT_MEMO_MISSES: &str = "cache.fit_memo_misses";
     /// Candidate executions that panicked and were isolated
     /// (`catch_unwind`) into scored failures.
     pub const PANICKED: &str = "search.candidates_panicked";
@@ -120,6 +124,11 @@ pub struct Timings {
     pub prefix_cache_evictions: u64,
     /// Peak number of prefix snapshots retained at once.
     pub prefix_cache_peak_snapshots: u64,
+    /// Estimator fits served from the execution cache's fit memo (zero
+    /// with the prefix cache off).
+    pub fit_memo_hits: u64,
+    /// Estimator fits that trained a model through the fit memo.
+    pub fit_memo_misses: u64,
     /// Beam steps the search executed (its depth).
     pub search_steps: usize,
     /// Candidate executions that panicked and were isolated into scored
@@ -191,6 +200,8 @@ impl Timings {
         self.prefix_cache_peak_snapshots = self
             .prefix_cache_peak_snapshots
             .max(other.prefix_cache_peak_snapshots);
+        self.fit_memo_hits += other.fit_memo_hits;
+        self.fit_memo_misses += other.fit_memo_misses;
         self.search_steps += other.search_steps;
         self.candidates_panicked += other.candidates_panicked;
         self.budget_trips_fuel += other.budget_trips_fuel;
@@ -237,6 +248,8 @@ impl Timings {
             prefix_cache_misses: reg.counter_value(metric::CACHE_MISSES),
             prefix_cache_evictions: reg.counter_value(metric::CACHE_EVICTIONS),
             prefix_cache_peak_snapshots: reg.counter_value(metric::CACHE_PEAK),
+            fit_memo_hits: reg.counter_value(metric::FIT_MEMO_HITS),
+            fit_memo_misses: reg.counter_value(metric::FIT_MEMO_MISSES),
             search_steps: usize::try_from(reg.counter_value(metric::STEPS)).unwrap_or(usize::MAX),
             candidates_panicked: reg.counter_value(metric::PANICKED),
             budget_trips_fuel: reg.counter_value(metric::BUDGET_FUEL),
@@ -333,6 +346,8 @@ mod tests {
             prefix_cache_misses: 2,
             prefix_cache_evictions: 1,
             prefix_cache_peak_snapshots: 9,
+            fit_memo_hits: 5,
+            fit_memo_misses: 3,
             search_steps: 3,
             candidates_panicked: 2,
             budget_trips_fuel: 1,
@@ -361,6 +376,7 @@ mod tests {
         assert_eq!(a.prefix_cache_misses, 4);
         assert_eq!(a.prefix_cache_evictions, 2);
         assert_eq!(a.prefix_cache_peak_snapshots, 9);
+        assert_eq!((a.fit_memo_hits, a.fit_memo_misses), (10, 6));
         assert_eq!(a.search_steps, 6);
         assert_eq!(a.candidates_panicked, 4);
         assert_eq!(a.budget_trips_fuel, 2);
@@ -442,6 +458,8 @@ mod tests {
         reg.counter(metric::CACHE_MISSES).add(3);
         reg.counter(metric::CACHE_EVICTIONS).add(1);
         reg.counter(metric::CACHE_PEAK).set_max(12);
+        reg.counter(metric::FIT_MEMO_HITS).add(13);
+        reg.counter(metric::FIT_MEMO_MISSES).add(8);
         reg.counter(metric::PANICKED).add(2);
         reg.counter(metric::BUDGET_FUEL).add(3);
         reg.counter(metric::BUDGET_CELLS).add(4);
@@ -472,6 +490,7 @@ mod tests {
         assert_eq!(t.prefix_cache_misses, 3);
         assert_eq!(t.prefix_cache_evictions, 1);
         assert_eq!(t.prefix_cache_peak_snapshots, 12);
+        assert_eq!((t.fit_memo_hits, t.fit_memo_misses), (13, 8));
         assert_eq!(t.candidates_panicked, 2);
         assert_eq!(t.budget_trips_fuel, 3);
         assert_eq!(t.budget_trips_cells, 4);

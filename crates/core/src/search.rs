@@ -221,6 +221,13 @@ impl<'a> ExecEnv<'a> {
     fn cache_peak(&self) -> u64 {
         self.cache.as_ref().map_or(0, PrefixCache::peak_snapshots)
     }
+
+    /// This search's fit-memo (hits, misses) — zeros when caching is off.
+    fn fit_memo_counters(&self) -> (u64, u64) {
+        self.cache
+            .as_ref()
+            .map_or((0, 0), |cache| (cache.fit_hits(), cache.fit_misses()))
+    }
 }
 
 /// Renders a caught panic payload. Handles the payload types candidate
@@ -580,6 +587,9 @@ pub fn standardize_search(ctx: &SearchContext, input: &Module) -> SearchOutcome 
     reg.counter(metric::CACHE_MISSES).add(misses);
     reg.counter(metric::CACHE_EVICTIONS).add(evictions);
     reg.counter(metric::CACHE_PEAK).set_max(exec.cache_peak());
+    let (fit_hits, fit_misses) = exec.fit_memo_counters();
+    reg.counter(metric::FIT_MEMO_HITS).add(fit_hits);
+    reg.counter(metric::FIT_MEMO_MISSES).add(fit_misses);
     // Unique statements is a gauge over the interner (the batch-shared
     // total when sharing); hit/update counts are this search's delta
     // window, so per-search values sum consistently in fleet roll-ups.
@@ -666,6 +676,8 @@ pub fn standardize_search(ctx: &SearchContext, input: &Module) -> SearchOutcome 
             cache_misses: misses,
             cache_evictions: evictions,
             cache_peak_snapshots: timings.prefix_cache_peak_snapshots,
+            fit_memo_hits: timings.fit_memo_hits,
+            fit_memo_misses: timings.fit_memo_misses,
             candidates_panicked: timings.candidates_panicked,
             budget_trips_fuel: timings.budget_trips_fuel,
             budget_trips_cells: timings.budget_trips_cells,
@@ -1506,6 +1518,55 @@ y = df['Survived']
         let (outcome, _) = run_search(NONSTANDARD, &cold);
         assert_eq!(outcome.timings.prefix_cache_hits, 0);
         assert_eq!(outcome.timings.prefix_cache_misses, 0);
+    }
+
+    #[test]
+    fn candidates_that_keep_the_training_inputs_hit_the_fit_memo() {
+        // The model trains on X/y taken before the edited `df` lines, so
+        // every candidate editing those lines re-runs `fit` on the same
+        // inputs: one training, then memo hits. The search's decisions
+        // match the uncached run bit for bit.
+        const FITS: &str = "\
+import pandas as pd
+from sklearn.linear_model import LogisticRegression
+df = pd.read_csv('train.csv')
+X = df[['Fare']]
+y = df['Survived']
+df = df.fillna(df.median())
+model = LogisticRegression(max_iter=20)
+model = model.fit(X, y)
+acc = model.score(X, y)
+";
+        let config = SearchConfig {
+            seq_len: 3,
+            intent: IntentMeasure::jaccard(0.3),
+            prefix_cache: true,
+            ..Default::default()
+        };
+        let (cached, _) = run_search(FITS, &config);
+        assert!(
+            cached.timings.fit_memo_hits > 0,
+            "candidates repeating a fit must hit the memo: {:?}",
+            cached.timings
+        );
+        assert!(cached.timings.fit_memo_misses > 0);
+        let (cold, _) = run_search(
+            FITS,
+            &SearchConfig {
+                prefix_cache: false,
+                ..config
+            },
+        );
+        assert_eq!(
+            (cold.timings.fit_memo_hits, cold.timings.fit_memo_misses),
+            (0, 0)
+        );
+        assert_eq!(
+            print_module(&cached.best.program.to_module()),
+            print_module(&cold.best.program.to_module())
+        );
+        assert_eq!(cached.best.re.to_bits(), cold.best.re.to_bits());
+        assert_eq!(cached.explored, cold.explored);
     }
 
     #[test]

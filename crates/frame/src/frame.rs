@@ -5,7 +5,9 @@ use crate::column::{Buffer, Column, DType};
 use crate::error::{FrameError, Result};
 use crate::mask::BoolMask;
 use crate::value::{Value, ValueKey};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Strategy for statistics-based imputation (`df.fillna(df.mean())` etc.).
@@ -314,15 +316,92 @@ impl DataFrame {
 
     /// Drops duplicate rows, keeping the first occurrence
     /// (pandas `df.drop_duplicates()`).
+    ///
+    /// Each row is hashed from the typed buffers (strings through one hash
+    /// per dictionary entry), and a row whose hash matches a kept row is
+    /// confirmed cell by cell, so a hash collision never drops a distinct
+    /// row. Cell equality is [`ValueKey`] equality: nulls match nulls,
+    /// floats compare by value (`-0.0 == 0.0`).
     pub fn drop_duplicates(&self) -> DataFrame {
-        let col_keys = self.column_keys();
-        let mut seen = HashSet::new();
-        let mut keep = Vec::with_capacity(self.n_rows());
-        for i in 0..self.n_rows() {
-            let key: Vec<ValueKey> = col_keys.iter().map(|k| k[i].clone()).collect();
-            keep.push(seen.insert(key));
+        let n = self.n_rows();
+        let hashes = self.row_hashes();
+        // Open addressing over kept-row indices, at most half full.
+        const EMPTY: usize = usize::MAX;
+        let mask = (2 * n).next_power_of_two().max(4) - 1;
+        let mut table = vec![EMPTY; mask + 1];
+        let mut keep = Vec::with_capacity(n);
+        for (i, &h) in hashes.iter().enumerate() {
+            let mut slot = h as usize & mask;
+            keep.push(loop {
+                let j = table[slot];
+                if j == EMPTY {
+                    table[slot] = i;
+                    break true;
+                }
+                if hashes[j] == h && self.rows_equal(i, j) {
+                    break false;
+                }
+                slot = (slot + 1) & mask;
+            });
         }
         self.filter(&BoolMask::new(keep)).expect("length matches")
+    }
+
+    /// A 64-bit hash of every row, folded column by column over the typed
+    /// buffers. Equal rows (in the [`ValueKey`] sense) hash equally.
+    fn row_hashes(&self) -> Vec<u64> {
+        let mut hashes = vec![0x243f_6a88_85a3_08d3_u64; self.n_rows()];
+        for col in &self.columns {
+            match &**col {
+                Column::Int(b) => fold_cells(&mut hashes, &b.values, &b.validity, |v| v as u64),
+                // `+ 0.0` folds -0.0 onto 0.0; buffers never hold NaN.
+                Column::Float(b) => {
+                    fold_cells(&mut hashes, &b.values, &b.validity, |v| (v + 0.0).to_bits())
+                }
+                Column::Bool(b) => {
+                    fold_cells(&mut hashes, &b.values, &b.validity, |v| u64::from(v) + 1)
+                }
+                Column::Str(d) => {
+                    let pool: Vec<u64> = d
+                        .pool
+                        .iter()
+                        .map(|s| {
+                            let mut h = DefaultHasher::new();
+                            s.hash(&mut h);
+                            h.finish()
+                        })
+                        .collect();
+                    fold_cells(&mut hashes, &d.codes, &d.validity, |c| pool[c as usize]);
+                }
+            }
+        }
+        // Finalize (murmur3 fmix64) so the low bits index the table well.
+        for h in &mut hashes {
+            *h ^= *h >> 33;
+            *h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+            *h ^= *h >> 33;
+        }
+        hashes
+    }
+
+    /// Whether rows `a` and `b` hold equal cells in every column.
+    fn rows_equal(&self, a: usize, b: usize) -> bool {
+        self.columns.iter().all(|col| {
+            let valid = col.validity();
+            match (valid.get(a), valid.get(b)) {
+                (false, false) => true,
+                (true, true) => match &**col {
+                    Column::Int(x) => x.values[a] == x.values[b],
+                    Column::Float(x) => x.values[a] == x.values[b],
+                    Column::Bool(x) => x.values[a] == x.values[b],
+                    Column::Str(x) => {
+                        let (ca, cb) = (x.codes[a] as usize, x.codes[b] as usize);
+                        ca == cb || x.pool[ca] == x.pool[cb]
+                    }
+                },
+                _ => false,
+            }
+        })
     }
 
     /// Fills missing values in every *compatible* column with a constant
@@ -491,6 +570,21 @@ impl DataFrame {
     }
 }
 
+/// Folds one column into per-row hashes: each valid cell contributes
+/// `word(value)`, each null a fixed marker.
+fn fold_cells<T: Copy>(
+    hashes: &mut [u64],
+    values: &[T],
+    validity: &Bitmap,
+    word: impl Fn(T) -> u64,
+) {
+    const NULL: u64 = 0x6e75_6c6c_6e75_6c6c;
+    for ((h, &v), valid) in hashes.iter_mut().zip(values).zip(validity.iter()) {
+        let cell = if valid { word(v) } else { NULL };
+        *h = (h.rotate_left(26) ^ cell).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -595,6 +689,31 @@ mod tests {
         let dup = df.concat(&df).unwrap();
         assert_eq!(dup.n_rows(), 8);
         assert_eq!(dup.drop_duplicates().n_rows(), 3);
+    }
+
+    #[test]
+    fn drop_duplicates_matches_the_reference_on_nulls_and_signed_zero() {
+        let df = DataFrame::from_columns(vec![
+            (
+                "f",
+                Column::from_floats(vec![Some(0.0), Some(-0.0), None, Some(f64::NAN), Some(1.5)]),
+            ),
+            (
+                "s",
+                Column::from_strs(vec![
+                    Some("a".into()),
+                    Some("a".into()),
+                    None,
+                    None,
+                    Some("a".into()),
+                ]),
+            ),
+        ])
+        .unwrap();
+        let kernel = df.drop_duplicates();
+        assert_eq!(kernel, crate::naive::naive_drop_duplicates(&df));
+        // 0.0/-0.0 collapse, and NaN is null, so rows 1 and 3 go.
+        assert_eq!(kernel.n_rows(), 3);
     }
 
     #[test]

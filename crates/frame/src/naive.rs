@@ -264,6 +264,20 @@ fn naive_aggregate(vals: &[f64], agg: AggFn) -> Value {
     }
 }
 
+/// Per-row `drop_duplicates`: one `Vec<ValueKey>` per row into a
+/// `HashSet`, keeping first occurrences.
+pub fn naive_drop_duplicates(df: &DataFrame) -> DataFrame {
+    let col_keys = df.column_keys();
+    let mut seen = HashSet::new();
+    let mut keep = Vec::with_capacity(df.n_rows());
+    for i in 0..df.n_rows() {
+        let key: Vec<ValueKey> = col_keys.iter().map(|k| k[i].clone()).collect();
+        keep.push(seen.insert(key));
+    }
+    df.filter(&crate::mask::BoolMask::new(keep))
+        .expect("length matches")
+}
+
 /// Per-cell Δ_J: Jaccard over distinct non-null cell values.
 pub fn naive_value_jaccard(a: &DataFrame, b: &DataFrame) -> f64 {
     let set = |df: &DataFrame| -> HashSet<ValueKey> {

@@ -1,59 +1,79 @@
-//! Prefix-execution caching: snapshot the variable environment after each
-//! executed statement so candidate scripts sharing a prefix resume from a
-//! cloned snapshot instead of re-running the prefix.
+//! The execution cache: statement-prefix snapshots plus a memo of fitted
+//! models, so candidate scripts pay once for work they share.
 //!
-//! During beam search, monotonicity fixes every statement below a
-//! candidate's cursor, so the many candidates expanded from one beam share
-//! long immutable prefixes. Re-executing those prefixes dominated
-//! `CheckIfExecutes()` cost; with the cache each distinct prefix executes
-//! once per search.
+//! **Prefix snapshots.** The environment after each executed statement is
+//! snapshotted so candidate scripts sharing a prefix resume from a cloned
+//! snapshot instead of re-running the prefix. During beam search,
+//! monotonicity fixes every statement below a candidate's cursor, so the
+//! many candidates expanded from one beam share long immutable prefixes.
+//! Re-executing those prefixes dominated `CheckIfExecutes()` cost; with
+//! the cache each distinct prefix executes once per search.
 //!
 //! Keys are a 64-bit chain hash over span-normalized statements (the same
 //! code at different source locations shares snapshots), folded over the
-//! interpreter's seed and sampling configuration. Snapshots are deep
-//! clones of the run state — no value in the interpreter is reference
-//! counted, so a resumed run can never alias a cached one.
+//! interpreter's seed and sampling configuration. A snapshot clones the
+//! variable map; frame columns inside it are `Arc`-shared copy-on-write,
+//! so a resumed run can never observe a mutation by another.
+//!
+//! **Fit memo.** Every corpus script ends in `fit` → `score`, and an edit
+//! upstream of that tail re-runs it even when the training inputs come
+//! out unchanged. Model training is a pure function of the estimator's
+//! parameters and the encoded training data, so fitted models are memoized
+//! under a 128-bit fingerprint of exactly those ([`fit_key`]): one fit per
+//! distinct input. Only successful fits are stored, and in debug builds
+//! every hit re-fits and asserts a bit-identical model.
+//!
+//! Both maps are bounded by the same capacity with least-recently-used
+//! eviction in amortized O(1).
 //!
 //! A cache is only valid for one registered-table configuration: it must
 //! not be shared between interpreters holding different tables. Within one
-//! table configuration, a single snapshot *store* may be shared by many
+//! table configuration, a single *store* may be shared by many
 //! concurrent searches (batch mode): each search holds its own
 //! [`PrefixCache`] *view* of the store, so probe/eviction counts are
-//! attributed to the search that caused them while snapshots themselves
-//! are pooled. The chain keys already fold the interpreter's seed and
-//! sampling configuration, so runs under different input setups can never
-//! collide inside a shared store.
+//! attributed to the search that caused them while snapshots and fitted
+//! models themselves are pooled. The chain keys already fold the
+//! interpreter's seed and sampling configuration, so runs under different
+//! input setups can never collide inside a shared store; fit keys are
+//! content fingerprints and need no such folding.
 
 use crate::value::RtValue;
+use lucid_ml::logreg::FittedLogReg;
+use lucid_ml::matrix::Matrix;
+use lucid_ml::tree::FittedTree;
 use lucid_pyast::{Span, Stmt};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Default bound on retained snapshots (see [`PrefixCache::with_capacity`]).
 pub const DEFAULT_PREFIX_CACHE_CAPACITY: usize = 4096;
 
-/// The shared snapshot store behind one or more [`PrefixCache`] views:
-/// the LRU map plus store-lifetime totals.
+/// The shared store behind one or more [`PrefixCache`] views: the
+/// snapshot and fitted-model LRU maps plus store-lifetime totals.
 #[derive(Debug)]
 struct CacheStore {
-    inner: Mutex<CacheInner>,
+    snapshots: Mutex<Lru<u64, CachedPrefix>>,
+    fits: Mutex<Lru<u128, FittedFit>>,
     capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
     peak_len: AtomicU64,
+    fit_hits: AtomicU64,
+    fit_misses: AtomicU64,
 }
 
 /// A per-search view of a bounded, thread-safe store of execution
-/// snapshots keyed by statement prefix.
+/// snapshots keyed by statement prefix and fitted models keyed by
+/// training input ([`fit_key`]).
 ///
 /// Every view created by [`PrefixCache::with_capacity`] owns a fresh
 /// store; [`PrefixCache::shared_view`] creates an additional view of the
-/// same store with zeroed per-view counters. Probe and eviction counts
-/// are recorded on both the view and the store, so a batch of concurrent
+/// same store with zeroed per-view counters. Probe, eviction and fit-memo
+/// counts are recorded on both the view and the store, so a batch of concurrent
 /// searches sharing one store can report per-search counts that sum
 /// exactly to the store totals — no double counting at worker joins.
 #[derive(Debug)]
@@ -62,13 +82,106 @@ pub struct PrefixCache {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
+    fit_hits: AtomicU64,
+    fit_misses: AtomicU64,
 }
 
+/// A bounded map with least-recently-used eviction. Every insert and hit
+/// stamps the entry and appends `(key, stamp)` to `order`; the eviction
+/// victim is the first `order` record whose stamp is still current, and
+/// stale records are skipped or compacted away. Each operation is
+/// amortized O(1) — no scan of `order` to move a touched key.
 #[derive(Debug)]
-struct CacheInner {
-    map: HashMap<u64, CachedPrefix>,
-    /// Keys in insertion/touch order; front is the eviction victim.
-    order: VecDeque<u64>,
+struct Lru<K, V> {
+    map: HashMap<K, (u64, V)>,
+    /// Touch records, oldest first; stale once the key is re-touched.
+    order: VecDeque<(K, u64)>,
+    clock: u64,
+    capacity: usize,
+}
+
+impl<K: Copy + Eq + Hash, V: Clone> Lru<K, V> {
+    fn new(capacity: usize) -> Self {
+        Lru {
+            map: HashMap::new(),
+            order: VecDeque::new(),
+            clock: 0,
+            capacity,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    /// A clone of the value for `key`, making it the most recently used.
+    fn get(&mut self, key: &K) -> Option<V> {
+        let entry = self.map.get_mut(key)?;
+        self.clock += 1;
+        entry.0 = self.clock;
+        let value = entry.1.clone();
+        self.order.push_back((*key, self.clock));
+        self.compact();
+        Some(value)
+    }
+
+    /// Stores a new key (evicting least recently used entries past the
+    /// capacity) and returns how many entries were evicted. Re-inserting a
+    /// present key replaces its value without touching its recency. A
+    /// zero capacity stores nothing.
+    fn put(&mut self, key: K, value: V) -> u64 {
+        if self.capacity == 0 {
+            return 0;
+        }
+        if let Some(entry) = self.map.get_mut(&key) {
+            entry.1 = value;
+            return 0;
+        }
+        self.clock += 1;
+        self.map.insert(key, (self.clock, value));
+        self.order.push_back((key, self.clock));
+        let mut evicted = 0;
+        while self.map.len() > self.capacity {
+            let Some((old, stamp)) = self.order.pop_front() else {
+                break;
+            };
+            if self.map.get(&old).is_some_and(|e| e.0 == stamp) {
+                self.map.remove(&old);
+                evicted += 1;
+            }
+        }
+        self.compact();
+        evicted
+    }
+
+    /// Drops stale touch records once they outnumber live entries, so
+    /// `order` stays within a constant factor of `map`.
+    fn compact(&mut self) {
+        if self.order.len() > 2 * self.map.len() + 64 {
+            let map = &self.map;
+            self.order
+                .retain(|(k, stamp)| map.get(k).is_some_and(|e| e.0 == *stamp));
+        }
+    }
+}
+
+/// A fitted model as the fit memo stores it: the bare model, without the
+/// feature names of the call that trained it.
+#[derive(Debug, Clone)]
+pub(crate) enum FittedFit {
+    LogReg(FittedLogReg),
+    Tree(FittedTree),
+}
+
+impl FittedFit {
+    /// Bit-for-bit model equality (the memo's debug oracle).
+    pub(crate) fn bit_eq(&self, other: &FittedFit) -> bool {
+        match (self, other) {
+            (FittedFit::LogReg(a), FittedFit::LogReg(b)) => a.bit_eq(b),
+            (FittedFit::Tree(a), FittedFit::Tree(b)) => a.bit_eq(b),
+            _ => false,
+        }
+    }
 }
 
 /// The environment after executing a statement prefix.
@@ -91,14 +204,14 @@ impl Default for PrefixCache {
     }
 }
 
-impl CacheStore {
-    /// Acquires the inner lock, recovering from poisoning: the search
-    /// layer catches candidate panics, and a snapshot store must stay
-    /// usable afterwards (snapshots are only inserted whole, so the state
-    /// is consistent even if a panic unwound through a lock hold).
-    fn lock(&self) -> std::sync::MutexGuard<'_, CacheInner> {
-        self.inner.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
+/// Acquires a store lock, recovering from poisoning: the search layer
+/// catches candidate panics, and the store must stay usable afterwards
+/// (entries are only inserted whole, so the state is consistent even if a
+/// panic unwound through a lock hold).
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 impl PrefixCache {
@@ -108,32 +221,36 @@ impl PrefixCache {
     pub fn with_capacity(capacity: usize) -> Self {
         PrefixCache {
             store: Arc::new(CacheStore {
-                inner: Mutex::new(CacheInner {
-                    map: HashMap::new(),
-                    order: VecDeque::new(),
-                }),
+                snapshots: Mutex::new(Lru::new(capacity)),
+                fits: Mutex::new(Lru::new(capacity)),
                 capacity,
                 hits: AtomicU64::new(0),
                 misses: AtomicU64::new(0),
                 evictions: AtomicU64::new(0),
                 peak_len: AtomicU64::new(0),
+                fit_hits: AtomicU64::new(0),
+                fit_misses: AtomicU64::new(0),
             }),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
+            fit_hits: AtomicU64::new(0),
+            fit_misses: AtomicU64::new(0),
         }
     }
 
     /// A new view of the same underlying store with zeroed per-view
-    /// counters. Snapshots are shared; hit/miss/eviction attribution is
-    /// per view. Used by batch mode to give each concurrent search its
-    /// own accounting window over one pooled store.
+    /// counters. Snapshots and fitted models are shared; hit/miss/eviction
+    /// attribution is per view. Used by batch mode to give each concurrent
+    /// search its own accounting window over one pooled store.
     pub fn shared_view(&self) -> Self {
         PrefixCache {
             store: Arc::clone(&self.store),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
+            fit_hits: AtomicU64::new(0),
+            fit_misses: AtomicU64::new(0),
         }
     }
 
@@ -150,6 +267,26 @@ impl PrefixCache {
     /// Snapshots this view's inserts evicted under the LRU bound.
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
+    }
+
+    /// Model fits through *this view* served from the fit memo.
+    pub fn fit_hits(&self) -> u64 {
+        self.fit_hits.load(Ordering::Relaxed)
+    }
+
+    /// Model fits through *this view* that had to train.
+    pub fn fit_misses(&self) -> u64 {
+        self.fit_misses.load(Ordering::Relaxed)
+    }
+
+    /// Store-lifetime fit-memo hits summed over every view of this store.
+    pub fn store_fit_hits(&self) -> u64 {
+        self.store.fit_hits.load(Ordering::Relaxed)
+    }
+
+    /// Store-lifetime fit-memo misses summed over every view of this store.
+    pub fn store_fit_misses(&self) -> u64 {
+        self.store.fit_misses.load(Ordering::Relaxed)
     }
 
     /// Store-lifetime hits summed over every view of this store.
@@ -175,7 +312,7 @@ impl PrefixCache {
 
     /// Number of snapshots currently retained in the store.
     pub fn len(&self) -> usize {
-        self.store.lock().map.len()
+        lock(&self.store.snapshots).len()
     }
 
     /// Whether no snapshots are retained.
@@ -183,7 +320,8 @@ impl PrefixCache {
         self.len() == 0
     }
 
-    /// The retention bound the store was built with.
+    /// The retention bound the store was built with (for snapshots and,
+    /// separately, for fitted models).
     pub fn capacity(&self) -> usize {
         self.store.capacity
     }
@@ -202,13 +340,7 @@ impl PrefixCache {
 
     /// A clone of the snapshot for `key`, touching its LRU position.
     pub(crate) fn get(&self, key: u64) -> Option<CachedPrefix> {
-        let mut inner = self.store.lock();
-        let snapshot = inner.map.get(&key).cloned()?;
-        if let Some(pos) = inner.order.iter().position(|k| *k == key) {
-            inner.order.remove(pos);
-            inner.order.push_back(key);
-        }
-        Some(snapshot)
+        lock(&self.store.snapshots).get(&key)
     }
 
     /// Stores a snapshot, evicting the least recently used on overflow.
@@ -217,22 +349,103 @@ impl PrefixCache {
         if self.store.capacity == 0 {
             return;
         }
-        let mut inner = self.store.lock();
-        if inner.map.insert(key, snapshot).is_none() {
-            inner.order.push_back(key);
-            while inner.map.len() > self.store.capacity {
-                let Some(old) = inner.order.pop_front() else {
-                    break;
-                };
-                if inner.map.remove(&old).is_some() {
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                    self.store.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            self.store
-                .peak_len
-                .fetch_max(inner.map.len() as u64, Ordering::Relaxed);
+        let mut snapshots = lock(&self.store.snapshots);
+        let evicted = snapshots.put(key, snapshot);
+        if evicted > 0 {
+            self.evictions.fetch_add(evicted, Ordering::Relaxed);
+            self.store.evictions.fetch_add(evicted, Ordering::Relaxed);
         }
+        self.store
+            .peak_len
+            .fetch_max(snapshots.len() as u64, Ordering::Relaxed);
+    }
+
+    /// The memoized model for fit key `key`, or the result of `fit` —
+    /// stored when it succeeds. Counts one hit or miss on this view and
+    /// on the store. The lock is not held while training, so concurrent
+    /// searches may both train the same input once; the models are
+    /// identical, and the second insert keeps the first's recency.
+    ///
+    /// In debug builds a hit also re-trains and asserts that the stored
+    /// model is bit-identical to a fresh fit.
+    pub(crate) fn fit_or_train<E>(
+        &self,
+        key: u128,
+        fit: impl Fn() -> Result<FittedFit, E>,
+    ) -> Result<FittedFit, E> {
+        let hit = lock(&self.store.fits).get(&key);
+        if let Some(model) = hit {
+            self.fit_hits.fetch_add(1, Ordering::Relaxed);
+            self.store.fit_hits.fetch_add(1, Ordering::Relaxed);
+            debug_assert!(
+                fit().is_ok_and(|fresh| fresh.bit_eq(&model)),
+                "fit memo served a model that differs from a fresh fit"
+            );
+            return Ok(model);
+        }
+        self.fit_misses.fetch_add(1, Ordering::Relaxed);
+        self.store.fit_misses.fetch_add(1, Ordering::Relaxed);
+        let model = fit()?;
+        lock(&self.store.fits).put(key, model.clone());
+        Ok(model)
+    }
+}
+
+/// Fit-memo key: a 128-bit fingerprint of everything a fit depends on —
+/// the estimator kind and parameters (`params`, first word a kind tag),
+/// the training matrix's shape and exact `f64` bit patterns, and the
+/// encoded labels. The buffers are hashed a word at a time through two
+/// independent multiply–rotate lanes, each finalized with murmur3's
+/// `fmix64`.
+pub(crate) fn fit_key(params: &[u64], x: &Matrix, labels: &[u32]) -> u128 {
+    let mut fp = Fingerprint::new();
+    for &p in params {
+        fp.word(p);
+    }
+    fp.word(x.n_rows() as u64);
+    fp.word(x.n_cols() as u64);
+    for v in x.as_slice() {
+        fp.word(v.to_bits());
+    }
+    fp.word(labels.len() as u64);
+    for pair in labels.chunks(2) {
+        let hi = pair.get(1).map_or(u64::from(u32::MAX), |&l| u64::from(l));
+        fp.word(u64::from(pair[0]) | hi << 32);
+    }
+    fp.finish()
+}
+
+/// Two-lane word-at-a-time hash state behind [`fit_key`].
+struct Fingerprint {
+    a: u64,
+    b: u64,
+}
+
+impl Fingerprint {
+    fn new() -> Self {
+        Fingerprint {
+            a: 0x243f_6a88_85a3_08d3,
+            b: 0x1319_8a2e_0370_7344,
+        }
+    }
+
+    #[inline]
+    fn word(&mut self, w: u64) {
+        self.a = (self.a ^ w)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .rotate_left(31);
+        self.b = (self.b.rotate_left(23) ^ w).wrapping_mul(0xc2b2_ae3d_27d4_eb4f);
+    }
+
+    fn finish(self) -> u128 {
+        fn fmix64(mut h: u64) -> u64 {
+            h ^= h >> 33;
+            h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+            h ^= h >> 33;
+            h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+            h ^ (h >> 33)
+        }
+        (u128::from(fmix64(self.a ^ self.b.rotate_left(17))) << 64) | u128::from(fmix64(self.b))
     }
 }
 
@@ -371,6 +584,114 @@ mod tests {
         cache.put(1, snapshot(1));
         assert!(cache.is_empty());
         assert!(cache.get(1).is_none());
+    }
+
+    #[test]
+    fn lru_touch_order_survives_many_hits_and_compaction() {
+        // Thousands of hits on one key pile up stale touch records; the
+        // victim must still be the least recently used live key.
+        let mut lru: Lru<u64, u64> = Lru::new(3);
+        for k in 1..=3 {
+            lru.put(k, k);
+        }
+        for _ in 0..1000 {
+            assert_eq!(lru.get(&1), Some(1));
+        }
+        assert!(lru.order.len() <= 2 * lru.len() + 64 + 1);
+        assert_eq!(lru.get(&3), Some(3));
+        // Key 2 is now the oldest touch.
+        assert_eq!(lru.put(4, 4), 1);
+        assert_eq!(lru.get(&2), None);
+        assert_eq!(lru.put(5, 5), 1);
+        assert_eq!(lru.get(&1), None, "key 1 was touched before key 3 and 4");
+        assert_eq!(
+            (lru.get(&3), lru.get(&4), lru.get(&5)),
+            (Some(3), Some(4), Some(5))
+        );
+        // Re-inserting a live key replaces its value without evicting.
+        assert_eq!(lru.put(3, 30), 0);
+        assert_eq!(lru.get(&3), Some(30));
+    }
+
+    fn fitted_models(cache: &PrefixCache) -> usize {
+        lock(&cache.store.fits).len()
+    }
+
+    fn tiny_fit() -> (Matrix, Vec<u32>) {
+        let x = Matrix::from_rows(&[
+            vec![0.0, 1.0],
+            vec![1.0, 0.5],
+            vec![2.0, 0.0],
+            vec![3.0, 2.5],
+        ]);
+        (x, vec![0, 0, 1, 1])
+    }
+
+    fn train_logreg(x: &Matrix, y: &[u32]) -> Result<FittedFit, lucid_ml::MlError> {
+        lucid_ml::LogisticRegression::default()
+            .fit(x, y)
+            .map(FittedFit::LogReg)
+    }
+
+    #[test]
+    fn fit_memo_trains_once_per_key_and_counts_per_view() {
+        let a = PrefixCache::with_capacity(8);
+        let b = a.shared_view();
+        let (x, y) = tiny_fit();
+        let key = fit_key(&[1, 200], &x, &y);
+        let trains = std::cell::Cell::new(0);
+        let train = || {
+            trains.set(trains.get() + 1);
+            train_logreg(&x, &y)
+        };
+        let first = a.fit_or_train(key, train).unwrap();
+        let second = b.fit_or_train(key, train).unwrap();
+        assert!(first.bit_eq(&second));
+        // Release builds train once; debug builds re-train on the hit to
+        // check it.
+        assert_eq!(trains.get(), if cfg!(debug_assertions) { 2 } else { 1 });
+        assert_eq!((a.fit_hits(), a.fit_misses()), (0, 1));
+        assert_eq!((b.fit_hits(), b.fit_misses()), (1, 0));
+        assert_eq!(a.store_fit_hits(), a.fit_hits() + b.fit_hits());
+        assert_eq!(a.store_fit_misses(), a.fit_misses() + b.fit_misses());
+        assert_eq!(fitted_models(&a), 1);
+    }
+
+    #[test]
+    fn fit_memo_stores_only_successful_fits_and_respects_zero_capacity() {
+        let cache = PrefixCache::with_capacity(8);
+        let (x, y) = tiny_fit();
+        let key = fit_key(&[1], &x, &y);
+        let failed: Result<FittedFit, &str> = cache.fit_or_train(key, || Err("boom"));
+        assert!(failed.is_err());
+        assert_eq!(fitted_models(&cache), 0);
+        assert!(cache.fit_or_train(key, || train_logreg(&x, &y)).is_ok());
+        assert_eq!((cache.fit_hits(), cache.fit_misses()), (0, 2));
+        let off = PrefixCache::with_capacity(0);
+        for _ in 0..2 {
+            assert!(off.fit_or_train(key, || train_logreg(&x, &y)).is_ok());
+        }
+        assert_eq!(
+            (off.fit_hits(), off.fit_misses(), fitted_models(&off)),
+            (0, 2, 0)
+        );
+    }
+
+    #[test]
+    fn fit_keys_cover_parameters_shape_bits_and_labels() {
+        let (x, y) = tiny_fit();
+        let base = fit_key(&[1, 200], &x, &y);
+        assert_eq!(base, fit_key(&[1, 200], &x.clone(), &y.clone()));
+        assert_ne!(base, fit_key(&[1, 201], &x, &y));
+        assert_ne!(base, fit_key(&[2, 200], &x, &y));
+        assert_ne!(base, fit_key(&[1, 200], &x, &[0, 1, 1, 1]));
+        // Same buffer, other shape.
+        let reshaped = Matrix::from_vec(2, 4, x.as_slice().to_vec());
+        assert_ne!(base, fit_key(&[1, 200], &reshaped, &y));
+        // Signed zero is a different bit pattern, hence a different key.
+        let mut bits = x.as_slice().to_vec();
+        bits[0] = -0.0;
+        assert_ne!(base, fit_key(&[1, 200], &Matrix::from_vec(4, 2, bits), &y));
     }
 
     fn prefix_keys(stmts: &[Stmt], seed: u64, sample_rows: Option<usize>) -> Vec<u64> {

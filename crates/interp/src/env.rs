@@ -112,8 +112,10 @@ impl ExecOutcome {
     }
 }
 
-/// Per-run mutable state (variables + step counter + budget meter).
-pub(crate) struct RunState {
+/// Per-run mutable state (variables + step counter + budget meter), plus
+/// the run's view of the execution cache: prefix snapshots for resume and
+/// the fit memo that estimator `fit` calls consult.
+pub(crate) struct RunState<'c> {
     pub vars: HashMap<String, RtValue>,
     pub last_frame_var: Option<String>,
     pub steps: usize,
@@ -122,16 +124,20 @@ pub(crate) struct RunState {
     pub fuel_used: u64,
     /// Cumulative cells bound into the environment so far.
     pub cells: u64,
+    /// The execution cache this run goes through, if any: fits are
+    /// memoized exactly when prefixes are.
+    pub cache: Option<&'c crate::cache::PrefixCache>,
 }
 
-impl RunState {
-    fn fresh() -> Self {
+impl<'c> RunState<'c> {
+    fn fresh(cache: Option<&'c crate::cache::PrefixCache>) -> Self {
         RunState {
             vars: HashMap::new(),
             last_frame_var: None,
             steps: 0,
             fuel_used: 0,
             cells: 0,
+            cache,
         }
     }
 
@@ -204,8 +210,8 @@ impl Interpreter {
     /// Like [`Interpreter::run`], but also reports the resources the run
     /// consumed — for successful *and* failed runs.
     pub fn run_with_usage(&self, module: &Module) -> (Result<ExecOutcome>, BudgetUsage) {
-        let mut state = RunState::fresh();
-        let res = self.run_inner(&module_refs(module), None, false, &mut state);
+        let mut state = RunState::fresh(None);
+        let res = self.run_inner(&module_refs(module), false, &mut state);
         Self::finish(res, state)
     }
 
@@ -213,8 +219,8 @@ impl Interpreter {
     /// consulted. The resource budget still applies. Used for the user's
     /// own input script, which is not a search candidate.
     pub fn run_trusted(&self, module: &Module) -> Result<ExecOutcome> {
-        let mut state = RunState::fresh();
-        let res = self.run_inner(&module_refs(module), None, true, &mut state);
+        let mut state = RunState::fresh(None);
+        let res = self.run_inner(&module_refs(module), true, &mut state);
         Self::finish(res, state).0
     }
 
@@ -226,8 +232,8 @@ impl Interpreter {
     ///
     /// Exactly the errors [`Interpreter::run`] reports.
     pub fn run_shared(&self, stmts: &[StmtRef<'_>]) -> Result<ExecOutcome> {
-        let mut state = RunState::fresh();
-        let res = self.run_inner(stmts, None, false, &mut state);
+        let mut state = RunState::fresh(None);
+        let res = self.run_inner(stmts, false, &mut state);
         Self::finish(res, state).0
     }
 
@@ -241,12 +247,12 @@ impl Interpreter {
         stmts: &[StmtRef<'_>],
         cache: &crate::cache::PrefixCache,
     ) -> Result<ExecOutcome> {
-        let mut state = RunState::fresh();
-        let res = self.run_inner(stmts, Some(cache), false, &mut state);
+        let mut state = RunState::fresh(Some(cache));
+        let res = self.run_inner(stmts, false, &mut state);
         Self::finish(res, state).0
     }
 
-    fn finish(res: Result<()>, state: RunState) -> (Result<ExecOutcome>, BudgetUsage) {
+    fn finish(res: Result<()>, state: RunState<'_>) -> (Result<ExecOutcome>, BudgetUsage) {
         let usage = state.usage();
         match res {
             Ok(()) => (
@@ -266,8 +272,10 @@ impl Interpreter {
     /// monotonicity cursor) pay for it once.
     ///
     /// Produces the same outcome as `run` for any script: execution is
-    /// deterministic given the interpreter's configuration, snapshots are
-    /// deep clones, and the cache key covers seed and sampling. Statement
+    /// deterministic given the interpreter's configuration, snapshot
+    /// columns are shared copy-on-write (never mutated in place), and the
+    /// cache key covers seed and sampling. Estimator fits go through the
+    /// cache's fit memo, which serves only bit-identical models. Statement
     /// budget accounting also matches — resumed statements count as if
     /// they had been executed.
     ///
@@ -290,26 +298,27 @@ impl Interpreter {
         module: &Module,
         cache: &crate::cache::PrefixCache,
     ) -> (Result<ExecOutcome>, BudgetUsage) {
-        let mut state = RunState::fresh();
-        let res = self.run_inner(&module_refs(module), Some(cache), false, &mut state);
+        let mut state = RunState::fresh(Some(cache));
+        let res = self.run_inner(&module_refs(module), false, &mut state);
         Self::finish(res, state)
     }
 
     /// The single governed execution loop behind every `run*` entry point:
-    /// optional prefix-cache resume, statement cap, budget metering,
-    /// fault injection (untrusted runs only), span recording.
+    /// optional prefix-cache resume (through `state.cache`, which also
+    /// carries the fit memo), statement cap, budget metering, fault
+    /// injection (untrusted runs only), span recording.
     fn run_inner(
         &self,
         stmts: &[StmtRef<'_>],
-        cache: Option<&crate::cache::PrefixCache>,
         trusted: bool,
-        state: &mut RunState,
+        state: &mut RunState<'_>,
     ) -> Result<()> {
         // Allocator attribution: every interpreter execution — candidate
         // checks, verification runs, the user's own script — counts as
         // the Execute phase, overriding any outer search-phase tag for
         // the duration of the run.
         let _mem = lucid_obs::alloc::PhaseGuard::enter(lucid_obs::alloc::Phase::Execute);
+        let cache = state.cache;
         let keys = cache.map(|_| {
             crate::cache::prefix_keys_from_hashes(
                 self.seed,

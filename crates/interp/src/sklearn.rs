@@ -1,6 +1,7 @@
 //! The sklearn-flavored builtin layer: `train_test_split`, estimators,
 //! scaling — backed by `lucid-ml`.
 
+use crate::cache::{fit_key, FittedFit, PrefixCache};
 use crate::env::Interpreter;
 use crate::error::{InterpError, Result};
 use crate::eval::Args;
@@ -9,6 +10,7 @@ use crate::value::{Builtin, Estimator, FittedModel, RtValue, SeriesVal};
 use lucid_frame::{Column, DataFrame};
 use lucid_ml::encode::{encode_features, encode_labels};
 use lucid_ml::logreg::LogisticRegression;
+use lucid_ml::matrix::Matrix;
 use lucid_ml::scale::StandardScaler;
 use lucid_ml::tree::DecisionTree;
 use rand::rngs::StdRng;
@@ -113,37 +115,47 @@ fn train_test_split(interp: &Interpreter, args: Args) -> Result<RtValue> {
     ]))
 }
 
-/// `estimator.<method>(...)` — `fit`, `fit_transform`.
+/// `estimator.<method>(...)` — `fit`, `fit_transform`. Model fits go
+/// through `cache`'s fit memo when the run has an execution cache.
 pub(crate) fn call_estimator_method(
-    _interp: &Interpreter,
     est: Estimator,
     method: &str,
     args: Args,
+    cache: Option<&PrefixCache>,
 ) -> Result<RtValue> {
     match (est, method) {
         (Estimator::LogReg { epochs }, "fit") => {
             let (x, features, labels) = fit_inputs(&args)?;
-            let model = LogisticRegression {
+            let lr = LogisticRegression {
                 epochs,
                 ..Default::default()
-            }
-            .fit(&x, &labels)?;
-            Ok(RtValue::Fitted(Box::new(FittedModel::LogReg {
-                model,
-                features,
-            })))
+            };
+            let params = [
+                FIT_KIND_LOGREG,
+                lr.epochs as u64,
+                lr.learning_rate.to_bits(),
+                lr.l2.to_bits(),
+            ];
+            let fitted = memoized_fit(cache, &params, &x, &labels, || {
+                lr.fit(&x, &labels).map(FittedFit::LogReg)
+            })?;
+            Ok(fitted_value(fitted, features))
         }
         (Estimator::Tree { max_depth }, "fit") => {
             let (x, features, labels) = fit_inputs(&args)?;
-            let model = DecisionTree {
+            let tree = DecisionTree {
                 max_depth,
                 ..Default::default()
-            }
-            .fit(&x, &labels)?;
-            Ok(RtValue::Fitted(Box::new(FittedModel::Tree {
-                model,
-                features,
-            })))
+            };
+            let params = [
+                FIT_KIND_TREE,
+                tree.max_depth as u64,
+                tree.min_samples_split as u64,
+            ];
+            let fitted = memoized_fit(cache, &params, &x, &labels, || {
+                tree.fit(&x, &labels).map(FittedFit::Tree)
+            })?;
+            Ok(fitted_value(fitted, features))
         }
         (Estimator::Scaler, "fit") => {
             let frame = expect_frame(args.require(0, "X")?)?;
@@ -215,8 +227,37 @@ pub(crate) fn call_fitted_method(m: &FittedModel, method: &str, args: Args) -> R
     }
 }
 
+/// Fit-memo kind tags: the first parameter word of a [`fit_key`], so two
+/// estimator kinds can never share a key.
+const FIT_KIND_LOGREG: u64 = 1;
+const FIT_KIND_TREE: u64 = 2;
+
+/// Trains through the fit memo when the run has an execution cache: the
+/// key covers the estimator (`params`), the encoded training matrix, and
+/// the labels, so a hit is the model `train` would produce.
+fn memoized_fit(
+    cache: Option<&PrefixCache>,
+    params: &[u64],
+    x: &Matrix,
+    labels: &[u32],
+    train: impl Fn() -> lucid_ml::error::Result<FittedFit>,
+) -> Result<FittedFit> {
+    Ok(match cache {
+        Some(cache) => cache.fit_or_train(fit_key(params, x, labels), train)?,
+        None => train()?,
+    })
+}
+
+/// A trained model bound to the feature names of the call that fit it.
+fn fitted_value(fitted: FittedFit, features: Vec<String>) -> RtValue {
+    RtValue::Fitted(Box::new(match fitted {
+        FittedFit::LogReg(model) => FittedModel::LogReg { model, features },
+        FittedFit::Tree(model) => FittedModel::Tree { model, features },
+    }))
+}
+
 /// Common `fit(X, y)` decoding: encode features + labels.
-fn fit_inputs(args: &Args) -> Result<(lucid_ml::matrix::Matrix, Vec<String>, Vec<u32>)> {
+fn fit_inputs(args: &Args) -> Result<(Matrix, Vec<String>, Vec<u32>)> {
     let frame = expect_frame(args.require(0, "X")?)?;
     let y = expect_series(args.require(1, "y")?)?;
     if frame.df.n_rows() != y.col.len() {
@@ -233,7 +274,7 @@ fn fit_inputs(args: &Args) -> Result<(lucid_ml::matrix::Matrix, Vec<String>, Vec
 }
 
 /// Common `score(X, y)`: align columns to training schema, then encode.
-fn score_inputs(args: &Args, features: &[String]) -> Result<(lucid_ml::matrix::Matrix, Vec<u32>)> {
+fn score_inputs(args: &Args, features: &[String]) -> Result<(Matrix, Vec<u32>)> {
     let x = aligned_features(args, features)?;
     let y = expect_series(args.require(1, "y")?)?;
     let labels = encode_labels(&y.col)?;
@@ -247,14 +288,14 @@ fn score_inputs(args: &Args, features: &[String]) -> Result<(lucid_ml::matrix::M
     Ok((x, labels))
 }
 
-fn aligned_features(args: &Args, features: &[String]) -> Result<lucid_ml::matrix::Matrix> {
+fn aligned_features(args: &Args, features: &[String]) -> Result<Matrix> {
     let frame = expect_frame(args.require(0, "X")?)?;
     // Missing training columns raise, like sklearn's feature-name check.
     let aligned = frame.df.select(features).map_err(InterpError::Frame)?;
     Ok(encode_features(&aligned, &[])?)
 }
 
-fn matrix_to_frame(m: &lucid_ml::matrix::Matrix, names: &[String]) -> Result<DataFrame> {
+fn matrix_to_frame(m: &Matrix, names: &[String]) -> Result<DataFrame> {
     let mut df = DataFrame::new();
     for (c, name) in names.iter().enumerate() {
         if c >= m.n_cols() {
@@ -304,6 +345,56 @@ acc = model.score(X_test, y_test)
             Some(RtValue::Scalar(Value::Float(a))) => assert!((0.0..=1.0).contains(a)),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn cached_runs_fit_each_training_input_once() {
+        // Two scripts that differ only in a statement the training inputs
+        // do not depend on: the second run resumes no prefix past the
+        // edit, but its fits hit the memo and score identically.
+        let make = |extra: &str| {
+            format!(
+                "\
+import pandas as pd
+from sklearn.linear_model import LogisticRegression
+from sklearn.tree import DecisionTreeClassifier
+df = pd.read_csv('d.csv')
+{extra}
+X = df.drop('y', axis=1)
+y = df['y']
+model = LogisticRegression(max_iter=50)
+model = model.fit(X, y)
+acc = model.score(X, y)
+clf = DecisionTreeClassifier(max_depth=3)
+clf = clf.fit(X, y)
+tacc = clf.score(X, y)
+"
+            )
+        };
+        let i = interp();
+        let cache = crate::cache::PrefixCache::default();
+        let a = i
+            .run_with_cache(&parse_module(&make("n = 1")).unwrap(), &cache)
+            .unwrap();
+        assert_eq!((cache.fit_hits(), cache.fit_misses()), (0, 2));
+        let b = i
+            .run_with_cache(&parse_module(&make("n = 2")).unwrap(), &cache)
+            .unwrap();
+        assert_eq!((cache.fit_hits(), cache.fit_misses()), (2, 2));
+        let cold = i.run(&parse_module(&make("n = 2")).unwrap()).unwrap();
+        for var in ["acc", "tacc"] {
+            let bits = |o: &crate::ExecOutcome| match o.get(var) {
+                Some(RtValue::Scalar(Value::Float(v))) => v.to_bits(),
+                other => panic!("unexpected {other:?}"),
+            };
+            assert_eq!(bits(&a), bits(&b));
+            assert_eq!(bits(&b), bits(&cold));
+        }
+        // A different estimator parameter is a different key.
+        let other = make("n = 3").replace("max_iter=50", "max_iter=51");
+        i.run_with_cache(&parse_module(&other).unwrap(), &cache)
+            .unwrap();
+        assert_eq!((cache.fit_hits(), cache.fit_misses()), (3, 3));
     }
 
     #[test]

@@ -10,7 +10,8 @@
 
 use crate::error::{MlError, Result};
 use crate::matrix::Matrix;
-use lucid_frame::{Column, DataFrame, Value};
+use lucid_frame::bitmap::Bitmap;
+use lucid_frame::{Column, DataFrame};
 use std::collections::HashMap;
 
 /// Encodes all columns of `df` (except `exclude`) into a feature matrix.
@@ -31,40 +32,64 @@ pub fn encode_features(df: &DataFrame, exclude: &[&str]) -> Result<Matrix> {
     if df.n_rows() == 0 {
         return Err(MlError::EmptyInput("zero rows".to_string()));
     }
-    let mut rows = vec![Vec::with_capacity(names.len()); df.n_rows()];
-    for name in &names {
+    // Columnar: each column writes its cells straight into its slot of
+    // the row-major buffer from the typed buffers (no per-row `Vec`, no
+    // per-cell `Value`).
+    let (n, d) = (df.n_rows(), names.len());
+    let mut data = vec![0.0; n * d];
+    for (c, name) in names.iter().enumerate() {
         let col = df.column(name).map_err(|e| MlError::Encoding(e.to_string()))?;
-        let encoded = encode_column(col);
-        for (row, v) in rows.iter_mut().zip(encoded) {
-            row.push(v);
-        }
+        encode_column(col, data.iter_mut().skip(c).step_by(d));
     }
-    Ok(Matrix::from_rows(&rows))
+    Ok(Matrix::from_vec(n, d, data))
 }
 
-/// Encodes one column to `f64`s: numerics as-is (nulls → column mean, or 0.0
-/// if the column is all-null), strings label-encoded in first-seen order.
-fn encode_column(col: &Column) -> Vec<f64> {
-    if col.is_numeric() || matches!(col, Column::Bool(_)) {
-        let mean = col.mean().unwrap_or(0.0);
-        return col
-            .values()
-            .into_iter()
-            .map(|v| v.as_f64().unwrap_or(mean))
-            .collect();
-    }
-    // Label encoding for strings; nulls get their own code (-1).
-    let mut codes: HashMap<String, f64> = HashMap::new();
-    col.values()
-        .into_iter()
-        .map(|v| match v {
-            Value::Str(s) => {
-                let next = codes.len() as f64;
-                *codes.entry(s).or_insert(next)
+/// Encodes one column to `f64`s into `out` (one slot per row): numerics
+/// as-is (nulls → column mean, or 0.0 if the column is all-null), bools as
+/// 0/1 (nulls → mean), strings label-encoded in first-seen order (nulls →
+/// -1).
+fn encode_column<'a>(col: &Column, out: impl Iterator<Item = &'a mut f64>) {
+    let mean = || col.mean().unwrap_or(0.0);
+    match col {
+        Column::Int(b) => fill(out, b.validity(), b.data(), mean(), |v| v as f64),
+        Column::Float(b) => fill(out, b.validity(), b.data(), mean(), |v| v),
+        Column::Bool(b) => fill(out, b.validity(), b.data(), mean(), |v| {
+            if v {
+                1.0
+            } else {
+                0.0
             }
-            _ => -1.0,
-        })
-        .collect()
+        }),
+        Column::Str(s) => {
+            // First-seen rank per dictionary code: the pool is distinct, so
+            // code identity is string identity.
+            let mut rank: Vec<Option<f64>> = vec![None; s.pool().len()];
+            let mut next = 0.0;
+            for ((slot, &code), valid) in out.zip(s.codes()).zip(s.validity().iter()) {
+                *slot = if valid {
+                    *rank[code as usize].get_or_insert_with(|| {
+                        next += 1.0;
+                        next - 1.0
+                    })
+                } else {
+                    -1.0
+                };
+            }
+        }
+    }
+}
+
+/// Writes `to_f64(value)` for valid rows and `null_fill` for null rows.
+fn fill<'a, T: Copy>(
+    out: impl Iterator<Item = &'a mut f64>,
+    validity: &Bitmap,
+    values: &[T],
+    null_fill: f64,
+    to_f64: impl Fn(T) -> f64,
+) {
+    for ((slot, &v), valid) in out.zip(values).zip(validity.iter()) {
+        *slot = if valid { to_f64(v) } else { null_fill };
+    }
 }
 
 /// Encodes a label column into class ids `0..k` by first-seen order.

@@ -36,6 +36,7 @@ pub mod error;
 pub mod logreg;
 pub mod matrix;
 pub mod metrics;
+pub mod naive;
 pub mod scale;
 pub mod split;
 pub mod tree;
@@ -46,3 +47,8 @@ pub use logreg::LogisticRegression;
 pub use metrics::{accuracy, f1_score};
 pub use split::train_test_split;
 pub use tree::DecisionTree;
+
+/// Whether two float slices are equal bit for bit (`-0.0 != 0.0`).
+pub(crate) fn bits_eq(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}

@@ -40,7 +40,7 @@ pub struct FittedLogReg {
     scaler: StandardScaler,
 }
 
-fn sigmoid(z: f64) -> f64 {
+pub(crate) fn sigmoid(z: f64) -> f64 {
     1.0 / (1.0 + (-z).exp())
 }
 
@@ -53,6 +53,18 @@ impl LogisticRegression {
     /// constant predictor (sklearn raises; a constant model keeps the
     /// intent measure total, which the standardizer needs).
     pub fn fit(&self, x: &Matrix, y: &[u32]) -> Result<FittedLogReg> {
+        self.fit_with(x, y, Self::fit_binary)
+    }
+
+    /// [`LogisticRegression::fit`] with the binary-head trainer passed in,
+    /// so the reference loop in [`crate::naive`] trains through exactly the
+    /// same validation, scaling, and one-vs-rest wiring.
+    pub(crate) fn fit_with(
+        &self,
+        x: &Matrix,
+        y: &[u32],
+        head: fn(&Self, &Matrix, &[u32], u32) -> Vec<f64>,
+    ) -> Result<FittedLogReg> {
         if x.n_rows() != y.len() {
             return Err(MlError::ShapeMismatch {
                 rows: x.n_rows(),
@@ -76,12 +88,9 @@ impl LogisticRegression {
 
         let heads: Vec<Vec<f64>> = if classes.len() <= 2 {
             let pos = *classes.last().expect("nonempty");
-            vec![self.fit_binary(&xs, y, pos)]
+            vec![head(self, &xs, y, pos)]
         } else {
-            classes
-                .iter()
-                .map(|&cls| self.fit_binary(&xs, y, cls))
-                .collect()
+            classes.iter().map(|&cls| head(self, &xs, y, cls)).collect()
         };
         Ok(FittedLogReg {
             weights: heads,
@@ -91,18 +100,61 @@ impl LogisticRegression {
     }
 
     /// One-vs-rest binary head: returns weights with bias appended.
+    ///
+    /// Rows are walked in blocks of four over the scaled matrix's buffer:
+    /// the four dot products run as independent chains, each summing in
+    /// column order from `Sum`'s initial value exactly like
+    /// [`Matrix::row_dot`], and the gradient receives the four rows' terms
+    /// in row order. Every floating-point operation therefore happens in
+    /// the same order as the one-row-at-a-time reference
+    /// ([`crate::naive::naive_fit_binary`]), so the weights are
+    /// bit-identical to it — only the instruction-level parallelism
+    /// changes.
     fn fit_binary(&self, xs: &Matrix, y: &[u32], positive: u32) -> Vec<f64> {
         let n = xs.n_rows();
         let d = xs.n_cols();
+        let data = xs.as_slice();
         let targets: Vec<f64> = y.iter().map(|&l| f64::from(l == positive)).collect();
+        let zero: f64 = std::iter::empty::<f64>().sum();
+        let blocked = n - n % 4;
         let mut w = vec![0.0; d + 1]; // last = bias
+        let mut grad = vec![0.0; d + 1];
         for _ in 0..self.epochs {
-            let mut grad = vec![0.0; d + 1];
-            for (r, target) in targets.iter().enumerate() {
-                let z = xs.row_dot(r, &w[..d]) + w[d];
-                let err = sigmoid(z) - target;
+            grad.fill(0.0);
+            let (wx, bias) = (&w[..d], w[d]);
+            for r in (0..blocked).step_by(4) {
+                let rows = &data[r * d..(r + 4) * d];
+                let (x0, rest) = rows.split_at(d);
+                let (x1, rest) = rest.split_at(d);
+                let (x2, x3) = rest.split_at(d);
+                // Equal-length views let the compiler drop bounds checks.
+                let (x0, x1, x2, x3) = (&x0[..d], &x1[..d], &x2[..d], &x3[..d]);
+                let (mut z0, mut z1, mut z2, mut z3) = (zero, zero, zero, zero);
+                for c in 0..d {
+                    z0 += x0[c] * wx[c];
+                    z1 += x1[c] * wx[c];
+                    z2 += x2[c] * wx[c];
+                    z3 += x3[c] * wx[c];
+                }
+                let e0 = sigmoid(z0 + bias) - targets[r];
+                let e1 = sigmoid(z1 + bias) - targets[r + 1];
+                let e2 = sigmoid(z2 + bias) - targets[r + 2];
+                let e3 = sigmoid(z3 + bias) - targets[r + 3];
                 for (c, g) in grad[..d].iter_mut().enumerate() {
-                    *g += err * xs.get(r, c);
+                    *g += e0 * x0[c];
+                    *g += e1 * x1[c];
+                    *g += e2 * x2[c];
+                    *g += e3 * x3[c];
+                }
+                grad[d] += e0;
+                grad[d] += e1;
+                grad[d] += e2;
+                grad[d] += e3;
+            }
+            for (r, target) in targets.iter().enumerate().skip(blocked) {
+                let err = sigmoid(xs.row_dot(r, wx) + bias) - target;
+                for (g, x) in grad[..d].iter_mut().zip(xs.row(r)) {
+                    *g += err * x;
                 }
                 grad[d] += err;
             }
@@ -156,6 +208,19 @@ impl FittedLogReg {
     /// Class labels seen during training (sorted).
     pub fn classes(&self) -> &[u32] {
         &self.classes
+    }
+
+    /// Whether two models are identical down to every float's bit
+    /// pattern (`==` would equate `0.0` with `-0.0`).
+    pub fn bit_eq(&self, other: &FittedLogReg) -> bool {
+        self.classes == other.classes
+            && self.scaler.bit_eq(&other.scaler)
+            && self.weights.len() == other.weights.len()
+            && self
+                .weights
+                .iter()
+                .zip(&other.weights)
+                .all(|(a, b)| crate::bits_eq(a, b))
     }
 }
 

@@ -39,6 +39,16 @@ impl Matrix {
         }
     }
 
+    /// Wraps a row-major buffer of `rows × cols` values.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len() != rows * cols`.
+    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
+        assert_eq!(data.len(), rows * cols, "buffer does not match shape");
+        Matrix { data, rows, cols }
+    }
+
     /// Number of rows.
     pub fn n_rows(&self) -> usize {
         self.rows
@@ -62,6 +72,12 @@ impl Matrix {
     /// Borrow of one row.
     pub fn row(&self, r: usize) -> &[f64] {
         &self.data[r * self.cols..(r + 1) * self.cols]
+    }
+
+    /// The whole row-major buffer, borrowed (row `r` is
+    /// `[r * n_cols(), (r + 1) * n_cols())`).
+    pub fn as_slice(&self) -> &[f64] {
+        &self.data
     }
 
     /// One column copied out.
@@ -141,6 +157,17 @@ mod tests {
         assert_eq!(m.get(1, 1), 4.0);
         assert_eq!(m.row(2), &[5.0, 6.0]);
         assert_eq!(m.col(0), vec![1.0, 3.0, 5.0]);
+    }
+
+    #[test]
+    fn from_vec_and_as_slice_are_row_major() {
+        let m = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        assert_eq!(m.row(1), &[4.0, 5.0, 6.0]);
+        assert_eq!(m.as_slice()[3..], [4.0, 5.0, 6.0]);
+        assert_eq!(
+            m,
+            Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]])
+        );
     }
 
     #[test]

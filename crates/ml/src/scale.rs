@@ -50,6 +50,11 @@ impl StandardScaler {
         Ok(out)
     }
 
+    /// Whether two scalers hold bit-identical parameters.
+    pub fn bit_eq(&self, other: &StandardScaler) -> bool {
+        crate::bits_eq(&self.means, &other.means) && crate::bits_eq(&self.stds, &other.stds)
+    }
+
     /// `fit` + `transform` in one call (sklearn `fit_transform`).
     ///
     /// # Errors

@@ -3,7 +3,6 @@
 
 use crate::error::{MlError, Result};
 use crate::matrix::Matrix;
-use std::collections::HashMap;
 
 /// Hyper-parameters for a decision tree.
 #[derive(Debug, Clone)]
@@ -42,29 +41,21 @@ enum Node {
     },
 }
 
-fn gini(counts: &HashMap<u32, usize>, total: usize) -> f64 {
+/// Gini impurity of per-class counts. The counts are indexed by rank in
+/// the sorted class list, so Σp² is summed in one fixed order: two fits
+/// of the same data agree to the last bit for any number of classes.
+fn gini(counts: &[usize], total: usize) -> f64 {
     if total == 0 {
         return 0.0;
     }
     1.0 - counts
-        .values()
+        .iter()
+        .filter(|&&c| c > 0)
         .map(|&c| {
             let p = c as f64 / total as f64;
             p * p
         })
         .sum::<f64>()
-}
-
-fn majority(y: &[u32], idx: &[usize]) -> u32 {
-    let mut counts: HashMap<u32, usize> = HashMap::new();
-    for &i in idx {
-        *counts.entry(y[i]).or_insert(0) += 1;
-    }
-    counts
-        .into_iter()
-        .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
-        .map(|(c, _)| c)
-        .unwrap_or(0)
 }
 
 impl DecisionTree {
@@ -83,29 +74,46 @@ impl DecisionTree {
         if x.n_rows() == 0 || x.n_cols() == 0 {
             return Err(MlError::EmptyInput("DecisionTree::fit".to_string()));
         }
+        let mut classes: Vec<u32> = y.to_vec();
+        classes.sort_unstable();
+        classes.dedup();
+        let ranks: Vec<usize> = y
+            .iter()
+            .map(|l| classes.binary_search(l).unwrap_or(0))
+            .collect();
         let mut nodes = Vec::new();
         let idx: Vec<usize> = (0..x.n_rows()).collect();
-        self.build(x, y, &idx, 0, &mut nodes);
+        let labels = Labels {
+            classes: &classes,
+            ranks: &ranks,
+        };
+        self.build(x, &labels, &idx, 0, &mut nodes);
         Ok(FittedTree { nodes })
     }
 
     /// Builds a subtree over `idx`; returns its node id.
-    fn build(&self, x: &Matrix, y: &[u32], idx: &[usize], depth: usize, nodes: &mut Vec<Node>) -> usize {
-        let mut counts: HashMap<u32, usize> = HashMap::new();
-        for &i in idx {
-            *counts.entry(y[i]).or_insert(0) += 1;
-        }
-        let pure = counts.len() <= 1;
+    fn build(
+        &self,
+        x: &Matrix,
+        labels: &Labels<'_>,
+        idx: &[usize],
+        depth: usize,
+        nodes: &mut Vec<Node>,
+    ) -> usize {
+        let k = labels.classes.len();
+        let counts = labels.counts(idx);
+        let pure = counts.iter().filter(|&&c| c > 0).count() <= 1;
         if pure || depth >= self.max_depth || idx.len() < self.min_samples_split {
             let id = nodes.len();
             nodes.push(Node::Leaf {
-                class: majority(y, idx),
+                class: labels.majority(&counts),
             });
             return id;
         }
 
         let parent_gini = gini(&counts, idx.len());
         let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, gain)
+        let (mut lc, mut rc) = (vec![0usize; k], vec![0usize; k]);
         for f in 0..x.n_cols() {
             let mut vals: Vec<f64> = idx.iter().map(|&i| x.get(i, f)).collect();
             vals.sort_by(|a, b| a.partial_cmp(b).expect("finite features"));
@@ -113,14 +121,15 @@ impl DecisionTree {
             // Candidate thresholds: midpoints between consecutive distinct values.
             for pair in vals.windows(2) {
                 let thr = (pair[0] + pair[1]) / 2.0;
-                let (mut lc, mut rc) = (HashMap::new(), HashMap::new());
+                lc.fill(0);
+                rc.fill(0);
                 let (mut ln, mut rn) = (0usize, 0usize);
                 for &i in idx {
                     if x.get(i, f) <= thr {
-                        *lc.entry(y[i]).or_insert(0) += 1;
+                        lc[labels.ranks[i]] += 1;
                         ln += 1;
                     } else {
-                        *rc.entry(y[i]).or_insert(0) += 1;
+                        rc[labels.ranks[i]] += 1;
                         rn += 1;
                     }
                 }
@@ -141,8 +150,8 @@ impl DecisionTree {
                     idx.iter().partition(|&&i| x.get(i, feature) <= threshold);
                 let id = nodes.len();
                 nodes.push(Node::Leaf { class: 0 }); // placeholder, patched below
-                let left = self.build(x, y, &left_idx, depth + 1, nodes);
-                let right = self.build(x, y, &right_idx, depth + 1, nodes);
+                let left = self.build(x, labels, &left_idx, depth + 1, nodes);
+                let right = self.build(x, labels, &right_idx, depth + 1, nodes);
                 nodes[id] = Node::Split {
                     feature,
                     threshold,
@@ -154,11 +163,39 @@ impl DecisionTree {
             _ => {
                 let id = nodes.len();
                 nodes.push(Node::Leaf {
-                    class: majority(y, idx),
+                    class: labels.majority(&counts),
                 });
                 id
             }
         }
+    }
+}
+
+/// The training labels as ranks into the sorted distinct classes.
+struct Labels<'a> {
+    classes: &'a [u32],
+    ranks: &'a [usize],
+}
+
+impl Labels<'_> {
+    /// Per-class counts of the rows in `idx`.
+    fn counts(&self, idx: &[usize]) -> Vec<usize> {
+        let mut counts = vec![0usize; self.classes.len()];
+        for &i in idx {
+            counts[self.ranks[i]] += 1;
+        }
+        counts
+    }
+
+    /// The most frequent class; ties go to the smallest label.
+    fn majority(&self, counts: &[usize]) -> u32 {
+        let mut best: Option<(usize, u32)> = None;
+        for (&count, &class) in counts.iter().zip(self.classes) {
+            if count > 0 && best.is_none_or(|(c, _)| count > c) {
+                best = Some((count, class));
+            }
+        }
+        best.map_or(0, |(_, class)| class)
     }
 }
 
@@ -197,6 +234,30 @@ impl FittedTree {
     /// Number of nodes (for testing/introspection).
     pub fn n_nodes(&self) -> usize {
         self.nodes.len()
+    }
+
+    /// Whether two trees are identical down to every threshold's bit
+    /// pattern.
+    pub fn bit_eq(&self, other: &FittedTree) -> bool {
+        self.nodes.len() == other.nodes.len()
+            && self.nodes.iter().zip(&other.nodes).all(|pair| match pair {
+                (Node::Leaf { class: a }, Node::Leaf { class: b }) => a == b,
+                (
+                    Node::Split {
+                        feature: fa,
+                        threshold: ta,
+                        left: la,
+                        right: ra,
+                    },
+                    Node::Split {
+                        feature: fb,
+                        threshold: tb,
+                        left: lb,
+                        right: rb,
+                    },
+                ) => fa == fb && ta.to_bits() == tb.to_bits() && la == lb && ra == rb,
+                _ => false,
+            })
     }
 }
 
@@ -258,6 +319,31 @@ mod tests {
         let y: Vec<u32> = (0..30).map(|i| (i / 10) as u32).collect();
         let t = DecisionTree::default().fit(&x, &y).unwrap();
         assert_eq!(t.score(&x, &y), 1.0);
+    }
+
+    #[test]
+    fn multiclass_fits_repeat_bit_for_bit() {
+        // Three or more classes in a node used to sum Σp² in `HashMap`
+        // order, which a fresh `RandomState` reshuffles per map: repeated
+        // fits of the same data could differ in a threshold's last bit.
+        let rows: Vec<Vec<f64>> = (0..60)
+            .map(|i| vec![(i * 7 % 13) as f64 / 3.0, (i * 5 % 11) as f64 * 0.7])
+            .collect();
+        let x = Matrix::from_rows(&rows);
+        let y: Vec<u32> = (0..60).map(|i| ((i * 3 + i / 7) % 4) as u32).collect();
+        let first = DecisionTree::default().fit(&x, &y).unwrap();
+        for _ in 0..20 {
+            let again = DecisionTree::default().fit(&x, &y).unwrap();
+            assert!(first.bit_eq(&again));
+        }
+        assert!(first.n_nodes() > 1);
+    }
+
+    #[test]
+    fn majority_ties_go_to_the_smallest_class() {
+        let x = Matrix::from_rows(&[vec![1.0], vec![1.0], vec![1.0], vec![1.0]]);
+        let t = DecisionTree::default().fit(&x, &[7, 3, 7, 3]).unwrap();
+        assert_eq!(t.predict(&x), vec![3; 4]);
     }
 
     #[test]

@@ -224,6 +224,10 @@ pub struct SearchEndEvent {
     pub cache_evictions: u64,
     /// Peak retained prefix snapshots.
     pub cache_peak_snapshots: u64,
+    /// Estimator fits served from the fit memo over the whole search.
+    pub fit_memo_hits: u64,
+    /// Estimator fits that trained through the fit memo.
+    pub fit_memo_misses: u64,
     /// Total candidates whose execution or scoring panicked.
     pub candidates_panicked: u64,
     /// Total fuel-budget trips over the whole search.

@@ -97,6 +97,10 @@ pub struct TraceSummary {
     pub cache_evictions: u64,
     /// Peak retained snapshots.
     pub cache_peak_snapshots: u64,
+    /// Estimator fits served from the fit memo.
+    pub fit_memo_hits: u64,
+    /// Estimator fits that trained through the fit memo.
+    pub fit_memo_misses: u64,
     /// Whether verification accepted a candidate.
     pub accepted: Option<bool>,
     /// Candidates whose execution or scoring panicked (from `search_end`,
@@ -298,6 +302,8 @@ pub fn parse_trace(text: &str) -> Result<TraceSummary, String> {
                 summary.cache_misses = int(&record, "cache_misses");
                 summary.cache_evictions = int(&record, "cache_evictions");
                 summary.cache_peak_snapshots = int(&record, "cache_peak_snapshots");
+                summary.fit_memo_hits = int(&record, "fit_memo_hits");
+                summary.fit_memo_misses = int(&record, "fit_memo_misses");
                 summary.candidates_panicked = int(&record, "candidates_panicked");
                 summary.budget_trips_fuel = int(&record, "budget_trips_fuel");
                 summary.budget_trips_cells = int(&record, "budget_trips_cells");
@@ -454,6 +460,15 @@ impl TraceSummary {
                 self.cache_hits as f64 / probes as f64 * 100.0,
                 self.cache_evictions,
                 self.cache_peak_snapshots,
+            ));
+        }
+        let fits = self.fit_memo_hits + self.fit_memo_misses;
+        if fits > 0 {
+            out.push_str(&format!(
+                "fit memo: {} hits, {} misses ({:.0}% of fits served without training)\n",
+                self.fit_memo_hits,
+                self.fit_memo_misses,
+                self.fit_memo_hits as f64 / fits as f64 * 100.0,
             ));
         }
         if self.unique_stmts > 0 || self.intern_hits > 0 || self.candidates_deduped > 0 {
@@ -809,6 +824,8 @@ mod tests {
             cache_misses: 2,
             cache_evictions: 0,
             cache_peak_snapshots: 12,
+            fit_memo_hits: 5,
+            fit_memo_misses: 3,
             candidates_panicked: 2,
             budget_trips_fuel: 0,
             budget_trips_cells: 2,
@@ -848,6 +865,10 @@ mod tests {
         assert_eq!(summary.totals.verify_constraints_ms, 3.0);
         assert_eq!(summary.totals.total_ms, 40.0);
         assert_eq!(summary.cache_hits, 6);
+        assert_eq!((summary.fit_memo_hits, summary.fit_memo_misses), (5, 3));
+        assert!(summary
+            .render()
+            .contains("fit memo: 5 hits, 3 misses (62% of fits"));
         assert_eq!(summary.accepted, Some(true));
         assert_eq!(summary.steps[1].best_re, Some(1.0));
         assert!(summary.steps[1].converged);

@@ -33,7 +33,9 @@ trap 'rm -rf "$bench_smoke"' EXIT
 # check. A digest covers every output script and the bits of its RE, so
 # any refactor that moves a search decision (or a single float of RE)
 # trips it. search-titanic pins the scoring path; exec-spaceship, where
-# failing candidates are most common, pins the candidate-drop paths.
+# failing candidates are most common, pins the candidate-drop paths;
+# batch-house, whose jobs share one pooled execution cache, pins the
+# cross-search sharing of prefix snapshots and fitted models.
 stability_smoke() {
   local workload="$1" digest="$2" out
   echo "==> decision-stability smoke (benchmark $workload seed 1)"
@@ -48,6 +50,7 @@ stability_smoke() {
 }
 stability_smoke search-titanic 3c9f33ec7c8a1338
 stability_smoke exec-spaceship 61a1edc7243624cf
+stability_smoke batch-house b47a3f1aa9cbfe99
 
 # The interpreter must stay panic-free outside #[cfg(test)]: a panicking
 # candidate is survivable (search.rs catches it) but always a bug. Scan

@@ -337,6 +337,7 @@ fn batch_trace_timings_and_store_totals_reconcile() {
     .expect("batch runs");
 
     let (mut trace_hits, mut trace_misses, mut trace_evictions) = (0u64, 0u64, 0u64);
+    let (mut trace_fit_hits, mut trace_fit_misses) = (0u64, 0u64);
     for script in &scripts {
         let path = dir.join(format!("{}.trace.jsonl", script.name));
         let text = std::fs::read_to_string(&path)
@@ -346,6 +347,8 @@ fn batch_trace_timings_and_store_totals_reconcile() {
         trace_hits += summary.cache_hits;
         trace_misses += summary.cache_misses;
         trace_evictions += summary.cache_evictions;
+        trace_fit_hits += summary.fit_memo_hits;
+        trace_fit_misses += summary.fit_memo_misses;
     }
 
     // Trace sum == Timings roll-up.
@@ -362,6 +365,13 @@ fn batch_trace_timings_and_store_totals_reconcile() {
     );
     // The shared store saw real traffic in this run.
     assert!(report.cache_store_hits + report.cache_store_misses > 0);
+    // The fit memo lives in the same pooled store and reconciles the same
+    // way: per-search fit hits and misses partition the store's totals.
+    assert_eq!(trace_fit_hits, report.timings.fit_memo_hits);
+    assert_eq!(trace_fit_misses, report.timings.fit_memo_misses);
+    assert_eq!(report.timings.fit_memo_hits, report.fit_memo_store_hits);
+    assert_eq!(report.timings.fit_memo_misses, report.fit_memo_store_misses);
+    assert!(report.fit_memo_store_hits + report.fit_memo_store_misses > 0);
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -456,6 +456,71 @@ proptest! {
         let b = DataFrame::from_columns(vec![("x", b1), ("y", b2)]).expect("frame b");
         prop_assert_eq!(value_jaccard(&a, &b), naive::naive_value_jaccard(&a, &b));
     }
+
+    /// The hashed `drop_duplicates` keeps exactly the rows the per-row
+    /// `ValueKey` reference keeps, over mixed dtypes, nulls, NaN (null),
+    /// and signed zeros. Small domains make duplicates common.
+    #[test]
+    fn drop_duplicates_kernel_matches_naive(
+        (a, b, c, zeros) in (0usize..24).prop_flat_map(|n| (
+            arb_col(n),
+            arb_col(n),
+            arb_col(n),
+            prop::collection::vec(prop::option::of(prop_oneof![
+                Just(0.0f64), Just(-0.0), Just(f64::NAN), Just(1.5)
+            ]), n..=n),
+        ))
+    ) {
+        let df = DataFrame::from_columns(vec![
+            ("a", a),
+            ("b", b),
+            ("c", c),
+            ("z", Column::from_floats(zeros)),
+        ])
+        .expect("equal lengths");
+        prop_assert_eq!(df.drop_duplicates(), naive::naive_drop_duplicates(&df));
+        let single = df.select(&["z"]).expect("column z");
+        prop_assert_eq!(single.drop_duplicates(), naive::naive_drop_duplicates(&single));
+    }
+}
+
+/// A training set for the logistic-regression kernel: `n` rows × `d`
+/// columns drawn from a small value set with ±0.0 and repeats, and labels
+/// with up to four classes (multiclass trains one head per class).
+fn arb_training_set() -> BoxedStrategy<(Vec<f64>, usize, usize, Vec<u32>)> {
+    (1usize..23, 1usize..6, 1u32..5)
+        .prop_flat_map(|(n, d, k)| {
+            (
+                prop::collection::vec(
+                    prop_oneof![Just(0.0f64), Just(-0.0), -3.0..3.0f64, Just(1.0)],
+                    n * d..=n * d,
+                ),
+                Just(n),
+                Just(d),
+                prop::collection::vec(0..k, n..=n),
+            )
+        })
+        .boxed()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The row-blocked gradient-descent kernel trains bit-identical
+    /// weights to the one-row-at-a-time reference for any shape —
+    /// `n % 4 != 0`, a single column, signed zeros, binary and
+    /// one-vs-rest multiclass labels.
+    #[test]
+    fn blocked_logreg_kernel_matches_naive_bit_for_bit(
+        (data, n, d, y) in arb_training_set(),
+        epochs in 1usize..40,
+    ) {
+        let x = lucidscript::ml::matrix::Matrix::from_vec(n, d, data);
+        let lr = lucidscript::ml::LogisticRegression { epochs, ..Default::default() };
+        let kernel = lr.fit(&x, &y).expect("fits");
+        let reference = lucidscript::ml::naive::naive_fit(&lr, &x, &y).expect("fits");
+        prop_assert!(kernel.bit_eq(&reference), "{kernel:?} vs {reference:?}");
+    }
 }
 
 proptest! {
