@@ -32,8 +32,8 @@ pub mod trajectory;
 pub use env::ExpEnv;
 pub use kernels::{extend_with_kernels, kernel_suite, run_kernel_workload, KernelData};
 pub use overhead::{
-    measure_audit_overhead, measure_overhead, AuditOverheadReport, OverheadReport,
-    AUDIT_BUDGET_FLOOR_MS, AUDIT_BUDGET_FRAC,
+    measure_overhead, measure_trace_overhead, OverheadReport, TraceOverheadReport,
+    TRACE_BUDGET_FLOOR_MS, TRACE_BUDGET_FRAC,
 };
 pub use runner::{improvement_of_rewrite, leave_one_out_ls, MethodImprovements};
 pub use stats::Stats;

@@ -23,6 +23,7 @@ use lucid_core::intent::IntentMeasure;
 use lucid_core::standardizer::Standardizer;
 use lucid_obs::alloc::{self, TelemetryMode};
 use lucid_obs::TraceSink;
+use std::time::Instant;
 
 /// One workload's per-mode timings (fastest rep, ms).
 #[derive(Debug, Clone)]
@@ -167,55 +168,60 @@ fn fastest_total(w: &Workload, reps: usize, mode: TelemetryMode) -> Result<f64, 
         .ok_or_else(|| format!("workload {}: no total_ms phase", w.name))
 }
 
-/// Pinned budget for the decision-audit stream (`--audit`): relative
-/// overhead of audit-on vs audit-off under this fraction OR the absolute
-/// delta under [`AUDIT_BUDGET_FLOOR_MS`]. Audit serializes one record
-/// per explored candidate, so its budget is looser than the always-on
-/// counting telemetry's — it is an opt-in diagnostic, like full mode.
-pub const AUDIT_BUDGET_FRAC: f64 = 0.30;
+/// Pinned budget for tracing (`--trace`): relative overhead of trace-on
+/// vs trace-off under this fraction OR the absolute delta under
+/// [`TRACE_BUDGET_FLOOR_MS`]. A traced standardization serializes one
+/// record per candidate on top of its step records, so its budget is
+/// looser than the always-on counting telemetry's — it is an opt-in
+/// diagnostic, like full mode.
+pub const TRACE_BUDGET_FRAC: f64 = 0.30;
 
-/// Absolute floor for the audit budget, ms — on sub-10 ms workloads a
+/// Absolute floor for the trace budget, ms — on sub-10 ms workloads a
 /// few ms of timer noise can exceed any percentage of the base.
-pub const AUDIT_BUDGET_FLOOR_MS: f64 = 3.0;
+pub const TRACE_BUDGET_FLOOR_MS: f64 = 3.0;
 
-/// One workload's audit-arm timings (fastest rep, ms).
+/// One workload's trace-arm timings: the fastest rep's wall time around
+/// the standardize call, in ms. Wall time, not `Timings::total_ms`: a
+/// traced standardization writes its `search_end` and decision records
+/// after the search clock stops, and those writes are part of the cost.
 ///
-/// `baseline_ms` is the standard harness path ([`crate::trajectory::run_workload`],
-/// which never touches the audit field); `off_ms` re-measures through the
-/// audit harness with no sink configured. The two run identical code —
-/// provenance IDs are minted either way, fates are not recorded — so
-/// off-vs-baseline agreeing within noise is the proof that carrying the
-/// audit machinery is free when `--audit` is absent. `on_ms` attaches an
-/// in-memory sink and pays full per-candidate serialization.
+/// `baseline_ms` runs the plain harness shape (one untraced standardizer
+/// reused across reps, as [`crate::trajectory::run_workload`] does);
+/// `off_ms` builds a fresh standardizer per rep with no sink; `on_ms`
+/// attaches a fresh in-memory trace sink per rep. Baseline and off run
+/// the same search code — candidate IDs are minted either way, fates are
+/// not recorded — so off agreeing with baseline within noise is the
+/// proof that carrying the trace machinery is free when `--trace` is
+/// absent.
 #[derive(Debug, Clone)]
-pub struct AuditOverheadReport {
+pub struct TraceOverheadReport {
     /// Workload name.
     pub workload: String,
     /// Reps per arm.
     pub reps: usize,
-    /// Fastest rep through the standard (audit-free) harness.
+    /// Fastest rep through the plain harness.
     pub baseline_ms: f64,
-    /// Fastest rep through the audit harness, sink off.
+    /// Fastest rep through the trace harness, sink off.
     pub off_ms: f64,
-    /// Fastest rep with an in-memory audit sink attached.
+    /// Fastest rep with an in-memory trace sink attached.
     pub on_ms: f64,
 }
 
-impl AuditOverheadReport {
-    /// Relative overhead of audit-off vs the standard harness.
+impl TraceOverheadReport {
+    /// Relative overhead of trace-off vs the plain harness.
     pub fn off_overhead(&self) -> f64 {
         rel_overhead(self.off_ms, self.baseline_ms)
     }
 
-    /// Relative overhead of audit-on vs audit-off.
+    /// Relative overhead of trace-on vs trace-off.
     pub fn on_overhead(&self) -> f64 {
         rel_overhead(self.on_ms, self.off_ms)
     }
 
-    /// Both arms within budget: audit-off within noise of the baseline
+    /// Both arms within budget: trace-off within noise of the baseline
     /// (same disjunction, same pinned bounds — the two paths are meant to
-    /// be the same code) and audit-on within the pinned audit budget of
-    /// audit-off.
+    /// be the same code) and trace-on within the pinned trace budget of
+    /// trace-off.
     pub fn within_budget(&self, frac: f64, floor_ms: f64) -> bool {
         let ok = |mode_ms: f64, base_ms: f64| {
             mode_ms - base_ms <= floor_ms || rel_overhead(mode_ms, base_ms) <= frac
@@ -237,11 +243,11 @@ impl AuditOverheadReport {
     }
 }
 
-/// Renders the audit-arm overhead table.
-pub fn render_audit(reports: &[AuditOverheadReport]) -> String {
+/// Renders the trace-arm overhead table.
+pub fn render_trace(reports: &[TraceOverheadReport]) -> String {
     let mut out = format!(
         "{:<26} {:>9} {:>9} {:>8} {:>9} {:>8}\n",
-        "workload", "base ms", "off ms", "off", "audit ms", "audit"
+        "workload", "base ms", "off ms", "off", "trace ms", "trace"
     );
     for r in reports {
         out.push_str(&r.render_row());
@@ -249,48 +255,42 @@ pub fn render_audit(reports: &[AuditOverheadReport]) -> String {
     out
 }
 
-/// Measures every workload through the audit harness: baseline (standard
-/// path), audit-off, audit-on. Telemetry stays in whatever mode the
-/// caller set — the audit stream is orthogonal to the allocator modes.
+/// Measures every workload through the trace harness: baseline (plain
+/// harness shape), trace-off, trace-on. Telemetry stays in whatever mode
+/// the caller set — tracing is orthogonal to the allocator modes.
 ///
 /// # Errors
 ///
 /// The first workload failure.
-pub fn measure_audit_overhead(
+pub fn measure_trace_overhead(
     workloads: &[Workload],
     reps: usize,
-) -> Result<Vec<AuditOverheadReport>, String> {
+) -> Result<Vec<TraceOverheadReport>, String> {
     let mut reports = Vec::with_capacity(workloads.len());
     for w in workloads {
-        let baseline_ms = fastest_total_current_mode(w, reps)?;
-        let off_ms = fastest_audit_total(w, reps, false)?;
-        let on_ms = fastest_audit_total(w, reps, true)?;
-        reports.push(AuditOverheadReport {
+        reports.push(TraceOverheadReport {
             workload: w.name.to_string(),
             reps: reps.max(1),
-            baseline_ms,
-            off_ms,
-            on_ms,
+            baseline_ms: fastest_wall(w, reps, Arm::Baseline)?,
+            off_ms: fastest_wall(w, reps, Arm::Off)?,
+            on_ms: fastest_wall(w, reps, Arm::On)?,
         });
     }
     Ok(reports)
 }
 
-/// The fastest end-to-end rep of `w` under the current telemetry mode,
-/// through the standard harness (never touches the audit field).
-fn fastest_total_current_mode(w: &Workload, reps: usize) -> Result<f64, String> {
-    let result = crate::trajectory::run_workload(w, reps, 1.0, 1.0)?;
-    result
-        .phases
-        .iter()
-        .find(|p| p.name == "total_ms")
-        .map(|p| p.min_ms)
-        .ok_or_else(|| format!("workload {}: no total_ms phase", w.name))
+/// The three arms of the trace harness.
+#[derive(Clone, Copy, PartialEq)]
+enum Arm {
+    Baseline,
+    Off,
+    On,
 }
 
-/// The fastest end-to-end rep of `w` with the audit sink on or off.
-/// Each rep gets a fresh in-memory sink so stream length stays per-rep.
-fn fastest_audit_total(w: &Workload, reps: usize, audit: bool) -> Result<f64, String> {
+/// The fastest wall time of `w` around the standardize call under `arm`.
+/// The trace-on arm gets a fresh in-memory sink per rep, so stream length
+/// stays per-rep.
+fn fastest_wall(w: &Workload, reps: usize, arm: Arm) -> Result<f64, String> {
     let profile = (w.profile)();
     let data = profile.generate_data(5, 0.05);
     let corpus: Vec<String> = profile
@@ -298,8 +298,7 @@ fn fastest_audit_total(w: &Workload, reps: usize, audit: bool) -> Result<f64, St
         .into_iter()
         .map(|s| s.source)
         .collect();
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
+    let build = |trace: Option<TraceSink>| {
         let config = SearchConfig {
             seq_len: w.seq_len,
             beam_k: w.beam_k,
@@ -307,15 +306,30 @@ fn fastest_audit_total(w: &Workload, reps: usize, audit: bool) -> Result<f64, St
             sample_rows: Some(w.sample_rows),
             threads: w.threads,
             prefix_cache: w.prefix_cache,
-            audit: audit.then(TraceSink::in_memory),
+            trace,
             ..SearchConfig::default()
         };
-        let std = Standardizer::build(&corpus, profile.file, data.clone(), config)
+        Standardizer::build(&corpus, profile.file, data.clone(), config)
+            .map_err(|e| format!("workload {}: {e}", w.name))
+    };
+    let reused = match arm {
+        Arm::Baseline => Some(build(None)?),
+        Arm::Off | Arm::On => None,
+    };
+    let mut best = f64::INFINITY;
+    for _ in 0..reps.max(1) {
+        let fresh;
+        let std = match &reused {
+            Some(std) => std,
+            None => {
+                fresh = build((arm == Arm::On).then(TraceSink::in_memory))?;
+                &fresh
+            }
+        };
+        let t0 = Instant::now();
+        std.standardize_source(&corpus[1])
             .map_err(|e| format!("workload {}: {e}", w.name))?;
-        let report = std
-            .standardize_source(&corpus[1])
-            .map_err(|e| format!("workload {}: {e}", w.name))?;
-        best = best.min(report.timings.total_ms);
+        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
     }
     Ok(best)
 }
@@ -366,8 +380,8 @@ mod tests {
         assert!(table.contains(" - "), "skipped full mode renders as dashes");
     }
 
-    fn audit_report(baseline: f64, off: f64, on: f64) -> AuditOverheadReport {
-        AuditOverheadReport {
+    fn trace_report(baseline: f64, off: f64, on: f64) -> TraceOverheadReport {
+        TraceOverheadReport {
             workload: "w".to_string(),
             reps: 3,
             baseline_ms: baseline,
@@ -377,39 +391,39 @@ mod tests {
     }
 
     #[test]
-    fn audit_budget_is_relative_or_absolute() {
-        // +10% audit-on over a 100 ms base: within the 30% budget.
-        assert!(audit_report(100.0, 100.5, 110.0)
-            .within_budget(AUDIT_BUDGET_FRAC, AUDIT_BUDGET_FLOOR_MS));
+    fn trace_budget_is_relative_or_absolute() {
+        // +10% trace-on over a 100 ms base: within the 30% budget.
+        assert!(trace_report(100.0, 100.5, 110.0)
+            .within_budget(TRACE_BUDGET_FRAC, TRACE_BUDGET_FLOOR_MS));
         // +50% on a 4 ms base: over the fraction but under the 3 ms floor.
-        assert!(audit_report(4.0, 4.1, 6.0)
-            .within_budget(AUDIT_BUDGET_FRAC, AUDIT_BUDGET_FLOOR_MS));
+        assert!(trace_report(4.0, 4.1, 6.0)
+            .within_budget(TRACE_BUDGET_FRAC, TRACE_BUDGET_FLOOR_MS));
         // +50% on a 100 ms base: over both — out of budget.
-        assert!(!audit_report(100.0, 100.5, 150.0)
-            .within_budget(AUDIT_BUDGET_FRAC, AUDIT_BUDGET_FLOOR_MS));
-        // Audit-off drifting far from the baseline also fails: the two
+        assert!(!trace_report(100.0, 100.5, 150.0)
+            .within_budget(TRACE_BUDGET_FRAC, TRACE_BUDGET_FLOOR_MS));
+        // Trace-off drifting far from the baseline also fails: the two
         // paths are meant to be the same code.
-        assert!(!audit_report(100.0, 150.0, 151.0)
-            .within_budget(AUDIT_BUDGET_FRAC, AUDIT_BUDGET_FLOOR_MS));
+        assert!(!trace_report(100.0, 150.0, 151.0)
+            .within_budget(TRACE_BUDGET_FRAC, TRACE_BUDGET_FLOOR_MS));
     }
 
     #[test]
-    fn audit_render_lists_every_workload() {
-        let table = render_audit(&[
-            audit_report(10.0, 10.1, 11.0),
-            audit_report(8.0, 8.0, 8.5),
+    fn trace_render_lists_every_workload() {
+        let table = render_trace(&[
+            trace_report(10.0, 10.1, 11.0),
+            trace_report(8.0, 8.0, 8.5),
         ]);
-        assert!(table.contains("audit ms"));
+        assert!(table.contains("trace ms"));
         assert_eq!(table.lines().count(), 3);
     }
 
     #[test]
-    fn audit_arm_measures_a_real_workload() {
+    fn trace_arm_measures_a_real_workload() {
         // One tiny real search per arm: all three arms populate and the
         // harness does not error. Budget verdicts are asserted in
         // scripts/check.sh (a timing claim, not a unit-test claim).
         let w = crate::trajectory::quick_suite()[0];
-        let reports = measure_audit_overhead(&[w], 1).unwrap();
+        let reports = measure_trace_overhead(&[w], 1).unwrap();
         assert_eq!(reports.len(), 1);
         let r = &reports[0];
         assert!(r.baseline_ms > 0.0);

@@ -45,9 +45,7 @@ use crate::standardizer::Standardizer;
 use crate::vocab::CorpusModel;
 use lucid_frame::DataFrame;
 use lucid_interp::stmt_structural_hash;
-use lucid_obs::{
-    alloc, MemoHitRecord, Registry, ScriptAuditRecord, TraceSink, AUDIT_SCHEMA_VERSION,
-};
+use lucid_obs::{alloc, MemoHitRecord, Registry, TraceSink};
 use lucid_pyast::{parse_module, Module};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -87,18 +85,13 @@ pub struct BatchOptions {
     pub jobs: usize,
     /// Whether the content-addressed full-result memo is consulted.
     pub memo: bool,
-    /// When set, each executed search writes a JSONL event log to
-    /// `<dir>/<name>.trace.jsonl` (memo-served scripts run no search and
-    /// produce no trace).
+    /// When set, each executed search writes its trace to
+    /// `<dir>/<name>.trace.jsonl`; a memo-served script ran no search and
+    /// gets a one-record `memo_hit` stub naming its representative. The
+    /// decision records of every executed script are byte-identical
+    /// across `jobs` and memo settings (stubs only exist with the memo
+    /// on).
     pub trace_dir: Option<PathBuf>,
-    /// When set, each executed search writes a decision-provenance audit
-    /// stream (schema v2, see [`lucid_obs::audit`]) to
-    /// `<dir>/<name>.audit.jsonl`; memo-served scripts get a one-line
-    /// `memo_hit` stub naming their representative, and the batch writes
-    /// a `batch_audit.jsonl` roll-up of per-script `script` records in
-    /// input order. All audit files are byte-identical across `jobs` and
-    /// memo settings (stubs excepted: they only exist with the memo on).
-    pub audit_dir: Option<PathBuf>,
     /// Attach per-script explanations (`explain_diff` texts) to the
     /// deterministic report. Computed serially from the corpus model and
     /// the final sources, so they are identical across `jobs`.
@@ -111,7 +104,6 @@ impl Default for BatchOptions {
             jobs: 1,
             memo: false,
             trace_dir: None,
-            audit_dir: None,
             explain: false,
         }
     }
@@ -585,7 +577,6 @@ pub fn standardize_corpus(
     search_config.shared = Some(Arc::clone(&shared));
     search_config.stats_registry = Some(Arc::clone(&batch_registry));
     search_config.trace = None;
-    search_config.audit = None;
     search_config.validate()?;
 
     let prepared: Vec<Prepared> = parsed
@@ -627,22 +618,14 @@ pub fn standardize_corpus(
     let run_one = |i: usize| -> std::result::Result<StandardizeReport, String> {
         let script = &scripts[i];
         let attempt = || -> std::result::Result<StandardizeReport, String> {
-            if opts.trace_dir.is_none() && opts.audit_dir.is_none() {
+            let Some(dir) = &opts.trace_dir else {
                 return base.standardize_source(&script.source).map_err(|e| e.to_string());
-            }
+            };
             let mut cfg = search_config.clone();
-            if let Some(dir) = &opts.trace_dir {
-                let path = dir.join(format!("{}.trace.jsonl", script.name));
-                cfg.trace = Some(TraceSink::to_file(&path).map_err(|e| {
-                    format!("cannot open trace file {}: {e}", path.display())
-                })?);
-            }
-            if let Some(dir) = &opts.audit_dir {
-                let path = dir.join(format!("{}.audit.jsonl", script.name));
-                cfg.audit = Some(TraceSink::to_file(&path).map_err(|e| {
-                    format!("cannot open audit file {}: {e}", path.display())
-                })?);
-            }
+            let path = dir.join(format!("{}.trace.jsonl", script.name));
+            cfg.trace = Some(TraceSink::to_file(&path).map_err(|e| {
+                format!("cannot open trace file {}: {e}", path.display())
+            })?);
             let std = Standardizer::from_model(
                 model.clone(),
                 data_path,
@@ -794,71 +777,28 @@ pub fn standardize_corpus(
         }
     }
 
-    // Audit roll-up: memo-hit scripts never ran a search, so they get a
-    // stub `<name>.audit.jsonl` pointing at the representative whose full
-    // stream carries the decisions; `batch_audit.jsonl` then records one
-    // per-script counter row in input order. Summing rows over executed
-    // (non-memo-hit, ok) scripts reconciles exactly with the batch
-    // `Timings` roll-up.
-    if let Some(dir) = &opts.audit_dir {
+    // Memo-hit scripts never ran a search, so their trace file is a stub
+    // pointing at the representative whose full stream carries the
+    // decisions.
+    if let Some(dir) = &opts.trace_dir {
         for (i, r) in results.iter().enumerate() {
+            let Prepared::Job { key } = &prepared[i] else {
+                continue;
+            };
             if !r.memo_hit {
                 continue;
             }
-            let key = match &prepared[i] {
-                Prepared::Job { key } => key,
-                Prepared::Failed(_) => continue,
-            };
             let against = scripts[work[rep_of[key]]].name.clone();
-            let path = dir.join(format!("{}.audit.jsonl", r.name));
+            let path = dir.join(format!("{}.trace.jsonl", r.name));
             let sink = TraceSink::to_file(&path).map_err(|e| {
                 crate::error::CoreError::BadConfig(format!(
-                    "cannot open audit file {}: {e}",
+                    "cannot open trace file {}: {e}",
                     path.display()
                 ))
             })?;
-            sink.emit(&MemoHitRecord {
-                v: AUDIT_SCHEMA_VERSION,
-                event: "memo_hit".to_string(),
-                script: r.name.clone(),
-                against,
-            });
+            sink.emit(&MemoHitRecord::new(r.name.clone(), against));
             sink.flush();
         }
-        let path = dir.join("batch_audit.jsonl");
-        let sink = TraceSink::to_file(&path).map_err(|e| {
-            crate::error::CoreError::BadConfig(format!(
-                "cannot open audit file {}: {e}",
-                path.display()
-            ))
-        })?;
-        for r in &results {
-            let mut row = ScriptAuditRecord {
-                v: AUDIT_SCHEMA_VERSION,
-                event: "script".to_string(),
-                name: r.name.clone(),
-                memo_hit: r.memo_hit,
-                ok: r.outcome.is_ok(),
-                deduped: 0,
-                budget_fuel: 0,
-                budget_cells: 0,
-                budget_deadline: 0,
-                panicked: 0,
-                pruned_monotonicity: 0,
-            };
-            if !r.memo_hit {
-                if let Ok(report) = &r.outcome {
-                    row.deduped = report.timings.candidates_deduped;
-                    row.budget_fuel = report.timings.budget_trips_fuel;
-                    row.budget_cells = report.timings.budget_trips_cells;
-                    row.budget_deadline = report.timings.budget_trips_deadline;
-                    row.panicked = report.timings.candidates_panicked;
-                    row.pruned_monotonicity = report.timings.pruned_monotonicity;
-                }
-            }
-            sink.emit(&row);
-        }
-        sink.flush();
     }
 
     // Batch-level counters land in the per-batch registry so `--stats-out`

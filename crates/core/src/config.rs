@@ -57,20 +57,18 @@ pub struct SearchConfig {
     /// displace it. Keeps step-convergent searches from growing an
     /// unbounded verification queue.
     pub max_finalists: usize,
-    /// Structured search event log destination. When set, the search
-    /// emits one JSONL record per beam step (plus start/verify/end
-    /// records) and the interpreter records per-statement spans; `None`
-    /// keeps the whole observability layer on its no-op path.
+    /// The trace: one JSONL stream per standardization (schema v3, see
+    /// [`lucid_obs::event`]). When set, the search writes its measurement
+    /// records (start, one per beam step, verify, end, profile) and the
+    /// interpreter records per-statement spans; then every candidate's
+    /// stable ID, lineage and terminal [`lucid_obs::Disposition`], the
+    /// selected lineage, the final-diff join and a trailer follow
+    /// (`lucid trace`, `lucid why` and `lucid profile` render it). The
+    /// decision records are byte-identical across thread counts, cache
+    /// modes, budgets and batch memoization, and tracing never changes a
+    /// search decision. `None` keeps the whole observability layer on its
+    /// no-op path.
     pub trace: Option<lucid_obs::TraceSink>,
-    /// Decision-provenance audit stream (trace schema v2). When set, the
-    /// search records every candidate's stable ID, lineage, and terminal
-    /// [`lucid_obs::Disposition`], emitted in ID order at search end with
-    /// a self-reconciling trailer (`lucid why` renders it). Candidate IDs
-    /// are minted serially in enumeration order whether or not auditing
-    /// is on, so the stream is byte-identical across thread counts, cache
-    /// modes, and batch memoization — and auditing never changes search
-    /// decisions.
-    pub audit: Option<lucid_obs::TraceSink>,
     /// Directory for profile exports. When set, the search writes
     /// `flame.folded` (collapsed-stack flamegraph), `percentiles.txt`,
     /// and `profile.json` there after each search, and the interpreter's
@@ -126,7 +124,6 @@ impl Default for SearchConfig {
             prefix_cache_capacity: lucid_interp::cache::DEFAULT_PREFIX_CACHE_CAPACITY,
             max_finalists: 256,
             trace: None,
-            audit: None,
             profile_out: None,
             budget: lucid_interp::Budget::unlimited(),
             fault_plan: None,

@@ -2,25 +2,26 @@
 //!
 //! The search mints a stable ID for every candidate it ever considers —
 //! *including* the ones enumeration prunes before scoring — and records,
-//! when auditing is enabled, each candidate's parent, minting step, the
+//! when the search is traced, each candidate's parent, minting step, the
 //! transformation that produced it, its RE score (when it was scored at
-//! all), and exactly one terminal [`Disposition`] for the decision-
-//! provenance audit stream (trace schema v2, [`lucid_obs::audit`]).
+//! all), and exactly one terminal [`Disposition`]. [`Provenance::write`]
+//! turns the ledger into the trace's decision records
+//! ([`lucid_obs::decision`]).
 //!
-//! Three invariants make the stream trustworthy:
+//! Three invariants make the records trustworthy:
 //!
 //! 1. **IDs are thread-count-independent.** Minting happens only on the
 //!    serial enumeration path (jobs are built beam-major, in enumeration
 //!    order, *before* any parallel fan-out), so candidate N is the same
 //!    candidate at any `threads` setting. IDs are minted whether or not
-//!    auditing is on — they are never read by ranking — which is what
-//!    lets the audited and unaudited runs make identical decisions.
+//!    the search is traced — they are never read by ranking — which is
+//!    what lets traced and untraced runs make identical decisions.
 //! 2. **One call per drop.** `Provenance::drop` (and
 //!    `Provenance::fail` for execution failures) is the only way a
 //!    candidate leaves the search, and the only code that moves a drop
 //!    counter. The counter is a function of the disposition's kind
 //!    (`DropCounts`), so disposition counts reconcile with `Timings`
-//!    by construction. The fate is recorded only when auditing is on;
+//!    by construction. The fate is recorded only when tracing is on;
 //!    the counter moves either way. Candidates that stop being considered
 //!    without a drop (finalists verification never reached, beam entries
 //!    removed while protected) are swept as `OutRanked` at search end.
@@ -32,12 +33,15 @@
 //! The *protected* set tracks candidates that are terminal-fate-exempt at
 //! beam-drop sites because they are still alive elsewhere (the input,
 //! id 0, and every accepted finalist). It is maintained even when
-//! auditing is off because [`crate::search`]'s dedup counter branches on
-//! it — the counter must not depend on the audit flag.
+//! tracing is off because [`crate::search`]'s dedup counter branches on
+//! it — the counter must not depend on whether the search is traced.
 
 use crate::report::metric;
 use lucid_interp::{BudgetKind, InterpError};
-use lucid_obs::{Disposition, Registry};
+use lucid_obs::{
+    CandRecord, DecisionEndRecord, DiffLineRecord, Disposition, LineageRecord, Registry,
+    TraceSink,
+};
 use std::collections::HashSet;
 
 /// Cap on panic payloads quoted per phase. Panics beyond the cap are
@@ -56,7 +60,7 @@ pub(crate) enum ExecFailure {
 
 /// The drop counters of one phase (a beam step, or verification). Only
 /// the ledger moves them; everyone else reads.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct DropCounts {
     rejected_execution: u64,
     candidates_panicked: u64,
@@ -92,8 +96,7 @@ impl DropCounts {
             Disposition::Selected
             | Disposition::OutRanked { .. }
             | Disposition::BeamCut { .. }
-            | Disposition::FailedApply
-            | Disposition::MemoHit { .. } => {}
+            | Disposition::FailedApply => {}
         }
     }
 
@@ -174,7 +177,7 @@ pub struct CandMeta {
 
 /// The search-lifetime candidate ledger. Constructed once per search;
 /// all mutation happens on the serial control path.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Provenance {
     enabled: bool,
     next_id: u64,
@@ -189,7 +192,8 @@ pub struct Provenance {
 impl Provenance {
     /// Creates the ledger and mints ID 0 for the input candidate (op
     /// `"input"`, protected — the input is always alive as the fallback).
-    /// `enabled` turns on recording of lineage and fates; ID minting,
+    /// `enabled` (the search is traced) turns on recording of lineage and
+    /// fates; ID minting,
     /// the protected set and the drop counters run regardless.
     pub fn new(enabled: bool) -> Provenance {
         let mut prov = Provenance {
@@ -206,8 +210,8 @@ impl Provenance {
     }
 
     /// Mints the next candidate ID. The op description is only built
-    /// (and metadata only stored) when auditing is enabled; the ID
-    /// counter always advances so audited and unaudited runs stay in
+    /// (and metadata only stored) when recording is enabled; the ID
+    /// counter always advances so traced and untraced runs stay in
     /// lockstep.
     pub fn mint(&mut self, parent: u64, op: impl FnOnce() -> String) -> u64 {
         let id = self.next_id;
@@ -232,7 +236,7 @@ impl Provenance {
     }
 
     /// Drops a candidate from the search: moves the phase counter its
-    /// disposition kind maps to, and records the fate when auditing.
+    /// disposition kind maps to, and records the fate when recording.
     /// Each candidate is dropped at most once: call sites guard
     /// still-alive candidates via the protected set, so a second drop is
     /// an accounting bug.
@@ -276,7 +280,7 @@ impl Provenance {
         std::mem::take(&mut self.counts)
     }
 
-    /// Records a terminal fate when auditing; the first one wins.
+    /// Records a terminal fate when recording; the first one wins.
     fn fate(&mut self, id: u64, disposition: Disposition) {
         if self.enabled {
             let meta = &mut self.metas[id as usize];
@@ -292,7 +296,7 @@ impl Provenance {
         }
     }
 
-    /// The beam step at which a candidate was minted (0 when auditing is
+    /// The beam step at which a candidate was minted (0 when recording is
     /// off — nothing records it then).
     pub(crate) fn minted_at(&self, id: u64) -> usize {
         self.metas.get(id as usize).map_or(0, |meta| meta.step)
@@ -316,12 +320,12 @@ impl Provenance {
     }
 
     /// All recorded metadata, indexed by candidate ID (empty when
-    /// auditing is off).
+    /// recording is off).
     pub fn metas(&self) -> &[CandMeta] {
         &self.metas
     }
 
-    /// Total candidates minted (valid whether or not auditing is on).
+    /// Total candidates minted (valid whether or not recording is on).
     pub fn total(&self) -> u64 {
         self.next_id
     }
@@ -331,7 +335,7 @@ impl Provenance {
     /// as [`Disposition::OutRanked`] at its minting step with its gap to
     /// the final best RE (0 when it was never scored, clamped at 0 for
     /// evicted finalists that briefly beat the final best).
-    pub fn sweep_out_ranked(&mut self, best_re: f64) {
+    fn sweep_out_ranked(&mut self, best_re: f64) {
         if !self.enabled {
             return;
         }
@@ -363,6 +367,40 @@ impl Provenance {
             .map(|&i| self.metas[i as usize].op.clone())
             .collect();
         (ids, ops)
+    }
+
+    /// Writes the ledger's decision records to the trace, after every
+    /// search decision and counter is final: the end-of-search
+    /// `OutRanked` sweep, one `cand` record per minted candidate (ID
+    /// order), the selected lineage, the final-diff join and, last, the
+    /// `decision_end` trailer.
+    pub fn write(
+        mut self,
+        sink: &TraceSink,
+        best_id: u64,
+        best_re: f64,
+        diff_lines: &[DiffLineRecord],
+    ) {
+        let (ids, ops) = self.lineage_of(best_id);
+        self.sweep_out_ranked(best_re);
+        let total = self.total();
+        for (id, meta) in self.metas.into_iter().enumerate() {
+            let fate = meta.fate.expect("sweep fates every candidate");
+            sink.emit(&CandRecord::new(
+                id as u64,
+                meta.parent,
+                meta.step,
+                meta.op,
+                meta.re,
+                fate,
+            ));
+        }
+        sink.emit(&LineageRecord::new(ids, ops));
+        for line in diff_lines {
+            sink.emit(line);
+        }
+        sink.emit(&DecisionEndRecord::new(total, best_id, diff_lines.len() as u64));
+        sink.flush();
     }
 }
 

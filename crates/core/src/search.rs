@@ -28,15 +28,12 @@ use crate::transform::{enumerate, Enumerated, TransformKind, Transformation};
 use crate::vocab::CorpusModel;
 use lucid_frame::DataFrame;
 use lucid_interp::{ExecOutcome, InjectedPanic, Interpreter, InterpError, PrefixCache};
-use lucid_obs::audit::{
-    AuditEndRecord, CandRecord, Disposition, LineageRecord, AUDIT_SCHEMA_VERSION,
-};
 use lucid_obs::event::{
     KeptBeam, SearchEndEvent, SearchStartEvent, StepEvent, StmtSpanAgg, VerifyEvent,
     TRACE_SCHEMA_VERSION,
 };
 use lucid_obs::alloc::{self, Phase, PhaseGuard};
-use lucid_obs::Registry;
+use lucid_obs::{Disposition, Registry};
 use lucid_pyast::Module;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -281,11 +278,11 @@ pub struct SearchOutcome {
     pub explored: usize,
     /// Phase timings (Figure 7's breakdown).
     pub timings: Timings,
-    /// Lineage of the selected candidate — audit candidate IDs from the
-    /// input (ID 0) to the selection — when `config.audit` is set; empty
-    /// otherwise. Lets callers join per-diff-line provenance onto the
-    /// audit stream without re-parsing it.
-    pub audit_lineage: Vec<u64>,
+    /// The candidate ledger. When the search is traced it holds every
+    /// candidate's lineage and fate, and the caller writes it to the
+    /// trace ([`Provenance::write`]) once the final diff is joined onto
+    /// the selected lineage.
+    pub ledger: Provenance,
 }
 
 /// Algorithm 1: the meta-level framework. Starts from the (lemmatized,
@@ -352,9 +349,9 @@ pub fn standardize_search(ctx: &SearchContext, input: &Module) -> SearchOutcome 
         Candidate::from_module(input, interner, ctx.corpus, ctx.config.objective);
     // The candidate ledger. IDs are minted (serially, in enumeration
     // order), drops are counted and the protected set is maintained
-    // whether or not auditing is on — beam-drop accounting branches on
-    // it — so auditing never changes a search decision or a counter.
-    let mut prov = Provenance::new(ctx.config.audit.is_some());
+    // whether or not the search is traced — beam-drop accounting branches
+    // on it — so tracing never changes a search decision or a counter.
+    let mut prov = Provenance::new(trace.is_some());
     prov.set_re(input_candidate.id, input_candidate.re);
     let mut beams: Vec<Candidate> = vec![input_candidate.clone()];
     let mut explored = 0usize;
@@ -631,16 +628,6 @@ pub fn standardize_search(ctx: &SearchContext, input: &Module) -> SearchOutcome 
     }
     h_total.record_ns(ms_to_ns(t_total.elapsed().as_secs_f64() * 1e3));
     let timings = Timings::from_registry(&reg);
-    // Audit emission happens after every decision and every counter is
-    // final: candidates still unfated (never selected, never failed — just
-    // not chosen) are swept as out-ranked, then the whole ledger is
-    // written in ID order followed by the selected lineage and the
-    // self-reconciling trailer. Emission is measurement-only and
-    // best-effort, like tracing.
-    let audit_lineage = match ctx.config.audit.as_ref() {
-        Some(sink) => emit_audit_stream(sink, &mut prov, &timings, input_re, &best),
-        None => Vec::new(),
-    };
     // Fleet roll-up: a long-lived process hands every search the same
     // process-wide registry; merging is measurement-only and happens
     // after all decisions are made.
@@ -710,101 +697,8 @@ pub fn standardize_search(ctx: &SearchContext, input: &Module) -> SearchOutcome 
         intent,
         explored,
         timings,
-        audit_lineage,
+        ledger: prov,
     }
-}
-
-/// Writes the complete audit stream for one search: the end-of-search
-/// `OutRanked` sweep, one `cand` record per minted candidate (ID order),
-/// the selected lineage, and the trailer carrying both the disposition
-/// counts and the mirrored `Timings` counters. Returns the selected
-/// lineage IDs for the standardizer's diff-line join.
-fn emit_audit_stream(
-    sink: &lucid_obs::TraceSink,
-    prov: &mut Provenance,
-    timings: &Timings,
-    input_re: f64,
-    best: &Candidate,
-) -> Vec<u64> {
-    prov.sweep_out_ranked(best.re);
-    let mut n_selected = 0u64;
-    let mut n_out_ranked = 0u64;
-    let mut n_deduped = 0u64;
-    let mut n_pruned = 0u64;
-    let mut n_budget_fuel = 0u64;
-    let mut n_budget_cells = 0u64;
-    let mut n_budget_deadline = 0u64;
-    let mut n_panicked = 0u64;
-    let mut n_beam_cut = 0u64;
-    let mut n_failed_apply = 0u64;
-    let mut n_failed_execution = 0u64;
-    let mut n_rejected_intent = 0u64;
-    for (id, meta) in prov.metas().iter().enumerate() {
-        let disposition = meta.fate.clone().expect("sweep fates every candidate");
-        match &disposition {
-            Disposition::Selected => n_selected += 1,
-            Disposition::OutRanked { .. } => n_out_ranked += 1,
-            Disposition::Deduped { .. } => n_deduped += 1,
-            Disposition::PrunedMonotonicity => n_pruned += 1,
-            Disposition::BudgetTripped { kind } => match kind.as_str() {
-                "fuel" => n_budget_fuel += 1,
-                "cells" => n_budget_cells += 1,
-                _ => n_budget_deadline += 1,
-            },
-            Disposition::Panicked => n_panicked += 1,
-            Disposition::BeamCut { .. } => n_beam_cut += 1,
-            Disposition::FailedApply => n_failed_apply += 1,
-            Disposition::FailedExecution => n_failed_execution += 1,
-            Disposition::RejectedIntent => n_rejected_intent += 1,
-            Disposition::MemoHit { .. } => {}
-        }
-        sink.emit(&CandRecord {
-            v: AUDIT_SCHEMA_VERSION,
-            event: "cand".to_string(),
-            id: id as u64,
-            parent: meta.parent,
-            step: meta.step,
-            op: meta.op.clone(),
-            re: meta.re,
-            disposition,
-        });
-    }
-    let (ids, ops) = prov.lineage_of(best.id);
-    sink.emit(&LineageRecord {
-        v: AUDIT_SCHEMA_VERSION,
-        event: "lineage".to_string(),
-        ids: ids.clone(),
-        ops,
-    });
-    sink.emit(&AuditEndRecord {
-        v: AUDIT_SCHEMA_VERSION,
-        event: "audit_end".to_string(),
-        total: prov.total(),
-        selected: best.id,
-        steps: timings.search_steps,
-        input_re,
-        best_re: best.re,
-        n_selected,
-        n_out_ranked,
-        n_deduped,
-        n_pruned_monotonicity: n_pruned,
-        n_budget_fuel,
-        n_budget_cells,
-        n_budget_deadline,
-        n_panicked,
-        n_beam_cut,
-        n_failed_apply,
-        n_failed_execution,
-        n_rejected_intent,
-        timings_deduped: timings.candidates_deduped,
-        timings_budget_fuel: timings.budget_trips_fuel,
-        timings_budget_cells: timings.budget_trips_cells,
-        timings_budget_deadline: timings.budget_trips_deadline,
-        timings_panicked: timings.candidates_panicked,
-        timings_pruned_monotonicity: timings.pruned_monotonicity,
-    });
-    sink.flush();
-    ids
 }
 
 /// Assembles the search's [`ProfileReport`]: phase + per-statement
@@ -868,7 +762,7 @@ fn get_steps_all(
     // Enumeration order defines job identity; everything downstream keys
     // off the job index. Candidate IDs are minted here, on the serial
     // path, before any fan-out — pruned candidates first, then kept ones
-    // — so IDs are identical at any thread count and any audit setting.
+    // — so IDs are identical at any thread count, traced or not.
     let mut jobs: Vec<(usize, Transformation, u64)> = Vec::new();
     for (beam_idx, cand) in beams.iter().enumerate() {
         let Enumerated { kept, pruned } =
@@ -1119,8 +1013,8 @@ fn get_top_k(
 /// [`Disposition::BeamCut`]. Protected candidates (the input, accepted
 /// finalists) are still alive elsewhere, so removing them from the beam
 /// is no drop at all — the dedup counter branches on the protected set,
-/// never on the audit flag, so counts match across audited and
-/// unaudited runs. Idempotent: safe both after each admission and as the
+/// never on whether fates are recorded, so counts match across traced
+/// and untraced runs. Idempotent: safe both after each admission and as the
 /// step-level re-cap across beams.
 fn dedup_and_cap(next: &mut Vec<Candidate>, k: usize, prov: &mut Provenance) {
     next.sort_by(|a, b| a.re.partial_cmp(&b.re).expect("finite"));
@@ -1741,29 +1635,35 @@ acc = model.score(X, y)
         assert!(outcome.intent.satisfied);
     }
 
-    /// Runs an audited search and returns (outcome, audit stream text).
-    fn run_audited(config_base: &SearchConfig) -> (SearchOutcome, String) {
-        run_audited_with_faults(config_base, None)
+    /// Runs a traced search, writes its decision records the way the
+    /// standardizer does (without a diff join), and returns (outcome,
+    /// trace text).
+    fn run_traced(config_base: &SearchConfig) -> (SearchOutcome, String) {
+        run_traced_with_faults(config_base, None)
     }
 
-    fn run_audited_with_faults(
+    fn run_traced_with_faults(
         config_base: &SearchConfig,
         faults: Option<lucid_interp::FaultPlan>,
     ) -> (SearchOutcome, String) {
         let sink = lucid_obs::TraceSink::in_memory();
         let config = SearchConfig {
-            audit: Some(sink.clone()),
+            trace: Some(sink.clone()),
             ..config_base.clone()
         };
         let (outcome, _) = run_search_with_faults(NONSTANDARD, &config, faults);
+        outcome
+            .ledger
+            .clone()
+            .write(&sink, outcome.best.id, outcome.best.re, &[]);
         let text = sink.memory_lines().unwrap().join("\n");
         (outcome, text)
     }
 
-    /// The audit suite's inputs: an early-checked search, and a
+    /// The decision-record suite's inputs: an early-checked search, and a
     /// late-checked one whose verification runs panic and trip budgets
     /// (see [`faults_for`]).
-    fn audit_cases() -> [SearchConfig; 2] {
+    fn trace_cases() -> [SearchConfig; 2] {
         lucid_interp::silence_injected_panics();
         let early = SearchConfig {
             seq_len: 5,
@@ -1777,8 +1677,8 @@ acc = model.score(X, y)
         [early, late]
     }
 
-    /// A fresh fault plan (counters at zero) for the late-checked audit
-    /// case; none for the early-checked one.
+    /// A fresh fault plan (counters at zero) for the late-checked case;
+    /// none for the early-checked one.
     fn faults_for(config: &SearchConfig) -> Option<lucid_interp::FaultPlan> {
         use lucid_interp::FaultClass;
         (!config.early_check).then(|| {
@@ -1797,48 +1697,40 @@ acc = model.score(X, y)
     }
 
     #[test]
-    fn audit_stream_reconciles_with_timings_exactly() {
-        for config in audit_cases() {
-            let (outcome, text) = run_audited_with_faults(&config, faults_for(&config));
+    fn decision_records_reconcile_with_timings_exactly() {
+        for config in trace_cases() {
+            let (outcome, text) = run_traced_with_faults(&config, faults_for(&config));
             if !config.early_check {
                 // The late case must exercise the failure drops.
                 assert!(outcome.timings.candidates_panicked > 0, "no panic");
                 assert!(outcome.timings.budget_trips_total() > 0, "no budget trip");
             }
-            assert_audit_reconciles(&outcome, &text);
+            let summary = lucid_obs::parse_trace(&text).unwrap();
+            assert_eq!(summary.skipped_lines, 0, "own stream must parse fully");
+            // Every candidate has exactly one fate, the trailer's counts
+            // match the records, and the counter-tied dispositions match
+            // the search_end counters of the same stream.
+            summary.reconcile().unwrap();
+            // Those search_end counters are the search's own `Timings`.
+            let t = &outcome.timings;
+            assert_eq!(summary.candidates_deduped, t.candidates_deduped);
+            assert_eq!(summary.pruned_monotonicity, t.pruned_monotonicity);
+            assert_eq!(summary.candidates_panicked, t.candidates_panicked);
+            assert_eq!(summary.budget_trips_fuel, t.budget_trips_fuel);
+            assert_eq!(summary.budget_trips_cells, t.budget_trips_cells);
+            assert_eq!(summary.budget_trips_deadline, t.budget_trips_deadline);
+            // The lineage record runs from the input to the selection,
+            // one hop per applied transformation.
+            let ids = &summary.decisions.lineage.as_ref().unwrap().ids;
+            assert_eq!(*ids, outcome.ledger.lineage_of(outcome.best.id).0);
+            assert_eq!(ids.first(), Some(&0));
+            assert_eq!(ids.last(), Some(&outcome.best.id));
+            assert_eq!(ids.len(), outcome.best.applied.len() + 1);
         }
     }
 
-    fn assert_audit_reconciles(outcome: &SearchOutcome, text: &str) {
-        let summary = lucid_obs::parse_audit(text).unwrap();
-        assert_eq!(summary.skipped_lines, 0, "own stream must parse fully");
-        // Internal consistency: every candidate has exactly one fate and
-        // the trailer's counts match the records (both directions).
-        summary.reconcile().unwrap();
-        // External consistency: the mirrored counters in the trailer are
-        // the same values the search reported in `Timings`.
-        let t = &outcome.timings;
-        let end = summary.end.as_ref().unwrap();
-        assert_eq!(end.timings["deduped"], t.candidates_deduped);
-        assert_eq!(end.timings["budget_fuel"], t.budget_trips_fuel);
-        assert_eq!(end.timings["budget_cells"], t.budget_trips_cells);
-        assert_eq!(end.timings["budget_deadline"], t.budget_trips_deadline);
-        assert_eq!(end.timings["panicked"], t.candidates_panicked);
-        assert_eq!(end.timings["pruned_monotonicity"], t.pruned_monotonicity);
-        // The selected candidate's lineage is surfaced on the outcome and
-        // matches the stream's lineage record.
-        assert_eq!(summary.lineage_ids, outcome.audit_lineage);
-        assert_eq!(summary.lineage_ids.first(), Some(&0));
-        assert_eq!(summary.lineage_ids.last(), Some(&end.selected));
-        assert_eq!(
-            summary.lineage_ids.len(),
-            outcome.best.applied.len() + 1,
-            "one lineage hop per applied transformation"
-        );
-    }
-
     #[test]
-    fn audit_bytes_identical_across_threads_and_cache() {
+    fn decision_bytes_identical_across_threads_and_cache() {
         let mut streams = Vec::new();
         for threads in [1usize, 2, 8] {
             for cache in [false, true] {
@@ -1849,44 +1741,51 @@ acc = model.score(X, y)
                     prefix_cache: cache,
                     ..Default::default()
                 };
-                let (_, text) = run_audited(&config);
-                streams.push((threads, cache, text));
+                let (_, text) = run_traced(&config);
+                let decisions = lucid_obs::decision::decision_lines(&text).join("\n");
+                streams.push((threads, cache, decisions));
             }
         }
         let (_, _, reference) = &streams[0];
-        assert!(reference.contains("\"event\":\"audit_end\""));
+        assert!(reference.contains("\"event\":\"decision_end\""));
         for (threads, cache, text) in &streams[1..] {
             assert_eq!(
                 text, reference,
-                "audit stream diverged at threads={threads} cache={cache}"
+                "decision records diverged at threads={threads} cache={cache}"
             );
         }
     }
 
     #[test]
-    fn auditing_does_not_perturb_decisions_or_counters() {
-        for config in audit_cases() {
+    fn tracing_does_not_perturb_decisions_or_counters() {
+        for config in trace_cases() {
             let (plain, _) = run_search_with_faults(NONSTANDARD, &config, faults_for(&config));
-            let (audited, text) = run_audited_with_faults(&config, faults_for(&config));
+            let (traced, text) = run_traced_with_faults(&config, faults_for(&config));
             assert_eq!(
-                print_module(&audited.best.program.to_module()),
+                print_module(&traced.best.program.to_module()),
                 print_module(&plain.best.program.to_module())
             );
-            assert_eq!(audited.best.re, plain.best.re);
-            assert_eq!(audited.explored, plain.explored);
-            let (a, p) = (&audited.timings, &plain.timings);
+            assert_eq!(traced.best.re, plain.best.re);
+            assert_eq!(traced.explored, plain.explored);
+            let (a, p) = (&traced.timings, &plain.timings);
             assert_eq!(a.candidates_deduped, p.candidates_deduped);
             assert_eq!(a.pruned_monotonicity, p.pruned_monotonicity);
             assert_eq!(a.candidates_panicked, p.candidates_panicked);
             assert_eq!(a.budget_trips_fuel, p.budget_trips_fuel);
             assert_eq!(a.budget_trips_cells, p.budget_trips_cells);
             assert_eq!(a.budget_trips_deadline, p.budget_trips_deadline);
-            // Audit-off runs surface no lineage but mint the same ID space:
-            // the audited stream's total covers every candidate either run
+            assert_eq!(a.search_steps, p.search_steps);
+            assert_eq!(a.prefix_cache_hits, p.prefix_cache_hits);
+            assert_eq!(a.prefix_cache_misses, p.prefix_cache_misses);
+            assert_eq!(a.fit_memo_hits, p.fit_memo_hits);
+            assert_eq!(a.fit_memo_misses, p.fit_memo_misses);
+            // Untraced runs record no lineage but mint the same ID space:
+            // the trailer's total covers every candidate either run
             // considered (`explored` counts only the scored subset).
-            assert!(plain.audit_lineage.is_empty());
-            let summary = lucid_obs::parse_audit(&text).unwrap();
-            assert!(summary.end.unwrap().total >= plain.explored as u64);
+            assert!(plain.ledger.metas().is_empty());
+            assert_eq!(plain.ledger.total(), traced.ledger.total());
+            let summary = lucid_obs::parse_trace(&text).unwrap();
+            assert!(summary.decisions.end.unwrap().total >= plain.explored as u64);
         }
     }
 }

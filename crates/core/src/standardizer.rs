@@ -11,6 +11,7 @@ use crate::search::{standardize_search, SearchContext, SearchOutcome};
 use crate::vocab::CorpusModel;
 use lucid_frame::DataFrame;
 use lucid_interp::Interpreter;
+use lucid_obs::{DiffLineRecord, TRACE_SCHEMA_VERSION};
 use lucid_pyast::{parse_module, print_module, Module};
 use std::sync::Arc;
 
@@ -149,21 +150,24 @@ impl Standardizer {
             intent,
             explored,
             timings,
-            audit_lineage,
+            ledger,
         } = standardize_search(&ctx, &input);
 
         let input_source = print_module(&input);
         let output_source = print_module(&best.program.to_module());
-        if let Some(sink) = &self.config.audit {
-            emit_diff_audit(
+        // The decision records close the trace, after every measurement
+        // record: the final diff is joined onto the selected lineage first,
+        // so the trailer can count the diff lines it follows.
+        if let Some(sink) = &self.config.trace {
+            let diff_lines = diff_line_records(
                 &self.corpus,
-                sink,
                 &input,
                 &best.applied,
-                &audit_lineage,
+                &ledger.lineage_of(best.id).0,
                 &input_source,
                 &output_source,
             );
+            ledger.write(sink, best.id, best.re, &diff_lines);
         }
 
         Ok(StandardizeReport {
@@ -198,27 +202,24 @@ impl Standardizer {
     }
 }
 
-/// Joins the final diff against the selected chain and appends one
-/// `diff_line` audit record per explained change: the chain is replayed
-/// over the interned IR to learn the signed atom each op produced, then
-/// each `explain_diff` line is matched to the first unconsumed chain op
-/// with the same sign and atom. A matched line carries the audit ID of
-/// the candidate whose minting transformation introduced it (chain index
-/// `i` → lineage ID `i + 1`, since the lineage starts at the input);
-/// unmatched lines (net effects of several edits) carry `None`.
-#[allow(clippy::too_many_arguments)]
-fn emit_diff_audit(
+/// Joins the final diff against the selected chain, one `diff_line`
+/// record per explained change: the chain is replayed over the interned
+/// IR to learn the signed atom each op produced, then each `explain_diff`
+/// line is matched to the first unconsumed chain op with the same sign
+/// and atom. A matched line carries the ID of the candidate whose minting
+/// transformation introduced it (chain index `i` → lineage ID `i + 1`,
+/// since the lineage starts at the input); unmatched lines (net effects
+/// of several edits) carry `None`.
+fn diff_line_records(
     corpus: &CorpusModel,
-    sink: &lucid_obs::TraceSink,
     input: &Module,
     applied: &[crate::transform::Transformation],
     lineage: &[u64],
     input_source: &str,
     output_source: &str,
-) {
+) -> Vec<DiffLineRecord> {
     use crate::ir::{Program, StmtInterner};
     use crate::transform::TransformKind;
-    use lucid_obs::audit::{DiffLineRecord, AUDIT_SCHEMA_VERSION};
 
     let interner = StmtInterner::new();
     let mut prog = Program::from_module(input, &interner);
@@ -243,6 +244,7 @@ fn emit_diff_audit(
         }
     }
     let mut consumed = vec![false; chain.len()];
+    let mut records = Vec::new();
     for e in crate::explain::explain_diff(corpus, input_source, output_source) {
         let hit = chain
             .iter()
@@ -256,8 +258,8 @@ fn emit_diff_audit(
             }
             None => (None, None, None),
         };
-        sink.emit(&DiffLineRecord {
-            v: AUDIT_SCHEMA_VERSION,
+        records.push(DiffLineRecord {
+            v: TRACE_SCHEMA_VERSION,
             event: "diff_line".to_string(),
             change: e.change.to_string(),
             atom: e.step.clone(),
@@ -267,7 +269,7 @@ fn emit_diff_audit(
             rationale: format!("{:?}", e.rationale),
         });
     }
-    sink.flush();
+    records
 }
 
 /// Applies a config's interpreter-facing knobs: seed, sampling, the
@@ -437,12 +439,12 @@ mod tests {
     }
 
     #[test]
-    fn audited_run_maps_final_diff_lines_to_lineage() {
+    fn traced_run_maps_final_diff_lines_to_lineage() {
         let sink = lucid_obs::TraceSink::in_memory();
         let config = SearchConfig {
             seq_len: 6,
             intent: IntentMeasure::jaccard(0.5),
-            audit: Some(sink.clone()),
+            trace: Some(sink.clone()),
             ..Default::default()
         };
         let s = Standardizer::build(&corpus(), "train.csv", data(), config).unwrap();
@@ -452,31 +454,36 @@ mod tests {
             )
             .unwrap();
         assert!(report.changed(), "fixture must produce a diff");
-        let text = sink.memory_lines().unwrap().join("\n");
-        let summary = lucid_obs::parse_audit(&text).unwrap();
+        let lines = sink.memory_lines().unwrap();
+        // One stream: measurement records first, the trailer last.
+        assert!(lines[0].contains("\"event\":\"search_start\""));
+        assert!(lines.last().unwrap().contains("\"event\":\"decision_end\""));
+        let summary = lucid_obs::parse_trace(&lines.join("\n")).unwrap();
         summary.reconcile().unwrap();
+        let d = &summary.decisions;
         let explanations = s.explain(&report);
         assert_eq!(
-            summary.diff_lines.len(),
+            d.diff_lines.len(),
             explanations.len(),
             "one diff_line record per explained change"
         );
         // Every final-diff line carries the lineage candidate whose
         // transformation introduced it — the chain replay covers the
         // whole diff for a plain add/replace run like this one.
-        for line in &summary.diff_lines {
+        let lineage = &d.lineage.as_ref().unwrap().ids;
+        for line in &d.diff_lines {
             let cand = line.cand.unwrap_or_else(|| {
                 panic!("diff line {} {} unmatched", line.change, line.atom)
             });
             assert!(
-                summary.lineage_ids.contains(&cand),
+                lineage.contains(&cand),
                 "diff line joined to non-lineage candidate #{cand}"
             );
             assert!(line.op.is_some() && line.chain_index.is_some());
             assert!(!line.rationale.is_empty());
         }
         // And the rendering surfaces the join.
-        let rendered = summary.render();
+        let rendered = summary.render_why();
         assert!(rendered.contains("final diff -> lineage:"));
         assert!(rendered.contains("reconciliation: ok"));
     }

@@ -1,23 +1,28 @@
-//! The versioned search event schema (JSONL, one record per line).
+//! The versioned trace schema (JSONL, one record per line): the
+//! measurement records of a search.
 //!
-//! Every record carries `"v": 1` (the schema version) and an `"event"`
-//! discriminator. A search emits, in order: one `search_start`, one
-//! `step` per executed beam step, one `verify`, and one `search_end`
-//! whose phase totals equal the sums over the per-step records (modulo
-//! float rendering) — this is the invariant `lucid trace` exploits to
-//! rebuild the Figure 7 breakdown from a trace alone. A trailing
-//! `"profile"` record (see [`crate::profile::ProfileEvent`]) may follow
-//! `search_end`, carrying the folded flamegraph + percentile summaries
-//! `lucid profile` renders.
+//! Every record carries `"v": 3` (the schema version) and an `"event"`
+//! discriminator. A traced standardization writes one stream, in order:
+//! one `search_start`, one `step` per executed beam step, one `verify`,
+//! one `search_end` whose phase totals equal the sums over the per-step
+//! records (modulo float rendering; `lucid trace` rebuilds the Figure 7
+//! breakdown from them), and a `profile` record (see
+//! [`crate::profile::ProfileEvent`]) when a span collector was attached.
+//! The decision records of [`crate::decision`] follow: one `cand` per
+//! candidate, the `lineage`, one `diff_line` per line of the final diff,
+//! and the `decision_end` trailer last.
 //!
-//! Schema evolution rule: adding fields is a same-version change
-//! (consumers must ignore unknown fields); removing or re-meaning a
-//! field bumps `TRACE_SCHEMA_VERSION`.
+//! Schema evolution rule: adding fields or record kinds is a same-version
+//! change (consumers ignore unknown fields and count unknown events);
+//! removing or re-meaning a field bumps `TRACE_SCHEMA_VERSION`. Version 1
+//! held only the measurement records and version 2 was a separate
+//! decision-record file; version 3 merges both into one stream, and files
+//! of the older versions are rejected by name, not read.
 
 use serde::Serialize;
 
 /// Version stamped into every record's `"v"` field.
-pub const TRACE_SCHEMA_VERSION: u64 = 1;
+pub const TRACE_SCHEMA_VERSION: u64 = 3;
 
 /// Emitted once when a search begins: the configuration snapshot.
 #[derive(Debug, Clone, Serialize)]
@@ -186,7 +191,7 @@ pub struct StmtSpanAgg {
 }
 
 /// Emitted once when a search ends: totals and the `Timings` projection.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct SearchEndEvent {
     /// Schema version.
     pub v: u64,
@@ -281,7 +286,7 @@ mod tests {
     fn events_serialize_with_version_and_tag() {
         let start = SearchStartEvent::new(16, 3, 4, true, true, true, "edges");
         let json = serde_json::to_string(&start).unwrap();
-        assert!(json.contains("\"v\":1"));
+        assert!(json.contains("\"v\":3"));
         assert!(json.contains("\"event\":\"search_start\""));
         assert!(json.contains("\"threads\":4"));
 
@@ -324,6 +329,6 @@ mod tests {
         assert!(json.contains("\"candidates_deduped\":2"));
         let parsed = serde_json::from_str(&json).unwrap();
         assert_eq!(parsed.get("event").unwrap().as_str(), Some("step"));
-        assert_eq!(parsed.get("v").unwrap().as_f64(), Some(1.0));
+        assert_eq!(parsed.get("v").unwrap().as_f64(), Some(3.0));
     }
 }

@@ -3,9 +3,12 @@
 //! Observability substrate for the LucidScript search: a thread-safe
 //! [`Registry`] of atomic counters and log-bucketed histograms, RAII
 //! [`Span`]s forming a span tree, a [`TraceSink`] that appends one JSONL
-//! record per search event, the versioned event schema itself
-//! ([`event`]), and a parser/summarizer ([`summary`]) that turns a trace
-//! file back into the paper's Figure 7 phase breakdown.
+//! record per search event, the versioned trace schema itself
+//! (measurement records in [`event`], decision records in [`decision`]),
+//! and the one parser ([`summary`]) that turns a trace file back into
+//! its three views: the paper's Figure 7 phase breakdown (`lucid trace`),
+//! the decision provenance (`lucid why`) and the profile
+//! (`lucid profile`).
 //!
 //! Design constraints, in order:
 //!
@@ -38,7 +41,7 @@
 //! ```
 
 pub mod alloc;
-pub mod audit;
+pub mod decision;
 pub mod event;
 pub mod export;
 pub mod flame;
@@ -49,9 +52,9 @@ pub mod span;
 pub mod summary;
 
 pub use alloc::{AllocDelta, AllocSnapshot, LucidAlloc, Phase, PhaseGuard, TelemetryMode};
-pub use audit::{
-    parse_audit, AuditCand, AuditEnd, AuditEndRecord, AuditSummary, CandRecord, DiffLineRecord,
-    Disposition, LineageRecord, MemoHitRecord, ScriptAuditRecord, AUDIT_SCHEMA_VERSION,
+pub use decision::{
+    CandRecord, DecisionEndRecord, Decisions, DiffLineRecord, Disposition, LineageRecord,
+    MemoHitRecord,
 };
 pub use event::TRACE_SCHEMA_VERSION;
 pub use export::{prometheus_text, snapshot_json, StatsReporter};
@@ -60,4 +63,7 @@ pub use metrics::{Counter, Histogram, Percentiles, Registry};
 pub use profile::{PercentileRow, ProfileEvent, ProfileReport};
 pub use sink::{rotated_path, TraceSink};
 pub use span::{Collector, Span, SpanRecord};
-pub use summary::{aggregate_summaries, parse_trace, AggregateReport, TraceSummary};
+pub use summary::{
+    aggregate_summaries, parse_trace, read_trace, AggregateReport, TraceError, TraceErrorKind,
+    TraceSummary,
+};

@@ -1,17 +1,15 @@
 //! Profile exports: folded flamegraphs + percentile tables, bundled as a
 //! [`ProfileReport`] that can be written to a directory (`--profile-out`)
-//! and embedded in a trace as a `"profile"` record (read back by
-//! `lucid profile`).
-//!
-//! The `"profile"` record is an *additive* schema-v1 event: consumers
-//! that predate it count it under `unknown_events` per the trace's
-//! forward-compatibility rule, so emitting it does not bump
-//! [`TRACE_SCHEMA_VERSION`].
+//! and embedded in a trace as a `"profile"` record. `lucid profile` is the
+//! third view of a parsed trace ([`crate::summary::parse_trace`] keeps the
+//! last `profile` record it meets); a `--profile-out` `profile.json` is
+//! that same record on one line, so it parses as a one-record trace.
 
 use crate::event::TRACE_SCHEMA_VERSION;
 use crate::flame::{fold_spans, to_folded, FoldedFrame};
 use crate::metrics::Percentiles;
 use crate::span::SpanRecord;
+use crate::summary::int;
 use serde::Serialize;
 use serde_json::Value;
 use std::path::Path;
@@ -140,8 +138,8 @@ impl ProfileReport {
         out
     }
 
-    /// Writes `flame.folded`, `percentiles.txt`, and `profile.json` into
-    /// `dir` (which must exist).
+    /// Writes `flame.folded`, `percentiles.txt`, and `profile.json` (the
+    /// `profile` trace record on one line) into `dir` (which must exist).
     ///
     /// # Errors
     ///
@@ -149,86 +147,49 @@ impl ProfileReport {
     pub fn write_dir(&self, dir: &Path) -> std::io::Result<()> {
         std::fs::write(dir.join("flame.folded"), self.folded_text())?;
         std::fs::write(dir.join("percentiles.txt"), self.percentile_table())?;
-        std::fs::write(
-            dir.join("profile.json"),
-            serde_json::to_string_pretty(&self.to_event())
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?,
-        )?;
+        let record = serde_json::to_string(&self.to_event())
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+        std::fs::write(dir.join("profile.json"), record + "\n")?;
         Ok(())
     }
 
-    /// Extracts the profile embedded in a JSONL trace, if any.
-    ///
-    /// Lenient by design: blank, truncated, and malformed lines are
-    /// skipped (this runs on traces that may have been cut off
-    /// mid-write), and the *last* `"profile"` record wins should a file
-    /// ever hold several. Returns `Ok(None)` when no record is present.
-    ///
-    /// # Errors
-    ///
-    /// A `"profile"` record with an unsupported schema version.
-    pub fn from_trace(text: &str) -> Result<Option<ProfileReport>, String> {
-        let mut found = None;
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let Ok(record) = serde_json::from_str(line) else {
-                continue;
-            };
-            if record.get("event").and_then(Value::as_str) != Some("profile") {
-                continue;
-            }
-            let v = record.get("v").and_then(Value::as_f64).unwrap_or(0.0) as u64;
-            if v != TRACE_SCHEMA_VERSION {
-                return Err(format!(
-                    "unsupported profile schema v{v} (this build reads v{TRACE_SCHEMA_VERSION})"
-                ));
-            }
-            found = Some(parse_profile(&record));
-        }
-        Ok(found)
-    }
-}
-
-fn u64_field(v: &Value, key: &str) -> u64 {
-    v.get(key).and_then(Value::as_f64).unwrap_or(0.0) as u64
-}
-
-fn parse_profile(record: &Value) -> ProfileReport {
-    let mut report = ProfileReport {
-        spans_dropped: u64_field(record, "spans_dropped"),
-        ..ProfileReport::default()
-    };
-    if let Some(folded) = record.get("folded").and_then(Value::as_array) {
-        for f in folded {
-            let Some(stack) = f.get("stack").and_then(Value::as_str) else {
-                continue;
-            };
-            report.folded.push(FoldedFrame {
-                stack: stack.to_string(),
-                self_us: u64_field(f, "self_us"),
-                count: u64_field(f, "count"),
-            });
+    /// Decodes a `profile` record. Entries without their name are
+    /// dropped; missing numbers read as 0.
+    pub(crate) fn from_record(record: &Value) -> ProfileReport {
+        let entries = |key: &str| {
+            record
+                .get(key)
+                .and_then(Value::as_array)
+                .cloned()
+                .unwrap_or_default()
+        };
+        ProfileReport {
+            folded: entries("folded")
+                .iter()
+                .filter_map(|f| {
+                    Some(FoldedFrame {
+                        stack: f.get("stack")?.as_str()?.to_string(),
+                        self_us: int(f, "self_us"),
+                        count: int(f, "count"),
+                    })
+                })
+                .collect(),
+            percentiles: entries("percentiles")
+                .iter()
+                .filter_map(|r| {
+                    Some(PercentileRow {
+                        name: r.get("name")?.as_str()?.to_string(),
+                        count: int(r, "count"),
+                        p50_ns: int(r, "p50_ns"),
+                        p90_ns: int(r, "p90_ns"),
+                        p99_ns: int(r, "p99_ns"),
+                        max_ns: int(r, "max_ns"),
+                    })
+                })
+                .collect(),
+            spans_dropped: int(record, "spans_dropped"),
         }
     }
-    if let Some(rows) = record.get("percentiles").and_then(Value::as_array) {
-        for r in rows {
-            let Some(name) = r.get("name").and_then(Value::as_str) else {
-                continue;
-            };
-            report.percentiles.push(PercentileRow {
-                name: name.to_string(),
-                count: u64_field(r, "count"),
-                p50_ns: u64_field(r, "p50_ns"),
-                p90_ns: u64_field(r, "p90_ns"),
-                p99_ns: u64_field(r, "p99_ns"),
-                max_ns: u64_field(r, "max_ns"),
-            });
-        }
-    }
-    report
 }
 
 #[cfg(test)]
@@ -258,27 +219,23 @@ mod tests {
         let report = sample_report();
         assert!(!report.is_empty());
         let line = serde_json::to_string(&report.to_event()).unwrap();
-        // Other trace lines — including garbage — don't disturb extraction.
+        // Other trace lines, including garbage, don't disturb extraction.
         let trace = format!(
-            "{{\"v\":1,\"event\":\"search_start\"}}\n\nnot json\n{line}\n{{\"v\":1,\"event\":\"sea"
+            "{{\"v\":3,\"event\":\"search_start\"}}\n\nnot json\n{line}\n{{\"v\":3,\"event\":\"sea"
         );
-        let parsed = ProfileReport::from_trace(&trace).unwrap().unwrap();
+        let parsed = crate::summary::parse_trace(&trace).unwrap().profile.unwrap();
         assert_eq!(parsed, report);
     }
 
     #[test]
-    fn traces_without_profile_records_yield_none() {
-        assert_eq!(
-            ProfileReport::from_trace("{\"v\":1,\"event\":\"step\"}").unwrap(),
-            None
-        );
-        assert_eq!(ProfileReport::from_trace("").unwrap(), None);
-    }
-
-    #[test]
-    fn future_profile_versions_are_rejected() {
-        let err = ProfileReport::from_trace("{\"v\":9,\"event\":\"profile\"}").unwrap_err();
-        assert!(err.contains("unsupported profile schema v9"));
+    fn profile_json_parses_as_a_one_record_trace() {
+        let dir = std::env::temp_dir().join(format!("lucid_profile_json_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let report = sample_report();
+        report.write_dir(&dir).unwrap();
+        let summary = crate::summary::read_trace(&dir.join("profile.json")).unwrap();
+        assert_eq!(summary.profile, Some(report));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

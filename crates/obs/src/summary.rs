@@ -1,19 +1,28 @@
-//! Trace-file parsing and summarization — the engine behind
-//! `lucid trace <FILE>`.
+//! The one trace parser, and the `lucid trace` view.
 //!
-//! Reads a JSONL search event log (schema v1, see [`crate::event`]),
-//! validates versions, and aggregates the per-step records back into the
-//! paper's Figure 7 phase breakdown. Unknown event kinds and unknown
-//! fields are ignored (the schema's forward-compatibility rule). Blank,
-//! truncated, and otherwise malformed lines are *skipped with a
-//! warning*, not fatal — a trace cut off mid-write (crash, full disk,
-//! sink rotation) must still summarize. Only an explicitly unsupported
-//! `"v"` on a well-formed record — or a file with no parseable records
-//! at all — is an error.
+//! [`parse_trace`] reads a JSONL stream of schema v3 (see [`crate::event`]
+//! and [`crate::decision`]) into one [`TraceSummary`] that carries all
+//! three views of a traced search: the measurement records rolled back
+//! up into the paper's Figure 7 phase breakdown ([`TraceSummary::render`],
+//! `lucid trace`), the decision records ([`TraceSummary::render_why`],
+//! `lucid why`), and the last `profile` record (`lucid profile`).
+//! [`read_trace`] reads a file, folding a rotated `<FILE>.1` segment back
+//! in front, and ties every error to that file.
+//!
+//! Unknown event kinds and unknown fields are ignored (the schema's
+//! forward-compatibility rule). Blank, truncated, and otherwise malformed
+//! lines are *skipped and counted*, not fatal: a trace cut off mid-write
+//! (crash, full disk, sink rotation) must still summarize, and the
+//! decision reconciliation reports the cut. Only a well-formed record
+//! with another `"v"`, or a stream with no readable record at all, is an
+//! error.
 
-use crate::audit::is_audit_event;
+use crate::decision::Decisions;
 use crate::event::TRACE_SCHEMA_VERSION;
+use crate::profile::ProfileReport;
+use crate::sink::rotated_path;
 use serde_json::Value;
+use std::path::{Path, PathBuf};
 
 /// One `step` record, flattened for display.
 #[derive(Debug, Clone)]
@@ -144,32 +153,121 @@ pub struct TraceSummary {
     /// Blank-after-trim, truncated, or malformed lines skipped during
     /// parsing (surfaced as a warning, never an error).
     pub skipped_lines: usize,
-    /// Whether the trace carries a `"profile"` record (rendered by
-    /// `lucid profile`, not here).
-    pub has_profile: bool,
+    /// Whether the stream holds its `search_end` record (the counters
+    /// above fall back to step sums when it does not).
+    pub complete: bool,
+    /// The decision records (rendered by `lucid why`).
+    pub decisions: Decisions,
+    /// The last `profile` record, when present (rendered by
+    /// `lucid profile`).
+    pub profile: Option<ProfileReport>,
 }
 
-fn num(v: &Value, key: &str) -> f64 {
+/// A record's number field, 0 when absent or not a number.
+pub(crate) fn num(v: &Value, key: &str) -> f64 {
     v.get(key).and_then(Value::as_f64).unwrap_or(0.0)
 }
 
-fn int(v: &Value, key: &str) -> u64 {
+/// A record's count field (saturating: negatives and NaN read as 0).
+pub(crate) fn int(v: &Value, key: &str) -> u64 {
     num(v, key) as u64
 }
 
-/// Parses a JSONL trace into a [`TraceSummary`].
-///
-/// Blank, truncated, and malformed lines — and well-formed records
-/// missing `v` or `event` — are skipped and counted in
-/// [`TraceSummary::skipped_lines`].
+/// A record's string field, empty when absent.
+pub(crate) fn text(v: &Value, key: &str) -> String {
+    v.get(key).and_then(Value::as_str).unwrap_or("").to_string()
+}
+
+/// Why a trace could not be read.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TraceError {
+    /// The file the stream came from (`None` for in-memory text).
+    pub file: Option<PathBuf>,
+    /// What went wrong.
+    pub kind: TraceErrorKind,
+}
+
+/// The kinds of [`TraceError`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TraceErrorKind {
+    /// The file (or its rotated segment) could not be read.
+    Unreadable(String),
+    /// A well-formed record declares a schema version this build does
+    /// not read.
+    Version(u64),
+    /// No line held a readable record; `skipped` lines were blank,
+    /// truncated or malformed.
+    Empty {
+        /// Non-blank lines skipped.
+        skipped: usize,
+    },
+}
+
+impl std::fmt::Display for TraceError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        if let Some(file) = &self.file {
+            write!(f, "{}: ", file.display())?;
+        }
+        match &self.kind {
+            TraceErrorKind::Unreadable(reason) => write!(f, "cannot read trace: {reason}"),
+            TraceErrorKind::Version(v) if *v < TRACE_SCHEMA_VERSION => write!(
+                f,
+                "trace schema v{v} is no longer read (this build reads v{TRACE_SCHEMA_VERSION})"
+            ),
+            TraceErrorKind::Version(v) => write!(
+                f,
+                "trace schema v{v} is not supported (this build reads v{TRACE_SCHEMA_VERSION})"
+            ),
+            TraceErrorKind::Empty { skipped: 0 } => f.write_str("contains no trace records"),
+            TraceErrorKind::Empty { skipped } => write!(
+                f,
+                "contains no readable trace records ({skipped} blank/truncated/malformed line(s) skipped)"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for TraceError {}
+
+/// Reads and parses the trace at `path`, prepending its rotated
+/// `<path>.1` segment when one exists: the rotation holds the *older*
+/// records, so the folded stream replays in emission order.
 ///
 /// # Errors
 ///
-/// A well-formed record with an unsupported schema version, or a file
-/// with no parseable records at all.
-pub fn parse_trace(text: &str) -> Result<TraceSummary, String> {
+/// An unreadable file or segment, or any [`parse_trace`] error, each
+/// naming the file.
+pub fn read_trace(path: &Path) -> Result<TraceSummary, TraceError> {
+    let read = |p: &Path| {
+        std::fs::read_to_string(p).map_err(|e| TraceError {
+            file: Some(p.to_path_buf()),
+            kind: TraceErrorKind::Unreadable(e.to_string()),
+        })
+    };
+    let rotated = rotated_path(path);
+    let mut text = if rotated.exists() { read(&rotated)? } else { String::new() };
+    if !text.is_empty() && !text.ends_with('\n') {
+        text.push('\n');
+    }
+    text.push_str(&read(path)?);
+    parse_trace(&text).map_err(|e| TraceError {
+        file: Some(path.to_path_buf()),
+        ..e
+    })
+}
+
+/// Parses a JSONL trace into a [`TraceSummary`]. Total: never panics.
+///
+/// Blank, truncated, and malformed lines, and well-formed records
+/// missing `v` or `event` or malformed within, are skipped and counted
+/// in [`TraceSummary::skipped_lines`].
+///
+/// # Errors
+///
+/// A well-formed record with a schema version other than
+/// [`TRACE_SCHEMA_VERSION`], or a stream with no readable record at all.
+pub fn parse_trace(text: &str) -> Result<TraceSummary, TraceError> {
     let mut summary = TraceSummary::default();
-    let mut saw_end = false;
     let mut any = false;
     // Fault-isolation counters summed from step + verify records; used as
     // the fallback when the trace is truncated before `search_end`.
@@ -177,7 +275,7 @@ pub fn parse_trace(text: &str) -> Result<TraceSummary, String> {
     let mut sum_trips = [0u64; 3];
     let mut sum_deduped = 0u64;
     let mut sum_pruned = 0u64;
-    for (lineno, line) in text.lines().enumerate() {
+    for line in text.lines() {
         let line = line.trim();
         if line.is_empty() {
             continue;
@@ -190,22 +288,11 @@ pub fn parse_trace(text: &str) -> Result<TraceSummary, String> {
             summary.skipped_lines += 1;
             continue;
         };
-        if v as u64 != TRACE_SCHEMA_VERSION {
-            // Decision-provenance records (audit schema v2) can share a
-            // stream with v1 trace events — e.g. a concatenated batch
-            // export. They belong to `lucid why`, not here: skip them
-            // silently; any *other* foreign version is still an error.
-            if record
-                .get("event")
-                .and_then(Value::as_str)
-                .is_some_and(is_audit_event)
-            {
-                continue;
-            }
-            return Err(format!(
-                "line {}: unsupported trace schema v{v} (this build reads v{TRACE_SCHEMA_VERSION})",
-                lineno + 1
-            ));
+        if v != TRACE_SCHEMA_VERSION as f64 {
+            return Err(TraceError {
+                file: None,
+                kind: TraceErrorKind::Version(v as u64),
+            });
         }
         let Some(event) = record.get("event").and_then(Value::as_str) else {
             summary.skipped_lines += 1;
@@ -295,7 +382,7 @@ pub fn parse_trace(text: &str) -> Result<TraceSummary, String> {
                 collect_panic_payloads(&record, &mut summary.panic_payloads);
             }
             "search_end" => {
-                saw_end = true;
+                summary.complete = true;
                 summary.totals.total_ms = num(&record, "total_ms");
                 summary.explored = int(&record, "explored");
                 summary.cache_hits = int(&record, "cache_hits");
@@ -336,21 +423,24 @@ pub fn parse_trace(text: &str) -> Result<TraceSummary, String> {
                     }
                 }
             }
-            "profile" => summary.has_profile = true,
+            "profile" => summary.profile = Some(ProfileReport::from_record(&record)),
+            "cand" | "lineage" | "diff_line" | "decision_end" | "memo_hit" => {
+                if !summary.decisions.absorb(event, &record) {
+                    summary.skipped_lines += 1;
+                }
+            }
             _ => summary.unknown_events += 1,
         }
     }
     if !any {
-        return Err(if summary.skipped_lines > 0 {
-            format!(
-                "trace file contains no readable records ({} blank/truncated/malformed line(s) skipped)",
-                summary.skipped_lines
-            )
-        } else {
-            "trace file contains no records".to_string()
+        return Err(TraceError {
+            file: None,
+            kind: TraceErrorKind::Empty {
+                skipped: summary.skipped_lines,
+            },
         });
     }
-    if !saw_end {
+    if !summary.complete {
         // Fall back to step sums so a truncated trace still summarizes.
         summary.cache_hits = summary.steps.iter().map(|s| s.cache_hits).sum();
         summary.cache_misses = summary.steps.iter().map(|s| s.cache_misses).sum();
@@ -393,6 +483,9 @@ impl TraceSummary {
 
     /// Renders the human-readable report `lucid trace` prints.
     pub fn render(&self) -> String {
+        if let Some(m) = self.memo_stub() {
+            return m.describe();
+        }
         let mut out = String::new();
         if !self.config.is_empty() {
             out.push_str("search: ");
@@ -514,7 +607,13 @@ impl TraceSummary {
                 out.push_str(&format!("  {name:<16} {count:>7}x {total_ms:>10.2} ms\n"));
             }
         }
-        if self.has_profile {
+        if !self.decisions.cands.is_empty() {
+            out.push_str(&format!(
+                "({} candidate decision records — render them with `lucid why <FILE>`)\n",
+                self.decisions.cands.len()
+            ));
+        }
+        if self.profile.is_some() {
             out.push_str(
                 "(trace carries a profile record — render it with `lucid profile <FILE>`)\n",
             );
@@ -570,6 +669,9 @@ pub struct AggregateRow {
     pub alloc_bytes_total: u64,
     /// Live-bytes high-water mark at search end.
     pub mem_peak_bytes: u64,
+    /// For a batch memo-hit stub: the representative whose traced search
+    /// produced the shared result (the row ran no search).
+    pub memo_hit: Option<String>,
 }
 
 /// Cross-search roll-up of several parsed traces — the engine behind
@@ -593,6 +695,9 @@ pub struct AggregateReport {
     pub mem_peak_bytes: u64,
     /// Searches whose verification accepted a candidate.
     pub accepted: usize,
+    /// Rows that are memo-hit stubs (no search ran; excluded from the
+    /// latency percentiles).
+    pub memo_hits: usize,
     /// Exact (nearest-rank) median of the per-search `total_ms`.
     pub p50_total_ms: f64,
     /// Exact 90th percentile of per-search `total_ms`.
@@ -623,7 +728,13 @@ pub fn aggregate_summaries(inputs: &[(String, TraceSummary)]) -> AggregateReport
             accepted: s.accepted,
             alloc_bytes_total: s.alloc_bytes_total,
             mem_peak_bytes: s.mem_peak_bytes,
+            memo_hit: s.memo_stub().map(|m| m.against.clone()),
         };
+        if row.memo_hit.is_some() {
+            report.memo_hits += 1;
+            report.rows.push(row);
+            continue;
+        }
         report.totals.get_steps_ms += row.totals.get_steps_ms;
         report.totals.get_top_k_ms += row.totals.get_top_k_ms;
         report.totals.check_execute_ms += row.totals.check_execute_ms;
@@ -686,10 +797,11 @@ impl AggregateReport {
                     &r.totals,
                     r.alloc_bytes_total,
                     r.mem_peak_bytes,
-                    match r.accepted {
-                        Some(true) => "yes".to_string(),
-                        Some(false) => "no".to_string(),
-                        None => "-".to_string(),
+                    match (&r.memo_hit, r.accepted) {
+                        (Some(_), _) => "memo".to_string(),
+                        (None, Some(true)) => "yes".to_string(),
+                        (None, Some(false)) => "no".to_string(),
+                        (None, None) => "-".to_string(),
                     },
                 )
             })
@@ -701,17 +813,23 @@ impl AggregateReport {
             &self.totals,
             self.alloc_bytes_total,
             self.mem_peak_bytes,
-            format!("{}/{}", self.accepted, self.rows.len()),
+            format!("{}/{}", self.accepted, self.rows.len() - self.memo_hits),
         ));
         render_table(&headers, &rows, &mut out);
         out.push_str(&format!(
             "\n{} searches: total {:.2} ms, per-search p50 {:.2} ms, p90 {:.2} ms, max {:.2} ms\n",
-            self.rows.len(),
+            self.rows.len() - self.memo_hits,
             self.totals.total_ms,
             self.p50_total_ms,
             self.p90_total_ms,
             self.max_total_ms,
         ));
+        if self.memo_hits > 0 {
+            out.push_str(&format!(
+                "{} script(s) served from the memo (no search ran)\n",
+                self.memo_hits
+            ));
+        }
         if self.alloc_bytes_total > 0 || self.mem_peak_bytes > 0 {
             out.push_str(&format!(
                 "memory: {} allocated across the fleet, peak live {}\n",
@@ -938,29 +1056,59 @@ mod tests {
 
     #[test]
     fn rejects_empty_files_and_version_mismatches() {
-        assert!(parse_trace("").is_err());
+        let err = parse_trace("").unwrap_err();
+        assert_eq!(err.kind, TraceErrorKind::Empty { skipped: 0 });
+        assert_eq!(err.to_string(), "contains no trace records");
         // Nothing parseable at all is still an error (with the skip count).
-        assert!(parse_trace("not json")
-            .unwrap_err()
-            .contains("no readable records"));
-        assert!(parse_trace("{\"v\":2,\"event\":\"step\"}")
-            .unwrap_err()
-            .contains("unsupported trace schema"));
+        let err = parse_trace("not json").unwrap_err();
+        assert!(err.to_string().contains("no readable trace records (1 blank"), "{err}");
+        // Earlier schemas (v1 measurement files, v2 decision files) are
+        // rejected by version, not half-read.
+        for (old, kind) in [(1, "step"), (2, "cand")] {
+            let line = format!("{{\"v\":{old},\"event\":\"{kind}\"}}");
+            let err = parse_trace(&line).unwrap_err();
+            assert_eq!(err.kind, TraceErrorKind::Version(old));
+            assert_eq!(
+                err.to_string(),
+                format!("trace schema v{old} is no longer read (this build reads v3)")
+            );
+        }
+        let err = parse_trace("{\"v\":9,\"event\":\"step\"}").unwrap_err();
+        assert!(err.to_string().contains("v9 is not supported"), "{err}");
     }
 
     #[test]
-    fn v2_audit_records_are_skipped_not_fatal() {
-        // An audit stream (schema v2) concatenated with a v1 trace must
-        // not break `lucid trace`; only non-audit foreign versions error.
-        let text = "\
-{\"v\":1,\"event\":\"search_start\",\"seq_len\":4}
-{\"v\":2,\"event\":\"cand\",\"id\":0,\"disposition\":\"Selected\"}
-{\"v\":2,\"event\":\"lineage\",\"ids\":[0]}
-{\"v\":2,\"event\":\"audit_end\",\"total\":1}";
-        let summary = parse_trace(text).unwrap();
-        assert_eq!(summary.config.len(), 1);
-        assert_eq!(summary.skipped_lines, 0);
-        assert_eq!(summary.unknown_events, 0);
+    fn read_trace_names_the_file_in_every_error() {
+        let dir = std::env::temp_dir().join(format!("lucid_read_trace_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let old = dir.join("a.jsonl");
+        std::fs::write(&old, "{\"v\":2,\"event\":\"cand\"}\n").unwrap();
+        let err = read_trace(&old).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!("{}: trace schema v2 is no longer read (this build reads v3)", old.display())
+        );
+        let missing = dir.join("missing.jsonl");
+        let err = read_trace(&missing).unwrap_err();
+        assert!(err.to_string().starts_with(&format!("{}: cannot read trace", missing.display())));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn read_trace_folds_the_rotated_segment_in_front() {
+        let dir = std::env::temp_dir().join(format!("lucid_read_rotated_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("t.jsonl");
+        let lines = sample_trace();
+        let (older, newer) = lines.split_at(lines.find("{\"v\":3,\"event\":\"verify").unwrap());
+        std::fs::write(rotated_path(&path), older.trim_end()).unwrap();
+        std::fs::write(&path, newer).unwrap();
+        let folded = read_trace(&path).unwrap();
+        let whole = parse_trace(&lines).unwrap();
+        assert_eq!(folded.steps.len(), whole.steps.len());
+        assert_eq!(folded.skipped_lines, 0);
+        assert!(folded.complete);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -969,12 +1117,12 @@ mod tests {
         // record missing "v", a record missing "event", and a line cut
         // off mid-write.
         let text = "\
-{\"v\":1,\"event\":\"search_start\",\"seq_len\":4}
+{\"v\":3,\"event\":\"search_start\",\"seq_len\":4}
 not json
 
 {\"event\":\"step\"}
-{\"v\":1}
-{\"v\":1,\"event\":\"sea";
+{\"v\":3}
+{\"v\":3,\"event\":\"sea";
         let summary = parse_trace(text).unwrap();
         assert_eq!(summary.skipped_lines, 4); // blank lines aren't counted
         assert_eq!(summary.config.len(), 1);
@@ -985,16 +1133,16 @@ not json
 
     #[test]
     fn profile_records_are_flagged_not_unknown() {
-        let text = "{\"v\":1,\"event\":\"profile\",\"folded\":[]}";
+        let text = "{\"v\":3,\"event\":\"profile\",\"folded\":[]}";
         let summary = parse_trace(text).unwrap();
-        assert!(summary.has_profile);
+        assert!(summary.profile.is_some());
         assert_eq!(summary.unknown_events, 0);
         assert!(summary.render().contains("lucid profile"));
     }
 
     #[test]
     fn unknown_events_are_counted_not_fatal() {
-        let text = "{\"v\":1,\"event\":\"future_thing\",\"x\":1}";
+        let text = "{\"v\":3,\"event\":\"future_thing\",\"x\":1}";
         let summary = parse_trace(text).unwrap();
         assert_eq!(summary.unknown_events, 1);
         assert!(summary.render().contains("unrecognized"));
@@ -1084,6 +1232,33 @@ not json
         let empty = aggregate_summaries(&[]);
         assert_eq!(empty.p50_total_ms, 0.0);
         assert_eq!(empty.rows.len(), 0);
+    }
+
+    #[test]
+    fn aggregate_renders_memo_hit_stubs_as_memo_rows() {
+        let stub = parse_trace(
+            "{\"v\":3,\"event\":\"memo_hit\",\"script\":\"c.py\",\"against\":\"a.py\"}",
+        )
+        .unwrap();
+        assert!(stub
+            .render()
+            .starts_with("memo hit: 'c.py' served from the traced search of 'a.py'"));
+        let a = parse_trace(&sample_trace()).unwrap();
+        let report = aggregate_summaries(&[
+            ("a.trace.jsonl".to_string(), a),
+            ("c.trace.jsonl".to_string(), stub),
+        ]);
+        assert_eq!(report.memo_hits, 1);
+        assert_eq!(report.rows[1].memo_hit.as_deref(), Some("a.py"));
+        // The stub ran no search: it adds nothing to the fleet totals or
+        // the latency percentiles.
+        assert_eq!(report.totals.total_ms, 40.0);
+        assert_eq!(report.p50_total_ms, 40.0);
+        let text = report.render();
+        assert!(text.contains("memo"), "{text}");
+        assert!(text.contains("1 searches: total 40.00 ms"), "{text}");
+        assert!(text.contains("1 script(s) served from the memo"), "{text}");
+        assert!(text.contains("1/1"), "{text}");
     }
 
     #[test]

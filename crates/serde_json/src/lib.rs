@@ -115,8 +115,10 @@ pub fn from_slice(bytes: &[u8]) -> Result<Value, Error> {
 /// Parses a string into an untyped [`Value`].
 pub fn from_str(text: &str) -> Result<Value, Error> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.parse_value()?;
@@ -221,9 +223,16 @@ fn write_json_string(s: &str, out: &mut String) {
 
 // ---- parsing ----
 
+/// Deepest array/object nesting [`from_str`] accepts. The parser is
+/// recursive, so an unbounded depth would let a line of `[`s overflow
+/// the stack; real documents in this workspace nest a handful deep.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -254,13 +263,29 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_value(&mut self) -> Result<Value, Error> {
+        if self.depth >= MAX_DEPTH {
+            return Err(Error::new(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )));
+        }
         match self.peek() {
             Some(b'n') => self.parse_literal("null", Value::Null),
             Some(b't') => self.parse_literal("true", Value::Bool(true)),
             Some(b'f') => self.parse_literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::String(self.parse_string()?)),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => {
+                self.depth += 1;
+                let value = self.parse_array();
+                self.depth -= 1;
+                value
+            }
+            Some(b'{') => {
+                self.depth += 1;
+                let value = self.parse_object();
+                self.depth -= 1;
+                value
+            }
             Some(b'-' | b'0'..=b'9') => self.parse_number(),
             Some(other) => Err(Error::new(format!(
                 "unexpected character '{}' at byte {}",
@@ -340,10 +365,13 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|e| Error::new(e.to_string()))?;
-                    let ch = rest.chars().next().expect("non-empty");
+                    // Consume one UTF-8 scalar. Every other path advances
+                    // over ASCII only, so `pos` sits on a char boundary.
+                    let ch = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| Error::new("invalid UTF-8 boundary"))?;
                     s.push(ch);
                     self.pos += ch.len_utf8();
                 }
@@ -438,5 +466,23 @@ mod tests {
         assert!(from_slice(b"[1, 2]").is_ok());
         let err = from_str("nope").unwrap_err();
         assert!(err.to_string().contains("JSON error"));
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(100_000);
+        assert!(from_str(&deep).unwrap_err().to_string().contains("nesting deeper"));
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(from_str(&ok).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(from_str(&over).is_err());
+    }
+
+    #[test]
+    fn multibyte_strings_parse() {
+        assert_eq!(
+            from_str("\"héllo µs → ok\"").unwrap(),
+            Value::String("héllo µs → ok".to_string())
+        );
     }
 }

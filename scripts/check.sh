@@ -94,7 +94,7 @@ ir_gate() {
 ir_gate crates/core/src/search.rs 'to_module\(|module\.clone\(\)|\.stmts\.clone\(\)|build_dag\('
 ir_gate crates/core/src/transform.rs 'to_module\('
 # explain_diff runs on the interned Program too — re-parsing through the
-# legacy DAG builder would fork the atom spelling the audit join relies on.
+# legacy DAG builder would fork the atom spelling the diff-line join relies on.
 ir_gate crates/core/src/explain.rs 'build_dag\('
 if [ "$gate_failed" -ne 0 ]; then
   echo "==> FAIL: the search hot path must stay on the interned IR"
@@ -217,33 +217,42 @@ if ! cmp -s "$batch_smoke/parallel.json" "$batch_smoke/serial.json"; then
   exit 1
 fi
 
-# Audit smoke: a standardize run with --audit must produce a stream that
-# `lucid why` renders with an exact Timings reconciliation, and the
-# stream must be byte-identical between a serial and a threaded run.
-echo "==> audit smoke (--audit stream, lucid why, reconciliation)"
-./target/release/lucid standardize --corpus "$batch_smoke/corpus" --data "$batch_smoke/data.csv" \
-  --script "$batch_smoke/corpus/b.py" --seq 3 --beam 2 \
-  --audit "$batch_smoke/serial.audit.jsonl" > /dev/null 2>&1
-./target/release/lucid standardize --corpus "$batch_smoke/corpus" --data "$batch_smoke/data.csv" \
-  --script "$batch_smoke/corpus/b.py" --seq 3 --beam 2 --threads 2 \
-  --audit "$batch_smoke/threaded.audit.jsonl" > /dev/null 2>&1
-if ! cmp -s "$batch_smoke/serial.audit.jsonl" "$batch_smoke/threaded.audit.jsonl"; then
-  echo "==> FAIL: audit stream differs between --threads 1 and --threads 2"
+# Trace smoke: one --trace file must render in all three views, with
+# `lucid why` reconciling the decision records exactly against the same
+# file's search_end counters, and the decision records (everything but
+# the timed measurement records) must be byte-identical between a
+# serial and a threaded run.
+echo "==> trace smoke (--trace stream, lucid trace/why, decision records)"
+for threads in 1 2; do
+  ./target/release/lucid standardize --corpus "$batch_smoke/corpus" --data "$batch_smoke/data.csv" \
+    --script "$batch_smoke/corpus/b.py" --seq 3 --beam 2 --threads "$threads" \
+    --trace "$batch_smoke/t$threads.jsonl" > /dev/null 2>&1
+  grep -E '^\{"v":3,"event":"(cand|lineage|diff_line|decision_end)"' \
+    "$batch_smoke/t$threads.jsonl" > "$batch_smoke/t$threads.decisions"
+done
+if [ ! -s "$batch_smoke/t1.decisions" ] \
+  || ! cmp -s "$batch_smoke/t1.decisions" "$batch_smoke/t2.decisions"; then
+  echo "==> FAIL: decision records missing or different between --threads 1 and --threads 2"
   exit 1
 fi
-./target/release/lucid why "$batch_smoke/serial.audit.jsonl" > "$batch_smoke/why.txt"
+./target/release/lucid why "$batch_smoke/t1.jsonl" > "$batch_smoke/why.txt"
 if ! grep -q 'reconciliation: ok' "$batch_smoke/why.txt"; then
-  echo "==> FAIL: lucid why did not report an exact Timings reconciliation"
-  cat "$batch_smoke/why.txt" | head -30
+  echo "==> FAIL: lucid why did not report an exact reconciliation"
+  head -30 "$batch_smoke/why.txt"
+  exit 1
+fi
+if ! ./target/release/lucid trace "$batch_smoke/t1.jsonl" | grep -q 'Figure 7'; then
+  echo "==> FAIL: lucid trace did not render the trace"
   exit 1
 fi
 
 # Telemetry overhead smoke: the always-on allocator attribution must
-# stay cheap, and the opt-in audit stream must stay under its pinned
-# budget (off within noise; on 30% or 3 ms). Counting-only keeps the
-# smoke fast; the full three-mode sweep runs via
+# stay cheap, and opt-in tracing, timed as wall time around each
+# standardization so every record it writes is counted, must stay under
+# its pinned budget (off within noise; on 30% or 3 ms). Counting-only
+# keeps the smoke fast; the full three-mode sweep runs via
 # `lucid bench --telemetry-overhead` on demand.
-echo "==> telemetry + audit overhead smoke (counting 5% or 2 ms; audit 30% or 3 ms)"
+echo "==> telemetry + trace overhead smoke (counting 5% or 2 ms; trace 30% or 3 ms)"
 ./target/release/lucid bench --telemetry-overhead --quick --reps 2 --counting-only
 
 echo "==> OK"

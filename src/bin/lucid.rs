@@ -7,7 +7,7 @@
 //! lucid corpus-stats --corpus DIR
 //! lucid trace       FILE.jsonl
 //! lucid trace       --aggregate FILE.jsonl...
-//! lucid why         FILE.audit.jsonl
+//! lucid why         FILE.jsonl
 //! lucid profile     FILE.jsonl [--out DIR]
 //! lucid bench       [--quick] [--reps N] [--out FILE] [--compare BASELINE]
 //! ```
@@ -34,7 +34,7 @@ USAGE:
   lucid corpus-stats --corpus <DIR>
   lucid trace        <FILE.jsonl>
   lucid trace        --aggregate <FILE.jsonl>...
-  lucid why          <FILE.audit.jsonl>
+  lucid why          <FILE.jsonl>
   lucid profile      <FILE.jsonl> [--out <DIR>]
   lucid bench        [--quick] [--reps <N>] [--out <FILE>] [--compare <BASELINE>]
   lucid bench        --telemetry-overhead [--quick] [--reps <N>] [--counting-only]
@@ -52,14 +52,12 @@ OPTIONS (standardize):
   --max-cells <N>     per-candidate materialized-cell cap (default unlimited)
   --deadline-ms <N>   per-candidate wall-clock deadline in ms (default unlimited;
                       the only budget axis that can break deterministic replay)
-  --trace <FILE>      write the search event log (JSONL) to FILE
+  --trace <FILE>      write the trace (JSONL) to FILE: the search's per-step
+                      measurements, then one record per candidate with its
+                      lineage and terminal disposition; render it with
+                      `lucid trace`, `lucid why` or `lucid profile`
   --trace-max-bytes <N>  rotate the trace file at N bytes (<FILE>.1 keeps the
                       previous segment; disk use stays around 2×N)
-  --audit <FILE>      write the decision-provenance stream (JSONL) to FILE:
-                      one record per explored candidate with its lineage and
-                      terminal disposition; render it with `lucid why`
-  --audit-max-bytes <N>  rotate the audit file at N bytes (same scheme as
-                      --trace-max-bytes)
   --profile-out <DIR> write profile exports (flame.folded, percentiles.txt,
                       profile.json) into DIR after the search
   --telemetry <MODE>  allocator telemetry: off | counting (default) | full
@@ -85,10 +83,8 @@ OPTIONS (batch):
                       hash x corpus fingerprint x config fingerprint)
   --batch-out <DIR>   write batch_report.json (deterministic), summary.txt,
                       and the standardized scripts under DIR/scripts/
-  --trace-dir <DIR>   write one JSONL event log per executed search to DIR
-  --audit-dir <DIR>   write one decision-provenance stream per script to DIR
-                      (<name>.audit.jsonl; memo hits get a stub pointing at
-                      their representative) plus a batch_audit.jsonl roll-up
+  --trace-dir <DIR>   write one trace per script to DIR (<name>.trace.jsonl;
+                      memo hits get a stub pointing at their representative)
   --explain           include per-change explanations in every script's
                       deterministic report entry
   --json              print the deterministic batch report as JSON
@@ -118,22 +114,26 @@ OPTIONS (bench):
                       workload with telemetry off/counting/full and fail when
                       counting exceeds 5% relative overhead and a 2 ms floor
                       (full mode, an opt-in diagnostic, gets 3x both bounds);
-                      also measures the --audit stream: audit-off must match
-                      the plain harness within noise, audit-on must stay under
-                      30% relative or a 3 ms floor
+                      also measures --trace as wall time around each
+                      standardization: trace-off must match the plain harness
+                      within noise, trace-on must stay under 30% relative or
+                      a 3 ms floor
   --counting-only     with --telemetry-overhead, skip the full-mode pass
 
-`lucid trace` summarizes an event log written by `--trace`: the per-step
-table, the Figure 7 phase totals, and cache/interpreter statistics; when
-a rotated `<FILE>.1` segment exists it is folded back in front of the
-current segment. `lucid trace --aggregate` merges several trace files
-into one cross-search table with per-phase totals and memory peaks.
-`lucid why` renders a decision-provenance stream written by `--audit`:
-per-step ranking tables with score deltas, the pruned-candidate
-graveyard grouped by disposition, the winner's lineage, the final-diff
-line-to-candidate join, and the exact reconciliation of disposition
-counts against the run's Timings counters.
-`lucid profile` renders the profile record of a trace (or of a
+`lucid trace`, `lucid why` and `lucid profile` are three views of one
+trace file written by `--trace` (schema v3; files of earlier versions are
+rejected by name). Each folds a rotated `<FILE>.1` segment back in front
+of the current one.
+`lucid trace` shows the per-step table, the Figure 7 phase totals, and
+cache/interpreter statistics; `lucid trace --aggregate` merges several
+trace files into one cross-search table with per-phase totals and memory
+peaks (batch memo-hit stubs show as memo rows).
+`lucid why` shows the decisions: per-step ranking tables with score
+deltas, the pruned-candidate graveyard grouped by disposition, the
+winner's lineage, the final-diff line-to-candidate join, and the exact
+reconciliation of disposition counts against the same file's search_end
+counters.
+`lucid profile` shows the profile record (also readable from a
 `--profile-out` profile.json): collapsed-stack flamegraph text plus
 p50/p90/p99/max phase percentiles; `--out` writes the files instead.
 ";
@@ -200,8 +200,8 @@ const SWITCH_FLAGS: &[&str] = &["explain", "json", "no-cache"];
 /// `--name value` flags of the standardize/score/corpus-stats family.
 const VALUE_FLAGS: &[&str] = &[
     "corpus", "data", "script", "tau-j", "tau-m", "target", "seq", "beam", "sample", "threads",
-    "trace", "trace-max-bytes", "audit", "audit-max-bytes", "profile-out", "fuel", "max-cells",
-    "deadline-ms", "telemetry", "stats-out", "stats-interval-ms",
+    "trace", "trace-max-bytes", "profile-out", "fuel", "max-cells", "deadline-ms", "telemetry",
+    "stats-out", "stats-interval-ms",
 ];
 /// Switches of `lucid bench`.
 const BENCH_SWITCH_FLAGS: &[&str] =
@@ -230,7 +230,6 @@ const BATCH_VALUE_FLAGS: &[&str] = &[
     "jobs",
     "batch-out",
     "trace-dir",
-    "audit-dir",
     "tau-j",
     "tau-m",
     "target",
@@ -341,11 +340,10 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
 
 const TRACE_USAGE: &str = "usage: lucid trace <FILE.jsonl> | lucid trace --aggregate <FILE.jsonl>...";
 
-/// `lucid trace <FILE.jsonl>`: parse a search event log and print the
+/// `lucid trace <FILE.jsonl>`: the measurement view of a trace — the
 /// per-step table plus the Figure 7 phase totals it reconstructs.
-/// `lucid trace --aggregate <FILE>...` merges several logs into one
-/// cross-search table. Both fold a rotated `<FILE>.1` segment back in
-/// front of the current one when rotation split the log.
+/// `lucid trace --aggregate <FILE>...` merges several traces into one
+/// cross-search table.
 fn trace_report(rest: &[String]) -> Result<(), CliError> {
     if rest.first().map(String::as_str) == Some("--aggregate") {
         let files = &rest[1..];
@@ -354,7 +352,7 @@ fn trace_report(rest: &[String]) -> Result<(), CliError> {
         }
         let mut inputs = Vec::with_capacity(files.len());
         for path in files {
-            let summary = lucidscript::obs::parse_trace(&read_trace_folding_rotation(path)?)?;
+            let summary = read_trace(path)?;
             let name = Path::new(path)
                 .file_name()
                 .and_then(|n| n.to_str())
@@ -368,53 +366,40 @@ fn trace_report(rest: &[String]) -> Result<(), CliError> {
     let [path] = rest else {
         return Err(CliError::Usage(TRACE_USAGE.to_string()));
     };
-    let summary = lucidscript::obs::parse_trace(&read_trace_folding_rotation(path)?)?;
-    print!("{}", summary.render());
+    print!("{}", read_trace(path)?.render());
     Ok(())
 }
 
-/// Reads a trace file, prepending its rotated `<path>.1` segment when
-/// one exists — the rotation holds the *older* records, so the folded
-/// stream replays in emission order.
-fn read_trace_folding_rotation(path: &str) -> Result<String, String> {
-    let current = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read trace '{path}': {e}"))?;
+/// Parses the trace at `path` (its rotated `<path>.1` segment folded in
+/// front); errors name the file.
+fn read_trace(path: &str) -> Result<lucidscript::obs::TraceSummary, CliError> {
     let rotated = lucidscript::obs::rotated_path(Path::new(path));
-    if !rotated.exists() {
-        return Ok(current);
+    if rotated.exists() {
+        eprintln!(
+            "note: folded rotated segment {} in front of {path}",
+            rotated.display()
+        );
     }
-    let mut text = std::fs::read_to_string(&rotated)
-        .map_err(|e| format!("cannot read rotated trace '{}': {e}", rotated.display()))?;
-    eprintln!(
-        "note: folded rotated segment {} in front of {path}",
-        rotated.display()
-    );
-    if !text.is_empty() && !text.ends_with('\n') {
-        text.push('\n');
-    }
-    text.push_str(&current);
-    Ok(text)
+    lucidscript::obs::read_trace(Path::new(path)).map_err(|e| CliError::Failed(e.to_string()))
 }
 
-const WHY_USAGE: &str = "usage: lucid why <FILE.audit.jsonl>";
+const WHY_USAGE: &str = "usage: lucid why <FILE.jsonl>";
 
-/// `lucid why <FILE.audit.jsonl>`: parse a decision-provenance stream
-/// written by `--audit` and render the per-step ranking tables, the
-/// pruned-candidate graveyard, the winner's lineage, the diff-line join,
-/// and the Timings reconciliation verdict. Rotated `<FILE>.1` segments
-/// fold back in front, as with `lucid trace`.
+/// `lucid why <FILE.jsonl>`: the decision view of a trace — per-step
+/// ranking tables, the pruned-candidate graveyard, the winner's lineage,
+/// the diff-line join, and the reconciliation against the same file's
+/// `search_end` counters.
 fn why_report(rest: &[String]) -> Result<(), CliError> {
     let [path] = rest else {
         return Err(CliError::Usage(WHY_USAGE.to_string()));
     };
-    let summary = lucidscript::obs::parse_audit(&read_trace_folding_rotation(path)?)?;
-    print!("{}", summary.render());
+    print!("{}", read_trace(path)?.render_why());
     Ok(())
 }
 
-/// `lucid profile <FILE.jsonl> [--out DIR]`: extract the profile record
-/// of a trace (or read a standalone `profile.json`) and print the folded
-/// flamegraph + percentile table — or write them into `--out`.
+/// `lucid profile <FILE.jsonl> [--out DIR]`: the profile view of a trace
+/// (a `--profile-out` profile.json is a one-record trace) — the folded
+/// flamegraph + percentile table, or those files written into `--out`.
 fn profile_report(rest: &[String]) -> Result<(), CliError> {
     let Some((path, flag_args)) = rest.split_first() else {
         return Err(CliError::Usage(
@@ -422,19 +407,12 @@ fn profile_report(rest: &[String]) -> Result<(), CliError> {
         ));
     };
     let flags = Flags::parse_with(flag_args, &[], PROFILE_VALUE_FLAGS)?;
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read profile source '{path}': {e}"))?;
-    // A `--profile-out` profile.json is one pretty-printed record; a
-    // trace is JSONL. Try the whole file first, then line-by-line.
-    let report = match lucidscript::obs::ProfileReport::from_trace(&text.replace('\n', " "))? {
-        Some(r) => r,
-        None => lucidscript::obs::ProfileReport::from_trace(&text)?.ok_or_else(|| {
-            format!(
-                "'{path}' carries no profile record — searches emit one when run \
-                 with --trace or --profile-out"
-            )
-        })?,
-    };
+    let report = read_trace(path)?.profile.ok_or_else(|| {
+        format!(
+            "'{path}' carries no profile record — searches emit one when run \
+             with --trace or --profile-out"
+        )
+    })?;
     if let Some(dir) = flags.get("out") {
         let dir = PathBuf::from(dir);
         std::fs::create_dir_all(&dir)
@@ -494,24 +472,24 @@ fn bench(flags: &Flags) -> Result<ExitCode, CliError> {
             eprintln!("telemetry overhead budget (counting 5% or 2 ms; full 3x): EXCEEDED");
         }
         eprintln!(
-            "measuring audit-stream overhead: {} workload(s) × {} rep(s) × 3 arm(s)...",
+            "measuring trace overhead: {} workload(s) × {} rep(s) × 3 arm(s)...",
             workloads.len(),
             reps
         );
-        let audit_reports = lucidscript::bench::measure_audit_overhead(&workloads, reps)?;
-        print!("{}", lucidscript::bench::overhead::render_audit(&audit_reports));
-        let audit_ok = audit_reports.iter().all(|r| {
+        let trace_reports = lucidscript::bench::measure_trace_overhead(&workloads, reps)?;
+        print!("{}", lucidscript::bench::overhead::render_trace(&trace_reports));
+        let trace_ok = trace_reports.iter().all(|r| {
             r.within_budget(
-                lucidscript::bench::AUDIT_BUDGET_FRAC,
-                lucidscript::bench::AUDIT_BUDGET_FLOOR_MS,
+                lucidscript::bench::TRACE_BUDGET_FRAC,
+                lucidscript::bench::TRACE_BUDGET_FLOOR_MS,
             )
         });
-        if audit_ok {
-            println!("audit overhead budget (off within noise; on 30% or 3 ms): ok");
+        if trace_ok {
+            println!("trace overhead budget (off within noise; on 30% or 3 ms): ok");
         } else {
-            eprintln!("audit overhead budget (off within noise; on 30% or 3 ms): EXCEEDED");
+            eprintln!("trace overhead budget (off within noise; on 30% or 3 ms): EXCEEDED");
         }
-        return Ok(if telemetry_ok && audit_ok {
+        return Ok(if telemetry_ok && trace_ok {
             ExitCode::SUCCESS
         } else {
             ExitCode::FAILURE
@@ -701,28 +679,6 @@ fn trace_sink_from(flags: &Flags) -> Result<Option<lucidscript::obs::TraceSink>,
         .map_err(|e| format!("cannot create trace file '{path}': {e}"))?)
 }
 
-/// Builds the `--audit` sink, honoring `--audit-max-bytes` rotation —
-/// the decision-provenance analog of [`trace_sink_from`].
-fn audit_sink_from(flags: &Flags) -> Result<Option<lucidscript::obs::TraceSink>, CliError> {
-    let max_bytes: u64 = flags
-        .get("audit-max-bytes")
-        .map_or(Ok(u64::MAX), |v| {
-            v.parse()
-                .ok()
-                .filter(|&n| n > 0)
-                .ok_or_else(|| bad("audit-max-bytes"))
-        })?;
-    let Some(path) = flags.get("audit") else {
-        if flags.get("audit-max-bytes").is_some() {
-            return Err(CliError::Usage("--audit-max-bytes requires --audit".to_string()));
-        }
-        return Ok(None);
-    };
-    Ok(lucidscript::obs::TraceSink::to_file_capped(path, max_bytes)
-        .map(Some)
-        .map_err(|e| format!("cannot create audit file '{path}': {e}"))?)
-}
-
 /// Builds the [`SearchConfig`] shared by `standardize` and `batch` from
 /// the common flag family. Flags a command does not accept (e.g. batch
 /// has no `--trace`/`--profile-out`) simply stay at their defaults.
@@ -742,7 +698,6 @@ fn search_config_from(
         prefix_cache: !flags.has("no-cache"),
         budget: budget_from(flags)?,
         trace: trace_sink_from(flags)?,
-        audit: audit_sink_from(flags)?,
         profile_out: flags
             .get("profile-out")
             .map(|dir| {
@@ -866,15 +821,6 @@ fn batch(flags: &Flags) -> Result<ExitCode, CliError> {
                 let dir = PathBuf::from(dir);
                 std::fs::create_dir_all(&dir)
                     .map_err(|e| format!("cannot create trace dir '{}': {e}", dir.display()))?;
-                Ok::<_, String>(dir)
-            })
-            .transpose()?,
-        audit_dir: flags
-            .get("audit-dir")
-            .map(|dir| {
-                let dir = PathBuf::from(dir);
-                std::fs::create_dir_all(&dir)
-                    .map_err(|e| format!("cannot create audit dir '{}': {e}", dir.display()))?;
                 Ok::<_, String>(dir)
             })
             .transpose()?,
@@ -1141,7 +1087,7 @@ mod tests {
         let err = run(&argv(&["profile"])).unwrap_err();
         assert!(matches!(&err, CliError::Usage(m) if m.contains("usage: lucid profile")), "{err:?}");
         let err = run(&argv(&["profile", "/nonexistent_lucid_profile.jsonl"])).unwrap_err();
-        assert!(matches!(&err, CliError::Failed(m) if m.contains("cannot read profile source")), "{err:?}");
+        assert!(matches!(&err, CliError::Failed(m) if m.contains("cannot read trace")), "{err:?}");
         let err = run(&argv(&["profile", "f.jsonl", "--json"])).unwrap_err();
         assert_eq!(err, "unknown flag '--json'");
     }
@@ -1175,31 +1121,18 @@ mod tests {
     }
 
     #[test]
-    fn audit_flags_parse_and_rotation_stays_coupled() {
-        // A temp path: creating the sink must not litter the cwd.
-        let audit = std::env::temp_dir()
-            .join(format!("lucid_auditparse_{}.jsonl", std::process::id()));
-        let flags = Flags::parse(&argv(&[
-            "--audit",
-            audit.to_str().unwrap(),
-            "--audit-max-bytes",
-            "65536",
-        ]))
-        .unwrap();
-        let sink = audit_sink_from(&flags);
-        assert!(sink.is_ok());
-        drop(sink);
-        std::fs::remove_file(&audit).ok();
-        // Rotation without an audit target is a user error.
-        let flags = Flags::parse(&argv(&["--audit-max-bytes", "1024"])).unwrap();
-        assert_eq!(
-            audit_sink_from(&flags).unwrap_err(),
-            "--audit-max-bytes requires --audit"
-        );
-        let flags = Flags::parse(&argv(&["--audit", "a", "--audit-max-bytes", "0"])).unwrap();
-        assert_eq!(audit_sink_from(&flags).unwrap_err(), "bad --audit-max-bytes");
-        // No flags: no sink.
-        assert!(audit_sink_from(&Flags::parse(&[]).unwrap()).unwrap().is_none());
+    fn audit_flags_are_unknown() {
+        // The decision records ride in the one --trace stream; the old
+        // separate-stream flags are gone from every command.
+        for args in [
+            &["standardize", "--audit", "a.jsonl"][..],
+            &["standardize", "--audit-max-bytes", "1024"],
+            &["batch", "--audit-dir", "d/"],
+        ] {
+            let err = run(&argv(args)).unwrap_err();
+            assert_eq!(err, format!("unknown flag '{}'", args[1]).as_str());
+            assert!(matches!(err, CliError::Usage(_)));
+        }
     }
 
     #[test]
@@ -1208,26 +1141,26 @@ mod tests {
         assert_eq!(err, WHY_USAGE);
         let err = run(&argv(&["why", "a", "b"])).unwrap_err();
         assert_eq!(err, WHY_USAGE);
-        let err = run(&argv(&["why", "/nonexistent_lucid_audit.jsonl"])).unwrap_err();
+        let err = run(&argv(&["why", "/nonexistent_lucid_why.jsonl"])).unwrap_err();
         assert!(matches!(&err, CliError::Failed(m) if m.contains("cannot read trace")), "{err:?}");
     }
 
     #[test]
-    fn batch_audit_and_explain_flags_parse() {
-        // --audit-dir needs a value; --explain is a switch.
-        let err = run(&argv(&["batch", "--audit-dir"])).unwrap_err();
-        assert_eq!(err, "--audit-dir requires a value");
+    fn batch_explain_and_trace_dir_flags_parse() {
+        // --trace-dir needs a value; --explain is a switch.
+        let err = run(&argv(&["batch", "--trace-dir"])).unwrap_err();
+        assert_eq!(err, "--trace-dir requires a value");
         let flags = Flags::parse_with(
-            &argv(&["--explain", "--audit-dir", "d/"]),
+            &argv(&["--explain", "--trace-dir", "d/"]),
             BATCH_SWITCH_FLAGS,
             BATCH_VALUE_FLAGS,
         )
         .unwrap();
         assert!(flags.has("explain"));
-        assert_eq!(flags.get("audit-dir"), Some("d/"));
-        // The single-file --audit flag belongs to standardize, not batch.
-        let err = run(&argv(&["batch", "--audit", "a.jsonl"])).unwrap_err();
-        assert_eq!(err, "unknown flag '--audit'");
+        assert_eq!(flags.get("trace-dir"), Some("d/"));
+        // The single-file --trace flag belongs to standardize, not batch.
+        let err = run(&argv(&["batch", "--trace", "t.jsonl"])).unwrap_err();
+        assert_eq!(err, "unknown flag '--trace'");
     }
 
     #[test]

@@ -157,25 +157,25 @@ fn memoized_duplicates_share_the_original_result() {
     assert!(!report.scripts[1].memo_hit);
 }
 
-/// The per-script audit streams join the batch determinism contract:
-/// for executed scripts the `<name>.audit.jsonl` bytes are identical
-/// across `--jobs 1/2/8` and memo on/off, memo hits get a stub naming
-/// their representative, and the `batch_audit.jsonl` roll-up reconciles
-/// exactly with the batch `Timings`.
+/// The per-script traces join the batch determinism contract: for
+/// executed scripts the decision records of `<name>.trace.jsonl` are
+/// byte-identical across `--jobs 1/2/8` and memo on/off, each trace
+/// reconciles against its own `search_end` counters, and memo hits get a
+/// stub naming their representative.
 #[test]
-fn batch_audit_files_are_byte_identical_across_jobs_and_memo() {
+fn batch_decision_records_are_byte_identical_across_jobs_and_memo() {
     let scripts = mini_scripts();
-    let run_audited = |tag: &str, jobs: usize, memo: bool| {
+    let run_traced = |tag: &str, jobs: usize, memo: bool| {
         let dir = std::env::temp_dir().join(format!(
-            "lucid_batch_audit_{tag}_{}",
+            "lucid_batch_decisions_{tag}_{}",
             std::process::id()
         ));
         std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).expect("audit dir");
+        std::fs::create_dir_all(&dir).expect("trace dir");
         let opts = BatchOptions {
             jobs,
             memo,
-            audit_dir: Some(dir.clone()),
+            trace_dir: Some(dir.clone()),
             ..BatchOptions::default()
         };
         let report = standardize_corpus(
@@ -188,71 +188,43 @@ fn batch_audit_files_are_byte_identical_across_jobs_and_memo() {
         .expect("batch runs");
         (dir, report)
     };
-
-    let (ref_dir, ref_report) = run_audited("ref", 1, false);
     let read = |dir: &std::path::Path, name: &str| {
-        std::fs::read_to_string(dir.join(format!("{name}.audit.jsonl")))
-            .unwrap_or_else(|e| panic!("audit for {name}: {e}"))
+        std::fs::read_to_string(dir.join(format!("{name}.trace.jsonl")))
+            .unwrap_or_else(|e| panic!("trace for {name}: {e}"))
     };
+    let decisions = |text: &str| lucidscript::obs::decision::decision_lines(text).join("\n");
+
+    let (ref_dir, _) = run_traced("ref", 1, false);
     for script in &scripts {
-        let text = read(&ref_dir, &script.name);
-        let summary = lucidscript::obs::parse_audit(&text)
-            .unwrap_or_else(|e| panic!("audit for {}: {e}", script.name));
+        let summary = lucidscript::obs::parse_trace(&read(&ref_dir, &script.name))
+            .unwrap_or_else(|e| panic!("trace for {}: {e}", script.name));
         summary
             .reconcile()
-            .unwrap_or_else(|e| panic!("audit for {}: {e}", script.name));
+            .unwrap_or_else(|e| panic!("trace for {}: {e}", script.name));
     }
 
     for (tag, jobs, memo) in [("j2", 2, false), ("j8", 8, false), ("j2m", 2, true)] {
-        let (dir, report) = run_audited(tag, jobs, memo);
+        let (dir, report) = run_traced(tag, jobs, memo);
         for (i, script) in scripts.iter().enumerate() {
             if memo && report.scripts[i].memo_hit {
                 // The duplicate ran no search: its file is a stub naming
-                // the representative whose stream holds the decisions.
-                let text = read(&dir, &script.name);
-                let summary = lucidscript::obs::parse_audit(&text).expect("stub parses");
-                let (hit, against) = summary.memo_hit.expect("stub carries memo_hit");
-                assert_eq!(hit, script.name);
-                assert_eq!(against, "script_1.py");
+                // the representative whose trace holds the decisions.
+                let summary =
+                    lucidscript::obs::parse_trace(&read(&dir, &script.name)).expect("stub parses");
+                let hit = summary.decisions.memo_hit.expect("stub carries memo_hit");
+                assert_eq!(hit.script, script.name);
+                assert_eq!(hit.against, "script_1.py");
                 continue;
             }
             assert_eq!(
-                read(&dir, &script.name),
-                read(&ref_dir, &script.name),
-                "audit bytes diverged for {} at jobs={jobs} memo={memo}",
+                decisions(&read(&dir, &script.name)),
+                decisions(&read(&ref_dir, &script.name)),
+                "decision records diverged for {} at jobs={jobs} memo={memo}",
                 script.name
             );
         }
         std::fs::remove_dir_all(&dir).ok();
     }
-
-    // The roll-up reconciles: summing executed-script rows reproduces the
-    // batch Timings counters exactly.
-    let rollup = std::fs::read_to_string(ref_dir.join("batch_audit.jsonl")).expect("roll-up");
-    let mut rows = 0usize;
-    let (mut deduped, mut pruned) = (0u64, 0u64);
-    let (mut fuel, mut cells, mut deadline, mut panicked) = (0u64, 0u64, 0u64, 0u64);
-    for line in rollup.lines() {
-        let v: serde_json::Value = serde_json::from_str(line).expect("roll-up row parses");
-        let num = |key: &str| v.get(key).and_then(|x| x.as_f64()).unwrap_or(0.0) as u64;
-        assert_eq!(v.get("event").and_then(|x| x.as_str()), Some("script"));
-        rows += 1;
-        deduped += num("deduped");
-        pruned += num("pruned_monotonicity");
-        fuel += num("budget_fuel");
-        cells += num("budget_cells");
-        deadline += num("budget_deadline");
-        panicked += num("panicked");
-    }
-    assert_eq!(rows, scripts.len());
-    let t = &ref_report.timings;
-    assert_eq!(deduped, t.candidates_deduped);
-    assert_eq!(pruned, t.pruned_monotonicity);
-    assert_eq!(fuel, t.budget_trips_fuel);
-    assert_eq!(cells, t.budget_trips_cells);
-    assert_eq!(deadline, t.budget_trips_deadline);
-    assert_eq!(panicked, t.candidates_panicked);
-
     std::fs::remove_dir_all(&ref_dir).ok();
 }
 
@@ -338,6 +310,8 @@ fn batch_trace_timings_and_store_totals_reconcile() {
 
     let (mut trace_hits, mut trace_misses, mut trace_evictions) = (0u64, 0u64, 0u64);
     let (mut trace_fit_hits, mut trace_fit_misses) = (0u64, 0u64);
+    // Drop counters: deduped, pruned, fuel/cells/deadline trips, panics.
+    let mut trace_drops = [0u64; 6];
     for script in &scripts {
         let path = dir.join(format!("{}.trace.jsonl", script.name));
         let text = std::fs::read_to_string(&path)
@@ -349,9 +323,32 @@ fn batch_trace_timings_and_store_totals_reconcile() {
         trace_evictions += summary.cache_evictions;
         trace_fit_hits += summary.fit_memo_hits;
         trace_fit_misses += summary.fit_memo_misses;
+        for (sum, value) in trace_drops.iter_mut().zip([
+            summary.candidates_deduped,
+            summary.pruned_monotonicity,
+            summary.budget_trips_fuel,
+            summary.budget_trips_cells,
+            summary.budget_trips_deadline,
+            summary.candidates_panicked,
+        ]) {
+            *sum += value;
+        }
     }
 
-    // Trace sum == Timings roll-up.
+    // Trace sum == Timings roll-up, drop counters included.
+    let t = &report.timings;
+    assert_eq!(
+        trace_drops,
+        [
+            t.candidates_deduped,
+            t.pruned_monotonicity,
+            t.budget_trips_fuel,
+            t.budget_trips_cells,
+            t.budget_trips_deadline,
+            t.candidates_panicked,
+        ]
+    );
+    assert!(t.candidates_deduped + t.pruned_monotonicity > 0, "drops exercised");
     assert_eq!(trace_hits, report.timings.prefix_cache_hits);
     assert_eq!(trace_misses, report.timings.prefix_cache_misses);
     assert_eq!(trace_evictions, report.timings.prefix_cache_evictions);

@@ -234,13 +234,93 @@ fn profile_renders_a_traced_search() {
         let text = std::fs::read_to_string(exports.join(file)).expect(file);
         assert!(!text.trim().is_empty(), "{file} is empty");
     }
+    // The exported profile.json is itself a one-record trace.
+    let json = exports.join("profile.json");
+    let out = lucid().args(["profile", json.to_str().unwrap()]).output().expect("runs");
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("interp.run"));
 
     // A trace without a profile record (e.g. hand-built) is a clear error.
     let bare = dir.join("bare.jsonl");
-    std::fs::write(&bare, "{\"v\":1,\"event\":\"search_start\",\"seq_len\":1,\"beam_k\":1,\"source_atoms\":1,\"re_before\":0.0}\n").expect("write");
+    std::fs::write(&bare, "{\"v\":3,\"event\":\"search_start\",\"seq_len\":1,\"beam_k\":1,\"source_atoms\":1,\"re_before\":0.0}\n").expect("write");
     let out = lucid().args(["profile", bare.to_str().unwrap()]).output().expect("runs");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("no profile record"));
+}
+
+/// One `--trace` file answers all three questions: `lucid trace`,
+/// `lucid why` (with an exact reconciliation) and `lucid profile` each
+/// render from it. The separate `--audit` stream is gone: its flag is
+/// unknown, so a second sink can no longer truncate the first.
+#[test]
+fn one_trace_file_renders_all_three_views() {
+    let dir = workdir();
+    let trace = dir.join("one.jsonl");
+    let standardize = |extra: &[&str]| {
+        let mut args = vec![
+            "standardize",
+            "--corpus",
+            dir.join("corpus").to_str().unwrap(),
+            "--data",
+            dir.join("diabetes.csv").to_str().unwrap(),
+            "--script",
+            dir.join("draft.py").to_str().unwrap(),
+            "--tau-j",
+            "0.5",
+            "--seq",
+            "4",
+        ]
+        .into_iter()
+        .map(str::to_string)
+        .collect::<Vec<_>>();
+        args.extend(extra.iter().map(|a| a.to_string()));
+        lucid().args(args).output().expect("runs")
+    };
+    let out = standardize(&["--trace", trace.to_str().unwrap()]);
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+
+    let view = |cmd: &str| {
+        let out = lucid().args([cmd, trace.to_str().unwrap()]).output().expect("runs");
+        assert!(out.status.success(), "{cmd}: {}", String::from_utf8_lossy(&out.stderr));
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let summary = view("trace");
+    assert!(summary.contains("Figure 7"), "{summary}");
+    assert!(!summary.contains("warning"), "no line may be skipped:\n{summary}");
+    let why = view("why");
+    assert!(why.contains("graveyard"), "{why}");
+    assert!(why.trim_end().ends_with("reconciliation: ok"), "{why}");
+    let profile = view("profile");
+    assert!(profile.contains("interp.run"), "{profile}");
+
+    // The old second-sink flags are rejected as command-line errors.
+    for flag in ["--audit", "--audit-max-bytes"] {
+        let out = standardize(&["--trace", trace.to_str().unwrap(), flag, "x"]);
+        assert!(!out.status.success());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("unknown flag '{flag}'")), "{stderr}");
+    }
+}
+
+/// Files of the earlier schemas are rejected with an error naming the
+/// file and its version, by every view.
+#[test]
+fn old_trace_schemas_are_rejected_by_name() {
+    let dir = workdir();
+    let old = dir.join("old.jsonl");
+    std::fs::write(&old, "{\"v\":2,\"event\":\"cand\",\"id\":0}\n").expect("write");
+    for cmd in ["trace", "why", "profile"] {
+        let out = lucid().args([cmd, old.to_str().unwrap()]).output().expect("runs");
+        assert!(!out.status.success());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!(
+                "{}: trace schema v2 is no longer read (this build reads v3)",
+                old.display()
+            )),
+            "{cmd}: {stderr}"
+        );
+    }
 }
 
 #[test]

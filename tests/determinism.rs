@@ -10,6 +10,7 @@ use lucidscript::core::intent::IntentMeasure;
 use lucidscript::core::standardizer::Standardizer;
 use lucidscript::corpus::Profile;
 use lucidscript::interp::Budget;
+use lucidscript::obs::decision::decision_lines;
 use lucidscript::obs::TraceSink;
 
 fn run_arm(threads: usize, prefix_cache: bool, budget: Budget) -> (String, f64, usize) {
@@ -106,10 +107,10 @@ fn search_is_byte_identical_with_profiling_on_and_off() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Runs one audited arm: same workload as [`run_arm`], with an in-memory
-/// `--audit` sink attached. Returns the deterministic outputs plus the
-/// full audit stream.
-fn run_arm_audited(
+/// Runs one traced arm: same workload as [`run_arm`], with an in-memory
+/// `--trace` sink attached. Returns the deterministic outputs plus the
+/// whole trace.
+fn run_arm_traced(
     threads: usize,
     prefix_cache: bool,
     budget: Budget,
@@ -130,7 +131,7 @@ fn run_arm_audited(
         threads,
         prefix_cache,
         budget,
-        audit: Some(sink.clone()),
+        trace: Some(sink.clone()),
         ..SearchConfig::default()
     };
     let std = Standardizer::build(&corpus, profile.file, data, config).expect("builds");
@@ -143,42 +144,46 @@ fn run_arm_audited(
     )
 }
 
-/// The decision-provenance stream joins the determinism contract:
-/// auditing must not perturb the search, and the audit bytes themselves
-/// must be identical across threads × cache × (non-deadline) budget —
+/// The decision records join the determinism contract: tracing must not
+/// perturb the search, and the decision records themselves must be
+/// byte-identical across threads × cache × (non-deadline) budget —
 /// candidate IDs come from enumeration order, never scheduling.
 #[test]
-fn audit_stream_is_byte_identical_and_decision_invariant() {
+fn decision_records_are_byte_identical_and_decision_invariant() {
     let (ref_src, ref_re, ref_explored) = run_arm(1, false, Budget::unlimited());
-    let (_, _, _, ref_audit) = run_arm_audited(1, false, Budget::unlimited());
-    assert!(!ref_audit.is_empty(), "audit stream populated");
+    let (_, _, _, ref_trace) = run_arm_traced(1, false, Budget::unlimited());
+    let ref_decisions = decision_lines(&ref_trace);
+    assert!(ref_decisions.len() > 2, "decision records populated");
     for threads in [1, 4] {
         for prefix_cache in [false, true] {
             for budget in [Budget::unlimited(), generous()] {
-                let (src, re, explored, audit) = run_arm_audited(threads, prefix_cache, budget);
+                let (src, re, explored, trace) = run_arm_traced(threads, prefix_cache, budget);
                 assert_eq!(
                     src, ref_src,
-                    "audited output diverged at threads={threads} cache={prefix_cache}"
+                    "traced output diverged at threads={threads} cache={prefix_cache}"
                 );
                 assert!(
                     (re - ref_re).abs() < 1e-15,
-                    "audited RE diverged at threads={threads} cache={prefix_cache}"
+                    "traced RE diverged at threads={threads} cache={prefix_cache}"
                 );
                 assert_eq!(
                     explored, ref_explored,
-                    "audited explored diverged at threads={threads} cache={prefix_cache}"
+                    "traced explored diverged at threads={threads} cache={prefix_cache}"
                 );
                 assert_eq!(
-                    audit, ref_audit,
-                    "audit bytes diverged at threads={threads} cache={prefix_cache} budget={budget:?}"
+                    decision_lines(&trace),
+                    ref_decisions,
+                    "decision records diverged at threads={threads} cache={prefix_cache} budget={budget:?}"
                 );
             }
         }
     }
-    // The stream parses, reconciles, and renders.
-    let summary = lucidscript::obs::parse_audit(&ref_audit).expect("audit parses");
-    summary.reconcile().expect("dispositions reconcile with Timings");
-    assert!(summary.render().contains("reconciliation: ok"));
+    // The stream parses, reconciles, and renders all three views.
+    let summary = lucidscript::obs::parse_trace(&ref_trace).expect("trace parses");
+    summary.reconcile().expect("dispositions reconcile with search_end");
+    assert!(summary.render_why().contains("reconciliation: ok"));
+    assert!(summary.render().contains("Figure 7"));
+    assert!(summary.profile.is_some());
 }
 
 #[test]

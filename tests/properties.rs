@@ -822,3 +822,141 @@ fn unseen_atoms_between_the_same_corpus_atoms_keep_text_order() {
     let keys: Vec<_> = unseen.iter().map(|a| model.order_key(a)).collect();
     assert!(keys[2] < keys[1] && keys[1] < keys[0]);
 }
+
+/// A real traced standardization: measurement records, profile, decision
+/// records and a final diff, built once per test process.
+fn real_trace() -> &'static str {
+    static TRACE: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+    TRACE.get_or_init(|| {
+        let profile = Profile::titanic();
+        let corpus: Vec<String> = profile
+            .generate_corpus(5)
+            .into_iter()
+            .map(|s| s.source)
+            .collect();
+        let sink = lucidscript::obs::TraceSink::in_memory();
+        let config = SearchConfig {
+            seq_len: 3,
+            beam_k: 2,
+            intent: IntentMeasure::jaccard(0.5),
+            sample_rows: Some(100),
+            trace: Some(sink.clone()),
+            ..SearchConfig::default()
+        };
+        let std = Standardizer::build(&corpus, profile.file, profile.generate_data(5, 0.05), config)
+            .expect("builds");
+        std.standardize_source(&corpus[1]).expect("runs");
+        sink.memory_lines().expect("memory sink").join("\n")
+    })
+}
+
+/// Parses `text` and renders every view of it. The parser and the views
+/// must be total: any input yields `Ok` or a typed `Err`, never a panic.
+fn parse_and_render(
+    text: &str,
+) -> Result<lucidscript::obs::TraceSummary, lucidscript::obs::TraceError> {
+    let summary = lucidscript::obs::parse_trace(text)?;
+    let _ = summary.render();
+    let _ = summary.render_why();
+    let _ = summary.reconcile();
+    if let Some(profile) = &summary.profile {
+        let _ = profile.percentile_table();
+        let _ = profile.folded_text();
+    }
+    let _ = lucidscript::obs::aggregate_summaries(&[("t".to_string(), summary.clone())]).render();
+    Ok(summary)
+}
+
+/// Fragments of the trace grammar, to glue into near-records.
+const TRACE_TOKENS: &[&str] = &[
+    "{", "}", "[", "]", ":", ",", "\n", " ", "\"", "null", "true", "false", "0", "1", "2", "3",
+    "-1", "0.5", "1e308", "-1e308", "18446744073709551616", "\"v\"", "\"event\"", "\"cand\"",
+    "\"lineage\"", "\"diff_line\"", "\"decision_end\"", "\"memo_hit\"", "\"search_start\"",
+    "\"step\"", "\"verify\"", "\"search_end\"", "\"profile\"", "\"id\"", "\"parent\"", "\"op\"",
+    "\"re\"", "\"disposition\"", "\"Selected\"", "\"OutRanked\"", "\"Deduped\"",
+    "\"BudgetTripped\"", "\"BeamCut\"", "\"kind\"", "\"fuel\"", "\"at_step\"", "\"score_gap\"",
+    "\"ids\"", "\"ops\"", "\"total\"", "\"selected\"", "\"diff_lines\"", "\"script\"",
+    "\"against\"", "\"kept\"", "\"folded\"", "\"stack\"", "\"percentiles\"", "\"name\"",
+    "\"stmt_spans\"", "\"panic_payloads\"", "\"\\u00e9\"", "\"µs\"", "{\"v\":3,\"event\":",
+    "{\"v\":2,\"event\":", "\\",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Arbitrary bytes (lossily decoded, as a reader of a corrupt file
+    /// would) never panic the parser or its views.
+    #[test]
+    fn trace_parser_is_total_on_arbitrary_bytes(
+        bytes in prop::collection::vec(any::<u8>(), 0..512)
+    ) {
+        let _ = parse_and_render(&String::from_utf8_lossy(&bytes));
+    }
+
+    /// Token soup over the trace grammar (near-records with wrong types,
+    /// huge and negative numbers, foreign versions, odd nesting) never
+    /// panics the parser or its views.
+    #[test]
+    fn trace_parser_is_total_on_token_soup(
+        tokens in prop::collection::vec(prop::sample::select(TRACE_TOKENS.to_vec()), 0..160)
+    ) {
+        let _ = parse_and_render(&tokens.concat());
+    }
+
+    /// Real trace lines with soup spliced in: whatever survives parses,
+    /// and the damaged stream never reconciles as if intact unless the
+    /// splice left every record in place.
+    #[test]
+    fn damaged_real_traces_never_falsely_reconcile(
+        cut in 0usize..10_000,
+        tokens in prop::collection::vec(prop::sample::select(TRACE_TOKENS.to_vec()), 1..12)
+    ) {
+        let lines: Vec<&str> = real_trace().lines().collect();
+        let at = cut % lines.len();
+        let mut damaged: Vec<String> = lines.iter().map(|l| l.to_string()).collect();
+        damaged[at] = tokens.concat();
+        if let Ok(summary) = parse_and_render(&damaged.join("\n")) {
+            if summary.reconcile().is_ok() {
+                // Only a harmless replacement may still reconcile: the
+                // replaced line was not a record the reconciliation counts.
+                let counted = !lucidscript::obs::decision::decision_lines(lines[at]).is_empty()
+                    || lucidscript::obs::parse_trace(lines[at]).is_ok_and(|o| o.complete);
+                prop_assert!(
+                    !counted,
+                    "line {} replaced by {:?} still reconciled",
+                    at,
+                    damaged[at]
+                );
+            }
+        }
+    }
+}
+
+/// Every prefix of a real trace, cut at a line boundary or inside a line,
+/// parses (or fails with a typed error) and never reconciles: the trailer
+/// is the last record, so only the whole stream is complete.
+#[test]
+fn every_truncation_of_a_real_trace_fails_reconciliation() {
+    let full = real_trace();
+    let summary = parse_and_render(full).expect("own trace parses");
+    summary.reconcile().expect("the whole stream reconciles");
+    assert!(!summary.decisions.diff_lines.is_empty(), "fixture must change the script");
+    let lines: Vec<&str> = full.lines().collect();
+    for cut in 0..lines.len() {
+        let whole_lines = lines[..cut].join("\n");
+        let line = lines[cut];
+        let mid = line.char_indices().nth(line.chars().count() / 2).map_or(0, |(i, _)| i);
+        for prefix in [whole_lines.clone(), format!("{whole_lines}\n{}", &line[..mid])] {
+            match parse_and_render(&prefix) {
+                Ok(s) => assert!(
+                    s.reconcile().is_err(),
+                    "prefix of {cut} lines (+{mid} bytes) reconciled"
+                ),
+                Err(e) => assert!(
+                    matches!(e.kind, lucidscript::obs::TraceErrorKind::Empty { .. }),
+                    "prefix of {cut} lines: {e}"
+                ),
+            }
+        }
+    }
+}

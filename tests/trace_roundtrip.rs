@@ -80,7 +80,7 @@ fn trace_round_trips_and_matches_timings() {
     assert_eq!(summary.cache_evictions, t.prefix_cache_evictions);
 
     // Unknown events and fields are forward-compatible; bad versions fail.
-    let extended = format!("{text}\n{{\"v\": 1, \"event\": \"future_thing\"}}");
+    let extended = format!("{text}\n{{\"v\": 3, \"event\": \"future_thing\"}}");
     let summary2 = parse_trace(&extended).unwrap();
     assert_eq!(summary2.unknown_events, 1);
     assert!(parse_trace("{\"v\": 99, \"event\": \"step\"}").is_err());
