@@ -1,17 +1,15 @@
 //! Kernel micro-suite behind `lucid bench --kernels`.
 //!
-//! Where the standard suite times whole searches, these workloads time a
-//! single frame kernel (fillna, get_dummies, astype, compare, arith,
-//! groupby-agg, value-Jaccard) over deterministic ~100k-row synthetic
-//! columns — the hot loops the columnar layout (null-bitmap buffers,
-//! dictionary-encoded strings) was built for. Results are recorded as
-//! ordinary [`WorkloadResult`]s named `kernel-<family>`, each carrying a
-//! single `total_ms` phase, and appended to a [`BenchEntry`] the same way
-//! the batch suite extends one — so the trajectory file, the renderers,
-//! and the noise-aware regression gate need no new cases.
+//! These workloads time a single frame kernel (fillna, get_dummies,
+//! astype, compare, arith, groupby-agg, value-Jaccard) over deterministic
+//! ~100k-row synthetic columns — the hot loops the columnar layout
+//! (null-bitmap buffers, dictionary-encoded strings) was built for, and
+//! too small for the end-to-end benchmark to resolve. Results are
+//! recorded as [`WorkloadResult`]s named `kernel-<family>` with parameters
+//! `rows=<KERNEL_ROWS>`, each carrying a single `total_ms` row, so the
+//! trajectory file and the regression gate need no new cases.
 
-use crate::stats::Stats;
-use crate::trajectory::{BenchEntry, Counters, PhaseStat, WorkloadResult};
+use crate::trajectory::{BenchEntry, Stat, WorkloadResult, MS};
 use lucid_frame::groupby::{group_agg, AggFn};
 use lucid_frame::ops::{arith, compare, ArithOp, CmpOp, Operand};
 use lucid_frame::{value_jaccard, Column, DType, DataFrame, Value};
@@ -181,8 +179,8 @@ pub fn kernel_suite() -> Vec<KernelWorkload> {
 }
 
 /// Runs one kernel workload `reps` times over prebuilt data and
-/// summarizes it as a [`WorkloadResult`] with a single `total_ms` phase
-/// (counters zero, no memory rows — a kernel call is too small for the
+/// summarizes it as a [`WorkloadResult`] with a single `total_ms` row (no
+/// counters, no memory rows — a kernel call is too small for the
 /// allocator's phase windows to say anything honest).
 pub fn run_kernel_workload(w: &KernelWorkload, data: &KernelData, reps: usize) -> WorkloadResult {
     let reps = reps.max(1);
@@ -196,50 +194,21 @@ pub fn run_kernel_workload(w: &KernelWorkload, data: &KernelData, reps: usize) -
     // The checksum keeps the kernel call from being optimized away and
     // catches NaN escapes: every kernel returns a finite observable.
     assert!(sink.is_finite(), "kernel {} produced non-finite output", w.name);
-    let s = Stats::of(&samples);
     WorkloadResult {
         name: w.name.to_string(),
+        params: format!("rows={KERNEL_ROWS}"),
         reps,
-        phases: vec![PhaseStat {
-            name: "total_ms".to_string(),
-            median_ms: s.median,
-            min_ms: s.min,
-            max_ms: s.max,
-            mean_ms: s.mean,
-        }],
-        mem: Vec::new(),
-        counters: Counters::default(),
+        rows: vec![Stat::of("total_ms", MS, &samples)],
+        counters: None,
     }
 }
 
-/// Appends the kernel-suite results to `entry` and re-stamps its config
-/// fingerprint (mirroring [`crate::extend_with_batch`]): a
-/// kernel-extended entry is not comparable to a plain one, and the
-/// fingerprint is how that shows.
+/// Appends the kernel-suite results to `entry`.
 pub fn extend_with_kernels(entry: &mut BenchEntry, reps: usize) {
     let data = KernelData::build();
     for w in kernel_suite() {
         entry.workloads.push(run_kernel_workload(&w, &data, reps));
     }
-    entry.config_fingerprint = format!("{}+{}", entry.config_fingerprint, kernel_fingerprint());
-}
-
-/// Deterministic digest of the kernel-suite parameters, same FNV-1a
-/// construction as [`crate::trajectory::config_fingerprint`].
-pub fn kernel_fingerprint() -> String {
-    let suite = kernel_suite();
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut feed = |bytes: &[u8]| {
-        for &b in bytes {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    for w in &suite {
-        feed(w.name.as_bytes());
-        feed(&format!("|{KERNEL_ROWS}").into_bytes());
-    }
-    format!("{}k-{hash:016x}", suite.len())
 }
 
 #[cfg(test)]
@@ -247,15 +216,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn kernel_workloads_run_and_record_a_total_phase() {
+    fn kernel_workloads_run_and_record_a_total_row() {
         let data = KernelData::build();
         for w in kernel_suite() {
             let r = run_kernel_workload(&w, &data, 2);
             assert_eq!(r.reps, 2);
-            assert_eq!(r.phases.len(), 1, "{}", w.name);
-            assert_eq!(r.phases[0].name, "total_ms");
-            assert!(r.phases[0].median_ms >= 0.0);
-            assert!(r.mem.is_empty());
+            assert_eq!(r.params, "rows=100000");
+            assert_eq!(r.rows.len(), 1, "{}", w.name);
+            assert_eq!((r.rows[0].name.as_str(), r.rows[0].unit), ("total_ms", MS));
+            assert!(r.rows[0].median >= 0.0);
+            assert!(r.counters.is_none());
         }
     }
 
@@ -274,22 +244,5 @@ mod tests {
         let hits = run_str_filter(&data);
         assert!(hits > 0.0 && hits < KERNEL_ROWS as f64);
         assert_eq!(run_str_filter(&data), hits);
-    }
-
-    #[test]
-    fn extend_restamps_the_fingerprint() {
-        let mut entry = BenchEntry {
-            schema: crate::TRAJECTORY_SCHEMA,
-            commit: "test".to_string(),
-            date: "2026-08-09".to_string(),
-            config_fingerprint: "1w-0".to_string(),
-            reps: 1,
-            workloads: Vec::new(),
-        };
-        extend_with_kernels(&mut entry, 1);
-        assert_eq!(entry.workloads.len(), kernel_suite().len());
-        assert!(entry.config_fingerprint.starts_with("1w-0+"));
-        assert!(entry.config_fingerprint.contains("k-"));
-        assert!(entry.workloads.iter().all(|w| w.name.starts_with("kernel-")));
     }
 }

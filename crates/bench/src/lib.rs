@@ -30,7 +30,7 @@ pub mod stats;
 pub mod trajectory;
 
 pub use env::ExpEnv;
-pub use kernels::{extend_with_kernels, kernel_suite, run_kernel_workload, KernelData};
+pub use kernels::{extend_with_kernels, kernel_suite};
 pub use overhead::{
     measure_overhead, measure_trace_overhead, OverheadReport, TraceOverheadReport,
     TRACE_BUDGET_FLOOR_MS, TRACE_BUDGET_FRAC,
@@ -38,7 +38,6 @@ pub use overhead::{
 pub use runner::{improvement_of_rewrite, leave_one_out_ls, MethodImprovements};
 pub use stats::Stats;
 pub use trajectory::{
-    append_entry, batch_suite, compare_entries, extend_with_batch, load_baseline, quick_suite,
-    run_batch_workload, run_suite, suite, BatchWorkload, BenchEntry, Comparison, GateOptions,
-    TRAJECTORY_SCHEMA,
+    append_entry, compare_entries, load_baseline, quick_suite, run_suite, suite, BenchEntry,
+    Comparison, GateOptions, TRAJECTORY_SCHEMA,
 };

@@ -1,11 +1,16 @@
-//! Telemetry overhead harness — the proof that fleet telemetry is
-//! cheap enough to leave on.
+//! Telemetry and trace overhead harness — the proof that fleet
+//! telemetry is cheap enough to leave on, and tracing cheap enough to
+//! turn on.
 //!
-//! `measure_overhead` runs each pinned workload under each
-//! [`TelemetryMode`] (off / counting / full) and compares the *fastest*
-//! rep per mode: min-over-reps is the standard low-noise statistic for
-//! overhead measurement, since scheduler hiccups only ever add time.
-//! The budget check is a disjunction — a mode passes when its relative
+//! Every arm is timed the same way: wall time around one
+//! `standardize_source` call, fastest rep kept (min-over-reps is the
+//! standard low-noise statistic for overhead, since scheduler hiccups
+//! only ever add time). The arms run interleaved rep by rep, rotating
+//! which goes first, because the host's speed drifts between back-to-back
+//! runs by more than the overheads being judged; arm-after-arm timing
+//! would charge that drift to whichever arm ran in the slow stretch.
+//!
+//! The budget check is a disjunction — an arm passes when its relative
 //! overhead is under the fraction OR its absolute delta is under the
 //! floor — because on a fast workload a few milliseconds of timer noise
 //! can exceed any percentage of a small base. The strict budget pins
@@ -18,9 +23,6 @@
 //! across modes (pinned by the determinism suite).
 
 use crate::trajectory::Workload;
-use lucid_core::config::SearchConfig;
-use lucid_core::intent::IntentMeasure;
-use lucid_core::standardizer::Standardizer;
 use lucid_obs::alloc::{self, TelemetryMode};
 use lucid_obs::TraceSink;
 use std::time::Instant;
@@ -126,46 +128,30 @@ pub fn measure_overhead(
     counting_only: bool,
 ) -> Result<Vec<OverheadReport>, String> {
     let prev_mode = alloc::mode();
-    let result = measure_inner(workloads, reps, counting_only);
+    let modes = [
+        TelemetryMode::Off,
+        TelemetryMode::Counting,
+        TelemetryMode::Full,
+    ];
+    let arms: Vec<Arm> = modes[..if counting_only { 2 } else { 3 }]
+        .iter()
+        .map(|&mode| Arm::Shared(mode))
+        .collect();
+    let result = workloads
+        .iter()
+        .map(|w| {
+            let best = fastest_interleaved(w, reps, &arms)?;
+            Ok(OverheadReport {
+                workload: w.name.to_string(),
+                reps: reps.max(1),
+                off_ms: best[0],
+                counting_ms: best[1],
+                full_ms: best.get(2).copied(),
+            })
+        })
+        .collect();
     alloc::set_mode(prev_mode);
     result
-}
-
-fn measure_inner(
-    workloads: &[Workload],
-    reps: usize,
-    counting_only: bool,
-) -> Result<Vec<OverheadReport>, String> {
-    let mut reports = Vec::with_capacity(workloads.len());
-    for w in workloads {
-        let off_ms = fastest_total(w, reps, TelemetryMode::Off)?;
-        let counting_ms = fastest_total(w, reps, TelemetryMode::Counting)?;
-        let full_ms = if counting_only {
-            None
-        } else {
-            Some(fastest_total(w, reps, TelemetryMode::Full)?)
-        };
-        reports.push(OverheadReport {
-            workload: w.name.to_string(),
-            reps: reps.max(1),
-            off_ms,
-            counting_ms,
-            full_ms,
-        });
-    }
-    Ok(reports)
-}
-
-/// The fastest end-to-end rep of `w` under `mode`, in ms.
-fn fastest_total(w: &Workload, reps: usize, mode: TelemetryMode) -> Result<f64, String> {
-    alloc::set_mode(mode);
-    let result = crate::trajectory::run_workload(w, reps, 1.0, 1.0)?;
-    result
-        .phases
-        .iter()
-        .find(|p| p.name == "total_ms")
-        .map(|p| p.min_ms)
-        .ok_or_else(|| format!("workload {}: no total_ms phase", w.name))
 }
 
 /// Pinned budget for tracing (`--trace`): relative overhead of trace-on
@@ -186,7 +172,8 @@ pub const TRACE_BUDGET_FLOOR_MS: f64 = 3.0;
 /// after the search clock stops, and those writes are part of the cost.
 ///
 /// `baseline_ms` runs the plain harness shape (one untraced standardizer
-/// reused across reps, as [`crate::trajectory::run_workload`] does);
+/// reused across reps, as the telemetry arms and
+/// [`crate::trajectory::run_workload`] do);
 /// `off_ms` builds a fresh standardizer per rep with no sink; `on_ms`
 /// attaches a fresh in-memory trace sink per rep. Baseline and off run
 /// the same search code — candidate IDs are minted either way, fates are
@@ -266,70 +253,62 @@ pub fn measure_trace_overhead(
     workloads: &[Workload],
     reps: usize,
 ) -> Result<Vec<TraceOverheadReport>, String> {
-    let mut reports = Vec::with_capacity(workloads.len());
-    for w in workloads {
-        reports.push(TraceOverheadReport {
-            workload: w.name.to_string(),
-            reps: reps.max(1),
-            baseline_ms: fastest_wall(w, reps, Arm::Baseline)?,
-            off_ms: fastest_wall(w, reps, Arm::Off)?,
-            on_ms: fastest_wall(w, reps, Arm::On)?,
-        });
-    }
-    Ok(reports)
+    let arms = [
+        Arm::Shared(alloc::mode()),
+        Arm::Fresh { trace: false },
+        Arm::Fresh { trace: true },
+    ];
+    workloads
+        .iter()
+        .map(|w| {
+            let best = fastest_interleaved(w, reps, &arms)?;
+            Ok(TraceOverheadReport {
+                workload: w.name.to_string(),
+                reps: reps.max(1),
+                baseline_ms: best[0],
+                off_ms: best[1],
+                on_ms: best[2],
+            })
+        })
+        .collect()
 }
 
-/// The three arms of the trace harness.
-#[derive(Clone, Copy, PartialEq)]
+/// Where one arm's standardizer comes from.
+#[derive(Clone, Copy)]
 enum Arm {
-    Baseline,
-    Off,
-    On,
+    /// The workload's one untraced standardizer, reused across reps (the
+    /// plain harness shape), run under this telemetry mode.
+    Shared(TelemetryMode),
+    /// A standardizer built per rep, with a fresh in-memory trace sink or
+    /// none, so a stream's length stays per-rep.
+    Fresh { trace: bool },
 }
 
-/// The fastest wall time of `w` around the standardize call under `arm`.
-/// The trace-on arm gets a fresh in-memory sink per rep, so stream length
-/// stays per-rep.
-fn fastest_wall(w: &Workload, reps: usize, arm: Arm) -> Result<f64, String> {
-    let profile = (w.profile)();
-    let data = profile.generate_data(5, 0.05);
-    let corpus: Vec<String> = profile
-        .generate_corpus(5)
-        .into_iter()
-        .map(|s| s.source)
-        .collect();
-    let build = |trace: Option<TraceSink>| {
-        let config = SearchConfig {
-            seq_len: w.seq_len,
-            beam_k: w.beam_k,
-            intent: IntentMeasure::jaccard(0.5),
-            sample_rows: Some(w.sample_rows),
-            threads: w.threads,
-            prefix_cache: w.prefix_cache,
-            trace,
-            ..SearchConfig::default()
-        };
-        Standardizer::build(&corpus, profile.file, data.clone(), config)
-            .map_err(|e| format!("workload {}: {e}", w.name))
-    };
-    let reused = match arm {
-        Arm::Baseline => Some(build(None)?),
-        Arm::Off | Arm::On => None,
-    };
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let fresh;
-        let std = match &reused {
-            Some(std) => std,
-            None => {
-                fresh = build((arm == Arm::On).then(TraceSink::in_memory))?;
-                &fresh
-            }
-        };
-        let t0 = Instant::now();
-        std.standardize_source(&corpus[1])
-            .map_err(|e| format!("workload {}: {e}", w.name))?;
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
+/// Each arm's fastest wall time of `w`, in ms, around the standardize
+/// call alone (building a fresh standardizer is not timed). Arms run
+/// interleaved: rep `r` starts with arm `r mod arms.len()`.
+fn fastest_interleaved(w: &Workload, reps: usize, arms: &[Arm]) -> Result<Vec<f64>, String> {
+    let (shared, script) = w.build(None)?;
+    let mut best = vec![f64::INFINITY; arms.len()];
+    for rep in 0..reps.max(1) {
+        for k in 0..arms.len() {
+            let i = (rep + k) % arms.len();
+            let fresh;
+            let std = match arms[i] {
+                Arm::Shared(mode) => {
+                    alloc::set_mode(mode);
+                    &shared
+                }
+                Arm::Fresh { trace } => {
+                    fresh = w.build(trace.then(TraceSink::in_memory))?.0;
+                    &fresh
+                }
+            };
+            let t0 = Instant::now();
+            std.standardize_source(&script)
+                .map_err(|e| format!("workload {}: {e}", w.name))?;
+            best[i] = best[i].min(t0.elapsed().as_secs_f64() * 1e3);
+        }
     }
     Ok(best)
 }

@@ -249,12 +249,17 @@ impl CorpusModel {
     ///
     /// # Errors
     ///
-    /// Propagates parse failures and the empty-corpus check.
+    /// [`CoreError::CorpusParse`] naming the first source that does not
+    /// parse, and the empty-corpus check.
     pub fn build_from_sources(sources: &[impl AsRef<str>]) -> Result<CorpusModel> {
         let modules: Vec<Module> = sources
             .iter()
-            .map(|s| lucid_pyast::parse_module(s.as_ref()))
-            .collect::<std::result::Result<_, _>>()?;
+            .enumerate()
+            .map(|(index, s)| {
+                lucid_pyast::parse_module(s.as_ref())
+                    .map_err(|error| CoreError::CorpusParse { index, error })
+            })
+            .collect::<Result<_>>()?;
         Self::build(&modules)
     }
 
@@ -267,16 +272,17 @@ impl CorpusModel {
     ///
     /// # Errors
     ///
-    /// Propagates parse failures; fails on an empty or all-zero-weight
-    /// corpus.
+    /// [`CoreError::CorpusParse`] naming the first weighted source that
+    /// does not parse; fails on an empty or all-zero-weight corpus.
     pub fn build_weighted(sources: &[(impl AsRef<str>, usize)]) -> Result<CorpusModel> {
         let mut replicated: Vec<Module> = Vec::new();
         let mut distinct = 0usize;
-        for (src, weight) in sources {
+        for (index, (src, weight)) in sources.iter().enumerate() {
             if *weight == 0 {
                 continue;
             }
-            let module = lucid_pyast::parse_module(src.as_ref())?;
+            let module = lucid_pyast::parse_module(src.as_ref())
+                .map_err(|error| CoreError::CorpusParse { index, error })?;
             distinct += 1;
             for _ in 0..*weight {
                 replicated.push(module.clone());
@@ -489,7 +495,8 @@ mod tests {
     fn build_from_sources_parses() {
         let m = CorpusModel::build_from_sources(&["import pandas as pd\n"]).unwrap();
         assert_eq!(m.n_scripts, 1);
-        assert!(CorpusModel::build_from_sources(&["df = ("]).is_err());
+        let err = CorpusModel::build_from_sources(&["import pandas as pd\n", "df = ("]).unwrap_err();
+        assert!(matches!(err, CoreError::CorpusParse { index: 1, .. }), "{err:?}");
     }
 
     #[test]

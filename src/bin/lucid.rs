@@ -9,7 +9,7 @@
 //! lucid trace       --aggregate FILE.jsonl...
 //! lucid why         FILE.jsonl
 //! lucid profile     FILE.jsonl [--out DIR]
-//! lucid bench       [--quick] [--reps N] [--out FILE] [--compare BASELINE]
+//! lucid bench       [--quick] [--kernels] [--reps N] [--out FILE] [--compare BASELINE]
 //! ```
 //!
 //! The corpus is a directory of `.py` files (straight-line pandas
@@ -17,6 +17,7 @@
 //! base name so `pd.read_csv('<basename>')` resolves.
 
 use lucidscript::core::config::SearchConfig;
+use lucidscript::core::error::CoreError;
 use lucidscript::core::intent::IntentMeasure;
 use lucidscript::core::standardizer::Standardizer;
 use lucidscript::core::vocab::CorpusModel;
@@ -36,7 +37,7 @@ USAGE:
   lucid trace        --aggregate <FILE.jsonl>...
   lucid why          <FILE.jsonl>
   lucid profile      <FILE.jsonl> [--out <DIR>]
-  lucid bench        [--quick] [--reps <N>] [--out <FILE>] [--compare <BASELINE>]
+  lucid bench        [--quick] [--kernels] [--reps <N>] [--out <FILE>] [--compare <BASELINE>]
   lucid bench        --telemetry-overhead [--quick] [--reps <N>] [--counting-only]
 
 OPTIONS (standardize):
@@ -90,34 +91,29 @@ OPTIONS (batch):
   --json              print the deterministic batch report as JSON
 
 OPTIONS (bench):
+  records what the end-to-end benchmark (benchmark/) cannot: the
+  allocator-attributed byte rows of the pinned searches and, with
+  --kernels, frame-kernel wall times. Each workload row carries its
+  parameters; the gate compares rows whose name and parameters match.
   --quick             run the 1-workload smoke subset instead of the full suite
-  --batch             also run the pinned batch suite (whole-corpus runs with
-                      a jobs × memo sweep) and record its workloads in the
-                      same entry; re-stamps the config fingerprint
   --kernels           also run the frame-kernel micro-suite (fillna, dummies,
                       astype, compare, arith, groupby, jaccard over 100k-row
-                      synthetic columns) as kernel-* workloads in the same
-                      entry; re-stamps the config fingerprint
+                      synthetic columns) as kernel-* workloads in the same entry
   --reps <N>          repetitions per workload (default 5)
   --out <FILE>        trajectory file to append to (default BENCH_search.json;
                       with --compare, nothing is appended unless --out is given)
   --compare <BASELINE>  diff this run against the last entry of BASELINE and
-                      exit non-zero when the noise-aware gate flags a phase
-  --inject-slowdown <F>  multiply measured phase times by F (gate self-test)
-  --inject-mem-regression <F>  multiply measured memory stats by F (gate self-test)
-  --rel-threshold <F> gate: min relative median slowdown (default 0.5)
-  --noise-mult <F>    gate: delta must exceed F × run-to-run spread (default 1.5)
-  --abs-floor-ms <F>  gate: time deltas under F ms never fail (default 1.0)
-  --abs-floor-bytes <F>  gate: memory deltas under F bytes never fail
-                      (default 1048576 = 1 MiB)
+                      exit non-zero when a row's median grows by more than 50%,
+                      1.5x the run-to-run spread and its unit's floor (1 ms,
+                      1 MiB), all three
   --telemetry-overhead  measure telemetry cost instead of appending: run each
                       workload with telemetry off/counting/full and fail when
                       counting exceeds 5% relative overhead and a 2 ms floor
                       (full mode, an opt-in diagnostic, gets 3x both bounds);
-                      also measures --trace as wall time around each
-                      standardization: trace-off must match the plain harness
-                      within noise, trace-on must stay under 30% relative or
-                      a 3 ms floor
+                      also measures --trace: trace-off must match the plain
+                      harness within noise, trace-on must stay under 30%
+                      relative or a 3 ms floor. Every arm is wall time around
+                      one standardization, arms interleaved rep by rep
   --counting-only     with --telemetry-overhead, skip the full-mode pass
 
 `lucid trace`, `lucid why` and `lucid profile` are three views of one
@@ -204,20 +200,9 @@ const VALUE_FLAGS: &[&str] = &[
     "stats-out", "stats-interval-ms",
 ];
 /// Switches of `lucid bench`.
-const BENCH_SWITCH_FLAGS: &[&str] =
-    &["quick", "telemetry-overhead", "counting-only", "batch", "kernels"];
+const BENCH_SWITCH_FLAGS: &[&str] = &["quick", "kernels", "telemetry-overhead", "counting-only"];
 /// `--name value` flags of `lucid bench`.
-const BENCH_VALUE_FLAGS: &[&str] = &[
-    "reps",
-    "out",
-    "compare",
-    "inject-slowdown",
-    "inject-mem-regression",
-    "rel-threshold",
-    "noise-mult",
-    "abs-floor-ms",
-    "abs-floor-bytes",
-];
+const BENCH_VALUE_FLAGS: &[&str] = &["reps", "out", "compare"];
 /// `--name value` flags of `lucid profile` (after the positional file).
 const PROFILE_VALUE_FLAGS: &[&str] = &["out"];
 /// Switches of `lucid batch`.
@@ -437,15 +422,6 @@ fn profile_report(rest: &[String]) -> Result<(), CliError> {
 /// entry, and (with `--compare`) gate against a baseline.
 fn bench(flags: &Flags) -> Result<ExitCode, CliError> {
     let reps: usize = flags.parse_or("reps", 5)?;
-    let inject = flags.parse_or("inject-slowdown", 1.0)?;
-    let inject_mem = flags.parse_or("inject-mem-regression", 1.0)?;
-    // Parsed up front so a typo fails before minutes of suite running.
-    let gate_opts = lucidscript::bench::GateOptions {
-        rel_threshold: flags.parse_or("rel-threshold", 0.5)?,
-        noise_mult: flags.parse_or("noise-mult", 1.5)?,
-        abs_floor_ms: flags.parse_or("abs-floor-ms", 1.0)?,
-        abs_floor_bytes: flags.parse_or("abs-floor-bytes", (1u64 << 20) as f64)?,
-    };
     let workloads = if flags.has("quick") {
         lucidscript::bench::quick_suite()
     } else {
@@ -495,56 +471,23 @@ fn bench(flags: &Flags) -> Result<ExitCode, CliError> {
             ExitCode::FAILURE
         });
     }
-    eprintln!(
-        "running {} workload(s) × {} rep(s){}...",
-        workloads.len(),
-        reps,
-        if inject != 1.0 || inject_mem != 1.0 {
-            format!(" (injected: time ×{inject}, mem ×{inject_mem})")
-        } else {
-            String::new()
-        }
-    );
-    let mut entry = lucidscript::bench::run_suite(&workloads, reps, inject, inject_mem)?;
-    if flags.has("batch") {
-        let batch = lucidscript::bench::batch_suite();
-        eprintln!(
-            "running {} batch workload(s) × {} rep(s)...",
-            batch.len(),
-            reps
-        );
-        lucidscript::bench::extend_with_batch(&mut entry, &batch, reps)?;
-    }
+    // Read up front so a bad baseline fails before the suite runs.
+    let compare = flags.get("compare");
+    let baseline = compare
+        .map(|path| lucidscript::bench::load_baseline(Path::new(path)))
+        .transpose()?;
+    eprintln!("running {} workload(s) × {reps} rep(s)...", workloads.len());
+    let mut entry = lucidscript::bench::run_suite(&workloads, reps)?;
     if flags.has("kernels") {
         eprintln!(
-            "running {} kernel workload(s) × {} rep(s)...",
-            lucidscript::bench::kernel_suite().len(),
-            reps
+            "running {} kernel workload(s) × {reps} rep(s)...",
+            lucidscript::bench::kernel_suite().len()
         );
         lucidscript::bench::extend_with_kernels(&mut entry, reps);
     }
     for w in &entry.workloads {
-        let total = w
-            .phases
-            .iter()
-            .find(|p| p.name == "total_ms")
-            .map_or(0.0, |p| p.median_ms);
-        let memo = if w.counters.batch_scripts > 0 {
-            format!(
-                ", {} scripts, memo {}/{}",
-                w.counters.batch_scripts,
-                w.counters.memo_hits,
-                w.counters.memo_hits + w.counters.memo_misses
-            )
-        } else {
-            String::new()
-        };
-        eprintln!(
-            "  {:<26} median total {:>8.2} ms  ({} candidates, {} steps{memo})",
-            w.name, total, w.counters.explored, w.counters.search_steps
-        );
+        eprintln!("  {:<26} [{}] {}", w.name, w.params, w.headline());
     }
-    let compare = flags.get("compare");
     // A gate run is a probe, not a measurement worth recording: only
     // append when the user names a destination (or on plain runs).
     let out = match (flags.get("out"), compare) {
@@ -562,9 +505,12 @@ fn bench(flags: &Flags) -> Result<ExitCode, CliError> {
             out.display()
         );
     }
-    if let Some(baseline_path) = compare {
-        let baseline = lucidscript::bench::load_baseline(Path::new(baseline_path))?;
-        let cmp = lucidscript::bench::compare_entries(&entry, &baseline, &gate_opts);
+    if let Some(baseline) = baseline {
+        let cmp = lucidscript::bench::compare_entries(
+            &entry,
+            &baseline,
+            &lucidscript::bench::GateOptions::default(),
+        );
         print!("{}", cmp.render());
         if cmp.regressed() {
             eprintln!("regression gate: FAILED");
@@ -575,7 +521,10 @@ fn bench(flags: &Flags) -> Result<ExitCode, CliError> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn load_corpus(dir: &str) -> Result<Vec<String>, String> {
+/// Reads every `.py` file of `dir`, in name order, into a corpus model.
+/// Fails fast: one file that does not parse fails the command with an
+/// error naming that file (`lucid batch` instead skips and reports it).
+fn load_corpus(dir: &str) -> Result<CorpusModel, String> {
     let mut sources = Vec::new();
     let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
         .map_err(|e| format!("cannot read corpus dir '{dir}': {e}"))?
@@ -583,15 +532,18 @@ fn load_corpus(dir: &str) -> Result<Vec<String>, String> {
         .filter(|p| p.extension().is_some_and(|x| x == "py"))
         .collect();
     paths.sort();
-    for p in paths {
-        let src = std::fs::read_to_string(&p)
+    for p in &paths {
+        let src = std::fs::read_to_string(p)
             .map_err(|e| format!("cannot read {}: {e}", p.display()))?;
         sources.push(src);
     }
     if sources.is_empty() {
         return Err(format!("no .py files in '{dir}'"));
     }
-    Ok(sources)
+    CorpusModel::build_from_sources(&sources).map_err(|e| match e {
+        CoreError::CorpusParse { index, error } => format!("{}: {error}", paths[index].display()),
+        other => other.to_string(),
+    })
 }
 
 fn read_script(path: &str) -> Result<String, String> {
@@ -735,7 +687,7 @@ fn standardize(flags: &Flags) -> Result<(), CliError> {
 
     let config = search_config_from(flags, fleet.clone())?;
 
-    let mut standardizer = Standardizer::build(&corpus, basename.clone(), data.clone(), config)
+    let mut standardizer = Standardizer::from_model(corpus, basename.clone(), data.clone(), config)
         .map_err(|e| e.to_string())?;
     // Also register the full path so scripts referencing it verbatim work.
     standardizer.register_table(data_path, data);
@@ -885,9 +837,8 @@ fn batch(flags: &Flags) -> Result<ExitCode, CliError> {
 }
 
 fn score(flags: &Flags) -> Result<(), CliError> {
-    let corpus = load_corpus(flags.require("corpus")?)?;
+    let model = load_corpus(flags.require("corpus")?)?;
     let script = read_script(flags.require("script")?)?;
-    let model = CorpusModel::build_from_sources(&corpus).map_err(|e| e.to_string())?;
     let module = lucidscript::pyast::parse_module(&script).map_err(|e| e.to_string())?;
     let dag = lucidscript::core::dag::build_dag(&lucidscript::core::lemma::lemmatize(&module));
     let re = lucidscript::core::entropy::relative_entropy(&dag, &model);
@@ -896,8 +847,7 @@ fn score(flags: &Flags) -> Result<(), CliError> {
 }
 
 fn corpus_stats(flags: &Flags) -> Result<(), CliError> {
-    let corpus = load_corpus(flags.require("corpus")?)?;
-    let model = CorpusModel::build_from_sources(&corpus).map_err(|e| e.to_string())?;
+    let model = load_corpus(flags.require("corpus")?)?;
     println!("scripts:        {}", model.n_scripts);
     println!("unique atoms:   {}", model.n_unique_atoms());
     println!("unique 1-grams: {}", model.n_unique_unigrams());
@@ -969,7 +919,7 @@ mod tests {
     fn only_command_line_errors_are_usage_errors() {
         for args in [
             &["standardize", "--copus", "dir"][..],
-            &["bench", "--quick", "--noise-mult", "wide"],
+            &["bench", "--quick", "--rel-threshold", "0.1"],
             &["standardize", "--trace-max-bytes", "9"],
             &["bench", "--reps", "x"],
             &["batch", "--data", "d.csv"],
@@ -1078,8 +1028,6 @@ mod tests {
         assert_eq!(err, "--reps requires a value");
         let err = run(&argv(&["bench", "--reps", "three"])).unwrap_err();
         assert_eq!(err, "bad --reps");
-        let err = run(&argv(&["bench", "--quick", "--inject-slowdown", "x"])).unwrap_err();
-        assert_eq!(err, "bad --inject-slowdown");
     }
 
     #[test]
@@ -1242,10 +1190,20 @@ mod tests {
         .unwrap();
         assert!(flags.has("telemetry-overhead"));
         assert!(flags.has("counting-only"));
-        let err = run(&argv(&["bench", "--inject-mem-regression", "x"])).unwrap_err();
-        assert_eq!(err, "bad --inject-mem-regression");
-        let err = run(&argv(&["bench", "--abs-floor-bytes", "many"])).unwrap_err();
-        assert_eq!(err, "bad --abs-floor-bytes");
+        // The batch sweep, the injection hooks and the gate knobs are gone:
+        // the gate rule is fixed.
+        for flag in [
+            "--batch",
+            "--inject-slowdown",
+            "--inject-mem-regression",
+            "--rel-threshold",
+            "--noise-mult",
+            "--abs-floor-ms",
+            "--abs-floor-bytes",
+        ] {
+            let err = run(&argv(&["bench", flag, "2"])).unwrap_err();
+            assert_eq!(err, format!("unknown flag '{flag}'").as_str());
+        }
         // Overhead flags stay out of the standardize family.
         let err = run(&argv(&["standardize", "--telemetry-overhead"])).unwrap_err();
         assert_eq!(err, "unknown flag '--telemetry-overhead'");

@@ -1,6 +1,6 @@
 //! Integration tests for the `lucid` CLI binary.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn workdir() -> PathBuf {
@@ -323,15 +323,50 @@ fn old_trace_schemas_are_rejected_by_name() {
     }
 }
 
+/// One corpus file that does not parse fails every corpus-reading
+/// command, and the error names that file.
 #[test]
-fn bench_appends_schema_v3_entries_and_gates_regressions() {
+fn corpus_parse_errors_name_the_file() {
+    let dir = workdir();
+    let corpus = dir.join("bad_corpus");
+    std::fs::create_dir_all(&corpus).expect("mkdir");
+    std::fs::write(
+        corpus.join("a.py"),
+        "import pandas as pd\ndf = pd.read_csv('diabetes.csv')\ndf = df.fillna(0)\n",
+    )
+    .expect("write a.py");
+    std::fs::write(corpus.join("b.py"), "df = (\n").expect("write b.py");
+    let corpus = corpus.to_str().unwrap();
+    let draft = dir.join("draft.py");
+    let draft = draft.to_str().unwrap();
+    let data = dir.join("diabetes.csv");
+    let want = format!(
+        "error: {}: parse error at 2:1: unexpected end of line",
+        Path::new(corpus).join("b.py").display()
+    );
+    for args in [
+        vec!["corpus-stats", "--corpus", corpus],
+        vec!["score", "--corpus", corpus, "--script", draft],
+        vec!["standardize", "--corpus", corpus, "--data", data.to_str().unwrap(), "--script", draft],
+    ] {
+        let out = lucid().args(&args).output().expect("runs");
+        assert!(!out.status.success(), "args {args:?} should fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&want), "{args:?}:\n{stderr}");
+        assert!(!stderr.contains("USAGE"), "usage printed for a data error {args:?}:\n{stderr}");
+    }
+}
+
+#[test]
+fn bench_appends_schema_v4_entries_and_gates_regressions() {
     let dir = workdir();
     let traj = dir.join("trajectory.json");
+    let traj_arg = traj.to_str().unwrap();
 
-    // Two quick runs append two schema-v3 entries to the same file.
+    // Two quick runs append two schema-v4 entries to the same file.
     for expected_entries in [1usize, 2] {
         let out = lucid()
-            .args(["bench", "--quick", "--reps", "2", "--out", traj.to_str().unwrap()])
+            .args(["bench", "--quick", "--reps", "2", "--out", traj_arg])
             .env("LUCID_BENCH_COMMIT", "cafef00dcafe")
             .env("LUCID_BENCH_DATE", "2026-01-02")
             .output()
@@ -340,19 +375,45 @@ fn bench_appends_schema_v3_entries_and_gates_regressions() {
         let doc: serde_json::Value =
             serde_json::from_str(&std::fs::read_to_string(&traj).expect("trajectory"))
                 .expect("valid JSON trajectory");
-        assert_eq!(doc.get("schema").and_then(|v| v.as_f64()), Some(3.0));
+        assert_eq!(doc.get("schema").and_then(|v| v.as_f64()), Some(4.0));
         let entries = doc.get("entries").and_then(|v| v.as_array()).expect("entries array");
         assert_eq!(entries.len(), expected_entries);
         let last = entries.last().unwrap();
         assert_eq!(last.get("commit").and_then(|v| v.as_str()), Some("cafef00dcafe"));
         assert_eq!(last.get("date").and_then(|v| v.as_str()), Some("2026-01-02"));
+        assert!(last.get("available_parallelism").and_then(|v| v.as_f64()) >= Some(1.0));
+        // The search workload carries its parameters and only byte rows;
+        // its allocation rows are identical across reps and its phase
+        // rows sum to the total.
+        let w = &last.get("workloads").and_then(|v| v.as_array()).expect("workloads")[0];
+        assert_eq!(
+            w.get("params").and_then(|v| v.as_str()),
+            Some("seq=5 beam=2 threads=1 cache=true sample=150")
+        );
+        let rows = w.get("rows").and_then(|v| v.as_array()).expect("rows");
+        let num = |r: &serde_json::Value, k: &str| r.get(k).and_then(|v| v.as_f64()).unwrap();
+        let name = |r: &&serde_json::Value| r.get("name").and_then(|v| v.as_str()).unwrap().to_string();
+        assert!(!rows.is_empty());
+        for r in rows {
+            assert_eq!(r.get("unit").and_then(|v| v.as_str()), Some("bytes"), "{r:?}");
+            if name(&r).starts_with("alloc_bytes_") {
+                assert_eq!(num(r, "min"), num(r, "max"), "allocation is deterministic: {r:?}");
+            }
+        }
+        let total = rows.iter().find(|r| name(r) == "alloc_bytes_total").map(|r| num(r, "median"));
+        let phases: f64 = rows
+            .iter()
+            .filter(|r| name(r).starts_with("alloc_bytes_") && name(r) != "alloc_bytes_total")
+            .map(|r| num(r, "median"))
+            .sum();
+        assert_eq!(total, Some(phases));
     }
 
     // Clean re-run against that baseline passes the gate (exit 0) and,
     // absent an explicit --out, appends nothing.
     let before = std::fs::read_to_string(&traj).expect("trajectory");
     let out = lucid()
-        .args(["bench", "--quick", "--reps", "2", "--compare", traj.to_str().unwrap()])
+        .args(["bench", "--quick", "--reps", "2", "--compare", traj_arg])
         .output()
         .expect("runs");
     assert!(
@@ -363,24 +424,63 @@ fn bench_appends_schema_v3_entries_and_gates_regressions() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("regression gate: ok"));
     assert_eq!(std::fs::read_to_string(&traj).expect("trajectory"), before, "gate probe polluted the trajectory");
 
-    // An injected 4× slowdown must trip the noise-aware gate (exit != 0).
+    // A hand-written baseline whose byte medians are 1 B: every real
+    // byte row is far over it, and the gate must say so.
+    let tiny = dir.join("tiny_baseline.json");
+    let rows: Vec<String> = ["alloc_bytes_enumerate", "alloc_bytes_execute", "alloc_bytes_total"]
+        .iter()
+        .map(|name| {
+            format!(
+                "{{\"name\": \"{name}\", \"unit\": \"bytes\", \"median\": 1, \"min\": 1, \"max\": 1, \"mean\": 1}}"
+            )
+        })
+        .collect();
+    std::fs::write(
+        &tiny,
+        format!(
+            "{{\"schema\": 4, \"entries\": [{{\"schema\": 4, \"commit\": \"x\", \"date\": \"2026-01-01\", \
+             \"available_parallelism\": 1, \"reps\": 1, \"workloads\": [{{\"name\": \"titanic-seq5-k2-cache\", \
+             \"params\": \"seq=5 beam=2 threads=1 cache=true sample=150\", \"reps\": 1, \"rows\": [{}], \
+             \"counters\": null}}]}}]}}",
+            rows.join(", ")
+        ),
+    )
+    .expect("write baseline");
     let out = lucid()
-        .args([
-            "bench",
-            "--quick",
-            "--reps",
-            "2",
-            "--compare",
-            traj.to_str().unwrap(),
-            "--inject-slowdown",
-            "4",
-        ])
+        .args(["bench", "--quick", "--reps", "2", "--compare", tiny.to_str().unwrap()])
         .output()
         .expect("runs");
-    assert!(!out.status.success(), "4x slowdown passed the gate");
+    assert!(!out.status.success(), "a 1-byte baseline passed the gate");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("REGRESSED"), "delta table should flag phases:\n{stdout}");
+    assert!(stdout.contains("REGRESSED"), "delta table should flag rows:\n{stdout}");
     assert!(String::from_utf8_lossy(&out.stderr).contains("regression gate: FAILED"));
+
+    // A v3 trajectory is rejected by name, before any workload runs.
+    let old = dir.join("v3.json");
+    std::fs::write(&old, "{\"schema\": 3, \"entries\": []}").expect("write v3");
+    for flag in ["--compare", "--out"] {
+        let out = lucid()
+            .args(["bench", "--quick", "--reps", "1", flag, old.to_str().unwrap()])
+            .output()
+            .expect("runs");
+        assert!(!out.status.success());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!(
+                "{}: bench schema v3 is no longer read (this build reads v4)",
+                old.display()
+            )),
+            "{flag}: {stderr}"
+        );
+    }
+
+    // The batch sweep, the injection hooks and the gate knobs are gone.
+    for flag in ["--batch", "--inject-slowdown", "--rel-threshold"] {
+        let out = lucid().args(["bench", "--quick", flag, "4"]).output().expect("runs");
+        assert!(!out.status.success());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("unknown flag '{flag}'")), "{stderr}");
+    }
 }
 
 #[test]
