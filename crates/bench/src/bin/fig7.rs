@@ -1,12 +1,14 @@
 //! Figure 7: median runtime breakdown at seq = 16 — time spent in
 //! GetSteps, GetTopKBeams, CheckIfExecutes, VerifyConstraints per dataset,
-//! plus the §6.5 sampling claim (Sales with vs without row sampling).
+//! plus the §6.5 optimizations: row sampling on Sales (with vs without)
+//! and early vs late execution checking on Medical.
 
 use lucid_bench::env::print_text_table;
 use lucid_bench::runner::leave_one_out_ls;
 use lucid_bench::ExpEnv;
 use lucid_core::config::SearchConfig;
 use lucid_core::intent::IntentMeasure;
+use lucid_core::report::Timings;
 use lucid_corpus::{CorpusVariant, Profile};
 use serde::Serialize;
 
@@ -18,20 +20,14 @@ struct Fig7Row {
     check_execute_ms: f64,
     verify_constraints_ms: f64,
     total_ms: f64,
-    get_steps_speedup: f64,
-    prefix_cache_hit_rate: f64,
-    prefix_cache_evictions: u64,
-    prefix_cache_peak_snapshots: u64,
-    search_steps: usize,
-    threads: usize,
-    candidates_panicked: u64,
-    budget_trips_fuel: u64,
-    budget_trips_cells: u64,
-    budget_trips_deadline: u64,
-    candidates_deduped: u64,
-    unique_stmts: u64,
-    intern_hits: u64,
-    dag_incremental_updates: u64,
+    /// Every search of the dataset, accumulated.
+    timings: Timings,
+}
+
+/// Median end-to-end ms per script of a leave-one-out run.
+fn median_total_ms(env: &ExpEnv, profile: &Profile, cfg: &SearchConfig) -> f64 {
+    let res = leave_one_out_ls(env, profile, CorpusVariant::Full, cfg);
+    median(res.ls_reports.iter().map(|r| r.timings.total_ms).collect())
 }
 
 fn median(mut v: Vec<f64>) -> f64 {
@@ -63,10 +59,10 @@ fn main() {
             ..Default::default()
         };
         let res = leave_one_out_ls(&env, &p, CorpusVariant::Full, &cfg);
-        let pick = |f: fn(&lucid_core::report::Timings) -> f64| {
+        let pick = |f: fn(&Timings) -> f64| {
             median(res.ls_reports.iter().map(|r| f(&r.timings)).collect())
         };
-        let mut agg = lucid_core::report::Timings::default();
+        let mut agg = Timings::default();
         for r in &res.ls_reports {
             agg.accumulate(&r.timings);
         }
@@ -77,20 +73,7 @@ fn main() {
             check_execute_ms: pick(|t| t.check_execute_ms),
             verify_constraints_ms: pick(|t| t.verify_constraints_ms),
             total_ms: pick(|t| t.total_ms),
-            get_steps_speedup: agg.get_steps_speedup(),
-            prefix_cache_hit_rate: agg.prefix_cache_hit_rate(),
-            prefix_cache_evictions: agg.prefix_cache_evictions,
-            prefix_cache_peak_snapshots: agg.prefix_cache_peak_snapshots,
-            search_steps: agg.search_steps,
-            threads: agg.threads,
-            candidates_panicked: agg.candidates_panicked,
-            budget_trips_fuel: agg.budget_trips_fuel,
-            budget_trips_cells: agg.budget_trips_cells,
-            budget_trips_deadline: agg.budget_trips_deadline,
-            candidates_deduped: agg.candidates_deduped,
-            unique_stmts: agg.unique_stmts,
-            intern_hits: agg.intern_hits,
-            dag_incremental_updates: agg.dag_incremental_updates,
+            timings: agg,
         };
         rows.push(vec![
             row.dataset.clone(),
@@ -99,16 +82,12 @@ fn main() {
             format!("{:.1}", row.check_execute_ms),
             format!("{:.1}", row.verify_constraints_ms),
             format!("{:.1}", row.total_ms),
-            format!("{:.2}x", row.get_steps_speedup),
-            format!("{:.0}%", row.prefix_cache_hit_rate * 100.0),
-            format!("{}", row.prefix_cache_evictions),
-            format!("{}", row.search_steps),
-            format!(
-                "{}/{}",
-                row.candidates_panicked,
-                row.budget_trips_fuel + row.budget_trips_cells + row.budget_trips_deadline
-            ),
-            format!("{}", row.candidates_deduped),
+            format!("{:.2}x", agg.get_steps_speedup()),
+            format!("{:.0}%", agg.prefix_cache_hit_rate() * 100.0),
+            format!("{}", agg.prefix_cache_evictions),
+            format!("{}", agg.search_steps),
+            format!("{}/{}", agg.candidates_panicked, agg.budget_trips_total()),
+            format!("{}", agg.candidates_deduped),
         ]);
         json.push(row);
         println!("  {} done", p.name);
@@ -134,24 +113,46 @@ fn main() {
 
     // §6.5: sampling ablation on Sales (the paper: 20× slower unsampled).
     println!("\n§6.5 sampling ablation on Sales (median end-to-end ms per script):");
-    let sales = Profile::sales();
     let mut sampled_cfg = SearchConfig {
         intent: IntentMeasure::jaccard(0.9),
         sample_rows: Some(300),
         seq_len: 4,
         ..Default::default()
     };
-    let res = leave_one_out_ls(&env, &sales, CorpusVariant::Full, &sampled_cfg);
-    let with_sampling = median(res.ls_reports.iter().map(|r| r.timings.total_ms).collect());
+    let with_sampling = median_total_ms(&env, &Profile::sales(), &sampled_cfg);
     sampled_cfg.sample_rows = None;
-    let res = leave_one_out_ls(&env, &sales, CorpusVariant::Full, &sampled_cfg);
-    let without_sampling = median(res.ls_reports.iter().map(|r| r.timings.total_ms).collect());
+    let without_sampling = median_total_ms(&env, &Profile::sales(), &sampled_cfg);
     println!(
         "  with sampling: {with_sampling:.1} ms   without: {without_sampling:.1} ms   speedup: {:.1}x",
         without_sampling / with_sampling.max(1e-9)
     );
+
+    // §6.5: early checking runs CheckIfExecutes on every scored candidate
+    // and keeps only executable beams; late checking runs it once per
+    // finalist at the end.
+    println!(
+        "\n§6.5 early vs late execution checking on Medical (median end-to-end ms per script):"
+    );
+    let mut check_cfg = SearchConfig {
+        intent: IntentMeasure::jaccard(0.8),
+        sample_rows: Some(150),
+        seq_len: 4,
+        early_check: true,
+        ..Default::default()
+    };
+    let early = median_total_ms(&env, &Profile::medical(), &check_cfg);
+    check_cfg.early_check = false;
+    let late = median_total_ms(&env, &Profile::medical(), &check_cfg);
+    println!(
+        "  early checking: {early:.1} ms   late: {late:.1} ms   late/early: {:.2}x",
+        late / early.max(1e-9)
+    );
     env.write_json(
         "fig7",
-        &(json, ("sales_sampling_ms", with_sampling, without_sampling)),
+        &(
+            json,
+            ("sales_sampling_ms", with_sampling, without_sampling),
+            ("medical_early_late_check_ms", early, late),
+        ),
     );
 }

@@ -13,7 +13,7 @@
 //! | `fig4`   | % improvement distributions |
 //! | `fig5`   | τ_J / τ_M sweeps |
 //! | `fig6`   | seq / beam-size ablations |
-//! | `fig7`   | runtime breakdown |
+//! | `fig7`   | runtime breakdown, §6.5 sampling and checking arms |
 //! | `fig9`   | target-leakage detection accuracy |
 //!
 //! Each prints the paper-shaped rows and writes JSON under `results/`.

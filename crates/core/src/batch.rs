@@ -39,13 +39,13 @@
 use crate::config::SearchConfig;
 use crate::error::Result;
 use crate::lemma::lemmatize;
-use crate::report::{metric, StandardizeReport, Timings};
+use crate::report::{StandardizeReport, Timings};
 use crate::search::SharedSearchState;
 use crate::standardizer::Standardizer;
 use crate::vocab::CorpusModel;
 use lucid_frame::DataFrame;
 use lucid_interp::stmt_structural_hash;
-use lucid_obs::{alloc, MemoHitRecord, Registry, TraceSink};
+use lucid_obs::{alloc, MemoHitRecord, Metric, Registry, TraceSink};
 use lucid_pyast::{parse_module, Module};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -804,10 +804,10 @@ pub fn standardize_corpus(
     // Batch-level counters land in the per-batch registry so `--stats-out`
     // exporters see them, then the whole registry rolls into any outer
     // fleet registry the caller supplied.
-    batch_registry.counter(metric::MEMO_HITS).add(memo.hits());
-    batch_registry.counter(metric::MEMO_MISSES).add(memo.misses());
+    batch_registry.counter(Metric::MemoHits).add(memo.hits());
+    batch_registry.counter(Metric::MemoMisses).add(memo.misses());
     batch_registry
-        .counter(metric::BATCH_SCRIPTS)
+        .counter(Metric::BatchScripts)
         .add(scripts.len() as u64);
     if let Some(outer) = &outer_registry {
         outer.merge(&batch_registry);

@@ -36,10 +36,9 @@
 //! tracing is off because [`crate::search`]'s dedup counter branches on
 //! it — the counter must not depend on whether the search is traced.
 
-use crate::report::metric;
 use lucid_interp::{BudgetKind, InterpError};
 use lucid_obs::{
-    CandRecord, DecisionEndRecord, DiffLineRecord, Disposition, LineageRecord, Registry,
+    CandRecord, DecisionEndRecord, DiffLineRecord, Disposition, LineageRecord, Metric, Registry,
     TraceSink,
 };
 use std::collections::HashSet;
@@ -103,14 +102,14 @@ impl DropCounts {
     /// Folds the counts into the search registry (whence
     /// `Timings::from_registry` projects them).
     pub(crate) fn record(&self, reg: &Registry) {
-        reg.counter(metric::PANICKED).add(self.candidates_panicked);
-        reg.counter(metric::BUDGET_FUEL).add(self.budget_trips_fuel);
-        reg.counter(metric::BUDGET_CELLS)
+        reg.counter(Metric::Panicked).add(self.candidates_panicked);
+        reg.counter(Metric::BudgetFuel).add(self.budget_trips_fuel);
+        reg.counter(Metric::BudgetCells)
             .add(self.budget_trips_cells);
-        reg.counter(metric::BUDGET_DEADLINE)
+        reg.counter(Metric::BudgetDeadline)
             .add(self.budget_trips_deadline);
-        reg.counter(metric::DEDUPED).add(self.candidates_deduped);
-        reg.counter(metric::PRUNED_MONOTONICITY)
+        reg.counter(Metric::Deduped).add(self.candidates_deduped);
+        reg.counter(Metric::PrunedMonotonicity)
             .add(self.pruned_monotonicity);
     }
 

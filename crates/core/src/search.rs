@@ -23,7 +23,7 @@ use crate::entropy;
 use crate::ir::{Program, StmtInterner};
 use crate::kmeans::kmeans;
 use crate::provenance::{ExecFailure, Provenance};
-use crate::report::{metric, Timings};
+use crate::report::Timings;
 use crate::transform::{enumerate, Enumerated, TransformKind, Transformation};
 use crate::vocab::CorpusModel;
 use lucid_frame::DataFrame;
@@ -33,7 +33,7 @@ use lucid_obs::event::{
     TRACE_SCHEMA_VERSION,
 };
 use lucid_obs::alloc::{self, Phase, PhaseGuard};
-use lucid_obs::{Disposition, Registry};
+use lucid_obs::{Disposition, Metric, Registry};
 use lucid_pyast::Module;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -298,14 +298,14 @@ pub fn standardize_search(ctx: &SearchContext, input: &Module) -> SearchOutcome 
     // returned `Timings` is a projection of it, and the trace events carry
     // the same measured values — the two views cannot disagree.
     let reg = Registry::new();
-    let h_get_steps = reg.histogram(metric::GET_STEPS);
-    let h_get_steps_cpu = reg.histogram(metric::GET_STEPS_CPU);
-    let h_get_top_k = reg.histogram(metric::GET_TOP_K);
-    let h_check = reg.histogram(metric::CHECK_EXECUTE);
-    let h_verify = reg.histogram(metric::VERIFY);
-    let h_total = reg.histogram(metric::TOTAL);
-    let c_steps = reg.counter(metric::STEPS);
-    reg.counter(metric::THREADS)
+    let h_get_steps = reg.histogram(Metric::GetSteps);
+    let h_get_steps_cpu = reg.histogram(Metric::GetStepsCpu);
+    let h_get_top_k = reg.histogram(Metric::GetTopK);
+    let h_check = reg.histogram(Metric::CheckExecute);
+    let h_verify = reg.histogram(Metric::Verify);
+    let h_total = reg.histogram(Metric::Total);
+    let c_steps = reg.counter(Metric::Steps);
+    reg.counter(Metric::Threads)
         .set_max(ctx.config.resolved_threads() as u64);
     let trace = ctx.config.trace.as_ref();
     // A fresh epoch for the interpreter's span collector, so per-statement
@@ -580,20 +580,20 @@ pub fn standardize_search(ctx: &SearchContext, input: &Module) -> SearchOutcome 
         ),
     };
     let (hits, misses, evictions) = exec.cache_counters();
-    reg.counter(metric::CACHE_HITS).add(hits);
-    reg.counter(metric::CACHE_MISSES).add(misses);
-    reg.counter(metric::CACHE_EVICTIONS).add(evictions);
-    reg.counter(metric::CACHE_PEAK).set_max(exec.cache_peak());
+    reg.counter(Metric::CacheHits).add(hits);
+    reg.counter(Metric::CacheMisses).add(misses);
+    reg.counter(Metric::CacheEvictions).add(evictions);
+    reg.counter(Metric::CachePeak).set_max(exec.cache_peak());
     let (fit_hits, fit_misses) = exec.fit_memo_counters();
-    reg.counter(metric::FIT_MEMO_HITS).add(fit_hits);
-    reg.counter(metric::FIT_MEMO_MISSES).add(fit_misses);
+    reg.counter(Metric::FitMemoHits).add(fit_hits);
+    reg.counter(Metric::FitMemoMisses).add(fit_misses);
     // Unique statements is a gauge over the interner (the batch-shared
     // total when sharing); hit/update counts are this search's delta
     // window, so per-search values sum consistently in fleet roll-ups.
-    reg.counter(metric::UNIQUE_STMTS).set_max(interner.unique_stmts());
-    reg.counter(metric::INTERN_HITS)
+    reg.counter(Metric::UniqueStmts).set_max(interner.unique_stmts());
+    reg.counter(Metric::InternHits)
         .add(interner.intern_hits().saturating_sub(interner_hits_base));
-    reg.counter(metric::DAG_INCREMENTAL).add(
+    reg.counter(Metric::DagIncremental).add(
         interner
             .dag_incremental_updates()
             .saturating_sub(interner_dag_base),
@@ -603,23 +603,23 @@ pub fn standardize_search(ctx: &SearchContext, input: &Module) -> SearchOutcome 
     // sum to the total" holds exactly even when concurrent searches
     // interleave their attributions into the process-global counters.
     let mem = alloc::snapshot().delta_since(&mem_start);
-    reg.counter(metric::MEM_BYTES_ENUMERATE)
+    reg.counter(Metric::MemBytesEnumerate)
         .add(mem.phase_bytes[Phase::Enumerate as usize]);
-    reg.counter(metric::MEM_BYTES_EXECUTE)
+    reg.counter(Metric::MemBytesExecute)
         .add(mem.phase_bytes[Phase::Execute as usize]);
-    reg.counter(metric::MEM_BYTES_SCORE)
+    reg.counter(Metric::MemBytesScore)
         .add(mem.phase_bytes[Phase::Score as usize]);
-    reg.counter(metric::MEM_BYTES_VERIFY)
+    reg.counter(Metric::MemBytesVerify)
         .add(mem.phase_bytes[Phase::Verify as usize]);
-    reg.counter(metric::MEM_BYTES_UNATTRIBUTED)
+    reg.counter(Metric::MemBytesUnattributed)
         .add(mem.phase_bytes[Phase::Unattributed as usize]);
-    reg.counter(metric::MEM_BYTES_TOTAL).add(mem.total_bytes());
-    reg.counter(metric::MEM_ALLOCS).add(mem.total_allocs());
-    reg.counter(metric::MEM_PEAK_BYTES).set_max(alloc::peak_bytes());
+    reg.counter(Metric::MemBytesTotal).add(mem.total_bytes());
+    reg.counter(Metric::MemAllocs).add(mem.total_allocs());
+    reg.counter(Metric::MemPeakBytes).set_max(alloc::peak_bytes());
     // Size classes populate only in `Full` telemetry mode; fold them as
     // pre-bucketed counts so the fleet roll-up can merge histograms.
     if mem.size_buckets.iter().any(|&n| n > 0) {
-        let h_sizes = reg.histogram(metric::MEM_ALLOC_SIZE);
+        let h_sizes = reg.histogram(Metric::MemAllocSize);
         for (idx, &n) in mem.size_buckets.iter().enumerate() {
             if n > 0 {
                 h_sizes.add_bucket_count(idx, n);
@@ -647,41 +647,11 @@ pub fn standardize_search(ctx: &SearchContext, input: &Module) -> SearchOutcome 
         sink.emit(&SearchEndEvent {
             v: TRACE_SCHEMA_VERSION,
             event: "search_end".to_string(),
-            steps: timings.search_steps,
             explored,
             input_re,
             best_re: best.re,
             changed: !best.applied.is_empty(),
-            get_steps_ms: timings.get_steps_ms,
-            get_steps_cpu_ms: timings.get_steps_cpu_ms,
-            get_top_k_ms: timings.get_top_k_ms,
-            check_execute_ms: timings.check_execute_ms,
-            verify_constraints_ms: timings.verify_constraints_ms,
-            total_ms: timings.total_ms,
-            threads: timings.threads,
-            cache_hits: hits,
-            cache_misses: misses,
-            cache_evictions: evictions,
-            cache_peak_snapshots: timings.prefix_cache_peak_snapshots,
-            fit_memo_hits: timings.fit_memo_hits,
-            fit_memo_misses: timings.fit_memo_misses,
-            candidates_panicked: timings.candidates_panicked,
-            budget_trips_fuel: timings.budget_trips_fuel,
-            budget_trips_cells: timings.budget_trips_cells,
-            budget_trips_deadline: timings.budget_trips_deadline,
-            candidates_deduped: timings.candidates_deduped,
-            pruned_monotonicity: timings.pruned_monotonicity,
-            unique_stmts: timings.unique_stmts,
-            intern_hits: timings.intern_hits,
-            dag_incremental_updates: timings.dag_incremental_updates,
-            alloc_bytes_enumerate: timings.alloc_bytes_enumerate,
-            alloc_bytes_execute: timings.alloc_bytes_execute,
-            alloc_bytes_score: timings.alloc_bytes_score,
-            alloc_bytes_verify: timings.alloc_bytes_verify,
-            alloc_bytes_unattributed: timings.alloc_bytes_unattributed,
-            alloc_bytes_total: timings.alloc_bytes_total,
-            alloc_count: timings.alloc_count,
-            mem_peak_bytes: timings.peak_live_bytes,
+            timings,
             stmt_spans: stmt_span_aggregates(ctx.interp),
             spans_dropped: ctx.interp.obs.as_ref().map_or(0, |o| o.dropped()),
         });
@@ -1490,10 +1460,11 @@ acc = model.score(X, y)
         assert!(close(summary.totals.check_execute_ms, t.check_execute_ms));
         assert!(close(summary.totals.verify_constraints_ms, t.verify_constraints_ms));
         assert!(close(summary.totals.total_ms, t.total_ms));
-        // Cache traffic attributed to steps sums to the search totals.
-        assert_eq!(summary.cache_hits, t.prefix_cache_hits);
-        assert_eq!(summary.cache_misses, t.prefix_cache_misses);
-        assert_eq!(summary.cache_evictions, t.prefix_cache_evictions);
+        // The search_end record carries the search's own `Timings`.
+        assert_eq!(summary.timings.prefix_cache_hits, t.prefix_cache_hits);
+        assert_eq!(summary.timings.prefix_cache_misses, t.prefix_cache_misses);
+        assert_eq!(summary.timings.prefix_cache_evictions, t.prefix_cache_evictions);
+        assert_eq!(summary.timings, *t);
         // Every step kept at least one beam and scored candidates.
         for row in &summary.steps {
             assert!(row.kept >= 1);
@@ -1713,12 +1684,13 @@ acc = model.score(X, y)
             summary.reconcile().unwrap();
             // Those search_end counters are the search's own `Timings`.
             let t = &outcome.timings;
-            assert_eq!(summary.candidates_deduped, t.candidates_deduped);
-            assert_eq!(summary.pruned_monotonicity, t.pruned_monotonicity);
-            assert_eq!(summary.candidates_panicked, t.candidates_panicked);
-            assert_eq!(summary.budget_trips_fuel, t.budget_trips_fuel);
-            assert_eq!(summary.budget_trips_cells, t.budget_trips_cells);
-            assert_eq!(summary.budget_trips_deadline, t.budget_trips_deadline);
+            let s = &summary.timings;
+            assert_eq!(s.candidates_deduped, t.candidates_deduped);
+            assert_eq!(s.pruned_monotonicity, t.pruned_monotonicity);
+            assert_eq!(s.candidates_panicked, t.candidates_panicked);
+            assert_eq!(s.budget_trips_fuel, t.budget_trips_fuel);
+            assert_eq!(s.budget_trips_cells, t.budget_trips_cells);
+            assert_eq!(s.budget_trips_deadline, t.budget_trips_deadline);
             // The lineage record runs from the input to the selection,
             // one hop per applied transformation.
             let ids = &summary.decisions.lineage.as_ref().unwrap().ids;

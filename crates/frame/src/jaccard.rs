@@ -55,9 +55,9 @@ fn insert_column_values(set: &mut HashSet<ValueKey>, col: &Column) {
     }
 }
 
-/// Set of distinct non-null cell values in a frame. Column names are
-/// included so that a renamed column registers as a (small) difference in
-/// schema-bearing comparisons.
+/// Set of distinct non-null cell values in a frame: the union of every
+/// column's values. Column names are not included, so renaming a column
+/// leaves the set (and Δ_J) unchanged.
 fn value_set(df: &DataFrame) -> HashSet<ValueKey> {
     let mut set = HashSet::new();
     for (_, col) in df.iter() {

@@ -446,13 +446,14 @@ impl TraceSummary {
             return Err(format!("cand record {i} carries ID #{}", c.id));
         }
         let observed = d.observed_counts();
+        let t = &self.timings;
         for (key, counter) in [
-            ("deduped", self.candidates_deduped),
-            ("pruned_monotonicity", self.pruned_monotonicity),
-            ("budget_fuel", self.budget_trips_fuel),
-            ("budget_cells", self.budget_trips_cells),
-            ("budget_deadline", self.budget_trips_deadline),
-            ("panicked", self.candidates_panicked),
+            ("deduped", t.candidates_deduped),
+            ("pruned_monotonicity", t.pruned_monotonicity),
+            ("budget_fuel", t.budget_trips_fuel),
+            ("budget_cells", t.budget_trips_cells),
+            ("budget_deadline", t.budget_trips_deadline),
+            ("panicked", t.candidates_panicked),
         ] {
             let seen = observed.get(key).copied().unwrap_or(0);
             if seen != counter {
@@ -622,15 +623,19 @@ mod tests {
     use crate::event::SearchEndEvent;
     use crate::sink::TraceSink;
     use crate::summary::parse_trace;
+    use crate::Timings;
 
     fn sample_stream() -> String {
         let sink = TraceSink::in_memory();
         sink.emit(&SearchEndEvent {
             v: TRACE_SCHEMA_VERSION,
             event: "search_end".to_string(),
-            candidates_deduped: 1,
-            pruned_monotonicity: 1,
-            budget_trips_fuel: 1,
+            timings: Timings {
+                candidates_deduped: 1,
+                pruned_monotonicity: 1,
+                budget_trips_fuel: 1,
+                ..Timings::default()
+            },
             ..SearchEndEvent::default()
         });
         for c in [
@@ -743,7 +748,7 @@ mod tests {
     #[test]
     fn reconcile_flags_counter_and_trailer_mismatches() {
         let mut summary = parse_trace(&sample_stream()).unwrap();
-        summary.candidates_deduped = 7;
+        summary.timings.candidates_deduped = 7;
         let err = summary.reconcile().unwrap_err();
         assert!(err.contains("search_end counter 7"), "{err}");
         assert!(summary.render_why().contains("reconciliation: MISMATCH"));
@@ -791,7 +796,7 @@ mod tests {
 
     #[test]
     fn malformed_decision_records_are_skipped_not_fatal() {
-        let text = "{\"v\":3,\"event\":\"cand\",\"id\":0,\"parent\":0,\"step\":0,\"op\":\"input\",\"re\":1.0,\"disposition\":\"Selected\"}\n{\"v\":3,\"event\":\"cand\",\"id\":1,\"disposition\":\"Vanished\"}\n";
+        let text = "{\"v\":4,\"event\":\"cand\",\"id\":0,\"parent\":0,\"step\":0,\"op\":\"input\",\"re\":1.0,\"disposition\":\"Selected\"}\n{\"v\":4,\"event\":\"cand\",\"id\":1,\"disposition\":\"Vanished\"}\n";
         let summary = parse_trace(text).unwrap();
         assert_eq!(summary.decisions.cands.len(), 1);
         assert_eq!(summary.skipped_lines, 1);

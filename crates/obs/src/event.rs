@@ -1,12 +1,13 @@
 //! The versioned trace schema (JSONL, one record per line): the
 //! measurement records of a search.
 //!
-//! Every record carries `"v": 3` (the schema version) and an `"event"`
+//! Every record carries `"v": 4` (the schema version) and an `"event"`
 //! discriminator. A traced standardization writes one stream, in order:
 //! one `search_start`, one `step` per executed beam step, one `verify`,
-//! one `search_end` whose phase totals equal the sums over the per-step
-//! records (modulo float rendering; `lucid trace` rebuilds the Figure 7
-//! breakdown from them), and a `profile` record (see
+//! one `search_end` carrying the search's [`Timings`], whose phase totals
+//! equal the sums over the per-step records (modulo float rendering;
+//! `lucid trace` rebuilds the Figure 7 breakdown from them), and a
+//! `profile` record (see
 //! [`crate::profile::ProfileEvent`]) when a span collector was attached.
 //! The decision records of [`crate::decision`] follow: one `cand` per
 //! candidate, the `lineage`, one `diff_line` per line of the final diff,
@@ -16,13 +17,16 @@
 //! change (consumers ignore unknown fields and count unknown events);
 //! removing or re-meaning a field bumps `TRACE_SCHEMA_VERSION`. Version 1
 //! held only the measurement records and version 2 was a separate
-//! decision-record file; version 3 merges both into one stream, and files
-//! of the older versions are rejected by name, not read.
+//! decision-record file; version 3 merged both into one stream; version 4
+//! nests the `search_end` counters in one `timings` object under their
+//! `Timings` names. Files of the older versions are rejected by name,
+//! not read.
 
+use crate::timings::Timings;
 use serde::Serialize;
 
 /// Version stamped into every record's `"v"` field.
-pub const TRACE_SCHEMA_VERSION: u64 = 3;
+pub const TRACE_SCHEMA_VERSION: u64 = 4;
 
 /// Emitted once when a search begins: the configuration snapshot.
 #[derive(Debug, Clone, Serialize)]
@@ -190,15 +194,14 @@ pub struct StmtSpanAgg {
     pub total_ms: f64,
 }
 
-/// Emitted once when a search ends: totals and the `Timings` projection.
+/// Emitted once when a search ends: the outcome and the search's
+/// [`Timings`], the same struct the report carries.
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct SearchEndEvent {
     /// Schema version.
     pub v: u64,
     /// `"search_end"`.
     pub event: String,
-    /// Beam steps executed.
-    pub steps: usize,
     /// Candidate scripts scored.
     pub explored: usize,
     /// RE of the input script.
@@ -207,70 +210,9 @@ pub struct SearchEndEvent {
     pub best_re: f64,
     /// Whether the search changed the script.
     pub changed: bool,
-    /// Total `GetSteps` wall ms.
-    pub get_steps_ms: f64,
-    /// Summed per-worker CPU ms inside parallel `GetSteps`.
-    pub get_steps_cpu_ms: f64,
-    /// Total `GetTopKBeams` wall ms.
-    pub get_top_k_ms: f64,
-    /// Total `CheckIfExecutes` wall ms.
-    pub check_execute_ms: f64,
-    /// Total `VerifyConstraints` wall ms.
-    pub verify_constraints_ms: f64,
-    /// End-to-end wall ms.
-    pub total_ms: f64,
-    /// Worker threads.
-    pub threads: usize,
-    /// Prefix-cache hits over the whole search.
-    pub cache_hits: u64,
-    /// Prefix-cache misses over the whole search.
-    pub cache_misses: u64,
-    /// Prefix-cache evictions over the whole search.
-    pub cache_evictions: u64,
-    /// Peak retained prefix snapshots.
-    pub cache_peak_snapshots: u64,
-    /// Estimator fits served from the fit memo over the whole search.
-    pub fit_memo_hits: u64,
-    /// Estimator fits that trained through the fit memo.
-    pub fit_memo_misses: u64,
-    /// Total candidates whose execution or scoring panicked.
-    pub candidates_panicked: u64,
-    /// Total fuel-budget trips over the whole search.
-    pub budget_trips_fuel: u64,
-    /// Total cell-cap trips over the whole search.
-    pub budget_trips_cells: u64,
-    /// Total deadline trips over the whole search.
-    pub budget_trips_deadline: u64,
-    /// Total structurally-identical candidates skipped before execution
-    /// checks (interned-statement dedup).
-    pub candidates_deduped: u64,
-    /// Total candidate adds skipped by the monotonicity cursor during
-    /// enumeration.
-    pub pruned_monotonicity: u64,
-    /// Distinct statements the search's interner materialized.
-    pub unique_stmts: u64,
-    /// Intern requests answered by an already-shared statement.
-    pub intern_hits: u64,
-    /// Candidate DAGs derived incrementally instead of rebuilt.
-    pub dag_incremental_updates: u64,
-    /// Bytes allocated during `GetSteps` enumeration + scoring workers.
-    /// All `alloc_*` / `mem_*` fields are 0 when allocator telemetry is
-    /// off or the instrumented allocator is not installed.
-    pub alloc_bytes_enumerate: u64,
-    /// Bytes allocated during interpreter execution (`CheckIfExecutes`).
-    pub alloc_bytes_execute: u64,
-    /// Bytes allocated during beam ranking (`GetTopKBeams`).
-    pub alloc_bytes_score: u64,
-    /// Bytes allocated during final verification.
-    pub alloc_bytes_verify: u64,
-    /// Bytes allocated outside any tagged phase (parsing, reporting, …).
-    pub alloc_bytes_unattributed: u64,
-    /// Total bytes allocated — the sum of the five phase fields.
-    pub alloc_bytes_total: u64,
-    /// Allocation count over the whole search.
-    pub alloc_count: u64,
-    /// Process live-bytes high-water mark at search end.
-    pub mem_peak_bytes: u64,
+    /// Phase times and counters of the whole search (read back by
+    /// [`Timings::from_record`]).
+    pub timings: Timings,
     /// Per-statement-kind interpreter spans (empty when the collector is
     /// disabled).
     pub stmt_spans: Vec<StmtSpanAgg>,
@@ -286,7 +228,7 @@ mod tests {
     fn events_serialize_with_version_and_tag() {
         let start = SearchStartEvent::new(16, 3, 4, true, true, true, "edges");
         let json = serde_json::to_string(&start).unwrap();
-        assert!(json.contains("\"v\":3"));
+        assert!(json.contains("\"v\":4"));
         assert!(json.contains("\"event\":\"search_start\""));
         assert!(json.contains("\"threads\":4"));
 
@@ -329,6 +271,6 @@ mod tests {
         assert!(json.contains("\"candidates_deduped\":2"));
         let parsed = serde_json::from_str(&json).unwrap();
         assert_eq!(parsed.get("event").unwrap().as_str(), Some("step"));
-        assert_eq!(parsed.get("v").unwrap().as_f64(), Some(3.0));
+        assert_eq!(parsed.get("v").unwrap().as_f64(), Some(4.0));
     }
 }

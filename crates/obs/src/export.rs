@@ -168,20 +168,21 @@ impl Drop for StatsReporter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Metric;
 
     fn sample_registry() -> Registry {
         let reg = Registry::new();
-        reg.counter("search.explored").add(7);
-        reg.counter("mem.bytes_total").add(4096);
-        reg.histogram("search.get_steps").record_ns(2_000_000);
+        reg.counter(Metric::Steps).add(7);
+        reg.counter(Metric::MemBytesTotal).add(4096);
+        reg.histogram(Metric::GetSteps).record_ns(2_000_000);
         reg
     }
 
     #[test]
     fn prometheus_text_sanitizes_names_and_lists_all_metrics() {
         let text = prometheus_text(&sample_registry().snapshot());
-        assert!(text.contains("# TYPE lucid_search_explored counter"));
-        assert!(text.contains("lucid_search_explored 7"));
+        assert!(text.contains("# TYPE lucid_search_steps counter"));
+        assert!(text.contains("lucid_search_steps 7"));
         assert!(text.contains("lucid_mem_bytes_total 4096"));
         assert!(text.contains("lucid_search_get_steps_count 1"));
         assert!(text.contains("lucid_search_get_steps_sum_ms"));
@@ -196,7 +197,7 @@ mod tests {
         let counters = v.get("counters").and_then(|c| c.as_array()).unwrap();
         assert!(counters
             .iter()
-            .any(|c| c.get("name").and_then(|n| n.as_str()) == Some("search.explored")));
+            .any(|c| c.get("name").and_then(|n| n.as_str()) == Some("search.steps")));
     }
 
     #[test]
@@ -225,7 +226,7 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("live.json");
         let reg = Arc::new(Registry::new());
-        reg.counter("ticks.seen").add(1);
+        reg.counter(Metric::BatchScripts).add(1);
 
         let reporter = StatsReporter::spawn(
             Arc::clone(&reg),
@@ -239,14 +240,14 @@ mod tests {
         }
         assert!(path.exists(), "reporter never ticked");
 
-        reg.counter("ticks.seen").add(41);
+        reg.counter(Metric::BatchScripts).add(41);
         reporter.stop().unwrap();
         let v: serde_json::Value =
             serde_json::from_str(&fs::read_to_string(&path).unwrap()).unwrap();
         let counters = v.get("counters").and_then(|c| c.as_array()).unwrap();
         let tick = counters
             .iter()
-            .find(|c| c.get("name").and_then(|n| n.as_str()) == Some("ticks.seen"))
+            .find(|c| c.get("name").and_then(|n| n.as_str()) == Some("search.batch_scripts"))
             .unwrap();
         // The stop() write reflects the registry's end state.
         assert_eq!(tick.get("value").and_then(|x| x.as_f64()), Some(42.0));

@@ -18,22 +18,26 @@
 //!    no locks on the hot path, no formatting.
 //! 2. **`Timings` is a projection.** The report struct consumed by fig7
 //!    and the `lucid bench` trajectory is derived from registry metrics at
-//!    the end of a search, so the trace, the metrics, and the report can
-//!    never disagree by more than float rounding.
+//!    the end of a search, and the trace's `search_end` record carries
+//!    that same struct, so the trace and the report hold identical values.
+//!    The metrics and the struct are declared once, as one table
+//!    ([`timings`]); the registry is keyed by its [`Metric`] handles.
 //! 3. **No registry deps.** Vendored like the rest of the workspace's
 //!    external stand-ins; only `serde`/`serde_json` (also vendored) are
 //!    used, for event serialization and trace parsing.
 //!
 //! ```
-//! use lucid_obs::{Registry, TraceSink};
+//! use lucid_obs::{Metric, Registry, Timings, TraceSink};
 //!
 //! let reg = Registry::new();
-//! let explored = reg.counter("search.explored");
-//! explored.add(3);
-//! let h = reg.histogram("search.get_steps");
+//! let steps = reg.counter(Metric::Steps);
+//! steps.add(3);
+//! let h = reg.histogram(Metric::GetSteps);
 //! h.record_ns(1_500_000); // 1.5 ms
-//! assert_eq!(reg.counter_value("search.explored"), 3);
-//! assert!((reg.histogram_sum_ms("search.get_steps") - 1.5).abs() < 1e-9);
+//! assert_eq!(reg.counter_value(Metric::Steps), 3);
+//! let t = Timings::from_registry(&reg);
+//! assert_eq!(t.search_steps, 3);
+//! assert!((t.get_steps_ms - 1.5).abs() < 1e-9);
 //!
 //! let sink = TraceSink::in_memory();
 //! sink.emit(&lucid_obs::event::SearchStartEvent::new(16, 3, 1, true, true, true, "edges"));
@@ -50,6 +54,7 @@ pub mod profile;
 pub mod sink;
 pub mod span;
 pub mod summary;
+pub mod timings;
 
 pub use alloc::{AllocDelta, AllocSnapshot, LucidAlloc, Phase, PhaseGuard, TelemetryMode};
 pub use decision::{
@@ -67,3 +72,4 @@ pub use summary::{
     aggregate_summaries, parse_trace, read_trace, AggregateReport, TraceError, TraceErrorKind,
     TraceSummary,
 };
+pub use timings::{Metric, Timings};

@@ -8,6 +8,7 @@
 //! integer nanoseconds; projecting to milliseconds happens only at
 //! report time.
 
+use crate::timings::Metric;
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -254,9 +255,11 @@ impl Percentiles {
 
 /// A named collection of counters and histograms.
 ///
-/// Metric names are `&'static str` dot-paths (`"search.get_steps"`,
-/// `"cache.hits"`). Fetching a handle takes the registry lock once;
-/// updates through the returned [`Arc`] are lock-free.
+/// Metrics are named by [`Metric`] handles, each a dot-path name such as
+/// `search.get_steps`; the span collector keys its histograms by span
+/// name (`interp.run`, `stmt.*`, `kernel.*`). Fetching a handle
+/// takes the registry lock once; updates through the returned [`Arc`] are
+/// lock-free.
 #[derive(Debug, Default)]
 pub struct Registry {
     counters: Mutex<BTreeMap<&'static str, Arc<Counter>>>,
@@ -269,8 +272,18 @@ impl Registry {
         Registry::default()
     }
 
+    /// The counter of `metric`, created on first use.
+    pub fn counter(&self, metric: Metric) -> Arc<Counter> {
+        self.counter_named(metric.name())
+    }
+
+    /// The histogram of `metric`, created on first use.
+    pub fn histogram(&self, metric: Metric) -> Arc<Histogram> {
+        self.histogram_named(metric.name())
+    }
+
     /// The counter named `name`, created on first use.
-    pub fn counter(&self, name: &'static str) -> Arc<Counter> {
+    pub(crate) fn counter_named(&self, name: &'static str) -> Arc<Counter> {
         Arc::clone(
             self.counters
                 .lock()
@@ -280,8 +293,9 @@ impl Registry {
         )
     }
 
-    /// The histogram named `name`, created on first use.
-    pub fn histogram(&self, name: &'static str) -> Arc<Histogram> {
+    /// The histogram named `name` (a [`Metric`] name or a span name),
+    /// created on first use.
+    pub(crate) fn histogram_named(&self, name: &'static str) -> Arc<Histogram> {
         Arc::clone(
             self.histograms
                 .lock()
@@ -292,11 +306,11 @@ impl Registry {
     }
 
     /// A counter's current value (0 when the counter was never created).
-    pub fn counter_value(&self, name: &str) -> u64 {
+    pub fn counter_value(&self, metric: Metric) -> u64 {
         self.counters
             .lock()
             .expect("registry lock")
-            .get(name)
+            .get(metric.name())
             .map_or(0, |c| c.get())
     }
 
@@ -357,7 +371,7 @@ impl Registry {
             .collect();
         for (name, v) in counters {
             if v > 0 {
-                self.counter(name).add(v);
+                self.counter_named(name).add(v);
             }
         }
         let histograms: Vec<(&'static str, Arc<Histogram>)> = other
@@ -368,7 +382,7 @@ impl Registry {
             .map(|(name, h)| (*name, Arc::clone(h)))
             .collect();
         for (name, h) in histograms {
-            self.histogram(name).merge_from(&h);
+            self.histogram_named(name).merge_from(&h);
         }
     }
 
@@ -440,12 +454,12 @@ mod tests {
     #[test]
     fn counters_add_max_reset() {
         let reg = Registry::new();
-        let c = reg.counter("x");
+        let c = reg.counter(Metric::CacheHits);
         c.add(2);
         c.add(3);
-        assert_eq!(reg.counter_value("x"), 5);
-        // Same name, same counter.
-        reg.counter("x").add(1);
+        assert_eq!(reg.counter_value(Metric::CacheHits), 5);
+        // Same metric, same counter.
+        reg.counter(Metric::CacheHits).add(1);
         assert_eq!(c.get(), 6);
         c.set_max(4);
         assert_eq!(c.get(), 6);
@@ -453,7 +467,7 @@ mod tests {
         assert_eq!(c.get(), 10);
         reg.reset();
         assert_eq!(c.get(), 0);
-        assert_eq!(reg.counter_value("missing"), 0);
+        assert_eq!(reg.counter_value(Metric::CacheMisses), 0);
     }
 
     #[test]
@@ -488,15 +502,15 @@ mod tests {
     #[test]
     fn snapshot_is_serializable_and_sorted() {
         let reg = Registry::new();
-        reg.counter("b.count").add(1);
-        reg.counter("a.count").add(2);
-        reg.histogram("t.phase").record_ns(5_000_000);
+        reg.counter(Metric::CacheMisses).add(1);
+        reg.counter(Metric::CacheHits).add(2);
+        reg.histogram(Metric::GetSteps).record_ns(5_000_000);
         let snap = reg.snapshot();
-        assert_eq!(snap.counters[0].name, "a.count");
+        assert_eq!(snap.counters[0].name, "cache.hits");
         assert_eq!(snap.counters[1].value, 1);
         assert_eq!(snap.histograms[0].count, 1);
         let json = serde_json::to_string(&snap).unwrap();
-        assert!(json.contains("\"a.count\""));
+        assert!(json.contains("\"cache.hits\""));
         assert!(json.contains("sum_ms"));
     }
 
@@ -572,9 +586,9 @@ mod tests {
     #[test]
     fn registry_percentiles_skip_empty_histograms() {
         let reg = Registry::new();
-        reg.histogram("b.phase").record_ns(1_000_000);
-        reg.histogram("a.phase").record_ns(2_000_000);
-        let _never_recorded = reg.histogram("z.phase");
+        reg.histogram_named("b.phase").record_ns(1_000_000);
+        reg.histogram_named("a.phase").record_ns(2_000_000);
+        let _never_recorded = reg.histogram_named("z.phase");
         let rows = reg.histogram_percentiles();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].0, "a.phase");
@@ -590,8 +604,8 @@ mod tests {
         for _ in 0..4 {
             let reg = std::sync::Arc::clone(&reg);
             handles.push(std::thread::spawn(move || {
-                let c = reg.counter("hot");
-                let h = reg.histogram("lat");
+                let c = reg.counter(Metric::InternHits);
+                let h = reg.histogram_named("lat");
                 for _ in 0..1000 {
                     c.add(1);
                     h.record_ns(100);
@@ -601,7 +615,7 @@ mod tests {
         for t in handles {
             t.join().unwrap();
         }
-        assert_eq!(reg.counter_value("hot"), 4000);
+        assert_eq!(reg.counter_value(Metric::InternHits), 4000);
         assert_eq!(reg.histogram_count("lat"), 4000);
     }
 }

@@ -205,8 +205,8 @@ mod tests {
             let _child = root.child("stmt.assign");
         }
         let reg = Registry::new();
-        reg.histogram("search.get_steps").record_ns(1_500_000);
-        reg.histogram("search.get_steps").record_ns(2_500_000);
+        reg.histogram(crate::Metric::GetSteps).record_ns(1_500_000);
+        reg.histogram(crate::Metric::GetSteps).record_ns(2_500_000);
         // Search-phase histograms plus the collector's per-span-name
         // aggregates — the same merge the search performs.
         let mut rows = reg.histogram_percentiles();
@@ -221,7 +221,7 @@ mod tests {
         let line = serde_json::to_string(&report.to_event()).unwrap();
         // Other trace lines, including garbage, don't disturb extraction.
         let trace = format!(
-            "{{\"v\":3,\"event\":\"search_start\"}}\n\nnot json\n{line}\n{{\"v\":3,\"event\":\"sea"
+            "{{\"v\":4,\"event\":\"search_start\"}}\n\nnot json\n{line}\n{{\"v\":4,\"event\":\"sea"
         );
         let parsed = crate::summary::parse_trace(&trace).unwrap().profile.unwrap();
         assert_eq!(parsed, report);

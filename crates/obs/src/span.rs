@@ -130,7 +130,7 @@ impl Collector {
     fn finish(&self, span: &Span<'_>) {
         let Some(start) = span.start else { return };
         let dur = start.elapsed();
-        self.registry.histogram(span.name).record(dur);
+        self.registry.histogram_named(span.name).record(dur);
         let epoch = *self.epoch.lock().expect("epoch lock");
         let mut spans = self.spans.lock().expect("span lock");
         if spans.len() >= self.max_spans {

@@ -1,6 +1,6 @@
 //! The one trace parser, and the `lucid trace` view.
 //!
-//! [`parse_trace`] reads a JSONL stream of schema v3 (see [`crate::event`]
+//! [`parse_trace`] reads a JSONL stream of schema v4 (see [`crate::event`]
 //! and [`crate::decision`]) into one [`TraceSummary`] that carries all
 //! three views of a traced search: the measurement records rolled back
 //! up into the paper's Figure 7 phase breakdown ([`TraceSummary::render`],
@@ -21,6 +21,7 @@ use crate::decision::Decisions;
 use crate::event::TRACE_SCHEMA_VERSION;
 use crate::profile::ProfileReport;
 use crate::sink::rotated_path;
+use crate::timings::Timings;
 use serde_json::Value;
 use std::path::{Path, PathBuf};
 
@@ -97,55 +98,15 @@ pub struct TraceSummary {
     pub totals: PhaseTotals,
     /// Candidates scored (`search_end.explored`).
     pub explored: u64,
-    /// Cumulative cache counters (from `search_end`, falling back to the
-    /// per-step sums when the end record is missing).
-    pub cache_hits: u64,
-    /// Cache misses.
-    pub cache_misses: u64,
-    /// Cache evictions.
-    pub cache_evictions: u64,
-    /// Peak retained snapshots.
-    pub cache_peak_snapshots: u64,
-    /// Estimator fits served from the fit memo.
-    pub fit_memo_hits: u64,
-    /// Estimator fits that trained through the fit memo.
-    pub fit_memo_misses: u64,
+    /// The search's phase times and counters, from `search_end`. On a
+    /// trace cut before that record, the cache, drop and allocated-byte
+    /// counters fall back to their sums over the step and verify records
+    /// and the rest read as zero.
+    pub timings: Timings,
     /// Whether verification accepted a candidate.
     pub accepted: Option<bool>,
-    /// Candidates whose execution or scoring panicked (from `search_end`,
-    /// falling back to step + verify sums on a truncated trace).
-    pub candidates_panicked: u64,
-    /// Fuel-budget trips over the whole search.
-    pub budget_trips_fuel: u64,
-    /// Cell-cap trips over the whole search.
-    pub budget_trips_cells: u64,
-    /// Deadline trips over the whole search.
-    pub budget_trips_deadline: u64,
     /// Panic payloads captured in step/verify records, in record order.
     pub panic_payloads: Vec<String>,
-    /// Duplicate candidates skipped over the whole search (from
-    /// `search_end`, falling back to step sums on a truncated trace).
-    pub candidates_deduped: u64,
-    /// Candidate adds skipped by the monotonicity cursor (from
-    /// `search_end`, falling back to step sums on a truncated trace).
-    pub pruned_monotonicity: u64,
-    /// Distinct statements the search's interner materialized.
-    pub unique_stmts: u64,
-    /// Intern requests answered by an already-shared statement.
-    pub intern_hits: u64,
-    /// Candidate DAGs derived incrementally instead of rebuilt.
-    pub dag_incremental_updates: u64,
-    /// Bytes allocated per phase, in [`crate::alloc::PHASES`] display
-    /// order: enumerate, execute, score, verify, unattributed. All
-    /// memory fields are zero for traces written with telemetry off.
-    pub alloc_bytes_phases: [u64; 5],
-    /// Total bytes allocated (from `search_end`, falling back to the
-    /// per-step sums on a truncated trace).
-    pub alloc_bytes_total: u64,
-    /// Allocation count over the whole search.
-    pub alloc_count: u64,
-    /// Process live-bytes high-water mark at search end.
-    pub mem_peak_bytes: u64,
     /// Per-statement interpreter aggregates (name, count, total ms).
     pub stmt_spans: Vec<(String, u64, f64)>,
     /// Records that parsed but carried an unrecognized `event`.
@@ -153,8 +114,8 @@ pub struct TraceSummary {
     /// Blank-after-trim, truncated, or malformed lines skipped during
     /// parsing (surfaced as a warning, never an error).
     pub skipped_lines: usize,
-    /// Whether the stream holds its `search_end` record (the counters
-    /// above fall back to step sums when it does not).
+    /// Whether the stream holds its `search_end` record (`timings` falls
+    /// back to step sums when it does not).
     pub complete: bool,
     /// The decision records (rendered by `lucid why`).
     pub decisions: Decisions,
@@ -269,12 +230,9 @@ pub fn read_trace(path: &Path) -> Result<TraceSummary, TraceError> {
 pub fn parse_trace(text: &str) -> Result<TraceSummary, TraceError> {
     let mut summary = TraceSummary::default();
     let mut any = false;
-    // Fault-isolation counters summed from step + verify records; used as
-    // the fallback when the trace is truncated before `search_end`.
-    let mut sum_panicked = 0u64;
-    let mut sum_trips = [0u64; 3];
-    let mut sum_deduped = 0u64;
-    let mut sum_pruned = 0u64;
+    // Counters summed from the step + verify records; the fallback when
+    // the trace is truncated before `search_end`.
+    let mut sums = Timings::default();
     for line in text.lines() {
         let line = line.trim();
         if line.is_empty() {
@@ -359,12 +317,13 @@ pub fn parse_trace(text: &str) -> Result<TraceSummary, TraceError> {
                         .and_then(Value::as_bool)
                         .unwrap_or(false),
                 };
-                sum_panicked += row.candidates_panicked;
-                sum_trips[0] += int(&record, "budget_trips_fuel");
-                sum_trips[1] += int(&record, "budget_trips_cells");
-                sum_trips[2] += int(&record, "budget_trips_deadline");
-                sum_deduped += row.candidates_deduped;
-                sum_pruned += row.pruned_monotonicity as u64;
+                sums.prefix_cache_hits += row.cache_hits;
+                sums.prefix_cache_misses += row.cache_misses;
+                sums.prefix_cache_evictions += row.cache_evictions;
+                sums.candidates_deduped += row.candidates_deduped;
+                sums.pruned_monotonicity += row.pruned_monotonicity as u64;
+                sums.alloc_bytes_total += row.alloc_bytes;
+                add_fault_counters(&record, &mut sums);
                 collect_panic_payloads(&record, &mut summary.panic_payloads);
                 summary.totals.get_steps_ms += row.get_steps_ms;
                 summary.totals.get_top_k_ms += row.get_top_k_ms;
@@ -375,41 +334,14 @@ pub fn parse_trace(text: &str) -> Result<TraceSummary, TraceError> {
                 summary.totals.check_execute_ms += num(&record, "check_execute_ms");
                 summary.totals.verify_constraints_ms += num(&record, "verify_ms");
                 summary.accepted = record.get("accepted").and_then(Value::as_bool);
-                sum_panicked += int(&record, "candidates_panicked");
-                sum_trips[0] += int(&record, "budget_trips_fuel");
-                sum_trips[1] += int(&record, "budget_trips_cells");
-                sum_trips[2] += int(&record, "budget_trips_deadline");
+                add_fault_counters(&record, &mut sums);
                 collect_panic_payloads(&record, &mut summary.panic_payloads);
             }
             "search_end" => {
                 summary.complete = true;
-                summary.totals.total_ms = num(&record, "total_ms");
                 summary.explored = int(&record, "explored");
-                summary.cache_hits = int(&record, "cache_hits");
-                summary.cache_misses = int(&record, "cache_misses");
-                summary.cache_evictions = int(&record, "cache_evictions");
-                summary.cache_peak_snapshots = int(&record, "cache_peak_snapshots");
-                summary.fit_memo_hits = int(&record, "fit_memo_hits");
-                summary.fit_memo_misses = int(&record, "fit_memo_misses");
-                summary.candidates_panicked = int(&record, "candidates_panicked");
-                summary.budget_trips_fuel = int(&record, "budget_trips_fuel");
-                summary.budget_trips_cells = int(&record, "budget_trips_cells");
-                summary.budget_trips_deadline = int(&record, "budget_trips_deadline");
-                summary.candidates_deduped = int(&record, "candidates_deduped");
-                summary.pruned_monotonicity = int(&record, "pruned_monotonicity");
-                summary.unique_stmts = int(&record, "unique_stmts");
-                summary.intern_hits = int(&record, "intern_hits");
-                summary.dag_incremental_updates = int(&record, "dag_incremental_updates");
-                summary.alloc_bytes_phases = [
-                    int(&record, "alloc_bytes_enumerate"),
-                    int(&record, "alloc_bytes_execute"),
-                    int(&record, "alloc_bytes_score"),
-                    int(&record, "alloc_bytes_verify"),
-                    int(&record, "alloc_bytes_unattributed"),
-                ];
-                summary.alloc_bytes_total = int(&record, "alloc_bytes_total");
-                summary.alloc_count = int(&record, "alloc_count");
-                summary.mem_peak_bytes = int(&record, "mem_peak_bytes");
+                summary.timings = Timings::from_record(&record);
+                summary.totals.total_ms = summary.timings.total_ms;
                 if let Some(spans) = record.get("stmt_spans").and_then(Value::as_array) {
                     for s in spans {
                         summary.stmt_spans.push((
@@ -442,18 +374,17 @@ pub fn parse_trace(text: &str) -> Result<TraceSummary, TraceError> {
     }
     if !summary.complete {
         // Fall back to step sums so a truncated trace still summarizes.
-        summary.cache_hits = summary.steps.iter().map(|s| s.cache_hits).sum();
-        summary.cache_misses = summary.steps.iter().map(|s| s.cache_misses).sum();
-        summary.cache_evictions = summary.steps.iter().map(|s| s.cache_evictions).sum();
-        summary.candidates_panicked = sum_panicked;
-        summary.budget_trips_fuel = sum_trips[0];
-        summary.budget_trips_cells = sum_trips[1];
-        summary.budget_trips_deadline = sum_trips[2];
-        summary.candidates_deduped = sum_deduped;
-        summary.pruned_monotonicity = sum_pruned;
-        summary.alloc_bytes_total = summary.steps.iter().map(|s| s.alloc_bytes).sum();
+        summary.timings = sums;
     }
     Ok(summary)
+}
+
+/// Adds a step or verify record's panic and budget-trip counts to `sums`.
+fn add_fault_counters(record: &Value, sums: &mut Timings) {
+    sums.candidates_panicked += int(record, "candidates_panicked");
+    sums.budget_trips_fuel += int(record, "budget_trips_fuel");
+    sums.budget_trips_cells += int(record, "budget_trips_cells");
+    sums.budget_trips_deadline += int(record, "budget_trips_deadline");
 }
 
 /// Appends a record's `panic_payloads` strings (if any) to `out`.
@@ -544,58 +475,56 @@ impl TraceSummary {
             });
         }
         out.push('\n');
-        let probes = self.cache_hits + self.cache_misses;
+        let t = &self.timings;
+        let probes = t.prefix_cache_hits + t.prefix_cache_misses;
         if probes > 0 {
             out.push_str(&format!(
                 "prefix cache: {} hits, {} misses ({:.0}% hit rate), {} evictions, peak {} snapshots\n",
-                self.cache_hits,
-                self.cache_misses,
-                self.cache_hits as f64 / probes as f64 * 100.0,
-                self.cache_evictions,
-                self.cache_peak_snapshots,
+                t.prefix_cache_hits,
+                t.prefix_cache_misses,
+                t.prefix_cache_hit_rate() * 100.0,
+                t.prefix_cache_evictions,
+                t.prefix_cache_peak_snapshots,
             ));
         }
-        let fits = self.fit_memo_hits + self.fit_memo_misses;
+        let fits = t.fit_memo_hits + t.fit_memo_misses;
         if fits > 0 {
             out.push_str(&format!(
                 "fit memo: {} hits, {} misses ({:.0}% of fits served without training)\n",
-                self.fit_memo_hits,
-                self.fit_memo_misses,
-                self.fit_memo_hits as f64 / fits as f64 * 100.0,
+                t.fit_memo_hits,
+                t.fit_memo_misses,
+                t.fit_memo_hits as f64 / fits as f64 * 100.0,
             ));
         }
-        if self.unique_stmts > 0 || self.intern_hits > 0 || self.candidates_deduped > 0 {
+        if t.unique_stmts > 0 || t.intern_hits > 0 || t.candidates_deduped > 0 {
             out.push_str(&format!(
                 "interned IR: {} unique statements, {} intern hits, {} incremental DAG updates, {} duplicate candidates skipped\n",
-                self.unique_stmts,
-                self.intern_hits,
-                self.dag_incremental_updates,
-                self.candidates_deduped,
+                t.unique_stmts,
+                t.intern_hits,
+                t.dag_incremental_updates,
+                t.candidates_deduped,
             ));
         }
-        if self.alloc_bytes_total > 0 || self.mem_peak_bytes > 0 {
-            let [enumerate, execute, score, verify, unattributed] = self.alloc_bytes_phases;
+        if t.alloc_bytes_total > 0 || t.peak_live_bytes > 0 {
             out.push_str(&format!(
                 "memory: {} allocated in {} allocations (enumerate {}, execute {}, score {}, verify {}, unattributed {}), peak live {}\n",
-                fmt_bytes(self.alloc_bytes_total),
-                self.alloc_count,
-                fmt_bytes(enumerate),
-                fmt_bytes(execute),
-                fmt_bytes(score),
-                fmt_bytes(verify),
-                fmt_bytes(unattributed),
-                fmt_bytes(self.mem_peak_bytes),
+                fmt_bytes(t.alloc_bytes_total),
+                t.alloc_count,
+                fmt_bytes(t.alloc_bytes_enumerate),
+                fmt_bytes(t.alloc_bytes_execute),
+                fmt_bytes(t.alloc_bytes_score),
+                fmt_bytes(t.alloc_bytes_verify),
+                fmt_bytes(t.alloc_bytes_unattributed),
+                fmt_bytes(t.peak_live_bytes),
             ));
         }
-        let trips =
-            self.budget_trips_fuel + self.budget_trips_cells + self.budget_trips_deadline;
-        if self.candidates_panicked > 0 || trips > 0 {
+        if t.candidates_panicked > 0 || t.budget_trips_total() > 0 {
             out.push_str(&format!(
                 "fault isolation: {} candidate panic(s) caught; budget trips fuel/cells/deadline {}/{}/{}\n",
-                self.candidates_panicked,
-                self.budget_trips_fuel,
-                self.budget_trips_cells,
-                self.budget_trips_deadline,
+                t.candidates_panicked,
+                t.budget_trips_fuel,
+                t.budget_trips_cells,
+                t.budget_trips_deadline,
             ));
             for payload in self.panic_payloads.iter().take(3) {
                 out.push_str(&format!("  panic: {payload}\n"));
@@ -726,8 +655,8 @@ pub fn aggregate_summaries(inputs: &[(String, TraceSummary)]) -> AggregateReport
             explored: s.explored,
             totals: s.totals,
             accepted: s.accepted,
-            alloc_bytes_total: s.alloc_bytes_total,
-            mem_peak_bytes: s.mem_peak_bytes,
+            alloc_bytes_total: s.timings.alloc_bytes_total,
+            mem_peak_bytes: s.timings.peak_live_bytes,
             memo_hit: s.memo_stub().map(|m| m.against.clone()),
         };
         if row.memo_hit.is_some() {
@@ -926,41 +855,43 @@ mod tests {
         sink.emit(&SearchEndEvent {
             v: TRACE_SCHEMA_VERSION,
             event: "search_end".to_string(),
-            steps: 2,
             explored: 18,
             input_re: 2.5,
             best_re: 1.0,
             changed: true,
-            get_steps_ms: 20.0,
-            get_steps_cpu_ms: 35.0,
-            get_top_k_ms: 4.0,
-            check_execute_ms: 9.0,
-            verify_constraints_ms: 3.0,
-            total_ms: 40.0,
-            threads: 2,
-            cache_hits: 6,
-            cache_misses: 2,
-            cache_evictions: 0,
-            cache_peak_snapshots: 12,
-            fit_memo_hits: 5,
-            fit_memo_misses: 3,
-            candidates_panicked: 2,
-            budget_trips_fuel: 0,
-            budget_trips_cells: 2,
-            budget_trips_deadline: 0,
-            candidates_deduped: 4,
-            pruned_monotonicity: 2,
-            unique_stmts: 9,
-            intern_hits: 40,
-            dag_incremental_updates: 18,
-            alloc_bytes_enumerate: 2048,
-            alloc_bytes_execute: 1024,
-            alloc_bytes_score: 512,
-            alloc_bytes_verify: 256,
-            alloc_bytes_unattributed: 256,
-            alloc_bytes_total: 4096,
-            alloc_count: 77,
-            mem_peak_bytes: 5 * 1024 * 1024,
+            timings: Timings {
+                get_steps_ms: 20.0,
+                get_top_k_ms: 4.0,
+                check_execute_ms: 9.0,
+                verify_constraints_ms: 3.0,
+                total_ms: 40.0,
+                get_steps_cpu_ms: 35.0,
+                threads: 2,
+                prefix_cache_hits: 6,
+                prefix_cache_misses: 2,
+                prefix_cache_evictions: 0,
+                prefix_cache_peak_snapshots: 12,
+                fit_memo_hits: 5,
+                fit_memo_misses: 3,
+                search_steps: 2,
+                candidates_panicked: 2,
+                budget_trips_fuel: 0,
+                budget_trips_cells: 2,
+                budget_trips_deadline: 0,
+                candidates_deduped: 4,
+                pruned_monotonicity: 2,
+                unique_stmts: 9,
+                intern_hits: 40,
+                dag_incremental_updates: 18,
+                alloc_bytes_enumerate: 2048,
+                alloc_bytes_execute: 1024,
+                alloc_bytes_score: 512,
+                alloc_bytes_verify: 256,
+                alloc_bytes_unattributed: 256,
+                alloc_bytes_total: 4096,
+                alloc_count: 77,
+                peak_live_bytes: 5 * 1024 * 1024,
+            },
             stmt_spans: vec![StmtSpanAgg {
                 name: "stmt.assign".to_string(),
                 count: 30,
@@ -982,8 +913,10 @@ mod tests {
         assert_eq!(summary.totals.check_execute_ms, 9.0);
         assert_eq!(summary.totals.verify_constraints_ms, 3.0);
         assert_eq!(summary.totals.total_ms, 40.0);
-        assert_eq!(summary.cache_hits, 6);
-        assert_eq!((summary.fit_memo_hits, summary.fit_memo_misses), (5, 3));
+        let t = &summary.timings;
+        assert_eq!(t.prefix_cache_hits, 6);
+        assert_eq!((t.fit_memo_hits, t.fit_memo_misses), (5, 3));
+        assert_eq!(t.get_steps_cpu_ms, 35.0);
         assert!(summary
             .render()
             .contains("fit memo: 5 hits, 3 misses (62% of fits"));
@@ -998,24 +931,33 @@ mod tests {
         assert_eq!(fig7[2], ("CheckIfExecutes", 9.0));
         // Fault-isolation counters come from the search_end record, and
         // the captured payloads from the step records.
-        assert_eq!(summary.candidates_panicked, 2);
-        assert_eq!(summary.budget_trips_cells, 2);
-        assert_eq!(summary.budget_trips_fuel, 0);
+        assert_eq!(t.candidates_panicked, 2);
+        assert_eq!(t.budget_trips_cells, 2);
+        assert_eq!(t.budget_trips_fuel, 0);
         assert_eq!(summary.panic_payloads.len(), 2);
         assert_eq!(summary.steps[0].candidates_panicked, 1);
         assert_eq!(summary.steps[0].budget_trips, 1);
         // Interner stats come from the search_end record.
-        assert_eq!(summary.candidates_deduped, 4);
-        assert_eq!(summary.pruned_monotonicity, 2);
-        assert_eq!(summary.unique_stmts, 9);
-        assert_eq!(summary.intern_hits, 40);
-        assert_eq!(summary.dag_incremental_updates, 18);
+        assert_eq!(t.candidates_deduped, 4);
+        assert_eq!(t.pruned_monotonicity, 2);
+        assert_eq!(t.unique_stmts, 9);
+        assert_eq!(t.intern_hits, 40);
+        assert_eq!(t.dag_incremental_updates, 18);
         assert_eq!(summary.steps[0].candidates_deduped, 2);
         // Memory fields come from the search_end record.
-        assert_eq!(summary.alloc_bytes_phases, [2048, 1024, 512, 256, 256]);
-        assert_eq!(summary.alloc_bytes_total, 4096);
-        assert_eq!(summary.alloc_count, 77);
-        assert_eq!(summary.mem_peak_bytes, 5 * 1024 * 1024);
+        assert_eq!(
+            [
+                t.alloc_bytes_enumerate,
+                t.alloc_bytes_execute,
+                t.alloc_bytes_score,
+                t.alloc_bytes_verify,
+                t.alloc_bytes_unattributed,
+            ],
+            [2048, 1024, 512, 256, 256]
+        );
+        assert_eq!(t.alloc_bytes_total, 4096);
+        assert_eq!(t.alloc_count, 77);
+        assert_eq!(t.peak_live_bytes, 5 * 1024 * 1024);
         assert_eq!(summary.steps[0].alloc_bytes, 1024);
         assert_eq!(summary.steps[1].alloc_bytes, 2048);
     }
@@ -1063,14 +1005,15 @@ mod tests {
         let err = parse_trace("not json").unwrap_err();
         assert!(err.to_string().contains("no readable trace records (1 blank"), "{err}");
         // Earlier schemas (v1 measurement files, v2 decision files) are
-        // rejected by version, not half-read.
-        for (old, kind) in [(1, "step"), (2, "cand")] {
+        // rejected by version, not half-read, and so are v3 files, whose
+        // search_end counters carried other names.
+        for (old, kind) in [(1, "step"), (2, "cand"), (3, "search_end")] {
             let line = format!("{{\"v\":{old},\"event\":\"{kind}\"}}");
             let err = parse_trace(&line).unwrap_err();
             assert_eq!(err.kind, TraceErrorKind::Version(old));
             assert_eq!(
                 err.to_string(),
-                format!("trace schema v{old} is no longer read (this build reads v3)")
+                format!("trace schema v{old} is no longer read (this build reads v4)")
             );
         }
         let err = parse_trace("{\"v\":9,\"event\":\"step\"}").unwrap_err();
@@ -1086,7 +1029,7 @@ mod tests {
         let err = read_trace(&old).unwrap_err();
         assert_eq!(
             err.to_string(),
-            format!("{}: trace schema v2 is no longer read (this build reads v3)", old.display())
+            format!("{}: trace schema v2 is no longer read (this build reads v4)", old.display())
         );
         let missing = dir.join("missing.jsonl");
         let err = read_trace(&missing).unwrap_err();
@@ -1100,7 +1043,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.jsonl");
         let lines = sample_trace();
-        let (older, newer) = lines.split_at(lines.find("{\"v\":3,\"event\":\"verify").unwrap());
+        let (older, newer) = lines.split_at(lines.find("{\"v\":4,\"event\":\"verify").unwrap());
         std::fs::write(rotated_path(&path), older.trim_end()).unwrap();
         std::fs::write(&path, newer).unwrap();
         let folded = read_trace(&path).unwrap();
@@ -1117,12 +1060,12 @@ mod tests {
         // record missing "v", a record missing "event", and a line cut
         // off mid-write.
         let text = "\
-{\"v\":3,\"event\":\"search_start\",\"seq_len\":4}
+{\"v\":4,\"event\":\"search_start\",\"seq_len\":4}
 not json
 
 {\"event\":\"step\"}
-{\"v\":3}
-{\"v\":3,\"event\":\"sea";
+{\"v\":4}
+{\"v\":4,\"event\":\"sea";
         let summary = parse_trace(text).unwrap();
         assert_eq!(summary.skipped_lines, 4); // blank lines aren't counted
         assert_eq!(summary.config.len(), 1);
@@ -1133,7 +1076,7 @@ not json
 
     #[test]
     fn profile_records_are_flagged_not_unknown() {
-        let text = "{\"v\":3,\"event\":\"profile\",\"folded\":[]}";
+        let text = "{\"v\":4,\"event\":\"profile\",\"folded\":[]}";
         let summary = parse_trace(text).unwrap();
         assert!(summary.profile.is_some());
         assert_eq!(summary.unknown_events, 0);
@@ -1142,7 +1085,7 @@ not json
 
     #[test]
     fn unknown_events_are_counted_not_fatal() {
-        let text = "{\"v\":3,\"event\":\"future_thing\",\"x\":1}";
+        let text = "{\"v\":4,\"event\":\"future_thing\",\"x\":1}";
         let summary = parse_trace(text).unwrap();
         assert_eq!(summary.unknown_events, 1);
         assert!(summary.render().contains("unrecognized"));
@@ -1153,20 +1096,22 @@ not json
         let full = sample_trace();
         let truncated: Vec<&str> = full.lines().take(3).collect(); // start + 2 steps
         let summary = parse_trace(&truncated.join("\n")).unwrap();
-        assert_eq!(summary.cache_hits, 6); // 3 + 3 from steps
+        let t = &summary.timings;
+        assert_eq!(t.prefix_cache_hits, 6); // 3 + 3 from steps
         assert_eq!(summary.totals.total_ms, 0.0);
         assert_eq!(summary.totals.get_steps_ms, 20.0);
         // Fault counters also fall back to the step sums.
-        assert_eq!(summary.candidates_panicked, 2);
-        assert_eq!(summary.budget_trips_cells, 2);
-        // Dedup counts too; per-search interner stats only exist in the
-        // (missing) search_end record, so they stay zero.
-        assert_eq!(summary.candidates_deduped, 4); // 2 + 2 from steps
-        assert_eq!(summary.unique_stmts, 0);
+        assert_eq!(t.candidates_panicked, 2);
+        assert_eq!(t.budget_trips_cells, 2);
+        // Dedup and pruning counts too; per-search interner stats only
+        // exist in the (missing) search_end record, so they stay zero.
+        assert_eq!(t.candidates_deduped, 4); // 2 + 2 from steps
+        assert_eq!(t.pruned_monotonicity, 2);
+        assert_eq!(t.unique_stmts, 0);
         // Allocated bytes fall back to the step sums; peaks only exist
         // in the (missing) search_end record.
-        assert_eq!(summary.alloc_bytes_total, 3072);
-        assert_eq!(summary.mem_peak_bytes, 0);
+        assert_eq!(t.alloc_bytes_total, 3072);
+        assert_eq!(t.peak_live_bytes, 0);
     }
 
     #[test]
@@ -1192,8 +1137,8 @@ not json
         assert_eq!(report.totals.total_ms, a.totals.total_ms + b.totals.total_ms);
         assert_eq!(report.explored, a.explored + b.explored);
         assert_eq!(report.steps, a.steps.len() + b.steps.len());
-        assert_eq!(report.alloc_bytes_total, a.alloc_bytes_total * 2);
-        assert_eq!(report.mem_peak_bytes, a.mem_peak_bytes); // max, not sum
+        assert_eq!(report.alloc_bytes_total, a.timings.alloc_bytes_total * 2);
+        assert_eq!(report.mem_peak_bytes, a.timings.peak_live_bytes); // max, not sum
         assert_eq!(report.accepted, 2);
         // Identical searches collapse the latency percentiles.
         assert_eq!(report.p50_total_ms, 40.0);
@@ -1216,7 +1161,10 @@ not json
                 total_ms,
                 ..Default::default()
             },
-            mem_peak_bytes: peak,
+            timings: Timings {
+                peak_live_bytes: peak,
+                ..Default::default()
+            },
             accepted: Some(false),
             ..Default::default()
         };
@@ -1237,7 +1185,7 @@ not json
     #[test]
     fn aggregate_renders_memo_hit_stubs_as_memo_rows() {
         let stub = parse_trace(
-            "{\"v\":3,\"event\":\"memo_hit\",\"script\":\"c.py\",\"against\":\"a.py\"}",
+            "{\"v\":4,\"event\":\"memo_hit\",\"script\":\"c.py\",\"against\":\"a.py\"}",
         )
         .unwrap();
         assert!(stub

@@ -2,7 +2,7 @@
 //! primitive per-search registries use to feed a process-wide one.
 
 use lucid_obs::metrics::HISTOGRAM_BUCKETS;
-use lucid_obs::{Histogram, Registry};
+use lucid_obs::{Histogram, Metric, Registry};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -104,13 +104,13 @@ proptest! {
         let a = Registry::new();
         let b = Registry::new();
         for &x in &xs {
-            a.counter("search.explored").add(1);
-            a.histogram("search.get_steps").record_ns(x);
+            a.counter(Metric::Steps).add(1);
+            a.histogram(Metric::GetSteps).record_ns(x);
         }
         for &y in &ys {
-            b.counter("search.explored").add(1);
-            b.counter("cache.hits").add(y % 3);
-            b.histogram("search.get_steps").record_ns(y);
+            b.counter(Metric::Steps).add(1);
+            b.counter(Metric::CacheHits).add(y % 3);
+            b.histogram(Metric::GetSteps).record_ns(y);
         }
 
         let into_a = Registry::new();
@@ -121,24 +121,24 @@ proptest! {
         into_b.merge(&a);
 
         prop_assert_eq!(
-            into_a.counter_value("search.explored"),
+            into_a.counter_value(Metric::Steps),
             (xs.len() + ys.len()) as u64
         );
         prop_assert_eq!(
-            into_a.counter_value("search.explored"),
-            into_b.counter_value("search.explored")
+            into_a.counter_value(Metric::Steps),
+            into_b.counter_value(Metric::Steps)
         );
         prop_assert_eq!(
-            into_a.counter_value("cache.hits"),
-            into_b.counter_value("cache.hits")
+            into_a.counter_value(Metric::CacheHits),
+            into_b.counter_value(Metric::CacheHits)
         );
         prop_assert_eq!(
-            into_a.histogram_count("search.get_steps"),
+            into_a.histogram_count(Metric::GetSteps.name()),
             (xs.len() + ys.len()) as u64
         );
         prop_assert_eq!(
-            into_a.histogram_sum_ms("search.get_steps"),
-            into_b.histogram_sum_ms("search.get_steps")
+            into_a.histogram_sum_ms(Metric::GetSteps.name()),
+            into_b.histogram_sum_ms(Metric::GetSteps.name())
         );
     }
 }

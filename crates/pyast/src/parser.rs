@@ -6,6 +6,15 @@ use crate::lexer::lex;
 use crate::span::Span;
 use crate::token::{Token, TokenKind};
 
+/// Deepest expression nesting a script may have. Nesting counts each
+/// parenthesis, operand, call, subscript and attribute level, including
+/// the levels of left-deep chains such as `1+1+…` and `df.a.a…` that the
+/// parser builds in a loop. Every later pass over the tree (printer,
+/// lemmatizer, interpreter, `Drop`) recurses once per level, so this
+/// bound is what keeps a hostile script from overflowing a worker
+/// thread's stack. CPython refuses more than 200 nested parentheses too.
+pub const MAX_NESTING: usize = 200;
+
 /// Parses a full script into a [`Module`].
 ///
 /// # Errors
@@ -36,11 +45,26 @@ pub fn parse_expr(source: &str) -> Result<Expr, PyAstError> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Nesting level of the expression being built (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl Parser {
     fn new(tokens: Vec<Token>) -> Self {
-        Parser { tokens, pos: 0 }
+        Parser {
+            tokens,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// Enters one more nesting level, refusing to pass [`MAX_NESTING`].
+    fn nest(&mut self) -> Result<(), ParseError> {
+        self.depth += 1;
+        if self.depth > MAX_NESTING {
+            return Err(self.error(format!("expression nests deeper than {MAX_NESTING} levels")));
+        }
+        Ok(())
     }
 
     fn peek(&self) -> &Token {
@@ -214,8 +238,18 @@ impl Parser {
     }
 
     /// Precedence-climbing expression parser. `min_prec` is the lowest
-    /// operator precedence this call may consume.
+    /// operator precedence this call may consume. The expression is one
+    /// nesting level, and so is each operator that wraps the left-hand
+    /// side built so far.
     fn expression(&mut self, min_prec: u8) -> Result<Expr, ParseError> {
+        let outer = self.depth;
+        self.nest()?;
+        let expr = self.climb(min_prec);
+        self.depth = outer;
+        expr
+    }
+
+    fn climb(&mut self, min_prec: u8) -> Result<Expr, ParseError> {
         let mut lhs = self.unary()?;
         loop {
             // Comparison operators (precedence 4, non-associative).
@@ -228,6 +262,7 @@ impl Parser {
                             self.error("chained comparisons are not supported".to_string())
                         );
                     }
+                    self.nest()?;
                     lhs = Expr::Compare {
                         op,
                         left: Box::new(lhs),
@@ -244,6 +279,7 @@ impl Parser {
             self.bump();
             let next_min = if op.right_assoc() { prec } else { prec + 1 };
             let rhs = self.expression(next_min)?;
+            self.nest()?;
             lhs = Expr::BinOp {
                 op,
                 left: Box::new(lhs),
@@ -337,6 +373,7 @@ impl Parser {
         self.postfix()
     }
 
+    /// Attribute, call and subscript links; each one nests a level.
     fn postfix(&mut self) -> Result<Expr, ParseError> {
         let mut expr = self.atom()?;
         loop {
@@ -369,6 +406,7 @@ impl Parser {
                 }
                 _ => break,
             }
+            self.nest()?;
         }
         Ok(expr)
     }
@@ -779,5 +817,60 @@ mod tests {
         let m = parse_module("a = 1\n\n# comment\nb = 2\n").unwrap();
         assert_eq!(m.stmts[0].span().line, 1);
         assert_eq!(m.stmts[1].span().line, 4);
+    }
+
+    fn nesting_error(src: &str) -> Option<String> {
+        match parse_module(src) {
+            Ok(_) => None,
+            Err(PyAstError::Parse(e)) if e.message.contains("nests deeper than") => Some(e.message),
+            Err(other) => panic!("unexpected error: {other}"),
+        }
+    }
+
+    #[test]
+    fn nesting_parses_at_the_limit_and_is_refused_one_level_past() {
+        // The outermost expression is one level, so one parenthesis or
+        // attribute fewer than the limit fits; `1+…+1` with N terms is N
+        // levels deep, built by the operator loop rather than recursion.
+        let parens: fn(usize) -> String = |n| format!("x = {}1{}\n", "(".repeat(n), ")".repeat(n));
+        let sum: fn(usize) -> String = |n| format!("x = 1{}\n", "+1".repeat(n - 1));
+        let attrs: fn(usize) -> String = |n| format!("x = df{}\n", ".a".repeat(n));
+        for (shape, at_limit) in [
+            (parens, MAX_NESTING - 1),
+            (sum, MAX_NESTING),
+            (attrs, MAX_NESTING - 1),
+        ] {
+            let ok = shape(at_limit);
+            assert_eq!(nesting_error(&ok), None, "{}", &ok[..20]);
+            // The printer adds no nesting, so a script at the limit
+            // round-trips through the text the search re-parses.
+            let printed = crate::printer::print_module(&parse_module(&ok).unwrap());
+            assert_eq!(nesting_error(&printed), None, "{}", &printed[..20]);
+            let past = shape(at_limit + 1);
+            assert_eq!(
+                nesting_error(&past).as_deref(),
+                Some("expression nests deeper than 200 levels"),
+                "{}",
+                &past[..20]
+            );
+        }
+    }
+
+    #[test]
+    fn hostile_nesting_is_a_parse_error_not_a_stack_overflow() {
+        const N: usize = 200_000;
+        for src in [
+            format!("x = {}1{}\n", "(".repeat(N), ")".repeat(N)),
+            format!("x = 1{}\n", "+1".repeat(N)),
+            format!("x = df{}\n", ".a".repeat(N)),
+            format!("x = {}1{}\n", "[".repeat(N), "]".repeat(N)),
+            format!("x = {}1{}\n", "f(".repeat(N), ")".repeat(N)),
+            format!("x = {}1\n", "-".repeat(N)),
+            format!("x = {}y\n", "not ".repeat(N)),
+            format!("x = df{}\n", "[0]".repeat(N)),
+            format!("x = 1{}\n", " < 1 and 1".repeat(N)),
+        ] {
+            assert!(nesting_error(&src).is_some(), "{}", &src[..20]);
+        }
     }
 }

@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # CI gate: release build, full test suite, the fault-isolation suites,
 # zero-warning clippy on the crates owning the search execution model
-# (core + interp), its observability layer (obs), and the benchmark
-# harness (bench); the allocation-byte regression gate against the
-# committed BENCH_search.json; the decision-stability smokes of the
-# committed benchmark (benchmark/, which owns wall time); grep gates
-# (panic paths, interned IR, columnar kernels, metric names, batch
-# shared state); and the batch, trace and overhead smokes.
+# (core + interp), its observability layer (obs), the parser (pyast),
+# the frame kernels (frame) and the benchmark harness (bench); the
+# allocation-byte regression gate against the committed
+# BENCH_search.json; the decision-stability smokes of the committed
+# benchmark (benchmark/, which owns wall time); four grep gates (panic
+# paths, interned IR, columnar kernels, batch shared state); and the
+# batch, trace and overhead smokes. Metric names need no gate: the
+# registry accepts only lucid_obs::Metric handles.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -19,8 +21,9 @@ cargo test -q
 echo "==> fault-isolation suites (properties, fault_injection, determinism)"
 cargo test -q --test properties --test fault_injection --test determinism
 
-echo "==> cargo clippy (lucid-core, lucid-interp, lucid-obs, lucid-bench, lucidscript) -D warnings"
-cargo clippy -p lucid-core -p lucid-interp -p lucid-obs -p lucid-bench -p lucidscript --all-targets -- -D warnings
+echo "==> cargo clippy (lucid-core, lucid-interp, lucid-obs, lucid-pyast, lucid-frame, lucid-bench, lucidscript) -D warnings"
+cargo clippy -p lucid-core -p lucid-interp -p lucid-obs -p lucid-pyast -p lucid-frame -p lucid-bench \
+  -p lucidscript --all-targets -- -D warnings
 
 # Byte regression gate: the quick search's allocation rows, two reps,
 # against the last committed entry of BENCH_search.json (workloads join
@@ -136,34 +139,6 @@ if [ "$gate_failed" -ne 0 ]; then
   exit 1
 fi
 
-# Metric names live in core::report::metric — one spelling per metric,
-# shared by the search, the exporters, and the bench harness. An ad-hoc
-# dot-path literal anywhere else silently forks the namespace (the
-# exporter would publish two names for one quantity), so scan non-test
-# code of the metric-consuming crates for stray literals. report.rs
-# itself is the one allowed definition site.
-echo "==> metric-name grep gate (core + bench + CLI use report::metric consts)"
-metric_gate() {
-  local f="$1"
-  local hits
-  hits=$(awk '/#\[cfg\(test\)\]/{exit} {print NR": "$0}' "$f" \
-    | grep -vE '^[0-9]+: *(//|//!)' \
-    | grep -E '"(search|cache|budget|interner|dag|mem)\.' || true)
-  if [ -n "$hits" ]; then
-    echo "ad-hoc metric literal in non-test code of $f (use core::report::metric):"
-    echo "$hits"
-    gate_failed=1
-  fi
-}
-for f in crates/core/src/*.rs crates/bench/src/*.rs src/bin/*.rs; do
-  [ "$f" = "crates/core/src/report.rs" ] && continue
-  metric_gate "$f"
-done
-if [ "$gate_failed" -ne 0 ]; then
-  echo "==> FAIL: metric names must come from core::report::metric"
-  exit 1
-fi
-
 # The batch path must construct its interner and prefix cache through
 # SharedSearchState only — a per-search `StmtInterner::new()` or
 # `PrefixCache::with_capacity()` in core::batch silently reverts the
@@ -233,7 +208,7 @@ for threads in 1 2; do
   ./target/release/lucid standardize --corpus "$batch_smoke/corpus" --data "$batch_smoke/data.csv" \
     --script "$batch_smoke/corpus/b.py" --seq 3 --beam 2 --threads "$threads" \
     --trace "$batch_smoke/t$threads.jsonl" > /dev/null 2>&1
-  grep -E '^\{"v":3,"event":"(cand|lineage|diff_line|decision_end)"' \
+  grep -E '^\{"v":4,"event":"(cand|lineage|diff_line|decision_end)"' \
     "$batch_smoke/t$threads.jsonl" > "$batch_smoke/t$threads.decisions"
 done
 if [ ! -s "$batch_smoke/t1.decisions" ] \

@@ -117,7 +117,7 @@ OPTIONS (bench):
   --counting-only     with --telemetry-overhead, skip the full-mode pass
 
 `lucid trace`, `lucid why` and `lucid profile` are three views of one
-trace file written by `--trace` (schema v3; files of earlier versions are
+trace file written by `--trace` (schema v4; files of earlier versions are
 rejected by name). Each folds a rotated `<FILE>.1` segment back in front
 of the current one.
 `lucid trace` shows the per-step table, the Figure 7 phase totals, and

@@ -318,18 +318,19 @@ fn batch_trace_timings_and_store_totals_reconcile() {
             .unwrap_or_else(|e| panic!("trace for {}: {e}", script.name));
         let summary = lucidscript::obs::parse_trace(&text)
             .unwrap_or_else(|e| panic!("trace for {}: {e}", script.name));
-        trace_hits += summary.cache_hits;
-        trace_misses += summary.cache_misses;
-        trace_evictions += summary.cache_evictions;
-        trace_fit_hits += summary.fit_memo_hits;
-        trace_fit_misses += summary.fit_memo_misses;
+        let s = &summary.timings;
+        trace_hits += s.prefix_cache_hits;
+        trace_misses += s.prefix_cache_misses;
+        trace_evictions += s.prefix_cache_evictions;
+        trace_fit_hits += s.fit_memo_hits;
+        trace_fit_misses += s.fit_memo_misses;
         for (sum, value) in trace_drops.iter_mut().zip([
-            summary.candidates_deduped,
-            summary.pruned_monotonicity,
-            summary.budget_trips_fuel,
-            summary.budget_trips_cells,
-            summary.budget_trips_deadline,
-            summary.candidates_panicked,
+            s.candidates_deduped,
+            s.pruned_monotonicity,
+            s.budget_trips_fuel,
+            s.budget_trips_cells,
+            s.budget_trips_deadline,
+            s.candidates_panicked,
         ]) {
             *sum += value;
         }

@@ -112,6 +112,77 @@ fn score_prints_a_number() {
 }
 
 #[test]
+fn hostile_nesting_fails_with_a_parse_error_not_an_abort() {
+    // Each script nests 200 000 levels: parentheses by recursion, the
+    // other two by the parser's operator and attribute loops. All used
+    // to overflow the stack and abort the process (exit 134).
+    const N: usize = 200_000;
+    let dir = workdir();
+    for (name, src) in [
+        ("parens", format!("x = {}1{}\n", "(".repeat(N), ")".repeat(N))),
+        ("sum", format!("x = 1{}\n", "+1".repeat(N - 1))),
+        ("attrs", format!("x = df{}\n", ".a".repeat(N))),
+    ] {
+        let script = dir.join(format!("deep_{name}.py"));
+        std::fs::write(&script, src).expect("write script");
+        let out = lucid()
+            .args([
+                "score",
+                "--corpus",
+                dir.join("corpus").to_str().unwrap(),
+                "--script",
+                script.to_str().unwrap(),
+            ])
+            .output()
+            .expect("runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+        assert!(
+            stderr.contains("parse error at 1:") && stderr.contains("nests deeper than 200 levels"),
+            "{name}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn scripts_at_the_nesting_limit_standardize_on_worker_threads() {
+    // Worker threads run on 2 MiB stacks: every pass over a candidate
+    // (lemmatizer, printer, interner, interpreter, drop) must fit a tree
+    // at the parser's limit.
+    let limit = lucidscript::pyast::parser::MAX_NESTING;
+    let dir = workdir();
+    let script = dir.join("at_limit.py");
+    std::fs::write(
+        &script,
+        format!(
+            "import pandas as pd\ndf = pd.read_csv('diabetes.csv')\nx = 1{}\ny = {}1{}\ndf = df.fillna(df.median())\n",
+            "+1".repeat(limit - 1),
+            "(".repeat(limit - 1),
+            ")".repeat(limit - 1),
+        ),
+    )
+    .expect("write script");
+    let out = lucid()
+        .args([
+            "standardize",
+            "--corpus",
+            dir.join("corpus").to_str().unwrap(),
+            "--data",
+            dir.join("diabetes.csv").to_str().unwrap(),
+            "--script",
+            script.to_str().unwrap(),
+            "--threads",
+            "2",
+            "--json",
+        ])
+        .output()
+        .expect("runs");
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("\"candidates_explored\""), "{stdout}");
+}
+
+#[test]
 fn corpus_stats_summarizes() {
     let dir = workdir();
     let out = lucid()
@@ -242,7 +313,7 @@ fn profile_renders_a_traced_search() {
 
     // A trace without a profile record (e.g. hand-built) is a clear error.
     let bare = dir.join("bare.jsonl");
-    std::fs::write(&bare, "{\"v\":3,\"event\":\"search_start\",\"seq_len\":1,\"beam_k\":1,\"source_atoms\":1,\"re_before\":0.0}\n").expect("write");
+    std::fs::write(&bare, "{\"v\":4,\"event\":\"search_start\",\"seq_len\":1,\"beam_k\":1,\"source_atoms\":1,\"re_before\":0.0}\n").expect("write");
     let out = lucid().args(["profile", bare.to_str().unwrap()]).output().expect("runs");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("no profile record"));
@@ -303,23 +374,29 @@ fn one_trace_file_renders_all_three_views() {
 }
 
 /// Files of the earlier schemas are rejected with an error naming the
-/// file and its version, by every view.
+/// file and its version, by every view. v3 files carried the
+/// `search_end` counters under other names.
 #[test]
 fn old_trace_schemas_are_rejected_by_name() {
     let dir = workdir();
     let old = dir.join("old.jsonl");
-    std::fs::write(&old, "{\"v\":2,\"event\":\"cand\",\"id\":0}\n").expect("write");
-    for cmd in ["trace", "why", "profile"] {
-        let out = lucid().args([cmd, old.to_str().unwrap()]).output().expect("runs");
-        assert!(!out.status.success());
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            stderr.contains(&format!(
-                "{}: trace schema v2 is no longer read (this build reads v3)",
-                old.display()
-            )),
-            "{cmd}: {stderr}"
-        );
+    for (v, record) in [
+        (2, "{\"v\":2,\"event\":\"cand\",\"id\":0}\n"),
+        (3, "{\"v\":3,\"event\":\"search_end\",\"steps\":1,\"cache_hits\":0}\n"),
+    ] {
+        std::fs::write(&old, record).expect("write");
+        for cmd in ["trace", "why", "profile"] {
+            let out = lucid().args([cmd, old.to_str().unwrap()]).output().expect("runs");
+            assert!(!out.status.success());
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.contains(&format!(
+                    "{}: trace schema v{v} is no longer read (this build reads v4)",
+                    old.display()
+                )),
+                "{cmd}: {stderr}"
+            );
+        }
     }
 }
 

@@ -119,13 +119,11 @@ fn mixed_classes_at_ten_percent_reconcile_with_the_trace() {
     // a projection of the same registry).
     let summary =
         lucidscript::obs::parse_trace(&sink.memory_lines().unwrap().join("\n")).unwrap();
-    assert_eq!(summary.candidates_panicked, report.timings.candidates_panicked);
-    assert_eq!(summary.budget_trips_fuel, report.timings.budget_trips_fuel);
-    assert_eq!(summary.budget_trips_cells, report.timings.budget_trips_cells);
-    assert_eq!(
-        summary.budget_trips_deadline,
-        report.timings.budget_trips_deadline
-    );
+    let s = &summary.timings;
+    assert_eq!(s.candidates_panicked, report.timings.candidates_panicked);
+    assert_eq!(s.budget_trips_fuel, report.timings.budget_trips_fuel);
+    assert_eq!(s.budget_trips_cells, report.timings.budget_trips_cells);
+    assert_eq!(s.budget_trips_deadline, report.timings.budget_trips_deadline);
     // Every caught panic carried its payload into the step/verify events
     // (up to the per-event cap, which these small searches stay under).
     assert_eq!(

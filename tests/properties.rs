@@ -877,8 +877,8 @@ const TRACE_TOKENS: &[&str] = &[
     "\"BudgetTripped\"", "\"BeamCut\"", "\"kind\"", "\"fuel\"", "\"at_step\"", "\"score_gap\"",
     "\"ids\"", "\"ops\"", "\"total\"", "\"selected\"", "\"diff_lines\"", "\"script\"",
     "\"against\"", "\"kept\"", "\"folded\"", "\"stack\"", "\"percentiles\"", "\"name\"",
-    "\"stmt_spans\"", "\"panic_payloads\"", "\"\\u00e9\"", "\"µs\"", "{\"v\":3,\"event\":",
-    "{\"v\":2,\"event\":", "\\",
+    "\"stmt_spans\"", "\"panic_payloads\"", "\"timings\"", "\"\\u00e9\"", "\"µs\"",
+    "{\"v\":4,\"event\":", "{\"v\":3,\"event\":", "{\"v\":2,\"event\":", "\\",
 ];
 
 proptest! {

@@ -13,7 +13,7 @@ use lucidscript::core::report::StandardizeReport;
 use lucidscript::core::standardizer::Standardizer;
 use lucidscript::frame::csv::read_csv_str;
 use lucidscript::obs::alloc;
-use lucidscript::obs::{parse_trace, Registry, TelemetryMode, TraceSink};
+use lucidscript::obs::{parse_trace, Metric, Registry, TelemetryMode, TraceSink};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 static MODE_LOCK: Mutex<()> = Mutex::new(());
@@ -80,11 +80,18 @@ fn phase_bytes_sum_to_total_and_reach_trace_and_report() {
 
     // The same numbers ride the trace's search_end record.
     let summary = parse_trace(&sink.memory_lines().unwrap().join("\n")).unwrap();
-    assert_eq!(summary.alloc_bytes_total, t.alloc_bytes_total);
-    assert_eq!(summary.alloc_count, t.alloc_count);
-    assert_eq!(summary.mem_peak_bytes, t.peak_live_bytes);
+    let s = &summary.timings;
+    assert_eq!(s.alloc_bytes_total, t.alloc_bytes_total);
+    assert_eq!(s.alloc_count, t.alloc_count);
+    assert_eq!(s.peak_live_bytes, t.peak_live_bytes);
     assert_eq!(
-        summary.alloc_bytes_phases,
+        [
+            s.alloc_bytes_enumerate,
+            s.alloc_bytes_execute,
+            s.alloc_bytes_score,
+            s.alloc_bytes_verify,
+            s.alloc_bytes_unattributed,
+        ],
         [
             t.alloc_bytes_enumerate,
             t.alloc_bytes_execute,
@@ -117,21 +124,21 @@ fn fleet_registry_rolls_up_per_search_metrics() {
     // Counters accumulate across searches; a search's own registry only
     // ever adds, so the fleet value is the exact sum.
     assert_eq!(
-        fleet.counter_value("mem.bytes_total"),
+        fleet.counter_value(Metric::MemBytesTotal),
         a.timings.alloc_bytes_total + b.timings.alloc_bytes_total
     );
     assert_eq!(
-        fleet.counter_value("mem.allocs"),
+        fleet.counter_value(Metric::MemAllocs),
         a.timings.alloc_count + b.timings.alloc_count
     );
     assert_eq!(
-        fleet.counter_value("search.steps") as usize,
+        fleet.counter_value(Metric::Steps) as usize,
         a.timings.search_steps + b.timings.search_steps
     );
     // Max-style gauges merge additively: the fleet value is a documented
     // upper bound across searches (see `Registry::merge`), never less
     // than any single search's peak.
-    let fleet_peak = fleet.counter_value("mem.peak_bytes");
+    let fleet_peak = fleet.counter_value(Metric::MemPeakBytes);
     assert!(fleet_peak >= a.timings.peak_live_bytes.max(b.timings.peak_live_bytes));
     assert!(fleet_peak <= a.timings.peak_live_bytes + b.timings.peak_live_bytes);
 }

@@ -52,11 +52,15 @@ fn trace_round_trips_and_matches_timings() {
     assert!(summary.accepted.is_some());
     assert_eq!(summary.explored as usize, report.candidates_explored);
 
-    // Figure 7 phase totals reconstructed from the trace must agree with
-    // the report's Timings within 5% (acceptance bound; in practice the
-    // two are the same measurements, so only ns->ms rounding separates
-    // them).
+    // The search_end record carries the report's Timings, and floats
+    // render as shortest round-trip decimals, so the two are identical.
     let t = &report.timings;
+    assert_eq!(summary.timings, *t);
+
+    // Figure 7 phase totals summed from the step and verify records must
+    // agree with the report's Timings within 5% (acceptance bound; they
+    // are the same measurements, but the per-step values are rounded to
+    // ns before they are summed).
     let pairs = [
         ("GetSteps", t.get_steps_ms),
         ("GetTopKBeams", t.get_top_k_ms),
@@ -75,12 +79,12 @@ fn trace_round_trips_and_matches_timings() {
     }
 
     // Cache statistics survive the round trip too.
-    assert_eq!(summary.cache_hits, t.prefix_cache_hits);
-    assert_eq!(summary.cache_misses, t.prefix_cache_misses);
-    assert_eq!(summary.cache_evictions, t.prefix_cache_evictions);
+    assert_eq!(summary.timings.prefix_cache_hits, t.prefix_cache_hits);
+    assert_eq!(summary.timings.prefix_cache_misses, t.prefix_cache_misses);
+    assert_eq!(summary.timings.prefix_cache_evictions, t.prefix_cache_evictions);
 
     // Unknown events and fields are forward-compatible; bad versions fail.
-    let extended = format!("{text}\n{{\"v\": 3, \"event\": \"future_thing\"}}");
+    let extended = format!("{text}\n{{\"v\": 4, \"event\": \"future_thing\"}}");
     let summary2 = parse_trace(&extended).unwrap();
     assert_eq!(summary2.unknown_events, 1);
     assert!(parse_trace("{\"v\": 99, \"event\": \"step\"}").is_err());
