@@ -57,7 +57,7 @@ pub struct SearchConfig {
     /// displace it. Keeps step-convergent searches from growing an
     /// unbounded verification queue.
     pub max_finalists: usize,
-    /// The trace: one JSONL stream per standardization (schema v4, see
+    /// The trace: one JSONL stream per standardization (schema v5, see
     /// [`lucid_obs::event`]). When set, the search writes its measurement
     /// records (start, one per beam step, verify, end, profile) and the
     /// interpreter records per-statement spans; then every candidate's

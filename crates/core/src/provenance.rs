@@ -19,16 +19,16 @@
 //! 2. **One call per drop.** `Provenance::drop` (and
 //!    `Provenance::fail` for execution failures) is the only way a
 //!    candidate leaves the search, and the only code that moves a drop
-//!    counter. The counter is a function of the disposition's kind
-//!    (`DropCounts`), so disposition counts reconcile with `Timings`
+//!    counter. The counter is a function of the disposition
+//!    ([`Drops::count`]), so disposition counts reconcile with `Timings`
 //!    by construction. The fate is recorded only when tracing is on;
 //!    the counter moves either way. Candidates that stop being considered
 //!    without a drop (finalists verification never reached, beam entries
 //!    removed while protected) are swept as `OutRanked` at search end.
 //! 3. **Counts leave per phase.** The counts stay private to the ledger
-//!    and leave each beam step and the verify phase as one
-//!    `DropCounts` value (`Provenance::take_counts`), which feeds the
-//!    registry and that phase's trace event alike.
+//!    and leave each beam step and the verify phase as one [`Drops`]
+//!    value (`Provenance::take_counts`), which feeds the registry and
+//!    that phase's trace record alike.
 //!
 //! The *protected* set tracks candidates that are terminal-fate-exempt at
 //! beam-drop sites because they are still alive elsewhere (the input,
@@ -36,10 +36,9 @@
 //! tracing is off because [`crate::search`]'s dedup counter branches on
 //! it — the counter must not depend on whether the search is traced.
 
-use lucid_interp::{BudgetKind, InterpError};
+use lucid_interp::InterpError;
 use lucid_obs::{
-    CandRecord, DecisionEndRecord, DiffLineRecord, Disposition, LineageRecord, Metric, Registry,
-    TraceSink,
+    CandRecord, DecisionEndRecord, DiffLineRecord, Disposition, Drops, LineageRecord, TraceSink,
 };
 use std::collections::HashSet;
 
@@ -55,108 +54,6 @@ pub(crate) enum ExecFailure {
     Error(InterpError),
     /// A caught panic, its payload rendered for the event log.
     Panic(String),
-}
-
-/// The drop counters of one phase (a beam step, or verification). Only
-/// the ledger moves them; everyone else reads.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct DropCounts {
-    rejected_execution: u64,
-    candidates_panicked: u64,
-    budget_trips_fuel: u64,
-    budget_trips_cells: u64,
-    budget_trips_deadline: u64,
-    candidates_deduped: u64,
-    pruned_monotonicity: u64,
-    rejected_intent: u64,
-    panic_payloads: Vec<String>,
-}
-
-impl DropCounts {
-    /// The counters a drop moves, by disposition kind.
-    fn count(&mut self, disposition: &Disposition) {
-        match disposition {
-            Disposition::Deduped { .. } => self.candidates_deduped += 1,
-            Disposition::PrunedMonotonicity => self.pruned_monotonicity += 1,
-            Disposition::BudgetTripped { kind } => {
-                self.rejected_execution += 1;
-                match kind.as_str() {
-                    "fuel" => self.budget_trips_fuel += 1,
-                    "cells" => self.budget_trips_cells += 1,
-                    _ => self.budget_trips_deadline += 1,
-                }
-            }
-            Disposition::Panicked => {
-                self.rejected_execution += 1;
-                self.candidates_panicked += 1;
-            }
-            Disposition::FailedExecution => self.rejected_execution += 1,
-            Disposition::RejectedIntent => self.rejected_intent += 1,
-            Disposition::Selected
-            | Disposition::OutRanked { .. }
-            | Disposition::BeamCut { .. }
-            | Disposition::FailedApply => {}
-        }
-    }
-
-    /// Folds the counts into the search registry (whence
-    /// `Timings::from_registry` projects them).
-    pub(crate) fn record(&self, reg: &Registry) {
-        reg.counter(Metric::Panicked).add(self.candidates_panicked);
-        reg.counter(Metric::BudgetFuel).add(self.budget_trips_fuel);
-        reg.counter(Metric::BudgetCells)
-            .add(self.budget_trips_cells);
-        reg.counter(Metric::BudgetDeadline)
-            .add(self.budget_trips_deadline);
-        reg.counter(Metric::Deduped).add(self.candidates_deduped);
-        reg.counter(Metric::PrunedMonotonicity)
-            .add(self.pruned_monotonicity);
-    }
-
-    /// Candidates pruned by execution checks or panic isolation.
-    pub(crate) fn rejected_execution(&self) -> u64 {
-        self.rejected_execution
-    }
-
-    /// Candidates whose execution (or scoring) panicked.
-    pub(crate) fn candidates_panicked(&self) -> u64 {
-        self.candidates_panicked
-    }
-
-    /// Candidates that exhausted the fuel budget.
-    pub(crate) fn budget_trips_fuel(&self) -> u64 {
-        self.budget_trips_fuel
-    }
-
-    /// Candidates that exceeded the materialized-cell cap.
-    pub(crate) fn budget_trips_cells(&self) -> u64 {
-        self.budget_trips_cells
-    }
-
-    /// Candidates that overran the wall-clock deadline.
-    pub(crate) fn budget_trips_deadline(&self) -> u64 {
-        self.budget_trips_deadline
-    }
-
-    /// Structural duplicates dropped.
-    pub(crate) fn candidates_deduped(&self) -> u64 {
-        self.candidates_deduped
-    }
-
-    /// Edge-driven adds refused by the monotonicity cursor.
-    pub(crate) fn pruned_monotonicity(&self) -> u64 {
-        self.pruned_monotonicity
-    }
-
-    /// Finalists that failed the user-intent constraint.
-    pub(crate) fn rejected_intent(&self) -> u64 {
-        self.rejected_intent
-    }
-
-    /// The first captured panic payloads, in drop order.
-    pub(crate) fn panic_payloads(&self) -> &[String] {
-        &self.panic_payloads
-    }
 }
 
 /// Per-candidate lineage metadata (dense, indexed by candidate ID).
@@ -182,7 +79,7 @@ pub struct Provenance {
     next_id: u64,
     metas: Vec<CandMeta>,
     protected: HashSet<u64>,
-    counts: DropCounts,
+    counts: Drops,
     /// The beam step currently executing; drop sites read this instead of
     /// threading a step parameter through every helper.
     pub cur_step: usize,
@@ -200,7 +97,7 @@ impl Provenance {
             next_id: 0,
             metas: Vec::new(),
             protected: HashSet::new(),
-            counts: DropCounts::default(),
+            counts: Drops::default(),
             cur_step: 0,
         };
         let id = prov.mint(0, || "input".to_string());
@@ -250,12 +147,7 @@ impl Provenance {
     pub(crate) fn fail(&mut self, id: u64, failure: ExecFailure) {
         let disposition = match failure {
             ExecFailure::Error(InterpError::Budget(kind)) => Disposition::BudgetTripped {
-                kind: match kind {
-                    BudgetKind::Fuel => "fuel",
-                    BudgetKind::Cells => "cells",
-                    BudgetKind::Deadline => "deadline",
-                }
-                .to_string(),
+                kind: kind.label().to_string(),
             },
             ExecFailure::Error(_) => Disposition::FailedExecution,
             ExecFailure::Panic(payload) => {
@@ -275,7 +167,7 @@ impl Provenance {
 
     /// Hands over the drop counts accumulated since the last call (one
     /// beam step, or the verify phase) and starts the next phase at zero.
-    pub(crate) fn take_counts(&mut self) -> DropCounts {
+    pub(crate) fn take_counts(&mut self) -> Drops {
         std::mem::take(&mut self.counts)
     }
 
@@ -406,6 +298,7 @@ impl Provenance {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lucid_interp::BudgetKind;
 
     #[test]
     fn mints_input_as_protected_id_zero() {
@@ -428,9 +321,9 @@ mod tests {
         assert!(prov.is_protected(0));
         // Counters move whether or not fates are recorded.
         let counts = prov.take_counts();
-        assert_eq!(counts.candidates_panicked(), 1);
-        assert_eq!(counts.rejected_execution(), 1);
-        assert_eq!(counts.panic_payloads(), ["boom".to_string()]);
+        assert_eq!(counts.candidates_panicked, 1);
+        assert_eq!(counts.rejected_execution, 1);
+        assert_eq!(counts.panic_payloads, ["boom".to_string()]);
     }
 
     #[test]
@@ -452,15 +345,20 @@ mod tests {
         prov.drop(ids[6], Disposition::BeamCut { rank: 2 });
         prov.drop(ids[7], Disposition::FailedApply);
         prov.select(ids[8]);
-        let counts = prov.take_counts();
-        assert_eq!(counts.candidates_deduped(), 1);
-        assert_eq!(counts.pruned_monotonicity(), 1);
-        assert_eq!(counts.budget_trips_fuel(), 1);
-        assert_eq!(counts.budget_trips_cells(), 0);
-        assert_eq!(counts.budget_trips_deadline(), 1);
-        assert_eq!(counts.rejected_execution(), 3);
-        assert_eq!(counts.candidates_panicked(), 0);
-        assert_eq!(counts.rejected_intent(), 1);
+        assert_eq!(
+            prov.take_counts(),
+            Drops {
+                pruned_monotonicity: 1,
+                candidates_deduped: 1,
+                rejected_execution: 3,
+                candidates_panicked: 0,
+                budget_trips_fuel: 1,
+                budget_trips_cells: 0,
+                budget_trips_deadline: 1,
+                rejected_intent: 1,
+                panic_payloads: Vec::new(),
+            }
+        );
         assert_eq!(
             prov.metas()[ids[2] as usize].fate,
             Some(Disposition::BudgetTripped {
@@ -472,7 +370,7 @@ mod tests {
             Some(Disposition::FailedExecution)
         );
         // Taking the counts starts the next phase at zero.
-        assert_eq!(prov.take_counts().rejected_execution(), 0);
+        assert_eq!(prov.take_counts(), Drops::default());
     }
 
     #[test]
@@ -483,9 +381,9 @@ mod tests {
             prov.fail(id, ExecFailure::Panic(format!("p{i}")));
         }
         let counts = prov.take_counts();
-        assert_eq!(counts.candidates_panicked(), MAX_PANIC_PAYLOADS as u64 + 3);
-        assert_eq!(counts.panic_payloads().len(), MAX_PANIC_PAYLOADS);
-        assert_eq!(counts.panic_payloads()[0], "p0");
+        assert_eq!(counts.candidates_panicked, MAX_PANIC_PAYLOADS as u64 + 3);
+        assert_eq!(counts.panic_payloads.len(), MAX_PANIC_PAYLOADS);
+        assert_eq!(counts.panic_payloads[0], "p0");
     }
 
     #[test]

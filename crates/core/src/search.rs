@@ -32,9 +32,10 @@ use lucid_obs::event::{
     KeptBeam, SearchEndEvent, SearchStartEvent, StepEvent, StmtSpanAgg, VerifyEvent,
     TRACE_SCHEMA_VERSION,
 };
-use lucid_obs::alloc::{self, Phase, PhaseGuard};
-use lucid_obs::{Disposition, Metric, Registry};
+use lucid_obs::alloc::{self, AllocSnapshot, Phase, PhaseGuard};
+use lucid_obs::{Disposition, Drops, Metric, Registry};
 use lucid_pyast::Module;
+use serde::Serialize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -60,29 +61,6 @@ pub struct Candidate {
     /// enumeration order by [`Provenance`], so it is identical across
     /// thread counts and never consulted by ranking.
     pub id: u64,
-}
-
-impl Candidate {
-    fn from_module(
-        module: &Module,
-        interner: &StmtInterner,
-        corpus: &CorpusModel,
-        objective: Objective,
-    ) -> Candidate {
-        let program = Program::from_module(module, interner);
-        let dag = Arc::new(program.full_dag());
-        let re = score_dag(&dag, corpus, objective);
-        Candidate {
-            program,
-            dag,
-            re,
-            cursor: 0,
-            applied: Vec::new(),
-            // Only the input script is built from a module; it always
-            // carries the ledger's pre-minted ID 0.
-            id: 0,
-        }
-    }
 }
 
 /// Scores a DAG under the configured objective.
@@ -204,26 +182,45 @@ impl<'a> ExecEnv<'a> {
         }
     }
 
-    /// Cumulative (hits, misses, evictions) of the prefix cache — zeros
-    /// when caching is off. Sampled before/after each beam step to
-    /// attribute cache traffic to steps in the event log.
-    fn cache_counters(&self) -> (u64, u64, u64) {
-        match &self.cache {
-            Some(cache) => (cache.hits(), cache.misses(), cache.evictions()),
-            None => (0, 0, 0),
-        }
-    }
-
-    /// Peak retained snapshots (0 when caching is off).
-    fn cache_peak(&self) -> u64 {
-        self.cache.as_ref().map_or(0, PrefixCache::peak_snapshots)
-    }
-
-    /// This search's fit-memo (hits, misses) — zeros when caching is off.
-    fn fit_memo_counters(&self) -> (u64, u64) {
+    /// The cache's counters now (all zero when caching is off).
+    fn counters(&self) -> CacheCounters {
         self.cache
             .as_ref()
-            .map_or((0, 0), |cache| (cache.fit_hits(), cache.fit_misses()))
+            .map_or(CacheCounters::default(), |cache| CacheCounters {
+                hits: cache.hits(),
+                misses: cache.misses(),
+                evictions: cache.evictions(),
+                fit_hits: cache.fit_hits(),
+                fit_misses: cache.fit_misses(),
+                peak: cache.peak_snapshots(),
+            })
+    }
+}
+
+/// This search's execution-cache counters at one instant (prefix cache,
+/// fit memo, store peak); two readings subtract into a phase's window.
+#[derive(Debug, Clone, Copy, Default)]
+struct CacheCounters {
+    hits: u64,
+    misses: u64,
+    evictions: u64,
+    fit_hits: u64,
+    fit_misses: u64,
+    peak: u64,
+}
+
+impl CacheCounters {
+    /// The traffic between `earlier` and `self`. The peak is a gauge and
+    /// stays `self`'s.
+    fn delta_since(&self, earlier: &CacheCounters) -> CacheCounters {
+        CacheCounters {
+            hits: self.hits - earlier.hits,
+            misses: self.misses - earlier.misses,
+            evictions: self.evictions - earlier.evictions,
+            fit_hits: self.fit_hits - earlier.fit_hits,
+            fit_misses: self.fit_misses - earlier.fit_misses,
+            peak: self.peak,
+        }
     }
 }
 
@@ -243,12 +240,11 @@ fn panic_payload(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Per-beam-step measurements, accumulated by the phase helpers and then
-/// recorded into the search registry (one histogram observation per step)
-/// and the step's trace event. Keeping one struct per step is what lets
-/// the event log and the `Timings` projection report the *same* measured
-/// values. Drop counts live in the [`Provenance`] ledger, which hands
-/// them over per step.
+/// Per-beam-step measurements, recorded by the step's close-out into the
+/// search registry (one histogram observation per step) and the step's
+/// trace record: one struct per step is what lets the trace and the
+/// `Timings` projection report the *same* measured values. Drop counts
+/// live in the [`Provenance`] ledger, which hands them over per phase.
 #[derive(Debug, Default)]
 struct StepStats {
     get_steps_ms: f64,
@@ -274,6 +270,8 @@ pub struct SearchOutcome {
     pub best: Candidate,
     /// Its intent evaluation against the input's output.
     pub intent: crate::intent::IntentEval,
+    /// RE of the input script, the score the search started from.
+    pub input_re: f64,
     /// Number of candidate scripts scored.
     pub explored: usize,
     /// Phase timings (Figure 7's breakdown).
@@ -285,6 +283,460 @@ pub struct SearchOutcome {
     pub ledger: Provenance,
 }
 
+/// The measurement windows a phase opens when it starts. The allocation
+/// window feeds only the trace record, so an untraced search skips it.
+struct PhaseWindow {
+    cache: CacheCounters,
+    mem: Option<AllocSnapshot>,
+}
+
+/// One search's state across its phases (beam steps, then verification).
+struct Search<'s, 'a> {
+    ctx: &'s SearchContext<'a>,
+    exec: ExecEnv<'a>,
+    interner: &'s StmtInterner,
+    reg: Registry,
+    prov: Provenance,
+    beams: Vec<Candidate>,
+    /// Every candidate that ever made a beam (see `keep_finalists`).
+    finalists: Vec<Candidate>,
+    stats: StepStats,
+    explored: usize,
+}
+
+impl Search<'_, '_> {
+    fn open_phase(&self) -> PhaseWindow {
+        PhaseWindow {
+            cache: self.exec.counters(),
+            mem: self.ctx.config.trace.as_ref().map(|_| alloc::snapshot()),
+        }
+    }
+
+    /// The one phase close-out: records the phase's histograms, cache
+    /// window and drops into the registry and, when traced, emits the
+    /// phase's record, which `record` builds from the same values.
+    fn close_phase<R: Serialize>(
+        &mut self,
+        window: PhaseWindow,
+        histograms: &[(Metric, f64)],
+        record: impl FnOnce(CacheCounters, u64, Drops) -> R,
+    ) {
+        let alloc_bytes = window
+            .mem
+            .map_or(0, |mem| alloc::snapshot().delta_since(&mem).total_bytes());
+        for &(metric, ms) in histograms {
+            self.reg.histogram(metric).record_ns(ms_to_ns(ms));
+        }
+        let cache = self.exec.counters().delta_since(&window.cache);
+        for (metric, n) in [
+            (Metric::CacheHits, cache.hits),
+            (Metric::CacheMisses, cache.misses),
+            (Metric::CacheEvictions, cache.evictions),
+            (Metric::FitMemoHits, cache.fit_hits),
+            (Metric::FitMemoMisses, cache.fit_misses),
+        ] {
+            self.reg.counter(metric).add(n);
+        }
+        self.reg.counter(Metric::CachePeak).set_max(cache.peak);
+        let drops = self.prov.take_counts();
+        drops.record(&self.reg);
+        if let Some(sink) = &self.ctx.config.trace {
+            sink.emit(&record(cache, alloc_bytes, drops));
+        }
+    }
+
+    /// One beam step (Algorithm 2, for every beam at once): `GetSteps`,
+    /// then `GetTopKBeams` with early `CheckIfExecutes`, then dedup and
+    /// the cap at K. Returns whether the beams converged.
+    fn beam_step(&mut self, step: usize) -> bool {
+        let window = self.open_phase();
+        self.prov.cur_step = step;
+        let beams = std::mem::take(&mut self.beams);
+        // Algorithm 2, line 2: C' = C. A pointer-bump copy under the
+        // interned IR — no statement or DAG is duplicated.
+        let mut next: Vec<Candidate> = beams.clone();
+        // GetSteps for every beam of this step at once: ranking depends
+        // only on the beams (never on `next`), so scoring all expansions
+        // up front is equivalent to the per-beam interleaving — and lets
+        // the work fan out across every (beam, transformation) pair.
+        let ranked_per_beam = self.get_steps_all(&beams);
+        // Beam ranking allocates under the Score tag; the early execution
+        // checks it triggers re-tag themselves Execute inside the
+        // interpreter (innermost guard wins).
+        let mem_score = PhaseGuard::enter(Phase::Score);
+        for (cand, ranked) in beams.iter().zip(ranked_per_beam) {
+            // GetTopKBeams / GetDiverseTopKBeams.
+            let t1 = Instant::now();
+            if self.ctx.config.diversity {
+                self.get_diverse_top_k(cand, &ranked, &mut next);
+            } else {
+                let ranked: Vec<&Candidate> = ranked.iter().collect();
+                self.get_top_k(&ranked, &mut next, usize::MAX);
+            }
+            self.stats.get_top_k_ms += t1.elapsed().as_secs_f64() * 1e3;
+        }
+        drop(mem_score);
+        // Deduplicate identical scripts (different sequences can converge)
+        // and cap at K — the ledger-aware twin of the old
+        // sort/dedup_by/truncate, dropping what it removes.
+        dedup_and_cap(&mut next, self.ctx.config.beam_k.max(1), &mut self.prov);
+        let converged = next
+            .iter()
+            .zip(&beams)
+            .all(|(a, b)| a.dag.atoms == b.dag.atoms)
+            && next.len() == beams.len();
+        self.reg.counter(Metric::Steps).add(1);
+        let stats = std::mem::take(&mut self.stats);
+        let times = [
+            (Metric::GetSteps, stats.get_steps_ms),
+            (Metric::GetStepsCpu, stats.get_steps_cpu_ms),
+            (Metric::GetTopK, stats.get_top_k_ms),
+            (Metric::CheckExecute, stats.check_execute_ms),
+        ];
+        self.close_phase(window, &times, |cache, alloc_bytes, drops| StepEvent {
+            v: TRACE_SCHEMA_VERSION,
+            event: "step".to_string(),
+            step,
+            beams_in: beams.len(),
+            enumerated: stats.enumerated,
+            scored: stats.scored,
+            drops,
+            admitted: stats.admitted,
+            kept: next
+                .iter()
+                .map(|c| KeptBeam {
+                    re: c.re,
+                    cursor: c.cursor,
+                    lines: c.program.len(),
+                    applied: c.applied.len(),
+                })
+                .collect(),
+            cache_hits: cache.hits,
+            cache_misses: cache.misses,
+            cache_evictions: cache.evictions,
+            alloc_bytes,
+            get_steps_ms: stats.get_steps_ms,
+            get_top_k_ms: stats.get_top_k_ms,
+            check_execute_ms: stats.check_execute_ms,
+            converged,
+        });
+        self.beams = next;
+        self.keep_finalists();
+        converged
+    }
+
+    /// Adds the step's new beams to the finalists. The intent constraint is
+    /// checked at the *end* (Section 5.2 item 4.3), so late steps may push
+    /// all current beams past τ; retaining per-step snapshots lets
+    /// verification fall back to the best earlier candidate instead of the
+    /// unmodified input.
+    fn keep_finalists(&mut self) {
+        let finalists = &mut self.finalists;
+        for cand in &self.beams {
+            if !cand.applied.is_empty()
+                && !finalists.iter().any(|f| f.dag.atoms == cand.dag.atoms)
+            {
+                // A finalist stays alive past the beams, so beam-drop
+                // sites must not assign it a terminal fate.
+                self.prov.protect(cand.id);
+                finalists.push(cand.clone());
+            }
+        }
+        // Verification scans finalists in ascending-RE order, so when the
+        // pool overflows its bound we keep the lowest-RE entries: pruning
+        // the high-RE tail only matters if *every* retained candidate
+        // fails a constraint — the accepted trade-off for bounding memory
+        // on long, slowly-converging searches.
+        let max = self.ctx.config.max_finalists;
+        if finalists.len() > max {
+            finalists.sort_by(|a, b| a.re.partial_cmp(&b.re).expect("finite RE"));
+            // Evicted finalists lose their beam-drop protection; if still
+            // in a beam they can be fated there, otherwise the search-end
+            // sweep records them as out-ranked.
+            for evicted in &finalists[max..] {
+                self.prov.unprotect(evicted.id);
+            }
+            finalists.truncate(max);
+        }
+    }
+
+    /// VerifyAllConstraints: execution (when checking late) and user
+    /// intent. Finalists are checked in ascending-RE order; the first
+    /// valid one is optimal among everything the search visited.
+    fn verify(&mut self, input_re: f64) -> Option<(Candidate, crate::intent::IntentEval)> {
+        let ctx = self.ctx;
+        let mut finalists = std::mem::take(&mut self.finalists);
+        let window = self.open_phase();
+        let t2 = Instant::now();
+        let mem_verify = PhaseGuard::enter(Phase::Verify);
+        let n_finalists = finalists.len();
+        let mut checked = 0usize;
+        let mut verify_check_ms = 0.0f64;
+        finalists.sort_by(|a, b| a.re.partial_cmp(&b.re).expect("finite RE"));
+        let mut best = None;
+        for cand in finalists {
+            // LucidScript guarantees it never *reduces* standardness
+            // (§6.3.1): candidates no more standard than the input lose to
+            // the input fallback.
+            if cand.re >= input_re - 1e-12 {
+                self.prov.drop(
+                    cand.id,
+                    Disposition::OutRanked {
+                        at_step: self.prov.minted_at(cand.id),
+                        score_gap: (cand.re - input_re).max(0.0),
+                    },
+                );
+                continue;
+            }
+            checked += 1;
+            // One run yields both the execution check and the output. Under
+            // late checking it is the candidate's first run, so its time is
+            // CheckIfExecutes time.
+            let t3 = Instant::now();
+            let res = self.exec.run_isolated(&cand.program);
+            if !ctx.config.early_check {
+                verify_check_ms += t3.elapsed().as_secs_f64() * 1e3;
+            }
+            let outcome = match res {
+                Ok(outcome) => outcome,
+                Err(failure) => {
+                    self.prov.fail(cand.id, failure);
+                    continue;
+                }
+            };
+            let Some(out_frame) = outcome.output_frame() else {
+                self.prov.drop(cand.id, Disposition::FailedExecution);
+                continue;
+            };
+            let eval = {
+                let _k = ctx.interp.obs.as_deref().map(|c| c.span("kernel.jaccard"));
+                ctx.config.intent.evaluate(ctx.base_output, out_frame)
+            };
+            if !eval.satisfied {
+                self.prov.drop(cand.id, Disposition::RejectedIntent);
+                continue;
+            }
+            self.prov.select(cand.id);
+            best = Some((cand, eval));
+            break;
+        }
+        let verify_ms = t2.elapsed().as_secs_f64() * 1e3;
+        drop(mem_verify);
+        let times = [
+            (Metric::CheckExecute, verify_check_ms),
+            (Metric::Verify, verify_ms),
+        ];
+        let accepted = best.is_some();
+        self.close_phase(window, &times, |cache, alloc_bytes, drops| VerifyEvent {
+            v: TRACE_SCHEMA_VERSION,
+            event: "verify".to_string(),
+            finalists: n_finalists,
+            checked,
+            drops,
+            accepted,
+            cache_hits: cache.hits,
+            cache_misses: cache.misses,
+            cache_evictions: cache.evictions,
+            alloc_bytes,
+            check_execute_ms: verify_check_ms,
+            verify_ms,
+        });
+        best
+    }
+
+    /// `GetSteps()` for every beam of one search step: enumerate legal
+    /// next transformations from the corpus vocabularies, apply each,
+    /// score by RE, and return per-beam lists of the resulting candidates
+    /// ranked best (lowest RE) first, capped at `max_steps_ranked`.
+    ///
+    /// With `threads > 1` the apply→DAG→score work fans out across scoped
+    /// worker threads over all (beam, transformation) pairs; results are
+    /// written into index-addressed slots and regrouped in enumeration
+    /// order, so the ranked lists — and therefore every downstream beam
+    /// decision — are identical to the serial path. Scoring is pure (no
+    /// interpreter involvement), which is what makes the fan-out safe.
+    fn get_steps_all(&mut self, beams: &[Candidate]) -> Vec<Vec<Candidate>> {
+        let (ctx, interner) = (self.ctx, self.interner);
+        let t0 = Instant::now();
+        // The whole of `GetSteps` — enumeration, apply, scoring, ranking —
+        // is the "enumerate" slot of the allocator's phase attribution.
+        let _mem = PhaseGuard::enter(Phase::Enumerate);
+        // Enumeration order defines job identity; everything downstream
+        // keys off the job index. Candidate IDs are minted here, on the
+        // serial path, before any fan-out — pruned candidates first, then
+        // kept ones — so IDs are identical at any thread count, traced or
+        // not.
+        let mut jobs: Vec<(usize, Transformation, u64)> = Vec::new();
+        for (beam_idx, cand) in beams.iter().enumerate() {
+            let Enumerated { kept, pruned } =
+                enumerate(&cand.dag, ctx.corpus, cand.cursor, &ctx.config.enum_opts);
+            for t in &pruned {
+                let id = self.prov.mint(cand.id, || t.describe());
+                self.prov.drop(id, Disposition::PrunedMonotonicity);
+            }
+            jobs.extend(kept.into_iter().map(|t| {
+                let id = self.prov.mint(cand.id, || t.describe());
+                (beam_idx, t, id)
+            }));
+        }
+        self.stats.enumerated += jobs.len();
+        let workers = ctx.config.resolved_threads().min(jobs.len()).max(1);
+        let (slots, cpu_ms) = if workers == 1 {
+            let mut cpu_ms = 0.0;
+            let slots = jobs
+                .iter()
+                .map(|(beam_idx, t, id)| {
+                    let t_job = Instant::now();
+                    // The same per-candidate isolation as the parallel
+                    // path: a panicking scorer drops its candidate instead
+                    // of aborting.
+                    let step = catch_unwind(AssertUnwindSafe(|| {
+                        score_step(&beams[*beam_idx], t, ctx, interner, *id)
+                    }))
+                    .map_err(panic_payload);
+                    cpu_ms += t_job.elapsed().as_secs_f64() * 1e3;
+                    step
+                })
+                .collect();
+            (slots, cpu_ms)
+        } else {
+            score_steps_parallel(beams, &jobs, ctx, interner, workers)
+        };
+        self.stats.get_steps_cpu_ms += cpu_ms;
+
+        // Regroup by beam. Jobs were enumerated beam-major, so pushing in
+        // job order reproduces the serial per-beam ordering exactly.
+        let mut per_beam: Vec<Vec<Candidate>> = beams.iter().map(|_| Vec::new()).collect();
+        for ((beam_idx, _, id), slot) in jobs.iter().zip(slots) {
+            match slot {
+                Ok(Some(scored)) => {
+                    self.explored += 1;
+                    self.stats.scored += 1;
+                    self.prov.set_re(*id, scored.re);
+                    per_beam[*beam_idx].push(scored);
+                }
+                // The transformation failed to apply (splice out of range,
+                // etc.).
+                Ok(None) => self.prov.drop(*id, Disposition::FailedApply),
+                Err(payload) => self.prov.fail(*id, ExecFailure::Panic(payload)),
+            }
+        }
+        let cap = ctx.config.max_steps_ranked;
+        for ranked in &mut per_beam {
+            ranked.sort_by(|a, b| a.re.partial_cmp(&b.re).expect("finite"));
+            if ranked.len() > cap {
+                let cutoff_re = ranked[cap.saturating_sub(1)].re;
+                for dropped in ranked.drain(cap..) {
+                    self.prov.drop(
+                        dropped.id,
+                        Disposition::OutRanked {
+                            at_step: self.prov.cur_step,
+                            score_gap: (dropped.re - cutoff_re).max(0.0),
+                        },
+                    );
+                }
+            }
+        }
+        self.stats.get_steps_ms += t0.elapsed().as_secs_f64() * 1e3;
+        per_beam
+    }
+
+    /// Algorithm 2: `GetTopKBeams` — walk the ranked steps, early-check
+    /// execution when `α` is on, and keep the K lowest-RE candidates in
+    /// `next`. `budget` caps how many steps may be *admitted* from this
+    /// list (used by the diversity wrapper to give each cluster K/M
+    /// slots).
+    fn get_top_k(&mut self, ranked: &[&Candidate], next: &mut Vec<Candidate>, budget: usize) {
+        let k = self.ctx.config.beam_k.max(1);
+        let mut admitted = 0usize;
+        for (idx, step) in ranked.iter().enumerate() {
+            if admitted >= budget {
+                // The diversity wrapper's per-cluster slot cap: everything
+                // still ranked in this cluster is cut, not out-scored.
+                for later in &ranked[idx..] {
+                    self.prov
+                        .drop(later.id, Disposition::BeamCut { rank: budget });
+                }
+                break;
+            }
+            let worst = next
+                .iter()
+                .map(|c| c.re)
+                .fold(f64::NEG_INFINITY, f64::max);
+            if next.len() >= k && step.re >= worst {
+                // Ranked ascending: nothing later can qualify either.
+                for later in &ranked[idx..] {
+                    self.prov.drop(
+                        later.id,
+                        Disposition::OutRanked {
+                            at_step: self.prov.cur_step,
+                            score_gap: (later.re - worst).max(0.0),
+                        },
+                    );
+                }
+                break;
+            }
+            // Different transformations can produce structurally-identical
+            // scripts (e.g. deleting either of two equal lines). Interned
+            // statements make spotting them a pointer walk — skip before
+            // burning an execution check on a script already in `next`.
+            if let Some(twin) = next.iter().find(|c| c.program.same_stmts(&step.program)) {
+                self.prov
+                    .drop(step.id, Disposition::Deduped { against: twin.id });
+                continue;
+            }
+            if self.ctx.config.early_check {
+                let t0 = Instant::now();
+                let res = self.exec.run_isolated(&step.program);
+                self.stats.check_execute_ms += t0.elapsed().as_secs_f64() * 1e3;
+                if let Err(failure) = res {
+                    self.prov.fail(step.id, failure);
+                    continue;
+                }
+            }
+            next.push((*step).clone());
+            dedup_and_cap(next, k, &mut self.prov);
+            admitted += 1;
+            self.stats.admitted += 1;
+        }
+    }
+
+    /// Algorithm 3: `GetDiverseTopKBeams` — cluster the ranked steps with
+    /// k-means over transformation features, then admit K/M from each
+    /// cluster so the beams explore different parts of the space.
+    fn get_diverse_top_k(
+        &mut self,
+        cand: &Candidate,
+        ranked: &[Candidate],
+        next: &mut Vec<Candidate>,
+    ) {
+        if ranked.is_empty() {
+            return;
+        }
+        let config = self.ctx.config;
+        let m = config.diversity_clusters.max(1);
+        let n_lines = cand.dag.atoms.len().max(1) as f64;
+        let features: Vec<Vec<f64>> = ranked
+            .iter()
+            .map(|s| step_features(s, self.ctx.corpus, n_lines))
+            .collect();
+        let clustering = kmeans(&features, m, 25);
+        let per_cluster = (config.beam_k / m.min(clustering.k.max(1))).max(1);
+        for cluster in 0..clustering.k {
+            // Members inherit the global ranking order (ascending RE).
+            let members: Vec<&Candidate> = ranked
+                .iter()
+                .zip(&clustering.assignments)
+                .filter(|(_, &a)| a == cluster)
+                .map(|(s, _)| s)
+                .collect();
+            // Clusters partition the ranked list, so each candidate
+            // reaches exactly one `get_top_k` call — single-fate holds.
+            self.get_top_k(&members, next, per_cluster);
+        }
+    }
+}
+
 /// Algorithm 1: the meta-level framework. Starts from the (lemmatized,
 /// executable) input script and returns the most standard candidate that
 /// satisfies all constraints, falling back to the input itself — this is
@@ -292,21 +744,8 @@ pub struct SearchOutcome {
 pub fn standardize_search(ctx: &SearchContext, input: &Module) -> SearchOutcome {
     let t_total = Instant::now();
     // Allocator window for this search; the delta is folded into the
-    // registry at the end, next to the cache/interner counters.
+    // registry at the end, next to the interner counters.
     let mem_start = alloc::snapshot();
-    // All timing/count facts of this search live in one registry; the
-    // returned `Timings` is a projection of it, and the trace events carry
-    // the same measured values — the two views cannot disagree.
-    let reg = Registry::new();
-    let h_get_steps = reg.histogram(Metric::GetSteps);
-    let h_get_steps_cpu = reg.histogram(Metric::GetStepsCpu);
-    let h_get_top_k = reg.histogram(Metric::GetTopK);
-    let h_check = reg.histogram(Metric::CheckExecute);
-    let h_verify = reg.histogram(Metric::Verify);
-    let h_total = reg.histogram(Metric::Total);
-    let c_steps = reg.counter(Metric::Steps);
-    reg.counter(Metric::Threads)
-        .set_max(ctx.config.resolved_threads() as u64);
     let trace = ctx.config.trace.as_ref();
     // A fresh epoch for the interpreter's span collector, so per-statement
     // aggregates describe this search only.
@@ -327,8 +766,6 @@ pub fn standardize_search(ctx: &SearchContext, input: &Module) -> SearchOutcome 
             },
         ));
     }
-
-    let exec = ExecEnv::new(ctx.interp, ctx.config);
     // One interner per search — or the batch-shared one when present:
     // every candidate the search ever holds is a list of pointers into
     // this store, and each per-statement fact (hash, atom key, def/use
@@ -345,248 +782,73 @@ pub fn standardize_search(ctx: &SearchContext, input: &Module) -> SearchOutcome 
     };
     let interner_hits_base = interner.intern_hits();
     let interner_dag_base = interner.dag_incremental_updates();
-    let input_candidate =
-        Candidate::from_module(input, interner, ctx.corpus, ctx.config.objective);
-    // The candidate ledger. IDs are minted (serially, in enumeration
-    // order), drops are counted and the protected set is maintained
-    // whether or not the search is traced — beam-drop accounting branches
-    // on it — so tracing never changes a search decision or a counter.
-    let mut prov = Provenance::new(trace.is_some());
-    prov.set_re(input_candidate.id, input_candidate.re);
-    let mut beams: Vec<Candidate> = vec![input_candidate.clone()];
-    let mut explored = 0usize;
-    // Every candidate that ever made a beam. The intent constraint is
-    // checked at the *end* (Section 5.2 item 4.3), so late steps may push
-    // all current beams past τ; retaining per-step snapshots lets
-    // verification fall back to the best earlier candidate instead of the
-    // unmodified input.
-    let mut finalists: Vec<Candidate> = Vec::new();
+    let program = Program::from_module(input, interner);
+    let dag = Arc::new(program.full_dag());
+    let input_re = score_dag(&dag, ctx.corpus, ctx.config.objective);
+    let input_candidate = Candidate {
+        program,
+        dag,
+        re: input_re,
+        cursor: 0,
+        applied: Vec::new(),
+        // The input always carries the ledger's pre-minted ID 0.
+        id: 0,
+    };
+    let mut search = Search {
+        ctx,
+        exec: ExecEnv::new(ctx.interp, ctx.config),
+        interner,
+        // All timing/count facts of this search live in one registry; the
+        // returned `Timings` is a projection of it, and the trace records
+        // carry the same measured values — the two views cannot disagree.
+        reg: Registry::new(),
+        // The candidate ledger. IDs are minted (serially, in enumeration
+        // order), drops are counted and the protected set is maintained
+        // whether or not the search is traced — beam-drop accounting
+        // branches on it — so tracing never changes a search decision or
+        // a counter.
+        prov: Provenance::new(trace.is_some()),
+        beams: vec![input_candidate.clone()],
+        finalists: Vec::new(),
+        stats: StepStats::default(),
+        explored: 0,
+    };
+    search
+        .reg
+        .counter(Metric::Threads)
+        .set_max(ctx.config.resolved_threads() as u64);
+    let h_total = search.reg.histogram(Metric::Total);
+    search.prov.set_re(input_candidate.id, input_re);
 
     for step in 0..ctx.config.seq_len {
-        let mut stats = StepStats::default();
-        let beams_in = beams.len();
-        let cache_before = exec.cache_counters();
-        let step_mem_before = alloc::snapshot();
-        prov.cur_step = step;
-        // Algorithm 2, line 2: C' = C. A pointer-bump copy under the
-        // interned IR — no statement or DAG is duplicated.
-        let mut next: Vec<Candidate> = beams.clone();
-        // GetSteps for every beam of this step at once: ranking depends
-        // only on the beams (never on `next`), so scoring all expansions
-        // up front is equivalent to the per-beam interleaving — and lets
-        // the work fan out across every (beam, transformation) pair.
-        let ranked_per_beam =
-            get_steps_all(&beams, ctx, interner, &mut explored, &mut stats, &mut prov);
-        // Beam ranking allocates under the Score tag; the early execution
-        // checks it triggers re-tag themselves Execute inside the
-        // interpreter (innermost guard wins).
-        let mem_score = PhaseGuard::enter(Phase::Score);
-        for (cand, ranked) in beams.iter().zip(ranked_per_beam) {
-            // GetTopKBeams / GetDiverseTopKBeams.
-            let t1 = Instant::now();
-            if ctx.config.diversity {
-                get_diverse_top_k(cand, &ranked, ctx, &exec, &mut next, &mut stats, &mut prov);
-            } else {
-                let ranked: Vec<&Candidate> = ranked.iter().collect();
-                get_top_k(&ranked, ctx, &exec, &mut next, &mut stats, usize::MAX, &mut prov);
-            }
-            stats.get_top_k_ms += t1.elapsed().as_secs_f64() * 1e3;
-        }
-        drop(mem_score);
-        // Deduplicate identical scripts (different sequences can converge)
-        // and cap at K — the ledger-aware twin of the old
-        // sort/dedup_by/truncate, dropping what it removes.
-        dedup_and_cap(&mut next, ctx.config.beam_k.max(1), &mut prov);
-        let converged = next
-            .iter()
-            .zip(&beams)
-            .all(|(a, b)| a.dag.atoms == b.dag.atoms)
-            && next.len() == beams.len();
-        beams = next;
-        c_steps.add(1);
-        h_get_steps.record_ns(ms_to_ns(stats.get_steps_ms));
-        h_get_steps_cpu.record_ns(ms_to_ns(stats.get_steps_cpu_ms));
-        h_get_top_k.record_ns(ms_to_ns(stats.get_top_k_ms));
-        h_check.record_ns(ms_to_ns(stats.check_execute_ms));
-        let drops = prov.take_counts();
-        drops.record(&reg);
-        if let Some(sink) = trace {
-            let cache_after = exec.cache_counters();
-            sink.emit(&StepEvent {
-                v: TRACE_SCHEMA_VERSION,
-                event: "step".to_string(),
-                step,
-                beams_in,
-                enumerated: stats.enumerated,
-                pruned_monotonicity: drops.pruned_monotonicity() as usize,
-                scored: stats.scored,
-                rejected_execution: drops.rejected_execution(),
-                candidates_panicked: drops.candidates_panicked(),
-                budget_trips_fuel: drops.budget_trips_fuel(),
-                budget_trips_cells: drops.budget_trips_cells(),
-                budget_trips_deadline: drops.budget_trips_deadline(),
-                panic_payloads: drops.panic_payloads().to_vec(),
-                candidates_deduped: drops.candidates_deduped(),
-                admitted: stats.admitted,
-                kept: beams
-                    .iter()
-                    .map(|c| KeptBeam {
-                        re: c.re,
-                        cursor: c.cursor,
-                        lines: c.program.len(),
-                        applied: c.applied.len(),
-                    })
-                    .collect(),
-                cache_hits: cache_after.0 - cache_before.0,
-                cache_misses: cache_after.1 - cache_before.1,
-                cache_evictions: cache_after.2 - cache_before.2,
-                alloc_bytes: alloc::snapshot().delta_since(&step_mem_before).total_bytes(),
-                get_steps_ms: stats.get_steps_ms,
-                get_top_k_ms: stats.get_top_k_ms,
-                check_execute_ms: stats.check_execute_ms,
-                converged,
-            });
-        }
-        for cand in &beams {
-            if !cand.applied.is_empty()
-                && !finalists.iter().any(|f| f.dag.atoms == cand.dag.atoms)
-            {
-                // A finalist stays alive past the beams, so beam-drop
-                // sites must not assign it a terminal fate.
-                prov.protect(cand.id);
-                finalists.push(cand.clone());
-            }
-        }
-        // Verification scans finalists in ascending-RE order, so when the
-        // pool overflows its bound we keep the lowest-RE entries: pruning
-        // the high-RE tail only matters if *every* retained candidate
-        // fails a constraint — the accepted trade-off for bounding memory
-        // on long, slowly-converging searches.
-        if finalists.len() > ctx.config.max_finalists {
-            finalists.sort_by(|a, b| a.re.partial_cmp(&b.re).expect("finite RE"));
-            // Evicted finalists lose their beam-drop protection; if still
-            // in a beam they can be fated there, otherwise the search-end
-            // sweep records them as out-ranked.
-            for evicted in &finalists[ctx.config.max_finalists..] {
-                prov.unprotect(evicted.id);
-            }
-            finalists.truncate(ctx.config.max_finalists);
-        }
-        if converged {
+        if search.beam_step(step) {
             break;
         }
     }
+    let best = search.verify(input_re);
 
-    // VerifyAllConstraints: execution (when late checking) + user intent.
-    // Finalists are checked in ascending-RE order; the first valid one is
-    // optimal among everything the search visited.
-    let t2 = Instant::now();
-    let mem_verify = PhaseGuard::enter(Phase::Verify);
-    let n_finalists = finalists.len();
-    let mut checked = 0usize;
-    let mut verify_check_ms = 0.0f64;
-    finalists.sort_by(|a, b| a.re.partial_cmp(&b.re).expect("finite RE"));
-    let mut best: Option<(Candidate, crate::intent::IntentEval)> = None;
-    for cand in finalists {
-        // LucidScript guarantees it never *reduces* standardness
-        // (§6.3.1): candidates no more standard than the input lose to
-        // the input fallback.
-        if cand.re >= input_candidate.re - 1e-12 {
-            prov.drop(
-                cand.id,
-                Disposition::OutRanked {
-                    at_step: prov.minted_at(cand.id),
-                    score_gap: (cand.re - input_candidate.re).max(0.0),
-                },
-            );
-            continue;
-        }
-        checked += 1;
-        // One run yields both the execution check and the output. Under
-        // late checking it is the candidate's first run, so its time is
-        // CheckIfExecutes time.
-        let t3 = Instant::now();
-        let res = exec.run_isolated(&cand.program);
-        if !ctx.config.early_check {
-            verify_check_ms += t3.elapsed().as_secs_f64() * 1e3;
-        }
-        let outcome = match res {
-            Ok(outcome) => outcome,
-            Err(failure) => {
-                prov.fail(cand.id, failure);
-                continue;
-            }
-        };
-        let Some(out_frame) = outcome.output_frame() else {
-            prov.drop(cand.id, Disposition::FailedExecution);
-            continue;
-        };
-        let eval = {
-            let _k = ctx.interp.obs.as_deref().map(|c| c.span("kernel.jaccard"));
-            ctx.config.intent.evaluate(ctx.base_output, out_frame)
-        };
-        if !eval.satisfied {
-            prov.drop(cand.id, Disposition::RejectedIntent);
-            continue;
-        }
-        prov.select(cand.id);
-        best = Some((cand, eval));
-        break;
-    }
-    let verify_ms = t2.elapsed().as_secs_f64() * 1e3;
-    drop(mem_verify);
-    h_check.record_ns(ms_to_ns(verify_check_ms));
-    h_verify.record_ns(ms_to_ns(verify_ms));
-    let drops = prov.take_counts();
-    drops.record(&reg);
-    if let Some(sink) = trace {
-        sink.emit(&VerifyEvent {
-            v: TRACE_SCHEMA_VERSION,
-            event: "verify".to_string(),
-            finalists: n_finalists,
-            checked,
-            rejected_execution: drops.rejected_execution(),
-            candidates_panicked: drops.candidates_panicked(),
-            budget_trips_fuel: drops.budget_trips_fuel(),
-            budget_trips_cells: drops.budget_trips_cells(),
-            budget_trips_deadline: drops.budget_trips_deadline(),
-            panic_payloads: drops.panic_payloads().to_vec(),
-            rejected_intent: drops.rejected_intent(),
-            accepted: best.is_some(),
-            check_execute_ms: verify_check_ms,
-            verify_ms,
-        });
-    }
-
+    let Search {
+        reg,
+        mut prov,
+        explored,
+        ..
+    } = search;
     // Lazily built fallback: `input_candidate` is moved only on the
     // fallback path, never cloned on the common path.
-    let input_re = input_candidate.re;
-    if best.is_none() {
+    let (best, intent) = best.unwrap_or_else(|| {
         // Nothing beat the constraints: the input itself is the selection.
         prov.select(input_candidate.id);
-    }
-    let (best, intent) = match best {
-        Some(found) => found,
-        None => (
-            input_candidate,
-            crate::intent::IntentEval {
-                delta: match ctx.config.intent {
-                    crate::intent::IntentMeasure::Jaccard { .. } => 1.0,
-                    crate::intent::IntentMeasure::ModelPerf { .. }
-                    | crate::intent::IntentMeasure::Fairness { .. } => 0.0,
-                },
-                satisfied: true,
-            },
-        ),
-    };
-    let (hits, misses, evictions) = exec.cache_counters();
-    reg.counter(Metric::CacheHits).add(hits);
-    reg.counter(Metric::CacheMisses).add(misses);
-    reg.counter(Metric::CacheEvictions).add(evictions);
-    reg.counter(Metric::CachePeak).set_max(exec.cache_peak());
-    let (fit_hits, fit_misses) = exec.fit_memo_counters();
-    reg.counter(Metric::FitMemoHits).add(fit_hits);
-    reg.counter(Metric::FitMemoMisses).add(fit_misses);
+        let delta = match ctx.config.intent {
+            crate::intent::IntentMeasure::Jaccard { .. } => 1.0,
+            crate::intent::IntentMeasure::ModelPerf { .. }
+            | crate::intent::IntentMeasure::Fairness { .. } => 0.0,
+        };
+        let intent = crate::intent::IntentEval {
+            delta,
+            satisfied: true,
+        };
+        (input_candidate, intent)
+    });
     // Unique statements is a gauge over the interner (the batch-shared
     // total when sharing); hit/update counts are this search's delta
     // window, so per-search values sum consistently in fleet roll-ups.
@@ -603,16 +865,10 @@ pub fn standardize_search(ctx: &SearchContext, input: &Module) -> SearchOutcome 
     // sum to the total" holds exactly even when concurrent searches
     // interleave their attributions into the process-global counters.
     let mem = alloc::snapshot().delta_since(&mem_start);
-    reg.counter(Metric::MemBytesEnumerate)
-        .add(mem.phase_bytes[Phase::Enumerate as usize]);
-    reg.counter(Metric::MemBytesExecute)
-        .add(mem.phase_bytes[Phase::Execute as usize]);
-    reg.counter(Metric::MemBytesScore)
-        .add(mem.phase_bytes[Phase::Score as usize]);
-    reg.counter(Metric::MemBytesVerify)
-        .add(mem.phase_bytes[Phase::Verify as usize]);
-    reg.counter(Metric::MemBytesUnattributed)
-        .add(mem.phase_bytes[Phase::Unattributed as usize]);
+    for phase in alloc::PHASES {
+        reg.counter(phase.bytes_metric())
+            .add(mem.phase_bytes[phase as usize]);
+    }
     reg.counter(Metric::MemBytesTotal).add(mem.total_bytes());
     reg.counter(Metric::MemAllocs).add(mem.total_allocs());
     reg.counter(Metric::MemPeakBytes).set_max(alloc::peak_bytes());
@@ -665,6 +921,7 @@ pub fn standardize_search(ctx: &SearchContext, input: &Module) -> SearchOutcome 
     SearchOutcome {
         best,
         intent,
+        input_re,
         explored,
         timings,
         ledger: prov,
@@ -704,108 +961,6 @@ fn stmt_span_aggregates(interp: &Interpreter) -> Vec<StmtSpanAgg> {
             total_ms: h.sum_ms,
         })
         .collect()
-}
-
-/// `GetSteps()` for every beam of one search step: enumerate legal next
-/// transformations from the corpus vocabularies, apply each, score by RE,
-/// and return per-beam lists of the resulting candidates ranked best
-/// (lowest RE) first, capped at `max_steps_ranked`.
-///
-/// With `threads > 1` the apply→DAG→score work fans out across scoped
-/// worker threads over all (beam, transformation) pairs; results are
-/// written into index-addressed slots and regrouped in enumeration order,
-/// so the ranked lists — and therefore every downstream beam decision —
-/// are identical to the serial path. Scoring is pure (no interpreter
-/// involvement), which is what makes the fan-out safe.
-fn get_steps_all(
-    beams: &[Candidate],
-    ctx: &SearchContext,
-    interner: &StmtInterner,
-    explored: &mut usize,
-    stats: &mut StepStats,
-    prov: &mut Provenance,
-) -> Vec<Vec<Candidate>> {
-    let t0 = Instant::now();
-    // The whole of `GetSteps` — enumeration, apply, scoring, ranking —
-    // is the "enumerate" slot of the allocator's phase attribution.
-    let _mem = PhaseGuard::enter(Phase::Enumerate);
-    // Enumeration order defines job identity; everything downstream keys
-    // off the job index. Candidate IDs are minted here, on the serial
-    // path, before any fan-out — pruned candidates first, then kept ones
-    // — so IDs are identical at any thread count, traced or not.
-    let mut jobs: Vec<(usize, Transformation, u64)> = Vec::new();
-    for (beam_idx, cand) in beams.iter().enumerate() {
-        let Enumerated { kept, pruned } =
-            enumerate(&cand.dag, ctx.corpus, cand.cursor, &ctx.config.enum_opts);
-        for t in &pruned {
-            let id = prov.mint(cand.id, || t.describe());
-            prov.drop(id, Disposition::PrunedMonotonicity);
-        }
-        jobs.extend(kept.into_iter().map(|t| {
-            let id = prov.mint(cand.id, || t.describe());
-            (beam_idx, t, id)
-        }));
-    }
-    stats.enumerated += jobs.len();
-    let workers = ctx.config.resolved_threads().min(jobs.len()).max(1);
-    let (slots, cpu_ms) = if workers == 1 {
-        let mut cpu_ms = 0.0;
-        let slots = jobs
-            .iter()
-            .map(|(beam_idx, t, id)| {
-                let t_job = Instant::now();
-                // The same per-candidate isolation as the parallel path:
-                // a panicking scorer drops its candidate instead of
-                // aborting.
-                let step = catch_unwind(AssertUnwindSafe(|| {
-                    score_step(&beams[*beam_idx], t, ctx, interner, *id)
-                }))
-                .map_err(panic_payload);
-                cpu_ms += t_job.elapsed().as_secs_f64() * 1e3;
-                step
-            })
-            .collect();
-        (slots, cpu_ms)
-    } else {
-        score_steps_parallel(beams, &jobs, ctx, interner, workers)
-    };
-    stats.get_steps_cpu_ms += cpu_ms;
-
-    // Regroup by beam. Jobs were enumerated beam-major, so pushing in job
-    // order reproduces the serial per-beam ordering exactly.
-    let mut per_beam: Vec<Vec<Candidate>> = beams.iter().map(|_| Vec::new()).collect();
-    for ((beam_idx, _, id), slot) in jobs.iter().zip(slots) {
-        match slot {
-            Ok(Some(scored)) => {
-                *explored += 1;
-                stats.scored += 1;
-                prov.set_re(*id, scored.re);
-                per_beam[*beam_idx].push(scored);
-            }
-            // The transformation failed to apply (splice out of range,
-            // etc.).
-            Ok(None) => prov.drop(*id, Disposition::FailedApply),
-            Err(payload) => prov.fail(*id, ExecFailure::Panic(payload)),
-        }
-    }
-    let cap = ctx.config.max_steps_ranked;
-    for ranked in &mut per_beam {
-        ranked.sort_by(|a, b| a.re.partial_cmp(&b.re).expect("finite"));
-        if ranked.len() > cap {
-            let cutoff_re = ranked[cap.saturating_sub(1)].re;
-            for dropped in ranked.drain(cap..) {
-                prov.drop(
-                    dropped.id,
-                    Disposition::OutRanked {
-                        at_step: prov.cur_step,
-                        score_gap: (dropped.re - cutoff_re).max(0.0),
-                    },
-                );
-            }
-        }
-    }
-    stats.get_steps_ms += t0.elapsed().as_secs_f64() * 1e3;
-    per_beam
 }
 
 /// Applies and scores one enumerated transformation, yielding the
@@ -909,71 +1064,6 @@ fn score_steps_parallel(
     (slots, cpu_ms)
 }
 
-/// Algorithm 2: `GetTopKBeams` — walk the ranked steps, early-check
-/// execution when `α` is on, and keep the K lowest-RE candidates in
-/// `next`. `budget` caps how many steps may be *admitted* from this list
-/// (used by the diversity wrapper to give each cluster K/M slots).
-fn get_top_k(
-    ranked: &[&Candidate],
-    ctx: &SearchContext,
-    exec: &ExecEnv,
-    next: &mut Vec<Candidate>,
-    stats: &mut StepStats,
-    budget: usize,
-    prov: &mut Provenance,
-) {
-    let k = ctx.config.beam_k.max(1);
-    let mut admitted = 0usize;
-    for (idx, step) in ranked.iter().enumerate() {
-        if admitted >= budget {
-            // The diversity wrapper's per-cluster slot cap: everything
-            // still ranked in this cluster is cut, not out-scored.
-            for later in &ranked[idx..] {
-                prov.drop(later.id, Disposition::BeamCut { rank: budget });
-            }
-            break;
-        }
-        let worst = next
-            .iter()
-            .map(|c| c.re)
-            .fold(f64::NEG_INFINITY, f64::max);
-        if next.len() >= k && step.re >= worst {
-            // Ranked ascending: nothing later can qualify either.
-            for later in &ranked[idx..] {
-                prov.drop(
-                    later.id,
-                    Disposition::OutRanked {
-                        at_step: prov.cur_step,
-                        score_gap: (later.re - worst).max(0.0),
-                    },
-                );
-            }
-            break;
-        }
-        // Different transformations can produce structurally-identical
-        // scripts (e.g. deleting either of two equal lines). Interned
-        // statements make spotting them a pointer walk — skip before
-        // burning an execution check on a script already in `next`.
-        if let Some(twin) = next.iter().find(|c| c.program.same_stmts(&step.program)) {
-            prov.drop(step.id, Disposition::Deduped { against: twin.id });
-            continue;
-        }
-        if ctx.config.early_check {
-            let t0 = Instant::now();
-            let res = exec.run_isolated(&step.program);
-            stats.check_execute_ms += t0.elapsed().as_secs_f64() * 1e3;
-            if let Err(failure) = res {
-                prov.fail(step.id, failure);
-                continue;
-            }
-        }
-        next.push((*step).clone());
-        dedup_and_cap(next, k, prov);
-        admitted += 1;
-        stats.admitted += 1;
-    }
-}
-
 /// Sorts `next` by RE (stable — insertion order breaks ties, so a
 /// carried-over protected candidate precedes an equal fresh one), drops
 /// structural duplicates keeping the best-ranked copy, and caps at `k`.
@@ -1009,43 +1099,6 @@ fn dedup_and_cap(next: &mut Vec<Candidate>, k: usize, prov: &mut Provenance) {
         if !prov.is_protected(dropped.id) {
             prov.drop(dropped.id, Disposition::BeamCut { rank: k });
         }
-    }
-}
-
-/// Algorithm 3: `GetDiverseTopKBeams` — cluster the ranked steps with
-/// k-means over transformation features, then admit K/M from each cluster
-/// so the beams explore different parts of the space.
-fn get_diverse_top_k(
-    cand: &Candidate,
-    ranked: &[Candidate],
-    ctx: &SearchContext,
-    exec: &ExecEnv,
-    next: &mut Vec<Candidate>,
-    stats: &mut StepStats,
-    prov: &mut Provenance,
-) {
-    if ranked.is_empty() {
-        return;
-    }
-    let m = ctx.config.diversity_clusters.max(1);
-    let n_lines = cand.dag.atoms.len().max(1) as f64;
-    let features: Vec<Vec<f64>> = ranked
-        .iter()
-        .map(|s| step_features(s, ctx.corpus, n_lines))
-        .collect();
-    let clustering = kmeans(&features, m, 25);
-    let per_cluster = (ctx.config.beam_k / m.min(clustering.k.max(1))).max(1);
-    for cluster in 0..clustering.k {
-        // Members inherit the global ranking order (ascending RE).
-        let members: Vec<&Candidate> = ranked
-            .iter()
-            .zip(&clustering.assignments)
-            .filter(|(_, &a)| a == cluster)
-            .map(|(s, _)| s)
-            .collect();
-        // Clusters partition the ranked list, so each candidate reaches
-        // exactly one `get_top_k` call — single-fate holds.
-        get_top_k(&members, ctx, exec, next, stats, per_cluster, prov);
     }
 }
 

@@ -129,16 +129,6 @@ impl Standardizer {
             .output_frame()
             .cloned()
             .unwrap_or_default();
-        let input_dag = dag::build_dag(&input);
-        let re_before = match self.config.objective {
-            crate::config::Objective::Edges => {
-                entropy::relative_entropy(&input_dag, &self.corpus)
-            }
-            crate::config::Objective::Atoms => {
-                entropy::relative_entropy_atoms(&input_dag, &self.corpus)
-            }
-        };
-
         let ctx = SearchContext {
             corpus: &self.corpus,
             interp: &self.interp,
@@ -148,6 +138,7 @@ impl Standardizer {
         let SearchOutcome {
             best,
             intent,
+            input_re: re_before,
             explored,
             timings,
             ledger,

@@ -38,6 +38,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicU8, Ordering};
 
 use crate::metrics::HISTOGRAM_BUCKETS;
+use crate::timings::Metric;
 
 /// How much the instrumented allocator records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,14 +125,15 @@ pub const PHASES: [Phase; NUM_PHASES] = [
 ];
 
 impl Phase {
-    /// Short lowercase name, used in metric names and reports.
-    pub fn name(self) -> &'static str {
+    /// The registry counter a search adds this phase's allocated bytes
+    /// to.
+    pub fn bytes_metric(self) -> Metric {
         match self {
-            Phase::Unattributed => "unattributed",
-            Phase::Enumerate => "enumerate",
-            Phase::Execute => "execute",
-            Phase::Score => "score",
-            Phase::Verify => "verify",
+            Phase::Unattributed => Metric::MemBytesUnattributed,
+            Phase::Enumerate => Metric::MemBytesEnumerate,
+            Phase::Execute => Metric::MemBytesExecute,
+            Phase::Score => Metric::MemBytesScore,
+            Phase::Verify => Metric::MemBytesVerify,
         }
     }
 }

@@ -20,16 +20,17 @@
 //! against the `search_end` counters of the same file.
 
 use crate::event::TRACE_SCHEMA_VERSION;
+use crate::metrics::Registry;
 use crate::summary::{int, text, TraceSummary};
+use crate::timings::Metric;
 use serde::Serialize;
 use serde_json::Value;
 use std::collections::BTreeMap;
 
 /// The terminal fate of one candidate. Every candidate the search mints
-/// receives exactly one disposition; the counter-tied variants (`Deduped`,
-/// `PrunedMonotonicity`, `BudgetTripped`, `Panicked`) are recorded at the
-/// same site that increments the matching `Timings` counter, which is what
-/// makes the reconciliation in [`TraceSummary::reconcile`] exact.
+/// receives exactly one disposition, and the drop counters it moves are a
+/// function of it ([`Drops::count`]), which is what makes the
+/// reconciliation in [`TraceSummary::reconcile`] exact.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum Disposition {
     /// Survived every constraint and became the output script.
@@ -89,8 +90,7 @@ impl Disposition {
         }
     }
 
-    /// The graveyard and reconciliation key: the kind, with budget trips
-    /// split per axis so they line up with the per-axis counters.
+    /// The graveyard key: the kind, with budget trips split per axis.
     fn count_key(&self) -> String {
         match self {
             Disposition::BudgetTripped { kind } => format!("budget_{kind}"),
@@ -131,6 +131,110 @@ impl Disposition {
                 })
             }
             _ => None,
+        }
+    }
+}
+
+/// The drop counters of one search phase (a beam step, or verification)
+/// and the panic payloads it caught. The search's candidate ledger keeps
+/// the only live instance and hands it over once per phase, to the
+/// registry ([`Drops::record`]) and to the phase's trace record; `lucid
+/// why` counts the `cand` records back into one with [`Drops::count`].
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+pub struct Drops {
+    /// Edge-driven adds refused by the monotonicity cursor.
+    pub pruned_monotonicity: u64,
+    /// Structurally identical candidates dropped.
+    pub candidates_deduped: u64,
+    /// Candidates whose execution check failed: budget trips, caught
+    /// panics and typed errors.
+    pub rejected_execution: u64,
+    /// Candidates whose execution (or scoring) panicked.
+    pub candidates_panicked: u64,
+    /// Candidates that exhausted the fuel budget.
+    pub budget_trips_fuel: u64,
+    /// Candidates that exceeded the materialized-cell cap.
+    pub budget_trips_cells: u64,
+    /// Candidates that overran the wall-clock deadline.
+    pub budget_trips_deadline: u64,
+    /// Finalists that failed the user-intent constraint.
+    pub rejected_intent: u64,
+    /// The first caught panic payloads, in drop order (the ledger caps
+    /// them; panics past the cap are still counted).
+    pub panic_payloads: Vec<String>,
+}
+
+impl Drops {
+    /// Moves the counters a drop of `disposition` moves. This is the one
+    /// disposition-to-counter map: the search counts its drops through
+    /// it and the reconciliation counts the `cand` records through it.
+    pub fn count(&mut self, disposition: &Disposition) {
+        match disposition {
+            Disposition::Deduped { .. } => self.candidates_deduped += 1,
+            Disposition::PrunedMonotonicity => self.pruned_monotonicity += 1,
+            Disposition::BudgetTripped { kind } => {
+                self.rejected_execution += 1;
+                match kind.as_str() {
+                    "fuel" => self.budget_trips_fuel += 1,
+                    "cells" => self.budget_trips_cells += 1,
+                    _ => self.budget_trips_deadline += 1,
+                }
+            }
+            Disposition::Panicked => {
+                self.rejected_execution += 1;
+                self.candidates_panicked += 1;
+            }
+            Disposition::FailedExecution => self.rejected_execution += 1,
+            Disposition::RejectedIntent => self.rejected_intent += 1,
+            Disposition::Selected
+            | Disposition::OutRanked { .. }
+            | Disposition::BeamCut { .. }
+            | Disposition::FailedApply => {}
+        }
+    }
+
+    /// The counters the search registry keeps, under their metrics.
+    fn counters(&self) -> [(Metric, u64); 6] {
+        [
+            (Metric::Panicked, self.candidates_panicked),
+            (Metric::BudgetFuel, self.budget_trips_fuel),
+            (Metric::BudgetCells, self.budget_trips_cells),
+            (Metric::BudgetDeadline, self.budget_trips_deadline),
+            (Metric::Deduped, self.candidates_deduped),
+            (Metric::PrunedMonotonicity, self.pruned_monotonicity),
+        ]
+    }
+
+    /// Adds the counters to a registry (whence
+    /// [`Timings::from_registry`](crate::Timings::from_registry) projects
+    /// them).
+    pub fn record(&self, reg: &Registry) {
+        for (metric, n) in self.counters() {
+            reg.counter(metric).add(n);
+        }
+    }
+
+    /// Reads the `drops` object of a `step` or `verify` record. Total: a
+    /// missing or malformed field reads as zero (or no payloads).
+    pub fn from_record(record: &Value) -> Drops {
+        let d = record.get("drops").unwrap_or(&Value::Null);
+        Drops {
+            pruned_monotonicity: int(d, "pruned_monotonicity"),
+            candidates_deduped: int(d, "candidates_deduped"),
+            rejected_execution: int(d, "rejected_execution"),
+            candidates_panicked: int(d, "candidates_panicked"),
+            budget_trips_fuel: int(d, "budget_trips_fuel"),
+            budget_trips_cells: int(d, "budget_trips_cells"),
+            budget_trips_deadline: int(d, "budget_trips_deadline"),
+            rejected_intent: int(d, "rejected_intent"),
+            panic_payloads: d
+                .get("panic_payloads")
+                .and_then(Value::as_array)
+                .into_iter()
+                .flatten()
+                .filter_map(Value::as_str)
+                .map(str::to_string)
+                .collect(),
         }
     }
 }
@@ -409,10 +513,11 @@ impl TraceSummary {
     /// Checks the decision records against the trailer and the
     /// `search_end` counters of the same stream: the trailer must be
     /// present (it is written last) and its counts must match the
-    /// records, candidate IDs must run 0, 1, 2, … in order, every
-    /// counter-tied disposition count must equal its `search_end`
-    /// counter, and exactly one candidate, the lineage's last, may be
-    /// `Selected`. A memo-hit stub has nothing to reconcile.
+    /// records, candidate IDs must run 0, 1, 2, … in order, the `cand`
+    /// dispositions counted through [`Drops::count`] must equal the
+    /// `search_end` drop counters, and exactly one candidate, the
+    /// lineage's last, may be `Selected`. A memo-hit stub has nothing to
+    /// reconcile.
     ///
     /// # Errors
     ///
@@ -445,20 +550,16 @@ impl TraceSummary {
         if let Some((i, c)) = d.cands.iter().enumerate().find(|(i, c)| c.id != *i as u64) {
             return Err(format!("cand record {i} carries ID #{}", c.id));
         }
-        let observed = d.observed_counts();
-        let t = &self.timings;
-        for (key, counter) in [
-            ("deduped", t.candidates_deduped),
-            ("pruned_monotonicity", t.pruned_monotonicity),
-            ("budget_fuel", t.budget_trips_fuel),
-            ("budget_cells", t.budget_trips_cells),
-            ("budget_deadline", t.budget_trips_deadline),
-            ("panicked", t.candidates_panicked),
-        ] {
-            let seen = observed.get(key).copied().unwrap_or(0);
-            if seen != counter {
+        let mut seen = Drops::default();
+        for cand in &d.cands {
+            seen.count(&cand.disposition);
+        }
+        for (metric, records) in seen.counters() {
+            let counter = self.timings.value(metric);
+            if records as f64 != counter {
                 return Err(format!(
-                    "disposition '{key}': {seen} records vs search_end counter {counter}"
+                    "{}: {records} records vs search_end counter {counter}",
+                    metric.name()
                 ));
             }
         }
@@ -796,8 +897,12 @@ mod tests {
 
     #[test]
     fn malformed_decision_records_are_skipped_not_fatal() {
-        let text = "{\"v\":4,\"event\":\"cand\",\"id\":0,\"parent\":0,\"step\":0,\"op\":\"input\",\"re\":1.0,\"disposition\":\"Selected\"}\n{\"v\":4,\"event\":\"cand\",\"id\":1,\"disposition\":\"Vanished\"}\n";
-        let summary = parse_trace(text).unwrap();
+        let v = TRACE_SCHEMA_VERSION;
+        let text = format!(
+            "{{\"v\":{v},\"event\":\"cand\",\"id\":0,\"parent\":0,\"step\":0,\"op\":\"input\",\"re\":1.0,\"disposition\":\"Selected\"}}\n\
+             {{\"v\":{v},\"event\":\"cand\",\"id\":1,\"disposition\":\"Vanished\"}}\n"
+        );
+        let summary = parse_trace(&text).unwrap();
         assert_eq!(summary.decisions.cands.len(), 1);
         assert_eq!(summary.skipped_lines, 1);
     }

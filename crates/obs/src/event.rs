@@ -1,7 +1,7 @@
 //! The versioned trace schema (JSONL, one record per line): the
 //! measurement records of a search.
 //!
-//! Every record carries `"v": 4` (the schema version) and an `"event"`
+//! Every record carries `"v": 5` (the schema version) and an `"event"`
 //! discriminator. A traced standardization writes one stream, in order:
 //! one `search_start`, one `step` per executed beam step, one `verify`,
 //! one `search_end` carrying the search's [`Timings`], whose phase totals
@@ -19,14 +19,17 @@
 //! held only the measurement records and version 2 was a separate
 //! decision-record file; version 3 merged both into one stream; version 4
 //! nests the `search_end` counters in one `timings` object under their
-//! `Timings` names. Files of the older versions are rejected by name,
-//! not read.
+//! `Timings` names; version 5 nests the `step` and `verify` drop counters
+//! in one `drops` object ([`Drops`]) and gives `verify` the cache and
+//! allocation windows `step` has. Files of the older versions are
+//! rejected by name, not read.
 
+use crate::decision::Drops;
 use crate::timings::Timings;
 use serde::Serialize;
 
 /// Version stamped into every record's `"v"` field.
-pub const TRACE_SCHEMA_VERSION: u64 = 4;
+pub const TRACE_SCHEMA_VERSION: u64 = 5;
 
 /// Emitted once when a search begins: the configuration snapshot.
 #[derive(Debug, Clone, Serialize)]
@@ -103,29 +106,11 @@ pub struct StepEvent {
     pub beams_in: usize,
     /// Transformations enumerated across all beams (pre-dedup jobs).
     pub enumerated: usize,
-    /// Candidate adds skipped by the monotonicity cursor during
-    /// enumeration.
-    pub pruned_monotonicity: usize,
     /// Jobs whose apply+score succeeded (the `explored` increment).
     pub scored: usize,
-    /// Candidates rejected by `CheckIfExecutes` this step (early
-    /// checking only), including budget trips and isolated panics.
-    pub rejected_execution: u64,
-    /// Candidates whose execution or scoring panicked (caught and
-    /// pruned, never aborting the search).
-    pub candidates_panicked: u64,
-    /// Candidates that exhausted the fuel budget this step.
-    pub budget_trips_fuel: u64,
-    /// Candidates that exceeded the materialized-cell cap this step.
-    pub budget_trips_cells: u64,
-    /// Candidates that overran the wall-clock deadline this step.
-    pub budget_trips_deadline: u64,
-    /// Captured panic payloads (capped; panics beyond the cap are still
-    /// counted in `candidates_panicked`).
-    pub panic_payloads: Vec<String>,
-    /// Structurally-identical candidates skipped this step before any
-    /// execution check ran (interned-statement dedup).
-    pub candidates_deduped: u64,
+    /// The candidates this step dropped, by counter (execution
+    /// rejections come from early checking only).
+    pub drops: Drops,
     /// Candidates admitted into the next beam set before dedup/truncate.
     pub admitted: u64,
     /// Beams kept after dedup + truncation, best (lowest RE) first.
@@ -160,23 +145,19 @@ pub struct VerifyEvent {
     pub finalists: usize,
     /// Finalists actually checked (scan stops at the first success).
     pub checked: usize,
-    /// Finalists rejected because they no longer execute (late checking
-    /// and output extraction), including budget trips and panics.
-    pub rejected_execution: u64,
-    /// Finalists whose verification run panicked (caught and pruned).
-    pub candidates_panicked: u64,
-    /// Finalists that exhausted the fuel budget.
-    pub budget_trips_fuel: u64,
-    /// Finalists that exceeded the materialized-cell cap.
-    pub budget_trips_cells: u64,
-    /// Finalists that overran the wall-clock deadline.
-    pub budget_trips_deadline: u64,
-    /// Captured panic payloads (capped, like the step event's).
-    pub panic_payloads: Vec<String>,
-    /// Finalists rejected by the user-intent constraint.
-    pub rejected_intent: u64,
+    /// The finalists verification dropped, by counter.
+    pub drops: Drops,
     /// Whether a finalist was accepted (false = input fallback).
     pub accepted: bool,
+    /// Prefix-cache hits during verification.
+    pub cache_hits: u64,
+    /// Prefix-cache misses during verification.
+    pub cache_misses: u64,
+    /// Prefix-cache evictions during verification.
+    pub cache_evictions: u64,
+    /// Bytes allocated during verification (0 when allocator telemetry
+    /// is off).
+    pub alloc_bytes: u64,
     /// Wall ms in `CheckIfExecutes` during verification.
     pub check_execute_ms: f64,
     /// Wall ms of the whole verification pass.
@@ -228,7 +209,7 @@ mod tests {
     fn events_serialize_with_version_and_tag() {
         let start = SearchStartEvent::new(16, 3, 4, true, true, true, "edges");
         let json = serde_json::to_string(&start).unwrap();
-        assert!(json.contains("\"v\":4"));
+        assert!(json.contains(&format!("\"v\":{TRACE_SCHEMA_VERSION}")));
         assert!(json.contains("\"event\":\"search_start\""));
         assert!(json.contains("\"threads\":4"));
 
@@ -238,15 +219,16 @@ mod tests {
             step: 0,
             beams_in: 1,
             enumerated: 12,
-            pruned_monotonicity: 2,
             scored: 10,
-            rejected_execution: 3,
-            candidates_panicked: 1,
-            budget_trips_fuel: 1,
-            budget_trips_cells: 0,
-            budget_trips_deadline: 0,
-            panic_payloads: vec!["boom".to_string()],
-            candidates_deduped: 2,
+            drops: Drops {
+                pruned_monotonicity: 2,
+                candidates_deduped: 2,
+                rejected_execution: 3,
+                candidates_panicked: 1,
+                budget_trips_fuel: 1,
+                panic_payloads: vec!["boom".to_string()],
+                ..Drops::default()
+            },
             admitted: 7,
             kept: vec![KeptBeam {
                 re: 1.25,
@@ -265,12 +247,16 @@ mod tests {
         };
         let json = serde_json::to_string(&step).unwrap();
         assert!(json.contains("\"kept\":[{"));
-        assert!(json.contains("\"pruned_monotonicity\":2"));
+        assert!(json.contains("\"drops\":{\"pruned_monotonicity\":2,"));
         assert!(json.contains("\"candidates_panicked\":1"));
         assert!(json.contains("\"panic_payloads\":[\"boom\"]"));
-        assert!(json.contains("\"candidates_deduped\":2"));
         let parsed = serde_json::from_str(&json).unwrap();
         assert_eq!(parsed.get("event").unwrap().as_str(), Some("step"));
-        assert_eq!(parsed.get("v").unwrap().as_f64(), Some(4.0));
+        assert_eq!(
+            parsed.get("v").unwrap().as_f64(),
+            Some(TRACE_SCHEMA_VERSION as f64)
+        );
+        // The nested counters read back whole.
+        assert_eq!(Drops::from_record(&parsed), step.drops);
     }
 }

@@ -58,7 +58,7 @@ pub mod timings;
 
 pub use alloc::{AllocDelta, AllocSnapshot, LucidAlloc, Phase, PhaseGuard, TelemetryMode};
 pub use decision::{
-    CandRecord, DecisionEndRecord, Decisions, DiffLineRecord, Disposition, LineageRecord,
+    CandRecord, DecisionEndRecord, Decisions, DiffLineRecord, Disposition, Drops, LineageRecord,
     MemoHitRecord,
 };
 pub use event::TRACE_SCHEMA_VERSION;

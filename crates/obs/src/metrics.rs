@@ -369,10 +369,10 @@ impl Registry {
             .iter()
             .map(|(name, c)| (*name, c.get()))
             .collect();
+        // Zeros too: a snapshot lists every counter a search recorded,
+        // not only the ones that have moved so far.
         for (name, v) in counters {
-            if v > 0 {
-                self.counter_named(name).add(v);
-            }
+            self.counter_named(name).add(v);
         }
         let histograms: Vec<(&'static str, Arc<Histogram>)> = other
             .histograms

@@ -221,7 +221,8 @@ mod tests {
         let line = serde_json::to_string(&report.to_event()).unwrap();
         // Other trace lines, including garbage, don't disturb extraction.
         let trace = format!(
-            "{{\"v\":4,\"event\":\"search_start\"}}\n\nnot json\n{line}\n{{\"v\":4,\"event\":\"sea"
+            "{{\"v\":{v},\"event\":\"search_start\"}}\n\nnot json\n{line}\n{{\"v\":{v},\"event\":\"sea",
+            v = crate::event::TRACE_SCHEMA_VERSION
         );
         let parsed = crate::summary::parse_trace(&trace).unwrap().profile.unwrap();
         assert_eq!(parsed, report);

@@ -1,6 +1,6 @@
 //! The one trace parser, and the `lucid trace` view.
 //!
-//! [`parse_trace`] reads a JSONL stream of schema v4 (see [`crate::event`]
+//! [`parse_trace`] reads a JSONL stream of schema v5 (see [`crate::event`]
 //! and [`crate::decision`]) into one [`TraceSummary`] that carries all
 //! three views of a traced search: the measurement records rolled back
 //! up into the paper's Figure 7 phase breakdown ([`TraceSummary::render`],
@@ -17,11 +17,12 @@
 //! with another `"v"`, or a stream with no readable record at all, is an
 //! error.
 
-use crate::decision::Decisions;
+use crate::decision::{Decisions, Drops};
 use crate::event::TRACE_SCHEMA_VERSION;
+use crate::metrics::Registry;
 use crate::profile::ProfileReport;
 use crate::sink::rotated_path;
-use crate::timings::Timings;
+use crate::timings::{Metric, Timings};
 use serde_json::Value;
 use std::path::{Path, PathBuf};
 
@@ -34,12 +35,10 @@ pub struct StepRow {
     pub beams_in: usize,
     /// Transformations enumerated.
     pub enumerated: usize,
-    /// Adds pruned by the monotonicity cursor.
-    pub pruned_monotonicity: usize,
     /// Jobs scored successfully.
     pub scored: usize,
-    /// Candidates rejected by `CheckIfExecutes`.
-    pub rejected_execution: u64,
+    /// The candidates the step dropped, by counter.
+    pub drops: Drops,
     /// Beams kept after the step.
     pub kept: usize,
     /// Best (lowest) RE among kept beams.
@@ -59,14 +58,6 @@ pub struct StepRow {
     pub get_top_k_ms: f64,
     /// `CheckIfExecutes` wall ms.
     pub check_execute_ms: f64,
-    /// Candidates whose execution or scoring panicked this step (caught
-    /// and pruned by the search's fault isolation).
-    pub candidates_panicked: u64,
-    /// Budget trips this step, all axes (fuel + cells + deadline).
-    pub budget_trips: u64,
-    /// Structurally-identical candidates skipped this step before any
-    /// execution check (interned-statement dedup).
-    pub candidates_deduped: u64,
     /// Whether the beams converged here.
     pub converged: bool,
 }
@@ -101,7 +92,8 @@ pub struct TraceSummary {
     /// The search's phase times and counters, from `search_end`. On a
     /// trace cut before that record, the cache, drop and allocated-byte
     /// counters fall back to their sums over the step and verify records
-    /// and the rest read as zero.
+    /// (allocated bytes then cover those phases only) and the rest read
+    /// as zero.
     pub timings: Timings,
     /// Whether verification accepted a candidate.
     pub accepted: Option<bool>,
@@ -232,7 +224,23 @@ pub fn parse_trace(text: &str) -> Result<TraceSummary, TraceError> {
     let mut any = false;
     // Counters summed from the step + verify records; the fallback when
     // the trace is truncated before `search_end`.
-    let mut sums = Timings::default();
+    let sums = Registry::new();
+    let add_phase = |record: &Value, summary: &mut TraceSummary| {
+        let drops = Drops::from_record(record);
+        drops.record(&sums);
+        for (metric, key) in [
+            (Metric::CacheHits, "cache_hits"),
+            (Metric::CacheMisses, "cache_misses"),
+            (Metric::CacheEvictions, "cache_evictions"),
+            (Metric::MemBytesTotal, "alloc_bytes"),
+        ] {
+            sums.counter(metric).add(int(record, key));
+        }
+        summary
+            .panic_payloads
+            .extend(drops.panic_payloads.iter().cloned());
+        drops
+    };
     for line in text.lines() {
         let line = line.trim();
         if line.is_empty() {
@@ -295,9 +303,8 @@ pub fn parse_trace(text: &str) -> Result<TraceSummary, TraceError> {
                     step: int(&record, "step") as usize,
                     beams_in: int(&record, "beams_in") as usize,
                     enumerated: int(&record, "enumerated") as usize,
-                    pruned_monotonicity: int(&record, "pruned_monotonicity") as usize,
                     scored: int(&record, "scored") as usize,
-                    rejected_execution: int(&record, "rejected_execution"),
+                    drops: add_phase(&record, &mut summary),
                     kept: kept.len(),
                     best_re,
                     cache_hits: int(&record, "cache_hits"),
@@ -307,24 +314,11 @@ pub fn parse_trace(text: &str) -> Result<TraceSummary, TraceError> {
                     get_steps_ms: num(&record, "get_steps_ms"),
                     get_top_k_ms: num(&record, "get_top_k_ms"),
                     check_execute_ms: num(&record, "check_execute_ms"),
-                    candidates_panicked: int(&record, "candidates_panicked"),
-                    budget_trips: int(&record, "budget_trips_fuel")
-                        + int(&record, "budget_trips_cells")
-                        + int(&record, "budget_trips_deadline"),
-                    candidates_deduped: int(&record, "candidates_deduped"),
                     converged: record
                         .get("converged")
                         .and_then(Value::as_bool)
                         .unwrap_or(false),
                 };
-                sums.prefix_cache_hits += row.cache_hits;
-                sums.prefix_cache_misses += row.cache_misses;
-                sums.prefix_cache_evictions += row.cache_evictions;
-                sums.candidates_deduped += row.candidates_deduped;
-                sums.pruned_monotonicity += row.pruned_monotonicity as u64;
-                sums.alloc_bytes_total += row.alloc_bytes;
-                add_fault_counters(&record, &mut sums);
-                collect_panic_payloads(&record, &mut summary.panic_payloads);
                 summary.totals.get_steps_ms += row.get_steps_ms;
                 summary.totals.get_top_k_ms += row.get_top_k_ms;
                 summary.totals.check_execute_ms += row.check_execute_ms;
@@ -334,8 +328,7 @@ pub fn parse_trace(text: &str) -> Result<TraceSummary, TraceError> {
                 summary.totals.check_execute_ms += num(&record, "check_execute_ms");
                 summary.totals.verify_constraints_ms += num(&record, "verify_ms");
                 summary.accepted = record.get("accepted").and_then(Value::as_bool);
-                add_fault_counters(&record, &mut sums);
-                collect_panic_payloads(&record, &mut summary.panic_payloads);
+                add_phase(&record, &mut summary);
             }
             "search_end" => {
                 summary.complete = true;
@@ -373,30 +366,11 @@ pub fn parse_trace(text: &str) -> Result<TraceSummary, TraceError> {
         });
     }
     if !summary.complete {
-        // Fall back to step sums so a truncated trace still summarizes.
-        summary.timings = sums;
+        // Fall back to the phase sums so a truncated trace still
+        // summarizes.
+        summary.timings = Timings::from_registry(&sums);
     }
     Ok(summary)
-}
-
-/// Adds a step or verify record's panic and budget-trip counts to `sums`.
-fn add_fault_counters(record: &Value, sums: &mut Timings) {
-    sums.candidates_panicked += int(record, "candidates_panicked");
-    sums.budget_trips_fuel += int(record, "budget_trips_fuel");
-    sums.budget_trips_cells += int(record, "budget_trips_cells");
-    sums.budget_trips_deadline += int(record, "budget_trips_deadline");
-}
-
-/// Appends a record's `panic_payloads` strings (if any) to `out`.
-fn collect_panic_payloads(record: &Value, out: &mut Vec<String>) {
-    if let Some(payloads) = record.get("panic_payloads").and_then(Value::as_array) {
-        out.extend(
-            payloads
-                .iter()
-                .filter_map(Value::as_str)
-                .map(str::to_string),
-        );
-    }
 }
 
 impl TraceSummary {
@@ -442,9 +416,12 @@ impl TraceSummary {
                         format!("{}{}", s.step, if s.converged { "*" } else { "" }),
                         s.beams_in.to_string(),
                         s.enumerated.to_string(),
-                        format!("{}/{}", s.pruned_monotonicity, s.candidates_deduped),
+                        format!(
+                            "{}/{}",
+                            s.drops.pruned_monotonicity, s.drops.candidates_deduped
+                        ),
                         s.scored.to_string(),
-                        s.rejected_execution.to_string(),
+                        s.drops.rejected_execution.to_string(),
                         s.kept.to_string(),
                         s.best_re.map_or("-".to_string(), |re| format!("{re:.4}")),
                         format!("{:.2}", s.get_steps_ms),
@@ -800,6 +777,11 @@ mod tests {
     use crate::event::*;
     use crate::sink::TraceSink;
 
+    /// A record's opening, `{"v":<this build's version>`.
+    fn opening() -> String {
+        format!("{{\"v\":{TRACE_SCHEMA_VERSION}")
+    }
+
     fn sample_trace() -> String {
         let sink = TraceSink::in_memory();
         sink.emit(&SearchStartEvent::new(4, 3, 2, true, true, true, "edges"));
@@ -810,15 +792,16 @@ mod tests {
                 step,
                 beams_in: 1 + step,
                 enumerated: 10,
-                pruned_monotonicity: 1,
                 scored: 9,
-                rejected_execution: 2,
-                candidates_panicked: 1,
-                budget_trips_fuel: 0,
-                budget_trips_cells: 1,
-                budget_trips_deadline: 0,
-                panic_payloads: vec!["injected panic: stmt 1".to_string()],
-                candidates_deduped: 2,
+                drops: Drops {
+                    pruned_monotonicity: 1,
+                    candidates_deduped: 2,
+                    rejected_execution: 2,
+                    candidates_panicked: 1,
+                    budget_trips_cells: 1,
+                    panic_payloads: vec!["injected panic: stmt 1".to_string()],
+                    ..Drops::default()
+                },
                 admitted: 5,
                 kept: vec![KeptBeam {
                     re: 2.0 - step as f64,
@@ -841,14 +824,15 @@ mod tests {
             event: "verify".to_string(),
             finalists: 3,
             checked: 1,
-            rejected_execution: 0,
-            candidates_panicked: 0,
-            budget_trips_fuel: 0,
-            budget_trips_cells: 0,
-            budget_trips_deadline: 0,
-            panic_payloads: Vec::new(),
-            rejected_intent: 0,
+            drops: Drops {
+                rejected_intent: 1,
+                ..Drops::default()
+            },
             accepted: true,
+            cache_hits: 1,
+            cache_misses: 0,
+            cache_evictions: 0,
+            alloc_bytes: 512,
             check_execute_ms: 1.0,
             verify_ms: 3.0,
         });
@@ -867,7 +851,7 @@ mod tests {
                 total_ms: 40.0,
                 get_steps_cpu_ms: 35.0,
                 threads: 2,
-                prefix_cache_hits: 6,
+                prefix_cache_hits: 7,
                 prefix_cache_misses: 2,
                 prefix_cache_evictions: 0,
                 prefix_cache_peak_snapshots: 12,
@@ -914,7 +898,7 @@ mod tests {
         assert_eq!(summary.totals.verify_constraints_ms, 3.0);
         assert_eq!(summary.totals.total_ms, 40.0);
         let t = &summary.timings;
-        assert_eq!(t.prefix_cache_hits, 6);
+        assert_eq!(t.prefix_cache_hits, 7);
         assert_eq!((t.fit_memo_hits, t.fit_memo_misses), (5, 3));
         assert_eq!(t.get_steps_cpu_ms, 35.0);
         assert!(summary
@@ -935,15 +919,15 @@ mod tests {
         assert_eq!(t.budget_trips_cells, 2);
         assert_eq!(t.budget_trips_fuel, 0);
         assert_eq!(summary.panic_payloads.len(), 2);
-        assert_eq!(summary.steps[0].candidates_panicked, 1);
-        assert_eq!(summary.steps[0].budget_trips, 1);
+        assert_eq!(summary.steps[0].drops.candidates_panicked, 1);
+        assert_eq!(summary.steps[0].drops.budget_trips_cells, 1);
         // Interner stats come from the search_end record.
         assert_eq!(t.candidates_deduped, 4);
         assert_eq!(t.pruned_monotonicity, 2);
         assert_eq!(t.unique_stmts, 9);
         assert_eq!(t.intern_hits, 40);
         assert_eq!(t.dag_incremental_updates, 18);
-        assert_eq!(summary.steps[0].candidates_deduped, 2);
+        assert_eq!(summary.steps[0].drops.candidates_deduped, 2);
         // Memory fields come from the search_end record.
         assert_eq!(
             [
@@ -1006,14 +990,17 @@ mod tests {
         assert!(err.to_string().contains("no readable trace records (1 blank"), "{err}");
         // Earlier schemas (v1 measurement files, v2 decision files) are
         // rejected by version, not half-read, and so are v3 files, whose
-        // search_end counters carried other names.
-        for (old, kind) in [(1, "step"), (2, "cand"), (3, "search_end")] {
+        // search_end counters carried other names, and v4 files, whose
+        // step and verify drop counters were flat.
+        for (old, kind) in [(1, "step"), (2, "cand"), (3, "search_end"), (4, "step")] {
             let line = format!("{{\"v\":{old},\"event\":\"{kind}\"}}");
             let err = parse_trace(&line).unwrap_err();
             assert_eq!(err.kind, TraceErrorKind::Version(old));
             assert_eq!(
                 err.to_string(),
-                format!("trace schema v{old} is no longer read (this build reads v4)")
+                format!(
+                    "trace schema v{old} is no longer read (this build reads v{TRACE_SCHEMA_VERSION})"
+                )
             );
         }
         let err = parse_trace("{\"v\":9,\"event\":\"step\"}").unwrap_err();
@@ -1029,7 +1016,10 @@ mod tests {
         let err = read_trace(&old).unwrap_err();
         assert_eq!(
             err.to_string(),
-            format!("{}: trace schema v2 is no longer read (this build reads v4)", old.display())
+            format!(
+                "{}: trace schema v2 is no longer read (this build reads v{TRACE_SCHEMA_VERSION})",
+                old.display()
+            )
         );
         let missing = dir.join("missing.jsonl");
         let err = read_trace(&missing).unwrap_err();
@@ -1043,7 +1033,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.jsonl");
         let lines = sample_trace();
-        let (older, newer) = lines.split_at(lines.find("{\"v\":4,\"event\":\"verify").unwrap());
+        let v = opening();
+        let (older, newer) = lines.split_at(lines.find(&format!("{v},\"event\":\"verify")).unwrap());
         std::fs::write(rotated_path(&path), older.trim_end()).unwrap();
         std::fs::write(&path, newer).unwrap();
         let folded = read_trace(&path).unwrap();
@@ -1059,14 +1050,12 @@ mod tests {
         // A valid record surrounded by: a malformed line, a blank line, a
         // record missing "v", a record missing "event", and a line cut
         // off mid-write.
-        let text = "\
-{\"v\":4,\"event\":\"search_start\",\"seq_len\":4}
-not json
-
-{\"event\":\"step\"}
-{\"v\":4}
-{\"v\":4,\"event\":\"sea";
-        let summary = parse_trace(text).unwrap();
+        let v = opening();
+        let text = format!(
+            "{v},\"event\":\"search_start\",\"seq_len\":4}}\nnot json\n\n\
+             {{\"event\":\"step\"}}\n{v}}}\n{v},\"event\":\"sea"
+        );
+        let summary = parse_trace(&text).unwrap();
         assert_eq!(summary.skipped_lines, 4); // blank lines aren't counted
         assert_eq!(summary.config.len(), 1);
         assert!(summary
@@ -1076,8 +1065,9 @@ not json
 
     #[test]
     fn profile_records_are_flagged_not_unknown() {
-        let text = "{\"v\":4,\"event\":\"profile\",\"folded\":[]}";
-        let summary = parse_trace(text).unwrap();
+        let v = opening();
+        let text = format!("{v},\"event\":\"profile\",\"folded\":[]}}");
+        let summary = parse_trace(&text).unwrap();
         assert!(summary.profile.is_some());
         assert_eq!(summary.unknown_events, 0);
         assert!(summary.render().contains("lucid profile"));
@@ -1085,8 +1075,9 @@ not json
 
     #[test]
     fn unknown_events_are_counted_not_fatal() {
-        let text = "{\"v\":4,\"event\":\"future_thing\",\"x\":1}";
-        let summary = parse_trace(text).unwrap();
+        let v = opening();
+        let text = format!("{v},\"event\":\"future_thing\",\"x\":1}}");
+        let summary = parse_trace(&text).unwrap();
         assert_eq!(summary.unknown_events, 1);
         assert!(summary.render().contains("unrecognized"));
     }
@@ -1184,9 +1175,10 @@ not json
 
     #[test]
     fn aggregate_renders_memo_hit_stubs_as_memo_rows() {
-        let stub = parse_trace(
-            "{\"v\":4,\"event\":\"memo_hit\",\"script\":\"c.py\",\"against\":\"a.py\"}",
-        )
+        let v = opening();
+        let stub = parse_trace(&format!(
+            "{v},\"event\":\"memo_hit\",\"script\":\"c.py\",\"against\":\"a.py\"}}"
+        ))
         .unwrap();
         assert!(stub
             .render()

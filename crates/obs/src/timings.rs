@@ -126,6 +126,15 @@ macro_rules! metric_table {
                     ), )*
                 }
             }
+
+            /// The value of the row recorded under `metric` (0 for a
+            /// registry-only metric).
+            pub fn value(&self, metric: Metric) -> f64 {
+                match metric {
+                    $( Metric::$variant => self.$field as f64, )*
+                    _ => 0.0,
+                }
+            }
         }
 
         /// A registry metric of the search: the only way to name a counter

@@ -144,6 +144,26 @@ proptest! {
 }
 
 #[test]
+fn merged_snapshot_lists_every_counter_zeros_included() {
+    let search = Registry::new();
+    search.counter(Metric::Steps).add(3);
+    search.counter(Metric::FitMemoHits).add(0);
+    search.counter(Metric::Panicked).add(0);
+    search.counter(Metric::BudgetFuel).add(0);
+    let fleet = Registry::new();
+    fleet.merge(&search);
+    let names = |reg: &Registry| -> Vec<(String, u64)> {
+        reg.snapshot()
+            .counters
+            .into_iter()
+            .map(|c| (c.name, c.value))
+            .collect()
+    };
+    assert_eq!(names(&fleet), names(&search));
+    assert_eq!(fleet.snapshot().counters.len(), 4);
+}
+
+#[test]
 fn add_bucket_count_matches_lower_bound_accounting() {
     let h = Histogram::new();
     h.add_bucket_count(10, 3); // 3 observations accounted at 1024 ns

@@ -208,7 +208,7 @@ for threads in 1 2; do
   ./target/release/lucid standardize --corpus "$batch_smoke/corpus" --data "$batch_smoke/data.csv" \
     --script "$batch_smoke/corpus/b.py" --seq 3 --beam 2 --threads "$threads" \
     --trace "$batch_smoke/t$threads.jsonl" > /dev/null 2>&1
-  grep -E '^\{"v":4,"event":"(cand|lineage|diff_line|decision_end)"' \
+  grep -E '^\{"v":[0-9]+,"event":"(cand|lineage|diff_line|decision_end)"' \
     "$batch_smoke/t$threads.jsonl" > "$batch_smoke/t$threads.decisions"
 done
 if [ ! -s "$batch_smoke/t1.decisions" ] \

@@ -22,6 +22,7 @@ use lucidscript::core::intent::IntentMeasure;
 use lucidscript::core::standardizer::Standardizer;
 use lucidscript::core::vocab::CorpusModel;
 use lucidscript::frame::csv::read_csv;
+use lucidscript::pyast::{parse_module, Module};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -117,7 +118,7 @@ OPTIONS (bench):
   --counting-only     with --telemetry-overhead, skip the full-mode pass
 
 `lucid trace`, `lucid why` and `lucid profile` are three views of one
-trace file written by `--trace` (schema v4; files of earlier versions are
+trace file written by `--trace` (schema v5; files of earlier versions are
 rejected by name). Each folds a rotated `<FILE>.1` segment back in front
 of the current one.
 `lucid trace` shows the per-step table, the Figure 7 phase totals, and
@@ -546,8 +547,12 @@ fn load_corpus(dir: &str) -> Result<CorpusModel, String> {
     })
 }
 
-fn read_script(path: &str) -> Result<String, String> {
-    std::fs::read_to_string(path).map_err(|e| format!("cannot read script '{path}': {e}"))
+/// Reads and parses the user's script; a parse error names the file, as
+/// corpus errors do.
+fn load_script(path: &str) -> Result<Module, String> {
+    let source =
+        std::fs::read_to_string(path).map_err(|e| format!("cannot read script '{path}': {e}"))?;
+    parse_module(&source).map_err(|e| format!("{path}: {e}"))
 }
 
 fn intent_from(flags: &Flags) -> Result<IntentMeasure, CliError> {
@@ -673,7 +678,7 @@ fn standardize(flags: &Flags) -> Result<(), CliError> {
         .and_then(|n| n.to_str())
         .unwrap_or(data_path)
         .to_string();
-    let script = read_script(flags.require("script")?)?;
+    let script = load_script(flags.require("script")?)?;
 
     if let Some(mode) = telemetry_mode_from(flags)? {
         lucidscript::obs::alloc::set_mode(mode);
@@ -702,7 +707,7 @@ fn standardize(flags: &Flags) -> Result<(), CliError> {
     };
 
     let report = standardizer
-        .standardize_source(&script)
+        .standardize(&script)
         .map_err(|e| e.to_string())?;
 
     // Final (or only) stats snapshot, reflecting the merged end state.
@@ -838,8 +843,7 @@ fn batch(flags: &Flags) -> Result<ExitCode, CliError> {
 
 fn score(flags: &Flags) -> Result<(), CliError> {
     let model = load_corpus(flags.require("corpus")?)?;
-    let script = read_script(flags.require("script")?)?;
-    let module = lucidscript::pyast::parse_module(&script).map_err(|e| e.to_string())?;
+    let module = load_script(flags.require("script")?)?;
     let dag = lucidscript::core::dag::build_dag(&lucidscript::core::lemma::lemmatize(&module));
     let re = lucidscript::core::entropy::relative_entropy(&dag, &model);
     println!("{re:.6}");

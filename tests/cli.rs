@@ -1,5 +1,6 @@
 //! Integration tests for the `lucid` CLI binary.
 
+use lucidscript::obs::TRACE_SCHEMA_VERSION;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -313,7 +314,13 @@ fn profile_renders_a_traced_search() {
 
     // A trace without a profile record (e.g. hand-built) is a clear error.
     let bare = dir.join("bare.jsonl");
-    std::fs::write(&bare, "{\"v\":4,\"event\":\"search_start\",\"seq_len\":1,\"beam_k\":1,\"source_atoms\":1,\"re_before\":0.0}\n").expect("write");
+    std::fs::write(
+        &bare,
+        format!(
+            "{{\"v\":{TRACE_SCHEMA_VERSION},\"event\":\"search_start\",\"seq_len\":1,\"beam_k\":1,\"source_atoms\":1,\"re_before\":0.0}}\n"
+        ),
+    )
+    .expect("write");
     let out = lucid().args(["profile", bare.to_str().unwrap()]).output().expect("runs");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("no profile record"));
@@ -375,7 +382,8 @@ fn one_trace_file_renders_all_three_views() {
 
 /// Files of the earlier schemas are rejected with an error naming the
 /// file and its version, by every view. v3 files carried the
-/// `search_end` counters under other names.
+/// `search_end` counters under other names, v4 files the step and
+/// verify drop counters as flat fields.
 #[test]
 fn old_trace_schemas_are_rejected_by_name() {
     let dir = workdir();
@@ -383,6 +391,7 @@ fn old_trace_schemas_are_rejected_by_name() {
     for (v, record) in [
         (2, "{\"v\":2,\"event\":\"cand\",\"id\":0}\n"),
         (3, "{\"v\":3,\"event\":\"search_end\",\"steps\":1,\"cache_hits\":0}\n"),
+        (4, "{\"v\":4,\"event\":\"step\",\"step\":0,\"candidates_deduped\":1}\n"),
     ] {
         std::fs::write(&old, record).expect("write");
         for cmd in ["trace", "why", "profile"] {
@@ -391,7 +400,7 @@ fn old_trace_schemas_are_rejected_by_name() {
             let stderr = String::from_utf8_lossy(&out.stderr);
             assert!(
                 stderr.contains(&format!(
-                    "{}: trace schema v{v} is no longer read (this build reads v4)",
+                    "{}: trace schema v{v} is no longer read (this build reads v{TRACE_SCHEMA_VERSION})",
                     old.display()
                 )),
                 "{cmd}: {stderr}"
@@ -431,6 +440,22 @@ fn corpus_parse_errors_name_the_file() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(&want), "{args:?}:\n{stderr}");
         assert!(!stderr.contains("USAGE"), "usage printed for a data error {args:?}:\n{stderr}");
+    }
+    // The user's own script is named the same way.
+    let good_corpus = dir.join("corpus");
+    let good_corpus = good_corpus.to_str().unwrap();
+    let bad_script = dir.join("bad_draft.py");
+    std::fs::write(&bad_script, "df = (\n").expect("write bad_draft.py");
+    let bad_script = bad_script.to_str().unwrap();
+    let want = format!("error: {bad_script}: parse error at 2:1: unexpected end of line\n");
+    for args in [
+        vec!["score", "--corpus", good_corpus, "--script", bad_script],
+        vec!["standardize", "--corpus", good_corpus, "--data", data.to_str().unwrap(), "--script", bad_script],
+    ] {
+        let out = lucid().args(&args).output().expect("runs");
+        assert!(!out.status.success(), "args {args:?} should fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&want), "{args:?}:\n{stderr}");
     }
 }
 

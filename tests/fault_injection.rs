@@ -117,13 +117,39 @@ fn mixed_classes_at_ten_percent_reconcile_with_the_trace() {
     assert_reconciled(&report, &plan);
     // The trace event log reports the very same counters (search_end is
     // a projection of the same registry).
-    let summary =
-        lucidscript::obs::parse_trace(&sink.memory_lines().unwrap().join("\n")).unwrap();
+    let lines = sink.memory_lines().unwrap();
+    let summary = lucidscript::obs::parse_trace(&lines.join("\n")).unwrap();
     let s = &summary.timings;
     assert_eq!(s.candidates_panicked, report.timings.candidates_panicked);
     assert_eq!(s.budget_trips_fuel, report.timings.budget_trips_fuel);
     assert_eq!(s.budget_trips_cells, report.timings.budget_trips_cells);
     assert_eq!(s.budget_trips_deadline, report.timings.budget_trips_deadline);
+    // The per-phase drops add up to the search totals: without its
+    // search_end line, the trace's step + verify sums give the same six
+    // drop counters and every panic payload.
+    let cut: Vec<&str> = lines
+        .iter()
+        .map(String::as_str)
+        .filter(|line| !line.contains("\"event\":\"search_end\""))
+        .collect();
+    assert_eq!(cut.len() + 1, lines.len());
+    let fallback = lucidscript::obs::parse_trace(&cut.join("\n")).unwrap();
+    assert!(!fallback.complete);
+    let drop_counters = |t: &lucidscript::obs::Timings| {
+        [
+            t.candidates_deduped,
+            t.pruned_monotonicity,
+            t.budget_trips_fuel,
+            t.budget_trips_cells,
+            t.budget_trips_deadline,
+            t.candidates_panicked,
+        ]
+    };
+    assert_eq!(drop_counters(&fallback.timings), drop_counters(&report.timings));
+    assert_eq!(
+        fallback.panic_payloads.len() as u64,
+        report.timings.candidates_panicked
+    );
     // Every caught panic carried its payload into the step/verify events
     // (up to the per-event cap, which these small searches stay under).
     assert_eq!(

@@ -867,8 +867,9 @@ fn parse_and_render(
     Ok(summary)
 }
 
-/// Fragments of the trace grammar, to glue into near-records.
-const TRACE_TOKENS: &[&str] = &[
+/// Fragments of the trace grammar, to glue into near-records (record
+/// openings come from [`trace_tokens`]).
+const TRACE_GRAMMAR: &[&str] = &[
     "{", "}", "[", "]", ":", ",", "\n", " ", "\"", "null", "true", "false", "0", "1", "2", "3",
     "-1", "0.5", "1e308", "-1e308", "18446744073709551616", "\"v\"", "\"event\"", "\"cand\"",
     "\"lineage\"", "\"diff_line\"", "\"decision_end\"", "\"memo_hit\"", "\"search_start\"",
@@ -877,9 +878,20 @@ const TRACE_TOKENS: &[&str] = &[
     "\"BudgetTripped\"", "\"BeamCut\"", "\"kind\"", "\"fuel\"", "\"at_step\"", "\"score_gap\"",
     "\"ids\"", "\"ops\"", "\"total\"", "\"selected\"", "\"diff_lines\"", "\"script\"",
     "\"against\"", "\"kept\"", "\"folded\"", "\"stack\"", "\"percentiles\"", "\"name\"",
-    "\"stmt_spans\"", "\"panic_payloads\"", "\"timings\"", "\"\\u00e9\"", "\"µs\"",
-    "{\"v\":4,\"event\":", "{\"v\":3,\"event\":", "{\"v\":2,\"event\":", "\\",
+    "\"stmt_spans\"", "\"panic_payloads\"", "\"timings\"", "\"drops\"", "\"\\u00e9\"",
+    "\"µs\"", "\\",
 ];
+
+/// The trace grammar plus record openings at this build's schema version
+/// and at the earlier ones.
+fn trace_tokens() -> Vec<String> {
+    let version = lucidscript::obs::TRACE_SCHEMA_VERSION;
+    TRACE_GRAMMAR
+        .iter()
+        .map(|t| t.to_string())
+        .chain((2..=version).map(|v| format!("{{\"v\":{v},\"event\":")))
+        .collect()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -898,7 +910,7 @@ proptest! {
     /// panics the parser or its views.
     #[test]
     fn trace_parser_is_total_on_token_soup(
-        tokens in prop::collection::vec(prop::sample::select(TRACE_TOKENS.to_vec()), 0..160)
+        tokens in prop::collection::vec(prop::sample::select(trace_tokens()), 0..160)
     ) {
         let _ = parse_and_render(&tokens.concat());
     }
@@ -909,7 +921,7 @@ proptest! {
     #[test]
     fn damaged_real_traces_never_falsely_reconcile(
         cut in 0usize..10_000,
-        tokens in prop::collection::vec(prop::sample::select(TRACE_TOKENS.to_vec()), 1..12)
+        tokens in prop::collection::vec(prop::sample::select(trace_tokens()), 1..12)
     ) {
         let lines: Vec<&str> = real_trace().lines().collect();
         let at = cut % lines.len();

@@ -7,7 +7,7 @@ use lucidscript::core::config::SearchConfig;
 use lucidscript::core::intent::IntentMeasure;
 use lucidscript::core::standardizer::Standardizer;
 use lucidscript::frame::csv::read_csv_str;
-use lucidscript::obs::{parse_trace, TraceSink};
+use lucidscript::obs::{parse_trace, TraceSink, TRACE_SCHEMA_VERSION};
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -82,12 +82,40 @@ fn trace_round_trips_and_matches_timings() {
     assert_eq!(summary.timings.prefix_cache_hits, t.prefix_cache_hits);
     assert_eq!(summary.timings.prefix_cache_misses, t.prefix_cache_misses);
     assert_eq!(summary.timings.prefix_cache_evictions, t.prefix_cache_evictions);
+    // The step and verify records carry every cache probe between them:
+    // without the search_end line, their sums give the same counters.
+    let cut: Vec<&str> = text
+        .lines()
+        .filter(|line| !line.contains("\"event\":\"search_end\""))
+        .collect();
+    let fallback = parse_trace(&cut.join("\n")).unwrap();
+    assert!(!fallback.complete);
+    assert_eq!(
+        (
+            fallback.timings.prefix_cache_hits,
+            fallback.timings.prefix_cache_misses,
+            fallback.timings.prefix_cache_evictions,
+        ),
+        (
+            t.prefix_cache_hits,
+            t.prefix_cache_misses,
+            t.prefix_cache_evictions
+        )
+    );
 
     // Unknown events and fields are forward-compatible; bad versions fail.
-    let extended = format!("{text}\n{{\"v\": 4, \"event\": \"future_thing\"}}");
+    let extended =
+        format!("{text}\n{{\"v\": {TRACE_SCHEMA_VERSION}, \"event\": \"future_thing\"}}");
     let summary2 = parse_trace(&extended).unwrap();
     assert_eq!(summary2.unknown_events, 1);
     assert!(parse_trace("{\"v\": 99, \"event\": \"step\"}").is_err());
+    // v4 files, whose step and verify drop counters were flat fields, are
+    // rejected by version rather than read as zero drops.
+    let err = parse_trace("{\"v\":4,\"event\":\"step\",\"candidates_deduped\":2}").unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "trace schema v4 is no longer read (this build reads v5)"
+    );
 }
 
 #[test]
