@@ -178,9 +178,9 @@ pub fn corpus_fingerprint(sources: &[impl AsRef<str>]) -> u64 {
 ///
 /// Excluded: the knobs the determinism suite proves byte-invariant —
 /// `threads`, `prefix_cache`/`prefix_cache_capacity` — and the pure
-/// measurement channels (`trace`, `profile_out`, `stats_registry`,
-/// `shared`). Excluding them is what lets one memo serve every
-/// (jobs × cache × telemetry) arm of the same logical configuration.
+/// measurement channels (`trace`, `stats_registry`, `shared`).
+/// Excluding them is what lets one memo serve every (jobs × cache ×
+/// telemetry) arm of the same logical configuration.
 pub fn config_fingerprint(config: &SearchConfig) -> u64 {
     let decisions = format!(
         "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
@@ -285,7 +285,7 @@ pub struct ScriptResult {
 /// scale. Percentiles are over per-script `improvement_pct` of the
 /// successfully standardized scripts, by the same nearest-rank rule the
 /// profile exporter uses.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct ReDistribution {
     /// Scripts in the batch.
     pub scripts: usize,
@@ -796,7 +796,10 @@ pub fn standardize_corpus(
                     path.display()
                 ))
             })?;
-            sink.emit(&MemoHitRecord::new(r.name.clone(), against));
+            sink.emit(&MemoHitRecord {
+                script: r.name.clone(),
+                against,
+            });
             sink.flush();
         }
     }

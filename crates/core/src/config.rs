@@ -69,13 +69,6 @@ pub struct SearchConfig {
     /// search decision. `None` keeps the whole observability layer on its
     /// no-op path.
     pub trace: Option<lucid_obs::TraceSink>,
-    /// Directory for profile exports. When set, the search writes
-    /// `flame.folded` (collapsed-stack flamegraph), `percentiles.txt`,
-    /// and `profile.json` there after each search, and the interpreter's
-    /// span collector is attached even without a trace sink. Profiling is
-    /// measurement-only: search decisions and output are byte-identical
-    /// with it on or off.
-    pub profile_out: Option<std::path::PathBuf>,
     /// Per-candidate resource budget (fuel / cells / wall-clock deadline).
     /// Unlimited by default; tripped candidates are pruned like failed
     /// executions and counted per axis (`Timings::budget_trips_*`). The
@@ -124,7 +117,6 @@ impl Default for SearchConfig {
             prefix_cache_capacity: lucid_interp::cache::DEFAULT_PREFIX_CACHE_CAPACITY,
             max_finalists: 256,
             trace: None,
-            profile_out: None,
             budget: lucid_interp::Budget::unlimited(),
             fault_plan: None,
             stats_registry: None,

@@ -60,8 +60,19 @@ pub fn explain_diff(model: &CorpusModel, input: &str, output: &str) -> Vec<Expla
     // share most statements, so one interner memoizes the atom rendering
     // across them (and matches what the search itself ranked on).
     let interner = StmtInterner::new();
-    let in_atoms = program_atoms(&in_mod, &interner);
-    let out_atoms = program_atoms(&out_mod, &interner);
+    let atoms =
+        |module: &lucid_pyast::Module| Program::from_module(&lemmatize(module), &interner).atoms();
+    explain_atoms(model, &atoms(&in_mod), &atoms(&out_mod))
+}
+
+/// Explains the difference between two lemmatized scripts given as their
+/// statement atoms, in line order: [`explain_diff`] without the parse,
+/// for callers that already hold both programs.
+pub fn explain_atoms(
+    model: &CorpusModel,
+    in_atoms: &[Arc<str>],
+    out_atoms: &[Arc<str>],
+) -> Vec<Explanation> {
     let in_set: HashSet<&Arc<str>> = in_atoms.iter().collect();
     let out_set: HashSet<&Arc<str>> = out_atoms.iter().collect();
 
@@ -93,15 +104,6 @@ pub fn explain_diff(model: &CorpusModel, input: &str, output: &str) -> Vec<Expla
         out.push(make_explanation('+', atom, prevalence, predecessor, rationale, model));
     }
     out
-}
-
-/// Lemmatized statement atoms of a parsed module, via the interned IR.
-fn program_atoms(module: &lucid_pyast::Module, interner: &StmtInterner) -> Vec<Arc<str>> {
-    Program::from_module(&lemmatize(module), interner)
-        .stmts()
-        .iter()
-        .map(|info| Arc::clone(&info.atom))
-        .collect()
 }
 
 fn make_explanation(

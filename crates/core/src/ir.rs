@@ -188,6 +188,11 @@ impl Program {
         &self.stmts
     }
 
+    /// The statements' atom keys, in line order.
+    pub fn atoms(&self) -> Vec<Arc<str>> {
+        self.stmts.iter().map(|info| Arc::clone(&info.atom)).collect()
+    }
+
     /// Materializes an owned `Module`, re-numbering spans exactly like
     /// `Module::renumber` (line `i + 1`, column 1). Only the final
     /// reporting path needs this; the search never does.

@@ -277,20 +277,24 @@ impl Provenance {
         let total = self.total();
         for (id, meta) in self.metas.into_iter().enumerate() {
             let fate = meta.fate.expect("sweep fates every candidate");
-            sink.emit(&CandRecord::new(
-                id as u64,
-                meta.parent,
-                meta.step,
-                meta.op,
-                meta.re,
-                fate,
-            ));
+            sink.emit(&CandRecord {
+                id: id as u64,
+                parent: meta.parent,
+                step: meta.step,
+                op: meta.op,
+                re: meta.re,
+                disposition: fate,
+            });
         }
-        sink.emit(&LineageRecord::new(ids, ops));
+        sink.emit(&LineageRecord { ids, ops });
         for line in diff_lines {
             sink.emit(line);
         }
-        sink.emit(&DecisionEndRecord::new(total, best_id, diff_lines.len() as u64));
+        sink.emit(&DecisionEndRecord {
+            total,
+            selected: best_id,
+            diff_lines: diff_lines.len() as u64,
+        });
         sink.flush();
     }
 }

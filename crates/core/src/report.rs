@@ -1,7 +1,7 @@
 //! Result/report types emitted by the standardizer (serializable so the
 //! experiment harness can persist them under `results/`).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The search's phase times and counters, declared once as the metric
 /// table in [`lucid_obs::timings`] (which also names every registry
@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 pub use lucid_obs::Timings;
 
 /// The outcome of standardizing one input script.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct StandardizeReport {
     /// The (lemmatized) input source.
     pub input_source: String,

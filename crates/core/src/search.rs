@@ -30,12 +30,10 @@ use lucid_frame::DataFrame;
 use lucid_interp::{ExecOutcome, InjectedPanic, Interpreter, InterpError, PrefixCache};
 use lucid_obs::event::{
     KeptBeam, SearchEndEvent, SearchStartEvent, StepEvent, StmtSpanAgg, VerifyEvent,
-    TRACE_SCHEMA_VERSION,
 };
 use lucid_obs::alloc::{self, AllocSnapshot, Phase, PhaseGuard};
-use lucid_obs::{Disposition, Drops, Metric, Registry};
+use lucid_obs::{Disposition, Drops, Metric, Record, Registry};
 use lucid_pyast::Module;
-use serde::Serialize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -315,7 +313,7 @@ impl Search<'_, '_> {
     /// The one phase close-out: records the phase's histograms, cache
     /// window and drops into the registry and, when traced, emits the
     /// phase's record, which `record` builds from the same values.
-    fn close_phase<R: Serialize>(
+    fn close_phase<R: Record>(
         &mut self,
         window: PhaseWindow,
         histograms: &[(Metric, f64)],
@@ -394,8 +392,6 @@ impl Search<'_, '_> {
             (Metric::CheckExecute, stats.check_execute_ms),
         ];
         self.close_phase(window, &times, |cache, alloc_bytes, drops| StepEvent {
-            v: TRACE_SCHEMA_VERSION,
-            event: "step".to_string(),
             step,
             beams_in: beams.len(),
             enumerated: stats.enumerated,
@@ -528,8 +524,6 @@ impl Search<'_, '_> {
         ];
         let accepted = best.is_some();
         self.close_phase(window, &times, |cache, alloc_bytes, drops| VerifyEvent {
-            v: TRACE_SCHEMA_VERSION,
-            event: "verify".to_string(),
             finalists: n_finalists,
             checked,
             drops,
@@ -753,18 +747,19 @@ pub fn standardize_search(ctx: &SearchContext, input: &Module) -> SearchOutcome 
         obs.reset();
     }
     if let Some(sink) = trace {
-        sink.emit(&SearchStartEvent::new(
-            ctx.config.seq_len,
-            ctx.config.beam_k,
-            ctx.config.resolved_threads(),
-            ctx.config.diversity,
-            ctx.config.early_check,
-            ctx.config.prefix_cache,
-            match ctx.config.objective {
+        sink.emit(&SearchStartEvent {
+            seq_len: ctx.config.seq_len,
+            beam_k: ctx.config.beam_k,
+            threads: ctx.config.resolved_threads(),
+            diversity: ctx.config.diversity,
+            early_check: ctx.config.early_check,
+            prefix_cache: ctx.config.prefix_cache,
+            objective: match ctx.config.objective {
                 Objective::Edges => "edges",
                 Objective::Atoms => "atoms",
-            },
-        ));
+            }
+            .to_string(),
+        });
     }
     // One interner per search — or the batch-shared one when present:
     // every candidate the search ever holds is a list of pointers into
@@ -890,19 +885,8 @@ pub fn standardize_search(ctx: &SearchContext, input: &Module) -> SearchOutcome 
     if let Some(fleet) = &ctx.config.stats_registry {
         fleet.merge(&reg);
     }
-    // Profiling is measurement-only: the report is assembled after every
-    // search decision is made, so output is byte-identical with it on or
-    // off. Writes are best-effort, like trace emission — a full disk must
-    // never fail a search.
-    let profile = build_profile(ctx, &reg);
-    if let (Some(dir), Some(p)) = (&ctx.config.profile_out, &profile) {
-        let _ = std::fs::create_dir_all(dir);
-        let _ = p.write_dir(dir);
-    }
     if let Some(sink) = trace {
         sink.emit(&SearchEndEvent {
-            v: TRACE_SCHEMA_VERSION,
-            event: "search_end".to_string(),
             explored,
             input_re,
             best_re: best.re,
@@ -913,8 +897,11 @@ pub fn standardize_search(ctx: &SearchContext, input: &Module) -> SearchOutcome 
         });
         // The profile record trails search_end so a trace cut off at the
         // (potentially large) profile line still summarizes completely.
-        if let Some(p) = &profile {
-            sink.emit(&p.to_event());
+        // Profiling is measurement-only: the report is assembled after
+        // every search decision is made, so output is byte-identical with
+        // tracing on or off.
+        if let Some(p) = build_profile(ctx, &reg) {
+            sink.emit(&p);
         }
         sink.flush();
     }
@@ -931,7 +918,7 @@ pub fn standardize_search(ctx: &SearchContext, input: &Module) -> SearchOutcome 
 /// Assembles the search's [`ProfileReport`]: phase + per-statement
 /// percentiles from the search registry merged with the interpreter
 /// collector's per-span-name aggregates, plus the folded span tree.
-/// `None` when no collector is attached (neither tracing nor profiling).
+/// `None` when no collector is attached (the search is not traced).
 fn build_profile(ctx: &SearchContext, reg: &Registry) -> Option<lucid_obs::ProfileReport> {
     let obs = ctx.interp.obs.as_ref()?;
     let mut rows = reg.histogram_percentiles();

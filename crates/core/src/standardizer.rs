@@ -5,13 +5,14 @@ use crate::config::SearchConfig;
 use crate::dag;
 use crate::entropy;
 use crate::error::{CoreError, Result};
+use crate::ir::Program;
 use crate::lemma::lemmatize;
 use crate::report::StandardizeReport;
 use crate::search::{standardize_search, SearchContext, SearchOutcome};
 use crate::vocab::CorpusModel;
 use lucid_frame::DataFrame;
 use lucid_interp::Interpreter;
-use lucid_obs::{DiffLineRecord, TRACE_SCHEMA_VERSION};
+use lucid_obs::DiffLineRecord;
 use lucid_pyast::{parse_module, print_module, Module};
 use std::sync::Arc;
 
@@ -153,10 +154,9 @@ impl Standardizer {
             let diff_lines = diff_line_records(
                 &self.corpus,
                 &input,
+                &best.program,
                 &best.applied,
                 &ledger.lineage_of(best.id).0,
-                &input_source,
-                &output_source,
             );
             ledger.write(sink, best.id, best.re, &diff_lines);
         }
@@ -195,25 +195,26 @@ impl Standardizer {
 
 /// Joins the final diff against the selected chain, one `diff_line`
 /// record per explained change: the chain is replayed over the interned
-/// IR to learn the signed atom each op produced, then each `explain_diff`
-/// line is matched to the first unconsumed chain op with the same sign
-/// and atom. A matched line carries the ID of the candidate whose minting
-/// transformation introduced it (chain index `i` → lineage ID `i + 1`,
-/// since the lineage starts at the input); unmatched lines (net effects
-/// of several edits) carry `None`.
+/// IR to learn the signed atom each op produced, then each explained
+/// line ([`crate::explain::explain_atoms`] over the input's and the
+/// output's atoms, with no re-parse) is matched to the first unconsumed
+/// chain op with the same sign and atom. A matched line carries the ID of
+/// the candidate whose minting transformation introduced it (chain index
+/// `i` → lineage ID `i + 1`, since the lineage starts at the input);
+/// unmatched lines (net effects of several edits) carry `None`.
 fn diff_line_records(
     corpus: &CorpusModel,
     input: &Module,
+    output: &Program,
     applied: &[crate::transform::Transformation],
     lineage: &[u64],
-    input_source: &str,
-    output_source: &str,
 ) -> Vec<DiffLineRecord> {
-    use crate::ir::{Program, StmtInterner};
+    use crate::ir::StmtInterner;
     use crate::transform::TransformKind;
 
     let interner = StmtInterner::new();
     let mut prog = Program::from_module(input, &interner);
+    let in_atoms = prog.atoms();
     // (sign, atom, chain index, op description) per applied step.
     let mut chain: Vec<(char, Arc<str>, usize, String)> = Vec::new();
     for (i, t) in applied.iter().enumerate() {
@@ -236,7 +237,7 @@ fn diff_line_records(
     }
     let mut consumed = vec![false; chain.len()];
     let mut records = Vec::new();
-    for e in crate::explain::explain_diff(corpus, input_source, output_source) {
+    for e in crate::explain::explain_atoms(corpus, &in_atoms, &output.atoms()) {
         let hit = chain
             .iter()
             .enumerate()
@@ -250,8 +251,6 @@ fn diff_line_records(
             None => (None, None, None),
         };
         records.push(DiffLineRecord {
-            v: TRACE_SCHEMA_VERSION,
-            event: "diff_line".to_string(),
             change: e.change.to_string(),
             atom: e.step.clone(),
             cand,
@@ -265,16 +264,18 @@ fn diff_line_records(
 
 /// Applies a config's interpreter-facing knobs: seed, sampling, the
 /// per-candidate resource budget, the (test-only) fault-injection plan,
-/// and — when tracing or profiling is on — a span collector recording
-/// per-statement interpreter time into the search's event log and
-/// profile exports. Without a trace sink or profile directory the
-/// collector is absent entirely, keeping runs on the zero-cost path.
+/// and — when tracing is on — a span collector recording per-statement
+/// interpreter time into the search's event log and its `profile`
+/// record. Without a trace sink the collector is absent entirely,
+/// keeping runs on the zero-cost path.
 fn configure_interp(interp: &mut Interpreter, config: &SearchConfig) {
     interp.seed = config.seed;
     interp.sample_rows = config.sample_rows;
     interp.budget = config.budget;
     interp.fault_plan = config.fault_plan.clone();
-    interp.obs = (config.trace.is_some() || config.profile_out.is_some())
+    interp.obs = config
+        .trace
+        .is_some()
         .then(|| Arc::new(lucid_obs::Collector::new(true)));
 }
 

@@ -211,6 +211,9 @@ impl FaultPlan {
 
     /// Decides whether statement `index` (content hash `stmt_hash`) faults,
     /// and raises the chosen class if so. Counts every fault it fires.
+    // `FaultClass::Panic` panics on purpose: it exercises the search's
+    // per-candidate panic isolation.
+    #[allow(clippy::panic)]
     pub(crate) fn check(&self, index: usize, stmt_hash: u64) -> Result<()> {
         if self.classes.is_empty() || self.probability <= 0.0 {
             return Ok(());

@@ -29,6 +29,13 @@
 //! assert_eq!(out.total_null_count(), 0);
 //! ```
 
+// A panicking candidate is survivable (the search isolates it) but always
+// a bug: non-test code returns typed errors instead.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod budget;
 pub mod cache;
 pub mod env;

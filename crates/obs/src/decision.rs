@@ -19,8 +19,8 @@
 //! budgets, batch jobs and batch memoization. `lucid why` reconciles them
 //! against the `search_end` counters of the same file.
 
-use crate::event::TRACE_SCHEMA_VERSION;
 use crate::metrics::Registry;
+use crate::sink::Record;
 use crate::summary::{int, text, TraceSummary};
 use crate::timings::Metric;
 use serde::Serialize;
@@ -242,10 +242,6 @@ impl Drops {
 /// One candidate's identity, lineage, and fate (`"cand"`).
 #[derive(Debug, Clone, Serialize)]
 pub struct CandRecord {
-    /// Always [`TRACE_SCHEMA_VERSION`].
-    pub v: u64,
-    /// Always `"cand"`.
-    pub event: String,
     /// Stable, thread-count-independent candidate ID (0 = the input).
     pub id: u64,
     /// ID of the candidate this one was derived from (0 for the input).
@@ -261,46 +257,21 @@ pub struct CandRecord {
 }
 
 impl CandRecord {
-    /// Builds the record with the version and discriminator set.
-    pub fn new(
-        id: u64,
-        parent: u64,
-        step: usize,
-        op: String,
-        re: Option<f64>,
-        disposition: Disposition,
-    ) -> CandRecord {
-        CandRecord {
-            v: TRACE_SCHEMA_VERSION,
-            event: "cand".to_string(),
-            id,
-            parent,
-            step,
-            op,
-            re,
-            disposition,
-        }
-    }
-
     fn from_value(v: &Value) -> Option<CandRecord> {
-        Some(CandRecord::new(
-            int(v, "id"),
-            int(v, "parent"),
-            int(v, "step") as usize,
-            text(v, "op"),
-            v.get("re").and_then(Value::as_f64),
-            Disposition::from_value(v.get("disposition")?)?,
-        ))
+        Some(CandRecord {
+            id: int(v, "id"),
+            parent: int(v, "parent"),
+            step: int(v, "step") as usize,
+            op: text(v, "op"),
+            re: v.get("re").and_then(Value::as_f64),
+            disposition: Disposition::from_value(v.get("disposition")?)?,
+        })
     }
 }
 
 /// The selected chain, input first (`"lineage"`).
 #[derive(Debug, Clone, Serialize)]
 pub struct LineageRecord {
-    /// Always [`TRACE_SCHEMA_VERSION`].
-    pub v: u64,
-    /// Always `"lineage"`.
-    pub event: String,
     /// Candidate IDs from the input (0) to the selected candidate.
     pub ids: Vec<u64>,
     /// The op that produced each entry (`ops[0] == "input"`).
@@ -308,29 +279,21 @@ pub struct LineageRecord {
 }
 
 impl LineageRecord {
-    /// Builds the record with the version and discriminator set.
-    pub fn new(ids: Vec<u64>, ops: Vec<String>) -> LineageRecord {
-        LineageRecord {
-            v: TRACE_SCHEMA_VERSION,
-            event: "lineage".to_string(),
-            ids,
-            ops,
-        }
-    }
-
     fn from_value(v: &Value) -> Option<LineageRecord> {
         let ids = v.get("ids")?.as_array()?;
         let ops = v.get("ops")?.as_array()?;
-        Some(LineageRecord::new(
-            ids.iter()
+        Some(LineageRecord {
+            ids: ids
+                .iter()
                 .filter_map(Value::as_f64)
                 .map(|f| f as u64)
                 .collect(),
-            ops.iter()
+            ops: ops
+                .iter()
                 .filter_map(Value::as_str)
                 .map(str::to_string)
                 .collect(),
-        ))
+        })
     }
 }
 
@@ -338,10 +301,6 @@ impl LineageRecord {
 /// (`"diff_line"`).
 #[derive(Debug, Clone, Serialize)]
 pub struct DiffLineRecord {
-    /// Always [`TRACE_SCHEMA_VERSION`].
-    pub v: u64,
-    /// Always `"diff_line"`.
-    pub event: String,
     /// `"+"` for an added line, `"-"` for a removed one.
     pub change: String,
     /// The line's atom key.
@@ -361,8 +320,6 @@ pub struct DiffLineRecord {
 impl DiffLineRecord {
     fn from_value(v: &Value) -> Option<DiffLineRecord> {
         Some(DiffLineRecord {
-            v: TRACE_SCHEMA_VERSION,
-            event: "diff_line".to_string(),
             change: v.get("change")?.as_str()?.to_string(),
             atom: text(v, "atom"),
             cand: v.get("cand").and_then(Value::as_f64).map(|f| f as u64),
@@ -381,10 +338,6 @@ impl DiffLineRecord {
 /// so its presence proves the stream was not cut short.
 #[derive(Debug, Clone, Serialize)]
 pub struct DecisionEndRecord {
-    /// Always [`TRACE_SCHEMA_VERSION`].
-    pub v: u64,
-    /// Always `"decision_end"`.
-    pub event: String,
     /// Candidates minted (== number of `cand` records).
     pub total: u64,
     /// ID of the selected candidate (0 when the input fell back).
@@ -394,24 +347,13 @@ pub struct DecisionEndRecord {
 }
 
 impl DecisionEndRecord {
-    /// Builds the record with the version and discriminator set.
-    pub fn new(total: u64, selected: u64, diff_lines: u64) -> DecisionEndRecord {
-        DecisionEndRecord {
-            v: TRACE_SCHEMA_VERSION,
-            event: "decision_end".to_string(),
-            total,
-            selected,
-            diff_lines,
-        }
-    }
-
     fn from_value(v: &Value) -> Option<DecisionEndRecord> {
         v.get("total")?;
-        Some(DecisionEndRecord::new(
-            int(v, "total"),
-            int(v, "selected"),
-            int(v, "diff_lines"),
-        ))
+        Some(DecisionEndRecord {
+            total: int(v, "total"),
+            selected: int(v, "selected"),
+            diff_lines: int(v, "diff_lines"),
+        })
     }
 }
 
@@ -421,10 +363,6 @@ impl DecisionEndRecord {
 /// shared result.
 #[derive(Debug, Clone, Serialize)]
 pub struct MemoHitRecord {
-    /// Always [`TRACE_SCHEMA_VERSION`].
-    pub v: u64,
-    /// Always `"memo_hit"`.
-    pub event: String,
     /// The memoized script.
     pub script: String,
     /// The representative script whose result it shares.
@@ -432,16 +370,6 @@ pub struct MemoHitRecord {
 }
 
 impl MemoHitRecord {
-    /// Builds the record with the version and discriminator set.
-    pub fn new(script: String, against: String) -> MemoHitRecord {
-        MemoHitRecord {
-            v: TRACE_SCHEMA_VERSION,
-            event: "memo_hit".to_string(),
-            script,
-            against,
-        }
-    }
-
     /// The line every view shows for a memo-hit stub.
     pub fn describe(&self) -> String {
         format!(
@@ -451,10 +379,10 @@ impl MemoHitRecord {
     }
 
     fn from_value(v: &Value) -> Option<MemoHitRecord> {
-        Some(MemoHitRecord::new(
-            v.get("script")?.as_str()?.to_string(),
-            text(v, "against"),
-        ))
+        Some(MemoHitRecord {
+            script: v.get("script")?.as_str()?.to_string(),
+            against: text(v, "against"),
+        })
     }
 }
 
@@ -478,14 +406,34 @@ impl Decisions {
     /// record is malformed (the parser counts it as a skipped line).
     pub(crate) fn absorb(&mut self, event: &str, record: &Value) -> bool {
         match event {
-            "cand" => CandRecord::from_value(record).map(|c| self.cands.push(c)),
-            "lineage" => LineageRecord::from_value(record).map(|l| self.lineage = Some(l)),
-            "diff_line" => DiffLineRecord::from_value(record).map(|d| self.diff_lines.push(d)),
-            "decision_end" => DecisionEndRecord::from_value(record).map(|e| self.end = Some(e)),
-            "memo_hit" => MemoHitRecord::from_value(record).map(|m| self.memo_hit = Some(m)),
+            CandRecord::EVENT => CandRecord::from_value(record).map(|c| self.cands.push(c)),
+            LineageRecord::EVENT => {
+                LineageRecord::from_value(record).map(|l| self.lineage = Some(l))
+            }
+            DiffLineRecord::EVENT => {
+                DiffLineRecord::from_value(record).map(|d| self.diff_lines.push(d))
+            }
+            DecisionEndRecord::EVENT => {
+                DecisionEndRecord::from_value(record).map(|e| self.end = Some(e))
+            }
+            MemoHitRecord::EVENT => {
+                MemoHitRecord::from_value(record).map(|m| self.memo_hit = Some(m))
+            }
             _ => None,
         }
         .is_some()
+    }
+
+    /// Whether `event` tags a decision record.
+    pub(crate) fn is_decision(event: &str) -> bool {
+        [
+            CandRecord::EVENT,
+            LineageRecord::EVENT,
+            DiffLineRecord::EVENT,
+            DecisionEndRecord::EVENT,
+            MemoHitRecord::EVENT,
+        ]
+        .contains(&event)
     }
 
     /// Disposition counts observed in the `cand` records, keyed by kind
@@ -698,10 +646,10 @@ pub fn decision_lines(text: &str) -> Vec<&str> {
             serde_json::from_str(line)
                 .ok()
                 .is_some_and(|record: Value| {
-                    matches!(
-                        record.get("event").and_then(Value::as_str),
-                        Some("cand" | "lineage" | "diff_line" | "decision_end" | "memo_hit")
-                    )
+                    record
+                        .get("event")
+                        .and_then(Value::as_str)
+                        .is_some_and(Decisions::is_decision)
                 })
         })
         .collect()
@@ -726,11 +674,27 @@ mod tests {
     use crate::summary::parse_trace;
     use crate::Timings;
 
+    fn cand(
+        id: u64,
+        parent: u64,
+        step: usize,
+        op: &str,
+        re: Option<f64>,
+        disposition: Disposition,
+    ) -> CandRecord {
+        CandRecord {
+            id,
+            parent,
+            step,
+            op: op.to_string(),
+            re,
+            disposition,
+        }
+    }
+
     fn sample_stream() -> String {
         let sink = TraceSink::in_memory();
         sink.emit(&SearchEndEvent {
-            v: TRACE_SCHEMA_VERSION,
-            event: "search_end".to_string(),
             timings: Timings {
                 candidates_deduped: 1,
                 pruned_monotonicity: 1,
@@ -740,46 +704,46 @@ mod tests {
             ..SearchEndEvent::default()
         });
         for c in [
-            CandRecord::new(
+            cand(
                 0,
                 0,
                 0,
-                "input".to_string(),
+                "input",
                 Some(2.5),
                 Disposition::OutRanked {
                     at_step: 0,
                     score_gap: 1.25,
                 },
             ),
-            CandRecord::new(
+            cand(
                 1,
                 0,
                 0,
-                "+ line 1: df = df.fillna(df.mean())".to_string(),
+                "+ line 1: df = df.fillna(df.mean())",
                 Some(1.25),
                 Disposition::Selected,
             ),
-            CandRecord::new(
+            cand(
                 2,
                 0,
                 0,
-                "+ line 0: import pandas as pd".to_string(),
+                "+ line 0: import pandas as pd",
                 None,
                 Disposition::PrunedMonotonicity,
             ),
-            CandRecord::new(
+            cand(
                 3,
                 0,
                 0,
-                "- line 2".to_string(),
+                "- line 2",
                 Some(1.25),
                 Disposition::Deduped { against: 1 },
             ),
-            CandRecord::new(
+            cand(
                 4,
                 1,
                 1,
-                "- line 3".to_string(),
+                "- line 3",
                 Some(3.0),
                 Disposition::BudgetTripped {
                     kind: "fuel".to_string(),
@@ -788,16 +752,14 @@ mod tests {
         ] {
             sink.emit(&c);
         }
-        sink.emit(&LineageRecord::new(
-            vec![0, 1],
-            vec![
+        sink.emit(&LineageRecord {
+            ids: vec![0, 1],
+            ops: vec![
                 "input".to_string(),
                 "+ line 1: df = df.fillna(df.mean())".to_string(),
             ],
-        ));
+        });
         sink.emit(&DiffLineRecord {
-            v: TRACE_SCHEMA_VERSION,
-            event: "diff_line".to_string(),
             change: "+".to_string(),
             atom: "df = df.fillna(df.mean())".to_string(),
             cand: Some(1),
@@ -805,7 +767,11 @@ mod tests {
             op: Some("+ line 1: df = df.fillna(df.mean())".to_string()),
             rationale: "popularity".to_string(),
         });
-        sink.emit(&DecisionEndRecord::new(5, 1, 1));
+        sink.emit(&DecisionEndRecord {
+            total: 5,
+            selected: 1,
+            diff_lines: 1,
+        });
         sink.memory_lines().unwrap().join("\n")
     }
 
@@ -881,10 +847,10 @@ mod tests {
     #[test]
     fn memo_hit_stub_parses_and_renders() {
         let sink = TraceSink::in_memory();
-        sink.emit(&MemoHitRecord::new(
-            "dup.py".to_string(),
-            "orig.py".to_string(),
-        ));
+        sink.emit(&MemoHitRecord {
+            script: "dup.py".to_string(),
+            against: "orig.py".to_string(),
+        });
         let summary = parse_trace(&sink.memory_lines().unwrap().join("\n")).unwrap();
         let hit = summary.decisions.memo_hit.as_ref().unwrap();
         assert_eq!(
@@ -897,7 +863,7 @@ mod tests {
 
     #[test]
     fn malformed_decision_records_are_skipped_not_fatal() {
-        let v = TRACE_SCHEMA_VERSION;
+        let v = crate::TRACE_SCHEMA_VERSION;
         let text = format!(
             "{{\"v\":{v},\"event\":\"cand\",\"id\":0,\"parent\":0,\"step\":0,\"op\":\"input\",\"re\":1.0,\"disposition\":\"Selected\"}}\n\
              {{\"v\":{v},\"event\":\"cand\",\"id\":1,\"disposition\":\"Vanished\"}}\n"

@@ -1,14 +1,16 @@
 //! The versioned trace schema (JSONL, one record per line): the
 //! measurement records of a search.
 //!
-//! Every record carries `"v": 5` (the schema version) and an `"event"`
-//! discriminator. A traced standardization writes one stream, in order:
+//! Every line carries `"v": 5` (the schema version) and an `"event"`
+//! discriminator, stamped by the sink ([`crate::sink::record_line`]);
+//! the record structs hold only their payload. A traced standardization
+//! writes one stream, in order:
 //! one `search_start`, one `step` per executed beam step, one `verify`,
 //! one `search_end` carrying the search's [`Timings`], whose phase totals
 //! equal the sums over the per-step records (modulo float rendering;
 //! `lucid trace` rebuilds the Figure 7 breakdown from them), and a
-//! `profile` record (see
-//! [`crate::profile::ProfileEvent`]) when a span collector was attached.
+//! `profile` record (a [`crate::profile::ProfileReport`]) when a span
+//! collector was attached.
 //! The decision records of [`crate::decision`] follow: one `cand` per
 //! candidate, the `lineage`, one `diff_line` per line of the final diff,
 //! and the `decision_end` trailer last.
@@ -28,16 +30,12 @@ use crate::decision::Drops;
 use crate::timings::Timings;
 use serde::Serialize;
 
-/// Version stamped into every record's `"v"` field.
+/// Version the sink stamps into every record's `"v"` field.
 pub const TRACE_SCHEMA_VERSION: u64 = 5;
 
 /// Emitted once when a search begins: the configuration snapshot.
 #[derive(Debug, Clone, Serialize)]
 pub struct SearchStartEvent {
-    /// Schema version (always [`TRACE_SCHEMA_VERSION`]).
-    pub v: u64,
-    /// `"search_start"`.
-    pub event: String,
     /// Maximum transformation-sequence length.
     pub seq_len: usize,
     /// Beam size `K`.
@@ -52,32 +50,6 @@ pub struct SearchStartEvent {
     pub prefix_cache: bool,
     /// RE objective vocabulary (`"edges"` / `"atoms"`).
     pub objective: String,
-}
-
-impl SearchStartEvent {
-    /// Builds the record with the version and discriminator set.
-    #[allow(clippy::fn_params_excessive_bools)]
-    pub fn new(
-        seq_len: usize,
-        beam_k: usize,
-        threads: usize,
-        diversity: bool,
-        early_check: bool,
-        prefix_cache: bool,
-        objective: &str,
-    ) -> SearchStartEvent {
-        SearchStartEvent {
-            v: TRACE_SCHEMA_VERSION,
-            event: "search_start".to_string(),
-            seq_len,
-            beam_k,
-            threads,
-            diversity,
-            early_check,
-            prefix_cache,
-            objective: objective.to_string(),
-        }
-    }
 }
 
 /// One beam kept at the end of a step.
@@ -96,10 +68,6 @@ pub struct KeptBeam {
 /// Emitted once per executed beam step.
 #[derive(Debug, Clone, Serialize)]
 pub struct StepEvent {
-    /// Schema version.
-    pub v: u64,
-    /// `"step"`.
-    pub event: String,
     /// 0-based step index.
     pub step: usize,
     /// Beams entering the step.
@@ -137,10 +105,6 @@ pub struct StepEvent {
 /// Emitted once after the final `VerifyAllConstraints` pass.
 #[derive(Debug, Clone, Serialize)]
 pub struct VerifyEvent {
-    /// Schema version.
-    pub v: u64,
-    /// `"verify"`.
-    pub event: String,
     /// Finalists awaiting verification.
     pub finalists: usize,
     /// Finalists actually checked (scan stops at the first success).
@@ -179,10 +143,6 @@ pub struct StmtSpanAgg {
 /// [`Timings`], the same struct the report carries.
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct SearchEndEvent {
-    /// Schema version.
-    pub v: u64,
-    /// `"search_end"`.
-    pub event: String,
     /// Candidate scripts scored.
     pub explored: usize,
     /// RE of the input script.
@@ -204,18 +164,26 @@ pub struct SearchEndEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sink::record_line;
 
     #[test]
     fn events_serialize_with_version_and_tag() {
-        let start = SearchStartEvent::new(16, 3, 4, true, true, true, "edges");
-        let json = serde_json::to_string(&start).unwrap();
-        assert!(json.contains(&format!("\"v\":{TRACE_SCHEMA_VERSION}")));
-        assert!(json.contains("\"event\":\"search_start\""));
+        let start = SearchStartEvent {
+            seq_len: 16,
+            beam_k: 3,
+            threads: 4,
+            diversity: true,
+            early_check: true,
+            prefix_cache: true,
+            objective: "edges".to_string(),
+        };
+        let json = record_line(&start);
+        assert!(json.starts_with(&format!(
+            "{{\"v\":{TRACE_SCHEMA_VERSION},\"event\":\"search_start\",\"seq_len\":16,"
+        )));
         assert!(json.contains("\"threads\":4"));
 
         let step = StepEvent {
-            v: TRACE_SCHEMA_VERSION,
-            event: "step".to_string(),
             step: 0,
             beams_in: 1,
             enumerated: 12,
@@ -245,7 +213,7 @@ mod tests {
             check_execute_ms: 0.25,
             converged: false,
         };
-        let json = serde_json::to_string(&step).unwrap();
+        let json = record_line(&step);
         assert!(json.contains("\"kept\":[{"));
         assert!(json.contains("\"drops\":{\"pruned_monotonicity\":2,"));
         assert!(json.contains("\"candidates_panicked\":1"));

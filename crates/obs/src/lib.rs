@@ -3,7 +3,8 @@
 //! Observability substrate for the LucidScript search: a thread-safe
 //! [`Registry`] of atomic counters and log-bucketed histograms, RAII
 //! [`Span`]s forming a span tree, a [`TraceSink`] that appends one JSONL
-//! record per search event, the versioned trace schema itself
+//! record per search event and stamps each with the schema envelope
+//! ([`Record`]), the versioned trace schema itself
 //! (measurement records in [`event`], decision records in [`decision`]),
 //! and the one parser ([`summary`]) that turns a trace file back into
 //! its three views: the paper's Figure 7 phase breakdown (`lucid trace`),
@@ -40,8 +41,9 @@
 //! assert!((t.get_steps_ms - 1.5).abs() < 1e-9);
 //!
 //! let sink = TraceSink::in_memory();
-//! sink.emit(&lucid_obs::event::SearchStartEvent::new(16, 3, 1, true, true, true, "edges"));
-//! assert_eq!(sink.records(), 1);
+//! sink.emit(&lucid_obs::DecisionEndRecord { total: 1, selected: 0, diff_lines: 0 });
+//! let line = &sink.memory_lines().unwrap()[0];
+//! assert!(line.starts_with("{\"v\":5,\"event\":\"decision_end\",\"total\":1,"));
 //! ```
 
 pub mod alloc;
@@ -65,8 +67,8 @@ pub use event::TRACE_SCHEMA_VERSION;
 pub use export::{prometheus_text, snapshot_json, StatsReporter};
 pub use flame::{fold_spans, to_folded, FoldedFrame};
 pub use metrics::{Counter, Histogram, Percentiles, Registry};
-pub use profile::{PercentileRow, ProfileEvent, ProfileReport};
-pub use sink::{rotated_path, TraceSink};
+pub use profile::{PercentileRow, ProfileReport};
+pub use sink::{record_line, rotated_path, Record, TraceSink};
 pub use span::{Collector, Span, SpanRecord};
 pub use summary::{
     aggregate_summaries, parse_trace, read_trace, AggregateReport, TraceError, TraceErrorKind,

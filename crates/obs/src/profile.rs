@@ -1,13 +1,14 @@
 //! Profile exports: folded flamegraphs + percentile tables, bundled as a
-//! [`ProfileReport`] that can be written to a directory (`--profile-out`)
-//! and embedded in a trace as a `"profile"` record. `lucid profile` is the
-//! third view of a parsed trace ([`crate::summary::parse_trace`] keeps the
-//! last `profile` record it meets); a `--profile-out` `profile.json` is
-//! that same record on one line, so it parses as a one-record trace.
+//! [`ProfileReport`], which a traced search writes as its `"profile"`
+//! record. `lucid profile` is the third view of a parsed trace
+//! ([`crate::summary::parse_trace`] keeps the last `profile` record it
+//! meets), and `lucid profile --out DIR` writes the report to a
+//! directory; its `profile.json` is that same record on one line, so it
+//! parses as a one-record trace.
 
-use crate::event::TRACE_SCHEMA_VERSION;
 use crate::flame::{fold_spans, to_folded, FoldedFrame};
 use crate::metrics::Percentiles;
+use crate::sink::record_line;
 use crate::span::SpanRecord;
 use crate::summary::int;
 use serde::Serialize;
@@ -45,8 +46,9 @@ impl PercentileRow {
     }
 }
 
-/// Everything `lucid profile` renders for one search.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// Everything `lucid profile` renders for one search: the payload of the
+/// `"profile"` trace record.
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct ProfileReport {
     /// Folded flamegraph stacks (root-first, self-time in µs).
     pub folded: Vec<FoldedFrame>,
@@ -54,21 +56,6 @@ pub struct ProfileReport {
     pub percentiles: Vec<PercentileRow>,
     /// Span records the collector dropped (bounded retention) — the
     /// flamegraph undercounts by exactly these spans.
-    pub spans_dropped: u64,
-}
-
-/// The `"profile"` trace record carrying a [`ProfileReport`].
-#[derive(Debug, Clone, Serialize)]
-pub struct ProfileEvent {
-    /// Schema version.
-    pub v: u64,
-    /// `"profile"`.
-    pub event: String,
-    /// Folded stacks.
-    pub folded: Vec<FoldedFrame>,
-    /// Percentile rows.
-    pub percentiles: Vec<PercentileRow>,
-    /// Spans dropped by the collector bound.
     pub spans_dropped: u64,
 }
 
@@ -93,17 +80,6 @@ impl ProfileReport {
     /// Whether the report carries no stacks and no histogram rows.
     pub fn is_empty(&self) -> bool {
         self.folded.is_empty() && self.percentiles.is_empty()
-    }
-
-    /// The report as a `"profile"` trace record.
-    pub fn to_event(&self) -> ProfileEvent {
-        ProfileEvent {
-            v: TRACE_SCHEMA_VERSION,
-            event: "profile".to_string(),
-            folded: self.folded.clone(),
-            percentiles: self.percentiles.clone(),
-            spans_dropped: self.spans_dropped,
-        }
     }
 
     /// The collapsed-stack flamegraph text (`flame.folded`).
@@ -147,9 +123,7 @@ impl ProfileReport {
     pub fn write_dir(&self, dir: &Path) -> std::io::Result<()> {
         std::fs::write(dir.join("flame.folded"), self.folded_text())?;
         std::fs::write(dir.join("percentiles.txt"), self.percentile_table())?;
-        let record = serde_json::to_string(&self.to_event())
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-        std::fs::write(dir.join("profile.json"), record + "\n")?;
+        std::fs::write(dir.join("profile.json"), record_line(self) + "\n")?;
         Ok(())
     }
 
@@ -218,7 +192,7 @@ mod tests {
     fn report_round_trips_through_a_trace_record() {
         let report = sample_report();
         assert!(!report.is_empty());
-        let line = serde_json::to_string(&report.to_event()).unwrap();
+        let line = record_line(&report);
         // Other trace lines, including garbage, don't disturb extraction.
         let trace = format!(
             "{{\"v\":{v},\"event\":\"search_start\"}}\n\nnot json\n{line}\n{{\"v\":{v},\"event\":\"sea",

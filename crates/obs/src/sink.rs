@@ -12,8 +12,21 @@
 //! `2 × max_bytes`. A line is always written to a freshly started file
 //! even if it alone exceeds the cap — rotation never silently drops
 //! records, it only segments them.
+//!
+//! The sink also owns the record envelope. A record type carries only
+//! its payload; [`record_line`] stamps `"v"` ([`TRACE_SCHEMA_VERSION`])
+//! and `"event"` ([`Record::EVENT`]) ahead of the payload fields, and the
+//! [`Record`] table at the foot of this module is the one place each
+//! event tag is spelled.
 
-use serde::Serialize;
+use crate::decision::{
+    CandRecord, DecisionEndRecord, DiffLineRecord, LineageRecord, MemoHitRecord,
+};
+use crate::event::{
+    SearchEndEvent, SearchStartEvent, StepEvent, VerifyEvent, TRACE_SCHEMA_VERSION,
+};
+use crate::profile::ProfileReport;
+use serde::{Json, Serialize};
 use std::fmt;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -119,16 +132,10 @@ impl TraceSink {
         }
     }
 
-    /// Serializes `event` and appends it as one line. Best-effort: I/O
+    /// Appends `record` as one line ([`record_line`]). Best-effort: I/O
     /// failures increment [`TraceSink::errors`] instead of propagating.
-    pub fn emit<T: Serialize>(&self, event: &T) {
-        let line = match serde_json::to_string(event) {
-            Ok(l) => l,
-            Err(_) => {
-                self.inner.errors.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-        };
+    pub fn emit<R: Record>(&self, record: &R) {
+        let line = record_line(record);
         match &self.inner.target {
             Target::File {
                 path,
@@ -175,7 +182,7 @@ impl TraceSink {
         self.inner.records.load(Ordering::Relaxed)
     }
 
-    /// Emissions dropped on serialization/write failure.
+    /// Emissions dropped on write failure.
     pub fn errors(&self) -> u64 {
         self.inner.errors.load(Ordering::Relaxed)
     }
@@ -211,20 +218,86 @@ impl TraceSink {
     }
 }
 
+/// A trace record kind: a named struct holding the record's payload
+/// fields, and the `"event"` tag its lines carry.
+pub trait Record: Serialize {
+    /// The `"event"` tag.
+    const EVENT: &'static str;
+}
+
+/// One trace line, without its newline: `{"v":5,"event":"<EVENT>",`
+/// followed by the record's own fields, written in one pass.
+pub fn record_line<R: Record>(record: &R) -> String {
+    let mut out = Json::compact();
+    out.lead_next_object(envelope::<R>);
+    record.serialize(&mut out);
+    out.into_string()
+}
+
+fn envelope<R: Record>(out: &mut Json) {
+    out.field("v", &TRACE_SCHEMA_VERSION);
+    out.field("event", R::EVENT);
+}
+
+macro_rules! records {
+    ($($record:ty => $event:literal,)*) => {$(
+        impl Record for $record {
+            const EVENT: &'static str = $event;
+        }
+    )*};
+}
+
+records! {
+    SearchStartEvent => "search_start",
+    StepEvent => "step",
+    VerifyEvent => "verify",
+    SearchEndEvent => "search_end",
+    ProfileReport => "profile",
+    CandRecord => "cand",
+    LineageRecord => "lineage",
+    DiffLineRecord => "diff_line",
+    DecisionEndRecord => "decision_end",
+    MemoHitRecord => "memo_hit",
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A one-field record for exercising the sink.
+    #[derive(Serialize)]
+    struct Note {
+        text: String,
+    }
+
+    impl Record for Note {
+        const EVENT: &'static str = "note";
+    }
+
+    fn note(text: &str) -> Note {
+        Note {
+            text: text.to_string(),
+        }
+    }
+
+    #[test]
+    fn lines_carry_the_envelope_then_the_payload() {
+        assert_eq!(
+            record_line(&note("hi")),
+            format!("{{\"v\":{TRACE_SCHEMA_VERSION},\"event\":\"note\",\"text\":\"hi\"}}")
+        );
+    }
+
     #[test]
     fn memory_sink_buffers_lines() {
         let sink = TraceSink::in_memory();
-        sink.emit(&42u64);
-        sink.emit(&"hello");
+        sink.emit(&note("a"));
+        sink.emit(&note("hello"));
         assert_eq!(sink.records(), 2);
         assert_eq!(sink.errors(), 0);
         assert_eq!(
             sink.memory_lines().unwrap(),
-            vec!["42".to_string(), "\"hello\"".to_string()]
+            vec![record_line(&note("a")), record_line(&note("hello"))]
         );
         assert!(sink.path().is_none());
         sink.flush(); // no-op
@@ -234,8 +307,8 @@ mod tests {
     fn clones_share_the_destination() {
         let sink = TraceSink::in_memory();
         let clone = sink.clone();
-        clone.emit(&1u64);
-        sink.emit(&2u64);
+        clone.emit(&note("1"));
+        sink.emit(&note("2"));
         assert_eq!(sink.records(), 2);
         assert_eq!(clone.memory_lines().unwrap().len(), 2);
         assert!(format!("{sink:?}").contains("memory"));
@@ -245,12 +318,15 @@ mod tests {
     fn file_sink_writes_jsonl() {
         let path = std::env::temp_dir().join(format!("lucid_obs_sink_{}.jsonl", std::process::id()));
         let sink = TraceSink::to_file(&path).unwrap();
-        sink.emit(&vec![1u64, 2]);
-        sink.emit(&vec![3u64]);
+        sink.emit(&note("1"));
+        sink.emit(&note("2"));
         sink.flush();
         assert_eq!(sink.path(), Some(path.as_path()));
         let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text, "[1,2]\n[3]\n");
+        assert_eq!(
+            text,
+            format!("{}\n{}\n", record_line(&note("1")), record_line(&note("2")))
+        );
         std::fs::remove_file(&path).ok();
     }
 
@@ -267,9 +343,11 @@ mod tests {
         ));
         let rotated = rotated_path(&path);
         std::fs::remove_file(&rotated).ok();
-        // Each record is a 64-char string → a 66-byte JSON line + newline.
+        // Each line holds the envelope and a 64-char string: two lines
+        // fit a 200-byte segment, a third does not.
         let sink = TraceSink::to_file_capped(&path, 200).unwrap();
-        let payload = "x".repeat(64);
+        let payload = note(&"x".repeat(64));
+        assert!((67..=100).contains(&record_line(&payload).len()));
         for _ in 0..10 {
             sink.emit(&payload);
         }
@@ -295,7 +373,7 @@ mod tests {
             std::process::id()
         ));
         let sink = TraceSink::to_file_capped(&path, 10).unwrap();
-        sink.emit(&"a line far larger than the ten-byte cap");
+        sink.emit(&note("a line far larger than the ten-byte cap"));
         sink.flush();
         assert_eq!(sink.records(), 1);
         assert_eq!(sink.rotations(), 0); // empty segment never rotates
@@ -312,7 +390,7 @@ mod tests {
         ));
         let sink = TraceSink::to_file(&path).unwrap();
         for _ in 0..100 {
-            sink.emit(&"steady");
+            sink.emit(&note("steady"));
         }
         sink.flush();
         assert_eq!(sink.rotations(), 0);

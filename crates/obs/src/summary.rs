@@ -18,10 +18,12 @@
 //! error.
 
 use crate::decision::{Decisions, Drops};
-use crate::event::TRACE_SCHEMA_VERSION;
+use crate::event::{
+    SearchEndEvent, SearchStartEvent, StepEvent, VerifyEvent, TRACE_SCHEMA_VERSION,
+};
 use crate::metrics::Registry;
 use crate::profile::ProfileReport;
-use crate::sink::rotated_path;
+use crate::sink::{rotated_path, Record};
 use crate::timings::{Metric, Timings};
 use serde_json::Value;
 use std::path::{Path, PathBuf};
@@ -266,7 +268,7 @@ pub fn parse_trace(text: &str) -> Result<TraceSummary, TraceError> {
         };
         any = true;
         match event {
-            "search_start" => {
+            SearchStartEvent::EVENT => {
                 for key in [
                     "seq_len",
                     "beam_k",
@@ -287,7 +289,7 @@ pub fn parse_trace(text: &str) -> Result<TraceSummary, TraceError> {
                     }
                 }
             }
-            "step" => {
+            StepEvent::EVENT => {
                 let kept = record
                     .get("kept")
                     .and_then(Value::as_array)
@@ -324,13 +326,13 @@ pub fn parse_trace(text: &str) -> Result<TraceSummary, TraceError> {
                 summary.totals.check_execute_ms += row.check_execute_ms;
                 summary.steps.push(row);
             }
-            "verify" => {
+            VerifyEvent::EVENT => {
                 summary.totals.check_execute_ms += num(&record, "check_execute_ms");
                 summary.totals.verify_constraints_ms += num(&record, "verify_ms");
                 summary.accepted = record.get("accepted").and_then(Value::as_bool);
                 add_phase(&record, &mut summary);
             }
-            "search_end" => {
+            SearchEndEvent::EVENT => {
                 summary.complete = true;
                 summary.explored = int(&record, "explored");
                 summary.timings = Timings::from_record(&record);
@@ -348,8 +350,8 @@ pub fn parse_trace(text: &str) -> Result<TraceSummary, TraceError> {
                     }
                 }
             }
-            "profile" => summary.profile = Some(ProfileReport::from_record(&record)),
-            "cand" | "lineage" | "diff_line" | "decision_end" | "memo_hit" => {
+            ProfileReport::EVENT => summary.profile = Some(ProfileReport::from_record(&record)),
+            _ if Decisions::is_decision(event) => {
                 if !summary.decisions.absorb(event, &record) {
                     summary.skipped_lines += 1;
                 }
@@ -782,13 +784,29 @@ mod tests {
         format!("{{\"v\":{TRACE_SCHEMA_VERSION}")
     }
 
+    fn start_event(
+        seq_len: usize,
+        beam_k: usize,
+        threads: usize,
+        diversity: bool,
+        prefix_cache: bool,
+    ) -> SearchStartEvent {
+        SearchStartEvent {
+            seq_len,
+            beam_k,
+            threads,
+            diversity,
+            early_check: true,
+            prefix_cache,
+            objective: "edges".to_string(),
+        }
+    }
+
     fn sample_trace() -> String {
         let sink = TraceSink::in_memory();
-        sink.emit(&SearchStartEvent::new(4, 3, 2, true, true, true, "edges"));
+        sink.emit(&start_event(4, 3, 2, true, true));
         for step in 0..2 {
             sink.emit(&StepEvent {
-                v: TRACE_SCHEMA_VERSION,
-                event: "step".to_string(),
                 step,
                 beams_in: 1 + step,
                 enumerated: 10,
@@ -820,8 +838,6 @@ mod tests {
             });
         }
         sink.emit(&VerifyEvent {
-            v: TRACE_SCHEMA_VERSION,
-            event: "verify".to_string(),
             finalists: 3,
             checked: 1,
             drops: Drops {
@@ -837,8 +853,6 @@ mod tests {
             verify_ms: 3.0,
         });
         sink.emit(&SearchEndEvent {
-            v: TRACE_SCHEMA_VERSION,
-            event: "search_end".to_string(),
             explored: 18,
             input_re: 2.5,
             best_re: 1.0,
@@ -973,7 +987,7 @@ mod tests {
         // A trace with zero panics/trips must render exactly as before
         // the fault-isolation fields existed (old goldens stay valid).
         let sink = TraceSink::in_memory();
-        sink.emit(&SearchStartEvent::new(2, 1, 1, false, true, false, "edges"));
+        sink.emit(&start_event(2, 1, 1, false, false));
         let summary = parse_trace(&sink.memory_lines().unwrap().join("\n")).unwrap();
         assert!(!summary.render().contains("fault isolation"));
         assert!(!summary.render().contains("interned IR"));

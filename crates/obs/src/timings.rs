@@ -13,7 +13,7 @@
 //! [`Metric`], so code outside this crate cannot invent a metric name.
 
 use crate::metrics::Registry;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use serde_json::Value;
 
 /// A `Timings` field type: how it is read from a registry and from a
@@ -81,7 +81,7 @@ macro_rules! metric_table {
         /// ([`Timings::from_registry`]). The trace's `search_end` record
         /// carries this same struct, so a trace summary and the report hold
         /// identical values.
-        #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
         pub struct Timings {
             $(
                 $(#[doc = $doc])*

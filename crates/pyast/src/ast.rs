@@ -6,7 +6,7 @@
 //! are addressed by line number (Definition 3.4 of the paper).
 
 use crate::span::Span;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
@@ -14,7 +14,7 @@ use std::hash::{Hash, Hasher};
 /// hash-map key. Two literals are equal iff their IEEE-754 bits are equal
 /// (so `NaN == NaN`, and `0.0 != -0.0`, which is what structural identity
 /// of source code wants).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct FloatLit(pub f64);
 
 impl PartialEq for FloatLit {
@@ -42,7 +42,7 @@ impl fmt::Display for FloatLit {
 }
 
 /// A binary operator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum BinOpKind {
     /// `+`
     Add,
@@ -111,7 +111,7 @@ impl BinOpKind {
 }
 
 /// A comparison operator. Chained comparisons are not part of the subset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum CmpOpKind {
     /// `<`
     Lt,
@@ -148,7 +148,7 @@ impl CmpOpKind {
 }
 
 /// A unary operator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum UnaryOpKind {
     /// `-`
     Neg,
@@ -170,7 +170,7 @@ impl UnaryOpKind {
 }
 
 /// A call argument: positional (`name == None`) or keyword.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct Arg {
     /// Keyword name, or `None` for a positional argument.
     pub name: Option<String>,
@@ -194,7 +194,7 @@ impl Arg {
 }
 
 /// An expression in the straight-line subset.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
 pub enum Expr {
     /// An identifier reference, e.g. `df`.
     Name(String),
@@ -422,7 +422,7 @@ impl Expr {
 }
 
 /// A statement in a straight-line script.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
 pub enum Stmt {
     /// `import module` / `import module as alias`.
     Import {
@@ -503,7 +503,7 @@ impl Stmt {
 }
 
 /// A parsed script: an ordered sequence of statements.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize)]
 pub struct Module {
     /// Statements in source order.
     pub stmts: Vec<Stmt>,

@@ -1,6 +1,6 @@
 //! Source positions attached to tokens and AST statements.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// A position in the source text, 1-based for both line and column.
@@ -8,7 +8,7 @@ use std::fmt;
 /// The standardizer only needs line-level resolution (transformations are
 /// addressed by line number, per Definition 3.4 of the paper), but keeping
 /// the column makes lexer/parser diagnostics usable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct Span {
     /// 1-based line number.
     pub line: u32,

@@ -1,189 +1,321 @@
 //! Offline stand-in for the `serde` crate.
 //!
 //! The real serde is a visitor-based zero-copy framework; this workspace
-//! only ever derives `Serialize`/`Deserialize` and feeds values to
+//! only ever derives `Serialize` and feeds values to
 //! `serde_json::to_string(_pretty)`, so the stand-in collapses the design
-//! to one reflection step: [`Serialize::to_content`] builds a [`Content`]
-//! tree that `serde_json` renders. `Deserialize` is derived but never
-//! invoked typed anywhere in the workspace (only untyped
-//! `serde_json::Value` parsing is used), so it is a marker trait here.
+//! to one pass: [`Serialize::serialize`] writes the value's JSON straight
+//! into a [`Json`] writer, with no intermediate tree. Nothing in the
+//! workspace deserializes typed values (only untyped `serde_json::Value`
+//! parsing is used), so there is no `Deserialize`.
 //!
-//! The derive macros live in the vendored `serde_derive` crate and are
-//! re-exported under the usual names when the `derive` feature is on.
+//! The derive macro lives in the vendored `serde_derive` crate and is
+//! re-exported under the usual name when the `derive` feature is on.
 
 use std::collections::{BTreeMap, HashMap};
+use std::fmt::Write;
 
 #[cfg(feature = "derive")]
-pub use serde_derive::{Deserialize, Serialize};
+pub use serde_derive::Serialize;
 
-/// A serialization tree: the JSON-shaped data model every serializable
-/// value reduces to.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Content {
-    /// `null` (also used for non-finite floats, as serde_json rejects them).
-    Null,
-    /// A boolean.
-    Bool(bool),
-    /// A signed integer.
-    Int(i64),
-    /// An unsigned integer too large for `i64`.
-    UInt(u64),
-    /// A float.
-    Float(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Seq(Vec<Content>),
-    /// An object with insertion-ordered keys.
-    Map(Vec<(String, Content)>),
-}
-
-/// Types renderable to a [`Content`] tree.
+/// Types that write themselves as JSON.
 pub trait Serialize {
-    /// Reflects `self` into the serialization data model.
-    fn to_content(&self) -> Content;
+    /// Writes `self` as one JSON value.
+    fn serialize(&self, out: &mut Json);
 }
 
-/// Marker for types the real serde could deserialize. The derive emits an
-/// empty impl; nothing in this workspace performs typed deserialization.
-pub trait Deserialize<'de>: Sized {}
+/// A one-pass JSON writer: owns the output text and the optional pretty
+/// indent. Values are written in order; sequences and objects are opened
+/// and closed around their entries, and the writer places the commas and
+/// (when pretty) the newlines and indentation.
+#[derive(Debug, Default)]
+pub struct Json {
+    out: String,
+    /// Spaces per nesting level; `None` writes compact JSON.
+    indent: Option<usize>,
+    depth: usize,
+    /// Whether the innermost open sequence or object has no entry yet.
+    first: bool,
+    /// Writes the leading entries of the next object begun, once.
+    head: Option<fn(&mut Json)>,
+}
 
-macro_rules! int_impls {
-    ($($t:ty),*) => {$(
+impl Json {
+    /// A compact writer.
+    pub fn compact() -> Json {
+        Json::default()
+    }
+
+    /// A pretty writer indenting each level by `width` spaces.
+    pub fn pretty(width: usize) -> Json {
+        Json {
+            indent: Some(width),
+            ..Json::default()
+        }
+    }
+
+    /// The text written so far.
+    pub fn into_string(self) -> String {
+        self.out
+    }
+
+    /// Has `head` write the first entries of the next object this writer
+    /// begins (through [`Json::field`]), ahead of that object's own. It
+    /// fires once: objects nested inside are left alone.
+    pub fn lead_next_object(&mut self, head: fn(&mut Json)) {
+        self.head = Some(head);
+    }
+
+    /// `null`.
+    pub fn null(&mut self) {
+        self.out.push_str("null");
+    }
+
+    /// `true` or `false`.
+    pub fn bool(&mut self, b: bool) {
+        self.out.push_str(if b { "true" } else { "false" });
+    }
+
+    /// A signed integer.
+    pub fn i64(&mut self, i: i64) {
+        let _ = write!(self.out, "{i}");
+    }
+
+    /// An unsigned integer.
+    pub fn u64(&mut self, u: u64) {
+        let _ = write!(self.out, "{u}");
+    }
+
+    /// A float: `null` when not finite (JSON has no NaN or infinity, and
+    /// a null keeps writing total), one decimal when integer-valued below
+    /// 1e16, Rust's shortest round-trip form otherwise.
+    pub fn f64(&mut self, f: f64) {
+        if !f.is_finite() {
+            self.out.push_str("null");
+        } else if f == f.trunc() && f.abs() < 1e16 {
+            let _ = write!(self.out, "{f:.1}");
+        } else {
+            let _ = write!(self.out, "{f}");
+        }
+    }
+
+    /// A string, quoted and escaped.
+    pub fn str(&mut self, s: &str) {
+        let out = &mut self.out;
+        out.push('"');
+        let mut start = 0;
+        for (i, b) in s.bytes().enumerate() {
+            let escape = match b {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                b'\r' => "\\r",
+                b'\t' => "\\t",
+                0..=0x1f => "",
+                _ => continue,
+            };
+            out.push_str(&s[start..i]);
+            if escape.is_empty() {
+                let _ = write!(out, "\\u{b:04x}");
+            } else {
+                out.push_str(escape);
+            }
+            start = i + 1;
+        }
+        out.push_str(&s[start..]);
+        out.push('"');
+    }
+
+    /// Opens an array.
+    pub fn begin_seq(&mut self) {
+        self.open('[');
+    }
+
+    /// Writes one array element.
+    pub fn element<T: Serialize + ?Sized>(&mut self, value: &T) {
+        self.entry();
+        value.serialize(self);
+    }
+
+    /// Closes the innermost array.
+    pub fn end_seq(&mut self) {
+        self.close(']');
+    }
+
+    /// Opens an object.
+    pub fn begin_object(&mut self) {
+        self.open('{');
+        if let Some(head) = self.head.take() {
+            head(self);
+        }
+    }
+
+    /// Writes one object entry.
+    pub fn field<T: Serialize + ?Sized>(&mut self, key: &str, value: &T) {
+        self.key(key);
+        value.serialize(self);
+    }
+
+    /// Writes the key of an object entry; the next value written is its
+    /// value.
+    pub fn key(&mut self, key: &str) {
+        self.entry();
+        self.str(key);
+        self.out.push(':');
+        if self.indent.is_some() {
+            self.out.push(' ');
+        }
+    }
+
+    /// Closes the innermost object.
+    pub fn end_object(&mut self) {
+        self.close('}');
+    }
+
+    fn open(&mut self, bracket: char) {
+        self.out.push(bracket);
+        self.depth += 1;
+        self.first = true;
+    }
+
+    /// The separator ahead of an entry: a comma after the first, then a
+    /// newline and indent when pretty.
+    fn entry(&mut self) {
+        if !self.first {
+            self.out.push(',');
+        }
+        self.first = false;
+        self.newline();
+    }
+
+    /// Empty containers close inline (`[]`, `{}`). Closing a container
+    /// completes an entry of the enclosing one, so that one is no longer
+    /// empty.
+    fn close(&mut self, bracket: char) {
+        self.depth -= 1;
+        if !self.first {
+            self.newline();
+        }
+        self.out.push(bracket);
+        self.first = false;
+    }
+
+    fn newline(&mut self) {
+        if let Some(width) = self.indent {
+            self.out.push('\n');
+            self.out
+                .extend(std::iter::repeat_n(' ', width * self.depth));
+        }
+    }
+}
+
+/// `impl Serialize` for types written by one writer call on `$v: &Self`.
+macro_rules! serialize_with {
+    ($($t:ty => |$v:ident, $out:ident| $write:expr;)*) => {$(
         impl Serialize for $t {
-            fn to_content(&self) -> Content {
-                Content::Int(*self as i64)
+            fn serialize(&self, $out: &mut Json) {
+                let $v = self;
+                $write;
             }
         }
     )*};
 }
 
-int_impls!(i8, i16, i32, i64, isize, u8, u16, u32);
-
-impl Serialize for u64 {
-    fn to_content(&self) -> Content {
-        if *self <= i64::MAX as u64 {
-            Content::Int(*self as i64)
-        } else {
-            Content::UInt(*self)
-        }
-    }
-}
-
-impl Serialize for usize {
-    fn to_content(&self) -> Content {
-        (*self as u64).to_content()
-    }
-}
-
-impl Serialize for f64 {
-    fn to_content(&self) -> Content {
-        Content::Float(*self)
-    }
-}
-
-impl Serialize for f32 {
-    fn to_content(&self) -> Content {
-        Content::Float(f64::from(*self))
-    }
-}
-
-impl Serialize for bool {
-    fn to_content(&self) -> Content {
-        Content::Bool(*self)
-    }
-}
-
-impl Serialize for String {
-    fn to_content(&self) -> Content {
-        Content::Str(self.clone())
-    }
-}
-
-impl Serialize for str {
-    fn to_content(&self) -> Content {
-        Content::Str(self.to_string())
-    }
-}
-
-impl Serialize for char {
-    fn to_content(&self) -> Content {
-        Content::Str(self.to_string())
-    }
-}
-
-impl Serialize for () {
-    fn to_content(&self) -> Content {
-        Content::Null
-    }
+serialize_with! {
+    i8 => |v, out| out.i64((*v).into());
+    i16 => |v, out| out.i64((*v).into());
+    i32 => |v, out| out.i64((*v).into());
+    i64 => |v, out| out.i64(*v);
+    isize => |v, out| out.i64(*v as i64);
+    u8 => |v, out| out.u64((*v).into());
+    u16 => |v, out| out.u64((*v).into());
+    u32 => |v, out| out.u64((*v).into());
+    u64 => |v, out| out.u64(*v);
+    usize => |v, out| out.u64(*v as u64);
+    f32 => |v, out| out.f64((*v).into());
+    f64 => |v, out| out.f64(*v);
+    bool => |v, out| out.bool(*v);
+    String => |v, out| out.str(v);
+    str => |v, out| out.str(v);
+    char => |v, out| out.str(v.encode_utf8(&mut [0; 4]));
+    () => |_v, out| out.null();
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_content(&self) -> Content {
-        (**self).to_content()
+    fn serialize(&self, out: &mut Json) {
+        (**self).serialize(out);
     }
 }
 
 impl<T: Serialize + ?Sized> Serialize for Box<T> {
-    fn to_content(&self) -> Content {
-        (**self).to_content()
+    fn serialize(&self, out: &mut Json) {
+        (**self).serialize(out);
     }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_content(&self) -> Content {
+    fn serialize(&self, out: &mut Json) {
         match self {
-            Some(v) => v.to_content(),
-            None => Content::Null,
+            Some(v) => v.serialize(out),
+            None => out.null(),
         }
     }
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn to_content(&self) -> Content {
-        self.as_slice().to_content()
-    }
-}
-
-impl<T: Serialize> Serialize for [T] {
-    fn to_content(&self) -> Content {
-        Content::Seq(self.iter().map(Serialize::to_content).collect())
+    fn serialize(&self, out: &mut Json) {
+        self.as_slice().serialize(out);
     }
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn to_content(&self) -> Content {
-        self.as_slice().to_content()
+    fn serialize(&self, out: &mut Json) {
+        self.as_slice().serialize(out);
+    }
+}
+
+impl<T: Serialize> Serialize for [T] {
+    fn serialize(&self, out: &mut Json) {
+        out.begin_seq();
+        for item in self {
+            out.element(item);
+        }
+        out.end_seq();
     }
 }
 
 impl<V: Serialize, S> Serialize for HashMap<String, V, S> {
-    fn to_content(&self) -> Content {
+    fn serialize(&self, out: &mut Json) {
         // Deterministic output: sort keys (HashMap iteration order is not).
-        let mut entries: Vec<(String, Content)> = self
-            .iter()
-            .map(|(k, v)| (k.clone(), v.to_content()))
-            .collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        Content::Map(entries)
+        let mut entries: Vec<(&String, &V)> = self.iter().collect();
+        entries.sort_by(|a, b| a.0.cmp(b.0));
+        write_object(out, entries);
     }
 }
 
 impl<V: Serialize> Serialize for BTreeMap<String, V> {
-    fn to_content(&self) -> Content {
-        Content::Map(
-            self.iter()
-                .map(|(k, v)| (k.clone(), v.to_content()))
-                .collect(),
-        )
+    fn serialize(&self, out: &mut Json) {
+        write_object(out, self);
     }
+}
+
+fn write_object<'a, V: Serialize + 'a>(
+    out: &mut Json,
+    entries: impl IntoIterator<Item = (&'a String, &'a V)>,
+) {
+    out.begin_object();
+    for (k, v) in entries {
+        out.field(k, v);
+    }
+    out.end_object();
 }
 
 macro_rules! tuple_impls {
     ($( ($($name:ident . $idx:tt),+) )+) => {$(
         impl<$($name: Serialize),+> Serialize for ($($name,)+) {
-            fn to_content(&self) -> Content {
-                Content::Seq(vec![$( self.$idx.to_content() ),+])
+            fn serialize(&self, out: &mut Json) {
+                out.begin_seq();
+                $( out.element(&self.$idx); )+
+                out.end_seq();
             }
         }
     )+};
@@ -202,40 +334,38 @@ tuple_impls! {
 mod tests {
     use super::*;
 
-    #[test]
-    fn primitives_reflect() {
-        assert_eq!(5i32.to_content(), Content::Int(5));
-        assert_eq!(u64::MAX.to_content(), Content::UInt(u64::MAX));
-        assert_eq!(true.to_content(), Content::Bool(true));
-        assert_eq!("hi".to_content(), Content::Str("hi".into()));
-        assert_eq!(Option::<i64>::None.to_content(), Content::Null);
+    fn compact<T: Serialize + ?Sized>(value: &T) -> String {
+        let mut out = Json::compact();
+        value.serialize(&mut out);
+        out.into_string()
     }
 
     #[test]
-    fn containers_reflect() {
-        let v = vec![1i64, 2];
-        assert_eq!(
-            v.to_content(),
-            Content::Seq(vec![Content::Int(1), Content::Int(2)])
-        );
-        let t = ("a", 1.5f64, vec![true]);
-        assert_eq!(
-            t.to_content(),
-            Content::Seq(vec![
-                Content::Str("a".into()),
-                Content::Float(1.5),
-                Content::Seq(vec![Content::Bool(true)])
-            ])
-        );
+    fn primitives_write() {
+        assert_eq!(compact(&5i32), "5");
+        assert_eq!(compact(&u64::MAX), "18446744073709551615");
+        assert_eq!(compact(&true), "true");
+        assert_eq!(compact("hi"), "\"hi\"");
+        assert_eq!(compact(&Option::<i64>::None), "null");
+    }
+
+    #[test]
+    fn containers_write() {
+        assert_eq!(compact(&vec![1i64, 2]), "[1,2]");
+        assert_eq!(compact(&("a", 1.5f64, vec![true])), "[\"a\",1.5,[true]]");
         let mut m = HashMap::new();
         m.insert("b".to_string(), 2i64);
         m.insert("a".to_string(), 1i64);
-        assert_eq!(
-            m.to_content(),
-            Content::Map(vec![
-                ("a".into(), Content::Int(1)),
-                ("b".into(), Content::Int(2))
-            ])
-        );
+        assert_eq!(compact(&m), "{\"a\":1,\"b\":2}");
+    }
+
+    #[test]
+    fn lead_fires_once_on_the_next_object() {
+        let mut out = Json::compact();
+        out.lead_next_object(|out| out.field("v", &1u8));
+        let mut inner = BTreeMap::new();
+        inner.insert("k".to_string(), BTreeMap::<String, u8>::new());
+        inner.serialize(&mut out);
+        assert_eq!(out.into_string(), "{\"v\":1,\"k\":{}}");
     }
 }

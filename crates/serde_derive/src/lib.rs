@@ -1,16 +1,15 @@
 //! Offline stand-in for `serde_derive`.
 //!
-//! Hand-rolled derive macros — no `syn`/`quote` (unavailable offline).
+//! A hand-rolled derive macro — no `syn`/`quote` (unavailable offline).
 //! A small token-tree walker extracts the item's shape (struct with
 //! named/tuple/unit fields, or enum with unit/tuple/struct variants) and
-//! emits an impl of the vendored `serde::Serialize` trait that builds a
-//! `serde::Content` tree. Externally-tagged enum encoding matches real
-//! serde: unit variants become strings, newtype variants wrap the inner
-//! value, longer tuple variants wrap a sequence, struct variants wrap a
-//! map.
-//!
-//! `#[derive(Deserialize)]` emits only the marker impl — nothing in this
-//! workspace performs typed deserialization.
+//! emits an impl of the vendored `serde::Serialize` trait whose body
+//! calls the `serde::Json` writer directly, in one pass. Named structs
+//! become objects, tuple structs arrays, newtype structs their inner
+//! value and unit structs `null`. Externally-tagged enum encoding matches
+//! real serde: unit variants become strings, newtype variants wrap the
+//! inner value, longer tuple variants wrap an array, struct variants wrap
+//! an object.
 //!
 //! Limitations (checked, with clear panics): no generic parameters, no
 //! `#[serde(...)]` attribute processing. Neither occurs in this
@@ -22,28 +21,94 @@ use proc_macro::{Delimiter, TokenStream, TokenTree};
 #[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
-    let body = serialize_body(&item);
+    let body = match &item.kind {
+        ItemKind::Struct(fields) => {
+            let values: Vec<String> = fields
+                .names()
+                .iter()
+                .map(|f| format!("&self.{f}"))
+                .collect();
+            write_fields(fields, &values)
+        }
+        ItemKind::Enum(variants) => {
+            let mut arms = String::new();
+            for v in variants {
+                // Bind fields as `f_<name>` so no field shadows `out`.
+                let names = v.fields.names();
+                let binds: Vec<String> = names.iter().map(|f| format!("f_{f}")).collect();
+                let pat = match &v.fields {
+                    Fields::Unit => String::new(),
+                    Fields::Tuple(_) => format!("({})", binds.join(", ")),
+                    Fields::Named(_) => {
+                        let pairs: Vec<String> = names
+                            .iter()
+                            .zip(&binds)
+                            .map(|(f, b)| format!("{f}: {b}"))
+                            .collect();
+                        format!(" {{ {} }}", pairs.join(", "))
+                    }
+                };
+                let body = match &v.fields {
+                    Fields::Unit => format!("out.str(\"{}\");", v.name),
+                    fields => format!(
+                        "out.begin_object(); out.key(\"{}\"); {} out.end_object();",
+                        v.name,
+                        write_fields(fields, &binds)
+                    ),
+                };
+                arms.push_str(&format!("{}::{}{pat} => {{ {body} }}\n", item.name, v.name));
+            }
+            format!("match self {{ {arms} }}")
+        }
+    };
     format!(
-        "impl ::serde::Serialize for {} {{ fn to_content(&self) -> ::serde::Content {{ {} }} }}",
-        item.name, body
+        "impl ::serde::Serialize for {} {{ fn serialize(&self, out: &mut ::serde::Json) {{ {body} }} }}",
+        item.name
     )
     .parse()
     .expect("generated Serialize impl parses")
 }
 
-/// Derives the vendored `serde::Deserialize` marker.
-#[proc_macro_derive(Deserialize, attributes(serde))]
-pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    let item = parse_item(input);
-    format!("impl<'de> ::serde::Deserialize<'de> for {} {{}}", item.name)
-        .parse()
-        .expect("generated Deserialize impl parses")
+/// The writer calls for one set of fields, each value an expression of
+/// reference type: `null` for unit, the value itself for one unnamed
+/// field, an array for several, an object for named fields.
+fn write_fields(fields: &Fields, values: &[String]) -> String {
+    let calls = |f: &dyn Fn(usize, &String) -> String| {
+        values
+            .iter()
+            .enumerate()
+            .map(|(i, v)| f(i, v))
+            .collect::<String>()
+    };
+    match fields {
+        Fields::Unit => "out.null();".to_string(),
+        Fields::Tuple(1) => format!("::serde::Serialize::serialize({}, out);", values[0]),
+        Fields::Tuple(_) => format!(
+            "out.begin_seq(); {} out.end_seq();",
+            calls(&|_, v| format!("out.element({v});"))
+        ),
+        Fields::Named(names) => format!(
+            "out.begin_object(); {} out.end_object();",
+            calls(&|i, v| format!("out.field(\"{}\", {v});", names[i]))
+        ),
+    }
 }
 
 enum Fields {
     Unit,
     Tuple(usize),
     Named(Vec<String>),
+}
+
+impl Fields {
+    /// Field names, with tuple fields named by index.
+    fn names(&self) -> Vec<String> {
+        match self {
+            Fields::Unit => Vec::new(),
+            Fields::Tuple(n) => (0..*n).map(|i| i.to_string()).collect(),
+            Fields::Named(names) => names.clone(),
+        }
+    }
 }
 
 struct Variant {
@@ -59,84 +124,6 @@ enum ItemKind {
 struct Item {
     name: String,
     kind: ItemKind,
-}
-
-fn serialize_body(item: &Item) -> String {
-    match &item.kind {
-        ItemKind::Struct(fields) => struct_expr(fields, "self."),
-        ItemKind::Enum(variants) => {
-            let mut arms = String::new();
-            for v in variants {
-                let pat;
-                let expr;
-                match &v.fields {
-                    Fields::Unit => {
-                        pat = format!("{}::{}", item.name, v.name);
-                        expr = format!(
-                            "::serde::Content::Str(String::from(\"{}\"))",
-                            v.name
-                        );
-                    }
-                    Fields::Tuple(n) => {
-                        let binds: Vec<String> = (0..*n).map(|i| format!("f{i}")).collect();
-                        pat = format!("{}::{}({})", item.name, v.name, binds.join(", "));
-                        let inner = if *n == 1 {
-                            "::serde::Serialize::to_content(f0)".to_string()
-                        } else {
-                            let items: Vec<String> = binds
-                                .iter()
-                                .map(|b| format!("::serde::Serialize::to_content({b})"))
-                                .collect();
-                            format!("::serde::Content::Seq(vec![{}])", items.join(", "))
-                        };
-                        expr = tagged(&v.name, &inner);
-                    }
-                    Fields::Named(names) => {
-                        pat = format!("{}::{} {{ {} }}", item.name, v.name, names.join(", "));
-                        let entries: Vec<String> = names
-                            .iter()
-                            .map(|f| {
-                                format!(
-                                    "(String::from(\"{f}\"), ::serde::Serialize::to_content({f}))"
-                                )
-                            })
-                            .collect();
-                        let inner =
-                            format!("::serde::Content::Map(vec![{}])", entries.join(", "));
-                        expr = tagged(&v.name, &inner);
-                    }
-                }
-                arms.push_str(&format!("{pat} => {expr},\n"));
-            }
-            format!("match self {{ {arms} }}")
-        }
-    }
-}
-
-fn tagged(variant: &str, inner: &str) -> String {
-    format!("::serde::Content::Map(vec![(String::from(\"{variant}\"), {inner})])")
-}
-
-fn struct_expr(fields: &Fields, access: &str) -> String {
-    match fields {
-        Fields::Unit => "::serde::Content::Null".to_string(),
-        Fields::Tuple(1) => format!("::serde::Serialize::to_content(&{access}0)"),
-        Fields::Tuple(n) => {
-            let items: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::Serialize::to_content(&{access}{i})"))
-                .collect();
-            format!("::serde::Content::Seq(vec![{}])", items.join(", "))
-        }
-        Fields::Named(names) => {
-            let entries: Vec<String> = names
-                .iter()
-                .map(|f| {
-                    format!("(String::from(\"{f}\"), ::serde::Serialize::to_content(&{access}{f}))")
-                })
-                .collect();
-            format!("::serde::Content::Map(vec![{}])", entries.join(", "))
-        }
-    }
 }
 
 // ---- token-tree parsing ----

@@ -2,11 +2,14 @@
 //!
 //! Covers exactly what this workspace uses: rendering any
 //! `serde::Serialize` value to a JSON string (`to_string`,
-//! `to_string_pretty`) and parsing bytes/str into an untyped [`Value`]
-//! (`from_slice`, `from_str`). Typed deserialization is intentionally
-//! absent — nothing in the workspace requests it.
+//! `to_string_pretty`, thin wrappers over the one-pass `serde::Json`
+//! writer, which owns the float, escape and indent rules) and parsing
+//! bytes/str into an untyped [`Value`] (`from_slice`, `from_str`).
+//! `Value` is for parsing only: it is not `Serialize`. Typed
+//! deserialization is intentionally absent — nothing in the workspace
+//! requests it.
 
-use serde::{Content, Serialize};
+use serde::{Json, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -94,16 +97,17 @@ impl Value {
 
 /// Serializes `value` to a compact JSON string.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_content(&value.to_content(), &mut out, None, 0);
-    Ok(out)
+    Ok(write(value, Json::compact()))
 }
 
 /// Serializes `value` to a pretty-printed JSON string (two-space indent).
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_content(&value.to_content(), &mut out, Some(2), 0);
-    Ok(out)
+    Ok(write(value, Json::pretty(2)))
+}
+
+fn write<T: Serialize + ?Sized>(value: &T, mut out: Json) -> String {
+    value.serialize(&mut out);
+    out.into_string()
 }
 
 /// Parses a byte slice into an untyped [`Value`].
@@ -130,95 +134,6 @@ pub fn from_str(text: &str) -> Result<Value, Error> {
         )));
     }
     Ok(value)
-}
-
-// ---- rendering ----
-
-fn write_content(c: &Content, out: &mut String, indent: Option<usize>, depth: usize) {
-    match c {
-        Content::Null => out.push_str("null"),
-        Content::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Content::Int(i) => out.push_str(&i.to_string()),
-        Content::UInt(u) => out.push_str(&u.to_string()),
-        Content::Float(f) => write_float(*f, out),
-        Content::Str(s) => write_json_string(s, out),
-        Content::Seq(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_sep(out, indent, depth + 1);
-                write_content(item, out, indent, depth + 1);
-            }
-            write_sep(out, indent, depth);
-            out.push(']');
-        }
-        Content::Map(entries) => {
-            if entries.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push('{');
-            for (i, (key, value)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_sep(out, indent, depth + 1);
-                write_json_string(key, out);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_content(value, out, indent, depth + 1);
-            }
-            write_sep(out, indent, depth);
-            out.push('}');
-        }
-    }
-}
-
-fn write_sep(out: &mut String, indent: Option<usize>, depth: usize) {
-    if let Some(width) = indent {
-        out.push('\n');
-        for _ in 0..(width * depth) {
-            out.push(' ');
-        }
-    }
-}
-
-fn write_float(f: f64, out: &mut String) {
-    if !f.is_finite() {
-        // serde_json has no representation for NaN/Inf; it errors, but a
-        // null keeps report writing total without poisoning the file.
-        out.push_str("null");
-    } else if f == f.trunc() && f.abs() < 1e16 {
-        out.push_str(&format!("{f:.1}"));
-    } else {
-        out.push_str(&format!("{f}"));
-    }
-}
-
-fn write_json_string(s: &str, out: &mut String) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 // ---- parsing ----

@@ -60,8 +60,6 @@ OPTIONS (standardize):
                       `lucid trace`, `lucid why` or `lucid profile`
   --trace-max-bytes <N>  rotate the trace file at N bytes (<FILE>.1 keeps the
                       previous segment; disk use stays around 2×N)
-  --profile-out <DIR> write profile exports (flame.folded, percentiles.txt,
-                      profile.json) into DIR after the search
   --telemetry <MODE>  allocator telemetry: off | counting (default) | full
                       (full adds per-phase peaks + allocation-size buckets)
   --stats-out <FILE>  write a metrics snapshot after the search (.prom/.txt
@@ -130,9 +128,10 @@ deltas, the pruned-candidate graveyard grouped by disposition, the
 winner's lineage, the final-diff line-to-candidate join, and the exact
 reconciliation of disposition counts against the same file's search_end
 counters.
-`lucid profile` shows the profile record (also readable from a
-`--profile-out` profile.json): collapsed-stack flamegraph text plus
-p50/p90/p99/max phase percentiles; `--out` writes the files instead.
+`lucid profile` shows the profile record: collapsed-stack flamegraph
+text plus p50/p90/p99/max phase percentiles; `--out DIR` writes them as
+flame.folded, percentiles.txt and profile.json (the record on one line,
+itself readable as a one-record trace) instead.
 ";
 
 fn main() -> ExitCode {
@@ -197,7 +196,7 @@ const SWITCH_FLAGS: &[&str] = &["explain", "json", "no-cache"];
 /// `--name value` flags of the standardize/score/corpus-stats family.
 const VALUE_FLAGS: &[&str] = &[
     "corpus", "data", "script", "tau-j", "tau-m", "target", "seq", "beam", "sample", "threads",
-    "trace", "trace-max-bytes", "profile-out", "fuel", "max-cells", "deadline-ms", "telemetry",
+    "trace", "trace-max-bytes", "fuel", "max-cells", "deadline-ms", "telemetry",
     "stats-out", "stats-interval-ms",
 ];
 /// Switches of `lucid bench`.
@@ -384,7 +383,7 @@ fn why_report(rest: &[String]) -> Result<(), CliError> {
 }
 
 /// `lucid profile <FILE.jsonl> [--out DIR]`: the profile view of a trace
-/// (a `--profile-out` profile.json is a one-record trace) — the folded
+/// (an `--out` profile.json is a one-record trace) — the folded
 /// flamegraph + percentile table, or those files written into `--out`.
 fn profile_report(rest: &[String]) -> Result<(), CliError> {
     let Some((path, flag_args)) = rest.split_first() else {
@@ -396,7 +395,7 @@ fn profile_report(rest: &[String]) -> Result<(), CliError> {
     let report = read_trace(path)?.profile.ok_or_else(|| {
         format!(
             "'{path}' carries no profile record — searches emit one when run \
-             with --trace or --profile-out"
+             with --trace"
         )
     })?;
     if let Some(dir) = flags.get("out") {
@@ -638,7 +637,7 @@ fn trace_sink_from(flags: &Flags) -> Result<Option<lucidscript::obs::TraceSink>,
 
 /// Builds the [`SearchConfig`] shared by `standardize` and `batch` from
 /// the common flag family. Flags a command does not accept (e.g. batch
-/// has no `--trace`/`--profile-out`) simply stay at their defaults.
+/// has no `--trace`) simply stay at their defaults.
 fn search_config_from(
     flags: &Flags,
     fleet: Option<std::sync::Arc<lucidscript::obs::Registry>>,
@@ -655,15 +654,6 @@ fn search_config_from(
         prefix_cache: !flags.has("no-cache"),
         budget: budget_from(flags)?,
         trace: trace_sink_from(flags)?,
-        profile_out: flags
-            .get("profile-out")
-            .map(|dir| {
-                let dir = PathBuf::from(dir);
-                std::fs::create_dir_all(&dir)
-                    .map_err(|e| format!("cannot create profile dir '{}': {e}", dir.display()))?;
-                Ok::<_, String>(dir)
-            })
-            .transpose()?,
         stats_registry: fleet,
         ..SearchConfig::default()
     })
@@ -1050,15 +1040,17 @@ mod tests {
         let trace = std::env::temp_dir()
             .join(format!("lucid_flagparse_{}.jsonl", std::process::id()));
         let flags = Flags::parse(&argv(&[
-            "--profile-out",
-            "prof/",
             "--trace",
             trace.to_str().unwrap(),
             "--trace-max-bytes",
             "65536",
         ]))
         .unwrap();
-        assert_eq!(flags.get("profile-out"), Some("prof/"));
+        // Profile exports come from the trace (`lucid profile --out`).
+        let err = Flags::parse(&argv(&["--profile-out", "prof/"]))
+            .err()
+            .expect("rejected");
+        assert_eq!(err, "unknown flag '--profile-out'");
         let sink = trace_sink_from(&flags);
         drop(sink);
         std::fs::remove_file(&trace).ok();

@@ -11,18 +11,9 @@ use lucidscript::core::standardizer::Standardizer;
 use lucidscript::corpus::Profile;
 use lucidscript::interp::Budget;
 use lucidscript::obs::decision::decision_lines;
-use lucidscript::obs::TraceSink;
+use lucidscript::obs::{parse_trace, TraceSink};
 
 fn run_arm(threads: usize, prefix_cache: bool, budget: Budget) -> (String, f64, usize) {
-    run_arm_profiled(threads, prefix_cache, budget, None)
-}
-
-fn run_arm_profiled(
-    threads: usize,
-    prefix_cache: bool,
-    budget: Budget,
-    profile_out: Option<std::path::PathBuf>,
-) -> (String, f64, usize) {
     let profile = Profile::titanic();
     let data = profile.generate_data(5, 0.05);
     let corpus: Vec<String> = profile
@@ -38,7 +29,6 @@ fn run_arm_profiled(
         threads,
         prefix_cache,
         budget,
-        profile_out,
         ..SearchConfig::default()
     };
     let std = Standardizer::build(&corpus, profile.file, data, config).expect("builds");
@@ -86,25 +76,27 @@ fn search_is_byte_identical_across_threads_cache_and_budget() {
 }
 
 /// Profiling is measurement-only: attaching the span collector and
-/// writing `--profile-out` exports must leave the search's output,
+/// writing the trace's `profile` record must leave the search's output,
 /// score, and explored count byte-identical to an unprofiled run.
 #[test]
 fn search_is_byte_identical_with_profiling_on_and_off() {
+    // A traced search profiles its interpreter (the trace's `profile`
+    // record); an untraced one attaches no span collector at all.
     let (ref_src, ref_re, ref_explored) = run_arm(1, true, Budget::unlimited());
-    let dir = std::env::temp_dir().join(format!("lucid_det_profile_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("profile dir");
-    let (src, re, explored) =
-        run_arm_profiled(1, true, Budget::unlimited(), Some(dir.clone()));
-    assert_eq!(src, ref_src, "output diverged with --profile-out");
-    assert!((re - ref_re).abs() < 1e-15, "RE diverged with --profile-out");
-    assert_eq!(explored, ref_explored, "explored diverged with --profile-out");
+    let (src, re, explored, trace) = run_arm_traced(1, true, Budget::unlimited());
+    assert_eq!(src, ref_src, "output diverged with profiling on");
+    assert!((re - ref_re).abs() < 1e-15, "RE diverged with profiling on");
+    assert_eq!(explored, ref_explored, "explored diverged with profiling on");
     // And the profile actually materialized: a non-empty flamegraph with
     // interpreter stacks, plus the percentile table.
-    let folded = std::fs::read_to_string(dir.join("flame.folded")).expect("flame.folded");
+    let profile = parse_trace(&trace)
+        .expect("trace parses")
+        .profile
+        .expect("profile record");
+    let folded = profile.folded_text();
     assert!(folded.contains("interp.run"), "empty/foreign flamegraph: {folded}");
-    let table = std::fs::read_to_string(dir.join("percentiles.txt")).expect("percentiles.txt");
+    let table = profile.percentile_table();
     assert!(table.contains("search.get_steps"), "{table}");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Runs one traced arm: same workload as [`run_arm`], with an in-memory
