@@ -11,9 +11,7 @@ use lucid_bench::env::print_text_table;
 use lucid_bench::runner::{global_prior, standardizer_for};
 use lucid_bench::ExpEnv;
 use lucid_core::config::SearchConfig;
-use lucid_core::dag::build_dag;
 use lucid_core::intent::IntentMeasure;
-use lucid_core::lemma::lemmatize;
 use lucid_core::vocab::CorpusModel;
 use lucid_corpus::Profile;
 use lucid_interp::Interpreter;
@@ -37,12 +35,7 @@ struct Fig3Row {
 /// study validated against human judgment (lower RE = more standard).
 /// Unparsable output pessimizes.
 fn re_of(model: &CorpusModel, source: &str) -> f64 {
-    match parse_module(source) {
-        Ok(module) => {
-            lucid_core::entropy::relative_entropy(&build_dag(&lemmatize(&module)), model)
-        }
-        Err(_) => f64::MAX,
-    }
+    parse_module(source).map_or(f64::MAX, |module| model.re_of(&module))
 }
 
 /// Maps each script's RE onto a 1–5 scale by rank interpolation within

@@ -6,9 +6,7 @@
 
 use lucid_baselines::{BaselineContext, Rewriter};
 use lucid_core::config::SearchConfig;
-use lucid_core::dag::build_dag;
-use lucid_core::entropy::{improvement_pct, relative_entropy};
-use lucid_core::lemma::lemmatize;
+use lucid_core::entropy::improvement_pct;
 use lucid_core::report::StandardizeReport;
 use lucid_core::standardizer::Standardizer;
 use lucid_core::vocab::CorpusModel;
@@ -44,15 +42,10 @@ pub struct LooResult {
 /// model. Unparsable output counts as "no change" (0%), mirroring how the
 /// paper scores tools whose output cannot be assessed.
 pub fn improvement_of_rewrite(model: &CorpusModel, input: &str, output: &str) -> f64 {
-    let Ok(in_mod) = parse_module(input) else {
+    let (Ok(in_mod), Ok(out_mod)) = (parse_module(input), parse_module(output)) else {
         return 0.0;
     };
-    let re_before = relative_entropy(&build_dag(&lemmatize(&in_mod)), model);
-    let Ok(out_mod) = parse_module(output) else {
-        return 0.0;
-    };
-    let re_after = relative_entropy(&build_dag(&lemmatize(&out_mod)), model);
-    improvement_pct(re_before, re_after)
+    improvement_pct(model.re_of(&in_mod), model.re_of(&out_mod))
 }
 
 /// Runs LucidScript leave-one-out on a dataset with the given corpus
@@ -82,7 +75,7 @@ pub fn leave_one_out(
     let n_eval = env.scripts_per_dataset(profile);
 
     // One leave-one-out iteration, independent of all others — run them on
-    // scoped worker threads (crossbeam) and reassemble by index so the
+    // the core worker pool, which returns results in index order, so the
     // output is deterministic regardless of scheduling.
     struct IterResult {
         ls: Option<StandardizeReport>,
@@ -143,33 +136,8 @@ pub fn leave_one_out(
         }
     };
 
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(n_eval.max(1));
-    let counter = std::sync::atomic::AtomicUsize::new(0);
-    let (tx, rx) = crossbeam::channel::unbounded::<(usize, IterResult)>();
-    crossbeam::thread::scope(|scope| {
-        let counter = &counter;
-        let run_one = &run_one;
-        for _ in 0..workers {
-            let tx = tx.clone();
-            scope.spawn(move |_| loop {
-                let i = counter.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                if i >= n_eval {
-                    break;
-                }
-                let result = run_one(i);
-                tx.send((i, result)).expect("receiver alive");
-            });
-        }
-    })
-    .expect("worker panicked");
-    drop(tx);
-    let mut slots: Vec<Option<IterResult>> = (0..n_eval).map(|_| None).collect();
-    for (i, result) in rx {
-        slots[i] = Some(result);
-    }
+    let workers = std::thread::available_parallelism().map_or(4, |n| n.get());
+    let (slots, _) = lucid_core::pool::map_indexed(n_eval, workers, run_one);
 
     let mut ls_reports = Vec::new();
     let mut baselines: Vec<MethodImprovements> = methods
@@ -180,8 +148,8 @@ pub fn leave_one_out(
         })
         .collect();
     let mut skipped = 0usize;
-    for slot in slots {
-        let result = slot.expect("every index ran");
+    for (i, slot) in slots.into_iter().enumerate() {
+        let result = slot.unwrap_or_else(|e| panic!("leave-one-out iteration {i} panicked: {e}"));
         match result.ls {
             Some(report) => {
                 ls_reports.push(report);

@@ -1,18 +1,19 @@
-//! Whole-corpus batch standardization with cross-search memoization.
+//! Whole-corpus batch standardization with cross-search sharing.
 //!
 //! The paper evaluates one script at a time, but its premise — a corpus
 //! `S` of scripts over the same dataset — implies the heavy-traffic
 //! workload: standardize *all* N scripts of `S` against `S` in one
-//! process. [`standardize_corpus`] does exactly that, fanning per-script
-//! searches over a bounded work-stealing worker pool and sharing three
-//! layers of state *between* searches:
+//! process. [`standardize_corpus`] does exactly that, running per-script
+//! searches on the [`crate::pool`] workers and sharing three layers of
+//! state *between* searches:
 //!
 //! 1. one [`crate::search::SharedSearchState`] — a global
 //!    [`crate::ir::StmtInterner`] plus a pooled prefix-cache store whose
 //!    per-search views keep hit/miss/eviction attribution exact;
-//! 2. a content-addressed full-result memo ([`ResultMemo`]) keyed by
-//!    [`MemoKey`] = (script fingerprint, corpus fingerprint, config
-//!    fingerprint), so repeated and near-duplicate scripts are free;
+//! 2. with the memo on, one search per [`script_fingerprint`]: scripts
+//!    that lemmatize to the same structure are grouped and served by the
+//!    first of them in input order, so repeated and reformatted scripts
+//!    are free;
 //! 3. a per-batch metrics registry rolled up from every search via
 //!    `Registry::merge`, projected into one aggregate [`Timings`].
 //!
@@ -26,12 +27,13 @@
 //! run of that script. Two facts carry the contract:
 //!
 //! - sharing is decision-invariant (interner content-addressing, cache
-//!   snapshot equivalence, and the memo's lemmatized structural identity:
-//!   two scripts with equal fingerprints have span-identical lemmatized
-//!   forms, so every report field of one search serves the other);
-//! - memo representatives are chosen by *first occurrence in input
-//!   order*, never by completion order, so hit counts and served results
-//!   are independent of scheduling.
+//!   snapshot equivalence, and the fingerprint's lemmatized structural
+//!   identity: two scripts with equal fingerprints have span-identical
+//!   lemmatized forms, so every report field — or error — of one search
+//!   serves the other);
+//! - a group's representative is its *first script in input order*,
+//!   never the first to finish, so hit counts and served results are
+//!   independent of scheduling.
 //!
 //! Wall-clock timings, memo counters, and allocator rows are measurement
 //! and live outside the deterministic output.
@@ -45,15 +47,13 @@ use crate::standardizer::Standardizer;
 use crate::vocab::CorpusModel;
 use lucid_frame::DataFrame;
 use lucid_interp::stmt_structural_hash;
-use lucid_obs::{alloc, MemoHitRecord, Metric, Registry, TraceSink};
+use lucid_obs::{MemoHitRecord, Metric, Registry, TraceSink};
 use lucid_pyast::{parse_module, Module};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// One script of a batch: a display name (file name, typically) plus its
@@ -83,7 +83,8 @@ pub struct BatchOptions {
     /// Concurrent per-script searches; `0` resolves to the machine's
     /// available parallelism, `1` (the default) runs scripts serially.
     pub jobs: usize,
-    /// Whether the content-addressed full-result memo is consulted.
+    /// Whether scripts with equal [`script_fingerprint`]s share one
+    /// search: each is served by the first of them in input order.
     pub memo: bool,
     /// When set, each executed search writes its trace to
     /// `<dir>/<name>.trace.jsonl`; a memo-served script ran no search and
@@ -119,26 +120,6 @@ impl BatchOptions {
     }
 }
 
-/// The content-addressed identity of one standardization result. Three
-/// independent components, each sufficient to invalidate the memo:
-///
-/// - `script`: chain hash over the span-normalized structural hashes of
-///   the *lemmatized* script — formatting, comments-stripped spans, and
-///   surface variable names never force a recomputation;
-/// - `corpus`: fingerprint of the corpus the script is standardized
-///   against (`Q(x)` and the vocabularies derive from it);
-/// - `config`: fingerprint of the decision-affecting [`SearchConfig`]
-///   fields (see [`config_fingerprint`] for what is excluded and why).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct MemoKey {
-    /// Lemmatized-script chain hash.
-    pub script: u64,
-    /// Corpus fingerprint.
-    pub corpus: u64,
-    /// Decision-affecting config fingerprint.
-    pub config: u64,
-}
-
 /// Chain hash identifying a script by its lemmatized structure: the
 /// module is lemmatized, then the per-statement span-normalized
 /// structural hashes are folded in order (with the statement count as
@@ -155,120 +136,13 @@ pub fn script_fingerprint(module: &Module) -> u64 {
     h.finish()
 }
 
-/// Fingerprint of a script corpus: a fold over the raw source texts in
-/// order. Deliberately conservative — a formatting-only corpus edit
-/// changes the fingerprint and forces fresh searches (a spurious miss is
-/// only wasted work; a spurious hit would serve results computed against
-/// a different `Q(x)`).
-pub fn corpus_fingerprint(sources: &[impl AsRef<str>]) -> u64 {
-    let mut h = DefaultHasher::new();
-    sources.len().hash(&mut h);
-    for s in sources {
-        s.as_ref().hash(&mut h);
-    }
-    h.finish()
-}
-
-/// Fingerprint of the decision-affecting [`SearchConfig`] fields.
-///
-/// Included: everything that can change a search's *output* — sequence
-/// length, beam size, diversity, early checking, intent measure,
-/// sampling, seed, enumeration options, ranking caps, objective,
-/// finalist cap, resource budget, and the fault plan.
-///
-/// Excluded: the knobs the determinism suite proves byte-invariant —
-/// `threads`, `prefix_cache`/`prefix_cache_capacity` — and the pure
-/// measurement channels (`trace`, `stats_registry`, `shared`).
-/// Excluding them is what lets one memo serve every (jobs × cache ×
-/// telemetry) arm of the same logical configuration.
-pub fn config_fingerprint(config: &SearchConfig) -> u64 {
-    let decisions = format!(
-        "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
-        config.seq_len,
-        config.beam_k,
-        config.diversity,
-        config.early_check,
-        config.intent,
-        config.sample_rows,
-        config.seed,
-        config.enum_opts,
-        config.max_steps_ranked,
-        config.diversity_clusters,
-        config.objective,
-        config.max_finalists,
-        config.budget,
-        config.fault_plan,
-    );
-    let mut h = DefaultHasher::new();
-    decisions.hash(&mut h);
-    h.finish()
-}
-
-/// A thread-safe content-addressed store of finished standardization
-/// results. Reports are stored behind `Arc`, so serving a memo hit is a
-/// pointer bump, never a report copy.
-#[derive(Debug, Default)]
-pub struct ResultMemo {
-    inner: Mutex<HashMap<MemoKey, Arc<StandardizeReport>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl ResultMemo {
-    /// An empty memo.
-    pub fn new() -> ResultMemo {
-        ResultMemo::default()
-    }
-
-    /// Poison-tolerant lock (same rationale as the prefix cache: entries
-    /// are inserted whole, so the map is consistent after any unwind).
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<MemoKey, Arc<StandardizeReport>>> {
-        self.inner.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
-    /// The stored result for `key`, counting a hit or a miss.
-    pub fn lookup(&self, key: &MemoKey) -> Option<Arc<StandardizeReport>> {
-        let found = self.lock().get(key).cloned();
-        if found.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
-        found
-    }
-
-    /// Stores a finished result under its key.
-    pub fn insert(&self, key: MemoKey, report: Arc<StandardizeReport>) {
-        self.lock().insert(key, report);
-    }
-
-    /// Lookups served from the memo.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lookups that found nothing.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Stored results.
-    pub fn len(&self) -> usize {
-        self.lock().len()
-    }
-
-    /// Whether the memo is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 /// One script's outcome within a batch.
 #[derive(Debug, Clone)]
 pub struct ScriptResult {
     /// The script's display name.
     pub name: String,
-    /// Whether the result was served by the memo (no search executed).
+    /// Whether the result was served by another script's search (the
+    /// first script in input order with the same fingerprint).
     pub memo_hit: bool,
     /// The report, or a rendered error (parse failure, non-executable
     /// input, or a search-level panic — one script's failure never kills
@@ -362,9 +236,9 @@ pub struct BatchReport {
     /// Accumulated timings over the searches that actually executed
     /// (memo-served scripts run no search and contribute none).
     pub timings: Timings,
-    /// Scripts served from the full-result memo.
+    /// Scripts served by another script's search.
     pub memo_hits: u64,
-    /// Memo lookups that ran a fresh search (zero with the memo off).
+    /// Searches run with the memo on (zero with the memo off).
     pub memo_misses: u64,
     /// Pooled prefix-cache store totals (sum of every search's view).
     pub cache_store_hits: u64,
@@ -518,20 +392,15 @@ impl BatchReport {
     }
 }
 
-/// A parsed script awaiting standardization, or its pre-resolved error.
-enum Prepared {
-    Job { key: MemoKey },
-    Failed(String),
-}
-
 /// Standardizes every script of `scripts` against the corpus formed by
 /// *all* of them, over `opts.jobs` concurrent searches.
 ///
-/// The corpus model is built once; every search shares one
-/// [`SharedSearchState`] (interner + pooled prefix-cache store) and rolls
-/// its metrics into one per-batch registry. With `opts.memo` on, scripts
-/// with equal [`MemoKey`]s run once: later occurrences (in input order)
-/// are served from the [`ResultMemo`].
+/// Each script is parsed once. The corpus model is built once; every
+/// search shares one [`SharedSearchState`] (interner + pooled
+/// prefix-cache store) and rolls its metrics into one per-batch registry.
+/// With `opts.memo` on, scripts with equal [`script_fingerprint`]s run
+/// one search: the first of them in input order runs it, and the others
+/// are served its result, success or error alike.
 ///
 /// Per-script failures (parse errors, non-executable inputs, panics) are
 /// reported in that script's [`ScriptResult`]; only corpus-level failures
@@ -550,23 +419,44 @@ pub fn standardize_corpus(
     let t_batch = Instant::now();
     let jobs_n = opts.resolved_jobs().max(1);
 
-    // Parse every script up front (serial: cheap relative to a search,
-    // and it fixes memo representatives in input order). A script that
-    // does not parse is excluded from the corpus and reported as its own
-    // error — it never fails the batch.
-    let parsed: Vec<std::result::Result<Module, String>> = scripts
+    // Parse every script once, up front. A script that does not parse is
+    // excluded from the corpus and reported as its own error — it never
+    // fails the batch.
+    let mut modules: Vec<Module> = Vec::new();
+    let parsed: Vec<std::result::Result<usize, String>> = scripts
         .iter()
-        .map(|s| parse_module(&s.source).map_err(|e| format!("script parse error: {e}")))
+        .map(|s| {
+            let module = parse_module(&s.source).map_err(|e| format!("script parse error: {e}"))?;
+            modules.push(module);
+            Ok(modules.len() - 1)
+        })
         .collect();
-    let sources: Vec<&str> = scripts
+    let model = CorpusModel::build(&modules)?;
+
+    // One job per parseable script, except that with the memo on a script
+    // joins the job of the first script (in input order) with the same
+    // fingerprint. `reps[j]` is the script whose search job `j` runs.
+    let mut reps: Vec<usize> = Vec::new();
+    let mut job_of_fingerprint: HashMap<u64, usize> = HashMap::new();
+    let job_of: Vec<std::result::Result<usize, String>> = parsed
         .iter()
-        .zip(&parsed)
-        .filter(|(_, p)| p.is_ok())
-        .map(|(s, _)| s.source.as_str())
+        .enumerate()
+        .map(|(i, p)| {
+            let m = *p.as_ref().map_err(String::clone)?;
+            let fresh = reps.len();
+            let job = if opts.memo {
+                *job_of_fingerprint
+                    .entry(script_fingerprint(&modules[m]))
+                    .or_insert(fresh)
+            } else {
+                fresh
+            };
+            if job == fresh {
+                reps.push(i);
+            }
+            Ok(job)
+        })
         .collect();
-    let model = CorpusModel::build_from_sources(&sources)?;
-    let corpus_fp = corpus_fingerprint(&sources);
-    let config_fp = config_fingerprint(&config);
 
     // The one construction site of cross-search shared state; the batch
     // registry collects every search's metrics via `Registry::merge`.
@@ -579,216 +469,78 @@ pub fn standardize_corpus(
     search_config.trace = None;
     search_config.validate()?;
 
-    let prepared: Vec<Prepared> = parsed
-        .iter()
-        .map(|p| match p {
-            Ok(module) => Prepared::Job {
-                key: MemoKey {
-                    script: script_fingerprint(module),
-                    corpus: corpus_fp,
-                    config: config_fp,
-                },
-            },
-            Err(e) => Prepared::Failed(e.clone()),
-        })
-        .collect();
-
-    // The work list: with the memo on, one job per distinct key (its
-    // first occurrence); with it off, one job per parseable script.
-    let mut rep_of: HashMap<MemoKey, usize> = HashMap::new();
-    let mut work: Vec<usize> = Vec::new();
-    for (i, p) in prepared.iter().enumerate() {
-        if let Prepared::Job { key } = p {
-            if opts.memo {
-                if !rep_of.contains_key(key) {
-                    rep_of.insert(*key, work.len());
-                    work.push(i);
-                }
-            } else {
-                work.push(i);
-            }
-        }
-    }
-
     let base = Standardizer::from_model(model.clone(), data_path, data.clone(), search_config.clone())?;
 
     // Runs the search for script `i`, with a per-script trace sink when
     // requested (a fresh standardizer per traced script keeps the span
     // collector per-search).
     let run_one = |i: usize| -> std::result::Result<StandardizeReport, String> {
-        let script = &scripts[i];
-        let attempt = || -> std::result::Result<StandardizeReport, String> {
-            let Some(dir) = &opts.trace_dir else {
-                return base.standardize_source(&script.source).map_err(|e| e.to_string());
-            };
-            let mut cfg = search_config.clone();
-            let path = dir.join(format!("{}.trace.jsonl", script.name));
-            cfg.trace = Some(TraceSink::to_file(&path).map_err(|e| {
-                format!("cannot open trace file {}: {e}", path.display())
-            })?);
-            let std = Standardizer::from_model(
-                model.clone(),
-                data_path,
-                data.clone(),
-                cfg,
-            )
-            .map_err(|e| e.to_string())?;
-            std.standardize_source(&script.source).map_err(|e| e.to_string())
+        let module = parsed[i].as_ref().map(|&m| &modules[m])?;
+        let Some(dir) = &opts.trace_dir else {
+            return base.standardize(module).map_err(|e| e.to_string());
         };
-        // A search-level panic (beyond the per-candidate isolation inside
-        // the search) downgrades to this script's error, never the batch's.
-        catch_unwind(AssertUnwindSafe(attempt))
-            .unwrap_or_else(|_| Err("search panicked".to_string()))
+        let mut cfg = search_config.clone();
+        let path = dir.join(format!("{}.trace.jsonl", scripts[i].name));
+        cfg.trace = Some(
+            TraceSink::to_file(&path)
+                .map_err(|e| format!("cannot open trace file {}: {e}", path.display()))?,
+        );
+        Standardizer::from_model(model.clone(), data_path, data.clone(), cfg)
+            .and_then(|std| std.standardize(module))
+            .map_err(|e| e.to_string())
     };
-
-    // Work-stealing fan-out over the job list (same idiom as the in-search
-    // scoring pool: atomic cursor, index-addressed slots, per-worker
-    // allocator flush before the scope joins).
-    let mut slots: Vec<Option<std::result::Result<StandardizeReport, String>>> =
-        work.iter().map(|_| None).collect();
-    if jobs_n <= 1 || work.len() <= 1 {
-        for (slot, &i) in slots.iter_mut().zip(&work) {
-            *slot = Some(run_one(i));
-        }
-    } else {
-        let counter = AtomicUsize::new(0);
-        let (tx, rx) = crossbeam::channel::unbounded();
-        let workers = jobs_n.min(work.len());
-        let scope_result = crossbeam::thread::scope(|scope| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let counter = &counter;
-                let work = &work;
-                let run_one = &run_one;
-                scope.spawn(move |_| {
-                    loop {
-                        let j = counter.fetch_add(1, Ordering::SeqCst);
-                        if j >= work.len() {
-                            break;
-                        }
-                        let _ = tx.send((j, run_one(work[j])));
-                    }
-                    // Publish this worker's buffered allocator attribution
-                    // exactly once, before the scope joins it.
-                    alloc::flush_tls();
-                });
-            }
-        });
-        drop(tx);
-        for (j, result) in rx {
-            slots[j] = Some(result);
-        }
-        if scope_result.is_err() {
-            // Unreachable in practice (jobs are isolated above); surface
-            // any dead slot as that script's error rather than aborting.
-            for slot in slots.iter_mut() {
-                if slot.is_none() {
-                    *slot = Some(Err("batch worker died".to_string()));
-                }
-            }
-        }
-    }
-
-    // Roll up timings over executed searches, then assemble per-script
-    // results in input order (memo hits resolved by representative).
+    // A search-level panic (beyond the per-candidate isolation inside the
+    // search) downgrades to this script's error, never the batch's.
+    let (outcomes, _) = crate::pool::map_indexed(reps.len(), jobs_n, |j| run_one(reps[j]));
     let mut timings = Timings::default();
-    let mut job_results: Vec<std::result::Result<Arc<StandardizeReport>, String>> =
-        Vec::with_capacity(slots.len());
-    for slot in slots {
-        match slot.unwrap_or_else(|| Err("batch job skipped".to_string())) {
-            Ok(report) => {
-                timings.accumulate(&report.timings);
-                job_results.push(Ok(Arc::new(report)));
-            }
-            Err(e) => job_results.push(Err(e)),
-        }
-    }
+    let job_results: Vec<std::result::Result<Arc<StandardizeReport>, String>> = outcomes
+        .into_iter()
+        .map(|outcome| {
+            let report = outcome.unwrap_or_else(|_| Err("search panicked".to_string()))?;
+            timings.accumulate(&report.timings);
+            Ok(Arc::new(report))
+        })
+        .collect();
 
-    // Explanations are a pure function of (model, input, output), computed
-    // serially here — never in the workers — so `--explain` output is
-    // independent of job count and memo hits reuse the representative's
-    // sources verbatim.
-    let explain_texts =
-        |outcome: &std::result::Result<Arc<StandardizeReport>, String>| -> Vec<String> {
-            if !opts.explain {
-                return Vec::new();
-            }
-            match outcome {
-                Ok(r) => crate::explain::explain_diff(&model, &r.input_source, &r.output_source)
-                    .into_iter()
-                    .map(|e| e.text)
-                    .collect(),
-                Err(_) => Vec::new(),
-            }
-        };
-
-    let memo = ResultMemo::new();
-    let mut results: Vec<ScriptResult> = Vec::with_capacity(scripts.len());
-    for (i, p) in prepared.iter().enumerate() {
-        let name = scripts[i].name.clone();
-        match p {
-            Prepared::Failed(msg) => results.push(ScriptResult {
-                name,
-                memo_hit: false,
-                outcome: Err(msg.clone()),
-                explanations: Vec::new(),
-            }),
-            Prepared::Job { key } => {
-                if opts.memo {
-                    match memo.lookup(key) {
-                        Some(report) => {
-                            let outcome = Ok(report);
-                            results.push(ScriptResult {
-                                name,
-                                memo_hit: true,
-                                explanations: explain_texts(&outcome),
-                                outcome,
-                            });
-                        }
-                        None => {
-                            let job = rep_of[key];
-                            let outcome = job_results[job].clone();
-                            if let Ok(report) = &outcome {
-                                memo.insert(*key, Arc::clone(report));
-                            }
-                            results.push(ScriptResult {
-                                name,
-                                memo_hit: false,
-                                explanations: explain_texts(&outcome),
-                                outcome,
-                            });
-                        }
-                    }
-                } else {
-                    // Memo off: job j is the j-th parseable script.
-                    let job = prepared[..i]
-                        .iter()
-                        .filter(|p| matches!(p, Prepared::Job { .. }))
-                        .count();
-                    let outcome = job_results[job].clone();
-                    results.push(ScriptResult {
-                        name,
-                        memo_hit: false,
-                        explanations: explain_texts(&outcome),
-                        outcome,
-                    });
+    // Per-script results in input order. Explanations are a pure function
+    // of (model, input, output), computed serially here — never in the
+    // workers — so `--explain` output is independent of job count, and a
+    // memo hit explains its representative's sources verbatim.
+    let results: Vec<ScriptResult> = scripts
+        .iter()
+        .zip(&job_of)
+        .enumerate()
+        .map(|(i, (script, job))| {
+            let (outcome, memo_hit) = match job {
+                Ok(j) => (job_results[*j].clone(), reps[*j] != i),
+                Err(msg) => (Err(msg.clone()), false),
+            };
+            let explanations = match (&outcome, opts.explain) {
+                (Ok(r), true) => {
+                    crate::explain::explain_diff(&model, &r.input_source, &r.output_source)
+                        .into_iter()
+                        .map(|e| e.text)
+                        .collect()
                 }
+                _ => Vec::new(),
+            };
+            ScriptResult {
+                name: script.name.clone(),
+                memo_hit,
+                outcome,
+                explanations,
             }
-        }
-    }
+        })
+        .collect();
 
     // Memo-hit scripts never ran a search, so their trace file is a stub
     // pointing at the representative whose full stream carries the
     // decisions.
     if let Some(dir) = &opts.trace_dir {
-        for (i, r) in results.iter().enumerate() {
-            let Prepared::Job { key } = &prepared[i] else {
+        for (r, job) in results.iter().zip(&job_of) {
+            let (true, Ok(j)) = (r.memo_hit, job) else {
                 continue;
             };
-            if !r.memo_hit {
-                continue;
-            }
-            let against = scripts[work[rep_of[key]]].name.clone();
             let path = dir.join(format!("{}.trace.jsonl", r.name));
             let sink = TraceSink::to_file(&path).map_err(|e| {
                 crate::error::CoreError::BadConfig(format!(
@@ -798,7 +550,7 @@ pub fn standardize_corpus(
             })?;
             sink.emit(&MemoHitRecord {
                 script: r.name.clone(),
-                against,
+                against: scripts[reps[*j]].name.clone(),
             });
             sink.flush();
         }
@@ -807,8 +559,10 @@ pub fn standardize_corpus(
     // Batch-level counters land in the per-batch registry so `--stats-out`
     // exporters see them, then the whole registry rolls into any outer
     // fleet registry the caller supplied.
-    batch_registry.counter(Metric::MemoHits).add(memo.hits());
-    batch_registry.counter(Metric::MemoMisses).add(memo.misses());
+    let memo_hits = results.iter().filter(|r| r.memo_hit).count() as u64;
+    let memo_misses = if opts.memo { reps.len() as u64 } else { 0 };
+    batch_registry.counter(Metric::MemoHits).add(memo_hits);
+    batch_registry.counter(Metric::MemoMisses).add(memo_misses);
     batch_registry
         .counter(Metric::BatchScripts)
         .add(scripts.len() as u64);
@@ -828,8 +582,8 @@ pub fn standardize_corpus(
         scripts: results,
         distribution,
         timings,
-        memo_hits: memo.hits(),
-        memo_misses: memo.misses(),
+        memo_hits,
+        memo_misses,
         cache_store_hits,
         cache_store_misses,
         cache_store_evictions,
@@ -886,56 +640,12 @@ mod tests {
     }
 
     #[test]
-    fn fingerprints_ignore_spans_but_not_structure_or_config() {
+    fn fingerprints_ignore_spans_but_not_structure() {
         let a = parse_module("x = 1\ny = 2\n").unwrap();
         let respaced = parse_module("\n\nx = 1\n\ny = 2\n").unwrap();
         let mutated = parse_module("x = 1\ny = 3\n").unwrap();
         assert_eq!(script_fingerprint(&a), script_fingerprint(&respaced));
         assert_ne!(script_fingerprint(&a), script_fingerprint(&mutated));
-
-        let base = tiny_config();
-        assert_eq!(config_fingerprint(&base), config_fingerprint(&base.clone()));
-        let mut deeper = base.clone();
-        deeper.seq_len += 1;
-        assert_ne!(config_fingerprint(&base), config_fingerprint(&deeper));
-        // Byte-invariant knobs must not perturb the fingerprint.
-        let mut threaded = base.clone();
-        threaded.threads = 8;
-        threaded.prefix_cache = false;
-        assert_eq!(config_fingerprint(&base), config_fingerprint(&threaded));
-
-        assert_ne!(
-            corpus_fingerprint(&["a", "b"]),
-            corpus_fingerprint(&["a"]),
-        );
-    }
-
-    #[test]
-    fn memo_counts_hits_and_misses() {
-        let memo = ResultMemo::new();
-        let key = MemoKey { script: 1, corpus: 2, config: 3 };
-        assert!(memo.lookup(&key).is_none());
-        memo.insert(
-            key,
-            Arc::new(StandardizeReport {
-                input_source: String::new(),
-                output_source: String::new(),
-                re_before: 0.0,
-                re_after: 0.0,
-                improvement_pct: 0.0,
-                intent_delta: 0.0,
-                intent_kind: String::new(),
-                intent_satisfied: true,
-                applied: vec![],
-                candidates_explored: 0,
-                timings: Timings::default(),
-            }),
-        );
-        assert!(memo.lookup(&key).is_some());
-        assert!(memo.lookup(&MemoKey { script: 9, ..key }).is_none());
-        assert_eq!(memo.hits(), 1);
-        assert_eq!(memo.misses(), 2);
-        assert_eq!(memo.len(), 1);
     }
 
     #[test]

@@ -206,6 +206,18 @@ impl Program {
         )
     }
 
+    /// The program's source text: each statement's atom (its printed
+    /// form) plus a newline. Byte-identical to `print_module` of
+    /// [`Program::to_module`], without materializing the module.
+    pub fn source(&self) -> String {
+        let mut out = String::new();
+        for info in &self.stmts {
+            out.push_str(&info.atom);
+            out.push('\n');
+        }
+        out
+    }
+
     /// Borrowed statement references with precomputed structural hashes,
     /// ready for `Interpreter::run_shared`.
     pub fn stmt_refs(&self) -> Vec<StmtRef<'_>> {
@@ -381,9 +393,11 @@ y = df['Outcome']
         let module = parse_module(SRC).unwrap();
         let mut renumbered = module.clone();
         renumbered.renumber();
-        let out = Program::from_module(&module, &interner).to_module();
+        let program = Program::from_module(&module, &interner);
+        let out = program.to_module();
         assert_eq!(out, renumbered);
         assert_eq!(print_module(&out), print_module(&module));
+        assert_eq!(program.source(), print_module(&module));
     }
 
     #[test]

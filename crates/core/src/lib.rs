@@ -53,6 +53,7 @@ pub mod leakage;
 pub mod lemma;
 pub mod oracle;
 pub mod pareto;
+pub mod pool;
 pub mod provenance;
 pub mod report;
 pub mod search;

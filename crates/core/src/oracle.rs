@@ -1,5 +1,6 @@
 //! String-keyed reference implementations of the scoring path, kept only
-//! as test oracles for the integer-keyed hot path (DESIGN.md §18).
+//! as test oracles for the integer-keyed hot path (DESIGN.md §18), plus
+//! the module-cloning [`apply`] that checks the interned IR's splice.
 //!
 //! Here an edge is a pair of atom texts, `V_E'` and the successor lists
 //! are string maps rebuilt from the model's public view, RE sums over
@@ -10,10 +11,12 @@
 //! path calls them.
 
 use crate::dag::ScriptDag;
+use crate::error::{CoreError, Result};
 use crate::transform::{
     is_import, is_protected, EnumOptions, Enumerated, TransformKind, Transformation,
 };
 use crate::vocab::{Atom, CorpusModel};
+use lucid_pyast::{parse_module, Module, Span};
 use std::collections::{HashMap, HashSet};
 
 /// An edge key: an ordered pair of atom keys.
@@ -208,4 +211,45 @@ pub fn enumerate(
         push(add(&atom, line), &mut out);
     }
     Enumerated { kept: out, pruned }
+}
+
+/// The module-cloning apply: `t` on a whole statement list, re-numbered
+/// like `Module::renumber`. `Transformation::apply_ir` must produce the
+/// same code (`tests/properties.rs`).
+///
+/// # Errors
+///
+/// Fails if the line is out of range or an `Add` atom fails to parse.
+pub fn apply(t: &Transformation, module: &Module) -> Result<Module> {
+    let mut stmts = module.stmts.clone();
+    match &t.kind {
+        TransformKind::Delete => {
+            if t.line >= stmts.len() {
+                return Err(CoreError::BadConfig(format!(
+                    "delete at line {} of a {}-statement script",
+                    t.line + 1,
+                    stmts.len()
+                )));
+            }
+            stmts.remove(t.line);
+        }
+        TransformKind::Add { atom } => {
+            if t.line > stmts.len() {
+                return Err(CoreError::BadConfig(format!(
+                    "insert at line {} of a {}-statement script",
+                    t.line + 1,
+                    stmts.len()
+                )));
+            }
+            let stmt = parse_module(atom.as_str())?
+                .stmts
+                .into_iter()
+                .next()
+                .ok_or_else(|| CoreError::BadConfig("empty atom".to_string()))?;
+            stmts.insert(t.line, stmt.with_span(Span::synthetic()));
+        }
+    }
+    let mut out = Module::new(stmts);
+    out.renumber();
+    Ok(out)
 }

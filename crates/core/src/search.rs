@@ -8,8 +8,8 @@
 //! results (see `DESIGN.md`, "Execution model & caching"):
 //!
 //! - [`SearchConfig::threads`] fans the apply→DAG→score work of
-//!   `GetSteps` across scoped worker threads — for *all* beams of a step
-//!   at once — and reassembles results in enumeration order, so ranking,
+//!   `GetSteps` across the [`crate::pool`] workers — for *all* beams of a
+//!   step at once — and gets results back in enumeration order, so ranking,
 //!   clustering, and tie-breaking are byte-identical to the serial path.
 //! - [`SearchConfig::prefix_cache`] routes every `CheckIfExecutes()` and
 //!   verification run through an interpreter prefix cache: candidates
@@ -27,7 +27,7 @@ use crate::report::Timings;
 use crate::transform::{enumerate, Enumerated, TransformKind, Transformation};
 use crate::vocab::CorpusModel;
 use lucid_frame::DataFrame;
-use lucid_interp::{ExecOutcome, InjectedPanic, Interpreter, InterpError, PrefixCache};
+use lucid_interp::{ExecOutcome, Interpreter, InterpError, PrefixCache};
 use lucid_obs::event::{
     KeptBeam, SearchEndEvent, SearchStartEvent, StepEvent, StmtSpanAgg, VerifyEvent,
 };
@@ -35,7 +35,6 @@ use lucid_obs::alloc::{self, AllocSnapshot, Phase, PhaseGuard};
 use lucid_obs::{Disposition, Drops, Metric, Record, Registry};
 use lucid_pyast::Module;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -176,7 +175,7 @@ impl<'a> ExecEnv<'a> {
         match catch_unwind(AssertUnwindSafe(|| self.run(program))) {
             Ok(Ok(outcome)) => Ok(outcome),
             Ok(Err(e)) => Err(ExecFailure::Error(e)),
-            Err(payload) => Err(ExecFailure::Panic(panic_payload(payload))),
+            Err(payload) => Err(ExecFailure::Panic(crate::pool::panic_payload(payload))),
         }
     }
 
@@ -219,22 +218,6 @@ impl CacheCounters {
             fit_misses: self.fit_misses - earlier.fit_misses,
             peak: self.peak,
         }
-    }
-}
-
-/// Renders a caught panic payload. Handles the payload types candidate
-/// code can actually raise — `&str`/`String` from `panic!`, and the
-/// fault-injection hook's [`InjectedPanic`] marker — and reports anything
-/// else opaquely rather than re-throwing.
-fn panic_payload(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else if let Some(injected) = payload.downcast_ref::<InjectedPanic>() {
-        format!("injected panic: {}", injected.0)
-    } else {
-        "opaque panic payload".to_string()
     }
 }
 
@@ -543,12 +526,13 @@ impl Search<'_, '_> {
     /// score by RE, and return per-beam lists of the resulting candidates
     /// ranked best (lowest RE) first, capped at `max_steps_ranked`.
     ///
-    /// With `threads > 1` the apply→DAG→score work fans out across scoped
-    /// worker threads over all (beam, transformation) pairs; results are
-    /// written into index-addressed slots and regrouped in enumeration
-    /// order, so the ranked lists — and therefore every downstream beam
-    /// decision — are identical to the serial path. Scoring is pure (no
-    /// interpreter involvement), which is what makes the fan-out safe.
+    /// With `threads > 1` the apply→DAG→score work fans out over all
+    /// (beam, transformation) pairs through [`crate::pool::map_indexed`],
+    /// which returns results in enumeration order, so the ranked lists —
+    /// and therefore every downstream beam decision — are identical to
+    /// the serial path. Scoring is pure (no interpreter involvement),
+    /// which is what makes the fan-out safe; a panicking scorer drops its
+    /// candidate instead of aborting the search.
     fn get_steps_all(&mut self, beams: &[Candidate]) -> Vec<Vec<Candidate>> {
         let (ctx, interner) = (self.ctx, self.interner);
         let t0 = Instant::now();
@@ -574,28 +558,11 @@ impl Search<'_, '_> {
             }));
         }
         self.stats.enumerated += jobs.len();
-        let workers = ctx.config.resolved_threads().min(jobs.len()).max(1);
-        let (slots, cpu_ms) = if workers == 1 {
-            let mut cpu_ms = 0.0;
-            let slots = jobs
-                .iter()
-                .map(|(beam_idx, t, id)| {
-                    let t_job = Instant::now();
-                    // The same per-candidate isolation as the parallel
-                    // path: a panicking scorer drops its candidate instead
-                    // of aborting.
-                    let step = catch_unwind(AssertUnwindSafe(|| {
-                        score_step(&beams[*beam_idx], t, ctx, interner, *id)
-                    }))
-                    .map_err(panic_payload);
-                    cpu_ms += t_job.elapsed().as_secs_f64() * 1e3;
-                    step
-                })
-                .collect();
-            (slots, cpu_ms)
-        } else {
-            score_steps_parallel(beams, &jobs, ctx, interner, workers)
-        };
+        let (slots, cpu_ms) =
+            crate::pool::map_indexed(jobs.len(), ctx.config.resolved_threads(), |i| {
+                let (beam_idx, t, id) = &jobs[i];
+                score_step(&beams[*beam_idx], t, ctx, interner, *id)
+            });
         self.stats.get_steps_cpu_ms += cpu_ms;
 
         // Regroup by beam. Jobs were enumerated beam-major, so pushing in
@@ -977,78 +944,6 @@ fn score_step(
         applied,
         id,
     })
-}
-
-/// One scoring job's result: the scored candidate (`None` when the
-/// transformation failed to apply), or the payload of a caught panic.
-type ScoreSlot = Result<Option<Candidate>, String>;
-
-/// Fans `score_step` across scoped worker threads (work-stealing via an
-/// atomic job counter, reassembly by job index — the same idiom the
-/// bench runner uses). Each job runs under `catch_unwind`, so a panicking
-/// candidate surfaces as a captured payload in its slot instead of
-/// poisoning the scope and aborting the whole search. Returns the
-/// index-aligned result slots and the summed per-worker CPU time.
-fn score_steps_parallel(
-    beams: &[Candidate],
-    jobs: &[(usize, Transformation, u64)],
-    ctx: &SearchContext,
-    interner: &StmtInterner,
-    workers: usize,
-) -> (Vec<ScoreSlot>, f64) {
-    let counter = AtomicUsize::new(0);
-    let (tx, rx) = crossbeam::channel::unbounded();
-    // A worker dying outside the isolated region is unreachable in
-    // practice; the jobs it claimed simply never report, and are counted
-    // as panicked below rather than aborting the search.
-    let _ = crossbeam::thread::scope(|scope| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let counter = &counter;
-            scope.spawn(move |_| {
-                // Phase tags are thread-local; each worker re-tags itself
-                // so its allocations land with the serial path's.
-                let _mem = PhaseGuard::enter(Phase::Enumerate);
-                loop {
-                    let i = counter.fetch_add(1, Ordering::SeqCst);
-                    if i >= jobs.len() {
-                        break;
-                    }
-                    let (beam_idx, t, id) = &jobs[i];
-                    let t_job = Instant::now();
-                    let step = catch_unwind(AssertUnwindSafe(|| {
-                        score_step(&beams[*beam_idx], t, ctx, interner, *id)
-                    }))
-                    .map_err(panic_payload);
-                    let cpu_ms = t_job.elapsed().as_secs_f64() * 1e3;
-                    // A send can only fail if the receiver is gone, i.e.
-                    // the search is already unwinding; dropping the result
-                    // is the graceful option either way.
-                    let _ = tx.send((i, step, cpu_ms));
-                }
-                // Last flush point for this worker: guards are pure tag
-                // swaps, so the thread's buffered allocator attribution
-                // must be published before the scope joins it.
-                alloc::flush_tls();
-            });
-        }
-    });
-    drop(tx);
-    let mut slots: Vec<Option<ScoreSlot>> = jobs.iter().map(|_| None).collect();
-    let mut cpu_ms = 0.0;
-    for (i, step, job_ms) in rx {
-        cpu_ms += job_ms;
-        slots[i] = Some(step);
-    }
-    let slots = slots
-        .into_iter()
-        .map(|slot| {
-            slot.unwrap_or_else(|| {
-                Err("scoring worker died outside candidate isolation".to_string())
-            })
-        })
-        .collect();
-    (slots, cpu_ms)
 }
 
 /// Sorts `next` by RE (stable — insertion order breaks ties, so a

@@ -2,7 +2,6 @@
 //! any number of user scripts.
 
 use crate::config::SearchConfig;
-use crate::dag;
 use crate::entropy;
 use crate::error::{CoreError, Result};
 use crate::ir::Program;
@@ -105,11 +104,7 @@ impl Standardizer {
     ///
     /// Fails on parse errors.
     pub fn score_source(&self, source: &str) -> Result<f64> {
-        let module = lemmatize(&parse_module(source)?);
-        Ok(entropy::relative_entropy(
-            &dag::build_dag(&module),
-            &self.corpus,
-        ))
+        Ok(self.corpus.re_of(&parse_module(source)?))
     }
 
     /// Standardizes a parsed user script.
@@ -146,7 +141,7 @@ impl Standardizer {
         } = standardize_search(&ctx, &input);
 
         let input_source = print_module(&input);
-        let output_source = print_module(&best.program.to_module());
+        let output_source = best.program.source();
         // The decision records close the trace, after every measurement
         // record: the final diff is joined onto the selected lineage first,
         // so the trailer can count the diff lines it follows.

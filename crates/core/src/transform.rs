@@ -5,7 +5,6 @@ use crate::dag::ScriptDag;
 use crate::error::{CoreError, Result};
 use crate::ir::{Program, StmtInterner};
 use crate::vocab::{Atom, CorpusModel};
-use lucid_pyast::{parse_module, Module, Span};
 use std::collections::HashSet;
 
 /// What a transformation does.
@@ -41,56 +40,14 @@ impl Transformation {
         }
     }
 
-    /// Applies the transformation, producing a new module.
+    /// Applies the transformation to an interned [`Program`] as an
+    /// O(edit) splice of shared-statement pointers; the module-cloning
+    /// [`crate::oracle::apply`] stays as its test oracle.
     ///
     /// # Errors
     ///
     /// Fails if the line is out of range or an `Add` atom fails to parse
     /// (corpus atoms always parse; hand-built transformations might not).
-    pub fn apply(&self, module: &Module) -> Result<Module> {
-        let mut stmts = module.stmts.clone();
-        match &self.kind {
-            TransformKind::Delete => {
-                if self.line >= stmts.len() {
-                    return Err(CoreError::BadConfig(format!(
-                        "delete at line {} of a {}-statement script",
-                        self.line + 1,
-                        stmts.len()
-                    )));
-                }
-                stmts.remove(self.line);
-            }
-            TransformKind::Add { atom } => {
-                if self.line > stmts.len() {
-                    return Err(CoreError::BadConfig(format!(
-                        "insert at line {} of a {}-statement script",
-                        self.line + 1,
-                        stmts.len()
-                    )));
-                }
-                let parsed = parse_module(atom.as_str())?;
-                let mut stmt = parsed
-                    .stmts
-                    .into_iter()
-                    .next()
-                    .ok_or_else(|| CoreError::BadConfig("empty atom".to_string()))?;
-                stmt = stmt.with_span(Span::synthetic());
-                stmts.insert(self.line, stmt);
-            }
-        }
-        let mut out = Module::new(stmts);
-        out.renumber();
-        Ok(out)
-    }
-
-    /// Applies the transformation to an interned [`Program`] as an
-    /// O(edit) splice of shared-statement pointers — the hot-path twin of
-    /// [`Transformation::apply`], which stays as the slow-path oracle.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Transformation::apply`]: out-of-range line,
-    /// or an `Add` atom that fails to parse.
     pub fn apply_ir(&self, program: &Program, interner: &StmtInterner) -> Result<Program> {
         match &self.kind {
             TransformKind::Delete => {
@@ -309,8 +266,9 @@ pub(crate) fn is_import(atom: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::apply;
     use crate::vocab::CorpusModel;
-    use lucid_pyast::print_module;
+    use lucid_pyast::{print_module, Module};
 
     const SU: &str = "\
 import pandas as pd
@@ -381,16 +339,15 @@ df = pd.get_dummies(df)
             kind: TransformKind::Delete,
             line: 2,
         };
-        let out = t.apply(&module).unwrap();
+        let out = apply(&t, &module).unwrap();
         assert_eq!(out.stmts.len(), 3);
         assert!(!print_module(&out).contains("median"));
         // Out-of-range delete errors.
-        assert!(Transformation {
+        let t = Transformation {
             kind: TransformKind::Delete,
-            line: 99
-        }
-        .apply(&module)
-        .is_err());
+            line: 99,
+        };
+        assert!(apply(&t, &module).is_err());
     }
 
     #[test]
@@ -402,7 +359,7 @@ df = pd.get_dummies(df)
             },
             line: 2,
         };
-        let out = t.apply(&module).unwrap();
+        let out = apply(&t, &module).unwrap();
         assert_eq!(out.stmts.len(), 5);
         assert_eq!(lucid_pyast::print_stmt(&out.stmts[2]), "df = df.dropna()");
         for (i, s) in out.stmts.iter().enumerate() {
@@ -419,15 +376,14 @@ df = pd.get_dummies(df)
             },
             line: 4,
         };
-        assert_eq!(t.apply(&module).unwrap().stmts.len(), 5);
-        assert!(Transformation {
+        assert_eq!(apply(&t, &module).unwrap().stmts.len(), 5);
+        let t = Transformation {
             kind: TransformKind::Add {
-                atom: Atom::new("y = 1")
+                atom: Atom::new("y = 1"),
             },
-            line: 6
-        }
-        .apply(&module)
-        .is_err());
+            line: 6,
+        };
+        assert!(apply(&t, &module).is_err());
     }
 
     #[test]
@@ -439,7 +395,7 @@ df = pd.get_dummies(df)
             },
             line: 1,
         };
-        assert!(t.apply(&module).is_err());
+        assert!(apply(&t, &module).is_err());
     }
 
     #[test]

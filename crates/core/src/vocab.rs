@@ -7,7 +7,7 @@
 //! explains the ID scheme and why it keeps RE bit-identical to the
 //! string-keyed definition (which survives in [`crate::oracle`]).
 
-use crate::dag::{self, ScriptDag};
+use crate::dag;
 use crate::error::{CoreError, Result};
 use crate::lemma::lemmatize;
 use lucid_pyast::Module;
@@ -401,9 +401,10 @@ impl CorpusModel {
         self.rel_pos[id as usize]
     }
 
-    /// DAG of one script, lemmatized with this model's conventions.
-    pub fn dag_of(&self, module: &Module) -> ScriptDag {
-        dag::build_dag(&lemmatize(module))
+    /// Relative entropy of one (unlemmatized) script against this model:
+    /// lemmatize, build its DAG, score it.
+    pub fn re_of(&self, module: &Module) -> f64 {
+        crate::entropy::relative_entropy(&dag::build_dag(&lemmatize(module)), self)
     }
 }
 

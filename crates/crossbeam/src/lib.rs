@@ -1,9 +1,9 @@
 //! Offline stand-in for the `crossbeam` crate.
 //!
-//! The workspace uses exactly two pieces of crossbeam: `thread::scope`
-//! with `Scope::spawn`, and `channel::unbounded`. Both have stable std
-//! equivalents today (`std::thread::scope`, `std::sync::mpsc`), so this
-//! shim adapts the crossbeam call shapes onto std.
+//! The workspace uses exactly one piece of crossbeam: `thread::scope`
+//! with `Scope::spawn`, in `lucid_core::pool`. It has a stable std
+//! equivalent today (`std::thread::scope`), so this shim adapts the
+//! crossbeam call shape onto std.
 
 /// Scoped threads (`crossbeam::thread`), backed by [`std::thread::scope`].
 pub mod thread {
@@ -51,121 +51,22 @@ pub mod thread {
     }
 }
 
-/// Channels (`crossbeam::channel`), backed by [`std::sync::mpsc`].
-pub mod channel {
-    /// An unbounded MPSC channel. (crossbeam's is MPMC; every use in this
-    /// workspace has a single consumer.)
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        let (tx, rx) = std::sync::mpsc::channel();
-        (Sender { inner: tx }, Receiver { inner: rx })
-    }
-
-    /// Sending half; clonable across worker threads.
-    pub struct Sender<T> {
-        inner: std::sync::mpsc::Sender<T>,
-    }
-
-    impl<T> Clone for Sender<T> {
-        fn clone(&self) -> Self {
-            Sender {
-                inner: self.inner.clone(),
-            }
-        }
-    }
-
-    impl<T> Sender<T> {
-        /// Sends a value.
-        ///
-        /// # Errors
-        ///
-        /// Fails when the receiver has been dropped.
-        pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            self.inner.send(value).map_err(|e| SendError(e.0))
-        }
-    }
-
-    /// Receiving half; iterable until all senders are dropped.
-    pub struct Receiver<T> {
-        inner: std::sync::mpsc::Receiver<T>,
-    }
-
-    impl<T> Receiver<T> {
-        /// Blocking receive.
-        ///
-        /// # Errors
-        ///
-        /// Fails when all senders have been dropped and the queue is empty.
-        pub fn recv(&self) -> Result<T, RecvError> {
-            self.inner.recv().map_err(|_| RecvError)
-        }
-
-        /// Iterates received values until the channel closes.
-        pub fn iter(&self) -> std::sync::mpsc::Iter<'_, T> {
-            self.inner.iter()
-        }
-    }
-
-    impl<T> IntoIterator for Receiver<T> {
-        type Item = T;
-        type IntoIter = std::sync::mpsc::IntoIter<T>;
-
-        fn into_iter(self) -> Self::IntoIter {
-            self.inner.into_iter()
-        }
-    }
-
-    impl<'a, T> IntoIterator for &'a Receiver<T> {
-        type Item = T;
-        type IntoIter = std::sync::mpsc::Iter<'a, T>;
-
-        fn into_iter(self) -> Self::IntoIter {
-            self.inner.iter()
-        }
-    }
-
-    /// The channel is disconnected (receiver dropped).
-    pub struct SendError<T>(pub T);
-
-    // Unconditional like the real crate's, so `.expect()` works on
-    // channels of non-Debug payloads.
-    impl<T> std::fmt::Debug for SendError<T> {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.write_str("SendError(..)")
-        }
-    }
-
-    /// The channel is disconnected (senders dropped, queue drained).
-    #[derive(Debug)]
-    pub struct RecvError;
-}
-
 #[cfg(test)]
 mod tests {
     #[test]
-    fn scoped_fanout_reassembles() {
+    fn scoped_threads_borrow_and_join() {
         let inputs: Vec<usize> = (0..32).collect();
-        let (tx, rx) = super::channel::unbounded();
-        let counter = std::sync::atomic::AtomicUsize::new(0);
-        super::thread::scope(|scope| {
-            for _ in 0..4 {
-                let tx = tx.clone();
-                let counter = &counter;
-                let inputs = &inputs;
-                scope.spawn(move |_| loop {
-                    let i = counter.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                    if i >= inputs.len() {
-                        break;
-                    }
-                    tx.send((i, inputs[i] * 2)).expect("receiver alive");
-                });
-            }
+        let sums = super::thread::scope(|scope| {
+            let handles: Vec<_> = inputs
+                .chunks(8)
+                .map(|chunk| scope.spawn(move |_| chunk.iter().map(|x| x * 2).sum::<usize>()))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("no panics"))
+                .collect::<Vec<_>>()
         })
         .expect("no panics");
-        drop(tx);
-        let mut out = vec![0usize; inputs.len()];
-        for (i, v) in rx {
-            out[i] = v;
-        }
-        assert_eq!(out, inputs.iter().map(|x| x * 2).collect::<Vec<_>>());
+        assert_eq!(sums.iter().sum::<usize>(), inputs.iter().map(|x| x * 2).sum());
     }
 }

@@ -586,7 +586,9 @@ macro_rules! __proptest_fns {
                     )+
                     // Bodies may `return Ok(())` early, as in real
                     // proptest, so run them in a Result-returning closure.
-                    #[allow(unreachable_code)]
+                    // The closure is what lets them return, so clippy's
+                    // redundant_closure_call does not apply.
+                    #[allow(unreachable_code, clippy::redundant_closure_call)]
                     let __outcome: ::std::result::Result<(), ::std::string::String> =
                         (|| {
                             $body
@@ -652,7 +654,10 @@ mod tests {
         let mut rng = crate::test_runner::new_rng();
         fn depth(t: &Tree) -> usize {
             match t {
-                Tree::Leaf(_) => 1,
+                Tree::Leaf(v) => {
+                    assert!((0..5).contains(v), "leaf {v} outside its strategy");
+                    1
+                }
                 Tree::Node(children) => {
                     1 + children.iter().map(depth).max().unwrap_or(0)
                 }

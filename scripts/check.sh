@@ -1,11 +1,9 @@
 #!/usr/bin/env bash
 # CI gate: release build, full test suite, the fault-isolation suites,
-# zero-warning clippy on the crates owning the search execution model
-# (core + interp), its observability layer (obs), the parser (pyast),
-# the frame kernels (frame) and the benchmark harness (bench); the
-# allocation-byte regression gate against the committed
-# BENCH_search.json; the decision-stability smokes of the committed
-# benchmark (benchmark/, which owns wall time); three grep gates
+# zero-warning clippy on every workspace crate; the allocation-byte
+# regression gate against the committed BENCH_search.json; the
+# decision-stability smokes of the committed benchmark (benchmark/,
+# which owns wall time); three grep gates
 # (interned IR, columnar kernels, batch shared state); and the batch,
 # trace and overhead smokes. Metric names need no gate: the registry
 # accepts only lucid_obs::Metric handles, and panic paths need none:
@@ -23,9 +21,8 @@ cargo test -q
 echo "==> fault-isolation suites (properties, fault_injection, determinism)"
 cargo test -q --test properties --test fault_injection --test determinism
 
-echo "==> cargo clippy (lucid-core, lucid-interp, lucid-obs, lucid-pyast, lucid-frame, lucid-bench, lucidscript) -D warnings"
-cargo clippy -p lucid-core -p lucid-interp -p lucid-obs -p lucid-pyast -p lucid-frame -p lucid-bench \
-  -p lucidscript --all-targets -- -D warnings
+echo "==> cargo clippy --workspace -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 # Byte regression gate: the quick search's allocation rows, two reps,
 # against the last committed entry of BENCH_search.json (workloads join

@@ -78,9 +78,9 @@ OPTIONS (batch):
   --stats-interval-ms) plus:
   --jobs <N>          concurrent per-script searches (0 = all cores,
                       default 1); output is byte-identical at any value
-  --memo              serve repeated/near-duplicate scripts from the
-                      content-addressed full-result memo (keyed by script
-                      hash x corpus fingerprint x config fingerprint)
+  --memo              run one search per group of structurally identical
+                      scripts (equal lemmatized fingerprint) and serve its
+                      result, or error, to the whole group
   --batch-out <DIR>   write batch_report.json (deterministic), summary.txt,
                       and the standardized scripts under DIR/scripts/
   --trace-dir <DIR>   write one trace per script to DIR (<name>.trace.jsonl;
@@ -834,9 +834,7 @@ fn batch(flags: &Flags) -> Result<ExitCode, CliError> {
 fn score(flags: &Flags) -> Result<(), CliError> {
     let model = load_corpus(flags.require("corpus")?)?;
     let module = load_script(flags.require("script")?)?;
-    let dag = lucidscript::core::dag::build_dag(&lucidscript::core::lemma::lemmatize(&module));
-    let re = lucidscript::core::entropy::relative_entropy(&dag, &model);
-    println!("{re:.6}");
+    println!("{:.6}", model.re_of(&module));
     Ok(())
 }
 

@@ -228,6 +228,60 @@ fn batch_decision_records_are_byte_identical_across_jobs_and_memo() {
     std::fs::remove_dir_all(&ref_dir).ok();
 }
 
+/// A script whose input fails to execute is grouped like any other: its
+/// byte-identical copy is served the same error as a memo hit, gets a
+/// `memo_hit` stub naming it, and the report matches the memo-off run.
+#[test]
+fn failing_scripts_dedup_like_working_ones() {
+    let a = mini_scripts()[0].source.clone();
+    let b = format!("{a}df = df.nosuchmethod()\n");
+    let scripts = vec![
+        BatchScript::new("a.py", a.clone()),
+        BatchScript::new("b.py", b.clone()),
+        BatchScript::new("c.py", b),
+        BatchScript::new("d.py", a),
+    ];
+    let dir = std::env::temp_dir().join(format!("lucid_batch_failing_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("trace dir");
+    let run = |memo: bool, trace_dir: Option<std::path::PathBuf>| {
+        let opts = BatchOptions {
+            jobs: 1,
+            memo,
+            trace_dir,
+            ..BatchOptions::default()
+        };
+        standardize_corpus(
+            &scripts,
+            Profile::titanic().file,
+            mini_data(),
+            mini_config(),
+            &opts,
+        )
+        .expect("batch runs")
+    };
+    let report = run(true, Some(dir.clone()));
+    assert_eq!((report.memo_hits, report.memo_misses), (2, 2));
+    let hits: Vec<bool> = report.scripts.iter().map(|s| s.memo_hit).collect();
+    assert_eq!(hits, [false, false, true, true]);
+    let error = |i: usize| report.scripts[i].outcome.as_ref().err().cloned();
+    assert!(error(0).is_none() && error(1).is_some(), "a.py runs, b.py fails to execute");
+    assert_eq!(error(2), error(1));
+
+    let stubs = [("a.py", None), ("b.py", None), ("c.py", Some("b.py")), ("d.py", Some("a.py"))];
+    for (script, against) in stubs {
+        let text = std::fs::read_to_string(dir.join(format!("{script}.trace.jsonl")))
+            .unwrap_or_else(|e| panic!("trace for {script}: {e}"));
+        let Some(against) = against else { continue };
+        let summary = lucidscript::obs::parse_trace(&text).expect("stub parses");
+        let hit = summary.decisions.memo_hit.expect("stub carries memo_hit");
+        assert_eq!((hit.script.as_str(), hit.against.as_str()), (script, against));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+
+    assert_eq!(report.deterministic_json(), run(false, None).deterministic_json());
+}
+
 /// `--explain` output is part of the deterministic batch report:
 /// explanations are computed serially from each script's (input, output)
 /// sources, so they are byte-identical across worker counts and memo
