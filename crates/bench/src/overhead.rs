@@ -1,5 +1,5 @@
-//! Telemetry and trace overhead harness — the proof that fleet
-//! telemetry is cheap enough to leave on, and tracing cheap enough to
+//! Telemetry and trace overhead harness — the proof that allocator
+//! counting is cheap enough to leave on, and tracing cheap enough to
 //! turn on.
 //!
 //! Every arm is timed the same way: wall time around one
@@ -13,81 +13,48 @@
 //! The budget check is a disjunction — an arm passes when its relative
 //! overhead is under the fraction OR its absolute delta is under the
 //! floor — because on a fast workload a few milliseconds of timer noise
-//! can exceed any percentage of a small base. The strict budget pins
-//! counting (the always-on default); full mode — exact per-allocation
-//! peaks and size classes, enabled only by `--telemetry full` — gets
-//! [`OverheadReport::FULL_BUDGET_MULT`]× the budget.
+//! can exceed any percentage of a small base.
 //!
-//! The harness is itself measurement-only: it restores the process
-//! telemetry mode it found, and the searches it runs are byte-identical
-//! across modes (pinned by the determinism suite).
+//! The harness is itself measurement-only: it restores the allocator
+//! counting setting it found, and the searches it runs are
+//! byte-identical with counting on or off (pinned by the determinism
+//! suite).
 
 use crate::trajectory::Workload;
-use lucid_obs::alloc::{self, TelemetryMode};
+use lucid_obs::alloc;
 use lucid_obs::TraceSink;
 use std::time::Instant;
 
-/// One workload's per-mode timings (fastest rep, ms).
+/// One workload's timings with allocator counting off and on (fastest
+/// rep, ms).
 #[derive(Debug, Clone)]
 pub struct OverheadReport {
     /// Workload name.
     pub workload: String,
-    /// Reps per mode.
+    /// Reps per arm.
     pub reps: usize,
-    /// Fastest rep with telemetry off.
+    /// Fastest rep with counting off (the uninstrumented baseline).
     pub off_ms: f64,
-    /// Fastest rep in counting mode.
+    /// Fastest rep with counting on (the default).
     pub counting_ms: f64,
-    /// Fastest rep in full mode (`None` when `--counting-only` skipped it).
-    pub full_ms: Option<f64>,
 }
 
 impl OverheadReport {
-    /// Relative overhead of counting mode vs off (0.02 = +2%).
+    /// Relative overhead of counting vs off (0.02 = +2%).
     pub fn counting_overhead(&self) -> f64 {
         rel_overhead(self.counting_ms, self.off_ms)
     }
 
-    /// Relative overhead of full mode vs off, when measured.
-    pub fn full_overhead(&self) -> Option<f64> {
-        self.full_ms.map(|f| rel_overhead(f, self.off_ms))
-    }
-
-    /// Budget multiplier for full mode: exact per-allocation peaks and
-    /// size classes are opt-in diagnostics, so full gets three times the
-    /// always-on budget on both the fraction and the floor.
-    pub const FULL_BUDGET_MULT: f64 = 3.0;
-
-    /// Whether every measured mode is within budget: relative overhead
-    /// under `frac` OR absolute delta under `floor_ms`. The strict
-    /// bounds pin counting (the always-on default); full mode is judged
-    /// against [`Self::FULL_BUDGET_MULT`] times each bound.
+    /// Whether counting is within budget: relative overhead under `frac`
+    /// OR absolute delta under `floor_ms`.
     pub fn within_budget(&self, frac: f64, floor_ms: f64) -> bool {
-        let ok = |mode_ms: f64, frac: f64, floor_ms: f64| {
-            let delta = mode_ms - self.off_ms;
-            delta <= floor_ms || rel_overhead(mode_ms, self.off_ms) <= frac
-        };
-        ok(self.counting_ms, frac, floor_ms)
-            && self.full_ms.is_none_or(|f| {
-                ok(
-                    f,
-                    frac * Self::FULL_BUDGET_MULT,
-                    floor_ms * Self::FULL_BUDGET_MULT,
-                )
-            })
+        self.counting_ms - self.off_ms <= floor_ms || self.counting_overhead() <= frac
     }
 
-    /// One table row: workload, per-mode ms, per-mode overhead.
+    /// One table row: workload, per-arm ms, counting overhead.
     pub fn render_row(&self) -> String {
-        let full = match self.full_ms {
-            Some(f) => format!(
-                "{f:>9.2} {:>+7.1}%",
-                rel_overhead(f, self.off_ms) * 100.0
-            ),
-            None => format!("{:>9} {:>8}", "-", "-"),
-        };
         format!(
-            "{:<26} {:>9.2} {:>9.2} {:>+7.1}% {full}\n",
+            "{:<26} {:>9.2} {:>9.2} {:>+7.1}%\n",
             self.workload,
             self.off_ms,
             self.counting_ms,
@@ -104,11 +71,11 @@ fn rel_overhead(mode_ms: f64, off_ms: f64) -> f64 {
     }
 }
 
-/// Renders the full overhead table.
+/// Renders the counting overhead table.
 pub fn render(reports: &[OverheadReport]) -> String {
     let mut out = format!(
-        "{:<26} {:>9} {:>9} {:>8} {:>9} {:>8}\n",
-        "workload", "off ms", "count ms", "count", "full ms", "full"
+        "{:<26} {:>9} {:>9} {:>8}\n",
+        "workload", "off ms", "count ms", "count"
     );
     for r in reports {
         out.push_str(&r.render_row());
@@ -116,28 +83,20 @@ pub fn render(reports: &[OverheadReport]) -> String {
     out
 }
 
-/// Measures every workload under off / counting / (full unless
-/// `counting_only`), restoring the process telemetry mode afterwards.
+/// Measures every workload with allocator counting off and on.
 ///
 /// # Errors
 ///
-/// The first workload failure (mode already restored).
+/// The first workload failure.
 pub fn measure_overhead(
     workloads: &[Workload],
     reps: usize,
-    counting_only: bool,
 ) -> Result<Vec<OverheadReport>, String> {
-    let prev_mode = alloc::mode();
-    let modes = [
-        TelemetryMode::Off,
-        TelemetryMode::Counting,
-        TelemetryMode::Full,
+    let arms = [
+        Arm::Shared { counting: false },
+        Arm::Shared { counting: true },
     ];
-    let arms: Vec<Arm> = modes[..if counting_only { 2 } else { 3 }]
-        .iter()
-        .map(|&mode| Arm::Shared(mode))
-        .collect();
-    let result = workloads
+    workloads
         .iter()
         .map(|w| {
             let best = fastest_interleaved(w, reps, &arms)?;
@@ -146,20 +105,17 @@ pub fn measure_overhead(
                 reps: reps.max(1),
                 off_ms: best[0],
                 counting_ms: best[1],
-                full_ms: best.get(2).copied(),
             })
         })
-        .collect();
-    alloc::set_mode(prev_mode);
-    result
+        .collect()
 }
 
 /// Pinned budget for tracing (`--trace`): relative overhead of trace-on
 /// vs trace-off under this fraction OR the absolute delta under
 /// [`TRACE_BUDGET_FLOOR_MS`]. A traced standardization serializes one
 /// record per candidate on top of its step records, so its budget is
-/// looser than the always-on counting telemetry's — it is an opt-in
-/// diagnostic, like full mode.
+/// looser than the always-on allocator counting's — it is an opt-in
+/// diagnostic.
 pub const TRACE_BUDGET_FRAC: f64 = 0.30;
 
 /// Absolute floor for the trace budget, ms — on sub-10 ms workloads a
@@ -243,8 +199,7 @@ pub fn render_trace(reports: &[TraceOverheadReport]) -> String {
 }
 
 /// Measures every workload through the trace harness: baseline (plain
-/// harness shape), trace-off, trace-on. Telemetry stays in whatever mode
-/// the caller set — tracing is orthogonal to the allocator modes.
+/// harness shape), trace-off, trace-on, all with allocator counting on.
 ///
 /// # Errors
 ///
@@ -254,7 +209,7 @@ pub fn measure_trace_overhead(
     reps: usize,
 ) -> Result<Vec<TraceOverheadReport>, String> {
     let arms = [
-        Arm::Shared(alloc::mode()),
+        Arm::Shared { counting: true },
         Arm::Fresh { trace: false },
         Arm::Fresh { trace: true },
     ];
@@ -277,17 +232,25 @@ pub fn measure_trace_overhead(
 #[derive(Clone, Copy)]
 enum Arm {
     /// The workload's one untraced standardizer, reused across reps (the
-    /// plain harness shape), run under this telemetry mode.
-    Shared(TelemetryMode),
+    /// plain harness shape), run with allocator counting on or off.
+    Shared { counting: bool },
     /// A standardizer built per rep, with a fresh in-memory trace sink or
-    /// none, so a stream's length stays per-rep.
+    /// none, so a stream's length stays per-rep; counting on.
     Fresh { trace: bool },
 }
 
 /// Each arm's fastest wall time of `w`, in ms, around the standardize
 /// call alone (building a fresh standardizer is not timed). Arms run
-/// interleaved: rep `r` starts with arm `r mod arms.len()`.
+/// interleaved: rep `r` starts with arm `r mod arms.len()`. Restores the
+/// counting setting it found, on error too.
 fn fastest_interleaved(w: &Workload, reps: usize, arms: &[Arm]) -> Result<Vec<f64>, String> {
+    let prev = alloc::set_counting(true);
+    let result = time_arms(w, reps, arms);
+    alloc::set_counting(prev);
+    result
+}
+
+fn time_arms(w: &Workload, reps: usize, arms: &[Arm]) -> Result<Vec<f64>, String> {
     let (shared, script) = w.build(None)?;
     let mut best = vec![f64::INFINITY; arms.len()];
     for rep in 0..reps.max(1) {
@@ -295,11 +258,12 @@ fn fastest_interleaved(w: &Workload, reps: usize, arms: &[Arm]) -> Result<Vec<f6
             let i = (rep + k) % arms.len();
             let fresh;
             let std = match arms[i] {
-                Arm::Shared(mode) => {
-                    alloc::set_mode(mode);
+                Arm::Shared { counting } => {
+                    alloc::set_counting(counting);
                     &shared
                 }
                 Arm::Fresh { trace } => {
+                    alloc::set_counting(true);
                     fresh = w.build(trace.then(TraceSink::in_memory))?.0;
                     &fresh
                 }
@@ -317,46 +281,37 @@ fn fastest_interleaved(w: &Workload, reps: usize, arms: &[Arm]) -> Result<Vec<f6
 mod tests {
     use super::*;
 
-    fn report(off: f64, counting: f64, full: Option<f64>) -> OverheadReport {
+    fn report(off: f64, counting: f64) -> OverheadReport {
         OverheadReport {
             workload: "w".to_string(),
             reps: 3,
             off_ms: off,
             counting_ms: counting,
-            full_ms: full,
         }
     }
 
     #[test]
     fn budget_is_relative_or_absolute() {
         // +2% on a 100 ms base: within a 5% budget.
-        assert!(report(100.0, 102.0, Some(104.0)).within_budget(0.05, 2.0));
+        assert!(report(100.0, 102.0).within_budget(0.05, 2.0));
         // +20% on a 2 ms base: over the fraction but under the 2 ms floor.
-        assert!(report(2.0, 2.4, None).within_budget(0.05, 2.0));
+        assert!(report(2.0, 2.4).within_budget(0.05, 2.0));
         // +20% on a 100 ms base: over both — out of budget.
-        assert!(!report(100.0, 120.0, None).within_budget(0.05, 2.0));
-        // Counting fine but full blows even its 3× diagnostic budget.
-        assert!(!report(100.0, 101.0, Some(130.0)).within_budget(0.05, 2.0));
-        // Full over the strict budget but inside its 3× allowance.
-        assert!(report(100.0, 101.0, Some(112.0)).within_budget(0.05, 2.0));
+        assert!(!report(100.0, 120.0).within_budget(0.05, 2.0));
     }
 
     #[test]
     fn overhead_fractions_handle_zero_base() {
-        let r = report(0.0, 1.0, None);
+        let r = report(0.0, 1.0);
         assert_eq!(r.counting_overhead(), 0.0);
         assert!(r.within_budget(0.05, 2.0));
     }
 
     #[test]
-    fn render_lists_every_workload_and_marks_skipped_full() {
-        let table = render(&[
-            report(10.0, 10.2, Some(10.5)),
-            report(8.0, 8.1, None),
-        ]);
+    fn render_lists_every_workload() {
+        let table = render(&[report(10.0, 10.2), report(8.0, 8.1)]);
         assert!(table.contains("off ms"));
-        assert!(table.lines().count() == 3);
-        assert!(table.contains(" - "), "skipped full mode renders as dashes");
+        assert_eq!(table.lines().count(), 3);
     }
 
     fn trace_report(baseline: f64, off: f64, on: f64) -> TraceOverheadReport {
@@ -411,12 +366,12 @@ mod tests {
     }
 
     #[test]
-    fn measure_overhead_restores_the_mode_it_found() {
-        let prev = alloc::set_mode(TelemetryMode::Counting);
-        // Zero workloads: no measurement, but the save/restore path runs.
-        let reports = measure_overhead(&[], 1, true).unwrap();
-        assert!(reports.is_empty());
-        assert_eq!(alloc::mode(), TelemetryMode::Counting);
-        alloc::set_mode(prev);
+    fn measure_overhead_restores_the_counting_setting_it_found() {
+        let w = crate::trajectory::quick_suite()[0];
+        let prev = alloc::set_counting(false);
+        let reports = measure_overhead(&[w], 1).unwrap();
+        assert_eq!(reports.len(), 1);
+        assert!(reports[0].off_ms > 0.0 && reports[0].counting_ms > 0.0);
+        assert!(!alloc::set_counting(prev), "counting left switched on");
     }
 }

@@ -22,7 +22,7 @@ use lucid_core::config::SearchConfig;
 use lucid_core::intent::IntentMeasure;
 use lucid_core::standardizer::Standardizer;
 use lucid_corpus::Profile;
-use lucid_obs::alloc::{self, Phase, TelemetryMode};
+use lucid_obs::alloc::{self, Phase};
 use lucid_obs::TraceSink;
 use serde::Serialize;
 use serde_json::Value;
@@ -279,8 +279,7 @@ pub struct BenchEntry {
 
 /// Runs one workload `reps` times and summarizes its memory rows.
 ///
-/// Rows are sampled under whatever [`TelemetryMode`] is current;
-/// per-phase peaks and the windowed peak are reset before every rep.
+/// Per-phase peaks and the windowed peak are reset before every rep.
 ///
 /// # Errors
 ///
@@ -291,8 +290,8 @@ pub fn run_workload(w: &Workload, reps: usize) -> Result<WorkloadResult, String>
     let mut counters = Counters::default();
     for rep in 0..reps.max(1) {
         // Fresh peak windows so each rep reports its own high-water marks.
-        alloc::reset_phase_peaks();
         alloc::reset_window_peak();
+        alloc::reset_phase_peaks();
         let report = std
             .standardize_source(&script)
             .map_err(|e| format!("workload {}: {e}", w.name))?;
@@ -332,7 +331,7 @@ pub fn run_workload(w: &Workload, reps: usize) -> Result<WorkloadResult, String>
             };
         }
     }
-    // All-zero memory means telemetry was off (or the instrumented
+    // All-zero memory means counting was off (or the instrumented
     // allocator is not installed); record nothing rather than a block of
     // zero rows a later gate would misread as "memory went to zero".
     let rows = if samples.iter().flatten().all(|&v| v == 0.0) {
@@ -353,16 +352,13 @@ pub fn run_workload(w: &Workload, reps: usize) -> Result<WorkloadResult, String>
     })
 }
 
-/// Runs a suite into a complete [`BenchEntry`] under full telemetry
-/// (restored afterwards), so per-phase peaks populate.
+/// Runs a suite into a complete [`BenchEntry`].
 ///
 /// # Errors
 ///
 /// The first workload failure.
 pub fn run_suite(workloads: &[Workload], reps: usize) -> Result<BenchEntry, String> {
-    let prev_mode = alloc::set_mode(TelemetryMode::Full);
     let results: Result<Vec<_>, String> = workloads.iter().map(|w| run_workload(w, reps)).collect();
-    alloc::set_mode(prev_mode);
     Ok(BenchEntry {
         schema: TRAJECTORY_SCHEMA,
         commit: commit_hash(),

@@ -88,10 +88,12 @@ pub struct BatchOptions {
     pub memo: bool,
     /// When set, each executed search writes its trace to
     /// `<dir>/<name>.trace.jsonl`; a memo-served script ran no search and
-    /// gets a one-record `memo_hit` stub naming its representative. The
-    /// decision records of every executed script are byte-identical
-    /// across `jobs` and memo settings (stubs only exist with the memo
-    /// on).
+    /// gets a one-record `memo_hit` stub naming its representative. A
+    /// search that fails before writing a record leaves no file, and the
+    /// scripts it serves get no stub, so every file in `dir` is a
+    /// readable trace. The decision records of every executed script are
+    /// byte-identical across `jobs` and memo settings (stubs only exist
+    /// with the memo on).
     pub trace_dir: Option<PathBuf>,
     /// Attach per-script explanations (`explain_diff` texts) to the
     /// deterministic report. Computed serially from the corpus model and
@@ -473,7 +475,8 @@ pub fn standardize_corpus(
 
     // Runs the search for script `i`, with a per-script trace sink when
     // requested (a fresh standardizer per traced script keeps the span
-    // collector per-search).
+    // collector per-search). A search that fails before writing a record
+    // leaves no trace file: an empty file is not a readable trace.
     let run_one = |i: usize| -> std::result::Result<StandardizeReport, String> {
         let module = parsed[i].as_ref().map(|&m| &modules[m])?;
         let Some(dir) = &opts.trace_dir else {
@@ -481,13 +484,17 @@ pub fn standardize_corpus(
         };
         let mut cfg = search_config.clone();
         let path = dir.join(format!("{}.trace.jsonl", scripts[i].name));
-        cfg.trace = Some(
-            TraceSink::to_file(&path)
-                .map_err(|e| format!("cannot open trace file {}: {e}", path.display()))?,
-        );
-        Standardizer::from_model(model.clone(), data_path, data.clone(), cfg)
+        let sink = TraceSink::to_file(&path)
+            .map_err(|e| format!("cannot open trace file {}: {e}", path.display()))?;
+        cfg.trace = Some(sink.clone());
+        let outcome = Standardizer::from_model(model.clone(), data_path, data.clone(), cfg)
             .and_then(|std| std.standardize(module))
-            .map_err(|e| e.to_string())
+            .map_err(|e| e.to_string());
+        if outcome.is_err() && sink.records() == 0 {
+            drop(sink);
+            let _ = std::fs::remove_file(&path);
+        }
+        outcome
     };
     // A search-level panic (beyond the per-candidate isolation inside the
     // search) downgrades to this script's error, never the batch's.
@@ -535,12 +542,16 @@ pub fn standardize_corpus(
 
     // Memo-hit scripts never ran a search, so their trace file is a stub
     // pointing at the representative whose full stream carries the
-    // decisions.
+    // decisions. A failed representative's group gets none: the error is
+    // in the report, and there is no stream to point at.
     if let Some(dir) = &opts.trace_dir {
         for (r, job) in results.iter().zip(&job_of) {
             let (true, Ok(j)) = (r.memo_hit, job) else {
                 continue;
             };
+            if job_results[*j].is_err() {
+                continue;
+            }
             let path = dir.join(format!("{}.trace.jsonl", r.name));
             let sink = TraceSink::to_file(&path).map_err(|e| {
                 crate::error::CoreError::BadConfig(format!(

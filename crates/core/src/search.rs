@@ -95,9 +95,10 @@ pub struct SearchContext<'a> {
 /// batch satisfies by construction.
 ///
 /// This is the **only** place batch-path code may construct an interner or
-/// a prefix cache (`scripts/check.sh` grep-gates this); each search then
-/// borrows the interner and takes a per-search [`PrefixCache::shared_view`]
-/// so hit/miss/eviction counts stay attributed per search.
+/// a prefix cache (`tests/batch.rs` fails if a batch search gets its own);
+/// each search then borrows the interner and takes a per-search
+/// [`PrefixCache::shared_view`] so hit/miss/eviction counts stay
+/// attributed per search.
 #[derive(Debug, Default)]
 pub struct SharedSearchState {
     interner: StmtInterner,
@@ -834,16 +835,6 @@ pub fn standardize_search(ctx: &SearchContext, input: &Module) -> SearchOutcome 
     reg.counter(Metric::MemBytesTotal).add(mem.total_bytes());
     reg.counter(Metric::MemAllocs).add(mem.total_allocs());
     reg.counter(Metric::MemPeakBytes).set_max(alloc::peak_bytes());
-    // Size classes populate only in `Full` telemetry mode; fold them as
-    // pre-bucketed counts so the fleet roll-up can merge histograms.
-    if mem.size_buckets.iter().any(|&n| n > 0) {
-        let h_sizes = reg.histogram(Metric::MemAllocSize);
-        for (idx, &n) in mem.size_buckets.iter().enumerate() {
-            if n > 0 {
-                h_sizes.add_bucket_count(idx, n);
-            }
-        }
-    }
     h_total.record_ns(ms_to_ns(t_total.elapsed().as_secs_f64() * 1e3));
     let timings = Timings::from_registry(&reg);
     // Fleet roll-up: a long-lived process hands every search the same

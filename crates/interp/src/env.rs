@@ -289,18 +289,9 @@ impl Interpreter {
         module: &Module,
         cache: &crate::cache::PrefixCache,
     ) -> Result<ExecOutcome> {
-        self.run_with_cache_usage(module, cache).0
-    }
-
-    /// [`Interpreter::run_with_cache`] with resource-usage reporting.
-    pub fn run_with_cache_usage(
-        &self,
-        module: &Module,
-        cache: &crate::cache::PrefixCache,
-    ) -> (Result<ExecOutcome>, BudgetUsage) {
         let mut state = RunState::fresh(Some(cache));
         let res = self.run_inner(&module_refs(module), false, &mut state);
-        Self::finish(res, state)
+        Self::finish(res, state).0
     }
 
     /// The single governed execution loop behind every `run*` entry point:
@@ -396,15 +387,6 @@ impl Interpreter {
     /// `CheckIfExecutes()`.
     pub fn check_executes(&self, module: &Module) -> bool {
         self.run(module).is_ok()
-    }
-
-    /// [`Interpreter::check_executes`] through the prefix cache.
-    pub fn check_executes_with_cache(
-        &self,
-        module: &Module,
-        cache: &crate::cache::PrefixCache,
-    ) -> bool {
-        self.run_with_cache(module, cache).is_ok()
     }
 
     fn exec_stmt(&self, stmt: &Stmt, state: &mut RunState) -> Result<()> {
@@ -857,8 +839,13 @@ mod tests {
         .unwrap();
         let (_, cold) = i.run_with_usage(&module);
         let cache = crate::cache::PrefixCache::default();
-        let (_, first) = i.run_with_cache_usage(&module, &cache);
-        let (_, resumed) = i.run_with_cache_usage(&module, &cache);
+        let cached_usage = || {
+            let mut state = RunState::fresh(Some(&cache));
+            let res = i.run_inner(&module_refs(&module), false, &mut state);
+            Interpreter::finish(res, state).1
+        };
+        let first = cached_usage();
+        let resumed = cached_usage();
         assert!(cache.hits() > 0, "second run must resume from a snapshot");
         assert_eq!(cold, first);
         assert_eq!(cold, resumed);

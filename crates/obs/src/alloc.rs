@@ -1,13 +1,12 @@
 //! Memory telemetry: an instrumented [`GlobalAlloc`] wrapper with
 //! thread-local phase attribution.
 //!
-//! [`LucidAlloc`] wraps the system allocator and, depending on the
-//! global [`TelemetryMode`], records every allocation into a fixed set
-//! of static atomics — per-phase byte and allocation-count totals, a
-//! live-bytes gauge, monotonic and windowed peaks, and (in `Full` mode)
-//! a log₂ size-class histogram. Phases mirror the paper's Figure 7
-//! breakdown: enumerate / execute / score / verify, plus a catch-all
-//! for allocations made outside any tagged region.
+//! [`LucidAlloc`] wraps the system allocator and records every
+//! allocation into a fixed set of static atomics — per-phase byte and
+//! allocation-count totals, a live-bytes gauge, and monotonic, windowed
+//! and per-phase peaks. Phases mirror the paper's Figure 7 breakdown:
+//! enumerate / execute / score / verify, plus a catch-all for
+//! allocations made outside any tagged region.
 //!
 //! Hard constraints, in order:
 //!
@@ -16,16 +15,23 @@
 //!    allocator cannot re-enter itself. Folding the raw counters into a
 //!    [`Registry`](crate::Registry) (which *does* allocate) happens at
 //!    search boundaries in `lucid-core`, via [`snapshot`] deltas.
-//! 2. **The default mode is cheap enough to leave on.** `Counting`
+//! 2. **Cheap enough to leave on.** There is one record path: it
 //!    batches into the thread-local buffer and drains it at batch
 //!    thresholds and measurement boundaries, so the per-allocation cost
 //!    is a few plain (non-atomic) adds; the bench harness pins the
-//!    end-to-end overhead budget.
+//!    end-to-end overhead budget against [`set_counting`]`(false)`, the
+//!    uninstrumented baseline.
 //! 3. **Measurement only.** Nothing here influences allocation sizes,
 //!    addresses, or ordering — the determinism suite must stay
-//!    byte-identical with any [`TelemetryMode`] selected.
+//!    byte-identical with counting on or off.
 //! 4. **Thread-destruction safe.** Allocations during TLS teardown fall
 //!    back to [`Phase::Unattributed`] instead of panicking.
+//!
+//! Byte and allocation totals are exact at every measurement boundary.
+//! The peaks are flush-granular: they move only when a thread drains
+//! its buffer, so they lag true live bytes by at most 32 KiB per
+//! thread, and adding or removing a boundary (a [`snapshot`] call) can
+//! move them by that much.
 //!
 //! The counters are process-global: concurrent searches in one process
 //! interleave their attributions. Per-search deltas therefore satisfy
@@ -35,64 +41,9 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 
-use crate::metrics::HISTOGRAM_BUCKETS;
 use crate::timings::Metric;
-
-/// How much the instrumented allocator records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TelemetryMode {
-    /// Pass-through: the wrapper delegates to [`System`] untouched.
-    Off,
-    /// Per-phase byte/allocation counters, live gauge, and peaks.
-    Counting,
-    /// Everything in `Counting`, plus per-phase peak tracking and the
-    /// log₂ allocation-size histogram.
-    Full,
-}
-
-impl TelemetryMode {
-    fn from_u8(v: u8) -> TelemetryMode {
-        match v {
-            0 => TelemetryMode::Off,
-            2 => TelemetryMode::Full,
-            _ => TelemetryMode::Counting,
-        }
-    }
-
-    fn as_u8(self) -> u8 {
-        match self {
-            TelemetryMode::Off => 0,
-            TelemetryMode::Counting => 1,
-            TelemetryMode::Full => 2,
-        }
-    }
-
-    /// The mode's CLI spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            TelemetryMode::Off => "off",
-            TelemetryMode::Counting => "counting",
-            TelemetryMode::Full => "full",
-        }
-    }
-}
-
-impl std::str::FromStr for TelemetryMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<TelemetryMode, String> {
-        match s {
-            "off" => Ok(TelemetryMode::Off),
-            "counting" => Ok(TelemetryMode::Counting),
-            "full" => Ok(TelemetryMode::Full),
-            other => Err(format!(
-                "unknown telemetry mode '{other}' (expected off|counting|full)"
-            )),
-        }
-    }
-}
 
 /// The search phase an allocation is attributed to. The four named
 /// phases match the Figure 7 breakdown; everything else (parsing,
@@ -138,7 +89,7 @@ impl Phase {
     }
 }
 
-static MODE: AtomicU8 = AtomicU8::new(1); // Counting by default.
+static COUNTING: AtomicBool = AtomicBool::new(true);
 
 /// Events (allocations + deallocations) a thread buffers before a
 /// forced flush into the global atomics.
@@ -149,9 +100,9 @@ const FLUSH_EVERY: u32 = 64;
 /// always flushes immediately.
 const FLUSH_LIVE_SLACK: u64 = 32 * 1024;
 
-/// Per-thread attribution buffer. In `Counting` mode the record path
-/// writes only these plain cells — no atomics — and drains them into
-/// the globals on batch thresholds and at every measurement boundary
+/// Per-thread attribution buffer. The record path writes only these
+/// plain cells — no atomics — and drains them into the globals on
+/// batch thresholds and at every measurement boundary
 /// ([`snapshot`], [`flush_tls`], the gauge getters), so windows
 /// delimited by those boundaries are exact. Deliberately has no `Drop`:
 /// a TLS destructor would be registered lazily from inside the
@@ -191,24 +142,32 @@ impl TlsBuf {
 
     /// Drains every buffered count into the global atomics. Touches no
     /// allocator — safe to run from inside the allocation hook.
+    ///
+    /// A batch that raised live bytes raises the process and window
+    /// peaks to the new live level, and with them the peak of every
+    /// phase that allocated in the batch.
     fn flush(&self) {
         self.events.set(0);
+        let delta = self.live.replace(0);
+        let mut live = 0;
+        if delta != 0 {
+            live = (LIVE_BYTES.fetch_add(delta, Ordering::Relaxed) + delta).max(0) as u64;
+            if delta > 0 {
+                raise_peak(&PEAK_BYTES, live);
+                raise_peak(&WINDOW_PEAK_BYTES, live);
+            }
+        }
         for i in 0..NUM_PHASES {
             let b = self.bytes[i].replace(0);
             if b > 0 {
                 PHASE_BYTES[i].fetch_add(b, Ordering::Relaxed);
+                if delta > 0 {
+                    raise_peak(&PHASE_PEAK[i], live);
+                }
             }
             let a = self.allocs[i].replace(0);
             if a > 0 {
                 PHASE_ALLOCS[i].fetch_add(a, Ordering::Relaxed);
-            }
-        }
-        let delta = self.live.replace(0);
-        if delta != 0 {
-            let live = (LIVE_BYTES.fetch_add(delta, Ordering::Relaxed) + delta).max(0) as u64;
-            if delta > 0 {
-                raise_peak(&PEAK_BYTES, live);
-                raise_peak(&WINDOW_PEAK_BYTES, live);
             }
         }
     }
@@ -250,20 +209,13 @@ static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
 static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
 static WINDOW_PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
 
-#[allow(clippy::declare_interior_mutable_const)]
-const ZERO: AtomicU64 = AtomicU64::new(0);
-static SIZE_BUCKETS: [AtomicU64; HISTOGRAM_BUCKETS] = [ZERO; HISTOGRAM_BUCKETS];
-
-/// The process-wide telemetry mode (default: [`TelemetryMode::Counting`]).
-pub fn mode() -> TelemetryMode {
-    TelemetryMode::from_u8(MODE.load(Ordering::Relaxed))
-}
-
-/// Sets the process-wide telemetry mode, returning the previous one.
-/// Purely a measurement knob — search results are identical in every
-/// mode.
-pub fn set_mode(mode: TelemetryMode) -> TelemetryMode {
-    TelemetryMode::from_u8(MODE.swap(mode.as_u8(), Ordering::Relaxed))
+/// Turns allocator counting on (the default) or off, returning the
+/// previous setting. Off makes [`LucidAlloc`] a pass-through to
+/// [`System`] — the uninstrumented baseline the overhead harness times
+/// against. Purely a measurement switch: search results are identical
+/// either way.
+pub fn set_counting(on: bool) -> bool {
+    COUNTING.swap(on, Ordering::Relaxed)
 }
 
 fn current_phase_index() -> usize {
@@ -322,42 +274,18 @@ fn raise_peak(target: &AtomicU64, v: u64) {
     }
 }
 
-/// The slow path shared by `Full` mode (whose per-phase peaks and size
-/// buckets need the live gauge current at every allocation) and the
-/// TLS-teardown fallback: write the global atomics directly.
-fn note_alloc_direct(idx: usize, size: u64, full: bool) {
-    PHASE_BYTES[idx].fetch_add(size, Ordering::Relaxed);
-    PHASE_ALLOCS[idx].fetch_add(1, Ordering::Relaxed);
-    let live = LIVE_BYTES.fetch_add(size as i64, Ordering::Relaxed) + size as i64;
-    let live = live.max(0) as u64;
-    raise_peak(&PEAK_BYTES, live);
-    raise_peak(&WINDOW_PEAK_BYTES, live);
-    if full {
-        raise_peak(&PHASE_PEAK[idx], live);
-        let bucket = (63 - size.max(1).leading_zeros() as usize).min(HISTOGRAM_BUCKETS - 1);
-        SIZE_BUCKETS[bucket].fetch_add(1, Ordering::Relaxed);
-    }
-}
-
 /// Records one allocation of `size` bytes. Called by [`LucidAlloc`];
 /// public so unit tests and benches can exercise the accounting without
 /// installing the global allocator.
 ///
-/// `Counting` mode — the always-on default — buffers into the thread's
-/// [`TlsBuf`] and pays no atomics until a batch threshold or boundary
-/// flush; `Full` mode takes the direct path so its per-allocation
-/// gauges stay exact.
+/// Buffers into the thread's [`TlsBuf`] and pays no atomics until a
+/// batch threshold or boundary flush.
 #[inline]
 pub fn note_alloc(size: usize) {
-    let mode = TelemetryMode::from_u8(MODE.load(Ordering::Relaxed));
-    if mode == TelemetryMode::Off {
+    if !COUNTING.load(Ordering::Relaxed) {
         return;
     }
     let size = size as u64;
-    if mode == TelemetryMode::Full {
-        note_alloc_direct(current_phase_index(), size, true);
-        return;
-    }
     let buffered = TLS_BUF.try_with(|b| {
         let idx = (b.phase.get() as usize).min(NUM_PHASES - 1);
         b.bytes[idx].set(b.bytes[idx].get() + size);
@@ -371,35 +299,38 @@ pub fn note_alloc(size: usize) {
         }
     });
     if buffered.is_err() {
-        // TLS teardown: attribute directly (and unattributed).
-        note_alloc_direct(Phase::Unattributed as usize, size, false);
+        // TLS teardown: write the globals directly, unattributed.
+        let idx = Phase::Unattributed as usize;
+        PHASE_BYTES[idx].fetch_add(size, Ordering::Relaxed);
+        PHASE_ALLOCS[idx].fetch_add(1, Ordering::Relaxed);
+        let live = (LIVE_BYTES.fetch_add(size as i64, Ordering::Relaxed) + size as i64).max(0);
+        for peak in [&PEAK_BYTES, &WINDOW_PEAK_BYTES, &PHASE_PEAK[idx]] {
+            raise_peak(peak, live as u64);
+        }
     }
 }
 
 /// Records one deallocation of `size` bytes (see [`note_alloc`]).
 #[inline]
 pub fn note_dealloc(size: usize) {
-    let mode = TelemetryMode::from_u8(MODE.load(Ordering::Relaxed));
-    if mode == TelemetryMode::Off {
+    if !COUNTING.load(Ordering::Relaxed) {
         return;
     }
-    if mode == TelemetryMode::Counting {
-        let buffered = TLS_BUF.try_with(|b| {
-            let live = b.live.get() - size as i64;
-            b.live.set(live);
-            let events = b.events.get() + 1;
-            b.events.set(events);
-            if events >= FLUSH_EVERY || live.unsigned_abs() >= FLUSH_LIVE_SLACK {
-                b.flush();
-            }
-        });
-        if buffered.is_ok() {
-            return;
+    let buffered = TLS_BUF.try_with(|b| {
+        let live = b.live.get() - size as i64;
+        b.live.set(live);
+        let events = b.events.get() + 1;
+        b.events.set(events);
+        if events >= FLUSH_EVERY || live.unsigned_abs() >= FLUSH_LIVE_SLACK {
+            b.flush();
         }
+    });
+    if buffered.is_err() {
+        // Live can transiently go negative when counting was switched on
+        // after the matching allocation went uncounted; reads clamp at
+        // zero.
+        LIVE_BYTES.fetch_sub(size as i64, Ordering::Relaxed);
     }
-    // Live can transiently go negative when mode was toggled after the
-    // matching allocation went uncounted; reads clamp at zero.
-    LIVE_BYTES.fetch_sub(size as i64, Ordering::Relaxed);
 }
 
 /// Bytes currently live (allocated minus freed since counting began).
@@ -427,8 +358,8 @@ pub fn reset_window_peak() -> u64 {
     WINDOW_PEAK_BYTES.swap(live_bytes(), Ordering::Relaxed)
 }
 
-/// Zeroes the per-phase peak gauges (tracked in `Full` mode only), so a
-/// measurement window sees only its own high-water marks.
+/// Zeroes the per-phase peak gauges, so a measurement window sees only
+/// its own high-water marks.
 pub fn reset_phase_peaks() {
     for p in &PHASE_PEAK {
         p.store(0, Ordering::Relaxed);
@@ -444,7 +375,8 @@ pub struct AllocSnapshot {
     pub phase_bytes: [u64; NUM_PHASES],
     /// Allocation count per phase since process start.
     pub phase_allocs: [u64; NUM_PHASES],
-    /// Per-phase live-bytes high-water marks (`Full` mode).
+    /// Per-phase live-bytes high-water marks: the highest live level a
+    /// flush reached while draining bytes of that phase.
     pub phase_peak_bytes: [u64; NUM_PHASES],
     /// Live bytes at snapshot time.
     pub live_bytes: u64,
@@ -452,9 +384,6 @@ pub struct AllocSnapshot {
     pub peak_bytes: u64,
     /// Peak since the last [`reset_window_peak`].
     pub window_peak_bytes: u64,
-    /// Log₂ size-class counts (`Full` mode); bucket `i` holds
-    /// allocations of `[2^i, 2^{i+1})` bytes.
-    pub size_buckets: [u64; HISTOGRAM_BUCKETS],
 }
 
 /// Allocation activity between two snapshots.
@@ -464,8 +393,6 @@ pub struct AllocDelta {
     pub phase_bytes: [u64; NUM_PHASES],
     /// Allocations per phase inside the window.
     pub phase_allocs: [u64; NUM_PHASES],
-    /// Size-class counts inside the window.
-    pub size_buckets: [u64; HISTOGRAM_BUCKETS],
 }
 
 impl AllocDelta {
@@ -487,14 +414,10 @@ impl AllocSnapshot {
         let mut d = AllocDelta {
             phase_bytes: [0; NUM_PHASES],
             phase_allocs: [0; NUM_PHASES],
-            size_buckets: [0; HISTOGRAM_BUCKETS],
         };
         for i in 0..NUM_PHASES {
             d.phase_bytes[i] = self.phase_bytes[i].wrapping_sub(earlier.phase_bytes[i]);
             d.phase_allocs[i] = self.phase_allocs[i].wrapping_sub(earlier.phase_allocs[i]);
-        }
-        for i in 0..HISTOGRAM_BUCKETS {
-            d.size_buckets[i] = self.size_buckets[i].wrapping_sub(earlier.size_buckets[i]);
         }
         d
     }
@@ -511,7 +434,6 @@ pub fn snapshot() -> AllocSnapshot {
         live_bytes: live_bytes(),
         peak_bytes: peak_bytes(),
         window_peak_bytes: window_peak_bytes(),
-        size_buckets: std::array::from_fn(|i| SIZE_BUCKETS[i].load(Ordering::Relaxed)),
     }
 }
 
@@ -572,7 +494,7 @@ mod tests {
     use std::sync::Mutex;
 
     // The counters are process-global statics; serialize the tests that
-    // read deltas or toggle the mode so they don't observe each other.
+    // read deltas or toggle counting so they don't observe each other.
     static TEST_LOCK: Mutex<()> = Mutex::new(());
 
     fn lock() -> std::sync::MutexGuard<'static, ()> {
@@ -598,7 +520,7 @@ mod tests {
     #[test]
     fn notes_attribute_to_the_tagged_phase_and_sum_to_total() {
         let _l = lock();
-        let prev = set_mode(TelemetryMode::Full);
+        let prev = set_counting(true);
         let before = snapshot();
         {
             let _g = PhaseGuard::enter(Phase::Score);
@@ -608,7 +530,7 @@ mod tests {
         note_alloc(8); // unattributed
         note_dealloc(24);
         let delta = snapshot().delta_since(&before);
-        set_mode(prev);
+        set_counting(prev);
 
         let score = Phase::Score as usize;
         assert_eq!(delta.phase_bytes[score], 1024);
@@ -621,16 +543,12 @@ mod tests {
             delta.phase_bytes.iter().sum::<u64>(),
             "total is the sum of phase deltas by construction"
         );
-        // Full mode populated size classes: 1000 → bucket 9, 24 → 4, 8 → 3.
-        assert_eq!(delta.size_buckets[9], 1);
-        assert_eq!(delta.size_buckets[4], 1);
-        assert_eq!(delta.size_buckets[3], 1);
     }
 
     #[test]
     fn peak_tracks_live_high_water_and_windows_reset() {
         let _l = lock();
-        let prev = set_mode(TelemetryMode::Counting);
+        let prev = set_counting(true);
         reset_window_peak();
         let base = live_bytes();
         note_alloc(1 << 20);
@@ -642,48 +560,48 @@ mod tests {
         let old_window = reset_window_peak();
         assert!(old_window >= base + (1 << 20));
         assert!(window_peak_bytes() <= old_window);
-        set_mode(prev);
+        set_counting(prev);
     }
 
     #[test]
-    fn off_mode_counts_nothing() {
+    fn phase_peaks_rise_at_the_flush_that_drains_the_phase() {
         let _l = lock();
-        let prev = set_mode(TelemetryMode::Off);
+        let prev = set_counting(true);
+        flush_tls();
+        reset_phase_peaks();
+        let base = live_bytes();
+        {
+            let _g = PhaseGuard::enter(Phase::Verify);
+            // Over the live slack: flushes at once.
+            note_alloc(64 * 1024);
+        }
+        let snap = snapshot();
+        let verify = snap.phase_peak_bytes[Phase::Verify as usize];
+        assert!(
+            verify >= base + 64 * 1024,
+            "verify peak {verify} below live"
+        );
+        assert_eq!(snap.phase_peak_bytes[Phase::Score as usize], 0);
+        note_dealloc(64 * 1024);
+        // Freeing raises nothing.
+        assert_eq!(snapshot().phase_peak_bytes[Phase::Verify as usize], verify);
+        set_counting(prev);
+    }
+
+    #[test]
+    fn counting_off_counts_nothing() {
+        let _l = lock();
+        let prev = set_counting(false);
         let before = snapshot();
         note_alloc(4096);
         note_dealloc(4096);
         let delta = snapshot().delta_since(&before);
-        set_mode(prev);
+        assert!(
+            !set_counting(prev),
+            "set_counting returns the previous setting"
+        );
         assert_eq!(delta.total_bytes(), 0);
         assert_eq!(delta.total_allocs(), 0);
-    }
-
-    #[test]
-    fn counting_mode_skips_full_only_gauges() {
-        let _l = lock();
-        let prev = set_mode(TelemetryMode::Counting);
-        let before = snapshot();
-        {
-            let _g = PhaseGuard::enter(Phase::Verify);
-            note_alloc(512);
-        }
-        let delta = snapshot().delta_since(&before);
-        set_mode(prev);
-        assert_eq!(delta.phase_bytes[Phase::Verify as usize], 512);
-        assert_eq!(delta.size_buckets.iter().sum::<u64>(), 0);
-    }
-
-    #[test]
-    fn mode_parses_and_round_trips() {
-        for mode in [
-            TelemetryMode::Off,
-            TelemetryMode::Counting,
-            TelemetryMode::Full,
-        ] {
-            assert_eq!(mode.name().parse::<TelemetryMode>().unwrap(), mode);
-            assert_eq!(TelemetryMode::from_u8(mode.as_u8()), mode);
-        }
-        assert!("verbose".parse::<TelemetryMode>().is_err());
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Snapshot exporters: Prometheus-style text exposition, a JSON
-//! snapshot, and a periodic [`StatsReporter`] ticker thread.
+//! Snapshot exporters: Prometheus-style text exposition and a JSON
+//! snapshot, written once when a run ends (`--stats-out`).
 //!
 //! Both exporters render a [`RegistrySnapshot`] — a point-in-time copy —
 //! so they never hold registry locks while formatting or writing.
@@ -11,10 +11,6 @@
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
 
 use crate::metrics::{Registry, RegistrySnapshot};
 
@@ -75,8 +71,7 @@ fn render_for(path: &Path, snapshot: &RegistrySnapshot) -> String {
 }
 
 /// Writes a snapshot of `registry` to `path` (format by extension,
-/// atomic rename). This is the on-demand path; [`StatsReporter`] calls
-/// it on a timer.
+/// atomic rename).
 pub fn write_snapshot(registry: &Registry, path: &Path) -> Result<(), String> {
     let body = render_for(path, &registry.snapshot());
     let tmp = tmp_sibling(path);
@@ -96,73 +91,6 @@ fn tmp_sibling(path: &Path) -> PathBuf {
         .unwrap_or_else(|| "stats".into());
     name.push(".tmp");
     path.with_file_name(name)
-}
-
-/// A background thread that re-exports a registry snapshot to a file
-/// every `interval`. Dropping the reporter (or calling [`stop`]) writes
-/// one final snapshot and joins the thread, so the file always reflects
-/// the registry's end state.
-///
-/// [`stop`]: StatsReporter::stop
-#[derive(Debug)]
-pub struct StatsReporter {
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
-    registry: Arc<Registry>,
-    path: PathBuf,
-}
-
-impl StatsReporter {
-    /// Spawns the ticker. `interval` is clamped to ≥ 1 ms so a zero
-    /// interval cannot spin.
-    pub fn spawn(registry: Arc<Registry>, path: PathBuf, interval: Duration) -> StatsReporter {
-        let interval = interval.max(Duration::from_millis(1));
-        let stop = Arc::new(AtomicBool::new(false));
-        let thread_stop = Arc::clone(&stop);
-        let thread_registry = Arc::clone(&registry);
-        let thread_path = path.clone();
-        let handle = std::thread::spawn(move || {
-            // Ticks in small slices so stop latency stays ~10 ms even
-            // with long intervals. Write errors are ignored here — the
-            // final write in `stop()` surfaces them.
-            let slice = Duration::from_millis(10).min(interval);
-            let mut elapsed = Duration::ZERO;
-            while !thread_stop.load(Ordering::Relaxed) {
-                std::thread::sleep(slice);
-                elapsed += slice;
-                if elapsed >= interval {
-                    elapsed = Duration::ZERO;
-                    let _ = write_snapshot(&thread_registry, &thread_path);
-                }
-            }
-        });
-        StatsReporter {
-            stop,
-            handle: Some(handle),
-            registry,
-            path,
-        }
-    }
-
-    /// Signals the ticker, joins it, and writes the final snapshot.
-    pub fn stop(mut self) -> Result<(), String> {
-        self.shutdown()
-    }
-
-    fn shutdown(&mut self) -> Result<(), String> {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-            return write_snapshot(&self.registry, &self.path);
-        }
-        Ok(())
-    }
-}
-
-impl Drop for StatsReporter {
-    fn drop(&mut self) {
-        let _ = self.shutdown();
-    }
 }
 
 #[cfg(test)]
@@ -217,40 +145,6 @@ mod tests {
         let parsed: serde_json::Value =
             serde_json::from_str(&fs::read_to_string(&json).unwrap()).unwrap();
         assert!(parsed.get("histograms").is_some());
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn reporter_writes_on_ticks_and_finalizes_on_stop() {
-        let dir = std::env::temp_dir().join(format!("lucid-reporter-{}", std::process::id()));
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("live.json");
-        let reg = Arc::new(Registry::new());
-        reg.counter(Metric::BatchScripts).add(1);
-
-        let reporter = StatsReporter::spawn(
-            Arc::clone(&reg),
-            path.clone(),
-            Duration::from_millis(5),
-        );
-        // Wait for at least one periodic write.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while !path.exists() && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert!(path.exists(), "reporter never ticked");
-
-        reg.counter(Metric::BatchScripts).add(41);
-        reporter.stop().unwrap();
-        let v: serde_json::Value =
-            serde_json::from_str(&fs::read_to_string(&path).unwrap()).unwrap();
-        let counters = v.get("counters").and_then(|c| c.as_array()).unwrap();
-        let tick = counters
-            .iter()
-            .find(|c| c.get("name").and_then(|n| n.as_str()) == Some("search.batch_scripts"))
-            .unwrap();
-        // The stop() write reflects the registry's end state.
-        assert_eq!(tick.get("value").and_then(|x| x.as_f64()), Some(42.0));
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -58,13 +58,13 @@ pub mod span;
 pub mod summary;
 pub mod timings;
 
-pub use alloc::{AllocDelta, AllocSnapshot, LucidAlloc, Phase, PhaseGuard, TelemetryMode};
+pub use alloc::{AllocDelta, AllocSnapshot, LucidAlloc, Phase, PhaseGuard};
 pub use decision::{
     CandRecord, DecisionEndRecord, Decisions, DiffLineRecord, Disposition, Drops, LineageRecord,
     MemoHitRecord,
 };
 pub use event::TRACE_SCHEMA_VERSION;
-pub use export::{prometheus_text, snapshot_json, StatsReporter};
+pub use export::{prometheus_text, snapshot_json};
 pub use flame::{fold_spans, to_folded, FoldedFrame};
 pub use metrics::{Counter, Histogram, Percentiles, Registry};
 pub use profile::{PercentileRow, ProfileReport};

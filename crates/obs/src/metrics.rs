@@ -176,24 +176,6 @@ impl Histogram {
         self.max_ns.store(0, Ordering::Relaxed);
     }
 
-    /// Folds `n` observations directly into bucket `idx`, each accounted
-    /// at the bucket's lower bound `2^idx`. This is how pre-bucketed
-    /// counts (the allocator's size classes) enter a registry histogram
-    /// without replaying individual observations; the sum/max aggregates
-    /// are therefore lower bounds, while `count` and percentiles keep
-    /// their usual bucket resolution.
-    pub fn add_bucket_count(&self, idx: usize, n: u64) {
-        if n == 0 {
-            return;
-        }
-        let idx = idx.min(HISTOGRAM_BUCKETS - 1);
-        let lo = 1u64 << idx;
-        self.buckets[idx].fetch_add(n, Ordering::Relaxed);
-        self.count.fetch_add(n, Ordering::Relaxed);
-        self.sum_ns.fetch_add(lo.saturating_mul(n), Ordering::Relaxed);
-        self.max_ns.fetch_max(lo, Ordering::Relaxed);
-    }
-
     /// Folds `other` into `self`: buckets, counts, and sums add; the max
     /// takes the larger side. Merging is commutative and associative on
     /// every aggregate, so per-search histograms roll up into a

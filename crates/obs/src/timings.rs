@@ -229,7 +229,7 @@ metric_table! {
     dag_incremental_updates: u64 => DagIncremental("dag.incremental_updates", Sum),
     /// Bytes allocated during `GetSteps` enumeration + scoring workers.
     /// All `alloc_*`/`peak_live_bytes` fields are zero when allocator
-    /// telemetry is off or the instrumented allocator is not installed.
+    /// counting is off or the instrumented allocator is not installed.
     alloc_bytes_enumerate: u64 => MemBytesEnumerate("mem.bytes_enumerate", Sum),
     /// Bytes allocated during interpreter execution checks.
     alloc_bytes_execute: u64 => MemBytesExecute("mem.bytes_execute", Sum),
@@ -246,8 +246,6 @@ metric_table! {
     /// Process live-bytes high-water mark at search end.
     peak_live_bytes: u64 => MemPeakBytes("mem.peak_bytes", Max),
     ;
-    /// Log₂ allocation-size histogram (`Full` telemetry mode only).
-    MemAllocSize("mem.alloc_size"),
     /// Batch-mode full-result memo hits (scripts served without a search).
     MemoHits("cache.memo_hits"),
     /// Batch-mode full-result memo misses (fresh searches executed).
@@ -326,7 +324,7 @@ mod tests {
     #[test]
     fn metric_names_are_distinct() {
         let mut names: Vec<&str> = Metric::ALL.iter().map(|m| m.name()).collect();
-        assert_eq!(names.len(), 35, "31 Timings rows + 4 registry-only metrics");
+        assert_eq!(names.len(), 34, "31 Timings rows + 3 registry-only metrics");
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), Metric::ALL.len(), "two metrics share a name");

@@ -1,7 +1,6 @@
 //! Property tests for histogram / registry merging — the roll-up
 //! primitive per-search registries use to feed a process-wide one.
 
-use lucid_obs::metrics::HISTOGRAM_BUCKETS;
 use lucid_obs::{Histogram, Metric, Registry};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -161,24 +160,4 @@ fn merged_snapshot_lists_every_counter_zeros_included() {
     };
     assert_eq!(names(&fleet), names(&search));
     assert_eq!(fleet.snapshot().counters.len(), 4);
-}
-
-#[test]
-fn add_bucket_count_matches_lower_bound_accounting() {
-    let h = Histogram::new();
-    h.add_bucket_count(10, 3); // 3 observations accounted at 1024 ns
-    h.add_bucket_count(0, 1);
-    h.add_bucket_count(HISTOGRAM_BUCKETS + 5, 2); // clamps to last bucket
-    assert_eq!(h.count(), 6);
-    let buckets = h.bucket_counts();
-    assert_eq!(buckets[10], 3);
-    assert_eq!(buckets[0], 1);
-    assert_eq!(buckets[HISTOGRAM_BUCKETS - 1], 2);
-    h.add_bucket_count(4, 0); // no-op
-    assert_eq!(h.count(), 6);
-    // Merging a pre-bucketed histogram keeps the counts exact.
-    let m = Histogram::new();
-    m.merge_from(&h);
-    assert_eq!(m.bucket_counts(), h.bucket_counts());
-    assert_eq!(m.count(), 6);
 }

@@ -3,12 +3,15 @@
 # zero-warning clippy on every workspace crate; the allocation-byte
 # regression gate against the committed BENCH_search.json; the
 # decision-stability smokes of the committed benchmark (benchmark/,
-# which owns wall time); three grep gates
-# (interned IR, columnar kernels, batch shared state); and the batch,
-# trace and overhead smokes. Metric names need no gate: the registry
-# accepts only lucid_obs::Metric handles, and panic paths need none:
-# lucid-interp denies clippy::unwrap_used/expect_used/panic outside
-# tests, which the clippy step enforces.
+# which owns wall time); two grep gates
+# (interned IR, columnar kernels); and the batch, trace and overhead
+# smokes. Metric names need no gate: the registry accepts only
+# lucid_obs::Metric handles; panic paths need none: lucid-interp denies
+# clippy::unwrap_used/expect_used/panic outside tests, which the clippy
+# step enforces; and batch shared state needs none: tests/batch.rs fails
+# if a batch search gets its own prefix cache
+# (batch_trace_timings_and_store_totals_reconcile) or its own interner
+# (batch_interner_is_shared_across_searches).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -118,21 +121,6 @@ if [ "$gate_failed" -ne 0 ]; then
   exit 1
 fi
 
-# The batch path must construct its interner and prefix cache through
-# SharedSearchState only — a per-search `StmtInterner::new()` or
-# `PrefixCache::with_capacity()` in core::batch silently reverts the
-# cross-search sharing the batch exists for.
-echo "==> batch shared-state grep gate (core::batch constructs via SharedSearchState)"
-batch_hits=$(awk '/#\[cfg\(test\)\]/{exit} {print NR": "$0}' crates/core/src/batch.rs \
-  | grep -vE '^[0-9]+: *(//|//!)' \
-  | grep -E 'StmtInterner::new\(|PrefixCache::with_capacity\(|PrefixCache::default\(' || true)
-if [ -n "$batch_hits" ]; then
-  echo "per-search interner/cache construction in crates/core/src/batch.rs:"
-  echo "$batch_hits"
-  echo "==> FAIL: the batch path must share state via SharedSearchState"
-  exit 1
-fi
-
 # Batch smoke: a tiny corpus standardized with the memo on and two
 # workers must produce a deterministic report byte-identical to a
 # serial, memo-less run (the tentpole determinism contract, end to end
@@ -206,14 +194,13 @@ if ! ./target/release/lucid trace "$batch_smoke/t1.jsonl" | grep -q 'Figure 7'; 
   exit 1
 fi
 
-# Telemetry overhead smoke: the always-on allocator attribution must
-# stay cheap, and opt-in tracing must stay under its pinned budget (off
-# within noise; on 30% or 3 ms). Every arm is wall time around one
-# standardization, so every trace record written is counted, and the
-# arms run interleaved rep by rep so host speed drift lands on all of
-# them. Counting-only keeps the smoke fast; the full three-mode sweep
-# runs via `lucid bench --telemetry-overhead` on demand.
+# Telemetry overhead smoke: the always-on allocator counting must stay
+# cheap against counting off (5% or 2 ms), and opt-in tracing must stay
+# under its pinned budget (off within noise; on 30% or 3 ms). Every arm
+# is wall time around one standardization, so every trace record written
+# is counted, and the arms run interleaved rep by rep so host speed
+# drift lands on all of them.
 echo "==> telemetry + trace overhead smoke (counting 5% or 2 ms; trace 30% or 3 ms)"
-./target/release/lucid bench --telemetry-overhead --quick --reps 2 --counting-only
+./target/release/lucid bench --telemetry-overhead --quick --reps 2
 
 echo "==> OK"

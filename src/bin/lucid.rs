@@ -39,7 +39,7 @@ USAGE:
   lucid why          <FILE.jsonl>
   lucid profile      <FILE.jsonl> [--out <DIR>]
   lucid bench        [--quick] [--kernels] [--reps <N>] [--out <FILE>] [--compare <BASELINE>]
-  lucid bench        --telemetry-overhead [--quick] [--reps <N>] [--counting-only]
+  lucid bench        --telemetry-overhead [--quick] [--reps <N>]
 
 OPTIONS (standardize):
   --tau-j <0..1>      table-Jaccard intent threshold (default 0.9)
@@ -60,12 +60,8 @@ OPTIONS (standardize):
                       `lucid trace`, `lucid why` or `lucid profile`
   --trace-max-bytes <N>  rotate the trace file at N bytes (<FILE>.1 keeps the
                       previous segment; disk use stays around 2×N)
-  --telemetry <MODE>  allocator telemetry: off | counting (default) | full
-                      (full adds per-phase peaks + allocation-size buckets)
   --stats-out <FILE>  write a metrics snapshot after the search (.prom/.txt
                       get Prometheus text exposition, anything else JSON)
-  --stats-interval-ms <N>  with --stats-out, re-export the snapshot every
-                      N ms while the search runs (final write on exit)
   --explain           print per-change explanations
   --json              emit the full report as JSON
 
@@ -74,8 +70,7 @@ OPTIONS (batch):
   process, sharing the statement interner and the prefix-cache store
   across searches. Accepts the standardize search knobs (--tau-j, --tau-m,
   --target, --seq, --beam, --sample, --threads, --no-cache, --fuel,
-  --max-cells, --deadline-ms, --telemetry, --stats-out,
-  --stats-interval-ms) plus:
+  --max-cells, --deadline-ms, --stats-out) plus:
   --jobs <N>          concurrent per-script searches (0 = all cores,
                       default 1); output is byte-identical at any value
   --memo              run one search per group of structurally identical
@@ -106,14 +101,12 @@ OPTIONS (bench):
                       1.5x the run-to-run spread and its unit's floor (1 ms,
                       1 MiB), all three
   --telemetry-overhead  measure telemetry cost instead of appending: run each
-                      workload with telemetry off/counting/full and fail when
-                      counting exceeds 5% relative overhead and a 2 ms floor
-                      (full mode, an opt-in diagnostic, gets 3x both bounds);
-                      also measures --trace: trace-off must match the plain
-                      harness within noise, trace-on must stay under 30%
-                      relative or a 3 ms floor. Every arm is wall time around
-                      one standardization, arms interleaved rep by rep
-  --counting-only     with --telemetry-overhead, skip the full-mode pass
+                      workload with allocator counting off and on and fail
+                      when counting exceeds 5% relative overhead and a 2 ms
+                      floor; also measures --trace: trace-off must match the
+                      plain harness within noise, trace-on must stay under
+                      30% relative or a 3 ms floor. Every arm is wall time
+                      around one standardization, arms interleaved rep by rep
 
 `lucid trace`, `lucid why` and `lucid profile` are three views of one
 trace file written by `--trace` (schema v5; files of earlier versions are
@@ -196,11 +189,10 @@ const SWITCH_FLAGS: &[&str] = &["explain", "json", "no-cache"];
 /// `--name value` flags of the standardize/score/corpus-stats family.
 const VALUE_FLAGS: &[&str] = &[
     "corpus", "data", "script", "tau-j", "tau-m", "target", "seq", "beam", "sample", "threads",
-    "trace", "trace-max-bytes", "fuel", "max-cells", "deadline-ms", "telemetry",
-    "stats-out", "stats-interval-ms",
+    "trace", "trace-max-bytes", "fuel", "max-cells", "deadline-ms", "stats-out",
 ];
 /// Switches of `lucid bench`.
-const BENCH_SWITCH_FLAGS: &[&str] = &["quick", "kernels", "telemetry-overhead", "counting-only"];
+const BENCH_SWITCH_FLAGS: &[&str] = &["quick", "kernels", "telemetry-overhead"];
 /// `--name value` flags of `lucid bench`.
 const BENCH_VALUE_FLAGS: &[&str] = &["reps", "out", "compare"];
 /// `--name value` flags of `lucid profile` (after the positional file).
@@ -225,9 +217,7 @@ const BATCH_VALUE_FLAGS: &[&str] = &[
     "fuel",
     "max-cells",
     "deadline-ms",
-    "telemetry",
     "stats-out",
-    "stats-interval-ms",
 ];
 
 /// Tiny flag parser: `--name value` pairs plus boolean switches. Each
@@ -428,14 +418,12 @@ fn bench(flags: &Flags) -> Result<ExitCode, CliError> {
         lucidscript::bench::suite()
     };
     if flags.has("telemetry-overhead") {
-        let counting_only = flags.has("counting-only");
         eprintln!(
-            "measuring telemetry overhead: {} workload(s) × {} rep(s) × {} mode(s)...",
+            "measuring telemetry overhead: {} workload(s) × {} rep(s) × 2 arm(s)...",
             workloads.len(),
-            reps,
-            if counting_only { 2 } else { 3 }
+            reps
         );
-        let reports = lucidscript::bench::measure_overhead(&workloads, reps, counting_only)?;
+        let reports = lucidscript::bench::measure_overhead(&workloads, reps)?;
         print!("{}", lucidscript::bench::overhead::render(&reports));
         const BUDGET_FRAC: f64 = 0.05;
         const BUDGET_FLOOR_MS: f64 = 2.0;
@@ -443,9 +431,9 @@ fn bench(flags: &Flags) -> Result<ExitCode, CliError> {
             .iter()
             .all(|r| r.within_budget(BUDGET_FRAC, BUDGET_FLOOR_MS));
         if telemetry_ok {
-            println!("telemetry overhead budget (counting 5% or 2 ms; full 3x): ok");
+            println!("telemetry overhead budget (counting 5% or 2 ms): ok");
         } else {
-            eprintln!("telemetry overhead budget (counting 5% or 2 ms; full 3x): EXCEEDED");
+            eprintln!("telemetry overhead budget (counting 5% or 2 ms): EXCEEDED");
         }
         eprintln!(
             "measuring trace overhead: {} workload(s) × {} rep(s) × 3 arm(s)...",
@@ -574,44 +562,21 @@ fn budget_from(flags: &Flags) -> Result<lucidscript::interp::Budget, CliError> {
     })
 }
 
-/// Parses `--telemetry off|counting|full` (None when the flag is absent,
-/// leaving the process default — counting — in place).
-fn telemetry_mode_from(
-    flags: &Flags,
-) -> Result<Option<lucidscript::obs::TelemetryMode>, CliError> {
-    use lucidscript::obs::TelemetryMode;
+/// The `--stats-out` fleet registry: every search merges its metrics
+/// into it, and [`write_stats`] exports it once the run ends.
+fn stats_registry_from(flags: &Flags) -> Option<std::sync::Arc<lucidscript::obs::Registry>> {
     flags
-        .get("telemetry")
-        .map(|v| match v {
-            "off" => Ok(TelemetryMode::Off),
-            "counting" => Ok(TelemetryMode::Counting),
-            "full" => Ok(TelemetryMode::Full),
-            other => Err(CliError::Usage(format!(
-                "bad --telemetry '{other}' (off|counting|full)"
-            ))),
-        })
-        .transpose()
+        .get("stats-out")
+        .map(|_| std::sync::Arc::new(lucidscript::obs::Registry::new()))
 }
 
-/// Parses the `--stats-out` / `--stats-interval-ms` pair: the snapshot
-/// destination and the optional periodic re-export interval.
-fn stats_export_from(flags: &Flags) -> Result<Option<(PathBuf, Option<u64>)>, CliError> {
-    let interval: Option<u64> = flags
-        .get("stats-interval-ms")
-        .map(|v| {
-            v.parse()
-                .ok()
-                .filter(|&n| n > 0)
-                .ok_or_else(|| bad("stats-interval-ms"))
-        })
-        .transpose()?;
-    match flags.get("stats-out") {
-        Some(path) => Ok(Some((PathBuf::from(path), interval))),
-        None if interval.is_some() => Err(CliError::Usage(
-            "--stats-interval-ms requires --stats-out".to_string(),
-        )),
-        None => Ok(None),
+/// Writes the `--stats-out` snapshot of the fleet registry.
+fn write_stats(flags: &Flags, fleet: Option<&lucidscript::obs::Registry>) -> Result<(), CliError> {
+    if let (Some(path), Some(reg)) = (flags.get("stats-out"), fleet) {
+        lucidscript::obs::export::write_snapshot(reg, Path::new(path))
+            .map_err(|e| format!("cannot write stats snapshot: {e}"))?;
     }
+    Ok(())
 }
 
 /// Builds the `--trace` sink, honoring `--trace-max-bytes` rotation.
@@ -670,16 +635,7 @@ fn standardize(flags: &Flags) -> Result<(), CliError> {
         .to_string();
     let script = load_script(flags.require("script")?)?;
 
-    if let Some(mode) = telemetry_mode_from(flags)? {
-        lucidscript::obs::alloc::set_mode(mode);
-    }
-    let stats_export = stats_export_from(flags)?;
-    // The fleet registry outlives the search so the exporters can keep
-    // snapshotting it; per-search registries merge into it at search end.
-    let fleet = stats_export
-        .as_ref()
-        .map(|_| std::sync::Arc::new(lucidscript::obs::Registry::new()));
-
+    let fleet = stats_registry_from(flags);
     let config = search_config_from(flags, fleet.clone())?;
 
     let mut standardizer = Standardizer::from_model(corpus, basename.clone(), data.clone(), config)
@@ -687,30 +643,10 @@ fn standardize(flags: &Flags) -> Result<(), CliError> {
     // Also register the full path so scripts referencing it verbatim work.
     standardizer.register_table(data_path, data);
 
-    let reporter = match (&stats_export, &fleet) {
-        (Some((path, Some(interval_ms))), Some(reg)) => Some(lucidscript::obs::StatsReporter::spawn(
-            std::sync::Arc::clone(reg),
-            path.clone(),
-            std::time::Duration::from_millis(*interval_ms),
-        )),
-        _ => None,
-    };
-
     let report = standardizer
         .standardize(&script)
         .map_err(|e| e.to_string())?;
-
-    // Final (or only) stats snapshot, reflecting the merged end state.
-    match (reporter, &stats_export, &fleet) {
-        (Some(reporter), _, _) => reporter
-            .stop()
-            .map_err(|e| format!("cannot write stats snapshot: {e}"))?,
-        (None, Some((path, _)), Some(reg)) => {
-            lucidscript::obs::export::write_snapshot(reg, path)
-                .map_err(|e| format!("cannot write stats snapshot: {e}"))?;
-        }
-        _ => {}
-    }
+    write_stats(flags, fleet.as_deref())?;
 
     if flags.has("json") {
         println!(
@@ -748,16 +684,9 @@ fn batch(flags: &Flags) -> Result<ExitCode, CliError> {
         .unwrap_or(data_path)
         .to_string();
 
-    if let Some(mode) = telemetry_mode_from(flags)? {
-        lucidscript::obs::alloc::set_mode(mode);
-    }
-    let stats_export = stats_export_from(flags)?;
-    // As in `standardize`: per-search registries merge into the fleet
-    // registry (via the per-batch roll-up) so exporters see the whole run.
-    let fleet = stats_export
-        .as_ref()
-        .map(|_| std::sync::Arc::new(lucidscript::obs::Registry::new()));
-
+    // Per-search registries merge into the fleet registry via the
+    // per-batch roll-up, so the snapshot covers the whole run.
+    let fleet = stats_registry_from(flags);
     let config = search_config_from(flags, fleet.clone())?;
     let opts = lucidscript::core::batch::BatchOptions {
         jobs: flags.parse_or("jobs", 1)?,
@@ -774,29 +703,10 @@ fn batch(flags: &Flags) -> Result<ExitCode, CliError> {
         explain: flags.has("explain"),
     };
 
-    let reporter = match (&stats_export, &fleet) {
-        (Some((path, Some(interval_ms))), Some(reg)) => Some(lucidscript::obs::StatsReporter::spawn(
-            std::sync::Arc::clone(reg),
-            path.clone(),
-            std::time::Duration::from_millis(*interval_ms),
-        )),
-        _ => None,
-    };
-
     let report =
         lucidscript::core::batch::standardize_corpus(&scripts, &basename, data, config, &opts)
             .map_err(|e| e.to_string())?;
-
-    match (reporter, &stats_export, &fleet) {
-        (Some(reporter), _, _) => reporter
-            .stop()
-            .map_err(|e| format!("cannot write stats snapshot: {e}"))?,
-        (None, Some((path, _)), Some(reg)) => {
-            lucidscript::obs::export::write_snapshot(reg, path)
-                .map_err(|e| format!("cannot write stats snapshot: {e}"))?;
-        }
-        _ => {}
-    }
+    write_stats(flags, fleet.as_deref())?;
 
     if let Some(out_dir) = flags.get("batch-out") {
         let out_dir = PathBuf::from(out_dir);
@@ -1122,68 +1032,50 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_mode_flag_parses_and_rejects_typos() {
-        use lucidscript::obs::TelemetryMode;
-        let none = Flags::parse(&[]).unwrap();
-        assert_eq!(telemetry_mode_from(&none).unwrap(), None);
-        for (value, mode) in [
-            ("off", TelemetryMode::Off),
-            ("counting", TelemetryMode::Counting),
-            ("full", TelemetryMode::Full),
+    fn removed_telemetry_knobs_are_unknown_flags() {
+        // Allocator counting has one record path and no user knob; the
+        // stats snapshot is written once at exit.
+        for args in [
+            &["standardize", "--telemetry", "full"][..],
+            &["batch", "--telemetry", "off"],
+            &["standardize", "--stats-interval-ms", "5"],
+            &["batch", "--stats-interval-ms", "5"],
+            &["bench", "--counting-only", "--telemetry-overhead"],
         ] {
-            let flags = Flags::parse(&argv(&["--telemetry", value])).unwrap();
-            assert_eq!(telemetry_mode_from(&flags).unwrap(), Some(mode));
+            let err = run(&argv(args)).unwrap_err();
+            assert_eq!(err, format!("unknown flag '{}'", args[1]).as_str());
+            assert!(matches!(err, CliError::Usage(_)));
         }
-        let flags = Flags::parse(&argv(&["--telemetry", "verbose"])).unwrap();
-        assert_eq!(
-            telemetry_mode_from(&flags).unwrap_err(),
-            "bad --telemetry 'verbose' (off|counting|full)"
-        );
     }
 
     #[test]
-    fn stats_export_flags_parse_and_stay_coupled() {
-        assert_eq!(stats_export_from(&Flags::parse(&[]).unwrap()).unwrap(), None);
+    fn stats_out_flag_parses_in_standardize_and_batch() {
+        assert!(stats_registry_from(&Flags::parse(&[]).unwrap()).is_none());
         let flags = Flags::parse(&argv(&["--stats-out", "s.prom"])).unwrap();
-        assert_eq!(
-            stats_export_from(&flags).unwrap(),
-            Some((PathBuf::from("s.prom"), None))
-        );
-        let flags = Flags::parse(&argv(&[
-            "--stats-out",
-            "s.json",
-            "--stats-interval-ms",
-            "250",
-        ]))
+        assert_eq!(flags.get("stats-out"), Some("s.prom"));
+        assert!(stats_registry_from(&flags).is_some());
+        let flags = Flags::parse_with(
+            &argv(&["--stats-out", "s.json"]),
+            BATCH_SWITCH_FLAGS,
+            BATCH_VALUE_FLAGS,
+        )
         .unwrap();
-        assert_eq!(
-            stats_export_from(&flags).unwrap(),
-            Some((PathBuf::from("s.json"), Some(250)))
-        );
-        // The interval alone has nothing to write to.
-        let flags = Flags::parse(&argv(&["--stats-interval-ms", "250"])).unwrap();
-        assert_eq!(
-            stats_export_from(&flags).unwrap_err(),
-            "--stats-interval-ms requires --stats-out"
-        );
-        let flags =
-            Flags::parse(&argv(&["--stats-out", "s", "--stats-interval-ms", "0"])).unwrap();
-        assert_eq!(
-            stats_export_from(&flags).unwrap_err(),
-            "bad --stats-interval-ms"
-        );
+        assert!(stats_registry_from(&flags).is_some());
+        let err = run(&argv(&["standardize", "--stats-out"])).unwrap_err();
+        assert_eq!(err, "--stats-out requires a value");
     }
 
     #[test]
     fn bench_telemetry_flags_parse() {
         let flags = Flags::parse_with(
-            &argv(&["--telemetry-overhead", "--counting-only", "--quick"]),
+            &argv(&["--telemetry-overhead", "--quick", "--reps", "2"]),
             BENCH_SWITCH_FLAGS,
             BENCH_VALUE_FLAGS,
         )
         .unwrap();
         assert!(flags.has("telemetry-overhead"));
-        assert!(flags.has("counting-only"));
+        assert!(flags.has("quick"));
+        assert_eq!(flags.get("reps"), Some("2"));
         // The batch sweep, the injection hooks and the gate knobs are gone:
         // the gate rule is fixed.
         for flag in [

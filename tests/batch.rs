@@ -5,7 +5,7 @@
 //! `standardize` invocations. Concretely:
 //!
 //! 1. The deterministic batch report is byte-identical across worker
-//!    counts (`--jobs 1/2/8`), memo on/off, and telemetry modes.
+//!    counts (`--jobs 1/2/8`), memo on/off, and allocator counting on/off.
 //! 2. Every per-script result (output source, RE, explored count)
 //!    equals an independent single-script run against the same corpus.
 //! 3. (Regression) per-search trace records, the batch `Timings`
@@ -19,7 +19,7 @@ use lucidscript::core::intent::IntentMeasure;
 use lucidscript::core::standardizer::Standardizer;
 use lucidscript::corpus::Profile;
 use lucidscript::frame::DataFrame;
-use lucidscript::obs::{alloc, TelemetryMode};
+use lucidscript::obs::alloc;
 
 /// A small titanic-profile corpus: three distinct generated scripts plus
 /// a byte-identical duplicate of the second (the memo's guaranteed hit).
@@ -92,18 +92,16 @@ fn batch_report_is_byte_identical_across_jobs_and_memo() {
 
 #[test]
 fn batch_report_is_byte_identical_across_telemetry_modes() {
-    let prev = alloc::set_mode(TelemetryMode::Counting);
+    let prev = alloc::set_counting(true);
     let reference = run_batch(2, true).deterministic_json();
-    for mode in [TelemetryMode::Off, TelemetryMode::Full] {
-        alloc::set_mode(mode);
-        let report = run_batch(2, true);
-        assert_eq!(
-            report.deterministic_json(),
-            reference,
-            "batch diverged under telemetry mode {mode:?}"
-        );
-    }
-    alloc::set_mode(prev);
+    alloc::set_counting(false);
+    let report = run_batch(2, true);
+    alloc::set_counting(prev);
+    assert_eq!(
+        report.deterministic_json(),
+        reference,
+        "batch diverged with allocator counting off"
+    );
 }
 
 #[test]
@@ -229,8 +227,9 @@ fn batch_decision_records_are_byte_identical_across_jobs_and_memo() {
 }
 
 /// A script whose input fails to execute is grouped like any other: its
-/// byte-identical copy is served the same error as a memo hit, gets a
-/// `memo_hit` stub naming it, and the report matches the memo-off run.
+/// byte-identical copy is served the same error as a memo hit, and the
+/// report matches the memo-off run. Neither leaves a trace file: the
+/// failed search wrote no record, and its copy has no stream to point at.
 #[test]
 fn failing_scripts_dedup_like_working_ones() {
     let a = mini_scripts()[0].source.clone();
@@ -268,18 +267,118 @@ fn failing_scripts_dedup_like_working_ones() {
     assert!(error(0).is_none() && error(1).is_some(), "a.py runs, b.py fails to execute");
     assert_eq!(error(2), error(1));
 
-    let stubs = [("a.py", None), ("b.py", None), ("c.py", Some("b.py")), ("d.py", Some("a.py"))];
-    for (script, against) in stubs {
-        let text = std::fs::read_to_string(dir.join(format!("{script}.trace.jsonl")))
-            .unwrap_or_else(|e| panic!("trace for {script}: {e}"));
-        let Some(against) = against else { continue };
-        let summary = lucidscript::obs::parse_trace(&text).expect("stub parses");
-        let hit = summary.decisions.memo_hit.expect("stub carries memo_hit");
-        assert_eq!((hit.script.as_str(), hit.against.as_str()), (script, against));
-    }
+    let trace = |script: &str| dir.join(format!("{script}.trace.jsonl"));
+    assert!(!trace("b.py").exists() && !trace("c.py").exists());
+    let summary = lucidscript::obs::read_trace(&trace("d.py")).expect("stub parses");
+    let hit = summary.decisions.memo_hit.expect("stub carries memo_hit");
+    assert_eq!(
+        (hit.script.as_str(), hit.against.as_str()),
+        ("d.py", "a.py")
+    );
+    lucidscript::obs::read_trace(&trace("a.py")).expect("a.py traced");
     std::fs::remove_dir_all(&dir).ok();
 
     assert_eq!(report.deterministic_json(), run(false, None).deterministic_json());
+}
+
+/// Regression: a `--trace-dir` batch holding failing scripts leaves only
+/// readable traces, so aggregating the whole directory (what `lucid trace
+/// --aggregate DIR/*.trace.jsonl` does) succeeds. An empty file for a
+/// failed search would stop it: no trace reader accepts one.
+#[test]
+fn failed_searches_leave_only_readable_trace_files() {
+    let mut scripts = mini_scripts();
+    let failing = format!("{}df = df.nosuchmethod()\n", scripts[0].source);
+    scripts.push(BatchScript::new("fails.py", failing.clone()));
+    scripts.push(BatchScript::new("fails_dup.py", failing));
+    let dir = std::env::temp_dir().join(format!("lucid_batch_aggregate_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("trace dir");
+    let opts = BatchOptions {
+        jobs: 2,
+        memo: true,
+        trace_dir: Some(dir.clone()),
+        ..BatchOptions::default()
+    };
+    let report = standardize_corpus(
+        &scripts,
+        Profile::titanic().file,
+        mini_data(),
+        mini_config(),
+        &opts,
+    )
+    .expect("batch runs");
+    let failed: Vec<&str> = report
+        .scripts
+        .iter()
+        .filter(|s| s.outcome.is_err())
+        .map(|s| s.name.as_str())
+        .collect();
+    assert_eq!(failed, ["fails.py", "fails_dup.py"]);
+
+    let mut files: Vec<std::path::PathBuf> = std::fs::read_dir(&dir)
+        .expect("list trace dir")
+        .map(|e| e.expect("dir entry").path())
+        .collect();
+    files.sort();
+    assert_eq!(files.len(), scripts.len() - failed.len(), "{files:?}");
+    let inputs: Vec<(String, lucidscript::obs::TraceSummary)> = files
+        .iter()
+        .map(|path| {
+            let summary = lucidscript::obs::read_trace(path)
+                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            (path.display().to_string(), summary)
+        })
+        .collect();
+    let aggregate = lucidscript::obs::aggregate_summaries(&inputs);
+    assert_eq!(aggregate.rows.len(), files.len());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The batch shares one statement interner across its searches (the
+/// interner counterpart of the pooled-cache check in
+/// `batch_trace_timings_and_store_totals_reconcile`). Against standalone
+/// runs of the same scripts, the shared interner holds at least what any
+/// one search interned, every search's `unique_stmts` gauge reads that
+/// shared total, and later searches resolve more intern requests to
+/// statements already there. A per-search interner leaves the shared one
+/// empty and the hit count at the standalone sum.
+#[test]
+fn batch_interner_is_shared_across_searches() {
+    let scripts = mini_scripts();
+    let sources: Vec<String> = scripts.iter().map(|s| s.source.clone()).collect();
+    // One job, so the per-search hit windows never overlap.
+    let report = run_batch(1, false);
+    let solo: Vec<(u64, u64)> = scripts
+        .iter()
+        .map(|script| {
+            let t = Standardizer::build(
+                &sources,
+                Profile::titanic().file,
+                mini_data(),
+                mini_config(),
+            )
+            .expect("builds")
+            .standardize_source(&script.source)
+            .expect("runs")
+            .timings;
+            (t.unique_stmts, t.intern_hits)
+        })
+        .collect();
+    let solo_unique = solo.iter().map(|s| s.0).max().expect("scripts");
+    let solo_hits: u64 = solo.iter().map(|s| s.1).sum();
+    assert!(solo_unique > 0);
+    assert!(
+        report.unique_stmts >= solo_unique,
+        "shared interner holds {} statements, one standalone search {solo_unique}",
+        report.unique_stmts
+    );
+    assert_eq!(report.timings.unique_stmts, report.unique_stmts);
+    assert!(
+        report.timings.intern_hits > solo_hits,
+        "batch intern hits {} vs standalone sum {solo_hits}",
+        report.timings.intern_hits
+    );
 }
 
 /// `--explain` output is part of the deterministic batch report:

@@ -886,3 +886,69 @@ fn every_truncation_of_a_real_trace_fails_reconciliation() {
         }
     }
 }
+
+/// Fragments of the pandas-script grammar for the parser's token soup:
+/// keywords, operators, unbalanced brackets and quotes, odd whitespace
+/// and indentation, and bracket runs deep enough to reach the nesting
+/// limit.
+const PY_TOKENS: &[&str] = &[
+    "import", "pandas", "as", "pd", "df", "=", "pd.read_csv('d.csv')", ".", "(", ")", "[", "]",
+    "{", "}", ":", ",", "'", "\"", "'a'", "\"b\"", "'''", "0", "1.5", "-", "+", "*", "/", "//",
+    "%", "**", "==", "!=", "<", ">=", "<<", "&", "|", "^", "~", "+=", "and", "or", "not", "in",
+    "is", "None", "True", "False", "lambda", "x", "if", "else", "for", "def", "return", "@",
+    ";", "...", "\n", "\r\n", "\r", " ", "    ", "\t", "#", "\\", "1e308", "0x1F", "_", "é",
+    "`", "$", "?", "((((((((((", "[[[[[[[[[[", "----------",
+];
+
+/// Fragments of CSV: separators, quotes (balanced, doubled and
+/// unbalanced), line endings, and cells of every type the reader infers.
+const CSV_TOKENS: &[&str] = &[
+    ",", "\"", "\"\"", "\n", "\r\n", "\r", "a", "b", "1", "-2.5", "1e308", "NaN", "nan", "",
+    " ", "True", "false", "null", "NA", "é", ";", "\t", "\"a,b\"", "\"x\ny\"",
+    "18446744073709551616", "-9223372036854775809", "0x10", "inf", "-inf",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Arbitrary bytes (lossily decoded, as a reader of a corrupt script
+    /// would) parse or fail with a typed error, and whatever parses
+    /// prints; nothing panics.
+    #[test]
+    fn script_parser_is_total_on_arbitrary_bytes(
+        bytes in prop::collection::vec(any::<u8>(), 0..512)
+    ) {
+        if let Ok(module) = parse_module(&String::from_utf8_lossy(&bytes)) {
+            let _ = print_module(&module);
+        }
+    }
+
+    /// Token soup over the script grammar never panics the parser or the
+    /// printer, including bracket runs past the nesting limit.
+    #[test]
+    fn script_parser_is_total_on_token_soup(
+        tokens in prop::collection::vec(prop::sample::select(PY_TOKENS.to_vec()), 0..160)
+    ) {
+        if let Ok(module) = parse_module(&tokens.concat()) {
+            let _ = print_module(&module);
+        }
+    }
+
+    /// Arbitrary bytes read as CSV yield a frame or a typed error, never
+    /// a panic.
+    #[test]
+    fn csv_reader_is_total_on_arbitrary_bytes(
+        bytes in prop::collection::vec(any::<u8>(), 0..512)
+    ) {
+        let _ = lucidscript::frame::csv::read_csv_str(&String::from_utf8_lossy(&bytes));
+    }
+
+    /// CSV token soup (ragged rows, stray quotes, mixed line endings,
+    /// out-of-range numbers) yields a frame or a typed error.
+    #[test]
+    fn csv_reader_is_total_on_token_soup(
+        tokens in prop::collection::vec(prop::sample::select(CSV_TOKENS.to_vec()), 0..160)
+    ) {
+        let _ = lucidscript::frame::csv::read_csv_str(&tokens.concat());
+    }
+}

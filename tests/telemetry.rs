@@ -3,8 +3,9 @@
 //! fleet registry, telemetry never changes search decisions, and the
 //! measured overhead of leaving it on stays inside the pinned budget.
 //!
-//! The instrumented allocator and its mode are process-global, so every
-//! test that sets the mode or reads the counters serializes on one lock.
+//! The instrumented allocator and its on/off switch are process-global,
+//! so every test that flips counting or reads the counters serializes on
+//! one lock.
 
 use lucidscript::bench;
 use lucidscript::core::config::SearchConfig;
@@ -13,7 +14,7 @@ use lucidscript::core::report::StandardizeReport;
 use lucidscript::core::standardizer::Standardizer;
 use lucidscript::frame::csv::read_csv_str;
 use lucidscript::obs::alloc;
-use lucidscript::obs::{parse_trace, Metric, Registry, TelemetryMode, TraceSink};
+use lucidscript::obs::{parse_trace, Metric, Registry, TraceSink};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 static MODE_LOCK: Mutex<()> = Mutex::new(());
@@ -50,7 +51,7 @@ fn run_search(config: SearchConfig) -> StandardizeReport {
 #[test]
 fn phase_bytes_sum_to_total_and_reach_trace_and_report() {
     let _guard = lock();
-    let prev = alloc::set_mode(TelemetryMode::Full);
+    let prev = alloc::set_counting(true);
 
     let sink = TraceSink::in_memory();
     let report = run_search(SearchConfig {
@@ -59,7 +60,7 @@ fn phase_bytes_sum_to_total_and_reach_trace_and_report() {
         trace: Some(sink.clone()),
         ..Default::default()
     });
-    alloc::set_mode(prev);
+    alloc::set_counting(prev);
 
     let t = &report.timings;
     // A search allocates: the dominant phases must be visibly non-zero.
@@ -108,7 +109,7 @@ fn phase_bytes_sum_to_total_and_reach_trace_and_report() {
 #[test]
 fn fleet_registry_rolls_up_per_search_metrics() {
     let _guard = lock();
-    let prev = alloc::set_mode(TelemetryMode::Counting);
+    let prev = alloc::set_counting(true);
 
     let fleet = Arc::new(Registry::new());
     let config = SearchConfig {
@@ -119,7 +120,7 @@ fn fleet_registry_rolls_up_per_search_metrics() {
     };
     let a = run_search(config.clone());
     let b = run_search(config);
-    alloc::set_mode(prev);
+    alloc::set_counting(prev);
 
     // Counters accumulate across searches; a search's own registry only
     // ever adds, so the fleet value is the exact sum.
@@ -146,11 +147,11 @@ fn fleet_registry_rolls_up_per_search_metrics() {
 #[test]
 fn telemetry_mode_never_changes_search_decisions() {
     let _guard = lock();
-    let prev = alloc::mode();
+    let prev = alloc::set_counting(true);
 
     let mut outputs = Vec::new();
-    for mode in [TelemetryMode::Off, TelemetryMode::Counting, TelemetryMode::Full] {
-        alloc::set_mode(mode);
+    for counting in [false, true] {
+        alloc::set_counting(counting);
         let report = run_search(SearchConfig {
             seq_len: 6,
             intent: IntentMeasure::jaccard(0.5),
@@ -163,19 +164,19 @@ fn telemetry_mode_never_changes_search_decisions() {
             format!("{:.9}/{:.9}", report.re_before, report.re_after),
         ));
     }
-    alloc::set_mode(prev);
+    alloc::set_counting(prev);
 
-    assert_eq!(outputs[0], outputs[1], "counting mode changed the search");
-    assert_eq!(outputs[0], outputs[2], "full mode changed the search");
+    assert_eq!(
+        outputs[0], outputs[1],
+        "allocator counting changed the search"
+    );
 }
 
 #[test]
 fn telemetry_overhead_stays_within_budget() {
     let _guard = lock();
-    // Counting is the always-on default — that's the mode the strict
-    // budget pins; full mode (opt-in diagnostics) is judged at 3x both
-    // bounds inside `within_budget`. The 5% budget holds for optimized
-    // builds (where the
+    // Counting is the always-on default, timed against counting off.
+    // The 5% budget holds for optimized builds (where the
     // per-allocation atomics inline to a few instructions) and is what
     // `scripts/check.sh` enforces against the release binary; the debug
     // build this test usually runs under pays an order of magnitude more
@@ -186,16 +187,15 @@ fn telemetry_overhead_stays_within_budget() {
     } else {
         (0.05, 5.0)
     };
-    let reports = bench::measure_overhead(&bench::quick_suite(), 3, false).unwrap();
+    let reports = bench::measure_overhead(&bench::quick_suite(), 3).unwrap();
     assert!(!reports.is_empty());
     for r in &reports {
         assert!(
             r.within_budget(frac, floor_ms),
-            "telemetry overhead out of budget for {}: off {:.2} ms, counting {:.2} ms, full {:?}",
+            "telemetry overhead out of budget for {}: off {:.2} ms, counting {:.2} ms",
             r.workload,
             r.off_ms,
             r.counting_ms,
-            r.full_ms,
         );
     }
 }
