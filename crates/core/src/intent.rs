@@ -9,6 +9,7 @@ use lucid_frame::{value_jaccard, DataFrame};
 use lucid_ml::logreg::LogisticRegression;
 use lucid_ml::metrics::demographic_parity_diff;
 use lucid_ml::{encode_features, encode_labels, train_test_split};
+use lucid_obs::Metric;
 
 /// Fixed split seed so Δ_M is deterministic across candidates.
 const SPLIT_SEED: u64 = 13;
@@ -98,6 +99,16 @@ impl IntentMeasure {
             IntentMeasure::Jaccard { .. } => "table_jaccard",
             IntentMeasure::ModelPerf { .. } => "model_performance",
             IntentMeasure::Fairness { .. } => "fairness_dpd",
+        }
+    }
+
+    /// The registry row verification times each evaluation under:
+    /// `intent.<kind>`.
+    pub fn metric(&self) -> Metric {
+        match self {
+            IntentMeasure::Jaccard { .. } => Metric::IntentTableJaccard,
+            IntentMeasure::ModelPerf { .. } => Metric::IntentModelPerformance,
+            IntentMeasure::Fairness { .. } => Metric::IntentFairnessDpd,
         }
     }
 
@@ -341,6 +352,13 @@ mod tests {
             IntentMeasure::fairness(0.1, "y", "g").kind(),
             "fairness_dpd"
         );
+        for m in [
+            IntentMeasure::jaccard(0.9),
+            IntentMeasure::model_perf(1.0, "y"),
+            IntentMeasure::fairness(0.1, "y", "g"),
+        ] {
+            assert_eq!(m.metric().name(), format!("intent.{}", m.kind()));
+        }
     }
 
     fn grouped_df(n: usize) -> DataFrame {

@@ -57,21 +57,31 @@ impl StmtInfo {
     }
 }
 
-/// Content-addressed, thread-safe statement store. One interner lives for
-/// the duration of one search; scoring workers share it by reference.
+/// Content-addressed, thread-safe statement store, seen through a view
+/// that counts its own traffic. One search owns one view; its scoring
+/// workers share it by reference. Batch searches each take a
+/// [`StmtInterner::shared_view`] of one store, so a statement interned by
+/// any search is shared by all while each search's hit and DAG-update
+/// counts stay its own.
 ///
 /// Buckets are keyed by structural hash but membership is decided by
 /// structural *equality*, so a (vanishingly unlikely) 64-bit collision
 /// yields two distinct entries rather than a wrong merge.
 #[derive(Debug, Default)]
 pub struct StmtInterner {
+    store: Arc<InternStore>,
+    hits: AtomicU64,
+    dag_updates: AtomicU64,
+}
+
+/// The statements every view of one interner shares.
+#[derive(Debug, Default)]
+struct InternStore {
     by_hash: Mutex<HashMap<u64, Vec<Arc<StmtInfo>>>>,
     /// Memo from corpus-atom source text to its interned statement, so
     /// repeated `Add` applications skip re-parsing the atom.
     by_atom: Mutex<HashMap<Arc<str>, Arc<StmtInfo>>>,
     unique: AtomicU64,
-    hits: AtomicU64,
-    dag_updates: AtomicU64,
 }
 
 /// Locks recovering from poisoning: candidate scoring runs under
@@ -88,12 +98,21 @@ impl StmtInterner {
         StmtInterner::default()
     }
 
+    /// Another view of the same store, with its own zeroed hit and
+    /// DAG-update counters.
+    pub fn shared_view(&self) -> StmtInterner {
+        StmtInterner {
+            store: Arc::clone(&self.store),
+            ..StmtInterner::default()
+        }
+    }
+
     /// Interns a statement, returning the shared node. Identical code at
     /// different source positions interns to the same node.
     pub fn intern(&self, stmt: &Stmt) -> Arc<StmtInfo> {
         let norm = stmt.clone().with_span(Span::synthetic());
         let hash = lucid_interp::stmt_structural_hash(&norm);
-        let mut map = lock(&self.by_hash);
+        let mut map = lock(&self.store.by_hash);
         let bucket = map.entry(hash).or_default();
         if let Some(found) = bucket.iter().find(|info| info.stmt == norm) {
             let found = Arc::clone(found);
@@ -104,7 +123,7 @@ impl StmtInterner {
         let info = Arc::new(StmtInfo::new(norm, hash));
         bucket.push(Arc::clone(&info));
         drop(map);
-        self.unique.fetch_add(1, Ordering::Relaxed);
+        self.store.unique.fetch_add(1, Ordering::Relaxed);
         info
     }
 
@@ -115,7 +134,7 @@ impl StmtInterner {
     ///
     /// Fails if the atom does not parse or parses to zero statements.
     pub fn intern_atom(&self, atom: &str) -> Result<Arc<StmtInfo>> {
-        if let Some(found) = lock(&self.by_atom).get(atom) {
+        if let Some(found) = lock(&self.store.by_atom).get(atom) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(Arc::clone(found));
         }
@@ -133,22 +152,23 @@ impl StmtInterner {
         } else {
             Arc::from(atom)
         };
-        lock(&self.by_atom).insert(key, Arc::clone(&info));
+        lock(&self.store.by_atom).insert(key, Arc::clone(&info));
         Ok(info)
     }
 
-    /// Distinct statements interned so far.
+    /// Distinct statements interned so far, by every view of the store.
     pub fn unique_stmts(&self) -> u64 {
-        self.unique.load(Ordering::Relaxed)
+        self.store.unique.load(Ordering::Relaxed)
     }
 
-    /// Intern requests answered by an existing node (including atom-memo
-    /// hits that skipped the parser entirely).
+    /// Intern requests through this view answered by an existing node
+    /// (including atom-memo hits that skipped the parser entirely).
     pub fn intern_hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// DAGs derived incrementally via [`Program::update_dag`].
+    /// DAGs derived incrementally via [`Program::update_dag`] through this
+    /// view.
     pub fn dag_incremental_updates(&self) -> u64 {
         self.dag_updates.load(Ordering::Relaxed)
     }

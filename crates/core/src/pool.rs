@@ -12,10 +12,10 @@ use lucid_interp::InjectedPanic;
 use lucid_obs::alloc::{self, PhaseGuard};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Runs `job(i)` for every `i` in `0..n` and returns the results in index
-/// order, plus the summed wall time of the jobs in ms.
+/// order, plus the summed wall time of the jobs.
 ///
 /// With `workers.min(n) <= 1` the jobs run inline on the caller's thread.
 /// Otherwise scoped workers take jobs from an atomic cursor; each enters
@@ -24,7 +24,7 @@ use std::time::Instant;
 ///
 /// Every job runs under `catch_unwind`: a panicking job yields
 /// `Err(payload)` in its own slot and the other jobs are unaffected.
-pub fn map_indexed<T, F>(n: usize, workers: usize, job: F) -> (Vec<Result<T, String>>, f64)
+pub fn map_indexed<T, F>(n: usize, workers: usize, job: F) -> (Vec<Result<T, String>>, Duration)
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
@@ -32,23 +32,23 @@ where
     let run = |i: usize| {
         let t0 = Instant::now();
         let out = catch_unwind(AssertUnwindSafe(|| job(i))).map_err(panic_payload);
-        (out, t0.elapsed().as_secs_f64() * 1e3)
+        (out, t0.elapsed())
     };
-    let mut busy_ms = 0.0;
+    let mut busy = Duration::ZERO;
     if workers.min(n) <= 1 {
         let results = (0..n)
             .map(|i| {
-                let (out, ms) = run(i);
-                busy_ms += ms;
+                let (out, took) = run(i);
+                busy += took;
                 out
             })
             .collect();
-        return (results, busy_ms);
+        return (results, busy);
     }
 
     let phase = alloc::current_phase();
     let cursor = AtomicUsize::new(0);
-    let mut done: Vec<(usize, Result<T, String>, f64)> = Vec::with_capacity(n);
+    let mut done: Vec<(usize, Result<T, String>, Duration)> = Vec::with_capacity(n);
     let _ = crossbeam::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers.min(n))
             .map(|_| {
@@ -63,8 +63,8 @@ where
                         if i >= n {
                             break;
                         }
-                        let (out, ms) = run(i);
-                        mine.push((i, out, ms));
+                        let (out, took) = run(i);
+                        mine.push((i, out, took));
                     }
                     alloc::flush_tls();
                     mine
@@ -84,12 +84,12 @@ where
     done.sort_unstable_by_key(|(i, _, _)| *i);
     let results = done
         .into_iter()
-        .map(|(_, out, ms)| {
-            busy_ms += ms;
+        .map(|(_, out, took)| {
+            busy += took;
             out
         })
         .collect();
-    (results, busy_ms)
+    (results, busy)
 }
 
 /// Renders a caught panic payload. Handles the payload types a job can

@@ -28,15 +28,12 @@ use crate::transform::{enumerate, Enumerated, TransformKind, Transformation};
 use crate::vocab::CorpusModel;
 use lucid_frame::DataFrame;
 use lucid_interp::{ExecOutcome, Interpreter, InterpError, PrefixCache};
-use lucid_obs::event::{
-    KeptBeam, SearchEndEvent, SearchStartEvent, StepEvent, StmtSpanAgg, VerifyEvent,
-};
-use lucid_obs::alloc::{self, AllocSnapshot, Phase, PhaseGuard};
-use lucid_obs::{Disposition, Drops, Metric, Record, Registry};
+use lucid_obs::alloc::{self, AllocSnapshot};
+use lucid_obs::event::{KeptBeam, SearchEndEvent, SearchStartEvent, StepEvent, VerifyEvent};
+use lucid_obs::{Disposition, Drops, Metric, ProfileReport, Record, Registry};
 use lucid_pyast::Module;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// One in-progress transformation sequence: the paper's beam entry.
 /// Under the interned IR both fields of any size are shared (`Program` is
@@ -96,9 +93,9 @@ pub struct SearchContext<'a> {
 ///
 /// This is the **only** place batch-path code may construct an interner or
 /// a prefix cache (`tests/batch.rs` fails if a batch search gets its own);
-/// each search then borrows the interner and takes a per-search
-/// [`PrefixCache::shared_view`] so hit/miss/eviction counts stay
-/// attributed per search.
+/// each search then takes a per-search [`StmtInterner::shared_view`] and
+/// [`PrefixCache::shared_view`], so hit, DAG-update, miss and eviction
+/// counts stay attributed per search.
 #[derive(Debug, Default)]
 pub struct SharedSearchState {
     interner: StmtInterner,
@@ -117,7 +114,8 @@ impl SharedSearchState {
         }
     }
 
-    /// The shared statement interner.
+    /// The owning view of the shared statement interner. Its per-view
+    /// counters stay zero (searches intern through their own views).
     pub fn interner(&self) -> &StmtInterner {
         &self.interner
     }
@@ -222,27 +220,24 @@ impl CacheCounters {
     }
 }
 
-/// Per-beam-step measurements, recorded by the step's close-out into the
-/// search registry (one histogram observation per step) and the step's
-/// trace record: one struct per step is what lets the trace and the
-/// `Timings` projection report the *same* measured values. Drop counts
-/// live in the [`Provenance`] ledger, which hands them over per phase.
+/// Per-beam-step candidate counts for the step's trace record. Times
+/// live in the search registry's histograms and drop counts in the
+/// [`Provenance`] ledger; each phase's close-out reads both as windows.
 #[derive(Debug, Default)]
 struct StepStats {
-    get_steps_ms: f64,
-    get_steps_cpu_ms: f64,
-    get_top_k_ms: f64,
-    check_execute_ms: f64,
     enumerated: usize,
     scored: usize,
     admitted: u64,
 }
 
-/// Converts a millisecond measurement into the integer nanoseconds the
-/// registry histograms store.
-fn ms_to_ns(ms: f64) -> u64 {
-    (ms * 1e6).round() as u64
-}
+/// The phase histograms a [`PhaseWindow`] reads, in the order of its
+/// `times`: the four Figure 7 phases.
+const PHASE_TIMES: [Metric; 4] = [
+    Metric::GetSteps,
+    Metric::GetTopK,
+    Metric::CheckExecute,
+    Metric::Verify,
+];
 
 /// The search result.
 #[derive(Debug, Clone)]
@@ -265,10 +260,13 @@ pub struct SearchOutcome {
     pub ledger: Provenance,
 }
 
-/// The measurement windows a phase opens when it starts. The allocation
-/// window feeds only the trace record, so an untraced search skips it.
+/// The measurement windows a phase opens when it starts: cache counters,
+/// the [`PHASE_TIMES`] histogram sums in ms, and allocated bytes. The
+/// allocation window feeds only the trace record, so an untraced search
+/// skips it.
 struct PhaseWindow {
     cache: CacheCounters,
+    times: [f64; 4],
     mem: Option<AllocSnapshot>,
 }
 
@@ -277,7 +275,7 @@ struct Search<'s, 'a> {
     ctx: &'s SearchContext<'a>,
     exec: ExecEnv<'a>,
     interner: &'s StmtInterner,
-    reg: Registry,
+    reg: Arc<Registry>,
     prov: Provenance,
     beams: Vec<Candidate>,
     /// Every candidate that ever made a beam (see `keep_finalists`).
@@ -290,24 +288,26 @@ impl Search<'_, '_> {
     fn open_phase(&self) -> PhaseWindow {
         PhaseWindow {
             cache: self.exec.counters(),
+            times: PHASE_TIMES.map(|m| self.reg.histogram_sum_ms(m)),
             mem: self.ctx.config.trace.as_ref().map(|_| alloc::snapshot()),
         }
     }
 
-    /// The one phase close-out: records the phase's histograms, cache
-    /// window and drops into the registry and, when traced, emits the
-    /// phase's record, which `record` builds from the same values.
+    /// The one phase close-out: records the phase's cache window and
+    /// drops into the registry and, when traced, emits the phase's
+    /// record, which `record` builds from the same values and the
+    /// phase's [`PHASE_TIMES`] window.
     fn close_phase<R: Record>(
         &mut self,
         window: PhaseWindow,
-        histograms: &[(Metric, f64)],
-        record: impl FnOnce(CacheCounters, u64, Drops) -> R,
+        record: impl FnOnce(CacheCounters, [f64; 4], u64, Drops) -> R,
     ) {
         let alloc_bytes = window
             .mem
             .map_or(0, |mem| alloc::snapshot().delta_since(&mem).total_bytes());
-        for &(metric, ms) in histograms {
-            self.reg.histogram(metric).record_ns(ms_to_ns(ms));
+        let mut times = PHASE_TIMES.map(|m| self.reg.histogram_sum_ms(m));
+        for (now, then) in times.iter_mut().zip(window.times) {
+            *now -= then;
         }
         let cache = self.exec.counters().delta_since(&window.cache);
         for (metric, n) in [
@@ -323,8 +323,14 @@ impl Search<'_, '_> {
         let drops = self.prov.take_counts();
         drops.record(&self.reg);
         if let Some(sink) = &self.ctx.config.trace {
-            sink.emit(&record(cache, alloc_bytes, drops));
+            sink.emit(&record(cache, times, alloc_bytes, drops));
         }
+    }
+
+    /// One `CheckIfExecutes` run, timed as such.
+    fn check_execute(&self, program: &Program) -> Result<ExecOutcome, ExecFailure> {
+        let _t = self.reg.time(Metric::CheckExecute);
+        self.exec.run_isolated(program)
     }
 
     /// One beam step (Algorithm 2, for every beam at once): `GetSteps`,
@@ -342,22 +348,20 @@ impl Search<'_, '_> {
         // up front is equivalent to the per-beam interleaving — and lets
         // the work fan out across every (beam, transformation) pair.
         let ranked_per_beam = self.get_steps_all(&beams);
-        // Beam ranking allocates under the Score tag; the early execution
-        // checks it triggers re-tag themselves Execute inside the
-        // interpreter (innermost guard wins).
-        let mem_score = PhaseGuard::enter(Phase::Score);
+        // GetTopKBeams / GetDiverseTopKBeams for every beam, under one
+        // timer. Beam ranking allocates under its Score tag; the early
+        // execution checks it triggers re-tag themselves Execute inside
+        // the interpreter (innermost guard wins).
+        let top_k = self.reg.time(Metric::GetTopK);
         for (cand, ranked) in beams.iter().zip(ranked_per_beam) {
-            // GetTopKBeams / GetDiverseTopKBeams.
-            let t1 = Instant::now();
             if self.ctx.config.diversity {
                 self.get_diverse_top_k(cand, &ranked, &mut next);
             } else {
                 let ranked: Vec<&Candidate> = ranked.iter().collect();
                 self.get_top_k(&ranked, &mut next, usize::MAX);
             }
-            self.stats.get_top_k_ms += t1.elapsed().as_secs_f64() * 1e3;
         }
-        drop(mem_score);
+        drop(top_k);
         // Deduplicate identical scripts (different sequences can converge)
         // and cap at K — the ledger-aware twin of the old
         // sort/dedup_by/truncate, dropping what it removes.
@@ -369,37 +373,34 @@ impl Search<'_, '_> {
             && next.len() == beams.len();
         self.reg.counter(Metric::Steps).add(1);
         let stats = std::mem::take(&mut self.stats);
-        let times = [
-            (Metric::GetSteps, stats.get_steps_ms),
-            (Metric::GetStepsCpu, stats.get_steps_cpu_ms),
-            (Metric::GetTopK, stats.get_top_k_ms),
-            (Metric::CheckExecute, stats.check_execute_ms),
-        ];
-        self.close_phase(window, &times, |cache, alloc_bytes, drops| StepEvent {
-            step,
-            beams_in: beams.len(),
-            enumerated: stats.enumerated,
-            scored: stats.scored,
-            drops,
-            admitted: stats.admitted,
-            kept: next
-                .iter()
-                .map(|c| KeptBeam {
-                    re: c.re,
-                    cursor: c.cursor,
-                    lines: c.program.len(),
-                    applied: c.applied.len(),
-                })
-                .collect(),
-            cache_hits: cache.hits,
-            cache_misses: cache.misses,
-            cache_evictions: cache.evictions,
-            alloc_bytes,
-            get_steps_ms: stats.get_steps_ms,
-            get_top_k_ms: stats.get_top_k_ms,
-            check_execute_ms: stats.check_execute_ms,
-            converged,
-        });
+        self.close_phase(
+            window,
+            |cache, [steps_ms, top_k_ms, check_ms, _], alloc_bytes, drops| StepEvent {
+                step,
+                beams_in: beams.len(),
+                enumerated: stats.enumerated,
+                scored: stats.scored,
+                drops,
+                admitted: stats.admitted,
+                kept: next
+                    .iter()
+                    .map(|c| KeptBeam {
+                        re: c.re,
+                        cursor: c.cursor,
+                        lines: c.program.len(),
+                        applied: c.applied.len(),
+                    })
+                    .collect(),
+                cache_hits: cache.hits,
+                cache_misses: cache.misses,
+                cache_evictions: cache.evictions,
+                alloc_bytes,
+                get_steps_ms: steps_ms,
+                get_top_k_ms: top_k_ms,
+                check_execute_ms: check_ms,
+                converged,
+            },
+        );
         self.beams = next;
         self.keep_finalists();
         converged
@@ -447,11 +448,9 @@ impl Search<'_, '_> {
         let ctx = self.ctx;
         let mut finalists = std::mem::take(&mut self.finalists);
         let window = self.open_phase();
-        let t2 = Instant::now();
-        let mem_verify = PhaseGuard::enter(Phase::Verify);
+        let verify = self.reg.time(Metric::Verify);
         let n_finalists = finalists.len();
         let mut checked = 0usize;
-        let mut verify_check_ms = 0.0f64;
         finalists.sort_by(|a, b| a.re.partial_cmp(&b.re).expect("finite RE"));
         let mut best = None;
         for cand in finalists {
@@ -472,11 +471,11 @@ impl Search<'_, '_> {
             // One run yields both the execution check and the output. Under
             // late checking it is the candidate's first run, so its time is
             // CheckIfExecutes time.
-            let t3 = Instant::now();
-            let res = self.exec.run_isolated(&cand.program);
-            if !ctx.config.early_check {
-                verify_check_ms += t3.elapsed().as_secs_f64() * 1e3;
-            }
+            let res = if ctx.config.early_check {
+                self.exec.run_isolated(&cand.program)
+            } else {
+                self.check_execute(&cand.program)
+            };
             let outcome = match res {
                 Ok(outcome) => outcome,
                 Err(failure) => {
@@ -489,7 +488,7 @@ impl Search<'_, '_> {
                 continue;
             };
             let eval = {
-                let _k = ctx.interp.obs.as_deref().map(|c| c.span("kernel.jaccard"));
+                let _t = self.reg.time(ctx.config.intent.metric());
                 ctx.config.intent.evaluate(ctx.base_output, out_frame)
             };
             if !eval.satisfied {
@@ -500,25 +499,23 @@ impl Search<'_, '_> {
             best = Some((cand, eval));
             break;
         }
-        let verify_ms = t2.elapsed().as_secs_f64() * 1e3;
-        drop(mem_verify);
-        let times = [
-            (Metric::CheckExecute, verify_check_ms),
-            (Metric::Verify, verify_ms),
-        ];
+        drop(verify);
         let accepted = best.is_some();
-        self.close_phase(window, &times, |cache, alloc_bytes, drops| VerifyEvent {
-            finalists: n_finalists,
-            checked,
-            drops,
-            accepted,
-            cache_hits: cache.hits,
-            cache_misses: cache.misses,
-            cache_evictions: cache.evictions,
-            alloc_bytes,
-            check_execute_ms: verify_check_ms,
-            verify_ms,
-        });
+        self.close_phase(
+            window,
+            |cache, [_, _, check_ms, verify_ms], alloc_bytes, drops| VerifyEvent {
+                finalists: n_finalists,
+                checked,
+                drops,
+                accepted,
+                cache_hits: cache.hits,
+                cache_misses: cache.misses,
+                cache_evictions: cache.evictions,
+                alloc_bytes,
+                check_execute_ms: check_ms,
+                verify_ms,
+            },
+        );
         best
     }
 
@@ -536,10 +533,10 @@ impl Search<'_, '_> {
     /// candidate instead of aborting the search.
     fn get_steps_all(&mut self, beams: &[Candidate]) -> Vec<Vec<Candidate>> {
         let (ctx, interner) = (self.ctx, self.interner);
-        let t0 = Instant::now();
         // The whole of `GetSteps` — enumeration, apply, scoring, ranking —
-        // is the "enumerate" slot of the allocator's phase attribution.
-        let _mem = PhaseGuard::enter(Phase::Enumerate);
+        // is one timer, and the "enumerate" slot of the allocator's phase
+        // attribution.
+        let _t = self.reg.time(Metric::GetSteps);
         // Enumeration order defines job identity; everything downstream
         // keys off the job index. Candidate IDs are minted here, on the
         // serial path, before any fan-out — pruned candidates first, then
@@ -559,12 +556,12 @@ impl Search<'_, '_> {
             }));
         }
         self.stats.enumerated += jobs.len();
-        let (slots, cpu_ms) =
+        let (slots, busy) =
             crate::pool::map_indexed(jobs.len(), ctx.config.resolved_threads(), |i| {
                 let (beam_idx, t, id) = &jobs[i];
                 score_step(&beams[*beam_idx], t, ctx, interner, *id)
             });
-        self.stats.get_steps_cpu_ms += cpu_ms;
+        self.reg.histogram(Metric::GetStepsCpu).record(busy);
 
         // Regroup by beam. Jobs were enumerated beam-major, so pushing in
         // job order reproduces the serial per-beam ordering exactly.
@@ -599,7 +596,6 @@ impl Search<'_, '_> {
                 }
             }
         }
-        self.stats.get_steps_ms += t0.elapsed().as_secs_f64() * 1e3;
         per_beam
     }
 
@@ -648,10 +644,7 @@ impl Search<'_, '_> {
                 continue;
             }
             if self.ctx.config.early_check {
-                let t0 = Instant::now();
-                let res = self.exec.run_isolated(&step.program);
-                self.stats.check_execute_ms += t0.elapsed().as_secs_f64() * 1e3;
-                if let Err(failure) = res {
+                if let Err(failure) = self.check_execute(&step.program) {
                     self.prov.fail(step.id, failure);
                     continue;
                 }
@@ -704,16 +697,24 @@ impl Search<'_, '_> {
 /// satisfies all constraints, falling back to the input itself — this is
 /// why LucidScript never *reduces* standardness (§6.3.1).
 pub fn standardize_search(ctx: &SearchContext, input: &Module) -> SearchOutcome {
-    let t_total = Instant::now();
+    // All timing/count facts of this search live in one registry: the
+    // interpreter's when a trace attached one (so its statement and
+    // kernel timers nest under the search's phases), reset to this
+    // search, else a fresh one. The returned `Timings` is a projection of
+    // it, and the trace records carry the same measured values — the two
+    // views cannot disagree.
+    let reg = match &ctx.interp.obs {
+        Some(obs) => {
+            obs.reset();
+            Arc::clone(obs)
+        }
+        None => Arc::new(Registry::new()),
+    };
+    let total = reg.time(Metric::Total);
     // Allocator window for this search; the delta is folded into the
     // registry at the end, next to the interner counters.
     let mem_start = alloc::snapshot();
     let trace = ctx.config.trace.as_ref();
-    // A fresh epoch for the interpreter's span collector, so per-statement
-    // aggregates describe this search only.
-    if let Some(obs) = &ctx.interp.obs {
-        obs.reset();
-    }
     if let Some(sink) = trace {
         sink.emit(&SearchStartEvent {
             seq_len: ctx.config.seq_len,
@@ -729,23 +730,18 @@ pub fn standardize_search(ctx: &SearchContext, input: &Module) -> SearchOutcome 
             .to_string(),
         });
     }
-    // One interner per search — or the batch-shared one when present:
-    // every candidate the search ever holds is a list of pointers into
-    // this store, and each per-statement fact (hash, atom key, def/use
-    // sets) is computed once per unique statement (per batch, when
-    // shared). Interner counters are cumulative across sharing searches,
-    // so this search's contribution is reported as a delta window.
-    let owned_interner;
-    let interner = match ctx.config.shared.as_deref() {
-        Some(shared) => shared.interner(),
-        None => {
-            owned_interner = StmtInterner::new();
-            &owned_interner
-        }
-    };
-    let interner_hits_base = interner.intern_hits();
-    let interner_dag_base = interner.dag_incremental_updates();
-    let program = Program::from_module(input, interner);
+    // One interner view per search, over the batch-shared store when
+    // present: every candidate the search ever holds is a list of
+    // pointers into that store, and each per-statement fact (hash, atom
+    // key, def/use sets) is computed once per unique statement (per
+    // batch, when shared). The view counts this search's hits and DAG
+    // updates only.
+    let interner = ctx
+        .config
+        .shared
+        .as_deref()
+        .map_or_else(StmtInterner::new, |shared| shared.interner().shared_view());
+    let program = Program::from_module(input, &interner);
     let dag = Arc::new(program.full_dag());
     let input_re = score_dag(&dag, ctx.corpus, ctx.config.objective);
     let input_candidate = Candidate {
@@ -760,11 +756,8 @@ pub fn standardize_search(ctx: &SearchContext, input: &Module) -> SearchOutcome 
     let mut search = Search {
         ctx,
         exec: ExecEnv::new(ctx.interp, ctx.config),
-        interner,
-        // All timing/count facts of this search live in one registry; the
-        // returned `Timings` is a projection of it, and the trace records
-        // carry the same measured values — the two views cannot disagree.
-        reg: Registry::new(),
+        interner: &interner,
+        reg,
         // The candidate ledger. IDs are minted (serially, in enumeration
         // order), drops are counted and the protected set is maintained
         // whether or not the search is traced — beam-drop accounting
@@ -780,7 +773,6 @@ pub fn standardize_search(ctx: &SearchContext, input: &Module) -> SearchOutcome 
         .reg
         .counter(Metric::Threads)
         .set_max(ctx.config.resolved_threads() as u64);
-    let h_total = search.reg.histogram(Metric::Total);
     search.prov.set_re(input_candidate.id, input_re);
 
     for step in 0..ctx.config.seq_len {
@@ -812,17 +804,13 @@ pub fn standardize_search(ctx: &SearchContext, input: &Module) -> SearchOutcome 
         };
         (input_candidate, intent)
     });
-    // Unique statements is a gauge over the interner (the batch-shared
-    // total when sharing); hit/update counts are this search's delta
-    // window, so per-search values sum consistently in fleet roll-ups.
+    // Unique statements is a gauge over the store (the batch-shared total
+    // when sharing); hit/update counts are this search's view's, so
+    // per-search values sum consistently in fleet roll-ups.
     reg.counter(Metric::UniqueStmts).set_max(interner.unique_stmts());
-    reg.counter(Metric::InternHits)
-        .add(interner.intern_hits().saturating_sub(interner_hits_base));
-    reg.counter(Metric::DagIncremental).add(
-        interner
-            .dag_incremental_updates()
-            .saturating_sub(interner_dag_base),
-    );
+    reg.counter(Metric::InternHits).add(interner.intern_hits());
+    reg.counter(Metric::DagIncremental)
+        .add(interner.dag_incremental_updates());
     // Allocator attribution for this search's window. The total is
     // recorded as the sum of the same per-phase deltas, so "phase bytes
     // sum to the total" holds exactly even when concurrent searches
@@ -835,7 +823,7 @@ pub fn standardize_search(ctx: &SearchContext, input: &Module) -> SearchOutcome 
     reg.counter(Metric::MemBytesTotal).add(mem.total_bytes());
     reg.counter(Metric::MemAllocs).add(mem.total_allocs());
     reg.counter(Metric::MemPeakBytes).set_max(alloc::peak_bytes());
-    h_total.record_ns(ms_to_ns(t_total.elapsed().as_secs_f64() * 1e3));
+    drop(total);
     let timings = Timings::from_registry(&reg);
     // Fleet roll-up: a long-lived process hands every search the same
     // process-wide registry; merging is measurement-only and happens
@@ -850,16 +838,14 @@ pub fn standardize_search(ctx: &SearchContext, input: &Module) -> SearchOutcome 
             best_re: best.re,
             changed: !best.applied.is_empty(),
             timings,
-            stmt_spans: stmt_span_aggregates(ctx.interp),
-            spans_dropped: ctx.interp.obs.as_ref().map_or(0, |o| o.dropped()),
         });
         // The profile record trails search_end so a trace cut off at the
         // (potentially large) profile line still summarizes completely.
         // Profiling is measurement-only: the report is assembled after
         // every search decision is made, so output is byte-identical with
         // tracing on or off.
-        if let Some(p) = build_profile(ctx, &reg) {
-            sink.emit(&p);
+        if let Some(profile) = ProfileReport::of(&reg) {
+            sink.emit(&profile);
         }
         sink.flush();
     }
@@ -871,41 +857,6 @@ pub fn standardize_search(ctx: &SearchContext, input: &Module) -> SearchOutcome 
         timings,
         ledger: prov,
     }
-}
-
-/// Assembles the search's [`ProfileReport`]: phase + per-statement
-/// percentiles from the search registry merged with the interpreter
-/// collector's per-span-name aggregates, plus the folded span tree.
-/// `None` when no collector is attached (the search is not traced).
-fn build_profile(ctx: &SearchContext, reg: &Registry) -> Option<lucid_obs::ProfileReport> {
-    let obs = ctx.interp.obs.as_ref()?;
-    let mut rows = reg.histogram_percentiles();
-    rows.extend(obs.registry().histogram_percentiles());
-    rows.sort_by(|a, b| a.0.cmp(&b.0));
-    Some(lucid_obs::ProfileReport::build(
-        &obs.records(),
-        rows,
-        obs.dropped(),
-    ))
-}
-
-/// Per-statement-kind interpreter aggregates from the interpreter's span
-/// collector (empty when no collector is attached or it is disabled).
-fn stmt_span_aggregates(interp: &Interpreter) -> Vec<StmtSpanAgg> {
-    let Some(obs) = &interp.obs else {
-        return Vec::new();
-    };
-    obs.registry()
-        .snapshot()
-        .histograms
-        .into_iter()
-        .filter(|h| h.name.starts_with("stmt.") || h.name == "interp.run")
-        .map(|h| StmtSpanAgg {
-            name: h.name,
-            count: h.count,
-            total_ms: h.sum_ms,
-        })
-        .collect()
 }
 
 /// Applies and scores one enumerated transformation, yielding the
@@ -1215,8 +1166,8 @@ y = df['Survived']
         interp.register_table("train.csv", titanic_like_table());
         let input = crate::lemma::lemmatize(&parse_module(NONSTANDARD).unwrap());
         let base = interp.run(&input).unwrap().output_frame().unwrap().clone();
-        let collector = Arc::new(lucid_obs::Collector::new(true));
-        interp.obs = Some(collector.clone());
+        let reg = Arc::new(Registry::traced());
+        interp.obs = Some(Arc::clone(&reg));
         let ctx = context(&corpus, &interp, &config, &base);
         let outcome = standardize_search(&ctx, &input);
         assert!(!outcome.best.applied.is_empty());
@@ -1229,7 +1180,9 @@ y = df['Survived']
             .expect("verify record");
         let checked = verify.get("checked").and_then(|v| v.as_f64()).unwrap() as u64;
         assert!(checked > 0);
-        assert_eq!(collector.registry().histogram_count("interp.run"), checked);
+        assert_eq!(reg.histogram_count(Metric::InterpRun), checked);
+        // Every late check is one CheckIfExecutes observation.
+        assert_eq!(reg.histogram_count(Metric::CheckExecute), checked);
     }
 
     #[test]

@@ -259,10 +259,10 @@ fn diff_line_records(
 
 /// Applies a config's interpreter-facing knobs: seed, sampling, the
 /// per-candidate resource budget, the (test-only) fault-injection plan,
-/// and — when tracing is on — a span collector recording per-statement
-/// interpreter time into the search's event log and its `profile`
-/// record. Without a trace sink the collector is absent entirely,
-/// keeping runs on the zero-cost path.
+/// and — when tracing is on — a traced registry, which each search
+/// resets and records into, so statement and kernel timers nest under
+/// the search's phases in its `profile` record. Without a trace sink no
+/// registry is attached, keeping runs on the zero-cost path.
 fn configure_interp(interp: &mut Interpreter, config: &SearchConfig) {
     interp.seed = config.seed;
     interp.sample_rows = config.sample_rows;
@@ -271,7 +271,7 @@ fn configure_interp(interp: &mut Interpreter, config: &SearchConfig) {
     interp.obs = config
         .trace
         .is_some()
-        .then(|| Arc::new(lucid_obs::Collector::new(true)));
+        .then(|| Arc::new(lucid_obs::Registry::traced()));
 }
 
 #[cfg(test)]
@@ -395,12 +395,16 @@ mod tests {
         }
     }
 
-    #[test]
-    fn tracing_standardizer_logs_statement_spans() {
+    /// Runs one traced standardization of the fixture's draft and returns
+    /// the standardizer (holding the search's registry), the report and
+    /// the parsed trace.
+    fn traced_run(
+        intent: IntentMeasure,
+    ) -> (Standardizer, StandardizeReport, lucid_obs::TraceSummary) {
         let sink = lucid_obs::TraceSink::in_memory();
         let config = SearchConfig {
             seq_len: 4,
-            intent: IntentMeasure::jaccard(0.5),
+            intent,
             trace: Some(sink.clone()),
             ..Default::default()
         };
@@ -410,19 +414,104 @@ mod tests {
                 "import pandas as pd\ndf = pd.read_csv('train.csv')\ndf = df.fillna(df.median())\ny = df['Survived']\n",
             )
             .unwrap();
-        let summary =
-            lucid_obs::parse_trace(&sink.memory_lines().unwrap().join("\n")).unwrap();
+        let summary = lucid_obs::parse_trace(&sink.memory_lines().unwrap().join("\n")).unwrap();
+        (s, report, summary)
+    }
+
+    #[test]
+    fn tracing_standardizer_profiles_one_nested_span_tree() {
+        let (s, report, summary) = traced_run(IntentMeasure::jaccard(0.5));
         assert_eq!(summary.steps.len(), report.timings.search_steps);
-        // The interpreter ran under the span collector: per-statement
-        // aggregates made it into the search_end record.
+        // The interpreter timed into the search's registry: per-statement
+        // rows reached the profile record, and `lucid trace` prints them.
+        let profile = summary
+            .profile
+            .as_ref()
+            .expect("a traced search has a profile");
         assert!(
-            summary.stmt_spans.iter().any(|(name, ..)| name == "stmt.assign"),
-            "expected stmt.* spans, got {:?}",
-            summary.stmt_spans
+            profile
+                .percentiles
+                .iter()
+                .any(|r| r.name == "stmt.assign" && r.sum_ns > 0),
+            "expected stmt.* rows, got {:?}",
+            profile.percentiles
         );
-        // Untraced standardizers attach no collector at all.
-        let quiet = build();
+        assert!(summary
+            .render()
+            .contains("interpreter time by statement kind:"));
+        // One tree: search phases, then the run, its statements and their
+        // kernels.
+        let stacks: Vec<&str> = profile.folded.iter().map(|f| f.stack.as_str()).collect();
+        assert!(
+            stacks.iter().any(|s| s.starts_with("search.total;")
+                && s.contains(";search.check_execute;interp.run;stmt.")),
+            "no search-rooted statement stack in {stacks:?}"
+        );
+        assert!(
+            stacks.iter().any(|s| s
+                .split(';')
+                .collect::<Vec<_>>()
+                .windows(2)
+                .any(|w| w[0].starts_with("stmt.") && w[1].starts_with("kernel."))),
+            "no kernel under a statement in {stacks:?}"
+        );
+        // The layers sum: every span's children fit inside it, with 1 µs
+        // of rounding slack per child.
+        let spans = s.interp.obs.as_ref().expect("traced registry").spans();
+        assert!(!spans.is_empty());
+        for span in &spans {
+            let children: Vec<_> = spans.iter().filter(|c| c.parent == Some(span.id)).collect();
+            let sum: u64 = children.iter().map(|c| c.dur_us).sum();
+            assert!(
+                sum <= span.dur_us + children.len() as u64,
+                "children of {} sum to {sum} µs > its {} µs",
+                span.name,
+                span.dur_us
+            );
+        }
+        // Untraced standardizers attach no registry at all, and count the
+        // same: only times and allocated bytes may differ.
+        let config = SearchConfig {
+            trace: None,
+            ..s.config().clone()
+        };
+        let quiet = Standardizer::build(&corpus(), "train.csv", data(), config).unwrap();
         assert!(quiet.interp.obs.is_none());
+        let plain = quiet
+            .standardize_source(
+                "import pandas as pd\ndf = pd.read_csv('train.csv')\ndf = df.fillna(df.median())\ny = df['Survived']\n",
+            )
+            .unwrap();
+        let counters = |t: &crate::report::Timings| crate::report::Timings {
+            get_steps_ms: 0.0,
+            get_top_k_ms: 0.0,
+            check_execute_ms: 0.0,
+            verify_constraints_ms: 0.0,
+            total_ms: 0.0,
+            get_steps_cpu_ms: 0.0,
+            alloc_bytes_enumerate: 0,
+            alloc_bytes_execute: 0,
+            alloc_bytes_score: 0,
+            alloc_bytes_verify: 0,
+            alloc_bytes_unattributed: 0,
+            alloc_bytes_total: 0,
+            alloc_count: 0,
+            peak_live_bytes: 0,
+            ..*t
+        };
+        assert_eq!(counters(&report.timings), counters(&plain.timings));
+    }
+
+    #[test]
+    fn intent_evaluations_are_timed_under_their_measure() {
+        let (_, _, summary) = traced_run(IntentMeasure::model_perf(20.0, "Survived"));
+        let rows = &summary
+            .profile
+            .expect("a traced search has a profile")
+            .percentiles;
+        let names: Vec<&str> = rows.iter().map(|r| r.name.as_str()).collect();
+        assert!(names.contains(&"intent.model_performance"), "{names:?}");
+        assert!(!names.contains(&"kernel.jaccard"), "{names:?}");
     }
 
     #[test]

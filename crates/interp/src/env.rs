@@ -5,6 +5,7 @@ use crate::budget::{Budget, BudgetKind, BudgetUsage, FaultPlan, UNLIMITED};
 use crate::error::{InterpError, Result};
 use crate::value::{FrameVal, ModuleKind, RtValue};
 use lucid_frame::{DataFrame, Value};
+use lucid_obs::{Metric, Registry, Timer};
 use lucid_pyast::{Expr, Module, Stmt};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -34,10 +35,11 @@ pub struct Interpreter {
     /// of *untrusted* runs. `None` (the default) costs nothing;
     /// [`Interpreter::run_trusted`] ignores it entirely.
     pub fault_plan: Option<Arc<FaultPlan>>,
-    /// Optional span collector: when set (and enabled), every run records
-    /// an `interp.run` root span with one `stmt.*` child per executed
-    /// statement. `None` costs nothing on the hot path.
-    pub obs: Option<Arc<lucid_obs::Collector>>,
+    /// Optional registry (a traced search's own): when set, every run
+    /// times `interp.run`, each executed statement its `stmt.*` row and
+    /// each frame kernel its `kernel.*` row. `None` costs nothing on the
+    /// hot path.
+    pub obs: Option<Arc<Registry>>,
 }
 
 impl Default for Interpreter {
@@ -342,7 +344,7 @@ impl Interpreter {
             }
         }
         let started = (self.budget.deadline_ms != UNLIMITED).then(Instant::now);
-        let root = self.obs.as_deref().map(|c| c.span("interp.run"));
+        let _run = self.time(Metric::InterpRun);
         let faults = if trusted {
             None
         } else {
@@ -362,7 +364,7 @@ impl Interpreter {
             if let Some(plan) = faults {
                 plan.check(i, sref.hash)?;
             }
-            let _span = root.as_ref().map(|r| r.child(stmt_span_name(sref.stmt)));
+            let _stmt = self.time(stmt_metric(sref.stmt));
             self.exec_stmt(sref.stmt, state)?;
             if state.cells > self.budget.max_cells {
                 return Err(InterpError::Budget(BudgetKind::Cells));
@@ -381,6 +383,12 @@ impl Interpreter {
             }
         }
         Ok(())
+    }
+
+    /// Times `metric` into the attached registry; `None` (no clock read)
+    /// when none is attached.
+    pub(crate) fn time(&self, metric: Metric) -> Option<Timer> {
+        self.obs.as_deref().map(|reg| reg.time(metric))
     }
 
     /// Executes a script and reports only whether it runs — the paper's
@@ -622,13 +630,13 @@ impl Interpreter {
     }
 }
 
-/// The span name a statement's execution records under.
-fn stmt_span_name(stmt: &Stmt) -> &'static str {
+/// The metric a statement's execution is timed under.
+fn stmt_metric(stmt: &Stmt) -> Metric {
     match stmt {
-        Stmt::Import { .. } => "stmt.import",
-        Stmt::FromImport { .. } => "stmt.from_import",
-        Stmt::Assign { .. } => "stmt.assign",
-        Stmt::ExprStmt { .. } => "stmt.expr",
+        Stmt::Import { .. } => Metric::StmtImport,
+        Stmt::FromImport { .. } => Metric::StmtFromImport,
+        Stmt::Assign { .. } => Metric::StmtAssign,
+        Stmt::ExprStmt { .. } => Metric::StmtExpr,
     }
 }
 
@@ -763,29 +771,26 @@ mod tests {
     }
 
     #[test]
-    fn runs_record_statement_spans_when_collector_enabled() {
+    fn runs_time_statements_when_a_registry_is_attached() {
         let mut i = interp();
-        let obs = Arc::new(lucid_obs::Collector::new(true));
-        i.obs = Some(Arc::clone(&obs));
+        let reg = Arc::new(Registry::traced());
+        i.obs = Some(Arc::clone(&reg));
         let module =
             parse_module("import pandas as pd\ndf = pd.read_csv('t.csv')\ndf.head(1)\n").unwrap();
         i.run(&module).unwrap();
-        let reg = obs.registry();
-        assert_eq!(reg.histogram_count("interp.run"), 1);
-        assert_eq!(reg.histogram_count("stmt.import"), 1);
-        assert_eq!(reg.histogram_count("stmt.assign"), 1);
-        assert_eq!(reg.histogram_count("stmt.expr"), 1);
-        // Cached runs record spans only for statements actually executed.
+        assert_eq!(reg.histogram_count(Metric::InterpRun), 1);
+        assert_eq!(reg.histogram_count(Metric::StmtImport), 1);
+        assert_eq!(reg.histogram_count(Metric::StmtAssign), 1);
+        assert_eq!(reg.histogram_count(Metric::StmtExpr), 1);
+        // Statements nest under their run.
+        let spans = reg.spans();
+        assert_eq!(spans[0].name, "interp.run");
+        assert!(spans[1..].iter().all(|s| s.parent == Some(spans[0].id)));
+        // Cached runs time only the statements actually executed.
         let cache = crate::cache::PrefixCache::default();
         i.run_with_cache(&module, &cache).unwrap();
         i.run_with_cache(&module, &cache).unwrap();
-        assert_eq!(reg.histogram_count("stmt.assign"), 2);
-        // A disabled collector records nothing.
-        let mut quiet = interp();
-        let off = Arc::new(lucid_obs::Collector::disabled());
-        quiet.obs = Some(Arc::clone(&off));
-        quiet.run(&module).unwrap();
-        assert_eq!(off.registry().histogram_count("interp.run"), 0);
+        assert_eq!(reg.histogram_count(Metric::StmtAssign), 2);
     }
 
     #[test]

@@ -7,6 +7,7 @@ use crate::error::{InterpError, Result};
 use crate::value::{FrameVal, ModuleKind, RtValue, SeriesVal};
 use lucid_frame::ops::{self, ArithOp, CmpOp, Operand};
 use lucid_frame::{BoolMask, Column, Value};
+use lucid_obs::Metric;
 use lucid_pyast::{Arg, BinOpKind, CmpOpKind, Expr, UnaryOpKind};
 
 /// Evaluated call arguments, preserving position/keyword structure.
@@ -480,9 +481,7 @@ impl Interpreter {
         };
         if let Some(aop) = arith_op {
             let _k = match (&l, &r) {
-                (RtValue::Series(_), _) | (_, RtValue::Series(_)) => {
-                    self.obs.as_deref().map(|c| c.span("kernel.arith"))
-                }
+                (RtValue::Series(_), _) | (_, RtValue::Series(_)) => self.time(Metric::KernelArith),
                 _ => None,
             };
             match (&l, &r) {
@@ -579,9 +578,7 @@ impl Interpreter {
             _ => unreachable!("membership handled above"),
         };
         let _k = match (&l, &r) {
-            (RtValue::Series(_), _) | (_, RtValue::Series(_)) => {
-                self.obs.as_deref().map(|c| c.span("kernel.compare"))
-            }
+            (RtValue::Series(_), _) | (_, RtValue::Series(_)) => self.time(Metric::KernelCompare),
             _ => None,
         };
         match (&l, &r) {

@@ -10,6 +10,7 @@ use lucid_frame::frame::StatFill;
 use lucid_frame::groupby::{group_agg, AggFn};
 use lucid_frame::ops::{self, StrOp};
 use lucid_frame::{Column, Value};
+use lucid_obs::Metric;
 
 /// `pd.<fn>(...)` dispatch.
 pub(crate) fn call_pandas_fn(interp: &Interpreter, name: &str, args: Args) -> Result<RtValue> {
@@ -32,7 +33,7 @@ pub(crate) fn call_pandas_fn(interp: &Interpreter, name: &str, args: Args) -> Re
                 None => None,
             };
             let drop_first = kw_bool(&args, "drop_first")?.unwrap_or(false);
-            let _k = interp.obs.as_deref().map(|c| c.span("kernel.get_dummies"));
+            let _k = interp.time(Metric::KernelGetDummies);
             let out = frame.df.get_dummies(columns.as_deref(), drop_first)?;
             Ok(RtValue::Frame(frame.with_same_rows(out)))
         }
@@ -56,7 +57,7 @@ pub(crate) fn call_pandas_fn(interp: &Interpreter, name: &str, args: Args) -> Re
         }
         "to_numeric" => {
             let s = expect_series(args.require(0, "arg")?)?;
-            let _k = interp.obs.as_deref().map(|c| c.span("kernel.astype"));
+            let _k = interp.time(Metric::KernelAstype);
             let col = s.col.cast(DType::Float64)?;
             Ok(RtValue::Series(SeriesVal {
                 name: s.name.clone(),
@@ -83,7 +84,7 @@ pub(crate) fn call_frame_method(
 ) -> Result<RtValue> {
     match method {
         "fillna" => {
-            let _k = interp.obs.as_deref().map(|c| c.span("kernel.fillna"));
+            let _k = interp.time(Metric::KernelFillna);
             frame_fillna(&f, &args)
         }
         "dropna" => {
@@ -296,7 +297,7 @@ pub(crate) fn call_frame_method(
             let dtype = DType::parse(&target).ok_or_else(|| {
                 InterpError::ValueError(format!("unknown dtype '{target}'"))
             })?;
-            let _k = interp.obs.as_deref().map(|c| c.span("kernel.astype"));
+            let _k = interp.time(Metric::KernelAstype);
             let mut out = lucid_frame::DataFrame::new();
             for (n, c) in f.df.iter() {
                 out.add_column(n, c.cast(dtype)?)?;
@@ -489,7 +490,7 @@ pub(crate) fn call_series_method(
                     )))
                 }
             };
-            let _k = interp.obs.as_deref().map(|c| c.span("kernel.fillna"));
+            let _k = interp.time(Metric::KernelFillna);
             Ok(RtValue::Series(SeriesVal {
                 name: s.name.clone(),
                 col: s.col.fill_na(&fill)?,
@@ -529,7 +530,7 @@ pub(crate) fn call_series_method(
             let dtype = DType::parse(&target).ok_or_else(|| {
                 InterpError::ValueError(format!("unknown dtype '{target}'"))
             })?;
-            let _k = interp.obs.as_deref().map(|c| c.span("kernel.astype"));
+            let _k = interp.time(Metric::KernelAstype);
             Ok(RtValue::Series(SeriesVal {
                 name: s.name.clone(),
                 col: s.col.cast(dtype)?,
@@ -660,7 +661,7 @@ pub(crate) fn call_groupby_method(
                 })?
         }
     };
-    let _k = interp.obs.as_deref().map(|c| c.span("kernel.groupby"));
+    let _k = interp.time(Metric::KernelGroupby);
     let out = group_agg(&g.frame.df, &g.keys, &value_col, agg)?;
     Ok(RtValue::Frame(FrameVal::fresh(out)))
 }

@@ -87,6 +87,18 @@ impl Phase {
             Phase::Verify => Metric::MemBytesVerify,
         }
     }
+
+    /// The phase a timer of `metric` tags while it runs
+    /// ([`crate::Registry::time`]). `CheckIfExecutes` runs have none: the
+    /// interpreter tags `Execute` itself.
+    pub(crate) fn timed_by(metric: Metric) -> Option<Phase> {
+        match metric {
+            Metric::GetSteps => Some(Phase::Enumerate),
+            Metric::GetTopK => Some(Phase::Score),
+            Metric::Verify => Some(Phase::Verify),
+            _ => None,
+        }
+    }
 }
 
 static COUNTING: AtomicBool = AtomicBool::new(true);

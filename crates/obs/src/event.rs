@@ -1,7 +1,7 @@
 //! The versioned trace schema (JSONL, one record per line): the
 //! measurement records of a search.
 //!
-//! Every line carries `"v": 5` (the schema version) and an `"event"`
+//! Every line carries `"v": 6` (the schema version) and an `"event"`
 //! discriminator, stamped by the sink ([`crate::sink::record_line`]);
 //! the record structs hold only their payload. A traced standardization
 //! writes one stream, in order:
@@ -9,8 +9,8 @@
 //! one `search_end` carrying the search's [`Timings`], whose phase totals
 //! equal the sums over the per-step records (modulo float rendering;
 //! `lucid trace` rebuilds the Figure 7 breakdown from them), and a
-//! `profile` record (a [`crate::profile::ProfileReport`]) when a span
-//! collector was attached.
+//! `profile` record (a [`crate::profile::ProfileReport`]) when the
+//! search's registry kept spans.
 //! The decision records of [`crate::decision`] follow: one `cand` per
 //! candidate, the `lineage`, one `diff_line` per line of the final diff,
 //! and the `decision_end` trailer last.
@@ -23,15 +23,17 @@
 //! nests the `search_end` counters in one `timings` object under their
 //! `Timings` names; version 5 nests the `step` and `verify` drop counters
 //! in one `drops` object ([`Drops`]) and gives `verify` the cache and
-//! allocation windows `step` has. Files of the older versions are
-//! rejected by name, not read.
+//! allocation windows `step` has; version 6 drops `search_end`'s copy of
+//! the per-statement interpreter time and of the span-drop count, which
+//! the `profile` record carries (its percentile rows gained `sum_ns`).
+//! Files of the older versions are rejected by name, not read.
 
 use crate::decision::Drops;
 use crate::timings::Timings;
 use serde::Serialize;
 
 /// Version the sink stamps into every record's `"v"` field.
-pub const TRACE_SCHEMA_VERSION: u64 = 5;
+pub const TRACE_SCHEMA_VERSION: u64 = 6;
 
 /// Emitted once when a search begins: the configuration snapshot.
 #[derive(Debug, Clone, Serialize)]
@@ -128,17 +130,6 @@ pub struct VerifyEvent {
     pub verify_ms: f64,
 }
 
-/// Per-statement-kind interpreter time (from the span collector).
-#[derive(Debug, Clone, Serialize)]
-pub struct StmtSpanAgg {
-    /// Span name (`"stmt.assign"`, ...).
-    pub name: String,
-    /// Statements executed.
-    pub count: u64,
-    /// Total wall ms.
-    pub total_ms: f64,
-}
-
 /// Emitted once when a search ends: the outcome and the search's
 /// [`Timings`], the same struct the report carries.
 #[derive(Debug, Clone, Default, Serialize)]
@@ -154,11 +145,6 @@ pub struct SearchEndEvent {
     /// Phase times and counters of the whole search (read back by
     /// [`Timings::from_record`]).
     pub timings: Timings,
-    /// Per-statement-kind interpreter spans (empty when the collector is
-    /// disabled).
-    pub stmt_spans: Vec<StmtSpanAgg>,
-    /// Span records dropped by the collector's retention bound.
-    pub spans_dropped: u64,
 }
 
 #[cfg(test)]

@@ -1,13 +1,14 @@
-//! The metrics registry: named atomic counters and log-bucketed
-//! histograms.
+//! The metrics registry: [`Metric`]-keyed atomic counters and
+//! log-bucketed histograms, and the timers that feed the histograms.
 //!
-//! Handles ([`Counter`], [`Histogram`]) are fetched once per search
-//! (taking a short registry lock) and then updated lock-free, so the hot
-//! path — one `record_ns` per phase per step, one `add` per scored
-//! candidate — costs a few atomic RMW operations. Values are kept in
+//! A handle ([`Counter`], [`Histogram`]) or a [`Timer`] costs one short
+//! registry lock to fetch and is then updated lock-free, so the hot path
+//! — one timer per phase per step and per candidate run, one `add` per
+//! counter — costs a few atomic RMW operations. Values are kept in
 //! integer nanoseconds; projecting to milliseconds happens only at
 //! report time.
 
+use crate::span::{SpanBuffer, SpanRecord, Timer, DEFAULT_MAX_SPANS};
 use crate::timings::Metric;
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -106,16 +107,6 @@ impl Histogram {
         self.max_ns.load(Ordering::Relaxed) as f64 / 1e6
     }
 
-    /// Mean observation, in milliseconds (0 when empty).
-    pub fn mean_ms(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum_ms() / n as f64
-        }
-    }
-
     /// Per-bucket observation counts (bucket `i` = `[2^i, 2^{i+1})` ns).
     pub fn bucket_counts(&self) -> Vec<u64> {
         self.buckets
@@ -155,10 +146,11 @@ impl Histogram {
         max_ns
     }
 
-    /// The p50/p90/p99/max summary of this histogram.
+    /// The count/sum/p50/p90/p99/max summary of this histogram.
     pub fn percentiles(&self) -> Percentiles {
         Percentiles {
             count: self.count(),
+            sum_ns: self.sum_ns.load(Ordering::Relaxed),
             p50_ns: self.percentile_ns(0.50),
             p90_ns: self.percentile_ns(0.90),
             p99_ns: self.percentile_ns(0.99),
@@ -197,12 +189,13 @@ impl Histogram {
 }
 
 /// Percentile summary of one histogram (see [`Histogram::percentiles`]).
-/// Values are integer nanoseconds, like the histogram itself; the `*_ms`
-/// accessors project for display.
+/// Values are integer nanoseconds, like the histogram itself.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct Percentiles {
     /// Observation count.
     pub count: u64,
+    /// Exact sum of the observations.
+    pub sum_ns: u64,
     /// Median estimate (within one log₂ bucket).
     pub p50_ns: u64,
     /// 90th-percentile estimate.
@@ -213,78 +206,65 @@ pub struct Percentiles {
     pub max_ns: u64,
 }
 
-impl Percentiles {
-    /// Median in milliseconds.
-    pub fn p50_ms(&self) -> f64 {
-        self.p50_ns as f64 / 1e6
-    }
-
-    /// 90th percentile in milliseconds.
-    pub fn p90_ms(&self) -> f64 {
-        self.p90_ns as f64 / 1e6
-    }
-
-    /// 99th percentile in milliseconds.
-    pub fn p99_ms(&self) -> f64 {
-        self.p99_ns as f64 / 1e6
-    }
-
-    /// Maximum in milliseconds.
-    pub fn max_ms(&self) -> f64 {
-        self.max_ns as f64 / 1e6
-    }
-}
-
-/// A named collection of counters and histograms.
+/// A collection of counters and histograms, keyed by [`Metric`], plus an
+/// optional span buffer.
 ///
-/// Metrics are named by [`Metric`] handles, each a dot-path name such as
-/// `search.get_steps`; the span collector keys its histograms by span
-/// name (`interp.run`, `stmt.*`, `kernel.*`). Fetching a handle
-/// takes the registry lock once; updates through the returned [`Arc`] are
-/// lock-free.
+/// Fetching a handle takes the registry lock once; updates through the
+/// returned [`Arc`] are lock-free. [`Registry::time`] is the one way code
+/// times anything: its [`Timer`] records into the metric's histogram and,
+/// in a traced registry ([`Registry::traced`]), into the span tree that
+/// `lucid profile` folds.
 #[derive(Debug, Default)]
 pub struct Registry {
-    counters: Mutex<BTreeMap<&'static str, Arc<Counter>>>,
-    histograms: Mutex<BTreeMap<&'static str, Arc<Histogram>>>,
+    counters: Mutex<BTreeMap<Metric, Arc<Counter>>>,
+    histograms: Mutex<BTreeMap<Metric, Arc<Histogram>>>,
+    spans: Option<Arc<SpanBuffer>>,
 }
 
 impl Registry {
-    /// An empty registry.
+    /// An empty registry that keeps no spans.
     pub fn new() -> Registry {
         Registry::default()
     }
 
+    /// An empty registry that also keeps the span tree of its timers (up
+    /// to [`DEFAULT_MAX_SPANS`] records).
+    pub fn traced() -> Registry {
+        Registry::traced_with_bound(DEFAULT_MAX_SPANS)
+    }
+
+    pub(crate) fn traced_with_bound(max_spans: usize) -> Registry {
+        Registry {
+            spans: Some(Arc::new(SpanBuffer::new(max_spans))),
+            ..Registry::default()
+        }
+    }
+
     /// The counter of `metric`, created on first use.
     pub fn counter(&self, metric: Metric) -> Arc<Counter> {
-        self.counter_named(metric.name())
-    }
-
-    /// The histogram of `metric`, created on first use.
-    pub fn histogram(&self, metric: Metric) -> Arc<Histogram> {
-        self.histogram_named(metric.name())
-    }
-
-    /// The counter named `name`, created on first use.
-    pub(crate) fn counter_named(&self, name: &'static str) -> Arc<Counter> {
         Arc::clone(
             self.counters
                 .lock()
                 .expect("registry lock")
-                .entry(name)
+                .entry(metric)
                 .or_default(),
         )
     }
 
-    /// The histogram named `name` (a [`Metric`] name or a span name),
-    /// created on first use.
-    pub(crate) fn histogram_named(&self, name: &'static str) -> Arc<Histogram> {
+    /// The histogram of `metric`, created on first use.
+    pub fn histogram(&self, metric: Metric) -> Arc<Histogram> {
         Arc::clone(
             self.histograms
                 .lock()
                 .expect("registry lock")
-                .entry(name)
+                .entry(metric)
                 .or_default(),
         )
+    }
+
+    /// Starts timing `metric`; the returned guard records on drop.
+    pub fn time(&self, metric: Metric) -> Timer {
+        Timer::start(metric, self.histogram(metric), self.spans.as_ref())
     }
 
     /// A counter's current value (0 when the counter was never created).
@@ -292,47 +272,72 @@ impl Registry {
         self.counters
             .lock()
             .expect("registry lock")
-            .get(metric.name())
+            .get(&metric)
             .map_or(0, |c| c.get())
     }
 
-    /// A histogram's sum in ms (0 when the histogram was never created).
-    pub fn histogram_sum_ms(&self, name: &str) -> f64 {
+    fn with_histogram<T>(&self, metric: Metric, read: impl FnOnce(&Histogram) -> T) -> Option<T> {
         self.histograms
             .lock()
             .expect("registry lock")
-            .get(name)
-            .map_or(0.0, |h| h.sum_ms())
+            .get(&metric)
+            .map(|h| read(h))
+    }
+
+    /// A histogram's sum in ms (0 when the histogram was never created).
+    pub fn histogram_sum_ms(&self, metric: Metric) -> f64 {
+        self.with_histogram(metric, Histogram::sum_ms)
+            .unwrap_or(0.0)
     }
 
     /// A histogram's observation count (0 when never created).
-    pub fn histogram_count(&self, name: &str) -> u64 {
-        self.histograms
-            .lock()
-            .expect("registry lock")
-            .get(name)
-            .map_or(0, |h| h.count())
+    pub fn histogram_count(&self, metric: Metric) -> u64 {
+        self.with_histogram(metric, Histogram::count).unwrap_or(0)
     }
 
     /// Percentile summaries of every histogram with at least one
-    /// observation, name-sorted (the map is a `BTreeMap`).
-    pub fn histogram_percentiles(&self) -> Vec<(String, Percentiles)> {
-        self.histograms
+    /// observation, sorted by name.
+    pub fn histogram_percentiles(&self) -> Vec<(&'static str, Percentiles)> {
+        let mut rows: Vec<(&'static str, Percentiles)> = self
+            .histograms
             .lock()
             .expect("registry lock")
             .iter()
             .filter(|(_, h)| h.count() > 0)
-            .map(|(name, h)| ((*name).to_string(), h.percentiles()))
-            .collect()
+            .map(|(metric, h)| (metric.name(), h.percentiles()))
+            .collect();
+        rows.sort_unstable_by_key(|(name, _)| *name);
+        rows
     }
 
-    /// Zeroes every metric, keeping existing handles valid.
+    /// The retained span records, in start order (empty when the registry
+    /// keeps no spans).
+    pub fn spans(&self) -> Vec<SpanRecord> {
+        self.spans.as_ref().map_or_else(Vec::new, |s| s.records())
+    }
+
+    /// Spans past the retention bound; their durations still reached the
+    /// histograms.
+    pub(crate) fn spans_dropped(&self) -> u64 {
+        self.spans.as_ref().map_or(0, |s| s.dropped())
+    }
+
+    /// Whether the registry keeps spans.
+    pub(crate) fn is_traced(&self) -> bool {
+        self.spans.is_some()
+    }
+
+    /// Zeroes every metric, keeping existing handles valid, and clears
+    /// the span buffer, restarting its epoch.
     pub fn reset(&self) {
         for c in self.counters.lock().expect("registry lock").values() {
             c.reset();
         }
         for h in self.histograms.lock().expect("registry lock").values() {
             h.reset();
+        }
+        if let Some(spans) = &self.spans {
+            spans.reset();
         }
     }
 
@@ -343,56 +348,62 @@ impl Registry {
     /// primitive: per-search registries merge into a process-wide one at
     /// search end. Values are copied out of `other` before touching
     /// `self`, so the two registries' locks are never held together.
+    /// Spans are not merged.
     pub fn merge(&self, other: &Registry) {
-        let counters: Vec<(&'static str, u64)> = other
+        let counters: Vec<(Metric, u64)> = other
             .counters
             .lock()
             .expect("registry lock")
             .iter()
-            .map(|(name, c)| (*name, c.get()))
+            .map(|(metric, c)| (*metric, c.get()))
             .collect();
         // Zeros too: a snapshot lists every counter a search recorded,
         // not only the ones that have moved so far.
-        for (name, v) in counters {
-            self.counter_named(name).add(v);
+        for (metric, v) in counters {
+            self.counter(metric).add(v);
         }
-        let histograms: Vec<(&'static str, Arc<Histogram>)> = other
+        let histograms: Vec<(Metric, Arc<Histogram>)> = other
             .histograms
             .lock()
             .expect("registry lock")
             .iter()
-            .map(|(name, h)| (*name, Arc::clone(h)))
+            .map(|(metric, h)| (*metric, Arc::clone(h)))
             .collect();
-        for (name, h) in histograms {
-            self.histogram_named(name).merge_from(&h);
+        for (metric, h) in histograms {
+            self.histogram(metric).merge_from(&h);
         }
     }
 
-    /// A serializable point-in-time snapshot of every metric.
+    /// A serializable point-in-time snapshot of every metric, each list
+    /// sorted by name.
     pub fn snapshot(&self) -> RegistrySnapshot {
+        let mut counters: Vec<CounterSnapshot> = self
+            .counters
+            .lock()
+            .expect("registry lock")
+            .iter()
+            .map(|(metric, c)| CounterSnapshot {
+                name: metric.name().to_string(),
+                value: c.get(),
+            })
+            .collect();
+        counters.sort_unstable_by(|a, b| a.name.cmp(&b.name));
+        let mut histograms: Vec<HistogramSnapshot> = self
+            .histograms
+            .lock()
+            .expect("registry lock")
+            .iter()
+            .map(|(metric, h)| HistogramSnapshot {
+                name: metric.name().to_string(),
+                count: h.count(),
+                sum_ms: h.sum_ms(),
+                max_ms: h.max_ms(),
+            })
+            .collect();
+        histograms.sort_unstable_by(|a, b| a.name.cmp(&b.name));
         RegistrySnapshot {
-            counters: self
-                .counters
-                .lock()
-                .expect("registry lock")
-                .iter()
-                .map(|(name, c)| CounterSnapshot {
-                    name: (*name).to_string(),
-                    value: c.get(),
-                })
-                .collect(),
-            histograms: self
-                .histograms
-                .lock()
-                .expect("registry lock")
-                .iter()
-                .map(|(name, h)| HistogramSnapshot {
-                    name: (*name).to_string(),
-                    count: h.count(),
-                    sum_ms: h.sum_ms(),
-                    max_ms: h.max_ms(),
-                })
-                .collect(),
+            counters,
+            histograms,
         }
     }
 }
@@ -465,7 +476,6 @@ mod tests {
         assert_eq!(buckets[10], 2);
         assert!((h.sum_ms() - 2525.0 / 1e6).abs() < 1e-12);
         assert!((h.max_ms() - 1500.0 / 1e6).abs() < 1e-12);
-        assert!(h.mean_ms() > 0.0);
         h.reset();
         assert_eq!(h.count(), 0);
         assert_eq!(h.sum_ms(), 0.0);
@@ -562,20 +572,20 @@ mod tests {
         h.record_ns(1_000);
         assert!(h.percentile_ns(-1.0) >= 1);
         assert_eq!(h.percentile_ns(2.0), h.percentile_ns(1.0));
-        assert!((Percentiles { p50_ns: 1_500_000, ..Default::default() }.p50_ms() - 1.5).abs() < 1e-12);
     }
 
     #[test]
     fn registry_percentiles_skip_empty_histograms() {
         let reg = Registry::new();
-        reg.histogram_named("b.phase").record_ns(1_000_000);
-        reg.histogram_named("a.phase").record_ns(2_000_000);
-        let _never_recorded = reg.histogram_named("z.phase");
+        reg.histogram(Metric::StmtAssign).record_ns(1_000_000);
+        reg.histogram(Metric::InterpRun).record_ns(2_000_000);
+        let _never_recorded = reg.histogram(Metric::KernelArith);
         let rows = reg.histogram_percentiles();
         assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].0, "a.phase");
-        assert_eq!(rows[1].0, "b.phase");
+        assert_eq!(rows[0].0, "interp.run");
+        assert_eq!(rows[1].0, "stmt.assign");
         assert_eq!(rows[0].1.count, 1);
+        assert_eq!(rows[0].1.sum_ns, 2_000_000);
         assert_eq!(rows[0].1.max_ns, 2_000_000);
     }
 
@@ -587,7 +597,7 @@ mod tests {
             let reg = std::sync::Arc::clone(&reg);
             handles.push(std::thread::spawn(move || {
                 let c = reg.counter(Metric::InternHits);
-                let h = reg.histogram_named("lat");
+                let h = reg.histogram(Metric::GetSteps);
                 for _ in 0..1000 {
                     c.add(1);
                     h.record_ns(100);
@@ -598,6 +608,6 @@ mod tests {
             t.join().unwrap();
         }
         assert_eq!(reg.counter_value(Metric::InternHits), 4000);
-        assert_eq!(reg.histogram_count("lat"), 4000);
+        assert_eq!(reg.histogram_count(Metric::GetSteps), 4000);
     }
 }

@@ -7,9 +7,8 @@
 //! parses as a one-record trace.
 
 use crate::flame::{fold_spans, to_folded, FoldedFrame};
-use crate::metrics::Percentiles;
+use crate::metrics::Registry;
 use crate::sink::record_line;
-use crate::span::SpanRecord;
 use crate::summary::int;
 use serde::Serialize;
 use serde_json::Value;
@@ -22,6 +21,8 @@ pub struct PercentileRow {
     pub name: String,
     /// Observations recorded.
     pub count: u64,
+    /// Exact sum of the observations, in ns.
+    pub sum_ns: u64,
     /// Estimated median, in ns (within one log₂ bucket of the truth).
     pub p50_ns: u64,
     /// Estimated 90th percentile, in ns.
@@ -32,20 +33,6 @@ pub struct PercentileRow {
     pub max_ns: u64,
 }
 
-impl PercentileRow {
-    /// Builds a row from a registry `histogram_percentiles()` entry.
-    pub fn from_percentiles(name: String, p: Percentiles) -> PercentileRow {
-        PercentileRow {
-            name,
-            count: p.count,
-            p50_ns: p.p50_ns,
-            p90_ns: p.p90_ns,
-            p99_ns: p.p99_ns,
-            max_ns: p.max_ns,
-        }
-    }
-}
-
 /// Everything `lucid profile` renders for one search: the payload of the
 /// `"profile"` trace record.
 #[derive(Debug, Clone, Default, PartialEq, Serialize)]
@@ -54,27 +41,33 @@ pub struct ProfileReport {
     pub folded: Vec<FoldedFrame>,
     /// Per-histogram percentile rows, sorted by name.
     pub percentiles: Vec<PercentileRow>,
-    /// Span records the collector dropped (bounded retention) — the
+    /// Span records past the registry's retention bound — the
     /// flamegraph undercounts by exactly these spans.
     pub spans_dropped: u64,
 }
 
 impl ProfileReport {
-    /// Builds a report from retained span records and the name-sorted
-    /// `(name, Percentiles)` rows of a registry.
-    pub fn build(
-        records: &[SpanRecord],
-        rows: Vec<(String, Percentiles)>,
-        spans_dropped: u64,
-    ) -> ProfileReport {
-        ProfileReport {
-            folded: fold_spans(records),
-            percentiles: rows
+    /// The profile of a traced registry: its folded span tree and one
+    /// row per recorded histogram. `None` when the registry keeps no
+    /// spans.
+    pub fn of(reg: &Registry) -> Option<ProfileReport> {
+        reg.is_traced().then(|| ProfileReport {
+            folded: fold_spans(&reg.spans()),
+            percentiles: reg
+                .histogram_percentiles()
                 .into_iter()
-                .map(|(name, p)| PercentileRow::from_percentiles(name, p))
+                .map(|(name, p)| PercentileRow {
+                    name: name.to_string(),
+                    count: p.count,
+                    sum_ns: p.sum_ns,
+                    p50_ns: p.p50_ns,
+                    p90_ns: p.p90_ns,
+                    p99_ns: p.p99_ns,
+                    max_ns: p.max_ns,
+                })
                 .collect(),
-            spans_dropped,
-        }
+            spans_dropped: reg.spans_dropped(),
+        })
     }
 
     /// Whether the report carries no stacks and no histogram rows.
@@ -91,14 +84,15 @@ impl ProfileReport {
     pub fn percentile_table(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "{:<26} {:>8} {:>10} {:>10} {:>10} {:>10}\n",
-            "histogram", "count", "p50 ms", "p90 ms", "p99 ms", "max ms"
+            "{:<26} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10}\n",
+            "histogram", "count", "sum ms", "p50 ms", "p90 ms", "p99 ms", "max ms"
         ));
         for r in &self.percentiles {
             out.push_str(&format!(
-                "{:<26} {:>8} {:>10.3} {:>10.3} {:>10.3} {:>10.3}\n",
+                "{:<26} {:>8} {:>10.3} {:>10.3} {:>10.3} {:>10.3} {:>10.3}\n",
                 r.name,
                 r.count,
+                r.sum_ns as f64 / 1e6,
                 r.p50_ns as f64 / 1e6,
                 r.p90_ns as f64 / 1e6,
                 r.p99_ns as f64 / 1e6,
@@ -154,6 +148,7 @@ impl ProfileReport {
                     Some(PercentileRow {
                         name: r.get("name")?.as_str()?.to_string(),
                         count: int(r, "count"),
+                        sum_ns: int(r, "sum_ns"),
                         p50_ns: int(r, "p50_ns"),
                         p90_ns: int(r, "p90_ns"),
                         p99_ns: int(r, "p99_ns"),
@@ -169,23 +164,28 @@ impl ProfileReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::Registry;
-    use crate::span::Collector;
+    use crate::Metric;
 
     fn sample_report() -> ProfileReport {
-        let c = Collector::new(true);
+        let reg = Registry::traced();
         {
-            let root = c.span("interp.run");
-            let _child = root.child("stmt.assign");
+            let _run = reg.time(Metric::InterpRun);
+            let _stmt = reg.time(Metric::StmtAssign);
         }
-        let reg = Registry::new();
-        reg.histogram(crate::Metric::GetSteps).record_ns(1_500_000);
-        reg.histogram(crate::Metric::GetSteps).record_ns(2_500_000);
-        // Search-phase histograms plus the collector's per-span-name
-        // aggregates — the same merge the search performs.
-        let mut rows = reg.histogram_percentiles();
-        rows.extend(c.registry().histogram_percentiles());
-        ProfileReport::build(&c.records(), rows, c.dropped())
+        reg.histogram(Metric::GetSteps).record_ns(1_500_000);
+        reg.histogram(Metric::GetSteps).record_ns(2_500_000);
+        ProfileReport::of(&reg).expect("traced")
+    }
+
+    #[test]
+    fn untraced_registries_have_no_profile() {
+        assert_eq!(ProfileReport::of(&Registry::new()), None);
+        let report = sample_report();
+        let steps = report
+            .percentiles
+            .iter()
+            .find(|r| r.name == "search.get_steps");
+        assert_eq!(steps.map(|r| (r.count, r.sum_ns)), Some((2, 4_000_000)));
     }
 
     #[test]
@@ -221,8 +221,7 @@ mod tests {
         let table = report.percentile_table();
         assert!(table.contains("search.get_steps"));
         assert!(table.contains("p99 ms"));
-        // Span names also show up as percentile rows (the collector
-        // aggregates every span into its registry).
+        // Span names are metric names: every timer is a percentile row.
         assert!(table.contains("stmt.assign"));
     }
 

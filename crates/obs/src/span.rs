@@ -1,23 +1,29 @@
-//! RAII spans and the collector that retains them as a tree.
+//! The one timing instrument: [`Timer`], the guard [`Registry::time`]
+//! hands out, and the span records a traced registry keeps.
 //!
-//! A [`Span`] measures the wall time between its creation and drop and,
-//! when its [`Collector`] is enabled, appends a [`SpanRecord`] carrying
-//! its name, parent, start offset, and duration. Every span duration is
-//! additionally aggregated into the collector's [`Registry`] histogram
-//! under the span's name, so per-name totals (e.g. per-statement-kind
-//! interpreter time) survive even after the bounded record buffer fills.
+//! A timer measures the wall time between its creation and drop and
+//! records it into its [`Metric`]'s histogram. When the metric names an
+//! allocator phase (`search.get_steps`, `search.get_top_k`,
+//! `search.verify_constraints`) the timer also tags that phase for its
+//! lifetime. When its registry keeps spans ([`Registry::traced`]) it
+//! appends a [`SpanRecord`] too; the parent is the innermost span still
+//! open on the same thread, so nested timers form a tree without being
+//! handed to each other.
 //!
-//! A disabled collector hands out inert spans: no clock read, no lock,
-//! no allocation — the no-op path the `<2%` overhead budget relies on.
+//! [`Registry::time`]: crate::Registry::time
+//! [`Registry::traced`]: crate::Registry::traced
 
-use crate::metrics::Registry;
+use crate::alloc::{Phase, PhaseGuard};
+use crate::metrics::Histogram;
+use crate::timings::Metric;
 use serde::Serialize;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::time::Instant;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
-/// Default bound on retained span records (aggregates keep counting past
-/// it; see [`Collector::dropped`]).
+/// Default bound on retained span records (histograms keep counting past
+/// it; see [`crate::ProfileReport::spans_dropped`]).
 pub const DEFAULT_MAX_SPANS: usize = 16 * 1024;
 
 /// One finished span.
@@ -27,255 +33,238 @@ pub struct SpanRecord {
     pub id: u64,
     /// Parent span id (`None` for roots).
     pub parent: Option<u64>,
-    /// Span name (also the registry histogram it aggregated into).
+    /// The timed metric's name (also the histogram it recorded into).
     pub name: String,
-    /// Start offset from the collector epoch, in microseconds.
+    /// Start offset from the registry's epoch, in microseconds.
     pub start_us: u64,
     /// Wall duration in microseconds.
     pub dur_us: u64,
 }
 
-/// Collects spans into a bounded tree plus per-name registry aggregates.
+/// The span buffer of a traced registry. Ids are handed out in start
+/// order and a span is retained when its id is within the bound, so a
+/// retained span's ancestors (which started earlier) are retained too.
 #[derive(Debug)]
-pub struct Collector {
-    enabled: bool,
-    registry: Registry,
-    spans: Mutex<Vec<SpanRecord>>,
-    max_spans: usize,
-    dropped: AtomicU64,
-    epoch: Mutex<Instant>,
+pub(crate) struct SpanBuffer {
+    /// The epoch start offsets count from, and the finished records.
+    records: Mutex<(Instant, Vec<SpanRecord>)>,
+    max: u64,
     next_id: AtomicU64,
+    dropped: AtomicU64,
 }
 
-impl Collector {
-    /// A collector retaining up to [`DEFAULT_MAX_SPANS`] records.
-    pub fn new(enabled: bool) -> Collector {
-        Collector::with_max_spans(enabled, DEFAULT_MAX_SPANS)
-    }
-
-    /// A collector with an explicit record bound.
-    pub fn with_max_spans(enabled: bool, max_spans: usize) -> Collector {
-        Collector {
-            enabled,
-            registry: Registry::new(),
-            spans: Mutex::new(Vec::new()),
-            max_spans,
-            dropped: AtomicU64::new(0),
-            epoch: Mutex::new(Instant::now()),
+impl SpanBuffer {
+    pub(crate) fn new(max: usize) -> SpanBuffer {
+        SpanBuffer {
+            records: Mutex::new((Instant::now(), Vec::new())),
+            max: max as u64,
             next_id: AtomicU64::new(1),
+            dropped: AtomicU64::new(0),
         }
     }
 
-    /// A collector whose spans are all no-ops.
-    pub fn disabled() -> Collector {
-        Collector::new(false)
+    /// Clears the records and restarts ids and the epoch.
+    pub(crate) fn reset(&self) {
+        let mut records = self.records.lock().expect("span lock");
+        *records = (Instant::now(), Vec::new());
+        self.next_id.store(1, Ordering::Relaxed);
+        self.dropped.store(0, Ordering::Relaxed);
     }
 
-    /// Whether spans record anything.
-    pub fn enabled(&self) -> bool {
-        self.enabled
+    /// The retained records, in start order.
+    pub(crate) fn records(&self) -> Vec<SpanRecord> {
+        let mut records = self.records.lock().expect("span lock").1.clone();
+        records.sort_unstable_by_key(|r| r.id);
+        records
     }
 
-    /// Per-name duration aggregates (histograms keyed by span name).
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
-    /// Spans not retained because the buffer was full (their durations
-    /// still reached the registry aggregates).
-    pub fn dropped(&self) -> u64 {
+    /// Spans not retained because their id was past the bound.
+    pub(crate) fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
 
-    /// Starts a root span. Inert when the collector is disabled.
-    pub fn span(&self, name: &'static str) -> Span<'_> {
-        self.start_span(name, None)
-    }
-
-    /// Clears retained spans and aggregates and restarts the epoch,
-    /// keeping existing registry handles valid. Called at the start of
-    /// each search so one collector can serve many searches.
-    pub fn reset(&self) {
-        self.spans.lock().expect("span lock").clear();
-        self.registry.reset();
-        self.dropped.store(0, Ordering::Relaxed);
-        self.next_id.store(1, Ordering::Relaxed);
-        *self.epoch.lock().expect("epoch lock") = Instant::now();
-    }
-
-    /// A clone of the retained span records, in start order.
-    pub fn records(&self) -> Vec<SpanRecord> {
-        self.spans.lock().expect("span lock").clone()
-    }
-
-    fn start_span(&self, name: &'static str, parent: Option<u64>) -> Span<'_> {
-        if !self.enabled {
-            return Span {
-                collector: None,
-                name,
-                id: 0,
-                parent: None,
-                start: None,
-            };
-        }
-        Span {
-            collector: Some(self),
-            name,
-            id: self.next_id.fetch_add(1, Ordering::Relaxed),
-            parent,
-            start: Some(Instant::now()),
-        }
-    }
-
-    fn finish(&self, span: &Span<'_>) {
-        let Some(start) = span.start else { return };
-        let dur = start.elapsed();
-        self.registry.histogram_named(span.name).record(dur);
-        let epoch = *self.epoch.lock().expect("epoch lock");
-        let mut spans = self.spans.lock().expect("span lock");
-        if spans.len() >= self.max_spans {
+    fn finish(&self, span: &OpenSpan, start: Instant, dur: Duration) {
+        if span.id > self.max {
             self.dropped.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        spans.push(SpanRecord {
+        let micros = |d: Duration| u64::try_from(d.as_micros()).unwrap_or(u64::MAX);
+        // Called from `Timer::drop`, which must not panic: a buffer
+        // poisoned by another thread's panic just keeps no more records.
+        let Ok(mut records) = self.records.lock() else {
+            return;
+        };
+        let start_us = start.checked_duration_since(records.0).map_or(0, micros);
+        records.1.push(SpanRecord {
             id: span.id,
             parent: span.parent,
             name: span.name.to_string(),
-            start_us: start
-                .checked_duration_since(epoch)
-                .map_or(0, |d| u64::try_from(d.as_micros()).unwrap_or(u64::MAX)),
-            dur_us: u64::try_from(dur.as_micros()).unwrap_or(u64::MAX),
+            start_us,
+            dur_us: micros(dur),
         });
     }
 }
 
-/// An in-flight span; records itself on drop.
+thread_local! {
+    /// The innermost open span on this thread: its buffer's address and
+    /// its id (`(0, 0)` when none is open).
+    static OPEN: Cell<(usize, u64)> = const { Cell::new((0, 0)) };
+}
+
 #[derive(Debug)]
-pub struct Span<'c> {
-    collector: Option<&'c Collector>,
+struct OpenSpan {
+    buf: Arc<SpanBuffer>,
     name: &'static str,
     id: u64,
     parent: Option<u64>,
-    start: Option<Instant>,
+    /// The thread's open span before this one, restored on drop.
+    outer: (usize, u64),
 }
 
-impl Span<'_> {
-    /// Starts a child span under this one.
-    pub fn child(&self, name: &'static str) -> Span<'_> {
-        match self.collector {
-            Some(c) => c.start_span(name, Some(self.id)),
-            None => Span {
-                collector: None,
-                name,
-                id: 0,
-                parent: None,
-                start: None,
-            },
+/// An in-flight measurement of one [`Metric`]; records itself on drop.
+/// Timers nest like scopes: drop them in reverse order of creation.
+#[derive(Debug)]
+#[must_use = "a timer measures until it is dropped"]
+pub struct Timer {
+    hist: Arc<Histogram>,
+    span: Option<OpenSpan>,
+    _phase: Option<PhaseGuard>,
+    start: Instant,
+}
+
+impl Timer {
+    pub(crate) fn start(
+        metric: Metric,
+        hist: Arc<Histogram>,
+        spans: Option<&Arc<SpanBuffer>>,
+    ) -> Timer {
+        let span = spans.map(|buf| {
+            let key = Arc::as_ptr(buf) as usize;
+            let id = buf.next_id.fetch_add(1, Ordering::Relaxed);
+            let outer = OPEN.try_with(|o| o.replace((key, id))).unwrap_or((0, 0));
+            OpenSpan {
+                buf: Arc::clone(buf),
+                name: metric.name(),
+                id,
+                // A span open on this thread under another registry is
+                // no parent of this one.
+                parent: (outer.0 == key).then_some(outer.1),
+                outer,
+            }
+        });
+        Timer {
+            hist,
+            span,
+            _phase: Phase::timed_by(metric).map(PhaseGuard::enter),
+            start: Instant::now(),
         }
     }
-
-    /// The span's name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
 }
 
-impl Drop for Span<'_> {
+impl Drop for Timer {
     fn drop(&mut self) {
-        if let Some(c) = self.collector {
-            c.finish(self);
+        let dur = self.start.elapsed();
+        self.hist.record(dur);
+        if let Some(span) = &self.span {
+            let _ = OPEN.try_with(|o| o.set(span.outer));
+            span.buf.finish(span, self.start, dur);
         }
     }
-}
-
-/// Renders records as an indented tree (children under parents, start
-/// order preserved) — the human view `lucid trace` prints when a trace
-/// carries span data.
-pub fn render_tree(records: &[SpanRecord]) -> String {
-    fn walk(
-        records: &[SpanRecord],
-        parent: Option<u64>,
-        depth: usize,
-        out: &mut String,
-    ) {
-        for r in records.iter().filter(|r| r.parent == parent) {
-            out.push_str(&format!(
-                "{}{} {:.3} ms (+{:.3} ms)\n",
-                "  ".repeat(depth),
-                r.name,
-                r.dur_us as f64 / 1e3,
-                r.start_us as f64 / 1e3,
-            ));
-            walk(records, Some(r.id), depth + 1, out);
-        }
-    }
-    let mut out = String::new();
-    walk(records, None, 0, &mut out);
-    out
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::metrics::Registry;
+    use crate::timings::Metric;
 
     #[test]
-    fn spans_record_and_aggregate() {
-        let c = Collector::new(true);
+    fn nested_timers_form_a_tree_and_aggregate() {
+        let reg = Registry::traced();
         {
-            let root = c.span("run");
-            let _child = root.child("stmt.assign");
+            let _run = reg.time(Metric::InterpRun);
+            let _stmt = reg.time(Metric::StmtAssign);
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
-        let records = c.records();
+        let records = reg.spans();
         assert_eq!(records.len(), 2);
-        // Children drop before parents, but ids preserve start order.
-        let root = records.iter().find(|r| r.name == "run").unwrap();
-        let child = records.iter().find(|r| r.name == "stmt.assign").unwrap();
-        assert_eq!(child.parent, Some(root.id));
-        assert!(root.dur_us >= child.dur_us);
-        assert_eq!(c.registry().histogram_count("run"), 1);
-        assert!(c.registry().histogram_sum_ms("stmt.assign") > 0.0);
-        assert_eq!(c.dropped(), 0);
+        // Children drop before parents, but ids keep start order.
+        let (run, stmt) = (&records[0], &records[1]);
+        assert_eq!(
+            (run.name.as_str(), stmt.name.as_str()),
+            ("interp.run", "stmt.assign")
+        );
+        assert_eq!((run.parent, stmt.parent), (None, Some(run.id)));
+        assert!(run.dur_us >= stmt.dur_us);
+        assert_eq!(reg.histogram_count(Metric::InterpRun), 1);
+        assert!(reg.histogram_sum_ms(Metric::StmtAssign) > 0.0);
+        assert_eq!(reg.spans_dropped(), 0);
+        // A sibling after the first tree closes is a root again.
+        drop(reg.time(Metric::InterpRun));
+        assert_eq!(reg.spans()[2].parent, None);
     }
 
     #[test]
-    fn disabled_collector_is_inert() {
-        let c = Collector::disabled();
+    fn untraced_registries_record_histograms_but_no_spans() {
+        let reg = Registry::new();
+        let traced = Registry::traced();
         {
-            let s = c.span("x");
-            let _child = s.child("y");
-            assert_eq!(s.name(), "x");
+            let _outer = traced.time(Metric::Total);
+            drop(reg.time(Metric::InterpRun));
+            // The untraced timer left the open span alone.
+            drop(traced.time(Metric::GetSteps));
         }
-        assert!(c.records().is_empty());
-        assert_eq!(c.registry().histogram_count("x"), 0);
-        assert!(!c.enabled());
+        assert_eq!(reg.histogram_count(Metric::InterpRun), 1);
+        assert!(reg.spans().is_empty());
+        let spans = traced.spans();
+        assert_eq!(spans[1].parent, Some(spans[0].id));
     }
 
     #[test]
-    fn bounded_retention_counts_drops() {
-        let c = Collector::with_max_spans(true, 2);
-        for _ in 0..5 {
-            let _s = c.span("tick");
-        }
-        assert_eq!(c.records().len(), 2);
-        assert_eq!(c.dropped(), 3);
-        // Aggregates keep counting past the bound.
-        assert_eq!(c.registry().histogram_count("tick"), 5);
-        c.reset();
-        assert!(c.records().is_empty());
-        assert_eq!(c.dropped(), 0);
-        assert_eq!(c.registry().histogram_count("tick"), 0);
+    fn spans_under_another_registry_are_roots() {
+        let a = Registry::traced();
+        let b = Registry::traced();
+        let _outer = a.time(Metric::Total);
+        drop(b.time(Metric::InterpRun));
+        assert_eq!(b.spans()[0].parent, None);
     }
 
     #[test]
-    fn tree_rendering_indents_children() {
-        let c = Collector::new(true);
+    fn phase_metrics_tag_the_allocator_phase() {
+        use crate::alloc::{current_phase, Phase};
+        let reg = Registry::new();
+        assert_eq!(current_phase(), Phase::Unattributed);
         {
-            let root = c.span("search");
-            let _a = root.child("get_steps");
+            let _t = reg.time(Metric::GetTopK);
+            assert_eq!(current_phase(), Phase::Score);
+            let _run = reg.time(Metric::CheckExecute);
+            assert_eq!(
+                current_phase(),
+                Phase::Score,
+                "CheckExecute enters no phase"
+            );
         }
-        let text = render_tree(&c.records());
-        assert!(text.starts_with("search"));
-        assert!(text.contains("\n  get_steps"));
+        assert_eq!(current_phase(), Phase::Unattributed);
+    }
+
+    #[test]
+    fn bounded_retention_keeps_the_earliest_spans() {
+        let reg = Registry::traced_with_bound(2);
+        {
+            let _root = reg.time(Metric::Total);
+            for _ in 0..4 {
+                drop(reg.time(Metric::InterpRun));
+            }
+        }
+        // The root started first, so it is retained though it ended last.
+        let spans = reg.spans();
+        assert_eq!(spans.len(), 2);
+        assert_eq!(spans[0].name, "search.total");
+        assert_eq!(reg.spans_dropped(), 3);
+        // Histograms keep counting past the bound.
+        assert_eq!(reg.histogram_count(Metric::InterpRun), 4);
+        reg.reset();
+        assert!(reg.spans().is_empty());
+        assert_eq!(reg.spans_dropped(), 0);
+        assert_eq!(reg.histogram_count(Metric::InterpRun), 0);
     }
 }

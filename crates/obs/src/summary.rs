@@ -1,6 +1,6 @@
 //! The one trace parser, and the `lucid trace` view.
 //!
-//! [`parse_trace`] reads a JSONL stream of schema v5 (see [`crate::event`]
+//! [`parse_trace`] reads a JSONL stream of schema v6 (see [`crate::event`]
 //! and [`crate::decision`]) into one [`TraceSummary`] that carries all
 //! three views of a traced search: the measurement records rolled back
 //! up into the paper's Figure 7 phase breakdown ([`TraceSummary::render`],
@@ -101,8 +101,6 @@ pub struct TraceSummary {
     pub accepted: Option<bool>,
     /// Panic payloads captured in step/verify records, in record order.
     pub panic_payloads: Vec<String>,
-    /// Per-statement interpreter aggregates (name, count, total ms).
-    pub stmt_spans: Vec<(String, u64, f64)>,
     /// Records that parsed but carried an unrecognized `event`.
     pub unknown_events: usize,
     /// Blank-after-trim, truncated, or malformed lines skipped during
@@ -337,18 +335,6 @@ pub fn parse_trace(text: &str) -> Result<TraceSummary, TraceError> {
                 summary.explored = int(&record, "explored");
                 summary.timings = Timings::from_record(&record);
                 summary.totals.total_ms = summary.timings.total_ms;
-                if let Some(spans) = record.get("stmt_spans").and_then(Value::as_array) {
-                    for s in spans {
-                        summary.stmt_spans.push((
-                            s.get("name")
-                                .and_then(Value::as_str)
-                                .unwrap_or("?")
-                                .to_string(),
-                            int(s, "count"),
-                            num(s, "total_ms"),
-                        ));
-                    }
-                }
             }
             ProfileReport::EVENT => summary.profile = Some(ProfileReport::from_record(&record)),
             _ if Decisions::is_decision(event) => {
@@ -509,10 +495,17 @@ impl TraceSummary {
                 out.push_str(&format!("  panic: {payload}\n"));
             }
         }
-        if !self.stmt_spans.is_empty() {
+        let interp_rows: Vec<_> = self
+            .profile
+            .iter()
+            .flat_map(|p| &p.percentiles)
+            .filter(|r| r.name == "interp.run" || r.name.starts_with("stmt."))
+            .collect();
+        if !interp_rows.is_empty() {
             out.push_str("\ninterpreter time by statement kind:\n");
-            for (name, count, total_ms) in &self.stmt_spans {
-                out.push_str(&format!("  {name:<16} {count:>7}x {total_ms:>10.2} ms\n"));
+            for r in interp_rows {
+                let ms = r.sum_ns as f64 / 1e6;
+                out.push_str(&format!("  {:<16} {:>7}x {ms:>10.2} ms\n", r.name, r.count));
             }
         }
         if !self.decisions.cands.is_empty() {
@@ -890,13 +883,10 @@ mod tests {
                 alloc_count: 77,
                 peak_live_bytes: 5 * 1024 * 1024,
             },
-            stmt_spans: vec![StmtSpanAgg {
-                name: "stmt.assign".to_string(),
-                count: 30,
-                total_ms: 8.5,
-            }],
-            spans_dropped: 0,
         });
+        let reg = crate::Registry::traced();
+        reg.histogram(Metric::StmtAssign).record_ns(8_500_000);
+        sink.emit(&ProfileReport::of(&reg).unwrap());
         sink.memory_lines().unwrap().join("\n")
     }
 
@@ -921,7 +911,9 @@ mod tests {
         assert_eq!(summary.accepted, Some(true));
         assert_eq!(summary.steps[1].best_re, Some(1.0));
         assert!(summary.steps[1].converged);
-        assert_eq!(summary.stmt_spans.len(), 1);
+        assert!(summary.render().contains(
+            "interpreter time by statement kind:\n  stmt.assign            1x       8.50 ms\n"
+        ));
         // The reported totals match the search_end projection exactly —
         // the invariant `lucid trace` relies on.
         let fig7 = summary.figure7();
@@ -1004,9 +996,17 @@ mod tests {
         assert!(err.to_string().contains("no readable trace records (1 blank"), "{err}");
         // Earlier schemas (v1 measurement files, v2 decision files) are
         // rejected by version, not half-read, and so are v3 files, whose
-        // search_end counters carried other names, and v4 files, whose
-        // step and verify drop counters were flat.
-        for (old, kind) in [(1, "step"), (2, "cand"), (3, "search_end"), (4, "step")] {
+        // search_end counters carried other names, v4 files, whose step
+        // and verify drop counters were flat, and v5 files, whose
+        // search_end carried its own copy of the statement times.
+        let old_versions = [
+            (1, "step"),
+            (2, "cand"),
+            (3, "search_end"),
+            (4, "step"),
+            (5, "search_end"),
+        ];
+        for (old, kind) in old_versions {
             let line = format!("{{\"v\":{old},\"event\":\"{kind}\"}}");
             let err = parse_trace(&line).unwrap_err();
             assert_eq!(err.kind, TraceErrorKind::Version(old));

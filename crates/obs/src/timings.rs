@@ -9,8 +9,11 @@
 //!
 //! An `f64` row is milliseconds, read from a histogram's sum; every other
 //! row is read from a counter. [`Metric`] also names the registry-only
-//! metrics, which have no `Timings` field. The registry accepts only a
-//! [`Metric`], so code outside this crate cannot invent a metric name.
+//! metrics, which have no `Timings` field: the batch counters and the
+//! interpreter, kernel and intent timers. Span names are these same
+//! names, so the registry, the trace's profile record and the folded
+//! flamegraph share one vocabulary; the registry accepts only a
+//! [`Metric`], so no code can invent a name.
 
 use crate::metrics::Registry;
 use serde::Serialize;
@@ -25,7 +28,7 @@ trait Field: Sized {
 
 impl Field for f64 {
     fn from_registry(reg: &Registry, metric: Metric) -> f64 {
-        reg.histogram_sum_ms(metric.name())
+        reg.histogram_sum_ms(metric)
     }
     fn from_json(v: Option<&Value>) -> f64 {
         v.and_then(Value::as_f64).unwrap_or(0.0)
@@ -137,9 +140,9 @@ macro_rules! metric_table {
             }
         }
 
-        /// A registry metric of the search: the only way to name a counter
-        /// or histogram in a [`Registry`] from outside this crate.
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        /// A registry metric: the only way to name a counter, histogram or
+        /// timer in a [`Registry`].
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub enum Metric {
             $(
                 $(#[doc = $doc])*
@@ -252,6 +255,35 @@ metric_table! {
     MemoMisses("cache.memo_misses"),
     /// Scripts processed by batch runs.
     BatchScripts("search.batch_scripts"),
+    /// One interpreter run (timed only when a trace attaches a registry
+    /// to the interpreter, like every `stmt.*` and `kernel.*` row).
+    InterpRun("interp.run"),
+    /// One executed `import` statement.
+    StmtImport("stmt.import"),
+    /// One executed `from ... import` statement.
+    StmtFromImport("stmt.from_import"),
+    /// One executed assignment.
+    StmtAssign("stmt.assign"),
+    /// One executed expression statement.
+    StmtExpr("stmt.expr"),
+    /// One Series arithmetic kernel call.
+    KernelArith("kernel.arith"),
+    /// One Series comparison kernel call.
+    KernelCompare("kernel.compare"),
+    /// One `get_dummies` call.
+    KernelGetDummies("kernel.get_dummies"),
+    /// One `astype` / `to_numeric` cast.
+    KernelAstype("kernel.astype"),
+    /// One `fillna` call.
+    KernelFillna("kernel.fillna"),
+    /// One group-by aggregation.
+    KernelGroupby("kernel.groupby"),
+    /// One table-Jaccard intent evaluation in verification.
+    IntentTableJaccard("intent.table_jaccard"),
+    /// One model-performance intent evaluation (two model fits).
+    IntentModelPerformance("intent.model_performance"),
+    /// One fairness (demographic-parity) intent evaluation.
+    IntentFairnessDpd("intent.fairness_dpd"),
 }
 
 impl Timings {
@@ -324,7 +356,11 @@ mod tests {
     #[test]
     fn metric_names_are_distinct() {
         let mut names: Vec<&str> = Metric::ALL.iter().map(|m| m.name()).collect();
-        assert_eq!(names.len(), 34, "31 Timings rows + 3 registry-only metrics");
+        assert_eq!(
+            names.len(),
+            48,
+            "31 Timings rows + 17 registry-only metrics"
+        );
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), Metric::ALL.len(), "two metrics share a name");

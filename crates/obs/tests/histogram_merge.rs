@@ -132,12 +132,12 @@ proptest! {
             into_b.counter_value(Metric::CacheHits)
         );
         prop_assert_eq!(
-            into_a.histogram_count(Metric::GetSteps.name()),
+            into_a.histogram_count(Metric::GetSteps),
             (xs.len() + ys.len()) as u64
         );
         prop_assert_eq!(
-            into_a.histogram_sum_ms(Metric::GetSteps.name()),
-            into_b.histogram_sum_ms(Metric::GetSteps.name())
+            into_a.histogram_sum_ms(Metric::GetSteps),
+            into_b.histogram_sum_ms(Metric::GetSteps)
         );
     }
 }

@@ -5,7 +5,9 @@
 # decision-stability smokes of the committed benchmark (benchmark/,
 # which owns wall time); two grep gates
 # (interned IR, columnar kernels); and the batch, trace and overhead
-# smokes. Metric names need no gate: the registry accepts only
+# smokes, the trace smoke rendering all three views of one trace and
+# requiring its profile to nest statements under interpreter runs.
+# Metric names need no gate: the registry and its timers accept only
 # lucid_obs::Metric handles; panic paths need none: lucid-interp denies
 # clippy::unwrap_used/expect_used/panic outside tests, which the clippy
 # step enforces; and batch shared state needs none: tests/batch.rs fails
@@ -167,10 +169,11 @@ fi
 
 # Trace smoke: one --trace file must render in all three views, with
 # `lucid why` reconciling the decision records exactly against the same
-# file's search_end counters, and the decision records (everything but
-# the timed measurement records) must be byte-identical between a
-# serial and a threaded run.
-echo "==> trace smoke (--trace stream, lucid trace/why, decision records)"
+# file's search_end counters and `lucid profile` folding one span tree
+# (statements nested under interpreter runs, not detached roots), and
+# the decision records (everything but the timed measurement records)
+# must be byte-identical between a serial and a threaded run.
+echo "==> trace smoke (--trace stream, lucid trace/why/profile, decision records)"
 for threads in 1 2; do
   ./target/release/lucid standardize --corpus "$batch_smoke/corpus" --data "$batch_smoke/data.csv" \
     --script "$batch_smoke/corpus/b.py" --seq 3 --beam 2 --threads "$threads" \
@@ -191,6 +194,12 @@ if ! grep -q 'reconciliation: ok' "$batch_smoke/why.txt"; then
 fi
 if ! ./target/release/lucid trace "$batch_smoke/t1.jsonl" | grep -q 'Figure 7'; then
   echo "==> FAIL: lucid trace did not render the trace"
+  exit 1
+fi
+./target/release/lucid profile "$batch_smoke/t1.jsonl" > "$batch_smoke/profile.txt"
+if ! grep -q ';interp\.run;stmt\.' "$batch_smoke/profile.txt"; then
+  echo "==> FAIL: lucid profile has no statement stack under an interpreter run"
+  head -30 "$batch_smoke/profile.txt"
   exit 1
 fi
 

@@ -109,7 +109,7 @@ OPTIONS (bench):
                       around one standardization, arms interleaved rep by rep
 
 `lucid trace`, `lucid why` and `lucid profile` are three views of one
-trace file written by `--trace` (schema v5; files of earlier versions are
+trace file written by `--trace` (schema v6; files of earlier versions are
 rejected by name). Each folds a rotated `<FILE>.1` segment back in front
 of the current one.
 `lucid trace` shows the per-step table, the Figure 7 phase totals, and
@@ -122,9 +122,10 @@ winner's lineage, the final-diff line-to-candidate join, and the exact
 reconciliation of disposition counts against the same file's search_end
 counters.
 `lucid profile` shows the profile record: collapsed-stack flamegraph
-text plus p50/p90/p99/max phase percentiles; `--out DIR` writes them as
-flame.folded, percentiles.txt and profile.json (the record on one line,
-itself readable as a one-record trace) instead.
+text (search phases, then interpreter runs, statements and kernels) plus
+count, sum and p50/p90/p99/max of every timed metric; `--out DIR` writes
+them as flame.folded, percentiles.txt and profile.json (the record on
+one line, itself readable as a one-record trace) instead.
 ";
 
 fn main() -> ExitCode {

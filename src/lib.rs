@@ -12,8 +12,8 @@
 //! * [`interp`] — interpreter running scripts against `frame` + `ml`
 //! * [`core`] — the paper's contribution: DAG representation, relative-entropy
 //!   standardness, transformation beam search, intent constraints
-//! * [`obs`] — tracing + metrics: registry, RAII spans, the search event
-//!   log, and trace summarization (`lucid trace`)
+//! * [`obs`] — tracing + metrics: the `Metric`-keyed registry and its one
+//!   timer, the search event log, and trace summarization (`lucid trace`)
 //! * [`corpus`] — synthetic dataset profiles + script-corpus generators
 //! * [`baselines`] — Sourcery / GPT / Auto-Suggest / Auto-Tables comparators
 //! * [`bench`] — experiment harness + the continuous benchmark trajectory

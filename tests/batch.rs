@@ -347,7 +347,6 @@ fn failed_searches_leave_only_readable_trace_files() {
 fn batch_interner_is_shared_across_searches() {
     let scripts = mini_scripts();
     let sources: Vec<String> = scripts.iter().map(|s| s.source.clone()).collect();
-    // One job, so the per-search hit windows never overlap.
     let report = run_batch(1, false);
     let solo: Vec<(u64, u64)> = scripts
         .iter()
@@ -379,6 +378,24 @@ fn batch_interner_is_shared_across_searches() {
         "batch intern hits {} vs standalone sum {solo_hits}",
         report.timings.intern_hits
     );
+}
+
+/// Each search counts interner traffic through its own view of the
+/// shared store, so the batch roll-up of intern hits and incremental DAG
+/// updates does not depend on how the searches interleave.
+#[test]
+fn batch_interner_counters_are_identical_across_jobs() {
+    let counters = |jobs: usize| {
+        let t = run_batch(jobs, false).timings;
+        (t.intern_hits, t.dag_incremental_updates)
+    };
+    let reference = counters(1);
+    assert!(reference.0 > 0 && reference.1 > 0, "{reference:?}");
+    for rep in 0..5 {
+        for jobs in [1, 2, 8] {
+            assert_eq!(counters(jobs), reference, "jobs={jobs} rep={rep}");
+        }
+    }
 }
 
 /// `--explain` output is part of the deterministic batch report:

@@ -383,7 +383,8 @@ fn one_trace_file_renders_all_three_views() {
 /// Files of the earlier schemas are rejected with an error naming the
 /// file and its version, by every view. v3 files carried the
 /// `search_end` counters under other names, v4 files the step and
-/// verify drop counters as flat fields.
+/// verify drop counters as flat fields, v5 files a second copy of the
+/// interpreter time in `search_end`.
 #[test]
 fn old_trace_schemas_are_rejected_by_name() {
     let dir = workdir();
@@ -392,6 +393,7 @@ fn old_trace_schemas_are_rejected_by_name() {
         (2, "{\"v\":2,\"event\":\"cand\",\"id\":0}\n"),
         (3, "{\"v\":3,\"event\":\"search_end\",\"steps\":1,\"cache_hits\":0}\n"),
         (4, "{\"v\":4,\"event\":\"step\",\"step\":0,\"candidates_deduped\":1}\n"),
+        (5, "{\"v\":5,\"event\":\"search_end\",\"stmt_spans\":[]}\n"),
     ] {
         std::fs::write(&old, record).expect("write");
         for cmd in ["trace", "why", "profile"] {

@@ -114,7 +114,7 @@ fn trace_round_trips_and_matches_timings() {
     let err = parse_trace("{\"v\":4,\"event\":\"step\",\"candidates_deduped\":2}").unwrap_err();
     assert_eq!(
         err.to_string(),
-        "trace schema v4 is no longer read (this build reads v5)"
+        format!("trace schema v4 is no longer read (this build reads v{TRACE_SCHEMA_VERSION})")
     );
 }
 
