@@ -5,6 +5,7 @@
 //! model's predictions.
 
 use crate::error::{CoreError, Result};
+use lucid_frame::ops::{compare, CmpOp, Operand};
 use lucid_frame::{value_jaccard, DataFrame};
 use lucid_ml::logreg::LogisticRegression;
 use lucid_ml::metrics::demographic_parity_diff;
@@ -226,11 +227,10 @@ pub fn model_dpd(df: &DataFrame, target: &str, group: &str) -> Result<f64> {
     let majority = group_col
         .mode()
         .map_err(|e| CoreError::Intent(e.to_string()))?;
-    let membership: Vec<bool> = group_col
-        .values()
-        .iter()
-        .map(|v| v.loose_eq(&majority))
-        .collect();
+    // Loose equality with the majority over the typed buffer (one pool
+    // comparison per dictionary entry for strings).
+    let membership = compare(group_col, CmpOp::Eq, &Operand::Scalar(majority))
+        .map_err(|e| CoreError::Intent(e.to_string()))?;
 
     let label_col = df
         .column(target)
@@ -254,7 +254,11 @@ pub fn model_dpd(df: &DataFrame, target: &str, group: &str) -> Result<f64> {
     // Predict over the whole table so group alignment is trivial.
     let preds = model.predict(&x);
     let positive = *model.classes().last().unwrap_or(&1);
-    Ok(demographic_parity_diff(&preds, &membership, positive))
+    Ok(demographic_parity_diff(
+        &preds,
+        &membership.to_bools(),
+        positive,
+    ))
 }
 
 #[cfg(test)]
@@ -407,8 +411,7 @@ mod tests {
         // split along the protected attribute.
         let mut skew = base.clone();
         let gcol = skew.column("g").unwrap().clone();
-        let xvals: Vec<Value> = gcol
-            .values()
+        let xvals: Vec<Value> = lucid_frame::naive::naive_values(&gcol)
             .iter()
             .map(|v| {
                 if v.loose_eq(&Value::Str("a".into())) {

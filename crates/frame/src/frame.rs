@@ -239,6 +239,16 @@ impl DataFrame {
     ///
     /// Fails if `n` exceeds the number of rows, like pandas.
     pub fn sample(&self, n: usize, seed: u64) -> Result<DataFrame> {
+        self.take(&self.sample_positions(n, seed)?)
+    }
+
+    /// The row positions [`sample`](DataFrame::sample) takes, in sample
+    /// order.
+    ///
+    /// # Errors
+    ///
+    /// Fails if `n` exceeds the number of rows, like pandas.
+    pub fn sample_positions(&self, n: usize, seed: u64) -> Result<Vec<usize>> {
         if n > self.n_rows() {
             return Err(FrameError::Invalid(format!(
                 "cannot sample {n} rows from {}",
@@ -260,7 +270,7 @@ impl DataFrame {
             idx.swap(i, j);
         }
         idx.truncate(n);
-        self.take(&idx)
+        Ok(idx)
     }
 
     /// One row as values, in column order.
@@ -308,12 +318,6 @@ impl DataFrame {
         self.select(&keep).expect("columns exist")
     }
 
-    /// Canonical hashable keys for every row at once, one key vector per
-    /// column computed columnar (no per-cell `Value`).
-    pub fn column_keys(&self) -> Vec<Vec<ValueKey>> {
-        self.columns.iter().map(|c| c.keys()).collect()
-    }
-
     /// Drops duplicate rows, keeping the first occurrence
     /// (pandas `df.drop_duplicates()`).
     ///
@@ -323,28 +327,36 @@ impl DataFrame {
     /// row. Cell equality is [`ValueKey`] equality: nulls match nulls,
     /// floats compare by value (`-0.0 == 0.0`).
     pub fn drop_duplicates(&self) -> DataFrame {
+        self.filter(&self.duplicated().not())
+            .expect("length matches")
+    }
+
+    /// Rows that repeat an earlier row (pandas `df.duplicated()`, keep
+    /// first), by the cell equality of
+    /// [`drop_duplicates`](DataFrame::drop_duplicates).
+    pub fn duplicated(&self) -> BoolMask {
         let n = self.n_rows();
         let hashes = self.row_hashes();
         // Open addressing over kept-row indices, at most half full.
         const EMPTY: usize = usize::MAX;
         let mask = (2 * n).next_power_of_two().max(4) - 1;
         let mut table = vec![EMPTY; mask + 1];
-        let mut keep = Vec::with_capacity(n);
+        let mut dup = Vec::with_capacity(n);
         for (i, &h) in hashes.iter().enumerate() {
             let mut slot = h as usize & mask;
-            keep.push(loop {
+            dup.push(loop {
                 let j = table[slot];
                 if j == EMPTY {
                     table[slot] = i;
-                    break true;
+                    break false;
                 }
                 if hashes[j] == h && self.rows_equal(i, j) {
-                    break false;
+                    break true;
                 }
                 slot = (slot + 1) & mask;
             });
         }
-        self.filter(&BoolMask::new(keep)).expect("length matches")
+        BoolMask::new(dup)
     }
 
     /// A 64-bit hash of every row, folded column by column over the typed
@@ -478,34 +490,31 @@ impl DataFrame {
                 df.add_column_shared(name, Arc::clone(col))?;
                 continue;
             }
-            let cats = col.unique();
-            let skip = usize::from(drop_first);
-            // Dummy columns are all-valid Int: null source rows encode 0.
+            // One distinct pass; each category is then a sweep over the
+            // typed buffer comparing every row with the category's first row.
             let n = col.len();
-            let generic_vals = match &**col {
-                Column::Str(_) => None,
-                _ => Some(col.values()),
-            };
-            for cat in cats.iter().skip(skip) {
-                let values: Vec<i64> = match (&**col, cat) {
-                    (Column::Str(d), Value::Str(s)) => {
-                        // One pool lookup, then a pass over the codes.
-                        let code = d.code_of(s);
-                        (0..n)
-                            .map(|i| {
-                                i64::from(
-                                    d.validity().get(i) && code == Some(d.codes()[i]),
-                                )
-                            })
-                            .collect()
+            for &(row, _) in col.distinct().iter().skip(usize::from(drop_first)) {
+                let values: Vec<i64> = match &**col {
+                    Column::Str(d) => {
+                        let code = d.codes[row];
+                        same_as(&d.codes, &d.validity, |c| c == code)
                     }
-                    _ => generic_vals
-                        .as_ref()
-                        .expect("non-string target materialized")
-                        .iter()
-                        .map(|v| i64::from(v.loose_eq(cat)))
-                        .collect(),
+                    // Ints compare as `f64`, as pandas' loose equality does.
+                    Column::Int(b) => {
+                        let cat = b.values[row] as f64;
+                        same_as(&b.values, &b.validity, |v| v as f64 == cat)
+                    }
+                    Column::Float(b) => {
+                        let cat = b.values[row];
+                        same_as(&b.values, &b.validity, |v| v == cat)
+                    }
+                    Column::Bool(b) => {
+                        let cat = b.values[row];
+                        same_as(&b.values, &b.validity, |v| v == cat)
+                    }
                 };
+                let cat = col.get(row)?;
+                // Dummy columns are all-valid Int: null source rows encode 0.
                 df.add_column(
                     format!("{name}_{cat}"),
                     Column::Int(Buffer {
@@ -549,7 +558,9 @@ impl DataFrame {
     }
 
     /// Masked scalar assignment: `df.loc[mask, col] = value`.
-    /// Creates the column if missing (filled with null elsewhere).
+    /// Creates the column if missing (filled with null elsewhere). The
+    /// column is retyped as `Column::from_values` would type its new
+    /// cells (an Int column taking a float becomes Float).
     pub fn loc_set(&mut self, mask: &BoolMask, name: &str, value: &Value) -> Result<()> {
         if mask.len() != self.n_rows() {
             return Err(FrameError::LengthMismatch {
@@ -557,17 +568,24 @@ impl DataFrame {
                 actual: mask.len(),
             });
         }
-        let base = match self.index.get(name) {
-            Some(&i) => self.columns[i].values(),
-            None => vec![Value::Null; self.n_rows()],
+        let picks: Vec<Option<u32>> = mask.iter().map(|m| m.then_some(0)).collect();
+        let value = std::slice::from_ref(value);
+        let col = match self.index.get(name) {
+            Some(&i) => self.columns[i].write_cells(&picks, value),
+            None => Column::all_null(mask.len()).write_cells(&picks, value),
         };
-        let new: Vec<Value> = base
-            .into_iter()
-            .zip(mask.iter())
-            .map(|(old, m)| if m { value.clone() } else { old })
-            .collect();
-        self.set_column(name, Column::from_values(&new))
+        self.set_column(name, col)
     }
+}
+
+/// Indicator bits of one category: `1` where the row is valid and
+/// `is_cat` holds for its cell.
+fn same_as<T: Copy>(values: &[T], validity: &Bitmap, is_cat: impl Fn(T) -> bool) -> Vec<i64> {
+    values
+        .iter()
+        .zip(validity.iter())
+        .map(|(&v, valid)| i64::from(valid && is_cat(v)))
+        .collect()
 }
 
 /// Folds one column into per-row hashes: each valid cell contributes
@@ -588,6 +606,7 @@ fn fold_cells<T: Copy>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::naive::naive_values;
 
     fn sample_df() -> DataFrame {
         DataFrame::from_columns(vec![
@@ -743,7 +762,7 @@ mod tests {
         assert!(enc.has_column("sex_f"));
         assert!(!enc.has_column("sex"));
         assert_eq!(
-            enc.column("sex_m").unwrap().values(),
+            naive_values(enc.column("sex_m").unwrap()),
             vec![Value::Int(1), Value::Int(0), Value::Int(0), Value::Int(1)]
         );
         let first_dropped = df.get_dummies(None, true).unwrap();

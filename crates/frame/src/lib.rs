@@ -32,6 +32,9 @@
 //! assert_eq!(filled.column("age").unwrap().null_count(), 0);
 //! ```
 
+// Per-cell `naive_values` (clippy.toml bans it) is for tests and oracles.
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
+
 pub mod bitmap;
 pub mod column;
 pub mod csv;

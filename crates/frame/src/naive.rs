@@ -3,17 +3,39 @@
 //! These walk every row as a [`Value`] — exactly the shape the engine had
 //! before the columnar re-layout — and exist so property tests can check
 //! that the type-specialized kernels in [`ops`](crate::ops),
-//! [`frame`](crate::frame), [`groupby`](crate::groupby), and
-//! [`jaccard`](crate::jaccard) are value-identical to the simple
-//! semantics. They are reference code: clarity over speed.
+//! [`frame`](crate::frame), [`column`](crate::column),
+//! [`groupby`](crate::groupby), and [`jaccard`](crate::jaccard) are
+//! value-identical to the simple semantics. They are reference code:
+//! clarity over speed.
+//!
+//! Twins: [`naive_fill_na`], [`naive_compare`], [`naive_arith`],
+//! [`naive_get_dummies`], [`naive_group_agg`], [`naive_drop_duplicates`],
+//! [`naive_value_jaccard`], and, for the distinct pass and the typed
+//! writes, [`naive_unique`], [`naive_n_unique`], [`naive_mode`],
+//! [`naive_value_counts`], [`naive_loc_set`], [`naive_where_scalar`],
+//! [`naive_map_values`], [`naive_replace_values`] and [`naive_argsort`].
+//! [`naive_values`], the per-cell walk itself, lives only here: clippy's
+//! `disallowed_methods` (the workspace `clippy.toml`) bans it outside
+//! tests and these oracles.
+
+// The oracles are per-cell by design.
+#![allow(clippy::disallowed_methods)]
 
 use crate::column::Column;
 use crate::error::{FrameError, Result};
 use crate::frame::DataFrame;
 use crate::groupby::AggFn;
+use crate::mask::BoolMask;
 use crate::ops::{ArithOp, CmpOp, Operand};
 use crate::value::{Value, ValueKey};
 use std::collections::{HashMap, HashSet};
+
+/// Every row of `col` as a [`Value`], nulls included.
+pub fn naive_values(col: &Column) -> Vec<Value> {
+    (0..col.len())
+        .map(|i| col.get(i).expect("in bounds"))
+        .collect()
+}
 
 fn rhs_at(rhs: &Operand, i: usize) -> Value {
     match rhs {
@@ -25,7 +47,7 @@ fn rhs_at(rhs: &Operand, i: usize) -> Value {
 /// Per-cell `fill_na`: nulls replaced by `fill`, with the same dtype rules
 /// as [`Column::fill_na`] (Int fills stay Int, Float fill widens Int).
 pub fn naive_fill_na(col: &Column, fill: &Value) -> Result<Vec<Value>> {
-    let vals = col.values();
+    let vals = naive_values(col);
     if fill.is_null() {
         return Ok(vals);
     }
@@ -180,7 +202,7 @@ pub fn naive_arith(col: &Column, op: ArithOp, rhs: &Operand) -> Result<Vec<Value
 /// Per-cell one-hot encoding of one column: `(category, bits)` pairs in
 /// first-seen category order, nulls encoding `0` everywhere.
 pub fn naive_get_dummies(col: &Column, drop_first: bool) -> Vec<(Value, Vec<i64>)> {
-    let vals = col.values();
+    let vals = naive_values(col);
     let mut cats: Vec<Value> = Vec::new();
     let mut seen: HashSet<ValueKey> = HashSet::new();
     for v in &vals {
@@ -267,7 +289,7 @@ fn naive_aggregate(vals: &[f64], agg: AggFn) -> Value {
 /// Per-row `drop_duplicates`: one `Vec<ValueKey>` per row into a
 /// `HashSet`, keeping first occurrences.
 pub fn naive_drop_duplicates(df: &DataFrame) -> DataFrame {
-    let col_keys = df.column_keys();
+    let col_keys: Vec<Vec<ValueKey>> = df.iter().map(|(_, c)| c.keys()).collect();
     let mut seen = HashSet::new();
     let mut keep = Vec::with_capacity(df.n_rows());
     for i in 0..df.n_rows() {
@@ -283,7 +305,7 @@ pub fn naive_value_jaccard(a: &DataFrame, b: &DataFrame) -> f64 {
     let set = |df: &DataFrame| -> HashSet<ValueKey> {
         let mut s = HashSet::new();
         for (_, col) in df.iter() {
-            for v in col.values() {
+            for v in naive_values(col) {
                 if !v.is_null() {
                     s.insert(v.key());
                 }
@@ -300,6 +322,140 @@ pub fn naive_value_jaccard(a: &DataFrame, b: &DataFrame) -> f64 {
     (inter as f64) / ((sa.len() + sb.len() - inter) as f64)
 }
 
+/// Per-cell `Column::mode`: a `ValueKey` count map, the most frequent
+/// value with ties broken by first occurrence.
+pub fn naive_mode(col: &Column) -> Result<Value> {
+    let mut counts: HashMap<ValueKey, (usize, usize, Value)> = HashMap::new();
+    for (i, v) in naive_values(col).into_iter().enumerate() {
+        if v.is_null() {
+            continue;
+        }
+        let entry = counts.entry(v.key()).or_insert((0, i, v));
+        entry.0 += 1;
+    }
+    counts
+        .into_values()
+        .max_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)))
+        .map(|(_, _, v)| v)
+        .ok_or_else(|| FrameError::Empty("mode".to_string()))
+}
+
+/// Per-cell `Column::unique`: distinct non-null values in first-seen
+/// order.
+pub fn naive_unique(col: &Column) -> Vec<Value> {
+    let mut seen = HashSet::new();
+    let mut out = Vec::new();
+    for v in naive_values(col) {
+        if v.is_null() {
+            continue;
+        }
+        if seen.insert(v.key()) {
+            out.push(v);
+        }
+    }
+    out
+}
+
+/// Per-cell `Column::n_unique`.
+pub fn naive_n_unique(col: &Column) -> usize {
+    naive_unique(col).len()
+}
+
+/// Per-cell `Column::value_counts`: descending by count, ties by first
+/// occurrence.
+pub fn naive_value_counts(col: &Column) -> Vec<(Value, usize)> {
+    let mut counts: HashMap<ValueKey, (usize, usize, Value)> = HashMap::new();
+    for (i, v) in naive_values(col).into_iter().enumerate() {
+        if v.is_null() {
+            continue;
+        }
+        let entry = counts.entry(v.key()).or_insert((0, i, v));
+        entry.0 += 1;
+    }
+    let mut out: Vec<(usize, usize, Value)> = counts.into_values().collect();
+    out.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+    out.into_iter().map(|(c, _, v)| (v, c)).collect()
+}
+
+/// Per-cell `DataFrame::loc_set`: the column rebuilt through
+/// `Column::from_values`, a new column null outside the mask.
+pub fn naive_loc_set(df: &mut DataFrame, mask: &BoolMask, name: &str, value: &Value) -> Result<()> {
+    if mask.len() != df.n_rows() {
+        return Err(FrameError::LengthMismatch {
+            expected: df.n_rows(),
+            actual: mask.len(),
+        });
+    }
+    let base = match df.column(name) {
+        Ok(col) => naive_values(col),
+        Err(_) => vec![Value::Null; df.n_rows()],
+    };
+    let new: Vec<Value> = base
+        .into_iter()
+        .zip(mask.iter())
+        .map(|(old, m)| if m { value.clone() } else { old })
+        .collect();
+    df.set_column(name, Column::from_values(&new))
+}
+
+/// Per-cell `ops::map_values`: one `ValueKey` lookup per row, unmapped
+/// rows null, the column rebuilt through `Column::from_values`.
+pub fn naive_map_values(col: &Column, mapping: &[(Value, Value)]) -> Column {
+    let table: HashMap<ValueKey, Value> =
+        mapping.iter().map(|(k, v)| (k.key(), v.clone())).collect();
+    let out: Vec<Value> = naive_values(col)
+        .iter()
+        .map(|v| table.get(&v.key()).cloned().unwrap_or(Value::Null))
+        .collect();
+    Column::from_values(&out)
+}
+
+/// Per-cell `ops::replace_values`: one `ValueKey` lookup per row,
+/// unmapped rows keeping their cell, the column rebuilt through
+/// `Column::from_values`.
+pub fn naive_replace_values(col: &Column, mapping: &[(Value, Value)]) -> Column {
+    let table: HashMap<ValueKey, Value> =
+        mapping.iter().map(|(k, v)| (k.key(), v.clone())).collect();
+    let out: Vec<Value> = naive_values(col)
+        .into_iter()
+        .map(|v| table.get(&v.key()).cloned().unwrap_or(v))
+        .collect();
+    Column::from_values(&out)
+}
+
+/// Per-cell `ops::where_scalar`: one `Value` per row through
+/// `Column::from_values`.
+pub fn naive_where_scalar(mask: &BoolMask, if_true: &Value, if_false: &Value) -> Column {
+    let out: Vec<Value> = mask
+        .iter()
+        .map(|b| if b { if_true.clone() } else { if_false.clone() })
+        .collect();
+    Column::from_values(&out)
+}
+
+/// Per-cell `Column::argsort`: a stable sort under `Value::loose_cmp`,
+/// nulls last in both directions.
+pub fn naive_argsort(col: &Column, ascending: bool) -> Vec<usize> {
+    let vals = naive_values(col);
+    let mut order: Vec<usize> = (0..col.len()).collect();
+    order.sort_by(|&a, &b| match (vals[a].is_null(), vals[b].is_null()) {
+        (true, true) => std::cmp::Ordering::Equal,
+        (true, false) => std::cmp::Ordering::Greater,
+        (false, true) => std::cmp::Ordering::Less,
+        (false, false) => {
+            let cmp = vals[a]
+                .loose_cmp(&vals[b])
+                .unwrap_or(std::cmp::Ordering::Equal);
+            if ascending {
+                cmp
+            } else {
+                cmp.reverse()
+            }
+        }
+    });
+    order
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,8 +467,14 @@ mod tests {
         let kernel = crate::ops::compare(&col, CmpOp::Gt, &rhs).unwrap();
         assert_eq!(kernel.bits(), naive_compare(&col, CmpOp::Gt, &rhs).unwrap());
         let kernel = crate::ops::arith(&col, ArithOp::Add, &rhs).unwrap();
-        assert_eq!(kernel.values(), naive_arith(&col, ArithOp::Add, &rhs).unwrap());
+        assert_eq!(
+            naive_values(&kernel),
+            naive_arith(&col, ArithOp::Add, &rhs).unwrap()
+        );
         let filled = col.fill_na(&Value::Int(0)).unwrap();
-        assert_eq!(filled.values(), naive_fill_na(&col, &Value::Int(0)).unwrap());
+        assert_eq!(
+            naive_values(&filled),
+            naive_fill_na(&col, &Value::Int(0)).unwrap()
+        );
     }
 }

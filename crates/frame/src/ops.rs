@@ -411,7 +411,8 @@ pub fn arith(col: &Column, op: ArithOp, rhs: &Operand) -> Result<Column> {
                 // One concatenation per dictionary entry, codes unchanged.
                 Ok(Column::Str(d.map_pool(|s| format!("{s}{y}"))))
             }
-            Operand::Scalar(Value::Null) => Ok(all_null_str(n)),
+            // Null or NaN: every row null-propagates, as in the numeric path.
+            Operand::Scalar(v) if v.is_null() => Ok(all_null_str(n)),
             Operand::Scalar(v) => match (0..n).find(|&i| d.validity.get(i)) {
                 Some(i) => Err(FrameError::TypeMismatch {
                     op: "+".to_string(),
@@ -628,36 +629,47 @@ pub fn str_len(col: &Column) -> Result<Column> {
 
 /// `Series.map({...})` — unmapped values become null (pandas `map`).
 pub fn map_values(col: &Column, mapping: &[(Value, Value)]) -> Column {
-    let table: HashMap<ValueKey, Value> = mapping
-        .iter()
-        .map(|(k, v)| (k.key(), v.clone()))
+    let (picks, targets) = lookup_distinct(col, mapping);
+    let picks: Vec<Option<u32>> = picks
+        .into_iter()
+        .map(|p| p.or(Some(targets.len() as u32)))
         .collect();
-    let out: Vec<Value> = col
-        .keys()
-        .iter()
-        .map(|k| table.get(k).cloned().unwrap_or(Value::Null))
-        .collect();
-    Column::from_values(&out)
+    let mut values = targets;
+    values.push(Value::Null);
+    Column::all_null(col.len()).write_cells(&picks, &values)
 }
 
 /// `Series.replace({...})` — unmapped values pass through unchanged.
 pub fn replace_values(col: &Column, mapping: &[(Value, Value)]) -> Column {
-    let table: HashMap<ValueKey, Value> = mapping
-        .iter()
-        .map(|(k, v)| (k.key(), v.clone()))
-        .collect();
-    let out: Vec<Value> = col
-        .keys()
+    let (picks, targets) = lookup_distinct(col, mapping);
+    col.write_cells(&picks, &targets)
+}
+
+/// Looks `mapping` up once per distinct value of `col` (and once for the
+/// null rows): per row the index of its mapped value in the returned
+/// list, or `None` when its value has no mapping. `Value`s are built only
+/// per distinct value.
+fn lookup_distinct(col: &Column, mapping: &[(Value, Value)]) -> (Vec<Option<u32>>, Vec<Value>) {
+    let table: HashMap<ValueKey, &Value> = mapping.iter().map(|(k, v)| (k.key(), v)).collect();
+    let (ids, n_distinct) = col.factorize();
+    // Slot `n_distinct` stands for the null rows.
+    let mut slot_of: Vec<Option<Option<u32>>> = vec![None; n_distinct + 1];
+    let mut targets: Vec<Value> = Vec::new();
+    let picks = ids
         .iter()
         .enumerate()
-        .map(|(i, k)| {
-            table
-                .get(k)
-                .cloned()
-                .unwrap_or_else(|| col.get(i).expect("in bounds"))
+        .map(|(row, id)| {
+            let slot = id.map_or(n_distinct, |id| id as usize);
+            *slot_of[slot].get_or_insert_with(|| {
+                let key = col.get(row).map_or(ValueKey::Null, |v| v.key());
+                table.get(&key).map(|&v| {
+                    targets.push(v.clone());
+                    (targets.len() - 1) as u32
+                })
+            })
         })
         .collect();
-    Column::from_values(&out)
+    (picks, targets)
 }
 
 /// `Series.clip(lower, upper)` on numeric columns.
@@ -724,17 +736,16 @@ pub fn map_f64(col: &Column, op_name: &str, f: impl Fn(f64) -> f64) -> Result<Co
 }
 
 /// `np.where(mask, a, b)` with scalar branches.
+/// Typed as `Column::from_values` types the per-row cells.
 pub fn where_scalar(mask: &BoolMask, if_true: &Value, if_false: &Value) -> Column {
-    let out: Vec<Value> = mask
-        .iter()
-        .map(|b| if b { if_true.clone() } else { if_false.clone() })
-        .collect();
-    Column::from_values(&out)
+    let picks: Vec<Option<u32>> = mask.iter().map(|m| Some(u32::from(!m))).collect();
+    Column::all_null(mask.len()).write_cells(&picks, &[if_true.clone(), if_false.clone()])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::naive::naive_values;
 
     fn nums() -> Column {
         Column::from_ints(vec![Some(1), Some(5), None, Some(10)])
@@ -806,6 +817,14 @@ mod tests {
         let c = arith(&strs(), ArithOp::Add, &Operand::Scalar(Value::Str("!".into()))).unwrap();
         assert_eq!(c.get(1).unwrap(), Value::Str("benign!".into()));
         assert!(arith(&strs(), ArithOp::Mul, &Operand::Scalar(Value::Int(2))).is_err());
+        // A NaN scalar is null: it propagates, as `Value::Null` does.
+        let nan = arith(
+            &strs(),
+            ArithOp::Add,
+            &Operand::Scalar(Value::Float(f64::NAN)),
+        )
+        .unwrap();
+        assert_eq!(nan.null_count(), nan.len());
     }
 
     #[test]
@@ -836,7 +855,7 @@ mod tests {
         let c = Column::from_strs(vec![Some("AB".into()), Some("ab".into()), Some("Ab".into())]);
         let lower = str_op(&c, StrOp::Lower).unwrap();
         assert_eq!(
-            lower.values(),
+            naive_values(&lower),
             vec![
                 Value::Str("ab".into()),
                 Value::Str("ab".into()),
@@ -887,7 +906,7 @@ mod tests {
         assert!((c.get(0).unwrap().as_f64().unwrap() - 2f64.ln()).abs() < 1e-12);
         let m = BoolMask::new(vec![true, false]);
         let w = where_scalar(&m, &Value::Int(1), &Value::Int(0));
-        assert_eq!(w.values(), vec![Value::Int(1), Value::Int(0)]);
+        assert_eq!(naive_values(&w), vec![Value::Int(1), Value::Int(0)]);
     }
 
     #[test]

@@ -722,9 +722,7 @@ pub(crate) fn to_column(v: &RtValue, n_rows: usize) -> Result<Column> {
             }
             Ok(Column::from_mask(m))
         }
-        RtValue::Scalar(val) => {
-            Ok(Column::from_values(&vec![val.clone(); n_rows]))
-        }
+        RtValue::Scalar(val) => Ok(Column::splat(val, n_rows)),
         RtValue::NoneVal => Ok(Column::from_floats(vec![None; n_rows])),
         other => Err(InterpError::TypeError(format!(
             "cannot build a column from {}",

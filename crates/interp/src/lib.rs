@@ -35,6 +35,8 @@
     not(test),
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
+// Per-cell `naive_values` (clippy.toml bans it) is for tests and oracles.
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
 
 pub mod budget;
 pub mod cache;

@@ -129,7 +129,7 @@ mod tests {
         );
         let col = out.output_frame().unwrap().column("big").unwrap();
         assert_eq!(
-            col.values(),
+            lucid_frame::naive::naive_values(col),
             vec![Value::Int(0), Value::Int(1), Value::Int(1)]
         );
     }

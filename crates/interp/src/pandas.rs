@@ -101,16 +101,7 @@ pub(crate) fn call_frame_method(
             Ok(RtValue::Frame(f.filter(&keep)?))
         }
         "drop" => frame_drop(&f, &args),
-        "drop_duplicates" => {
-            let col_keys = f.df.column_keys();
-            let mut seen = std::collections::HashSet::new();
-            let mut bits = Vec::with_capacity(f.df.n_rows());
-            for i in 0..f.df.n_rows() {
-                let key: Vec<_> = col_keys.iter().map(|k| k[i].clone()).collect();
-                bits.push(seen.insert(key));
-            }
-            Ok(RtValue::Frame(f.filter(&lucid_frame::BoolMask::new(bits))?))
-        }
+        "drop_duplicates" => Ok(RtValue::Frame(f.filter(&f.df.duplicated().not())?)),
         "rename" => {
             let Some(RtValue::Dict(pairs)) = args.kw_get("columns") else {
                 return Err(InterpError::TypeError(
@@ -164,28 +155,8 @@ pub(crate) fn call_frame_method(
                     f.df.n_rows()
                 )));
             }
-            // Delegate to the frame sampler via positions so provenance holds.
-            let sampled = f.df.sample(n, seed)?;
-            // Recover positions by sampling indices the same way.
-            let mut idx_frame = lucid_frame::DataFrame::new();
-            idx_frame.add_column(
-                "__pos",
-                Column::from_ints((0..f.df.n_rows() as i64).map(Some).collect()),
-            )?;
-            let sampled_idx = idx_frame.sample(n, seed)?;
-            let positions: Vec<usize> = sampled_idx
-                .column("__pos")?
-                .values()
-                .iter()
-                .map(|v| {
-                    v.as_f64().map(|x| x as usize).ok_or_else(|| {
-                        InterpError::ValueError(
-                            "sample produced a non-numeric position".to_string(),
-                        )
-                    })
-                })
-                .collect::<Result<_>>()?;
-            debug_assert_eq!(sampled.n_rows(), positions.len());
+            // The frame sampler's positions, taken once so provenance holds.
+            let positions = f.df.sample_positions(n, seed)?;
             f.take(&positions).map(RtValue::Frame).map_err(Into::into)
         }
         "copy" => Ok(RtValue::Frame(f)),
@@ -239,20 +210,7 @@ pub(crate) fn call_frame_method(
                 None => return Err(InterpError::TypeError("sort_values requires by=".to_string())),
             };
             let ascending = kw_bool(&args, "ascending")?.unwrap_or(true);
-            let col = f.df.column(&by)?;
-            let mut order: Vec<usize> = (0..col.len()).collect();
-            let vals = col.values();
-            order.sort_by(|&a, &b| {
-                let cmp = match (vals[a].is_null(), vals[b].is_null()) {
-                    (true, true) => std::cmp::Ordering::Equal,
-                    (true, false) => std::cmp::Ordering::Greater, // nulls last
-                    (false, true) => std::cmp::Ordering::Less,
-                    (false, false) => vals[a]
-                        .loose_cmp(&vals[b])
-                        .unwrap_or(std::cmp::Ordering::Equal),
-                };
-                if ascending { cmp } else { cmp.reverse() }
-            });
+            let order = f.df.column(&by)?.argsort(ascending);
             f.take(&order).map(RtValue::Frame).map_err(Into::into)
         }
         "select_dtypes" => {
@@ -453,7 +411,7 @@ pub(crate) fn call_series_method(
         "min" => scalar(s.col.min()?),
         "max" => scalar(s.col.max()?),
         "count" => scalar(Value::Int((s.col.len() - s.col.null_count()) as i64)),
-        "nunique" => scalar(Value::Int(s.col.unique().len() as i64)),
+        "nunique" => scalar(Value::Int(s.col.n_unique() as i64)),
         "quantile" => {
             let q = expect_float(args.require(0, "q")?)?;
             scalar(Value::Float(s.col.quantile(q)?))

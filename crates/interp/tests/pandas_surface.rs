@@ -7,8 +7,7 @@ use lucid_frame::Value;
 use lucid_interp::{Interpreter, RtValue};
 use lucid_pyast::parse_module;
 
-fn interp() -> Interpreter {
-    let csv = "\
+const CSV: &str = "\
 Age,Fare,Sex,Embarked,Survived
 22,7.25,male,S,0
 38,71.28,female,C,1
@@ -21,8 +20,10 @@ Age,Fare,Sex,Embarked,Survived
 27,11.13,female,S,1
 ,30.07,female,C,1
 ";
+
+fn interp() -> Interpreter {
     let mut i = Interpreter::new();
-    i.register_table("train.csv", read_csv_str(csv).unwrap());
+    i.register_table("train.csv", read_csv_str(CSV).unwrap());
     i
 }
 
@@ -218,6 +219,47 @@ fn sort_head_slice_sample() {
             .n_rows(),
         5
     );
+}
+
+/// pandas' default `na_position='last'`: nulls sort last in both
+/// directions, in row order, and equal values keep their row order.
+#[test]
+fn sort_values_puts_nulls_last_in_both_directions() {
+    for (ascending, first) in [("True", 2), ("False", 54)] {
+        let out = run(&format!(
+            "{PRELUDE}df = df.sort_values(by='Age', ascending={ascending})\n"
+        ));
+        let frame = out.output_frame().unwrap();
+        let age = frame.column("Age").unwrap();
+        let fare = frame.column("Fare").unwrap();
+        assert_eq!(
+            age.get(0).unwrap(),
+            Value::Int(first),
+            "ascending={ascending}"
+        );
+        // The two null ages (rows 5 and 9) come last, in row order.
+        assert!(age.get(8).unwrap().is_null(), "ascending={ascending}");
+        assert!(age.get(9).unwrap().is_null(), "ascending={ascending}");
+        assert_eq!(fare.get(8).unwrap(), Value::Float(8.46));
+        assert_eq!(fare.get(9).unwrap(), Value::Float(30.07));
+        // The tied ages 35 (rows 3 and 4) keep their row order.
+        let tied: Vec<Value> = (0..10)
+            .filter(|&i| age.get(i).unwrap() == Value::Int(35))
+            .map(|i| fare.get(i).unwrap())
+            .collect();
+        assert_eq!(tied, vec![Value::Float(53.1), Value::Float(8.05)]);
+    }
+}
+
+#[test]
+fn sample_takes_the_rows_the_frame_sampler_takes() {
+    let table = read_csv_str(CSV).unwrap();
+    for (n, seed) in [(4, 0), (7, 3), (10, 11)] {
+        let out = run(&format!(
+            "{PRELUDE}df = df.sample({n}, random_state={seed})\n"
+        ));
+        assert_eq!(out.output_frame().unwrap(), &table.sample(n, seed).unwrap());
+    }
 }
 
 #[test]

@@ -12,7 +12,6 @@ use crate::error::{MlError, Result};
 use crate::matrix::Matrix;
 use lucid_frame::bitmap::Bitmap;
 use lucid_frame::{Column, DataFrame};
-use std::collections::HashMap;
 
 /// Encodes all columns of `df` (except `exclude`) into a feature matrix.
 ///
@@ -60,20 +59,11 @@ fn encode_column<'a>(col: &Column, out: impl Iterator<Item = &'a mut f64>) {
                 0.0
             }
         }),
-        Column::Str(s) => {
+        Column::Str(_) => {
             // First-seen rank per dictionary code: the pool is distinct, so
             // code identity is string identity.
-            let mut rank: Vec<Option<f64>> = vec![None; s.pool().len()];
-            let mut next = 0.0;
-            for ((slot, &code), valid) in out.zip(s.codes()).zip(s.validity().iter()) {
-                *slot = if valid {
-                    *rank[code as usize].get_or_insert_with(|| {
-                        next += 1.0;
-                        next - 1.0
-                    })
-                } else {
-                    -1.0
-                };
+            for (slot, id) in out.zip(col.factorize().0) {
+                *slot = id.map_or(-1.0, f64::from);
             }
         }
     }
@@ -92,7 +82,11 @@ fn fill<'a, T: Copy>(
     }
 }
 
-/// Encodes a label column into class ids `0..k` by first-seen order.
+/// Encodes a label column into class ids `0..k` by first-seen order
+/// (dictionary codes for string labels, typed keys otherwise). Null labels
+/// map to one more class, `k` — sklearn would error, but candidate scripts
+/// may legitimately drop the fill step, so the nulls form a class of their
+/// own, deterministically.
 ///
 /// # Errors
 ///
@@ -101,31 +95,12 @@ pub fn encode_labels(col: &Column) -> Result<Vec<u32>> {
     if col.is_empty() {
         return Err(MlError::EmptyInput("label column".to_string()));
     }
-    let mut codes: HashMap<lucid_frame::value::ValueKey, u32> = HashMap::new();
-    let mut out = Vec::with_capacity(col.len());
-    let mut any = false;
-    for v in col.values() {
-        if v.is_null() {
-            // Null labels map to a dedicated class — sklearn would error,
-            // but candidate scripts may legitimately drop the fill step;
-            // class 0 absorbs them deterministically.
-            out.push(u32::MAX);
-            continue;
-        }
-        any = true;
-        let next = codes.len() as u32;
-        out.push(*codes.entry(v.key()).or_insert(next));
-    }
-    if !any {
+    let (ids, n_classes) = col.factorize();
+    if n_classes == 0 {
         return Err(MlError::BadLabels("all labels are null".to_string()));
     }
-    let fallback = codes.len() as u32;
-    for v in &mut out {
-        if *v == u32::MAX {
-            *v = fallback;
-        }
-    }
-    Ok(out)
+    let null_class = n_classes as u32;
+    Ok(ids.into_iter().map(|id| id.unwrap_or(null_class)).collect())
 }
 
 #[cfg(test)]

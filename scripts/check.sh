@@ -3,14 +3,17 @@
 # zero-warning clippy on every workspace crate; the allocation-byte
 # regression gate against the committed BENCH_search.json; the
 # decision-stability smokes of the committed benchmark (benchmark/,
-# which owns wall time); two grep gates
-# (interned IR, columnar kernels); and the batch, trace and overhead
-# smokes, the trace smoke rendering all three views of one trace and
-# requiring its profile to nest statements under interpreter runs.
+# which owns wall time); one grep gate (interned IR); and the batch,
+# trace and overhead smokes, the trace smoke rendering all three views
+# of one trace and requiring its profile to nest statements under
+# interpreter runs.
 # Metric names need no gate: the registry and its timers accept only
 # lucid_obs::Metric handles; panic paths need none: lucid-interp denies
 # clippy::unwrap_used/expect_used/panic outside tests, which the clippy
-# step enforces; and batch shared state needs none: tests/batch.rs fails
+# step enforces; per-cell Value scans need none: clippy.toml bans
+# lucid_frame::naive::naive_values (the only per-row Value walk) outside
+# tests and the naive oracles, which the clippy step also enforces; and
+# batch shared state needs none: tests/batch.rs fails
 # if a batch search gets its own prefix cache
 # (batch_trace_timings_and_store_totals_reconcile) or its own interner
 # (batch_interner_is_shared_across_searches).
@@ -91,35 +94,6 @@ ir_gate crates/core/src/transform.rs 'to_module\('
 ir_gate crates/core/src/explain.rs 'build_dag\('
 if [ "$gate_failed" -ne 0 ]; then
   echo "==> FAIL: the search hot path must stay on the interned IR"
-  exit 1
-fi
-
-# The frame kernels must stay columnar: the hot files operate on typed
-# buffers, bitmap words, and dictionary codes — never by materializing a
-# Value per cell. `.values()` calls, per-cell `Value::X =>` match arms,
-# and Option-mapping row scans in non-test code all reintroduce the
-# allocation-per-row pattern the columnar re-layout removed. (Scalar
-# destructuring like `Operand::Scalar(Value::Str(s))` stays legal: the
-# gate targets bare per-cell arms, and hot paths use `if let` instead.)
-echo "==> columnar-kernel grep gate (frame hot files stay per-buffer, not per-cell)"
-kernel_gate() {
-  local f="$1"
-  local hits
-  hits=$(awk '/#\[cfg\(test\)\]/{exit} {print NR": "$0}' "$f" \
-    | grep -vE '^[0-9]+: *(//|//!)' \
-    | grep -E '\.values\(\)|Value::(Null|Int|Float|Str|Bool)(\([^)]*\))? *=>|iter\(\)\.map\(.*Option' || true)
-  if [ -n "$hits" ]; then
-    echo "per-cell Value scan in non-test code of $f:"
-    echo "$hits"
-    gate_failed=1
-  fi
-}
-for f in crates/frame/src/ops.rs crates/frame/src/mask.rs \
-         crates/frame/src/groupby.rs crates/frame/src/jaccard.rs; do
-  kernel_gate "$f"
-done
-if [ "$gate_failed" -ne 0 ]; then
-  echo "==> FAIL: frame kernels must stay columnar (typed buffers + bitmaps + codes)"
   exit 1
 fi
 

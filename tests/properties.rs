@@ -1,6 +1,9 @@
 //! Workspace-level property tests: invariants that must hold for *any*
 //! script the generators produce.
 
+// The per-cell oracles are what these properties compare against.
+#![allow(clippy::disallowed_methods)]
+
 use lucidscript::core::batch::{script_fingerprint, standardize_corpus, BatchOptions, BatchScript};
 use lucidscript::core::config::SearchConfig;
 use lucidscript::core::dag::{build_dag, ScriptDag};
@@ -19,8 +22,10 @@ use lucidscript::corpus::Profile;
 use lucidscript::frame::groupby::{group_agg, AggFn};
 use lucidscript::frame::jaccard::{row_jaccard, value_jaccard};
 use lucidscript::frame::naive;
-use lucidscript::frame::ops::{arith, compare, ArithOp, CmpOp, Operand};
-use lucidscript::frame::{Column, DataFrame, Value};
+use lucidscript::frame::ops::{
+    arith, compare, map_values, replace_values, where_scalar, ArithOp, CmpOp, Operand,
+};
+use lucidscript::frame::{BoolMask, Column, DataFrame, Value};
 use lucidscript::interp::{Budget, BudgetKind, Interpreter, InterpError, UNLIMITED};
 use lucidscript::pyast::{parse_module, print_module, Module};
 use proptest::prelude::*;
@@ -280,19 +285,48 @@ fn arb_scalar() -> BoxedStrategy<Value> {
 /// A random column of exactly `n` rows, any dtype, ~half nulls. Small
 /// domains on purpose: collisions (repeated categories, equal numbers)
 /// are where dictionary codes and bitmap kernels can diverge from the
-/// per-cell reference.
+/// per-cell reference. Floats include `±0.0` and integral values (the
+/// Int/Float key boundary). Two string arms build columns whose pool
+/// order differs from first-seen row order and whose pool holds entries
+/// no row references — the shapes a code pass can get wrong: `take` over
+/// a column of random rows, and `filter` dropping a random prefix.
 fn arb_col(n: usize) -> BoxedStrategy<Column> {
     use prop::collection::vec;
     use prop::option;
+    let word = || prop::sample::select(vec!["a", "b", "zz", ""]).prop_map(String::from);
     prop_oneof![
         vec(option::of(-20i64..20), n..=n).prop_map(Column::from_ints),
-        vec(option::of(prop_oneof![-100.0..100.0f64, Just(3.0)]), n..=n)
-            .prop_map(Column::from_floats),
         vec(
-            option::of(prop::sample::select(vec!["a", "b", "zz", ""]).prop_map(String::from)),
+            option::of(prop_oneof![
+                -100.0..100.0f64,
+                Just(3.0),
+                Just(0.0),
+                Just(-0.0),
+                (-4i64..4).prop_map(|i| i as f64),
+            ]),
             n..=n
         )
-        .prop_map(Column::from_strs),
+        .prop_map(Column::from_floats),
+        vec(option::of(word()), n..=n).prop_map(Column::from_strs),
+        (vec(option::of(word()), 1..8), vec(0usize..64, n..=n)).prop_map(|(rows, picks)| {
+            let base = Column::from_strs(rows);
+            let idx: Vec<usize> = picks.iter().map(|p| p % base.len()).collect();
+            base.take(&idx).expect("indices in bounds")
+        }),
+        (
+            vec(option::of(word()), 0..6),
+            vec(option::of(word()), n..=n)
+        )
+            .prop_map(|(dropped, kept)| {
+                let mask: Vec<bool> = dropped
+                    .iter()
+                    .map(|_| false)
+                    .chain(kept.iter().map(|_| true))
+                    .collect();
+                Column::from_strs(dropped.into_iter().chain(kept).collect())
+                    .filter(&BoolMask::new(mask))
+                    .expect("mask length matches")
+            }),
         vec(option::of(any::<bool>()), n..=n).prop_map(Column::from_bools),
     ]
     .boxed()
@@ -327,7 +361,7 @@ proptest! {
         (col, fill) in (0usize..24).prop_flat_map(|n| (arb_col(n), arb_scalar()))
     ) {
         match (col.fill_na(&fill), naive::naive_fill_na(&col, &fill)) {
-            (Ok(k), Ok(reference)) => prop_assert_eq!(k.values(), reference),
+            (Ok(k), Ok(reference)) => prop_assert_eq!(naive::naive_values(&k), reference),
             (Err(k), Err(reference)) => prop_assert_eq!(k.to_string(), reference.to_string()),
             (k, reference) => panic!("kernel {k:?} disagrees with reference {reference:?}"),
         }
@@ -373,7 +407,7 @@ proptest! {
             RhsSpec::Col(c) => Operand::Column(c),
         };
         match (arith(&col, op, &operand), naive::naive_arith(&col, op, &operand)) {
-            (Ok(k), Ok(reference)) => prop_assert_eq!(k.values(), reference),
+            (Ok(k), Ok(reference)) => prop_assert_eq!(naive::naive_values(&k), reference),
             (Err(k), Err(reference)) => prop_assert_eq!(k.to_string(), reference.to_string()),
             (k, reference) => panic!("kernel {k:?} disagrees with reference {reference:?}"),
         }
@@ -394,7 +428,7 @@ proptest! {
             let (cat, bits) = &reference[i];
             prop_assert_eq!(name, format!("c_{cat}").as_str());
             let expected: Vec<Value> = bits.iter().map(|&b| Value::Int(b)).collect();
-            prop_assert_eq!(dummy.values(), expected);
+            prop_assert_eq!(naive::naive_values(dummy), expected);
         }
     }
 
@@ -460,6 +494,131 @@ proptest! {
         prop_assert_eq!(df.drop_duplicates(), naive::naive_drop_duplicates(&df));
         let single = df.select(&["z"]).expect("column z");
         prop_assert_eq!(single.drop_duplicates(), naive::naive_drop_duplicates(&single));
+    }
+}
+
+proptest! {
+    // The distinct pass, the typed masked write and the typed sort must be
+    // value-identical to their per-cell twins in `frame::naive` and
+    // `ml::naive`. Values are compared by `Debug`, so a `-0.0` where the
+    // reference has `0.0` (equal as keys) still fails.
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `unique`, `n_unique`, `mode` and `value_counts` are folds over one
+    /// distinct pass and agree with the `ValueKey` map reference,
+    /// first-seen order and tie-breaks included.
+    #[test]
+    fn distinct_kernels_match_naive(col in (0usize..24).prop_flat_map(arb_col)) {
+        prop_assert_eq!(format!("{:?}", col.unique()), format!("{:?}", naive::naive_unique(&col)));
+        prop_assert_eq!(col.n_unique(), naive::naive_n_unique(&col));
+        prop_assert_eq!(
+            format!("{:?}", col.value_counts()),
+            format!("{:?}", naive::naive_value_counts(&col))
+        );
+        match (col.mode(), naive::naive_mode(&col)) {
+            (Ok(k), Ok(reference)) => prop_assert_eq!(format!("{k:?}"), format!("{reference:?}")),
+            (Err(k), Err(reference)) => prop_assert_eq!(k.to_string(), reference.to_string()),
+            (k, reference) => panic!("kernel {k:?} disagrees with reference {reference:?}"),
+        }
+    }
+
+    /// `ml::encode_labels` (codes and typed keys) assigns the reference's
+    /// class ids, null class included, and fails where it fails.
+    #[test]
+    fn encode_labels_kernel_matches_naive(col in (0usize..24).prop_flat_map(arb_col)) {
+        match (
+            lucidscript::ml::encode_labels(&col),
+            lucidscript::ml::naive::naive_encode_labels(&col),
+        ) {
+            (Ok(k), Ok(reference)) => prop_assert_eq!(k, reference),
+            (Err(k), Err(reference)) => prop_assert_eq!(k.to_string(), reference.to_string()),
+            (k, reference) => panic!("kernel {k:?} disagrees with reference {reference:?}"),
+        }
+    }
+
+    /// `DataFrame::loc_set` writes typed buffers with exactly the dtype
+    /// and cells of the `from_values` reference, into an existing column
+    /// or a new one.
+    #[test]
+    fn loc_set_kernel_matches_naive(
+        (col, mask, value, fresh) in (0usize..24).prop_flat_map(|n| (
+            arb_col(n),
+            prop::collection::vec(any::<bool>(), n..=n),
+            arb_scalar(),
+            any::<bool>(),
+        ))
+    ) {
+        let name = if fresh { "new" } else { "c" };
+        let mask = BoolMask::new(mask);
+        let mut kernel = DataFrame::from_columns(vec![("c", col)]).expect("one column");
+        let mut reference = kernel.clone();
+        kernel.loc_set(&mask, name, &value).expect("lengths match");
+        naive::naive_loc_set(&mut reference, &mask, name, &value).expect("lengths match");
+        let written = kernel.column(name).expect("written column");
+        let expected = reference.column(name).expect("written column");
+        prop_assert_eq!(written.dtype(), expected.dtype());
+        prop_assert_eq!(
+            format!("{:?}", naive::naive_values(written)),
+            format!("{:?}", naive::naive_values(expected))
+        );
+    }
+
+    /// `ops::where_scalar` and the scalar broadcast `Column::splat` (a
+    /// masked write over an all-null column) type and fill exactly as
+    /// `Column::from_values` over the per-row cells.
+    #[test]
+    fn where_and_splat_kernels_match_naive(
+        (mask, if_true, if_false) in (0usize..24).prop_flat_map(|n| (
+            prop::collection::vec(any::<bool>(), n..=n),
+            arb_scalar(),
+            arb_scalar(),
+        ))
+    ) {
+        let mask = BoolMask::new(mask);
+        let kernel = where_scalar(&mask, &if_true, &if_false);
+        let reference = naive::naive_where_scalar(&mask, &if_true, &if_false);
+        prop_assert_eq!(kernel.dtype(), reference.dtype());
+        prop_assert_eq!(
+            format!("{:?}", naive::naive_values(&kernel)),
+            format!("{:?}", naive::naive_values(&reference))
+        );
+        let splat = Column::splat(&if_true, mask.len());
+        let reference = Column::from_values(&vec![if_true.clone(); mask.len()]);
+        prop_assert_eq!(splat.dtype(), reference.dtype());
+        prop_assert_eq!(
+            format!("{:?}", naive::naive_values(&splat)),
+            format!("{:?}", naive::naive_values(&reference))
+        );
+    }
+
+    /// `ops::map_values` and `ops::replace_values` look each distinct
+    /// value up once and agree with the per-row lookup, dtype included.
+    #[test]
+    fn map_and_replace_kernels_match_naive(
+        (col, mapping) in (0usize..24).prop_flat_map(|n| (
+            arb_col(n),
+            prop::collection::vec((arb_scalar(), arb_scalar()), 0..4),
+        ))
+    ) {
+        for (kernel, reference) in [
+            (map_values(&col, &mapping), naive::naive_map_values(&col, &mapping)),
+            (replace_values(&col, &mapping), naive::naive_replace_values(&col, &mapping)),
+        ] {
+            prop_assert_eq!(kernel.dtype(), reference.dtype());
+            prop_assert_eq!(
+                format!("{:?}", naive::naive_values(&kernel)),
+                format!("{:?}", naive::naive_values(&reference))
+            );
+        }
+    }
+
+    /// `Column::argsort` is the reference's stable order in both
+    /// directions, nulls last.
+    #[test]
+    fn argsort_kernel_matches_naive(
+        (col, ascending) in (0usize..24).prop_flat_map(|n| (arb_col(n), any::<bool>()))
+    ) {
+        prop_assert_eq!(col.argsort(ascending), naive::naive_argsort(&col, ascending));
     }
 }
 
