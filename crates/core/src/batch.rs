@@ -9,7 +9,8 @@
 //!
 //! 1. one [`crate::search::SharedSearchState`] — a global
 //!    [`crate::ir::StmtInterner`] plus a pooled prefix-cache store whose
-//!    per-search views keep hit/miss/eviction attribution exact;
+//!    per-search views count hits, misses and evictions into each
+//!    search's own registry;
 //! 2. with the memo on, one search per [`script_fingerprint`]: scripts
 //!    that lemmatize to the same structure are grouped and served by the
 //!    first of them in input order, so repeated and reformatted scripts
@@ -242,15 +243,16 @@ pub struct BatchReport {
     pub memo_hits: u64,
     /// Searches run with the memo on (zero with the memo off).
     pub memo_misses: u64,
-    /// Pooled prefix-cache store totals (sum of every search's view).
+    /// Pooled prefix-cache hits: `timings.prefix_cache_hits`, the sum of
+    /// every search's count.
     pub cache_store_hits: u64,
-    /// Pooled prefix-cache store miss total.
+    /// Pooled prefix-cache misses (`timings.prefix_cache_misses`).
     pub cache_store_misses: u64,
-    /// Pooled prefix-cache store eviction total.
+    /// Pooled prefix-cache evictions (`timings.prefix_cache_evictions`).
     pub cache_store_evictions: u64,
-    /// Pooled fit-memo hits (sum of every search's view).
+    /// Pooled fit-memo hits (`timings.fit_memo_hits`).
     pub fit_memo_store_hits: u64,
-    /// Pooled fit-memo misses (sum of every search's view).
+    /// Pooled fit-memo misses (`timings.fit_memo_misses`).
     pub fit_memo_store_misses: u64,
     /// Distinct statements in the batch-shared interner.
     pub unique_stmts: u64,
@@ -581,25 +583,20 @@ pub fn standardize_corpus(
         outer.merge(&batch_registry);
     }
 
-    let (cache_store_hits, cache_store_misses, cache_store_evictions) = match shared.cache() {
-        Some(cache) => (cache.store_hits(), cache.store_misses(), cache.store_evictions()),
-        None => (0, 0, 0),
-    };
-    let (fit_memo_store_hits, fit_memo_store_misses) = shared
-        .cache()
-        .map_or((0, 0), |cache| (cache.store_fit_hits(), cache.store_fit_misses()));
+    // Every search counted its pooled-store traffic into its own registry,
+    // so the pool totals are the roll-up of those counts.
     let distribution = ReDistribution::from_results(&results);
     Ok(BatchReport {
         scripts: results,
         distribution,
-        timings,
         memo_hits,
         memo_misses,
-        cache_store_hits,
-        cache_store_misses,
-        cache_store_evictions,
-        fit_memo_store_hits,
-        fit_memo_store_misses,
+        cache_store_hits: timings.prefix_cache_hits,
+        cache_store_misses: timings.prefix_cache_misses,
+        cache_store_evictions: timings.prefix_cache_evictions,
+        fit_memo_store_hits: timings.fit_memo_hits,
+        fit_memo_store_misses: timings.fit_memo_misses,
+        timings,
         unique_stmts: shared.interner().unique_stmts(),
         jobs: jobs_n,
         elapsed_ms: t_batch.elapsed().as_secs_f64() * 1e3,

@@ -50,15 +50,8 @@ pub struct SearchConfig {
     /// Whether execution checks reuse interpreter snapshots of shared
     /// statement prefixes (off reproduces cold re-execution exactly).
     pub prefix_cache: bool,
-    /// Bound on retained prefix snapshots (LRU beyond this).
-    pub prefix_cache_capacity: usize,
-    /// Bound on accumulated finalists awaiting final verification; when
-    /// full, only candidates scoring below the worst retained finalist
-    /// displace it. Keeps step-convergent searches from growing an
-    /// unbounded verification queue.
-    pub max_finalists: usize,
-    /// The trace: one JSONL stream per standardization (schema v5, see
-    /// [`lucid_obs::event`]). When set, the search writes its measurement
+    /// The trace: one JSONL stream per standardization (schema
+    /// [`lucid_obs::TRACE_SCHEMA_VERSION`], see [`lucid_obs::event`]). When set, the search writes its measurement
     /// records (start, one per beam step, verify, end, profile) and the
     /// interpreter records per-statement spans; then every candidate's
     /// stable ID, lineage and terminal [`lucid_obs::Disposition`], the
@@ -114,8 +107,6 @@ impl Default for SearchConfig {
             objective: Objective::Edges,
             threads: 1,
             prefix_cache: true,
-            prefix_cache_capacity: lucid_interp::cache::DEFAULT_PREFIX_CACHE_CAPACITY,
-            max_finalists: 256,
             trace: None,
             budget: lucid_interp::Budget::unlimited(),
             fault_plan: None,
@@ -143,16 +134,6 @@ impl SearchConfig {
         if self.diversity && self.diversity_clusters == 0 {
             return Err(CoreError::BadConfig(
                 "diversity clusters M must be ≥ 1".to_string(),
-            ));
-        }
-        if self.max_finalists == 0 {
-            return Err(CoreError::BadConfig(
-                "finalist cap must be ≥ 1".to_string(),
-            ));
-        }
-        if self.prefix_cache && self.prefix_cache_capacity == 0 {
-            return Err(CoreError::BadConfig(
-                "prefix cache capacity must be ≥ 1 when the cache is on".to_string(),
             ));
         }
         self.intent.validate()
@@ -241,17 +222,6 @@ mod tests {
             ..Default::default()
         };
         assert!(c.validate().is_err());
-        let c = SearchConfig {
-            max_finalists: 0,
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
-        let c = SearchConfig {
-            prefix_cache: true,
-            prefix_cache_capacity: 0,
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
     }
 
     #[test]
@@ -277,8 +247,6 @@ mod tests {
         assert_eq!(c.threads, 1);
         assert_eq!(c.resolved_threads(), 1);
         assert!(c.prefix_cache);
-        assert!(c.prefix_cache_capacity > 0);
-        assert!(c.max_finalists >= c.beam_k);
         // Auto resolves to at least one worker.
         let auto = SearchConfig {
             threads: 0,

@@ -19,6 +19,7 @@
 use crate::dag::{self, ScriptDag};
 use crate::error::{CoreError, Result};
 use lucid_interp::StmtRef;
+use lucid_obs::{Counter, Metric, Registry};
 use lucid_pyast::{Module, Span, Stmt};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -58,11 +59,16 @@ impl StmtInfo {
 }
 
 /// Content-addressed, thread-safe statement store, seen through a view
-/// that counts its own traffic. One search owns one view; its scoring
-/// workers share it by reference. Batch searches each take a
-/// [`StmtInterner::shared_view`] of one store, so a statement interned by
-/// any search is shared by all while each search's hit and DAG-update
-/// counts stay its own.
+/// that counts its traffic into a metrics registry: intern hits into
+/// [`Metric::InternHits`] and incremental DAG updates into
+/// [`Metric::DagIncremental`], through counter handles fetched once when
+/// the view is built. One search owns one view; its scoring workers share
+/// it by reference. Each search counts into its own registry, through
+/// [`StmtInterner::counting_into`] over a store of its own or a
+/// [`StmtInterner::view`] of the batch-shared one, so a statement
+/// interned by any search is shared by all while each search's hit and
+/// DAG-update counts stay its own. [`StmtInterner::new`] counts into
+/// counters of its own.
 ///
 /// Buckets are keyed by structural hash but membership is decided by
 /// structural *equality*, so a (vanishingly unlikely) 64-bit collision
@@ -70,8 +76,8 @@ impl StmtInfo {
 #[derive(Debug, Default)]
 pub struct StmtInterner {
     store: Arc<InternStore>,
-    hits: AtomicU64,
-    dag_updates: AtomicU64,
+    hits: Arc<Counter>,
+    dag_updates: Arc<Counter>,
 }
 
 /// The statements every view of one interner shares.
@@ -98,12 +104,22 @@ impl StmtInterner {
         StmtInterner::default()
     }
 
-    /// Another view of the same store, with its own zeroed hit and
-    /// DAG-update counters.
-    pub fn shared_view(&self) -> StmtInterner {
+    /// An empty interner counting its hits and DAG updates into `reg`.
+    pub fn counting_into(reg: &Registry) -> StmtInterner {
+        StmtInterner::over(Arc::default(), reg)
+    }
+
+    /// Another view of the same store, counting its hits and DAG updates
+    /// into `reg`.
+    pub fn view(&self, reg: &Registry) -> StmtInterner {
+        StmtInterner::over(Arc::clone(&self.store), reg)
+    }
+
+    fn over(store: Arc<InternStore>, reg: &Registry) -> StmtInterner {
         StmtInterner {
-            store: Arc::clone(&self.store),
-            ..StmtInterner::default()
+            store,
+            hits: reg.counter(Metric::InternHits),
+            dag_updates: reg.counter(Metric::DagIncremental),
         }
     }
 
@@ -117,7 +133,7 @@ impl StmtInterner {
         if let Some(found) = bucket.iter().find(|info| info.stmt == norm) {
             let found = Arc::clone(found);
             drop(map);
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.hits.add(1);
             return found;
         }
         let info = Arc::new(StmtInfo::new(norm, hash));
@@ -135,7 +151,7 @@ impl StmtInterner {
     /// Fails if the atom does not parse or parses to zero statements.
     pub fn intern_atom(&self, atom: &str) -> Result<Arc<StmtInfo>> {
         if let Some(found) = lock(&self.store.by_atom).get(atom) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.hits.add(1);
             return Ok(Arc::clone(found));
         }
         let parsed = lucid_pyast::parse_module(atom)?;
@@ -161,20 +177,17 @@ impl StmtInterner {
         self.store.unique.load(Ordering::Relaxed)
     }
 
-    /// Intern requests through this view answered by an existing node
-    /// (including atom-memo hits that skipped the parser entirely).
+    /// Intern requests answered by an existing node (including atom-memo
+    /// hits that skipped the parser entirely), as counted in this view's
+    /// registry.
     pub fn intern_hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.hits.get()
     }
 
-    /// DAGs derived incrementally via [`Program::update_dag`] through this
-    /// view.
+    /// DAGs derived incrementally via [`Program::update_dag`], as counted
+    /// in this view's registry.
     pub fn dag_incremental_updates(&self) -> u64 {
-        self.dag_updates.load(Ordering::Relaxed)
-    }
-
-    fn note_dag_update(&self) {
-        self.dag_updates.fetch_add(1, Ordering::Relaxed);
+        self.dag_updates.get()
     }
 }
 
@@ -307,7 +320,7 @@ impl Program {
     /// by a single edit (insert or remove) at `edit` — debug builds
     /// cross-check the result against the legacy full rebuild.
     pub fn update_dag(&self, parent: &ScriptDag, edit: usize, interner: &StmtInterner) -> ScriptDag {
-        interner.note_dag_update();
+        interner.dag_updates.add(1);
         let mut edges: Vec<(usize, usize)> = parent
             .edge_positions
             .iter()

@@ -27,6 +27,7 @@ use crate::report::Timings;
 use crate::transform::{enumerate, Enumerated, TransformKind, Transformation};
 use crate::vocab::CorpusModel;
 use lucid_frame::DataFrame;
+use lucid_interp::cache::DEFAULT_PREFIX_CACHE_CAPACITY;
 use lucid_interp::{ExecOutcome, Interpreter, InterpError, PrefixCache};
 use lucid_obs::alloc::{self, AllocSnapshot};
 use lucid_obs::event::{KeptBeam, SearchEndEvent, SearchStartEvent, StepEvent, VerifyEvent};
@@ -93,9 +94,9 @@ pub struct SearchContext<'a> {
 ///
 /// This is the **only** place batch-path code may construct an interner or
 /// a prefix cache (`tests/batch.rs` fails if a batch search gets its own);
-/// each search then takes a per-search [`StmtInterner::shared_view`] and
-/// [`PrefixCache::shared_view`], so hit, DAG-update, miss and eviction
-/// counts stay attributed per search.
+/// each search then takes a [`StmtInterner::view`] and a
+/// [`PrefixCache::view`] counting into its own registry, so hit,
+/// DAG-update, miss and eviction counts stay attributed per search.
 #[derive(Debug, Default)]
 pub struct SharedSearchState {
     interner: StmtInterner,
@@ -108,47 +109,44 @@ impl SharedSearchState {
     pub fn for_config(config: &SearchConfig) -> Self {
         SharedSearchState {
             interner: StmtInterner::new(),
-            cache: config
-                .prefix_cache
-                .then(|| PrefixCache::with_capacity(config.prefix_cache_capacity)),
+            cache: config.prefix_cache.then(PrefixCache::default),
         }
     }
 
-    /// The owning view of the shared statement interner. Its per-view
-    /// counters stay zero (searches intern through their own views).
+    /// The owning view of the shared statement interner. Its counters
+    /// stay zero (searches intern through their own views).
     pub fn interner(&self) -> &StmtInterner {
         &self.interner
     }
 
     /// The owning view of the pooled prefix cache, when caching is on.
-    /// Its per-view counters stay zero (this view never probes); use
-    /// [`PrefixCache::store_hits`] and friends for pool totals.
+    /// Its counters stay zero (this view never probes); the pool's
+    /// traffic is the sum of the searches' registries, which a batch rolls
+    /// up into its `Timings`.
     pub fn cache(&self) -> Option<&PrefixCache> {
         self.cache.as_ref()
     }
 }
 
 /// Execution environment for one search: the interpreter plus, when the
-/// config enables it, a prefix cache. Without shared state the cache is
-/// scoped to this search; with [`SearchConfig::shared`] set, it is a
-/// per-search *view* of the pooled store (counts attributed to this
-/// search, snapshots shared). Either way it never spans different
-/// registered tables — the cache-validity invariant.
+/// config enables it, a prefix-cache view counting into the search's
+/// registry. Without shared state the view's store is scoped to this
+/// search; with [`SearchConfig::shared`] set, it is the pooled store
+/// (snapshots shared). Either way it never spans different registered
+/// tables — the cache-validity invariant.
 struct ExecEnv<'a> {
     interp: &'a Interpreter,
     cache: Option<PrefixCache>,
 }
 
 impl<'a> ExecEnv<'a> {
-    fn new(interp: &'a Interpreter, config: &SearchConfig) -> ExecEnv<'a> {
-        let cache = if config.prefix_cache {
+    fn new(interp: &'a Interpreter, config: &SearchConfig, reg: &Registry) -> ExecEnv<'a> {
+        let cache = config.prefix_cache.then(|| {
             match config.shared.as_deref().and_then(SharedSearchState::cache) {
-                Some(pooled) => Some(pooled.shared_view()),
-                None => Some(PrefixCache::with_capacity(config.prefix_cache_capacity)),
+                Some(pooled) => pooled.view(reg),
+                None => PrefixCache::counting_into(DEFAULT_PREFIX_CACHE_CAPACITY, reg),
             }
-        } else {
-            None
-        };
+        });
         ExecEnv { interp, cache }
     }
 
@@ -177,47 +175,6 @@ impl<'a> ExecEnv<'a> {
             Err(payload) => Err(ExecFailure::Panic(crate::pool::panic_payload(payload))),
         }
     }
-
-    /// The cache's counters now (all zero when caching is off).
-    fn counters(&self) -> CacheCounters {
-        self.cache
-            .as_ref()
-            .map_or(CacheCounters::default(), |cache| CacheCounters {
-                hits: cache.hits(),
-                misses: cache.misses(),
-                evictions: cache.evictions(),
-                fit_hits: cache.fit_hits(),
-                fit_misses: cache.fit_misses(),
-                peak: cache.peak_snapshots(),
-            })
-    }
-}
-
-/// This search's execution-cache counters at one instant (prefix cache,
-/// fit memo, store peak); two readings subtract into a phase's window.
-#[derive(Debug, Clone, Copy, Default)]
-struct CacheCounters {
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    fit_hits: u64,
-    fit_misses: u64,
-    peak: u64,
-}
-
-impl CacheCounters {
-    /// The traffic between `earlier` and `self`. The peak is a gauge and
-    /// stays `self`'s.
-    fn delta_since(&self, earlier: &CacheCounters) -> CacheCounters {
-        CacheCounters {
-            hits: self.hits - earlier.hits,
-            misses: self.misses - earlier.misses,
-            evictions: self.evictions - earlier.evictions,
-            fit_hits: self.fit_hits - earlier.fit_hits,
-            fit_misses: self.fit_misses - earlier.fit_misses,
-            peak: self.peak,
-        }
-    }
 }
 
 /// Per-beam-step candidate counts for the step's trace record. Times
@@ -238,6 +195,19 @@ const PHASE_TIMES: [Metric; 4] = [
     Metric::CheckExecute,
     Metric::Verify,
 ];
+
+/// The counters a [`PhaseWindow`] reads, in the order of its `counts`:
+/// the prefix-cache traffic each phase's trace record reports.
+const PHASE_COUNTS: [Metric; 3] = [
+    Metric::CacheHits,
+    Metric::CacheMisses,
+    Metric::CacheEvictions,
+];
+
+/// Bound on accumulated finalists awaiting final verification; when
+/// full, only the lowest-RE candidates are kept. Keeps step-convergent
+/// searches from growing an unbounded verification queue.
+const MAX_FINALISTS: usize = 256;
 
 /// The search result.
 #[derive(Debug, Clone)]
@@ -260,12 +230,12 @@ pub struct SearchOutcome {
     pub ledger: Provenance,
 }
 
-/// The measurement windows a phase opens when it starts: cache counters,
-/// the [`PHASE_TIMES`] histogram sums in ms, and allocated bytes. The
-/// allocation window feeds only the trace record, so an untraced search
-/// skips it.
+/// The measurement windows a phase opens when it starts: the
+/// [`PHASE_COUNTS`] counter values, the [`PHASE_TIMES`] histogram sums in
+/// ms, and allocated bytes. The allocation window feeds only the trace
+/// record, so an untraced search skips it.
 struct PhaseWindow {
-    cache: CacheCounters,
+    counts: [u64; 3],
     times: [f64; 4],
     mem: Option<AllocSnapshot>,
 }
@@ -287,43 +257,36 @@ struct Search<'s, 'a> {
 impl Search<'_, '_> {
     fn open_phase(&self) -> PhaseWindow {
         PhaseWindow {
-            cache: self.exec.counters(),
+            counts: PHASE_COUNTS.map(|m| self.reg.counter_value(m)),
             times: PHASE_TIMES.map(|m| self.reg.histogram_sum_ms(m)),
             mem: self.ctx.config.trace.as_ref().map(|_| alloc::snapshot()),
         }
     }
 
-    /// The one phase close-out: records the phase's cache window and
-    /// drops into the registry and, when traced, emits the phase's
-    /// record, which `record` builds from the same values and the
-    /// phase's [`PHASE_TIMES`] window.
+    /// The one phase close-out: records the phase's drops into the
+    /// registry and, when traced, emits the phase's record, which `record`
+    /// builds from the same drops and the phase's [`PHASE_COUNTS`] and
+    /// [`PHASE_TIMES`] windows.
     fn close_phase<R: Record>(
         &mut self,
         window: PhaseWindow,
-        record: impl FnOnce(CacheCounters, [f64; 4], u64, Drops) -> R,
+        record: impl FnOnce([u64; 3], [f64; 4], u64, Drops) -> R,
     ) {
         let alloc_bytes = window
             .mem
-            .map_or(0, |mem| alloc::snapshot().delta_since(&mem).total_bytes());
+            .map_or(0, |mem| alloc::snapshot().since(&mem).total_bytes());
         let mut times = PHASE_TIMES.map(|m| self.reg.histogram_sum_ms(m));
         for (now, then) in times.iter_mut().zip(window.times) {
             *now -= then;
         }
-        let cache = self.exec.counters().delta_since(&window.cache);
-        for (metric, n) in [
-            (Metric::CacheHits, cache.hits),
-            (Metric::CacheMisses, cache.misses),
-            (Metric::CacheEvictions, cache.evictions),
-            (Metric::FitMemoHits, cache.fit_hits),
-            (Metric::FitMemoMisses, cache.fit_misses),
-        ] {
-            self.reg.counter(metric).add(n);
+        let mut counts = PHASE_COUNTS.map(|m| self.reg.counter_value(m));
+        for (now, then) in counts.iter_mut().zip(window.counts) {
+            *now -= then;
         }
-        self.reg.counter(Metric::CachePeak).set_max(cache.peak);
         let drops = self.prov.take_counts();
         drops.record(&self.reg);
         if let Some(sink) = &self.ctx.config.trace {
-            sink.emit(&record(cache, times, alloc_bytes, drops));
+            sink.emit(&record(counts, times, alloc_bytes, drops));
         }
     }
 
@@ -375,7 +338,10 @@ impl Search<'_, '_> {
         let stats = std::mem::take(&mut self.stats);
         self.close_phase(
             window,
-            |cache, [steps_ms, top_k_ms, check_ms, _], alloc_bytes, drops| StepEvent {
+            |[cache_hits, cache_misses, cache_evictions],
+             [steps_ms, top_k_ms, check_ms, _],
+             alloc_bytes,
+             drops| StepEvent {
                 step,
                 beams_in: beams.len(),
                 enumerated: stats.enumerated,
@@ -391,9 +357,9 @@ impl Search<'_, '_> {
                         applied: c.applied.len(),
                     })
                     .collect(),
-                cache_hits: cache.hits,
-                cache_misses: cache.misses,
-                cache_evictions: cache.evictions,
+                cache_hits,
+                cache_misses,
+                cache_evictions,
                 alloc_bytes,
                 get_steps_ms: steps_ms,
                 get_top_k_ms: top_k_ms,
@@ -428,16 +394,15 @@ impl Search<'_, '_> {
         // the high-RE tail only matters if *every* retained candidate
         // fails a constraint — the accepted trade-off for bounding memory
         // on long, slowly-converging searches.
-        let max = self.ctx.config.max_finalists;
-        if finalists.len() > max {
+        if finalists.len() > MAX_FINALISTS {
             finalists.sort_by(|a, b| a.re.partial_cmp(&b.re).expect("finite RE"));
             // Evicted finalists lose their beam-drop protection; if still
             // in a beam they can be fated there, otherwise the search-end
             // sweep records them as out-ranked.
-            for evicted in &finalists[max..] {
+            for evicted in &finalists[MAX_FINALISTS..] {
                 self.prov.unprotect(evicted.id);
             }
-            finalists.truncate(max);
+            finalists.truncate(MAX_FINALISTS);
         }
     }
 
@@ -503,14 +468,17 @@ impl Search<'_, '_> {
         let accepted = best.is_some();
         self.close_phase(
             window,
-            |cache, [_, _, check_ms, verify_ms], alloc_bytes, drops| VerifyEvent {
+            |[cache_hits, cache_misses, cache_evictions],
+             [_, _, check_ms, verify_ms],
+             alloc_bytes,
+             drops| VerifyEvent {
                 finalists: n_finalists,
                 checked,
                 drops,
                 accepted,
-                cache_hits: cache.hits,
-                cache_misses: cache.misses,
-                cache_evictions: cache.evictions,
+                cache_hits,
+                cache_misses,
+                cache_evictions,
                 alloc_bytes,
                 check_execute_ms: check_ms,
                 verify_ms,
@@ -712,7 +680,7 @@ pub fn standardize_search(ctx: &SearchContext, input: &Module) -> SearchOutcome 
     };
     let total = reg.time(Metric::Total);
     // Allocator window for this search; the delta is folded into the
-    // registry at the end, next to the interner counters.
+    // registry at the end, next to the store gauges.
     let mem_start = alloc::snapshot();
     let trace = ctx.config.trace.as_ref();
     if let Some(sink) = trace {
@@ -735,12 +703,11 @@ pub fn standardize_search(ctx: &SearchContext, input: &Module) -> SearchOutcome 
     // pointers into that store, and each per-statement fact (hash, atom
     // key, def/use sets) is computed once per unique statement (per
     // batch, when shared). The view counts this search's hits and DAG
-    // updates only.
-    let interner = ctx
-        .config
-        .shared
-        .as_deref()
-        .map_or_else(StmtInterner::new, |shared| shared.interner().shared_view());
+    // updates into the search's registry.
+    let interner = match ctx.config.shared.as_deref() {
+        Some(shared) => shared.interner().view(&reg),
+        None => StmtInterner::counting_into(&reg),
+    };
     let program = Program::from_module(input, &interner);
     let dag = Arc::new(program.full_dag());
     let input_re = score_dag(&dag, ctx.corpus, ctx.config.objective);
@@ -755,7 +722,7 @@ pub fn standardize_search(ctx: &SearchContext, input: &Module) -> SearchOutcome 
     };
     let mut search = Search {
         ctx,
-        exec: ExecEnv::new(ctx.interp, ctx.config),
+        exec: ExecEnv::new(ctx.interp, ctx.config, &reg),
         interner: &interner,
         reg,
         // The candidate ledger. IDs are minted (serially, in enumeration
@@ -784,6 +751,7 @@ pub fn standardize_search(ctx: &SearchContext, input: &Module) -> SearchOutcome 
 
     let Search {
         reg,
+        exec,
         mut prov,
         explored,
         ..
@@ -804,18 +772,18 @@ pub fn standardize_search(ctx: &SearchContext, input: &Module) -> SearchOutcome 
         };
         (input_candidate, intent)
     });
-    // Unique statements is a gauge over the store (the batch-shared total
-    // when sharing); hit/update counts are this search's view's, so
-    // per-search values sum consistently in fleet roll-ups.
+    // Unique statements and the snapshot peak are gauges over the stores
+    // (the batch-shared ones when sharing); every count was recorded into
+    // the registry where it happened.
     reg.counter(Metric::UniqueStmts).set_max(interner.unique_stmts());
-    reg.counter(Metric::InternHits).add(interner.intern_hits());
-    reg.counter(Metric::DagIncremental)
-        .add(interner.dag_incremental_updates());
+    if let Some(cache) = &exec.cache {
+        reg.counter(Metric::CachePeak).set_max(cache.peak_snapshots());
+    }
     // Allocator attribution for this search's window. The total is
     // recorded as the sum of the same per-phase deltas, so "phase bytes
     // sum to the total" holds exactly even when concurrent searches
     // interleave their attributions into the process-global counters.
-    let mem = alloc::snapshot().delta_since(&mem_start);
+    let mem = alloc::snapshot().since(&mem_start);
     for phase in alloc::PHASES {
         reg.counter(phase.bytes_metric())
             .add(mem.phase_bytes[phase as usize]);

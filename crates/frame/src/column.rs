@@ -12,7 +12,7 @@
 use crate::bitmap::Bitmap;
 use crate::error::{FrameError, Result};
 use crate::mask::BoolMask;
-use crate::value::{Value, ValueKey};
+use crate::value::Value;
 use std::collections::HashMap;
 
 /// The data type of a column.
@@ -469,54 +469,6 @@ impl Column {
         }
     }
 
-    /// Canonical hash keys for every row (null rows get `ValueKey::Null`),
-    /// computed without materializing a `Value` per cell. String keys are
-    /// built once per distinct pool entry and fanned out over codes.
-    pub fn keys(&self) -> Vec<ValueKey> {
-        match self {
-            Column::Int(b) => (0..b.len())
-                .map(|i| {
-                    if b.validity.get(i) {
-                        ValueKey::of_i64(b.values[i])
-                    } else {
-                        ValueKey::Null
-                    }
-                })
-                .collect(),
-            Column::Float(b) => (0..b.len())
-                .map(|i| {
-                    if b.validity.get(i) {
-                        ValueKey::of_f64(b.values[i])
-                    } else {
-                        ValueKey::Null
-                    }
-                })
-                .collect(),
-            Column::Str(d) => {
-                let pool_keys: Vec<ValueKey> =
-                    d.pool.iter().map(|s| ValueKey::of_str(s)).collect();
-                (0..d.len())
-                    .map(|i| {
-                        if d.validity.get(i) {
-                            pool_keys[d.codes[i] as usize].clone()
-                        } else {
-                            ValueKey::Null
-                        }
-                    })
-                    .collect()
-            }
-            Column::Bool(b) => (0..b.len())
-                .map(|i| {
-                    if b.validity.get(i) {
-                        ValueKey::of_bool(b.values[i])
-                    } else {
-                        ValueKey::Null
-                    }
-                })
-                .collect(),
-        }
-    }
-
     /// Interprets the column as a boolean mask the way pandas row
     /// selection does: Bool columns take nulls as false, Int columns test
     /// non-zero. Other dtypes cannot be masks.
@@ -679,8 +631,9 @@ impl Column {
     /// their dictionary code — the pool is distinct, so a code is a
     /// string — through one slot per pool entry. Ints and bools key on
     /// the raw value, floats on `(v + 0.0).to_bits()`: within one float
-    /// column that is exactly the [`ValueKey`] equivalence (`-0.0` meets
-    /// `0.0`, and integral floats map to distinct ints).
+    /// column that is exactly the [`ValueKey`](crate::value::ValueKey)
+    /// equivalence (`-0.0` meets `0.0`, and integral floats map to
+    /// distinct ints).
     pub fn factorize(&self) -> (Vec<Option<u32>>, usize) {
         match self {
             Column::Str(d) => {
@@ -1603,20 +1556,6 @@ mod tests {
             assert_eq!(d.pool().len(), 3);
         } else {
             panic!("expected Str column");
-        }
-    }
-
-    #[test]
-    fn keys_match_per_value_keys() {
-        let cols = vec![
-            ages(),
-            Column::from_floats(vec![Some(1.5), None, Some(2.0), Some(-0.0)]),
-            Column::from_strs(vec![Some("x".into()), None, Some("x".into())]),
-            Column::from_bools(vec![Some(true), None, Some(false)]),
-        ];
-        for c in cols {
-            let expect: Vec<ValueKey> = naive_values(&c).iter().map(Value::key).collect();
-            assert_eq!(c.keys(), expect);
         }
     }
 

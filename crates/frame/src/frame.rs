@@ -219,15 +219,17 @@ impl DataFrame {
 
     /// First `n` rows (pandas `df.head(n)`).
     pub fn head(&self, n: usize) -> DataFrame {
-        let n = n.min(self.n_rows());
-        let idx: Vec<usize> = (0..n).collect();
-        self.take(&idx).expect("indices in bounds")
+        self.slice(0, n)
     }
 
-    /// Rows in `[start, end)` (pandas `df[start:end]`).
+    /// Rows in `[start, end)` (pandas `df[start:end]`). A range covering
+    /// every row shares the columns instead of copying them.
     pub fn slice(&self, start: usize, end: usize) -> DataFrame {
         let end = end.min(self.n_rows());
         let start = start.min(end);
+        if start == 0 && end == self.n_rows() {
+            return self.clone();
+        }
         let idx: Vec<usize> = (start..end).collect();
         self.take(&idx).expect("indices in bounds")
     }
@@ -817,5 +819,21 @@ mod tests {
         assert!(!Arc::ptr_eq(&df.columns[0], &cat.columns[0]));
         assert_eq!(cat.n_rows(), 2 * df.n_rows());
         assert_eq!(df.n_rows(), 4);
+    }
+
+    #[test]
+    fn head_and_slice_share_columns_only_when_they_cover_every_row() {
+        let df = sample_df();
+        for whole in [df.head(4), df.head(8000), df.slice(0, 4), df.slice(0, 9)] {
+            assert_eq!(whole, df);
+            for (mine, theirs) in whole.columns.iter().zip(&df.columns) {
+                assert!(Arc::ptr_eq(mine, theirs));
+            }
+        }
+        for part in [df.head(3), df.slice(1, 4)] {
+            assert_eq!(part.n_rows(), 3);
+            assert!(!Arc::ptr_eq(&part.columns[0], &df.columns[0]));
+        }
+        assert_eq!(df.head(0).n_rows(), 0);
     }
 }

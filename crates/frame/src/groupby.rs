@@ -1,14 +1,14 @@
 //! Group-by aggregation (pandas `df.groupby(keys)[col].agg(...)`).
 //!
-//! Keys are materialized once per key column as canonical [`ValueKey`]s
-//! (columnar, no per-cell `Value`), and the key columns of the result are
-//! gathered with [`Column::take`] from each group's first row, preserving
-//! dtype and dictionary encoding.
+//! Rows are keyed by the tuple of their key columns' [`Column::factorize`]
+//! codes (integer ids, no per-cell `Value` or string), and the key columns
+//! of the result are gathered with [`Column::take`] from each group's
+//! first row, preserving dtype and dictionary encoding.
 
 use crate::column::Column;
 use crate::error::{FrameError, Result};
 use crate::frame::DataFrame;
-use crate::value::{Value, ValueKey};
+use crate::value::Value;
 use std::collections::HashMap;
 
 /// Supported aggregation functions.
@@ -72,24 +72,17 @@ pub fn group_agg(
         .map(|k| df.column(k.as_ref()))
         .collect::<Result<_>>()?;
     let value_column = df.column(value_col)?;
-    let n = df.n_rows();
 
-    // Canonical keys, one vector per key column, computed in one pass each.
-    let key_keys: Vec<Vec<ValueKey>> = key_cols.iter().map(|c| c.keys()).collect();
-
-    let mut first_rows: Vec<usize> = Vec::new();
-    let mut group_vals: Vec<Vec<f64>> = Vec::new();
-    let mut groups: HashMap<Vec<ValueKey>, usize> = HashMap::new();
-    for i in 0..n {
-        if key_keys.iter().any(|k| k[i] == ValueKey::Null) {
-            continue;
-        }
-        let key: Vec<ValueKey> = key_keys.iter().map(|k| k[i].clone()).collect();
-        let g = *groups.entry(key).or_insert_with(|| {
+    let (group_of, n_groups) = group_ids(&key_cols);
+    let mut first_rows: Vec<usize> = Vec::with_capacity(n_groups);
+    let mut group_vals: Vec<Vec<f64>> = vec![Vec::new(); n_groups];
+    for (i, g) in group_of.into_iter().enumerate() {
+        let Some(g) = g else { continue };
+        let g = g as usize;
+        // Ids are first-seen, so a group's first row arrives in id order.
+        if g == first_rows.len() {
             first_rows.push(i);
-            group_vals.push(Vec::new());
-            group_vals.len() - 1
-        });
+        }
         if let Some(v) = num_at(value_column, i) {
             group_vals[g].push(v);
         }
@@ -102,6 +95,31 @@ pub fn group_agg(
     let agg_out: Vec<Value> = group_vals.iter().map(|vals| aggregate(vals, agg)).collect();
     out.add_column(value_col, Column::from_values(&agg_out))?;
     Ok(out)
+}
+
+/// Each row's group and the number of groups: dense ids in first-seen
+/// row order over the tuple of the key columns' [`Column::factorize`]
+/// codes, `None` for a row with a null key. Each further key column
+/// refines the ids so far by pairing them with its codes.
+fn group_ids(key_cols: &[&Column]) -> (Vec<Option<u32>>, usize) {
+    let Some((first, rest)) = key_cols.split_first() else {
+        return (Vec::new(), 0);
+    };
+    let (mut ids, mut n_groups) = first.factorize();
+    for col in rest {
+        let mut pairs: HashMap<(u32, u32), u32> = HashMap::new();
+        for (id, code) in ids.iter_mut().zip(col.factorize().0) {
+            *id = match (*id, code) {
+                (Some(id), Some(code)) => {
+                    let next = pairs.len() as u32;
+                    Some(*pairs.entry((id, code)).or_insert(next))
+                }
+                _ => None,
+            };
+        }
+        n_groups = pairs.len();
+    }
+    (ids, n_groups)
 }
 
 fn aggregate(vals: &[f64], agg: AggFn) -> Value {

@@ -3,12 +3,10 @@
 //!
 //! The paper's Example 2.1 computes the Jaccard index over the *sets of
 //! distinct cell values* emitted by the two scripts; [`value_jaccard`]
-//! implements exactly that. [`row_jaccard`] is a stricter row-level variant
-//! useful when column structure matters.
+//! implements exactly that.
 //!
-//! Both run columnar: value sets are built from typed buffers (string
-//! columns contribute each referenced dictionary entry exactly once), and
-//! row keys are assembled from per-column [`ValueKey`] vectors.
+//! It runs columnar: value sets are built from typed buffers (string
+//! columns contribute each referenced dictionary entry exactly once).
 
 use crate::column::Column;
 use crate::frame::DataFrame;
@@ -75,29 +73,6 @@ pub fn value_jaccard(a: &DataFrame, b: &DataFrame) -> f64 {
     jaccard_of_sets(&sa, &sb)
 }
 
-/// Jaccard similarity between the distinct-row sets of two tables. Rows are
-/// compared as tuples of (column name, value) so schema changes register.
-pub fn row_jaccard(a: &DataFrame, b: &DataFrame) -> f64 {
-    let ra = row_set(a);
-    let rb = row_set(b);
-    jaccard_of_sets(&ra, &rb)
-}
-
-fn row_set(df: &DataFrame) -> HashSet<Vec<(String, ValueKey)>> {
-    let names: Vec<String> = df.names().to_vec();
-    let col_keys: Vec<Vec<ValueKey>> = df.iter().map(|(_, c)| c.keys()).collect();
-    let mut set = HashSet::new();
-    for i in 0..df.n_rows() {
-        let keyed: Vec<(String, ValueKey)> = names
-            .iter()
-            .cloned()
-            .zip(col_keys.iter().map(|k| k[i].clone()))
-            .collect();
-        set.insert(keyed);
-    }
-    set
-}
-
 fn jaccard_of_sets<T: std::hash::Hash + Eq>(a: &HashSet<T>, b: &HashSet<T>) -> f64 {
     if a.is_empty() && b.is_empty() {
         return 1.0;
@@ -133,7 +108,6 @@ mod tests {
     fn identical_tables_score_one() {
         let df = strings(&["a", "b"]);
         assert_eq!(value_jaccard(&df, &df), 1.0);
-        assert_eq!(row_jaccard(&df, &df), 1.0);
     }
 
     #[test]
@@ -147,7 +121,6 @@ mod tests {
     fn empty_tables_are_identical() {
         let a = DataFrame::new();
         assert_eq!(value_jaccard(&a, &a), 1.0);
-        assert_eq!(row_jaccard(&a, &a), 1.0);
     }
 
     #[test]
@@ -159,11 +132,10 @@ mod tests {
     }
 
     #[test]
-    fn row_jaccard_sees_schema_changes() {
+    fn renaming_a_column_keeps_the_value_set() {
         let a = DataFrame::from_columns(vec![("x", Column::from_ints(vec![Some(1)]))]).unwrap();
         let renamed = a.rename(&[("x", "y")]).unwrap();
-        assert_eq!(value_jaccard(&a, &renamed), 1.0); // values identical
-        assert_eq!(row_jaccard(&a, &renamed), 0.0); // schema differs
+        assert_eq!(value_jaccard(&a, &renamed), 1.0);
     }
 
     #[test]

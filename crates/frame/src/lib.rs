@@ -51,6 +51,6 @@ pub use bitmap::Bitmap;
 pub use column::{Column, DType};
 pub use error::FrameError;
 pub use frame::DataFrame;
-pub use jaccard::{row_jaccard, value_jaccard};
+pub use jaccard::value_jaccard;
 pub use mask::BoolMask;
 pub use value::Value;

@@ -289,7 +289,7 @@ fn naive_aggregate(vals: &[f64], agg: AggFn) -> Value {
 /// Per-row `drop_duplicates`: one `Vec<ValueKey>` per row into a
 /// `HashSet`, keeping first occurrences.
 pub fn naive_drop_duplicates(df: &DataFrame) -> DataFrame {
-    let col_keys: Vec<Vec<ValueKey>> = df.iter().map(|(_, c)| c.keys()).collect();
+    let col_keys: Vec<Vec<ValueKey>> = df.iter().map(|(_, c)| keys(c)).collect();
     let mut seen = HashSet::new();
     let mut keep = Vec::with_capacity(df.n_rows());
     for i in 0..df.n_rows() {
@@ -298,6 +298,12 @@ pub fn naive_drop_duplicates(df: &DataFrame) -> DataFrame {
     }
     df.filter(&crate::mask::BoolMask::new(keep))
         .expect("length matches")
+}
+
+/// Canonical hash keys for every row of `col` (null rows get
+/// `ValueKey::Null`), one per cell.
+fn keys(col: &Column) -> Vec<ValueKey> {
+    naive_values(col).iter().map(Value::key).collect()
 }
 
 /// Per-cell Δ_J: Jaccard over distinct non-null cell values.

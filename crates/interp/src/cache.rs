@@ -30,17 +30,20 @@
 //! not be shared between interpreters holding different tables. Within one
 //! table configuration, a single *store* may be shared by many
 //! concurrent searches (batch mode): each search holds its own
-//! [`PrefixCache`] *view* of the store, so probe/eviction counts are
-//! attributed to the search that caused them while snapshots and fitted
-//! models themselves are pooled. The chain keys already fold the
-//! interpreter's seed and sampling configuration, so runs under different
-//! input setups can never collide inside a shared store; fit keys are
-//! content fingerprints and need no such folding.
+//! [`PrefixCache`] *view* of the store, which counts probes, evictions
+//! and fit-memo traffic straight into that search's metrics
+//! [`Registry`], while snapshots and fitted models themselves are pooled.
+//! Nothing else keeps a count: a pool total is the sum of the searches'
+//! registries. The chain keys already fold the interpreter's seed and
+//! sampling configuration, so runs under different input setups can never
+//! collide inside a shared store; fit keys are content fingerprints and
+//! need no such folding.
 
 use crate::value::RtValue;
 use lucid_ml::logreg::FittedLogReg;
 use lucid_ml::matrix::Matrix;
 use lucid_ml::tree::FittedTree;
+use lucid_obs::{Counter, Metric, Registry};
 use lucid_pyast::{Span, Stmt};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
@@ -52,38 +55,37 @@ use std::sync::{Arc, Mutex, MutexGuard};
 pub const DEFAULT_PREFIX_CACHE_CAPACITY: usize = 4096;
 
 /// The shared store behind one or more [`PrefixCache`] views: the
-/// snapshot and fitted-model LRU maps plus store-lifetime totals.
+/// snapshot and fitted-model LRU maps plus the retention peak, a gauge of
+/// the store itself.
 #[derive(Debug)]
 struct CacheStore {
     snapshots: Mutex<Lru<u64, CachedPrefix>>,
     fits: Mutex<Lru<u128, FittedFit>>,
     capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
     peak_len: AtomicU64,
-    fit_hits: AtomicU64,
-    fit_misses: AtomicU64,
 }
 
 /// A per-search view of a bounded, thread-safe store of execution
 /// snapshots keyed by statement prefix and fitted models keyed by
 /// training input ([`fit_key`]).
 ///
-/// Every view created by [`PrefixCache::with_capacity`] owns a fresh
-/// store; [`PrefixCache::shared_view`] creates an additional view of the
-/// same store with zeroed per-view counters. Probe, eviction and fit-memo
-/// counts are recorded on both the view and the store, so a batch of concurrent
-/// searches sharing one store can report per-search counts that sum
-/// exactly to the store totals — no double counting at worker joins.
+/// A view holds the handles of the registry counters it counts into
+/// ([`Metric::CacheHits`], [`Metric::CacheMisses`],
+/// [`Metric::CacheEvictions`], [`Metric::FitMemoHits`],
+/// [`Metric::FitMemoMisses`]), fetched once when the view is built, so a
+/// probe is one atomic add and never takes the registry lock.
+/// [`PrefixCache::counting_into`] builds a fresh store with a view
+/// counting into a given registry ([`PrefixCache::with_capacity`]: into a
+/// registry of its own); [`PrefixCache::view`] builds another view of the
+/// same store.
 #[derive(Debug)]
 pub struct PrefixCache {
     store: Arc<CacheStore>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    fit_hits: AtomicU64,
-    fit_misses: AtomicU64,
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
+    evictions: Arc<Counter>,
+    fit_hits: Arc<Counter>,
+    fit_misses: Arc<Counter>,
 }
 
 /// A bounded map with least-recently-used eviction. Every insert and hit
@@ -216,92 +218,66 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 
 impl PrefixCache {
     /// A view over a fresh store retaining at most `capacity` snapshots
-    /// (LRU eviction). A zero capacity disables storage; probes then
-    /// always miss.
+    /// (LRU eviction), counting into a registry of its own. A zero
+    /// capacity disables storage; probes then always miss.
     pub fn with_capacity(capacity: usize) -> Self {
+        PrefixCache::counting_into(capacity, &Registry::new())
+    }
+
+    /// A view over a fresh store retaining at most `capacity` snapshots,
+    /// counting into `reg`.
+    pub fn counting_into(capacity: usize, reg: &Registry) -> Self {
+        let store = CacheStore {
+            snapshots: Mutex::new(Lru::new(capacity)),
+            fits: Mutex::new(Lru::new(capacity)),
+            capacity,
+            peak_len: AtomicU64::new(0),
+        };
+        PrefixCache::over(Arc::new(store), reg)
+    }
+
+    /// A new view of the same store counting into `reg`. Snapshots and
+    /// fitted models are shared; hit/miss/eviction counts go to `reg`.
+    pub fn view(&self, reg: &Registry) -> Self {
+        PrefixCache::over(Arc::clone(&self.store), reg)
+    }
+
+    fn over(store: Arc<CacheStore>, reg: &Registry) -> Self {
         PrefixCache {
-            store: Arc::new(CacheStore {
-                snapshots: Mutex::new(Lru::new(capacity)),
-                fits: Mutex::new(Lru::new(capacity)),
-                capacity,
-                hits: AtomicU64::new(0),
-                misses: AtomicU64::new(0),
-                evictions: AtomicU64::new(0),
-                peak_len: AtomicU64::new(0),
-                fit_hits: AtomicU64::new(0),
-                fit_misses: AtomicU64::new(0),
-            }),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            fit_hits: AtomicU64::new(0),
-            fit_misses: AtomicU64::new(0),
+            store,
+            hits: reg.counter(Metric::CacheHits),
+            misses: reg.counter(Metric::CacheMisses),
+            evictions: reg.counter(Metric::CacheEvictions),
+            fit_hits: reg.counter(Metric::FitMemoHits),
+            fit_misses: reg.counter(Metric::FitMemoMisses),
         }
     }
 
-    /// A new view of the same underlying store with zeroed per-view
-    /// counters. Snapshots and fitted models are shared; hit/miss/eviction
-    /// attribution is per view. Used by batch mode to give each concurrent
-    /// search its own accounting window over one pooled store.
-    pub fn shared_view(&self) -> Self {
-        PrefixCache {
-            store: Arc::clone(&self.store),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            fit_hits: AtomicU64::new(0),
-            fit_misses: AtomicU64::new(0),
-        }
-    }
-
-    /// Runs through *this view* that resumed from a snapshot.
+    /// Runs that resumed from a snapshot, as counted in this view's
+    /// registry.
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.hits.get()
     }
 
-    /// Runs through *this view* that started cold.
+    /// Runs that started cold, as counted in this view's registry.
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.misses.get()
     }
 
-    /// Snapshots this view's inserts evicted under the LRU bound.
+    /// Snapshots evicted under the LRU bound by this view's inserts.
     pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
+        self.evictions.get()
     }
 
-    /// Model fits through *this view* served from the fit memo.
+    /// Model fits served from the fit memo, as counted in this view's
+    /// registry.
     pub fn fit_hits(&self) -> u64 {
-        self.fit_hits.load(Ordering::Relaxed)
+        self.fit_hits.get()
     }
 
-    /// Model fits through *this view* that had to train.
+    /// Model fits that had to train, as counted in this view's registry.
     pub fn fit_misses(&self) -> u64 {
-        self.fit_misses.load(Ordering::Relaxed)
-    }
-
-    /// Store-lifetime fit-memo hits summed over every view of this store.
-    pub fn store_fit_hits(&self) -> u64 {
-        self.store.fit_hits.load(Ordering::Relaxed)
-    }
-
-    /// Store-lifetime fit-memo misses summed over every view of this store.
-    pub fn store_fit_misses(&self) -> u64 {
-        self.store.fit_misses.load(Ordering::Relaxed)
-    }
-
-    /// Store-lifetime hits summed over every view of this store.
-    pub fn store_hits(&self) -> u64 {
-        self.store.hits.load(Ordering::Relaxed)
-    }
-
-    /// Store-lifetime misses summed over every view of this store.
-    pub fn store_misses(&self) -> u64 {
-        self.store.misses.load(Ordering::Relaxed)
-    }
-
-    /// Store-lifetime evictions summed over every view of this store.
-    pub fn store_evictions(&self) -> u64 {
-        self.store.evictions.load(Ordering::Relaxed)
+        self.fit_misses.get()
     }
 
     /// The largest number of snapshots the store retained at any point
@@ -326,16 +302,9 @@ impl PrefixCache {
         self.store.capacity
     }
 
-    /// Records whether a run found any prefix (`hit`) or started cold,
-    /// on both this view and the store.
+    /// Records whether a run found any prefix (`hit`) or started cold.
     pub(crate) fn record_probe(&self, hit: bool) {
-        if hit {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            self.store.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            self.store.misses.fetch_add(1, Ordering::Relaxed);
-        }
+        if hit { &self.hits } else { &self.misses }.add(1);
     }
 
     /// A clone of the snapshot for `key`, touching its LRU position.
@@ -352,8 +321,7 @@ impl PrefixCache {
         let mut snapshots = lock(&self.store.snapshots);
         let evicted = snapshots.put(key, snapshot);
         if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-            self.store.evictions.fetch_add(evicted, Ordering::Relaxed);
+            self.evictions.add(evicted);
         }
         self.store
             .peak_len
@@ -361,8 +329,8 @@ impl PrefixCache {
     }
 
     /// The memoized model for fit key `key`, or the result of `fit` —
-    /// stored when it succeeds. Counts one hit or miss on this view and
-    /// on the store. The lock is not held while training, so concurrent
+    /// stored when it succeeds. Counts one hit or miss into this view's
+    /// registry. The lock is not held while training, so concurrent
     /// searches may both train the same input once; the models are
     /// identical, and the second insert keeps the first's recency.
     ///
@@ -375,16 +343,14 @@ impl PrefixCache {
     ) -> Result<FittedFit, E> {
         let hit = lock(&self.store.fits).get(&key);
         if let Some(model) = hit {
-            self.fit_hits.fetch_add(1, Ordering::Relaxed);
-            self.store.fit_hits.fetch_add(1, Ordering::Relaxed);
+            self.fit_hits.add(1);
             debug_assert!(
                 fit().is_ok_and(|fresh| fresh.bit_eq(&model)),
                 "fit memo served a model that differs from a fresh fit"
             );
             return Ok(model);
         }
-        self.fit_misses.fetch_add(1, Ordering::Relaxed);
-        self.store.fit_misses.fetch_add(1, Ordering::Relaxed);
+        self.fit_misses.add(1);
         let model = fit()?;
         lock(&self.store.fits).put(key, model.clone());
         Ok(model)
@@ -536,46 +502,59 @@ mod tests {
         assert_eq!(cache.evictions(), 2);
     }
 
+    /// Two views of one store over two registries: `(hits, misses,
+    /// evictions)` as each registry counted them.
+    fn probe_counts(reg: &Registry) -> (u64, u64, u64) {
+        (
+            reg.counter_value(Metric::CacheHits),
+            reg.counter_value(Metric::CacheMisses),
+            reg.counter_value(Metric::CacheEvictions),
+        )
+    }
+
     #[test]
-    fn shared_views_attribute_counts_per_view_and_sum_to_store() {
-        let a = PrefixCache::with_capacity(2);
-        let b = a.shared_view();
-        // View b sees a's snapshots (shared store)…
+    fn views_of_one_store_count_into_their_own_registries() {
+        let store = PrefixCache::with_capacity(2);
+        let (reg_a, reg_b) = (Registry::new(), Registry::new());
+        let (a, b) = (store.view(&reg_a), store.view(&reg_b));
+        // One view's put is the other view's hit: the store is shared.
         a.put(1, snapshot(1));
         assert!(b.get(1).is_some());
-        // …and probes are attributed per view while the store keeps totals.
         a.record_probe(true);
         a.record_probe(false);
         b.record_probe(true);
         b.record_probe(true);
-        assert_eq!((a.hits(), a.misses()), (1, 1));
-        assert_eq!((b.hits(), b.misses()), (2, 0));
-        assert_eq!(a.store_hits(), a.hits() + b.hits());
-        assert_eq!(a.store_misses(), a.misses() + b.misses());
         // Evictions go to the view whose insert overflowed the store.
         b.put(2, snapshot(2));
         b.put(3, snapshot(3));
-        assert_eq!((a.evictions(), b.evictions()), (0, 1));
-        assert_eq!(b.store_evictions(), 1);
+        assert_eq!(probe_counts(&reg_a), (1, 1, 0));
+        assert_eq!(probe_counts(&reg_b), (2, 0, 1));
+        assert_eq!((b.hits(), b.misses(), b.evictions()), (2, 0, 1));
+        // The store's own view never probed, so its registry counted nothing.
+        assert_eq!((store.hits(), store.misses(), store.evictions()), (0, 0, 0));
         // Capacity and peak are store properties, visible from any view.
         assert_eq!(b.capacity(), 2);
         assert_eq!(a.peak_snapshots(), 2);
+        assert_eq!(store.peak_snapshots(), 2);
         assert_eq!(a.len(), b.len());
     }
 
     #[test]
-    fn owning_view_counters_equal_store_totals() {
-        // The single-view case (one cache per search, no sharing) must be
-        // indistinguishable from the pre-view design: view == store.
+    fn views_sharing_a_registry_add_up_there() {
+        // A standalone cache counts into a registry of its own; two views
+        // handed one registry count into the same counters.
         let cache = PrefixCache::with_capacity(1);
         cache.record_probe(true);
-        cache.record_probe(false);
         cache.put(1, snapshot(1));
         cache.put(2, snapshot(2));
-        assert_eq!(cache.hits(), cache.store_hits());
-        assert_eq!(cache.misses(), cache.store_misses());
-        assert_eq!(cache.evictions(), cache.store_evictions());
-        assert_eq!(cache.evictions(), 1);
+        assert_eq!((cache.hits(), cache.misses(), cache.evictions()), (1, 0, 1));
+        let reg = Registry::new();
+        let (a, b) = (cache.view(&reg), cache.view(&reg));
+        a.record_probe(false);
+        b.record_probe(false);
+        b.put(3, snapshot(3));
+        assert_eq!(probe_counts(&reg), (0, 2, 1));
+        assert_eq!((cache.hits(), cache.misses(), cache.evictions()), (1, 0, 1));
     }
 
     #[test]
@@ -635,8 +614,9 @@ mod tests {
 
     #[test]
     fn fit_memo_trains_once_per_key_and_counts_per_view() {
-        let a = PrefixCache::with_capacity(8);
-        let b = a.shared_view();
+        let store = PrefixCache::with_capacity(8);
+        let (reg_a, reg_b) = (Registry::new(), Registry::new());
+        let (a, b) = (store.view(&reg_a), store.view(&reg_b));
         let (x, y) = tiny_fit();
         let key = fit_key(&[1, 200], &x, &y);
         let trains = std::cell::Cell::new(0);
@@ -650,11 +630,16 @@ mod tests {
         // Release builds train once; debug builds re-train on the hit to
         // check it.
         assert_eq!(trains.get(), if cfg!(debug_assertions) { 2 } else { 1 });
-        assert_eq!((a.fit_hits(), a.fit_misses()), (0, 1));
-        assert_eq!((b.fit_hits(), b.fit_misses()), (1, 0));
-        assert_eq!(a.store_fit_hits(), a.fit_hits() + b.fit_hits());
-        assert_eq!(a.store_fit_misses(), a.fit_misses() + b.fit_misses());
-        assert_eq!(fitted_models(&a), 1);
+        let fit_counts = |reg: &Registry| {
+            (
+                reg.counter_value(Metric::FitMemoHits),
+                reg.counter_value(Metric::FitMemoMisses),
+            )
+        };
+        assert_eq!(fit_counts(&reg_a), (0, 1));
+        assert_eq!(fit_counts(&reg_b), (1, 0));
+        assert_eq!((store.fit_hits(), store.fit_misses()), (0, 0));
+        assert_eq!(fitted_models(&store), 1);
     }
 
     #[test]

@@ -130,7 +130,10 @@ pub(crate) fn call_frame_method(
                 Some(v) => expect_int(v)? as usize,
                 None => 5,
             };
-            let n = n.min(f.df.n_rows());
+            if n >= f.df.n_rows() {
+                // Every row: share the columns instead of gathering them.
+                return Ok(RtValue::Frame(f.clone()));
+            }
             let positions: Vec<usize> = (0..n).collect();
             Ok(RtValue::Frame(f.take(&positions)?))
         }

@@ -197,6 +197,25 @@ fn groupby_aggregation() {
 }
 
 #[test]
+fn head_covering_every_row_shares_the_columns() {
+    let out = run(&format!("{PRELUDE}full = df.head(8000)
+part = df.head(3)
+"));
+    let frame = |name: &str| match out.vars.get(name) {
+        Some(RtValue::Frame(f)) => f,
+        other => panic!("{name} is not a frame: {other:?}"),
+    };
+    let (df, full, part) = (frame("df"), frame("full"), frame("part"));
+    assert_eq!(full, df);
+    for name in df.df.names() {
+        let col = df.df.column(name).unwrap();
+        assert!(std::ptr::eq(full.df.column(name).unwrap(), col), "{name} copied");
+        assert!(!std::ptr::eq(part.df.column(name).unwrap(), col), "{name} shared");
+    }
+    assert_eq!(part.index, vec![0, 1, 2]);
+}
+
+#[test]
 fn sort_head_slice_sample() {
     let out = run(&format!("{PRELUDE}df = df.sort_values(by='Fare', ascending=False)\n"));
     assert_eq!(

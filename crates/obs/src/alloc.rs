@@ -380,7 +380,7 @@ pub fn reset_phase_peaks() {
 
 /// Point-in-time copy of every allocator counter. Totals are monotone
 /// (bytes/allocs only grow), so two snapshots subtract into a window
-/// via [`AllocSnapshot::delta_since`].
+/// via [`AllocSnapshot::since`].
 #[derive(Debug, Clone, Copy)]
 pub struct AllocSnapshot {
     /// Bytes allocated per phase since process start.
@@ -422,7 +422,7 @@ impl AllocDelta {
 
 impl AllocSnapshot {
     /// The activity between `earlier` and `self`.
-    pub fn delta_since(&self, earlier: &AllocSnapshot) -> AllocDelta {
+    pub fn since(&self, earlier: &AllocSnapshot) -> AllocDelta {
         let mut d = AllocDelta {
             phase_bytes: [0; NUM_PHASES],
             phase_allocs: [0; NUM_PHASES],
@@ -541,7 +541,7 @@ mod tests {
         }
         note_alloc(8); // unattributed
         note_dealloc(24);
-        let delta = snapshot().delta_since(&before);
+        let delta = snapshot().since(&before);
         set_counting(prev);
 
         let score = Phase::Score as usize;
@@ -607,7 +607,7 @@ mod tests {
         let before = snapshot();
         note_alloc(4096);
         note_dealloc(4096);
-        let delta = snapshot().delta_since(&before);
+        let delta = snapshot().since(&before);
         assert!(
             !set_counting(prev),
             "set_counting returns the previous setting"

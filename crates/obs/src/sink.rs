@@ -225,8 +225,9 @@ pub trait Record: Serialize {
     const EVENT: &'static str;
 }
 
-/// One trace line, without its newline: `{"v":5,"event":"<EVENT>",`
-/// followed by the record's own fields, written in one pass.
+/// One trace line, without its newline: `{"v":<V>,"event":"<EVENT>",`
+/// (`<V>` is [`crate::TRACE_SCHEMA_VERSION`]) followed by the record's own
+/// fields, written in one pass.
 pub fn record_line<R: Record>(record: &R) -> String {
     let mut out = Json::compact();
     out.lead_next_object(envelope::<R>);

@@ -15,7 +15,7 @@
 # tests and the naive oracles, which the clippy step also enforces; and
 # batch shared state needs none: tests/batch.rs fails
 # if a batch search gets its own prefix cache
-# (batch_trace_timings_and_store_totals_reconcile) or its own interner
+# (batch_prefix_store_is_shared_across_searches) or its own interner
 # (batch_interner_is_shared_across_searches).
 set -euo pipefail
 cd "$(dirname "$0")/.."

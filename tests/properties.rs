@@ -20,7 +20,7 @@ use lucidscript::core::vocab::CorpusModel;
 use lucidscript::corpus::script_gen::generate_script;
 use lucidscript::corpus::Profile;
 use lucidscript::frame::groupby::{group_agg, AggFn};
-use lucidscript::frame::jaccard::{row_jaccard, value_jaccard};
+use lucidscript::frame::jaccard::value_jaccard;
 use lucidscript::frame::naive;
 use lucidscript::frame::ops::{
     arith, compare, map_values, replace_values, where_scalar, ArithOp, CmpOp, Operand,
@@ -258,13 +258,10 @@ proptest! {
         let profile = Profile::titanic();
         let a = profile.generate_data(seed % 31, 0.05);
         let b = profile.generate_data((seed / 31) % 29, 0.05);
-        for j in [value_jaccard(&a, &b), row_jaccard(&a, &b)] {
-            prop_assert!((0.0..=1.0).contains(&j), "out of range: {j}");
-        }
-        prop_assert_eq!(value_jaccard(&a, &b), value_jaccard(&b, &a));
-        prop_assert_eq!(row_jaccard(&a, &b), row_jaccard(&b, &a));
+        let j = value_jaccard(&a, &b);
+        prop_assert!((0.0..=1.0).contains(&j), "out of range: {j}");
+        prop_assert_eq!(j, value_jaccard(&b, &a));
         prop_assert!((value_jaccard(&a, &a) - 1.0).abs() < 1e-12);
-        prop_assert!((row_jaccard(&a, &a) - 1.0).abs() < 1e-12);
     }
 }
 
@@ -434,10 +431,12 @@ proptest! {
 
     /// `groupby::group_agg` agrees with the per-cell reference: same
     /// groups in first-seen order, same key values, same aggregates —
-    /// for every aggregation function and any key/value dtype combo.
+    /// for every aggregation function, any key/value dtype combo, and one
+    /// or two key columns (of independent dtypes, nulls included).
     #[test]
     fn groupby_kernel_matches_naive(
-        (key, val, agg) in (1usize..24).prop_flat_map(|n| (
+        (k1, k2, val, agg) in (1usize..24).prop_flat_map(|n| (
+            arb_col(n),
             arb_col(n),
             arb_col(n),
             prop::sample::select(vec![
@@ -445,15 +444,20 @@ proptest! {
             ]),
         ))
     ) {
-        let df = DataFrame::from_columns(vec![("k", key), ("v", val)]).expect("two columns");
-        let out = group_agg(&df, &["k"], "v", agg).expect("aggregates");
-        let reference = naive::naive_group_agg(&df, &["k"], "v", agg).expect("aggregates");
-        prop_assert_eq!(out.n_rows(), reference.len());
-        let key_col = out.column("k").expect("key column");
-        let agg_col = out.column("v").expect("agg column");
-        for (i, (key_vals, aggregate)) in reference.iter().enumerate() {
-            prop_assert_eq!(&key_col.get(i).expect("in bounds"), &key_vals[0]);
-            prop_assert_eq!(&agg_col.get(i).expect("in bounds"), aggregate);
+        let df = DataFrame::from_columns(vec![("k1", k1), ("k2", k2), ("v", val)])
+            .expect("three columns");
+        for keys in [&["k1"][..], &["k1", "k2"][..]] {
+            let out = group_agg(&df, keys, "v", agg).expect("aggregates");
+            let reference = naive::naive_group_agg(&df, keys, "v", agg).expect("aggregates");
+            prop_assert_eq!(out.n_rows(), reference.len());
+            let agg_col = out.column("v").expect("agg column");
+            for (i, (key_vals, aggregate)) in reference.iter().enumerate() {
+                for (key, expected) in keys.iter().zip(key_vals) {
+                    let key_col = out.column(key).expect("key column");
+                    prop_assert_eq!(&key_col.get(i).expect("in bounds"), expected);
+                }
+                prop_assert_eq!(&agg_col.get(i).expect("in bounds"), aggregate);
+            }
         }
     }
 
