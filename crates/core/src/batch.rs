@@ -160,8 +160,8 @@ pub struct ScriptResult {
 
 /// Aggregate RE-reduction distribution over a batch — Figure 6 at corpus
 /// scale. Percentiles are over per-script `improvement_pct` of the
-/// successfully standardized scripts, by the same nearest-rank rule the
-/// profile exporter uses.
+/// successfully standardized scripts: the `q`-quantile is the sorted
+/// value at index `round((n - 1) * q)`.
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct ReDistribution {
     /// Scripts in the batch.
@@ -236,26 +236,21 @@ pub struct BatchReport {
     pub scripts: Vec<ScriptResult>,
     /// Aggregate RE-reduction distribution (fig6-at-scale).
     pub distribution: ReDistribution,
-    /// Accumulated timings over the searches that actually executed
-    /// (memo-served scripts run no search and contribute none).
+    /// The batch registry's projection: every executed search's
+    /// registry folded by the metric table's rule (memo-served scripts
+    /// run no search and contribute none). Counts add up over the
+    /// searches; `threads`, the snapshot peak, `unique_stmts` (the
+    /// batch-shared interner's population) and the live-heap peak take
+    /// the max.
     pub timings: Timings,
     /// Scripts served by another script's search.
     pub memo_hits: u64,
     /// Searches run with the memo on (zero with the memo off).
     pub memo_misses: u64,
-    /// Pooled prefix-cache hits: `timings.prefix_cache_hits`, the sum of
-    /// every search's count.
+    /// Pooled prefix-cache hits (`timings.prefix_cache_hits`).
     pub cache_store_hits: u64,
     /// Pooled prefix-cache misses (`timings.prefix_cache_misses`).
     pub cache_store_misses: u64,
-    /// Pooled prefix-cache evictions (`timings.prefix_cache_evictions`).
-    pub cache_store_evictions: u64,
-    /// Pooled fit-memo hits (`timings.fit_memo_hits`).
-    pub fit_memo_store_hits: u64,
-    /// Pooled fit-memo misses (`timings.fit_memo_misses`).
-    pub fit_memo_store_misses: u64,
-    /// Distinct statements in the batch-shared interner.
-    pub unique_stmts: u64,
     /// Worker count the batch ran with (resolved).
     pub jobs: usize,
     /// End-to-end batch wall time.
@@ -360,6 +355,7 @@ impl BatchReport {
     /// Human-readable batch summary (measurement included).
     pub fn render(&self) -> String {
         let d = &self.distribution;
+        let t = &self.timings;
         let mut out = String::new();
         out.push_str(&format!(
             "batch: {} scripts, {} changed, {} errors ({} jobs, {:.1} ms)\n",
@@ -373,15 +369,15 @@ impl BatchReport {
         ));
         out.push_str(&format!(
             "prefix cache (pooled): {} hits, {} misses, {} evictions\n",
-            self.cache_store_hits, self.cache_store_misses, self.cache_store_evictions
+            t.prefix_cache_hits, t.prefix_cache_misses, t.prefix_cache_evictions
         ));
         out.push_str(&format!(
             "fit memo (pooled): {} hits, {} misses\n",
-            self.fit_memo_store_hits, self.fit_memo_store_misses
+            t.fit_memo_hits, t.fit_memo_misses
         ));
         out.push_str(&format!(
             "interner: {} unique statements across the batch\n",
-            self.unique_stmts
+            t.unique_stmts
         ));
         out.push_str(&format!(
             "RE improvement %: min {:.1} / p25 {:.1} / median {:.1} / p75 {:.1} / max {:.1} (mean {:.1})\n",
@@ -468,7 +464,7 @@ pub fn standardize_corpus(
     let batch_registry = Arc::new(Registry::new());
     let outer_registry = config.stats_registry.clone();
     let mut search_config = config;
-    search_config.shared = Some(Arc::clone(&shared));
+    search_config.shared = Some(shared);
     search_config.stats_registry = Some(Arc::clone(&batch_registry));
     search_config.trace = None;
     search_config.validate()?;
@@ -501,12 +497,10 @@ pub fn standardize_corpus(
     // A search-level panic (beyond the per-candidate isolation inside the
     // search) downgrades to this script's error, never the batch's.
     let (outcomes, _) = crate::pool::map_indexed(reps.len(), jobs_n, |j| run_one(reps[j]));
-    let mut timings = Timings::default();
     let job_results: Vec<std::result::Result<Arc<StandardizeReport>, String>> = outcomes
         .into_iter()
         .map(|outcome| {
             let report = outcome.unwrap_or_else(|_| Err("search panicked".to_string()))?;
-            timings.accumulate(&report.timings);
             Ok(Arc::new(report))
         })
         .collect();
@@ -585,6 +579,7 @@ pub fn standardize_corpus(
 
     // Every search counted its pooled-store traffic into its own registry,
     // so the pool totals are the roll-up of those counts.
+    let timings = Timings::from_registry(&batch_registry);
     let distribution = ReDistribution::from_results(&results);
     Ok(BatchReport {
         scripts: results,
@@ -593,11 +588,7 @@ pub fn standardize_corpus(
         memo_misses,
         cache_store_hits: timings.prefix_cache_hits,
         cache_store_misses: timings.prefix_cache_misses,
-        cache_store_evictions: timings.prefix_cache_evictions,
-        fit_memo_store_hits: timings.fit_memo_hits,
-        fit_memo_store_misses: timings.fit_memo_misses,
         timings,
-        unique_stmts: shared.interner().unique_stmts(),
         jobs: jobs_n,
         elapsed_ms: t_batch.elapsed().as_secs_f64() * 1e3,
     })
@@ -680,7 +671,7 @@ mod tests {
         assert_eq!(report.distribution.errors, 0);
         // Only the two distinct scripts ran searches.
         assert!(report.timings.total_ms > 0.0);
-        assert!(report.unique_stmts > 0);
+        assert!(report.timings.unique_stmts > 0);
     }
 
     #[test]

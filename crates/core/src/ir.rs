@@ -298,7 +298,7 @@ impl Program {
         let mut last_def: HashMap<&str, usize> = HashMap::new();
         replay_edges(&self.stmts, 0, &mut last_def, &mut edges);
         let out = ScriptDag {
-            atoms: self.atom_keys(),
+            atoms: self.atoms(),
             edge_positions: edges,
         };
         debug_assert_eq!(
@@ -335,7 +335,7 @@ impl Program {
         }
         replay_edges(&self.stmts, edit, &mut last_def, &mut edges);
         let out = ScriptDag {
-            atoms: self.atom_keys(),
+            atoms: self.atoms(),
             edge_positions: edges,
         };
         debug_assert_eq!(
@@ -344,11 +344,6 @@ impl Program {
             "incremental DAG diverged from the legacy full rebuild"
         );
         out
-    }
-
-    /// Shared atom handles, in line order (reference-count bumps only).
-    fn atom_keys(&self) -> Vec<Arc<str>> {
-        self.stmts.iter().map(|info| Arc::clone(&info.atom)).collect()
     }
 }
 

@@ -11,6 +11,10 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Statement budget per run (straight-line scripts are short; this
+/// guards against pathological generated scripts).
+const MAX_STATEMENTS: usize = 10_000;
+
 /// Executes straight-line scripts against in-memory tables.
 ///
 /// One `Interpreter` holds the *input configuration* (registered tables,
@@ -25,9 +29,6 @@ pub struct Interpreter {
     /// If set, registered tables are row-sampled to at most this many rows
     /// at `read_csv` time — the paper's sampling optimization (§5.2, item 5).
     pub sample_rows: Option<usize>,
-    /// Statement budget per run (straight-line scripts are short; this
-    /// guards against pathological generated scripts).
-    pub max_statements: usize,
     /// Per-run resource budget (fuel / cells / deadline). Unlimited by
     /// default; each axis trips a distinct [`InterpError::Budget`] kind.
     pub budget: Budget,
@@ -48,7 +49,6 @@ impl Default for Interpreter {
             tables: HashMap::new(),
             seed: 7,
             sample_rows: None,
-            max_statements: 10_000,
             budget: Budget::unlimited(),
             fault_plan: None,
             obs: None,
@@ -352,7 +352,7 @@ impl Interpreter {
         };
         for (i, sref) in stmts.iter().enumerate().skip(state.steps) {
             state.steps += 1;
-            if state.steps > self.max_statements {
+            if state.steps > MAX_STATEMENTS {
                 return Err(InterpError::BudgetExhausted);
             }
             state.charge_fuel(1, &self.budget)?;

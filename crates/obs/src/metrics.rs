@@ -9,7 +9,7 @@
 //! report time.
 
 use crate::span::{SpanBuffer, SpanRecord, Timer, DEFAULT_MAX_SPANS};
-use crate::timings::Metric;
+use crate::timings::{Fold, Metric};
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -341,14 +341,18 @@ impl Registry {
         }
     }
 
-    /// Folds every metric of `other` into `self`: counter values add
-    /// (for max-style gauges like cache peaks the sum is an upper bound
-    /// across searches, the usual fleet aggregation), histograms merge
-    /// bucket-wise via [`Histogram::merge_from`]. This is the roll-up
-    /// primitive: per-search registries merge into a process-wide one at
-    /// search end. Values are copied out of `other` before touching
-    /// `self`, so the two registries' locks are never held together.
-    /// Spans are not merged.
+    /// Folds every metric of `other` into `self` by the metric table's
+    /// fold rule ([`Timings::accumulate`]'s): gauge counters (threads,
+    /// peaks, the interner's population) take the max, every other
+    /// counter adds, and histograms merge bucket-wise via
+    /// [`Histogram::merge_from`]. This is the roll-up primitive:
+    /// per-search registries merge into a process-wide one at search end,
+    /// and projecting the merged registry equals accumulating the
+    /// searches' projections. Values are copied out of `other` before
+    /// touching `self`, so the two registries' locks are never held
+    /// together. Spans are not merged.
+    ///
+    /// [`Timings::accumulate`]: crate::Timings::accumulate
     pub fn merge(&self, other: &Registry) {
         let counters: Vec<(Metric, u64)> = other
             .counters
@@ -360,7 +364,11 @@ impl Registry {
         // Zeros too: a snapshot lists every counter a search recorded,
         // not only the ones that have moved so far.
         for (metric, v) in counters {
-            self.counter(metric).add(v);
+            let counter = self.counter(metric);
+            match metric.fold() {
+                Fold::Sum => counter.add(v),
+                Fold::Max => counter.set_max(v),
+            }
         }
         let histograms: Vec<(Metric, Arc<Histogram>)> = other
             .histograms

@@ -2,10 +2,12 @@
 //!
 //! [`parse_trace`] reads a JSONL stream of schema v6 (see [`crate::event`]
 //! and [`crate::decision`]) into one [`TraceSummary`] that carries all
-//! three views of a traced search: the measurement records rolled back
-//! up into the paper's Figure 7 phase breakdown ([`TraceSummary::render`],
-//! `lucid trace`), the decision records ([`TraceSummary::render_why`],
-//! `lucid why`), and the last `profile` record (`lucid profile`).
+//! three views of a traced search: the measurement records as the
+//! paper's Figure 7 phase breakdown ([`TraceSummary::render`],
+//! `lucid trace`; read from `search_end`, or summed from the step and
+//! verify windows when the trace is cut before it), the decision records
+//! ([`TraceSummary::render_why`], `lucid why`), and the last `profile`
+//! record (`lucid profile`).
 //! [`read_trace`] reads a file, folding a rotated `<FILE>.1` segment back
 //! in front, and ties every error to that file.
 //!
@@ -64,21 +66,6 @@ pub struct StepRow {
     pub converged: bool,
 }
 
-/// Phase totals reconstructed from the per-step + verify records.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct PhaseTotals {
-    /// Σ step `get_steps_ms`.
-    pub get_steps_ms: f64,
-    /// Σ step `get_top_k_ms`.
-    pub get_top_k_ms: f64,
-    /// Σ step `check_execute_ms` + verify `check_execute_ms`.
-    pub check_execute_ms: f64,
-    /// Verify pass wall ms.
-    pub verify_constraints_ms: f64,
-    /// End-to-end wall ms (from `search_end`; 0 if the record is absent).
-    pub total_ms: f64,
-}
-
 /// Everything a trace file says about one search.
 #[derive(Debug, Clone, Default)]
 pub struct TraceSummary {
@@ -87,14 +74,13 @@ pub struct TraceSummary {
     pub config: Vec<(String, String)>,
     /// Per-step rows in order.
     pub steps: Vec<StepRow>,
-    /// Phase totals summed from the records.
-    pub totals: PhaseTotals,
     /// Candidates scored (`search_end.explored`).
     pub explored: u64,
     /// The search's phase times and counters, from `search_end`. On a
-    /// trace cut before that record, the cache, drop and allocated-byte
-    /// counters fall back to their sums over the step and verify records
-    /// (allocated bytes then cover those phases only) and the rest read
+    /// trace cut before that record, the four phase times, the step
+    /// count and the cache, drop and allocated-byte counters fall back to
+    /// their sums over the step and verify records (allocated bytes then
+    /// cover those phases only) and the rest, `total_ms` included, read
     /// as zero.
     pub timings: Timings,
     /// Whether verification accepted a candidate.
@@ -222,8 +208,8 @@ pub fn read_trace(path: &Path) -> Result<TraceSummary, TraceError> {
 pub fn parse_trace(text: &str) -> Result<TraceSummary, TraceError> {
     let mut summary = TraceSummary::default();
     let mut any = false;
-    // Counters summed from the step + verify records; the fallback when
-    // the trace is truncated before `search_end`.
+    // Counters and phase times summed from the step + verify records; the
+    // fallback when the trace is truncated before `search_end`.
     let sums = Registry::new();
     let add_phase = |record: &Value, summary: &mut TraceSummary| {
         let drops = Drops::from_record(record);
@@ -235,6 +221,16 @@ pub fn parse_trace(text: &str) -> Result<TraceSummary, TraceError> {
             (Metric::MemBytesTotal, "alloc_bytes"),
         ] {
             sums.counter(metric).add(int(record, key));
+        }
+        for (metric, key) in [
+            (Metric::GetSteps, "get_steps_ms"),
+            (Metric::GetTopK, "get_top_k_ms"),
+            (Metric::CheckExecute, "check_execute_ms"),
+            (Metric::Verify, "verify_ms"),
+        ] {
+            // Saturating: absent fields, negatives and NaN read as 0.
+            sums.histogram(metric)
+                .record_ns((num(record, key) * 1e6).round() as u64);
         }
         summary
             .panic_payloads
@@ -319,14 +315,10 @@ pub fn parse_trace(text: &str) -> Result<TraceSummary, TraceError> {
                         .and_then(Value::as_bool)
                         .unwrap_or(false),
                 };
-                summary.totals.get_steps_ms += row.get_steps_ms;
-                summary.totals.get_top_k_ms += row.get_top_k_ms;
-                summary.totals.check_execute_ms += row.check_execute_ms;
+                sums.counter(Metric::Steps).add(1);
                 summary.steps.push(row);
             }
             VerifyEvent::EVENT => {
-                summary.totals.check_execute_ms += num(&record, "check_execute_ms");
-                summary.totals.verify_constraints_ms += num(&record, "verify_ms");
                 summary.accepted = record.get("accepted").and_then(Value::as_bool);
                 add_phase(&record, &mut summary);
             }
@@ -334,7 +326,6 @@ pub fn parse_trace(text: &str) -> Result<TraceSummary, TraceError> {
                 summary.complete = true;
                 summary.explored = int(&record, "explored");
                 summary.timings = Timings::from_record(&record);
-                summary.totals.total_ms = summary.timings.total_ms;
             }
             ProfileReport::EVENT => summary.profile = Some(ProfileReport::from_record(&record)),
             _ if Decisions::is_decision(event) => {
@@ -363,14 +354,16 @@ pub fn parse_trace(text: &str) -> Result<TraceSummary, TraceError> {
 
 impl TraceSummary {
     /// The Figure 7 phase totals (GetSteps, GetTopKBeams, CheckIfExecutes,
-    /// VerifyConstraints, Total) in that order, in ms.
+    /// VerifyConstraints, Total) in that order, in ms, read from
+    /// [`TraceSummary::timings`].
     pub fn figure7(&self) -> [(&'static str, f64); 5] {
+        let t = &self.timings;
         [
-            ("GetSteps", self.totals.get_steps_ms),
-            ("GetTopKBeams", self.totals.get_top_k_ms),
-            ("CheckIfExecutes", self.totals.check_execute_ms),
-            ("VerifyConstraints", self.totals.verify_constraints_ms),
-            ("Total", self.totals.total_ms),
+            ("GetSteps", t.get_steps_ms),
+            ("GetTopKBeams", t.get_top_k_ms),
+            ("CheckIfExecutes", t.check_execute_ms),
+            ("VerifyConstraints", t.verify_constraints_ms),
+            ("Total", t.total_ms),
         ]
     }
 
@@ -558,46 +551,35 @@ pub fn fmt_bytes(bytes: u64) -> String {
 pub struct AggregateRow {
     /// Display name (the file path `lucid trace --aggregate` was given).
     pub name: String,
-    /// Beam steps in this search.
-    pub steps: usize,
     /// Candidates scored.
     pub explored: u64,
-    /// This search's phase totals.
-    pub totals: PhaseTotals,
+    /// This search's phase times and counters ([`TraceSummary::timings`]).
+    pub timings: Timings,
     /// Verification outcome (None on a truncated trace).
     pub accepted: Option<bool>,
-    /// Bytes allocated over the search.
-    pub alloc_bytes_total: u64,
-    /// Live-bytes high-water mark at search end.
-    pub mem_peak_bytes: u64,
     /// For a batch memo-hit stub: the representative whose traced search
     /// produced the shared result (the row ran no search).
     pub memo_hit: Option<String>,
 }
 
 /// Cross-search roll-up of several parsed traces — the engine behind
-/// `lucid trace --aggregate <FILE>...`. Fleet totals are field-wise sums
-/// over the per-file rows (same additions, same order), so they
-/// reconcile *exactly* with the per-file summaries.
+/// `lucid trace --aggregate <FILE>...`. The fleet row folds the per-file
+/// rows' `Timings` by the metric table's rule ([`Timings::accumulate`]):
+/// times, steps and allocated bytes add up over the searches, in input
+/// order, so they reconcile *exactly* with the per-file summaries, and
+/// the live-heap peak is the largest search's.
 #[derive(Debug, Clone, Default)]
 pub struct AggregateReport {
     /// Per-file rows, in input order.
     pub rows: Vec<AggregateRow>,
-    /// Field-wise sum of every row's phase totals.
-    pub totals: PhaseTotals,
+    /// The searches' `Timings`, folded.
+    pub timings: Timings,
     /// Σ rows' explored counts.
     pub explored: u64,
-    /// Σ rows' step counts.
-    pub steps: usize,
-    /// Σ rows' allocated bytes.
-    pub alloc_bytes_total: u64,
-    /// Max of the rows' peaks (peaks don't add across time-shifted
-    /// searches; the max is the defensible fleet statistic).
-    pub mem_peak_bytes: u64,
     /// Searches whose verification accepted a candidate.
     pub accepted: usize,
     /// Rows that are memo-hit stubs (no search ran; excluded from the
-    /// latency percentiles).
+    /// fleet row and the latency percentiles).
     pub memo_hits: usize,
     /// Exact (nearest-rank) median of the per-search `total_ms`.
     pub p50_total_ms: f64,
@@ -623,12 +605,9 @@ pub fn aggregate_summaries(inputs: &[(String, TraceSummary)]) -> AggregateReport
     for (name, s) in inputs {
         let row = AggregateRow {
             name: name.clone(),
-            steps: s.steps.len(),
             explored: s.explored,
-            totals: s.totals,
+            timings: s.timings,
             accepted: s.accepted,
-            alloc_bytes_total: s.timings.alloc_bytes_total,
-            mem_peak_bytes: s.timings.peak_live_bytes,
             memo_hit: s.memo_stub().map(|m| m.against.clone()),
         };
         if row.memo_hit.is_some() {
@@ -636,19 +615,12 @@ pub fn aggregate_summaries(inputs: &[(String, TraceSummary)]) -> AggregateReport
             report.rows.push(row);
             continue;
         }
-        report.totals.get_steps_ms += row.totals.get_steps_ms;
-        report.totals.get_top_k_ms += row.totals.get_top_k_ms;
-        report.totals.check_execute_ms += row.totals.check_execute_ms;
-        report.totals.verify_constraints_ms += row.totals.verify_constraints_ms;
-        report.totals.total_ms += row.totals.total_ms;
+        report.timings.accumulate(&row.timings);
         report.explored += row.explored;
-        report.steps += row.steps;
-        report.alloc_bytes_total += row.alloc_bytes_total;
-        report.mem_peak_bytes = report.mem_peak_bytes.max(row.mem_peak_bytes);
         if row.accepted == Some(true) {
             report.accepted += 1;
         }
-        latencies.push(row.totals.total_ms);
+        latencies.push(row.timings.total_ms);
         report.rows.push(row);
     }
     latencies.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
@@ -666,24 +638,18 @@ impl AggregateReport {
             "search", "steps", "explored", "steps-ms", "topk-ms", "check-ms", "verify-ms",
             "total-ms", "alloc", "peak", "ok",
         ];
-        let row_cells = |name: &str,
-                         steps: usize,
-                         explored: u64,
-                         t: &PhaseTotals,
-                         alloc: u64,
-                         peak: u64,
-                         ok: String| {
+        let row_cells = |name: &str, explored: u64, t: &Timings, ok: String| {
             vec![
                 name.to_string(),
-                steps.to_string(),
+                t.search_steps.to_string(),
                 explored.to_string(),
                 format!("{:.2}", t.get_steps_ms),
                 format!("{:.2}", t.get_top_k_ms),
                 format!("{:.2}", t.check_execute_ms),
                 format!("{:.2}", t.verify_constraints_ms),
                 format!("{:.2}", t.total_ms),
-                fmt_bytes(alloc),
-                fmt_bytes(peak),
+                fmt_bytes(t.alloc_bytes_total),
+                fmt_bytes(t.peak_live_bytes),
                 ok,
             ]
         };
@@ -693,11 +659,8 @@ impl AggregateReport {
             .map(|r| {
                 row_cells(
                     &r.name,
-                    r.steps,
                     r.explored,
-                    &r.totals,
-                    r.alloc_bytes_total,
-                    r.mem_peak_bytes,
+                    &r.timings,
                     match (&r.memo_hit, r.accepted) {
                         (Some(_), _) => "memo".to_string(),
                         (None, Some(true)) => "yes".to_string(),
@@ -709,18 +672,16 @@ impl AggregateReport {
             .collect();
         rows.push(row_cells(
             "TOTAL",
-            self.steps,
             self.explored,
-            &self.totals,
-            self.alloc_bytes_total,
-            self.mem_peak_bytes,
+            &self.timings,
             format!("{}/{}", self.accepted, self.rows.len() - self.memo_hits),
         ));
         render_table(&headers, &rows, &mut out);
+        let t = &self.timings;
         out.push_str(&format!(
             "\n{} searches: total {:.2} ms, per-search p50 {:.2} ms, p90 {:.2} ms, max {:.2} ms\n",
             self.rows.len() - self.memo_hits,
-            self.totals.total_ms,
+            t.total_ms,
             self.p50_total_ms,
             self.p90_total_ms,
             self.max_total_ms,
@@ -731,11 +692,11 @@ impl AggregateReport {
                 self.memo_hits
             ));
         }
-        if self.alloc_bytes_total > 0 || self.mem_peak_bytes > 0 {
+        if t.alloc_bytes_total > 0 || t.peak_live_bytes > 0 {
             out.push_str(&format!(
                 "memory: {} allocated across the fleet, peak live {}\n",
-                fmt_bytes(self.alloc_bytes_total),
-                fmt_bytes(self.mem_peak_bytes),
+                fmt_bytes(t.alloc_bytes_total),
+                fmt_bytes(t.peak_live_bytes),
             ));
         }
         out
@@ -895,12 +856,6 @@ mod tests {
         let summary = parse_trace(&sample_trace()).unwrap();
         assert_eq!(summary.steps.len(), 2);
         assert_eq!(summary.explored, 18);
-        assert_eq!(summary.totals.get_steps_ms, 20.0);
-        assert_eq!(summary.totals.get_top_k_ms, 4.0);
-        // step checks (2×4) + verify check (1).
-        assert_eq!(summary.totals.check_execute_ms, 9.0);
-        assert_eq!(summary.totals.verify_constraints_ms, 3.0);
-        assert_eq!(summary.totals.total_ms, 40.0);
         let t = &summary.timings;
         assert_eq!(t.prefix_cache_hits, 7);
         assert_eq!((t.fit_memo_hits, t.fit_memo_misses), (5, 3));
@@ -914,11 +869,17 @@ mod tests {
         assert!(summary.render().contains(
             "interpreter time by statement kind:\n  stmt.assign            1x       8.50 ms\n"
         ));
-        // The reported totals match the search_end projection exactly —
-        // the invariant `lucid trace` relies on.
-        let fig7 = summary.figure7();
-        assert_eq!(fig7[0], ("GetSteps", 20.0));
-        assert_eq!(fig7[2], ("CheckIfExecutes", 9.0));
+        // The Figure 7 rows are the search_end projection's phase times.
+        assert_eq!(
+            summary.figure7(),
+            [
+                ("GetSteps", 20.0),
+                ("GetTopKBeams", 4.0),
+                ("CheckIfExecutes", 9.0),
+                ("VerifyConstraints", 3.0),
+                ("Total", 40.0),
+            ]
+        );
         // Fault-isolation counters come from the search_end record, and
         // the captured payloads from the step records.
         assert_eq!(t.candidates_panicked, 2);
@@ -1103,8 +1064,19 @@ mod tests {
         let summary = parse_trace(&truncated.join("\n")).unwrap();
         let t = &summary.timings;
         assert_eq!(t.prefix_cache_hits, 6); // 3 + 3 from steps
-        assert_eq!(summary.totals.total_ms, 0.0);
-        assert_eq!(summary.totals.get_steps_ms, 20.0);
+        // Phase times and the step count fall back to the step sums; the
+        // end-to-end time only exists in the (missing) search_end record.
+        assert_eq!(
+            summary.figure7(),
+            [
+                ("GetSteps", 20.0),
+                ("GetTopKBeams", 4.0),
+                ("CheckIfExecutes", 8.0),
+                ("VerifyConstraints", 0.0),
+                ("Total", 0.0),
+            ]
+        );
+        assert_eq!(t.search_steps, 2);
         // Fault counters also fall back to the step sums.
         assert_eq!(t.candidates_panicked, 2);
         assert_eq!(t.budget_trips_cells, 2);
@@ -1129,21 +1101,23 @@ mod tests {
         ]);
 
         assert_eq!(report.rows.len(), 2);
-        // Fleet totals are the field-wise sums of the per-file rows —
-        // the reconciliation the CLI's --aggregate table promises.
+        // The fleet row folds the per-file rows by the metric table's
+        // rule — the reconciliation the CLI's --aggregate table promises.
+        let mut folded = report.rows[0].timings;
+        folded.accumulate(&report.rows[1].timings);
+        assert_eq!(report.timings, folded);
+        let t = &report.timings;
         assert_eq!(
-            report.totals.get_steps_ms,
-            report.rows.iter().map(|r| r.totals.get_steps_ms).sum::<f64>()
+            t.get_steps_ms,
+            report.rows.iter().map(|r| r.timings.get_steps_ms).sum::<f64>()
         );
-        assert_eq!(
-            report.totals.total_ms,
-            report.rows.iter().map(|r| r.totals.total_ms).sum::<f64>()
-        );
-        assert_eq!(report.totals.total_ms, a.totals.total_ms + b.totals.total_ms);
+        assert_eq!(t.total_ms, a.timings.total_ms + b.timings.total_ms);
         assert_eq!(report.explored, a.explored + b.explored);
-        assert_eq!(report.steps, a.steps.len() + b.steps.len());
-        assert_eq!(report.alloc_bytes_total, a.timings.alloc_bytes_total * 2);
-        assert_eq!(report.mem_peak_bytes, a.timings.peak_live_bytes); // max, not sum
+        assert_eq!(t.search_steps, a.steps.len() + b.steps.len());
+        assert_eq!(t.alloc_bytes_total, a.timings.alloc_bytes_total * 2);
+        // Gauges take the max, not the sum.
+        assert_eq!(t.peak_live_bytes, a.timings.peak_live_bytes);
+        assert_eq!(t.threads, a.timings.threads);
         assert_eq!(report.accepted, 2);
         // Identical searches collapse the latency percentiles.
         assert_eq!(report.p50_total_ms, 40.0);
@@ -1162,11 +1136,8 @@ mod tests {
     #[test]
     fn aggregate_percentiles_use_nearest_rank_over_searches() {
         let mk = |total_ms: f64, peak: u64| TraceSummary {
-            totals: PhaseTotals {
-                total_ms,
-                ..Default::default()
-            },
             timings: Timings {
+                total_ms,
                 peak_live_bytes: peak,
                 ..Default::default()
             },
@@ -1180,7 +1151,7 @@ mod tests {
         assert_eq!(report.p50_total_ms, 50.0);
         assert_eq!(report.p90_total_ms, 90.0);
         assert_eq!(report.max_total_ms, 100.0);
-        assert_eq!(report.mem_peak_bytes, 10_000);
+        assert_eq!(report.timings.peak_live_bytes, 10_000);
         assert_eq!(report.accepted, 0);
         let empty = aggregate_summaries(&[]);
         assert_eq!(empty.p50_total_ms, 0.0);
@@ -1206,7 +1177,7 @@ mod tests {
         assert_eq!(report.rows[1].memo_hit.as_deref(), Some("a.py"));
         // The stub ran no search: it adds nothing to the fleet totals or
         // the latency percentiles.
-        assert_eq!(report.totals.total_ms, 40.0);
+        assert_eq!(report.timings.total_ms, 40.0);
         assert_eq!(report.p50_total_ms, 40.0);
         let text = report.render();
         assert!(text.contains("memo"), "{text}");

@@ -1,11 +1,13 @@
 //! The search's metric table: one row per [`Timings`] field.
 //!
 //! Each row names the field and its type, the registry metric the search
-//! records it under, and how [`Timings::accumulate`] folds two runs
-//! (`Sum`, or `Max` for gauges). One macro expands the table into the
-//! [`Timings`] struct, `accumulate`, [`Timings::from_registry`],
-//! [`Timings::from_record`] and the [`Metric`] handles, so adding a metric
-//! is one row here plus its record site.
+//! records it under, and how two runs fold (`Sum`, or `Max` for gauges).
+//! One macro expands the table into the [`Timings`] struct, `accumulate`,
+//! [`Timings::from_registry`], [`Timings::from_record`] and the [`Metric`]
+//! handles with their fold rule, so adding a metric is one row here plus
+//! its record site. The fold column is the only roll-up rule:
+//! [`Timings::accumulate`] and `Registry::merge` both read it, so folding
+//! projections and projecting a merged registry agree.
 //!
 //! An `f64` row is milliseconds, read from a histogram's sum; every other
 //! row is read from a counter. [`Metric`] also names the registry-only
@@ -54,13 +56,24 @@ impl Field for usize {
     }
 }
 
-macro_rules! fold {
-    (Sum, $mine:expr, $theirs:expr) => {
-        $mine += $theirs
-    };
-    (Max, $mine:expr, $theirs:expr) => {
-        $mine = $mine.max($theirs)
-    };
+/// How a metric rolls up across searches: work adds up; a configuration
+/// or gauge value (threads, a peak, a store's population) takes the max,
+/// because summing it would describe a parallelism, footprint or store no
+/// run ever had.
+pub(crate) enum Fold {
+    Sum,
+    Max,
+}
+
+impl Fold {
+    /// Folds `theirs` into `mine`.
+    fn apply<T: PartialOrd + std::ops::AddAssign>(self, mine: &mut T, theirs: T) {
+        match self {
+            Fold::Sum => *mine += theirs,
+            Fold::Max if theirs > *mine => *mine = theirs,
+            Fold::Max => {}
+        }
+    }
 }
 
 macro_rules! metric_table {
@@ -93,21 +106,17 @@ macro_rules! metric_table {
         }
 
         impl Timings {
-            /// Adds another breakdown into this one (for aggregation across
-            /// runs).
-            ///
-            /// Work-valued fields sum. `threads`,
-            /// `prefix_cache_peak_snapshots`, `unique_stmts` and
-            /// `peak_live_bytes` are configuration or gauge values, not
-            /// quantities of work: summing them across runs would fabricate
-            /// a parallelism, cache footprint, interner population or live
-            /// heap no run ever had, so they take the **max**. Under
-            /// heterogeneous runs the aggregate therefore reads as "the
-            /// widest configuration seen", and per-run ratios like
+            /// Folds another breakdown into this one (for aggregation
+            /// across runs) by each row's [`Metric::fold`], the rule
+            /// `Registry::merge` also follows: work-valued fields sum;
+            /// `threads`, `prefix_cache_peak_snapshots`, `unique_stmts`
+            /// and `peak_live_bytes` take the **max**. Under heterogeneous
+            /// runs the aggregate therefore reads as "the widest
+            /// configuration seen", and per-run ratios like
             /// [`Timings::get_steps_speedup`] should be computed *before*
             /// accumulation when the mix matters.
             pub fn accumulate(&mut self, other: &Timings) {
-                $( fold!($fold, self.$field, other.$field); )*
+                $( Fold::$fold.apply(&mut self.$field, other.$field); )*
             }
 
             /// Projects a `Timings` from a search's metric registry.
@@ -167,6 +176,15 @@ macro_rules! metric_table {
                 match self {
                     $( Metric::$variant => $name, )*
                     $( Metric::$rvariant => $rname, )*
+                }
+            }
+
+            /// How the metric rolls up across searches: its table row's
+            /// `Sum`/`Max`; every registry-only metric sums.
+            pub(crate) fn fold(self) -> Fold {
+                match self {
+                    $( Metric::$variant => Fold::$fold, )*
+                    $( Metric::$rvariant => Fold::Sum, )*
                 }
             }
         }

@@ -1,7 +1,7 @@
 //! Property tests for histogram / registry merging — the roll-up
 //! primitive per-search registries use to feed a process-wide one.
 
-use lucid_obs::{Histogram, Metric, Registry};
+use lucid_obs::{Histogram, Metric, Registry, Timings};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -139,6 +139,32 @@ proptest! {
             into_a.histogram_sum_ms(Metric::GetSteps),
             into_b.histogram_sum_ms(Metric::GetSteps)
         );
+    }
+
+    /// Merging registries and folding their projections agree: the
+    /// metric table's fold column is the one roll-up rule, so gauges take
+    /// the max on both paths and every other counter adds.
+    #[test]
+    fn merged_projection_equals_accumulated_projections(
+        xs in vec(0u64..(1 << 40), Metric::ALL.len()),
+        ys in vec(0u64..(1 << 40), Metric::ALL.len()),
+    ) {
+        let fill = |values: &[u64]| {
+            let reg = Registry::new();
+            for (&metric, &v) in Metric::ALL.iter().zip(values) {
+                reg.counter(metric).add(v);
+            }
+            reg
+        };
+        let (a, b) = (fill(&xs), fill(&ys));
+        let fleet = Registry::new();
+        fleet.merge(&a);
+        fleet.merge(&b);
+        let mut folded = Timings::from_registry(&a);
+        folded.accumulate(&Timings::from_registry(&b));
+        // Only counters were filled, so the f64 rows (histogram sums)
+        // read zero on both sides and this compares every integer field.
+        prop_assert_eq!(Timings::from_registry(&fleet), folded);
     }
 }
 

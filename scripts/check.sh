@@ -5,8 +5,9 @@
 # decision-stability smokes of the committed benchmark (benchmark/,
 # which owns wall time); one grep gate (interned IR); and the batch,
 # trace and overhead smokes, the trace smoke rendering all three views
-# of one trace and requiring its profile to nest statements under
-# interpreter runs.
+# of one trace, requiring its profile to nest statements under
+# interpreter runs, and rolling two traces up into a fleet TOTAL row
+# with `lucid trace --aggregate`.
 # Metric names need no gate: the registry and its timers accept only
 # lucid_obs::Metric handles; panic paths need none: lucid-interp denies
 # clippy::unwrap_used/expect_used/panic outside tests, which the clippy
@@ -146,8 +147,9 @@ fi
 # file's search_end counters and `lucid profile` folding one span tree
 # (statements nested under interpreter runs, not detached roots), and
 # the decision records (everything but the timed measurement records)
-# must be byte-identical between a serial and a threaded run.
-echo "==> trace smoke (--trace stream, lucid trace/why/profile, decision records)"
+# must be byte-identical between a serial and a threaded run; the two
+# runs' traces must roll up into a TOTAL row (`lucid trace --aggregate`).
+echo "==> trace smoke (--trace stream, lucid trace/why/profile/--aggregate, decision records)"
 for threads in 1 2; do
   ./target/release/lucid standardize --corpus "$batch_smoke/corpus" --data "$batch_smoke/data.csv" \
     --script "$batch_smoke/corpus/b.py" --seq 3 --beam 2 --threads "$threads" \
@@ -174,6 +176,13 @@ fi
 if ! grep -q ';interp\.run;stmt\.' "$batch_smoke/profile.txt"; then
   echo "==> FAIL: lucid profile has no statement stack under an interpreter run"
   head -30 "$batch_smoke/profile.txt"
+  exit 1
+fi
+./target/release/lucid trace --aggregate "$batch_smoke/t1.jsonl" "$batch_smoke/t2.jsonl" \
+  > "$batch_smoke/aggregate.txt"
+if ! grep -qE '^ *TOTAL ' "$batch_smoke/aggregate.txt"; then
+  echo "==> FAIL: lucid trace --aggregate printed no TOTAL row"
+  head -30 "$batch_smoke/aggregate.txt"
   exit 1
 fi
 

@@ -20,7 +20,7 @@ use lucidscript::core::intent::IntentMeasure;
 use lucidscript::core::standardizer::Standardizer;
 use lucidscript::corpus::Profile;
 use lucidscript::frame::DataFrame;
-use lucidscript::obs::alloc;
+use lucidscript::obs::{alloc, Metric, Timings};
 
 /// A small titanic-profile corpus: three distinct generated scripts plus
 /// a byte-identical duplicate of the second (the memo's guaranteed hit).
@@ -368,16 +368,49 @@ fn batch_interner_is_shared_across_searches() {
     let solo_hits: u64 = solo.iter().map(|s| s.1).sum();
     assert!(solo_unique > 0);
     assert!(
-        report.unique_stmts >= solo_unique,
+        report.timings.unique_stmts >= solo_unique,
         "shared interner holds {} statements, one standalone search {solo_unique}",
-        report.unique_stmts
+        report.timings.unique_stmts
     );
-    assert_eq!(report.timings.unique_stmts, report.unique_stmts);
     assert!(
         report.timings.intern_hits > solo_hits,
         "batch intern hits {} vs standalone sum {solo_hits}",
         report.timings.intern_hits
     );
+}
+
+/// The batch report and an outer `--stats-out` registry read one roll-up:
+/// every search's registry folds into the batch registry by the metric
+/// table's rule, so gauges take the max there too. Summing them would
+/// report four 2-thread searches as 8 threads and the shared interner's
+/// population once per search.
+#[test]
+fn batch_registry_folds_gauges_like_the_report() {
+    let outer = std::sync::Arc::new(lucidscript::obs::Registry::new());
+    let config = SearchConfig {
+        threads: 2,
+        stats_registry: Some(std::sync::Arc::clone(&outer)),
+        ..mini_config()
+    };
+    let opts = BatchOptions {
+        jobs: 2,
+        ..BatchOptions::default()
+    };
+    let report = standardize_corpus(
+        &mini_scripts(),
+        Profile::titanic().file,
+        mini_data(),
+        config,
+        &opts,
+    )
+    .expect("batch runs");
+    assert_eq!(outer.counter_value(Metric::Threads), 2);
+    assert_eq!(
+        outer.counter_value(Metric::UniqueStmts),
+        report.timings.unique_stmts
+    );
+    assert!(report.timings.unique_stmts > 0);
+    assert_eq!(Timings::from_registry(&outer), report.timings);
 }
 
 /// The pooled prefix-cache store is shared, not per search: run serially

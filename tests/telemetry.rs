@@ -136,12 +136,14 @@ fn fleet_registry_rolls_up_per_search_metrics() {
         fleet.counter_value(Metric::Steps) as usize,
         a.timings.search_steps + b.timings.search_steps
     );
-    // Max-style gauges merge additively: the fleet value is a documented
-    // upper bound across searches (see `Registry::merge`), never less
-    // than any single search's peak.
-    let fleet_peak = fleet.counter_value(Metric::MemPeakBytes);
-    assert!(fleet_peak >= a.timings.peak_live_bytes.max(b.timings.peak_live_bytes));
-    assert!(fleet_peak <= a.timings.peak_live_bytes + b.timings.peak_live_bytes);
+    // Gauges merge by the metric table's fold, as the max: the fleet
+    // peak is the larger search's and two 1-thread searches ran with one
+    // thread, not two.
+    assert_eq!(
+        fleet.counter_value(Metric::MemPeakBytes),
+        a.timings.peak_live_bytes.max(b.timings.peak_live_bytes)
+    );
+    assert_eq!(fleet.counter_value(Metric::Threads), 1);
 }
 
 #[test]

@@ -57,10 +57,7 @@ fn trace_round_trips_and_matches_timings() {
     let t = &report.timings;
     assert_eq!(summary.timings, *t);
 
-    // Figure 7 phase totals summed from the step and verify records must
-    // agree with the report's Timings within 5% (acceptance bound; they
-    // are the same measurements, but the per-step values are rounded to
-    // ns before they are summed).
+    // `lucid trace` prints the search_end record's Figure 7 phase times.
     let pairs = [
         ("GetSteps", t.get_steps_ms),
         ("GetTopKBeams", t.get_top_k_ms),
@@ -68,28 +65,34 @@ fn trace_round_trips_and_matches_timings() {
         ("VerifyConstraints", t.verify_constraints_ms),
         ("Total", t.total_ms),
     ];
-    for ((name, from_trace), (_, from_timings)) in
-        summary.figure7().into_iter().zip(pairs)
-    {
-        let tolerance = 0.05 * from_timings.max(0.1);
-        assert!(
-            (from_trace - from_timings).abs() <= tolerance,
-            "{name}: trace {from_trace} ms vs timings {from_timings} ms"
-        );
-    }
+    assert_eq!(summary.figure7(), pairs);
 
     // Cache statistics survive the round trip too.
     assert_eq!(summary.timings.prefix_cache_hits, t.prefix_cache_hits);
     assert_eq!(summary.timings.prefix_cache_misses, t.prefix_cache_misses);
     assert_eq!(summary.timings.prefix_cache_evictions, t.prefix_cache_evictions);
-    // The step and verify records carry every cache probe between them:
-    // without the search_end line, their sums give the same counters.
+    // The step and verify records carry every phase window and every
+    // cache probe between them: without the search_end line, their sums
+    // give the same phase times within 5% (acceptance bound; they are the
+    // same measurements, but the per-step values are rounded to ns before
+    // they are summed) and the same cache counters. The end-to-end time
+    // lives only in search_end, so the cut trace reads it as zero.
     let cut: Vec<&str> = text
         .lines()
         .filter(|line| !line.contains("\"event\":\"search_end\""))
         .collect();
     let fallback = parse_trace(&cut.join("\n")).unwrap();
     assert!(!fallback.complete);
+    let phases = fallback.figure7();
+    for ((name, from_trace), (_, from_timings)) in phases.into_iter().zip(pairs).take(4) {
+        let tolerance = 0.05 * from_timings.max(0.1);
+        assert!(
+            (from_trace - from_timings).abs() <= tolerance,
+            "{name}: trace {from_trace} ms vs timings {from_timings} ms"
+        );
+    }
+    assert_eq!(phases[4], ("Total", 0.0));
+    assert_eq!(fallback.timings.search_steps, t.search_steps);
     assert_eq!(
         (
             fallback.timings.prefix_cache_hits,
