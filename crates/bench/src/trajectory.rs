@@ -22,7 +22,7 @@ use lucid_core::config::SearchConfig;
 use lucid_core::intent::IntentMeasure;
 use lucid_core::standardizer::Standardizer;
 use lucid_corpus::Profile;
-use lucid_obs::alloc::{self, Phase};
+use lucid_obs::alloc;
 use lucid_obs::TraceSink;
 use serde::Serialize;
 use serde_json::Value;
@@ -38,19 +38,15 @@ pub const MS: &str = "ms";
 pub const BYTES: &str = "bytes";
 
 /// The memory rows recorded per search workload, in display order:
-/// allocator-attributed bytes per search phase, their total, per-phase
-/// live-bytes peaks, and the per-rep windowed peak.
-pub const MEM_ROWS: [&str; 11] = [
+/// allocator-attributed bytes per search phase, their total, and the
+/// per-rep windowed live-bytes peak.
+pub const MEM_ROWS: [&str; 7] = [
     "alloc_bytes_enumerate",
     "alloc_bytes_execute",
     "alloc_bytes_score",
     "alloc_bytes_verify",
     "alloc_bytes_unattributed",
     "alloc_bytes_total",
-    "peak_bytes_enumerate",
-    "peak_bytes_execute",
-    "peak_bytes_score",
-    "peak_bytes_verify",
     "peak_bytes",
 ];
 
@@ -279,7 +275,7 @@ pub struct BenchEntry {
 
 /// Runs one workload `reps` times and summarizes its memory rows.
 ///
-/// Per-phase peaks and the windowed peak are reset before every rep.
+/// The windowed peak is reset before every rep.
 ///
 /// # Errors
 ///
@@ -289,14 +285,12 @@ pub fn run_workload(w: &Workload, reps: usize) -> Result<WorkloadResult, String>
     let mut samples: Vec<Vec<f64>> = vec![Vec::with_capacity(reps); MEM_ROWS.len()];
     let mut counters = Counters::default();
     for rep in 0..reps.max(1) {
-        // Fresh peak windows so each rep reports its own high-water marks.
+        // A fresh peak window so each rep reports its own high-water mark.
         alloc::reset_window_peak();
-        alloc::reset_phase_peaks();
         let report = std
             .standardize_source(&script)
             .map_err(|e| format!("workload {}: {e}", w.name))?;
         let t = &report.timings;
-        let snap = alloc::snapshot();
         for (i, v) in [
             t.alloc_bytes_enumerate,
             t.alloc_bytes_execute,
@@ -304,11 +298,7 @@ pub fn run_workload(w: &Workload, reps: usize) -> Result<WorkloadResult, String>
             t.alloc_bytes_verify,
             t.alloc_bytes_unattributed,
             t.alloc_bytes_total,
-            snap.phase_peak_bytes[Phase::Enumerate as usize],
-            snap.phase_peak_bytes[Phase::Execute as usize],
-            snap.phase_peak_bytes[Phase::Score as usize],
-            snap.phase_peak_bytes[Phase::Verify as usize],
-            snap.window_peak_bytes,
+            alloc::window_peak_bytes(),
         ]
         .into_iter()
         .enumerate()

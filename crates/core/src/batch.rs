@@ -241,7 +241,10 @@ pub struct BatchReport {
     /// run no search and contribute none). Counts add up over the
     /// searches; `threads`, the snapshot peak, `unique_stmts` (the
     /// batch-shared interner's population) and the live-heap peak take
-    /// the max.
+    /// the max. At `jobs` > 1 the pooled prefix-cache hit/miss split and
+    /// the fit-memo counts depend on scheduling (which search stores a
+    /// shared prefix or model first) and are measurement only; the
+    /// probe total (hits + misses) is fixed by the search decisions.
     pub timings: Timings,
     /// Scripts served by another script's search.
     pub memo_hits: u64,
@@ -467,27 +470,25 @@ pub fn standardize_corpus(
     search_config.shared = Some(shared);
     search_config.stats_registry = Some(Arc::clone(&batch_registry));
     search_config.trace = None;
-    search_config.validate()?;
 
-    let base = Standardizer::from_model(model.clone(), data_path, data.clone(), search_config.clone())?;
+    let base = Standardizer::from_model(model, data_path, data, search_config)?;
 
-    // Runs the search for script `i`, with a per-script trace sink when
-    // requested (a fresh standardizer per traced script keeps the span
-    // collector per-search). A search that fails before writing a record
-    // leaves no trace file: an empty file is not a readable trace.
+    // Runs the search for script `i` on the one standardizer, with a
+    // per-script trace sink when requested (each search records into a
+    // registry of its own, so traces never mix). A search that fails
+    // before writing a record leaves no trace file: an empty file is not
+    // a readable trace.
     let run_one = |i: usize| -> std::result::Result<StandardizeReport, String> {
         let module = parsed[i].as_ref().map(|&m| &modules[m])?;
         let Some(dir) = &opts.trace_dir else {
             return base.standardize(module).map_err(|e| e.to_string());
         };
-        let mut cfg = search_config.clone();
         let path = dir.join(format!("{}.trace.jsonl", scripts[i].name));
         let sink = TraceSink::to_file(&path)
             .map_err(|e| format!("cannot open trace file {}: {e}", path.display()))?;
+        let mut cfg = base.config().clone();
         cfg.trace = Some(sink.clone());
-        let outcome = Standardizer::from_model(model.clone(), data_path, data.clone(), cfg)
-            .and_then(|std| std.standardize(module))
-            .map_err(|e| e.to_string());
+        let outcome = base.standardize_with(module, &cfg).map_err(|e| e.to_string());
         if outcome.is_err() && sink.records() == 0 {
             drop(sink);
             let _ = std::fs::remove_file(&path);
@@ -520,7 +521,7 @@ pub fn standardize_corpus(
             };
             let explanations = match (&outcome, opts.explain) {
                 (Ok(r), true) => {
-                    crate::explain::explain_diff(&model, &r.input_source, &r.output_source)
+                    crate::explain::explain_diff(base.corpus(), &r.input_source, &r.output_source)
                         .into_iter()
                         .map(|e| e.text)
                         .collect()

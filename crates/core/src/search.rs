@@ -28,7 +28,7 @@ use crate::transform::{enumerate, Enumerated, TransformKind, Transformation};
 use crate::vocab::CorpusModel;
 use lucid_frame::DataFrame;
 use lucid_interp::cache::DEFAULT_PREFIX_CACHE_CAPACITY;
-use lucid_interp::{ExecOutcome, Interpreter, InterpError, PrefixCache};
+use lucid_interp::{ExecOutcome, Interpreter, PrefixCache};
 use lucid_obs::alloc::{self, AllocSnapshot};
 use lucid_obs::event::{KeptBeam, SearchEndEvent, SearchStartEvent, StepEvent, VerifyEvent};
 use lucid_obs::{Disposition, Drops, Metric, ProfileReport, Record, Registry};
@@ -128,55 +128,6 @@ impl SharedSearchState {
     }
 }
 
-/// Execution environment for one search: the interpreter plus, when the
-/// config enables it, a prefix-cache view counting into the search's
-/// registry. Without shared state the view's store is scoped to this
-/// search; with [`SearchConfig::shared`] set, it is the pooled store
-/// (snapshots shared). Either way it never spans different registered
-/// tables — the cache-validity invariant.
-struct ExecEnv<'a> {
-    interp: &'a Interpreter,
-    cache: Option<PrefixCache>,
-}
-
-impl<'a> ExecEnv<'a> {
-    fn new(interp: &'a Interpreter, config: &SearchConfig, reg: &Registry) -> ExecEnv<'a> {
-        let cache = config.prefix_cache.then(|| {
-            match config.shared.as_deref().and_then(SharedSearchState::cache) {
-                Some(pooled) => pooled.view(reg),
-                None => PrefixCache::counting_into(DEFAULT_PREFIX_CACHE_CAPACITY, reg),
-            }
-        });
-        ExecEnv { interp, cache }
-    }
-
-    /// Full run (for output extraction), through the cache when enabled.
-    /// Statement references carry their precomputed structural hashes, so
-    /// neither the prefix-cache keys nor fault-plan decisions ever hash a
-    /// statement again.
-    fn run(&self, program: &Program) -> Result<ExecOutcome, InterpError> {
-        let refs = program.stmt_refs();
-        match &self.cache {
-            Some(cache) => self.interp.run_shared_with_cache(&refs, cache),
-            None => self.interp.run_shared(&refs),
-        }
-    }
-
-    /// Fault-isolated run: a candidate that panics (an interpreter bug or
-    /// an injected fault) is converted into a classified [`ExecFailure`]
-    /// instead of unwinding into — and aborting — the search. The
-    /// interpreter itself is immutable during candidate execution and the
-    /// prefix cache's lock is poison-tolerant, which is what makes
-    /// `AssertUnwindSafe` sound here.
-    fn run_isolated(&self, program: &Program) -> Result<ExecOutcome, ExecFailure> {
-        match catch_unwind(AssertUnwindSafe(|| self.run(program))) {
-            Ok(Ok(outcome)) => Ok(outcome),
-            Ok(Err(e)) => Err(ExecFailure::Error(e)),
-            Err(payload) => Err(ExecFailure::Panic(crate::pool::panic_payload(payload))),
-        }
-    }
-}
-
 /// Per-beam-step candidate counts for the step's trace record. Times
 /// live in the search registry's histograms and drop counts in the
 /// [`Provenance`] ledger; each phase's close-out reads both as windows.
@@ -243,7 +194,10 @@ struct PhaseWindow {
 /// One search's state across its phases (beam steps, then verification).
 struct Search<'s, 'a> {
     ctx: &'s SearchContext<'a>,
-    exec: ExecEnv<'a>,
+    /// The search's own interpreter: the context's, plus this search's
+    /// prefix-cache view, its registry when traced, and the config's
+    /// fault plan (see [`standardize_search`]).
+    interp: Interpreter,
     interner: &'s StmtInterner,
     reg: Arc<Registry>,
     prov: Provenance,
@@ -293,7 +247,25 @@ impl Search<'_, '_> {
     /// One `CheckIfExecutes` run, timed as such.
     fn check_execute(&self, program: &Program) -> Result<ExecOutcome, ExecFailure> {
         let _t = self.reg.time(Metric::CheckExecute);
-        self.exec.run_isolated(program)
+        self.run_isolated(program)
+    }
+
+    /// Fault-isolated run on the search's interpreter: a candidate that
+    /// panics (an interpreter bug or an injected fault) is converted into
+    /// a classified [`ExecFailure`] instead of unwinding into — and
+    /// aborting — the search. Statement references carry their
+    /// precomputed structural hashes, so neither the prefix-cache keys nor
+    /// fault-plan decisions ever hash a statement again. The interpreter
+    /// is immutable during candidate execution and the prefix cache's lock
+    /// is poison-tolerant, which is what makes `AssertUnwindSafe` sound
+    /// here.
+    fn run_isolated(&self, program: &Program) -> Result<ExecOutcome, ExecFailure> {
+        let run = || self.interp.run_shared(&program.stmt_refs());
+        match catch_unwind(AssertUnwindSafe(run)) {
+            Ok(Ok(outcome)) => Ok(outcome),
+            Ok(Err(e)) => Err(ExecFailure::Error(e)),
+            Err(payload) => Err(ExecFailure::Panic(crate::pool::panic_payload(payload))),
+        }
     }
 
     /// One beam step (Algorithm 2, for every beam at once): `GetSteps`,
@@ -437,7 +409,7 @@ impl Search<'_, '_> {
             // late checking it is the candidate's first run, so its time is
             // CheckIfExecutes time.
             let res = if ctx.config.early_check {
-                self.exec.run_isolated(&cand.program)
+                self.run_isolated(&cand.program)
             } else {
                 self.check_execute(&cand.program)
             };
@@ -665,24 +637,19 @@ impl Search<'_, '_> {
 /// satisfies all constraints, falling back to the input itself — this is
 /// why LucidScript never *reduces* standardness (§6.3.1).
 pub fn standardize_search(ctx: &SearchContext, input: &Module) -> SearchOutcome {
-    // All timing/count facts of this search live in one registry: the
-    // interpreter's when a trace attached one (so its statement and
-    // kernel timers nest under the search's phases), reset to this
-    // search, else a fresh one. The returned `Timings` is a projection of
-    // it, and the trace records carry the same measured values — the two
-    // views cannot disagree.
-    let reg = match &ctx.interp.obs {
-        Some(obs) => {
-            obs.reset();
-            Arc::clone(obs)
-        }
-        None => Arc::new(Registry::new()),
-    };
+    // All timing/count facts of this search live in one registry of its
+    // own, which keeps spans when the search is traced. The returned
+    // `Timings` is a projection of it, and the trace records carry the
+    // same measured values — the two views cannot disagree.
+    let trace = ctx.config.trace.as_ref();
+    let reg = Arc::new(match trace {
+        Some(_) => Registry::traced(),
+        None => Registry::new(),
+    });
     let total = reg.time(Metric::Total);
     // Allocator window for this search; the delta is folded into the
     // registry at the end, next to the store gauges.
     let mem_start = alloc::snapshot();
-    let trace = ctx.config.trace.as_ref();
     if let Some(sink) = trace {
         sink.emit(&SearchStartEvent {
             seq_len: ctx.config.seq_len,
@@ -720,9 +687,26 @@ pub fn standardize_search(ctx: &SearchContext, input: &Module) -> SearchOutcome 
         // The input always carries the ledger's pre-minted ID 0.
         id: 0,
     };
+    // The search's interpreter. Its prefix-cache view counts into the
+    // search's registry: over the pooled store when shared, else over a
+    // store scoped to this search — either way never spanning different
+    // registered tables (the cache-validity invariant). When traced, the
+    // interpreter times its statements and kernels into the same
+    // registry, so they nest under the search's phases. The fault plan
+    // sits here only, so the user's input (run on the context's
+    // interpreter) never faults.
+    let mut interp = ctx.interp.clone();
+    interp.cache = ctx.config.prefix_cache.then(|| {
+        match ctx.config.shared.as_deref().and_then(SharedSearchState::cache) {
+            Some(pooled) => pooled.view(&reg),
+            None => PrefixCache::counting_into(DEFAULT_PREFIX_CACHE_CAPACITY, &reg),
+        }
+    });
+    interp.obs = trace.map(|_| Arc::clone(&reg));
+    interp.fault_plan = ctx.config.fault_plan.clone();
     let mut search = Search {
         ctx,
-        exec: ExecEnv::new(ctx.interp, ctx.config, &reg),
+        interp,
         interner: &interner,
         reg,
         // The candidate ledger. IDs are minted (serially, in enumeration
@@ -751,7 +735,7 @@ pub fn standardize_search(ctx: &SearchContext, input: &Module) -> SearchOutcome 
 
     let Search {
         reg,
-        exec,
+        interp,
         mut prov,
         explored,
         ..
@@ -776,7 +760,7 @@ pub fn standardize_search(ctx: &SearchContext, input: &Module) -> SearchOutcome 
     // (the batch-shared ones when sharing); every count was recorded into
     // the registry where it happened.
     reg.counter(Metric::UniqueStmts).set_max(interner.unique_stmts());
-    if let Some(cache) = &exec.cache {
+    if let Some(cache) = &interp.cache {
         reg.counter(Metric::CachePeak).set_max(cache.peak_snapshots());
     }
     // Allocator attribution for this search's window. The total is
@@ -958,8 +942,9 @@ mod tests {
         run_search_with_faults(input_src, config, None)
     }
 
-    /// [`run_search`] with a fault plan installed after the (clean) base
-    /// run, so only candidate executions fault.
+    /// [`run_search`] with a fault plan in the config: only the search's
+    /// own interpreter carries it, so the base run executes clean and
+    /// only candidate executions fault.
     fn run_search_with_faults(
         input_src: &str,
         config: &SearchConfig,
@@ -975,10 +960,13 @@ mod tests {
             .output_frame()
             .expect("has output")
             .clone();
-        interp.fault_plan = faults.map(Arc::new);
+        let config = SearchConfig {
+            fault_plan: faults.map(Arc::new),
+            ..config.clone()
+        };
         let re_before =
             entropy::relative_entropy(&crate::dag::build_dag(&input), &corpus);
-        let ctx = context(&corpus, &interp, config, &base);
+        let ctx = context(&corpus, &interp, &config, &base);
         (standardize_search(&ctx, &input), re_before)
     }
 
@@ -1134,23 +1122,31 @@ y = df['Survived']
         interp.register_table("train.csv", titanic_like_table());
         let input = crate::lemma::lemmatize(&parse_module(NONSTANDARD).unwrap());
         let base = interp.run(&input).unwrap().output_frame().unwrap().clone();
-        let reg = Arc::new(Registry::traced());
-        interp.obs = Some(Arc::clone(&reg));
         let ctx = context(&corpus, &interp, &config, &base);
         let outcome = standardize_search(&ctx, &input);
         assert!(!outcome.best.applied.is_empty());
-        let verify: serde_json::Value = sink
-            .memory_lines()
-            .unwrap()
+        let lines = sink.memory_lines().unwrap();
+        let verify: serde_json::Value = lines
             .iter()
             .find(|l| l.contains("\"event\":\"verify\""))
             .map(|l| serde_json::from_str(l).unwrap())
             .expect("verify record");
         let checked = verify.get("checked").and_then(|v| v.as_f64()).unwrap() as u64;
         assert!(checked > 0);
-        assert_eq!(reg.histogram_count(Metric::InterpRun), checked);
+        let profile = lucid_obs::parse_trace(&lines.join("\n"))
+            .unwrap()
+            .profile
+            .expect("a traced search has a profile");
+        let count = |name: &str| {
+            profile
+                .percentiles
+                .iter()
+                .find(|r| r.name == name)
+                .map_or(0, |r| r.count)
+        };
+        assert_eq!(count("interp.run"), checked);
         // Every late check is one CheckIfExecutes observation.
-        assert_eq!(reg.histogram_count(Metric::CheckExecute), checked);
+        assert_eq!(count("search.check_execute"), checked);
     }
 
     #[test]
@@ -1361,16 +1357,17 @@ acc = model.score(X, y)
         interp.register_table("train.csv", titanic_like_table());
         let input = crate::lemma::lemmatize(&parse_module(NONSTANDARD).unwrap());
         let base = interp.run(&input).unwrap().output_frame().unwrap().clone();
-        // Install the plan *after* the base run so the input executes clean.
+        // The plan rides in the config: only the search's own interpreter
+        // carries it, so the input executes clean.
         let plan = std::sync::Arc::new(lucid_interp::FaultPlan::new(
             42,
             1.0,
             vec![lucid_interp::FaultClass::Panic],
         ));
-        interp.fault_plan = Some(plan.clone());
         let config = SearchConfig {
             seq_len: 3,
             intent: IntentMeasure::jaccard(0.3),
+            fault_plan: Some(plan.clone()),
             ..Default::default()
         };
         let ctx = context(&corpus, &interp, &config, &base);

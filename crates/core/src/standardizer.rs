@@ -114,12 +114,25 @@ impl Standardizer {
     /// Fails if the input script does not execute on `D_IN` (the paper
     /// treats the input as a working sketch).
     pub fn standardize(&self, user_script: &Module) -> Result<StandardizeReport> {
+        self.standardize_with(user_script, &self.config)
+    }
+
+    /// [`Standardizer::standardize`] under `config` instead of the
+    /// standardizer's own — batch mode gives each traced script its own
+    /// sink this way. `config` must match the standardizer's in every
+    /// interpreter-facing knob (seed, sampling, budget).
+    pub(crate) fn standardize_with(
+        &self,
+        user_script: &Module,
+        config: &SearchConfig,
+    ) -> Result<StandardizeReport> {
         let input = lemmatize(user_script);
         // The input is the user's working sketch, not a search candidate:
-        // it runs trusted (no fault injection), though still budgeted.
+        // it runs on the standardizer's interpreter, which carries no
+        // fault plan, though it is still budgeted.
         let base_outcome = self
             .interp
-            .run_trusted(&input)
+            .run(&input)
             .map_err(CoreError::InputNotExecutable)?;
         let base_output = base_outcome
             .output_frame()
@@ -128,7 +141,7 @@ impl Standardizer {
         let ctx = SearchContext {
             corpus: &self.corpus,
             interp: &self.interp,
-            config: &self.config,
+            config,
             base_output: &base_output,
         };
         let SearchOutcome {
@@ -145,7 +158,7 @@ impl Standardizer {
         // The decision records close the trace, after every measurement
         // record: the final diff is joined onto the selected lineage first,
         // so the trailer can count the diff lines it follows.
-        if let Some(sink) = &self.config.trace {
+        if let Some(sink) = &config.trace {
             let diff_lines = diff_line_records(
                 &self.corpus,
                 &input,
@@ -163,7 +176,7 @@ impl Standardizer {
             re_after: best.re,
             improvement_pct: entropy::improvement_pct(re_before, best.re),
             intent_delta: intent.delta,
-            intent_kind: self.config.intent.kind().to_string(),
+            intent_kind: config.intent.kind().to_string(),
             intent_satisfied: intent.satisfied,
             applied: best.applied.iter().map(|t| t.describe()).collect(),
             candidates_explored: explored,
@@ -257,21 +270,13 @@ fn diff_line_records(
     records
 }
 
-/// Applies a config's interpreter-facing knobs: seed, sampling, the
-/// per-candidate resource budget, the (test-only) fault-injection plan,
-/// and — when tracing is on — a traced registry, which each search
-/// resets and records into, so statement and kernel timers nest under
-/// the search's phases in its `profile` record. Without a trace sink no
-/// registry is attached, keeping runs on the zero-cost path.
+/// Applies a config's interpreter-facing knobs: seed, sampling and the
+/// per-run resource budget. The per-search parts (cache view, registry,
+/// fault plan) go on each search's own interpreter instead.
 fn configure_interp(interp: &mut Interpreter, config: &SearchConfig) {
     interp.seed = config.seed;
     interp.sample_rows = config.sample_rows;
     interp.budget = config.budget;
-    interp.fault_plan = config.fault_plan.clone();
-    interp.obs = config
-        .trace
-        .is_some()
-        .then(|| Arc::new(lucid_obs::Registry::traced()));
 }
 
 #[cfg(test)]
@@ -396,8 +401,7 @@ mod tests {
     }
 
     /// Runs one traced standardization of the fixture's draft and returns
-    /// the standardizer (holding the search's registry), the report and
-    /// the parsed trace.
+    /// the standardizer, the report and the parsed trace.
     fn traced_run(
         intent: IntentMeasure,
     ) -> (Standardizer, StandardizeReport, lucid_obs::TraceSummary) {
@@ -455,28 +459,34 @@ mod tests {
                 .any(|w| w[0].starts_with("stmt.") && w[1].starts_with("kernel."))),
             "no kernel under a statement in {stacks:?}"
         );
-        // The layers sum: every span's children fit inside it, with 1 µs
-        // of rounding slack per child.
-        let spans = s.interp.obs.as_ref().expect("traced registry").spans();
-        assert!(!spans.is_empty());
-        for span in &spans {
-            let children: Vec<_> = spans.iter().filter(|c| c.parent == Some(span.id)).collect();
-            let sum: u64 = children.iter().map(|c| c.dur_us).sum();
-            assert!(
-                sum <= span.dur_us + children.len() as u64,
-                "children of {} sum to {sum} µs > its {} µs",
-                span.name,
-                span.dur_us
-            );
-        }
-        // Untraced standardizers attach no registry at all, and count the
+        // The layers sum: self times add up to the root's duration
+        // exactly when every span's children fit inside it (self time is
+        // floored at zero), with 1 µs of rounding slack per span.
+        let (self_us, spans) = profile
+            .folded
+            .iter()
+            .filter(|f| f.stack.starts_with("search.total"))
+            .fold((0, 0), |(us, n), f| (us + f.self_us, n + f.count));
+        let total = profile
+            .percentiles
+            .iter()
+            .find(|r| r.name == "search.total")
+            .expect("search.total row");
+        assert_eq!(total.count, 1);
+        assert!(
+            self_us <= total.sum_ns / 1000 + spans,
+            "self times sum to {self_us} µs > search.total's {} ns",
+            total.sum_ns
+        );
+        // The standardizer's own interpreter carries no registry: only
+        // the search's interpreter times into one. Untraced runs count the
         // same: only times and allocated bytes may differ.
+        assert!(s.interp.obs.is_none());
         let config = SearchConfig {
             trace: None,
             ..s.config().clone()
         };
         let quiet = Standardizer::build(&corpus(), "train.csv", data(), config).unwrap();
-        assert!(quiet.interp.obs.is_none());
         let plain = quiet
             .standardize_source(
                 "import pandas as pd\ndf = pd.read_csv('train.csv')\ndf = df.fillna(df.median())\ny = df['Survived']\n",

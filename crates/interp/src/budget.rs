@@ -166,9 +166,10 @@ pub fn silence_injected_panics() {
 }
 
 /// A deterministic, seeded fault-injection plan. **Off by default** — the
-/// interpreter only consults a plan explicitly installed on
-/// `Interpreter::fault_plan`, and trusted runs
-/// (`Interpreter::run_trusted`) never consult it.
+/// interpreter consults a plan only when one is installed on
+/// `Interpreter::fault_plan`. A search installs its config's plan on its
+/// own interpreter, never on the standardizer's, so the user's input
+/// script never faults.
 ///
 /// Whether statement `i` of a script faults is a pure function of
 /// `(seed, i, statement content)` — independent of execution order, thread

@@ -77,8 +77,9 @@ struct CacheStore {
 /// [`PrefixCache::counting_into`] builds a fresh store with a view
 /// counting into a given registry ([`PrefixCache::with_capacity`]: into a
 /// registry of its own); [`PrefixCache::view`] builds another view of the
-/// same store.
-#[derive(Debug)]
+/// same store. A clone is another handle to the same view: the same store
+/// and the same counters.
+#[derive(Debug, Clone)]
 pub struct PrefixCache {
     store: Arc<CacheStore>,
     hits: Arc<Counter>,

@@ -18,8 +18,10 @@ const MAX_STATEMENTS: usize = 10_000;
 /// Executes straight-line scripts against in-memory tables.
 ///
 /// One `Interpreter` holds the *input configuration* (registered tables,
-/// seed, sampling). Each [`Interpreter::run`] starts from a fresh variable
-/// environment, so the same interpreter can check many candidate scripts.
+/// seed, sampling, budget). Each [`Interpreter::run`] starts from a fresh
+/// variable environment, so the same interpreter can check many candidate
+/// scripts. A search runs its candidates on its own clone, which also
+/// carries the search's cache view, registry and fault plan.
 #[derive(Debug, Clone)]
 pub struct Interpreter {
     tables: HashMap<String, DataFrame>,
@@ -33,14 +35,20 @@ pub struct Interpreter {
     /// default; each axis trips a distinct [`InterpError::Budget`] kind.
     pub budget: Budget,
     /// Deterministic fault-injection plan, consulted before each statement
-    /// of *untrusted* runs. `None` (the default) costs nothing;
-    /// [`Interpreter::run_trusted`] ignores it entirely.
+    /// of every run. `None` (the default) costs nothing. Only a search's
+    /// own interpreter carries one, so the user's input never faults.
     pub fault_plan: Option<Arc<FaultPlan>>,
     /// Optional registry (a traced search's own): when set, every run
     /// times `interp.run`, each executed statement its `stmt.*` row and
     /// each frame kernel its `kernel.*` row. `None` costs nothing on the
     /// hot path.
     pub obs: Option<Arc<Registry>>,
+    /// The execution cache every run goes through (a search's own view):
+    /// a run resumes from the longest cached statement prefix and
+    /// snapshots every prefix it executes, and estimator fits go through
+    /// the cache's fit memo. The outcome, budget accounting included, is
+    /// the uncached run's (see [`crate::cache`]). `None` runs cold.
+    pub cache: Option<crate::cache::PrefixCache>,
 }
 
 impl Default for Interpreter {
@@ -52,6 +60,7 @@ impl Default for Interpreter {
             budget: Budget::unlimited(),
             fault_plan: None,
             obs: None,
+            cache: None,
         }
     }
 }
@@ -212,18 +221,9 @@ impl Interpreter {
     /// Like [`Interpreter::run`], but also reports the resources the run
     /// consumed — for successful *and* failed runs.
     pub fn run_with_usage(&self, module: &Module) -> (Result<ExecOutcome>, BudgetUsage) {
-        let mut state = RunState::fresh(None);
-        let res = self.run_inner(&module_refs(module), false, &mut state);
+        let mut state = RunState::fresh(self.cache.as_ref());
+        let res = self.run_inner(&module_refs(module), &mut state);
         Self::finish(res, state)
-    }
-
-    /// Runs a *trusted* script: the fault-injection plan (if any) is never
-    /// consulted. The resource budget still applies. Used for the user's
-    /// own input script, which is not a search candidate.
-    pub fn run_trusted(&self, module: &Module) -> Result<ExecOutcome> {
-        let mut state = RunState::fresh(None);
-        let res = self.run_inner(&module_refs(module), true, &mut state);
-        Self::finish(res, state).0
     }
 
     /// [`Interpreter::run`] over shared statements with precomputed
@@ -234,23 +234,8 @@ impl Interpreter {
     ///
     /// Exactly the errors [`Interpreter::run`] reports.
     pub fn run_shared(&self, stmts: &[StmtRef<'_>]) -> Result<ExecOutcome> {
-        let mut state = RunState::fresh(None);
-        let res = self.run_inner(stmts, false, &mut state);
-        Self::finish(res, state).0
-    }
-
-    /// [`Interpreter::run_shared`] through the prefix cache.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the errors [`Interpreter::run`] reports.
-    pub fn run_shared_with_cache(
-        &self,
-        stmts: &[StmtRef<'_>],
-        cache: &crate::cache::PrefixCache,
-    ) -> Result<ExecOutcome> {
-        let mut state = RunState::fresh(Some(cache));
-        let res = self.run_inner(stmts, false, &mut state);
+        let mut state = RunState::fresh(self.cache.as_ref());
+        let res = self.run_inner(stmts, &mut state);
         Self::finish(res, state).0
     }
 
@@ -268,44 +253,13 @@ impl Interpreter {
         }
     }
 
-    /// Like [`Interpreter::run`], but resumes from the longest cached
-    /// statement prefix and snapshots every prefix it executes, so
-    /// scripts sharing a prefix (beam-search candidates below the
-    /// monotonicity cursor) pay for it once.
-    ///
-    /// Produces the same outcome as `run` for any script: execution is
-    /// deterministic given the interpreter's configuration, snapshot
-    /// columns are shared copy-on-write (never mutated in place), and the
-    /// cache key covers seed and sampling. Estimator fits go through the
-    /// cache's fit memo, which serves only bit-identical models. Statement
-    /// budget accounting also matches — resumed statements count as if
-    /// they had been executed.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the errors [`Interpreter::run`] reports. Prefixes executed
-    /// before the failing statement are still cached: candidates that
-    /// fail late make their siblings cheaper.
-    pub fn run_with_cache(
-        &self,
-        module: &Module,
-        cache: &crate::cache::PrefixCache,
-    ) -> Result<ExecOutcome> {
-        let mut state = RunState::fresh(Some(cache));
-        let res = self.run_inner(&module_refs(module), false, &mut state);
-        Self::finish(res, state).0
-    }
-
     /// The single governed execution loop behind every `run*` entry point:
     /// optional prefix-cache resume (through `state.cache`, which also
     /// carries the fit memo), statement cap, budget metering, fault
-    /// injection (untrusted runs only), span recording.
-    fn run_inner(
-        &self,
-        stmts: &[StmtRef<'_>],
-        trusted: bool,
-        state: &mut RunState<'_>,
-    ) -> Result<()> {
+    /// injection, span recording. Prefixes executed before a failing
+    /// statement are still cached: candidates that fail late make their
+    /// siblings cheaper.
+    fn run_inner(&self, stmts: &[StmtRef<'_>], state: &mut RunState<'_>) -> Result<()> {
         // Allocator attribution: every interpreter execution — candidate
         // checks, verification runs, the user's own script — counts as
         // the Execute phase, overriding any outer search-phase tag for
@@ -345,11 +299,6 @@ impl Interpreter {
         }
         let started = (self.budget.deadline_ms != UNLIMITED).then(Instant::now);
         let _run = self.time(Metric::InterpRun);
-        let faults = if trusted {
-            None
-        } else {
-            self.fault_plan.as_deref()
-        };
         for (i, sref) in stmts.iter().enumerate().skip(state.steps) {
             state.steps += 1;
             if state.steps > MAX_STATEMENTS {
@@ -361,7 +310,7 @@ impl Interpreter {
                     return Err(InterpError::Budget(BudgetKind::Deadline));
                 }
             }
-            if let Some(plan) = faults {
+            if let Some(plan) = &self.fault_plan {
                 plan.check(i, sref.hash)?;
             }
             let _stmt = self.time(stmt_metric(sref.stmt));
@@ -787,9 +736,9 @@ mod tests {
         assert_eq!(spans[0].name, "interp.run");
         assert!(spans[1..].iter().all(|s| s.parent == Some(spans[0].id)));
         // Cached runs time only the statements actually executed.
-        let cache = crate::cache::PrefixCache::default();
-        i.run_with_cache(&module, &cache).unwrap();
-        i.run_with_cache(&module, &cache).unwrap();
+        i.cache = Some(crate::cache::PrefixCache::default());
+        i.run(&module).unwrap();
+        i.run(&module).unwrap();
         assert_eq!(reg.histogram_count(Metric::StmtAssign), 2);
     }
 
@@ -837,27 +786,23 @@ mod tests {
 
     #[test]
     fn budget_accounting_matches_across_cache_modes() {
-        let i = interp();
+        let mut i = interp();
         let module = parse_module(
             "import pandas as pd\ndf = pd.read_csv('t.csv')\ndf = df.dropna()\n",
         )
         .unwrap();
         let (_, cold) = i.run_with_usage(&module);
         let cache = crate::cache::PrefixCache::default();
-        let cached_usage = || {
-            let mut state = RunState::fresh(Some(&cache));
-            let res = i.run_inner(&module_refs(&module), false, &mut state);
-            Interpreter::finish(res, state).1
-        };
-        let first = cached_usage();
-        let resumed = cached_usage();
+        i.cache = Some(cache.clone());
+        let first = i.run_with_usage(&module).1;
+        let resumed = i.run_with_usage(&module).1;
         assert!(cache.hits() > 0, "second run must resume from a snapshot");
         assert_eq!(cold, first);
         assert_eq!(cold, resumed);
     }
 
     #[test]
-    fn fault_plan_fires_deterministically_and_only_when_untrusted() {
+    fn fault_plan_fires_deterministically() {
         use crate::budget::{FaultClass, FaultPlan};
         let mut i = interp();
         let module = parse_module("import pandas as pd\ndf = pd.read_csv('t.csv')\n").unwrap();
@@ -870,9 +815,6 @@ mod tests {
         assert!(matches!(first, Some(InterpError::ValueError(_))));
         assert_eq!(i.run(&module).err(), first, "decisions are deterministic");
         let plan = i.fault_plan.as_ref().unwrap();
-        assert_eq!(plan.injected(FaultClass::Value), 2);
-        // Trusted runs never consult the plan.
-        assert!(i.run_trusted(&module).is_ok());
         assert_eq!(plan.injected(FaultClass::Value), 2);
     }
 

@@ -371,17 +371,14 @@ tacc = clf.score(X, y)
 "
             )
         };
-        let i = interp();
+        let mut i = interp();
         let cache = crate::cache::PrefixCache::default();
-        let a = i
-            .run_with_cache(&parse_module(&make("n = 1")).unwrap(), &cache)
-            .unwrap();
+        i.cache = Some(cache.clone());
+        let a = i.run(&parse_module(&make("n = 1")).unwrap()).unwrap();
         assert_eq!((cache.fit_hits(), cache.fit_misses()), (0, 2));
-        let b = i
-            .run_with_cache(&parse_module(&make("n = 2")).unwrap(), &cache)
-            .unwrap();
+        let b = i.run(&parse_module(&make("n = 2")).unwrap()).unwrap();
         assert_eq!((cache.fit_hits(), cache.fit_misses()), (2, 2));
-        let cold = i.run(&parse_module(&make("n = 2")).unwrap()).unwrap();
+        let cold = interp().run(&parse_module(&make("n = 2")).unwrap()).unwrap();
         for var in ["acc", "tacc"] {
             let bits = |o: &crate::ExecOutcome| match o.get(var) {
                 Some(RtValue::Scalar(Value::Float(v))) => v.to_bits(),
@@ -392,8 +389,7 @@ tacc = clf.score(X, y)
         }
         // A different estimator parameter is a different key.
         let other = make("n = 3").replace("max_iter=50", "max_iter=51");
-        i.run_with_cache(&parse_module(&other).unwrap(), &cache)
-            .unwrap();
+        i.run(&parse_module(&other).unwrap()).unwrap();
         assert_eq!((cache.fit_hits(), cache.fit_misses()), (3, 3));
     }
 

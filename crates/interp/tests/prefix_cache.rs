@@ -15,12 +15,20 @@ fn interp() -> Interpreter {
     i
 }
 
+/// `interp` running every script through `cache`: a cache clone is
+/// another handle to the same store and counters.
+fn through(interp: &Interpreter, cache: &PrefixCache) -> Interpreter {
+    let mut i = interp.clone();
+    i.cache = Some(cache.clone());
+    i
+}
+
 /// Asserts that running `src` through `cache` matches a cold run of the
 /// same source on a fresh interpreter.
 fn assert_cached_matches_cold(interp: &Interpreter, cache: &PrefixCache, src: &str) {
     let module = parse_module(src).expect("parses");
     let cold = interp.run(&module);
-    let cached = interp.run_with_cache(&module, cache);
+    let cached = through(interp, cache).run(&module);
     match (cold, cached) {
         (Ok(a), Ok(b)) => {
             assert_eq!(a.output_frame(), b.output_frame(), "output diverged for:\n{src}");
@@ -70,15 +78,11 @@ fn prefix_that_mutates_a_loaded_table_does_not_alias() {
     // table or with each other, the second run would observe the first
     // run's suffix mutations.
     let prefix = "import pandas as pd\ndf = pd.read_csv('t.csv')\ndf['y'] = df['y'] * 10\n";
-    let first = interp
-        .run_with_cache(
-            &parse_module(&format!("{prefix}df['y'] = df['y'] + 1\n")).unwrap(),
-            &cache,
-        )
+    let cached = through(&interp, &cache);
+    let first = cached
+        .run(&parse_module(&format!("{prefix}df['y'] = df['y'] + 1\n")).unwrap())
         .expect("runs");
-    let second = interp
-        .run_with_cache(&parse_module(prefix).unwrap(), &cache)
-        .expect("runs");
+    let second = cached.run(&parse_module(prefix).unwrap()).expect("runs");
     let first_y = first.output_frame().unwrap().column("y").unwrap();
     let second_y = second.output_frame().unwrap().column("y").unwrap();
     assert_eq!(first_y.get(1).unwrap(), lucid_frame::Value::Int(11));
@@ -127,8 +131,8 @@ fn different_sampling_configs_do_not_share_snapshots() {
     let b = interp();
     let cache = PrefixCache::default();
     let module = parse_module("import pandas as pd\ndf = pd.read_csv('t.csv')\n").unwrap();
-    let out_a = a.run_with_cache(&module, &cache).expect("runs");
-    let out_b = b.run_with_cache(&module, &cache).expect("runs");
+    let out_a = through(&a, &cache).run(&module).expect("runs");
+    let out_b = through(&b, &cache).run(&module).expect("runs");
     assert_eq!(out_a.output_frame().unwrap().n_rows(), 2);
     // If the sampled snapshot leaked across configs, b would see 2 rows.
     assert_eq!(out_b.output_frame().unwrap().n_rows(), 5);

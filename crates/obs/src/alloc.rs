@@ -3,8 +3,8 @@
 //!
 //! [`LucidAlloc`] wraps the system allocator and records every
 //! allocation into a fixed set of static atomics — per-phase byte and
-//! allocation-count totals, a live-bytes gauge, and monotonic, windowed
-//! and per-phase peaks. Phases mirror the paper's Figure 7 breakdown:
+//! allocation-count totals, a live-bytes gauge, and monotonic and
+//! windowed peaks. Phases mirror the paper's Figure 7 breakdown:
 //! enumerate / execute / score / verify, plus a catch-all for
 //! allocations made outside any tagged region.
 //!
@@ -156,14 +156,12 @@ impl TlsBuf {
     /// allocator — safe to run from inside the allocation hook.
     ///
     /// A batch that raised live bytes raises the process and window
-    /// peaks to the new live level, and with them the peak of every
-    /// phase that allocated in the batch.
+    /// peaks to the new live level.
     fn flush(&self) {
         self.events.set(0);
         let delta = self.live.replace(0);
-        let mut live = 0;
         if delta != 0 {
-            live = (LIVE_BYTES.fetch_add(delta, Ordering::Relaxed) + delta).max(0) as u64;
+            let live = (LIVE_BYTES.fetch_add(delta, Ordering::Relaxed) + delta).max(0) as u64;
             if delta > 0 {
                 raise_peak(&PEAK_BYTES, live);
                 raise_peak(&WINDOW_PEAK_BYTES, live);
@@ -173,9 +171,6 @@ impl TlsBuf {
             let b = self.bytes[i].replace(0);
             if b > 0 {
                 PHASE_BYTES[i].fetch_add(b, Ordering::Relaxed);
-                if delta > 0 {
-                    raise_peak(&PHASE_PEAK[i], live);
-                }
             }
             let a = self.allocs[i].replace(0);
             if a > 0 {
@@ -204,13 +199,6 @@ static PHASE_BYTES: [AtomicU64; NUM_PHASES] = [
     AtomicU64::new(0),
 ];
 static PHASE_ALLOCS: [AtomicU64; NUM_PHASES] = [
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-];
-static PHASE_PEAK: [AtomicU64; NUM_PHASES] = [
     AtomicU64::new(0),
     AtomicU64::new(0),
     AtomicU64::new(0),
@@ -316,7 +304,7 @@ pub fn note_alloc(size: usize) {
         PHASE_BYTES[idx].fetch_add(size, Ordering::Relaxed);
         PHASE_ALLOCS[idx].fetch_add(1, Ordering::Relaxed);
         let live = (LIVE_BYTES.fetch_add(size as i64, Ordering::Relaxed) + size as i64).max(0);
-        for peak in [&PEAK_BYTES, &WINDOW_PEAK_BYTES, &PHASE_PEAK[idx]] {
+        for peak in [&PEAK_BYTES, &WINDOW_PEAK_BYTES] {
             raise_peak(peak, live as u64);
         }
     }
@@ -370,14 +358,6 @@ pub fn reset_window_peak() -> u64 {
     WINDOW_PEAK_BYTES.swap(live_bytes(), Ordering::Relaxed)
 }
 
-/// Zeroes the per-phase peak gauges, so a measurement window sees only
-/// its own high-water marks.
-pub fn reset_phase_peaks() {
-    for p in &PHASE_PEAK {
-        p.store(0, Ordering::Relaxed);
-    }
-}
-
 /// Point-in-time copy of every allocator counter. Totals are monotone
 /// (bytes/allocs only grow), so two snapshots subtract into a window
 /// via [`AllocSnapshot::since`].
@@ -387,9 +367,6 @@ pub struct AllocSnapshot {
     pub phase_bytes: [u64; NUM_PHASES],
     /// Allocation count per phase since process start.
     pub phase_allocs: [u64; NUM_PHASES],
-    /// Per-phase live-bytes high-water marks: the highest live level a
-    /// flush reached while draining bytes of that phase.
-    pub phase_peak_bytes: [u64; NUM_PHASES],
     /// Live bytes at snapshot time.
     pub live_bytes: u64,
     /// Process-lifetime peak of live bytes.
@@ -442,7 +419,6 @@ pub fn snapshot() -> AllocSnapshot {
     AllocSnapshot {
         phase_bytes: std::array::from_fn(|i| PHASE_BYTES[i].load(Ordering::Relaxed)),
         phase_allocs: std::array::from_fn(|i| PHASE_ALLOCS[i].load(Ordering::Relaxed)),
-        phase_peak_bytes: std::array::from_fn(|i| PHASE_PEAK[i].load(Ordering::Relaxed)),
         live_bytes: live_bytes(),
         peak_bytes: peak_bytes(),
         window_peak_bytes: window_peak_bytes(),
@@ -572,31 +548,6 @@ mod tests {
         let old_window = reset_window_peak();
         assert!(old_window >= base + (1 << 20));
         assert!(window_peak_bytes() <= old_window);
-        set_counting(prev);
-    }
-
-    #[test]
-    fn phase_peaks_rise_at_the_flush_that_drains_the_phase() {
-        let _l = lock();
-        let prev = set_counting(true);
-        flush_tls();
-        reset_phase_peaks();
-        let base = live_bytes();
-        {
-            let _g = PhaseGuard::enter(Phase::Verify);
-            // Over the live slack: flushes at once.
-            note_alloc(64 * 1024);
-        }
-        let snap = snapshot();
-        let verify = snap.phase_peak_bytes[Phase::Verify as usize];
-        assert!(
-            verify >= base + 64 * 1024,
-            "verify peak {verify} below live"
-        );
-        assert_eq!(snap.phase_peak_bytes[Phase::Score as usize], 0);
-        note_dealloc(64 * 1024);
-        // Freeing raises nothing.
-        assert_eq!(snapshot().phase_peak_bytes[Phase::Verify as usize], verify);
         set_counting(prev);
     }
 

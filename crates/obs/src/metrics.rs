@@ -40,11 +40,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
-
-    /// Resets to zero.
-    pub fn reset(&self) {
-        self.0.store(0, Ordering::Relaxed);
-    }
 }
 
 /// Number of logarithmic buckets: bucket `i` holds values whose highest
@@ -156,16 +151,6 @@ impl Histogram {
             p99_ns: self.percentile_ns(0.99),
             max_ns: self.max_ns.load(Ordering::Relaxed),
         }
-    }
-
-    /// Resets every bucket and aggregate to zero.
-    pub fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum_ns.store(0, Ordering::Relaxed);
-        self.max_ns.store(0, Ordering::Relaxed);
     }
 
     /// Folds `other` into `self`: buckets, counts, and sums add; the max
@@ -327,20 +312,6 @@ impl Registry {
         self.spans.is_some()
     }
 
-    /// Zeroes every metric, keeping existing handles valid, and clears
-    /// the span buffer, restarting its epoch.
-    pub fn reset(&self) {
-        for c in self.counters.lock().expect("registry lock").values() {
-            c.reset();
-        }
-        for h in self.histograms.lock().expect("registry lock").values() {
-            h.reset();
-        }
-        if let Some(spans) = &self.spans {
-            spans.reset();
-        }
-    }
-
     /// Folds every metric of `other` into `self` by the metric table's
     /// fold rule ([`Timings::accumulate`]'s): gauge counters (threads,
     /// peaks, the interner's population) take the max, every other
@@ -453,7 +424,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_add_max_reset() {
+    fn counters_add_and_max() {
         let reg = Registry::new();
         let c = reg.counter(Metric::CacheHits);
         c.add(2);
@@ -466,8 +437,6 @@ mod tests {
         assert_eq!(c.get(), 6);
         c.set_max(10);
         assert_eq!(c.get(), 10);
-        reg.reset();
-        assert_eq!(c.get(), 0);
         assert_eq!(reg.counter_value(Metric::CacheMisses), 0);
     }
 
@@ -484,9 +453,6 @@ mod tests {
         assert_eq!(buckets[10], 2);
         assert!((h.sum_ms() - 2525.0 / 1e6).abs() < 1e-12);
         assert!((h.max_ms() - 1500.0 / 1e6).abs() < 1e-12);
-        h.reset();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.sum_ms(), 0.0);
     }
 
     #[test]

@@ -63,14 +63,6 @@ impl SpanBuffer {
         }
     }
 
-    /// Clears the records and restarts ids and the epoch.
-    pub(crate) fn reset(&self) {
-        let mut records = self.records.lock().expect("span lock");
-        *records = (Instant::now(), Vec::new());
-        self.next_id.store(1, Ordering::Relaxed);
-        self.dropped.store(0, Ordering::Relaxed);
-    }
-
     /// The retained records, in start order.
     pub(crate) fn records(&self) -> Vec<SpanRecord> {
         let mut records = self.records.lock().expect("span lock").1.clone();
@@ -262,9 +254,5 @@ mod tests {
         assert_eq!(reg.spans_dropped(), 3);
         // Histograms keep counting past the bound.
         assert_eq!(reg.histogram_count(Metric::InterpRun), 4);
-        reg.reset();
-        assert!(reg.spans().is_empty());
-        assert_eq!(reg.spans_dropped(), 0);
-        assert_eq!(reg.histogram_count(Metric::InterpRun), 0);
     }
 }

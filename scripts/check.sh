@@ -4,10 +4,13 @@
 # regression gate against the committed BENCH_search.json; the
 # decision-stability smokes of the committed benchmark (benchmark/,
 # which owns wall time); one grep gate (interned IR); and the batch,
-# trace and overhead smokes, the trace smoke rendering all three views
-# of one trace, requiring its profile to nest statements under
-# interpreter runs, and rolling two traces up into a fleet TOTAL row
-# with `lucid trace --aggregate`.
+# trace and overhead smokes. The batch smoke also traces the corpus at
+# two jobs and requires every script's trace to reconcile (`lucid why`)
+# and their profiles to nest statements under interpreter runs (`lucid
+# profile`); the trace smoke renders all three views of one trace,
+# requires its profile to nest statements under interpreter runs, and
+# rolls two traces up into a fleet TOTAL row with `lucid trace
+# --aggregate`.
 # Metric names need no gate: the registry and its timers accept only
 # lucid_obs::Metric handles; panic paths need none: lucid-interp denies
 # clippy::unwrap_used/expect_used/panic outside tests, which the clippy
@@ -139,6 +142,30 @@ cp "$batch_smoke/corpus/a.py" "$batch_smoke/corpus/c.py"
 if ! cmp -s "$batch_smoke/parallel.json" "$batch_smoke/serial.json"; then
   echo "==> FAIL: batch report differs between (jobs=2, memo) and (jobs=1, no memo)"
   diff "$batch_smoke/serial.json" "$batch_smoke/parallel.json" | head -20
+  exit 1
+fi
+# Traced batch: the scripts' searches share one standardizer, so each
+# trace must still hold exactly its own search — every trace reconciles
+# in `lucid why`, and `lucid profile` folds statements under interpreter
+# runs. The pooled prefix cache serves a prefix to whichever search asks
+# after the first has run it, and which one is first depends on
+# scheduling, so the statement stacks may sit in any one of the traces.
+mkdir -p "$batch_smoke/traces"
+./target/release/lucid batch --corpus "$batch_smoke/corpus" --data "$batch_smoke/data.csv" \
+  --jobs 2 --seq 3 --beam 2 --trace-dir "$batch_smoke/traces" > /dev/null 2>&1
+: > "$batch_smoke/batch_profile.txt"
+for trace in "$batch_smoke"/traces/{a,b,c}.py.trace.jsonl; do
+  ./target/release/lucid why "$trace" > "$batch_smoke/batch_why.txt"
+  if ! grep -q 'reconciliation: ok' "$batch_smoke/batch_why.txt"; then
+    echo "==> FAIL: --trace-dir batch trace $(basename "$trace") did not reconcile in lucid why"
+    head -30 "$batch_smoke/batch_why.txt"
+    exit 1
+  fi
+  ./target/release/lucid profile "$trace" >> "$batch_smoke/batch_profile.txt"
+done
+if ! grep -q ';interp\.run;stmt\.' "$batch_smoke/batch_profile.txt"; then
+  echo "==> FAIL: no --trace-dir batch trace has a statement stack under an interpreter run"
+  head -30 "$batch_smoke/batch_profile.txt"
   exit 1
 fi
 

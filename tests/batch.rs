@@ -442,15 +442,26 @@ fn batch_prefix_store_is_shared_across_searches() {
 
 /// Each search counts interner traffic through its own view of the
 /// shared store, so the batch roll-up of intern hits and incremental DAG
-/// updates does not depend on how the searches interleave.
+/// updates does not depend on how the searches interleave. Neither does
+/// the number of pooled prefix-cache probes: every candidate run probes
+/// once, and the runs are fixed by the search decisions. (Which probes
+/// hit, and the fit-memo counts, depend on which search stores a shared
+/// prefix or model first, so at jobs > 1 they are measurement only.)
 #[test]
 fn batch_interner_counters_are_identical_across_jobs() {
     let counters = |jobs: usize| {
         let t = run_batch(jobs, false).timings;
-        (t.intern_hits, t.dag_incremental_updates)
+        (
+            t.intern_hits,
+            t.dag_incremental_updates,
+            t.prefix_cache_hits + t.prefix_cache_misses,
+        )
     };
     let reference = counters(1);
-    assert!(reference.0 > 0 && reference.1 > 0, "{reference:?}");
+    assert!(
+        reference.0 > 0 && reference.1 > 0 && reference.2 > 0,
+        "{reference:?}"
+    );
     for rep in 0..5 {
         for jobs in [1, 2, 8] {
             assert_eq!(counters(jobs), reference, "jobs={jobs} rep={rep}");
@@ -590,5 +601,69 @@ fn batch_trace_and_timings_reconcile() {
     assert_eq!(trace_fit_misses, report.timings.fit_memo_misses);
     assert!(trace_fit_hits + trace_fit_misses > 0);
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Traced scripts run on the batch's one standardizer, each search
+/// recording into a registry of its own: at jobs 2 every trace profiles
+/// exactly one search, and its `search_end` work counters equal the
+/// untraced batch's for the same script.
+#[test]
+fn traced_batch_searches_each_profile_one_search() {
+    let dir = std::env::temp_dir().join(format!(
+        "lucid_batch_one_search_{}",
+        std::process::id()
+    ));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("trace dir");
+    let opts = BatchOptions {
+        jobs: 2,
+        memo: false,
+        trace_dir: Some(dir.clone()),
+        ..BatchOptions::default()
+    };
+    let scripts = mini_scripts();
+    standardize_corpus(
+        &scripts,
+        Profile::titanic().file,
+        mini_data(),
+        mini_config(),
+        &opts,
+    )
+    .expect("batch runs");
+    let untraced = run_batch(2, false);
+    let work = |t: &Timings| {
+        (
+            t.search_steps,
+            t.candidates_deduped,
+            t.pruned_monotonicity,
+            t.dag_incremental_updates,
+        )
+    };
+    for (script, result) in scripts.iter().zip(&untraced.scripts) {
+        let path = dir.join(format!("{}.trace.jsonl", script.name));
+        let text = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("trace for {}: {e}", script.name));
+        let summary = lucidscript::obs::parse_trace(&text)
+            .unwrap_or_else(|e| panic!("trace for {}: {e}", script.name));
+        let profile = summary
+            .profile
+            .as_ref()
+            .unwrap_or_else(|| panic!("no profile for {}", script.name));
+        let totals: Vec<u64> = profile
+            .percentiles
+            .iter()
+            .filter(|r| r.name == "search.total")
+            .map(|r| r.count)
+            .collect();
+        assert_eq!(totals, [1], "search.total rows for {}", script.name);
+        let report = result.outcome.as_ref().expect("script standardizes");
+        assert_eq!(
+            work(&summary.timings),
+            work(&report.timings),
+            "work counters of {}",
+            script.name
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

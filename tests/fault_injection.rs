@@ -84,12 +84,16 @@ fn assert_output_valid(report: &StandardizeReport) {
 #[test]
 fn probability_sweep_terminates_and_reconciles_per_class() {
     silence_injected_panics();
-    for &probability in &[0.1, 0.5] {
+    // At probability 1.0 every statement the plan sees faults: the run
+    // fails unless the user's input never goes through the plan.
+    for &probability in &[0.1, 0.5, 1.0] {
         for class in FaultClass::ALL {
             let plan = Arc::new(FaultPlan::new(42, probability, vec![class]));
             let (std, corpus) = titanic_standardizer(titanic_config(Some(plan.clone()), None));
-            // The input runs trusted, so standardization completes even
-            // when every candidate is sabotaged.
+            // The input runs on the standardizer's interpreter, which
+            // carries no plan (only each search's own interpreter does),
+            // so standardization completes even when every candidate is
+            // sabotaged.
             let report = std
                 .standardize_source(&corpus[1])
                 .unwrap_or_else(|e| panic!("p={probability} class={class:?}: {e}"));
