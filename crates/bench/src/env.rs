@@ -160,7 +160,7 @@ mod tests {
             results_dir: dir.clone(),
             eval_override: None,
         };
-        env.write_json("probe", &vec![1, 2, 3]);
+        env.write_json("probe", &vec![1u64, 2, 3]);
         let content = std::fs::read_to_string(dir.join("probe.json")).unwrap();
         assert!(content.contains('2'));
     }

@@ -223,7 +223,10 @@ mod tests {
             assert_eq!(r.reps, 2);
             assert_eq!(r.params, "rows=100000");
             assert_eq!(r.rows.len(), 1, "{}", w.name);
-            assert_eq!((r.rows[0].name.as_str(), r.rows[0].unit), ("total_ms", MS));
+            assert_eq!(
+                (r.rows[0].name.as_str(), r.rows[0].unit.as_str()),
+                ("total_ms", MS)
+            );
             assert!(r.rows[0].median >= 0.0);
             assert!(r.counters.is_none());
         }

@@ -24,8 +24,8 @@ use lucid_core::standardizer::Standardizer;
 use lucid_corpus::Profile;
 use lucid_obs::alloc;
 use lucid_obs::TraceSink;
-use serde::Serialize;
-use serde_json::Value;
+use serde::{FromJson, Serialize};
+use serde_json::{FromJson, Value};
 use std::path::Path;
 
 /// Version stamped into the trajectory document and every entry.
@@ -153,12 +153,12 @@ pub fn quick_suite() -> Vec<Workload> {
 }
 
 /// Stats of one measured quantity across reps, in `unit`.
-#[derive(Debug, Clone, Serialize, PartialEq)]
+#[derive(Debug, Clone, Serialize, FromJson, PartialEq)]
 pub struct Stat {
     /// Row name (one of [`MEM_ROWS`], or `total_ms` for a kernel).
     pub name: String,
     /// [`MS`] or [`BYTES`]; each unit has its own gate floor.
-    pub unit: &'static str,
+    pub unit: String,
     /// Median across reps.
     pub median: f64,
     /// Smallest rep.
@@ -171,11 +171,11 @@ pub struct Stat {
 
 impl Stat {
     /// Summarizes `samples` as one row.
-    pub fn of(name: &str, unit: &'static str, samples: &[f64]) -> Stat {
+    pub fn of(name: &str, unit: &str, samples: &[f64]) -> Stat {
         let s = Stats::of(samples);
         Stat {
             name: name.to_string(),
-            unit,
+            unit: unit.to_string(),
             median: s.median,
             min: s.min,
             max: s.max,
@@ -195,7 +195,7 @@ fn display(value: f64, unit: &str) -> (f64, &str) {
 
 /// Work counters from the first rep (deterministic across reps, so one
 /// sample suffices).
-#[derive(Debug, Clone, Copy, Default, Serialize, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, Serialize, FromJson, PartialEq, Eq)]
 pub struct Counters {
     /// Candidate scripts scored.
     pub explored: u64,
@@ -222,7 +222,7 @@ pub struct Counters {
 }
 
 /// One workload's measurements within an entry.
-#[derive(Debug, Clone, Serialize, PartialEq)]
+#[derive(Debug, Clone, Serialize, FromJson, PartialEq)]
 pub struct WorkloadResult {
     /// Workload name.
     pub name: String,
@@ -248,15 +248,17 @@ impl WorkloadResult {
             .map_or_else(
                 || "no rows recorded".to_string(),
                 |r| {
-                    let (v, unit) = display(r.median, r.unit);
+                    let (v, unit) = display(r.median, &r.unit);
                     format!("median {} {v:.2} {unit}", r.name)
                 },
             )
     }
 }
 
-/// One trajectory entry: a full suite run at a point in history.
-#[derive(Debug, Clone, Serialize, PartialEq)]
+/// One trajectory entry: a full suite run at a point in history. `lucid
+/// bench --compare` reads the baseline entry back through its `FromJson`
+/// derive.
+#[derive(Debug, Clone, Serialize, FromJson, PartialEq)]
 pub struct BenchEntry {
     /// Entry schema version ([`TRAJECTORY_SCHEMA`]).
     pub schema: u64,
@@ -466,17 +468,18 @@ fn indent(text: &str, prefix: &str) -> String {
         .join("\n")
 }
 
-/// Loads a trajectory document and returns its *last* entry as a
-/// baseline `Value`.
+/// Loads a trajectory document and returns its *last* entry as the
+/// baseline.
 ///
 /// # Errors
 ///
 /// Missing/unreadable file, wrong schema, or an empty trajectory.
-pub fn load_baseline(path: &Path) -> Result<Value, String> {
+pub fn load_baseline(path: &Path) -> Result<BenchEntry, String> {
     let (_, doc) = read_document(path)?;
     doc.get("entries")
         .and_then(Value::as_array)
-        .and_then(|a| a.last().cloned())
+        .and_then(|a| a.last())
+        .and_then(BenchEntry::from_json)
         .ok_or_else(|| format!("baseline {} has no entries", path.display()))
 }
 
@@ -528,7 +531,7 @@ pub struct DeltaRow {
     /// Row name.
     pub row: String,
     /// The row's unit ([`MS`] or [`BYTES`]).
-    pub unit: &'static str,
+    pub unit: String,
     /// Baseline median.
     pub base_median: f64,
     /// Current median.
@@ -566,10 +569,10 @@ impl Comparison {
             "workload", "row", "unit", "base", "cur", "delta", "rel", "spread", "gate"
         );
         for r in &self.rows {
-            let (base, unit) = display(r.base_median, r.unit);
-            let (cur, _) = display(r.cur_median, r.unit);
-            let (delta, _) = display(r.delta, r.unit);
-            let (spread, _) = display(r.spread, r.unit);
+            let (base, unit) = display(r.base_median, &r.unit);
+            let (cur, _) = display(r.cur_median, &r.unit);
+            let (delta, _) = display(r.delta, &r.unit);
+            let (spread, _) = display(r.spread, &r.unit);
             out.push_str(&format!(
                 "{:<26} {:<26} {unit:>5} {base:>10.2} {cur:>10.2} {delta:>+9.2} {:>+6.0}% {spread:>9.2}  {}\n",
                 r.workload,
@@ -587,34 +590,30 @@ impl Comparison {
     }
 }
 
-/// Compares a fresh entry against a baseline entry (a `Value` from
+/// Compares a fresh entry against a baseline entry (from
 /// [`load_baseline`]) under the gate thresholds. Workloads join on name
 /// and parameters; rows join on name.
-pub fn compare_entries(current: &BenchEntry, baseline: &Value, opts: &GateOptions) -> Comparison {
-    fn array<'a>(v: &'a Value, key: &str) -> &'a [Value] {
-        v.get(key)
-            .and_then(Value::as_array)
-            .map_or(&[], Vec::as_slice)
-    }
-    let is = |v: &Value, key: &str, want: &str| v.get(key).and_then(Value::as_str) == Some(want);
+pub fn compare_entries(
+    current: &BenchEntry,
+    baseline: &BenchEntry,
+    opts: &GateOptions,
+) -> Comparison {
     let mut cmp = Comparison::default();
-    let base_workloads = array(baseline, "workloads");
     for w in &current.workloads {
-        let Some(base_w) = base_workloads
+        let Some(base_w) = baseline
+            .workloads
             .iter()
-            .find(|b| is(b, "name", &w.name) && is(b, "params", &w.params))
+            .find(|b| b.name == w.name && b.params == w.params)
         else {
             cmp.unmatched.push(format!("{} [{}]", w.name, w.params));
             continue;
         };
-        let base_rows = array(base_w, "rows");
         for row in &w.rows {
-            let Some(base) = base_rows.iter().find(|b| is(b, "name", &row.name)) else {
+            let Some(base) = base_w.rows.iter().find(|b| b.name == row.name) else {
                 continue;
             };
-            let num = |key: &str| base.get(key).and_then(Value::as_f64).unwrap_or(0.0);
-            let base_median = num("median");
-            let spread = (num("max") - num("min")).max(row.max - row.min);
+            let base_median = base.median;
+            let spread = (base.max - base.min).max(row.max - row.min);
             let delta = row.median - base_median;
             let rel = if base_median > 0.0 {
                 delta / base_median
@@ -624,7 +623,7 @@ pub fn compare_entries(current: &BenchEntry, baseline: &Value, opts: &GateOption
             cmp.rows.push(DeltaRow {
                 workload: w.name.clone(),
                 row: row.name.clone(),
-                unit: row.unit,
+                unit: row.unit.clone(),
                 base_median,
                 cur_median: row.median,
                 delta,
@@ -632,7 +631,7 @@ pub fn compare_entries(current: &BenchEntry, baseline: &Value, opts: &GateOption
                 spread,
                 regressed: rel > opts.rel_threshold
                     && delta > opts.noise_mult * spread
-                    && delta > opts.floor(row.unit),
+                    && delta > opts.floor(&row.unit),
             });
         }
     }
@@ -648,9 +647,9 @@ mod tests {
     /// A search result whose byte rows sit at `scale` × several MiB with
     /// `spread` bytes of run-to-run spread, plus one kernel result.
     fn synthetic_entry(scale: f64, spread: f64) -> BenchEntry {
-        let row = |name: &str, unit: &'static str, median: f64, spread: f64| Stat {
+        let row = |name: &str, unit: &str, median: f64, spread: f64| Stat {
             name: name.to_string(),
-            unit,
+            unit: unit.to_string(),
             median,
             min: median - spread / 2.0,
             max: median + spread / 2.0,
@@ -735,9 +734,8 @@ mod tests {
             .iter()
             .all(|r| r.get("unit").and_then(Value::as_str) == Some(BYTES)));
         assert_eq!(workloads[1].get("counters"), Some(&Value::Null));
-        // The appended entry round-trips as a valid baseline.
-        let baseline = load_baseline(&path).unwrap();
-        assert_eq!(baseline.get("schema").and_then(Value::as_f64), Some(4.0));
+        // The last entry reads back whole as the baseline.
+        assert_eq!(load_baseline(&path).unwrap(), synthetic_entry(1.1, 1.0));
         std::fs::remove_file(&path).ok();
     }
 

@@ -1291,7 +1291,7 @@ acc = model.score(X, y)
         // One step record per executed beam step, plus start/verify/end.
         assert_eq!(summary.steps.len(), outcome.timings.search_steps);
         assert!(!summary.steps.is_empty());
-        assert_eq!(summary.explored as usize, outcome.explored);
+        assert_eq!(summary.end.explored, outcome.explored);
         assert_eq!(sink.errors(), 0);
         // The step and verify records' phase windows, summed (the
         // fallback of a trace cut before search_end), must match the
@@ -1304,7 +1304,7 @@ acc = model.score(X, y)
             .collect();
         let fallback = lucid_obs::parse_trace(&cut.join("\n")).unwrap();
         assert!(!fallback.complete);
-        let f = &fallback.timings;
+        let f = &fallback.end.timings;
         let close = |a: f64, b: f64| (a - b).abs() <= 1e-3 * (summary.steps.len() + 1) as f64;
         assert!(close(f.get_steps_ms, t.get_steps_ms));
         assert!(close(f.get_top_k_ms, t.get_top_k_ms));
@@ -1314,13 +1314,13 @@ acc = model.score(X, y)
         // The complete trace's Figure 7 rows are the search's own.
         assert_eq!(summary.figure7()[4], ("Total", t.total_ms));
         // The search_end record carries the search's own `Timings`.
-        assert_eq!(summary.timings.prefix_cache_hits, t.prefix_cache_hits);
-        assert_eq!(summary.timings.prefix_cache_misses, t.prefix_cache_misses);
-        assert_eq!(summary.timings.prefix_cache_evictions, t.prefix_cache_evictions);
-        assert_eq!(summary.timings, *t);
+        assert_eq!(summary.end.timings.prefix_cache_hits, t.prefix_cache_hits);
+        assert_eq!(summary.end.timings.prefix_cache_misses, t.prefix_cache_misses);
+        assert_eq!(summary.end.timings.prefix_cache_evictions, t.prefix_cache_evictions);
+        assert_eq!(summary.end.timings, *t);
         // Every step kept at least one beam and scored candidates.
         for row in &summary.steps {
-            assert!(row.kept >= 1);
+            assert!(!row.kept.is_empty());
             assert!(row.beams_in >= 1);
             assert!(row.enumerated >= row.scored);
         }
@@ -1538,7 +1538,7 @@ acc = model.score(X, y)
             summary.reconcile().unwrap();
             // Those search_end counters are the search's own `Timings`.
             let t = &outcome.timings;
-            let s = &summary.timings;
+            let s = &summary.end.timings;
             assert_eq!(s.candidates_deduped, t.candidates_deduped);
             assert_eq!(s.pruned_monotonicity, t.pruned_monotonicity);
             assert_eq!(s.candidates_panicked, t.candidates_panicked);

@@ -329,30 +329,31 @@ impl PrefixCache {
             .fetch_max(snapshots.len() as u64, Ordering::Relaxed);
     }
 
-    /// The memoized model for fit key `key`, or the result of `fit` —
+    /// The memoized model for fit key `key`, or the result of `train` —
     /// stored when it succeeds. Counts one hit or miss into this view's
     /// registry. The lock is not held while training, so concurrent
     /// searches may both train the same input once; the models are
     /// identical, and the second insert keeps the first's recency.
     ///
-    /// In debug builds a hit also re-trains and asserts that the stored
-    /// model is bit-identical to a fresh fit.
+    /// In debug builds a hit also re-trains through `refit` and asserts
+    /// that the stored model is bit-identical to a fresh fit.
     pub(crate) fn fit_or_train<E>(
         &self,
         key: u128,
-        fit: impl Fn() -> Result<FittedFit, E>,
+        train: impl FnOnce() -> Result<FittedFit, E>,
+        refit: impl FnOnce() -> Result<FittedFit, E>,
     ) -> Result<FittedFit, E> {
         let hit = lock(&self.store.fits).get(&key);
         if let Some(model) = hit {
             self.fit_hits.add(1);
             debug_assert!(
-                fit().is_ok_and(|fresh| fresh.bit_eq(&model)),
+                refit().is_ok_and(|fresh| fresh.bit_eq(&model)),
                 "fit memo served a model that differs from a fresh fit"
             );
             return Ok(model);
         }
         self.fit_misses.add(1);
-        let model = fit()?;
+        let model = train()?;
         lock(&self.store.fits).put(key, model.clone());
         Ok(model)
     }
@@ -625,8 +626,8 @@ mod tests {
             trains.set(trains.get() + 1);
             train_logreg(&x, &y)
         };
-        let first = a.fit_or_train(key, train).unwrap();
-        let second = b.fit_or_train(key, train).unwrap();
+        let first = a.fit_or_train(key, train, train).unwrap();
+        let second = b.fit_or_train(key, train, train).unwrap();
         assert!(first.bit_eq(&second));
         // Release builds train once; debug builds re-train on the hit to
         // check it.
@@ -648,14 +649,16 @@ mod tests {
         let cache = PrefixCache::with_capacity(8);
         let (x, y) = tiny_fit();
         let key = fit_key(&[1], &x, &y);
-        let failed: Result<FittedFit, &str> = cache.fit_or_train(key, || Err("boom"));
+        let boom = || Err("boom");
+        let failed: Result<FittedFit, &str> = cache.fit_or_train(key, boom, boom);
         assert!(failed.is_err());
         assert_eq!(fitted_models(&cache), 0);
-        assert!(cache.fit_or_train(key, || train_logreg(&x, &y)).is_ok());
+        let train = || train_logreg(&x, &y);
+        assert!(cache.fit_or_train(key, train, train).is_ok());
         assert_eq!((cache.fit_hits(), cache.fit_misses()), (0, 2));
         let off = PrefixCache::with_capacity(0);
         for _ in 0..2 {
-            assert!(off.fit_or_train(key, || train_logreg(&x, &y)).is_ok());
+            assert!(off.fit_or_train(key, train, train).is_ok());
         }
         assert_eq!(
             (off.fit_hits(), off.fit_misses(), fitted_models(&off)),

@@ -123,10 +123,8 @@ impl ExecOutcome {
     }
 }
 
-/// Per-run mutable state (variables + step counter + budget meter), plus
-/// the run's view of the execution cache: prefix snapshots for resume and
-/// the fit memo that estimator `fit` calls consult.
-pub(crate) struct RunState<'c> {
+/// Per-run mutable state: variables, step counter and budget meter.
+pub(crate) struct RunState {
     pub vars: HashMap<String, RtValue>,
     pub last_frame_var: Option<String>,
     pub steps: usize,
@@ -135,20 +133,16 @@ pub(crate) struct RunState<'c> {
     pub fuel_used: u64,
     /// Cumulative cells bound into the environment so far.
     pub cells: u64,
-    /// The execution cache this run goes through, if any: fits are
-    /// memoized exactly when prefixes are.
-    pub cache: Option<&'c crate::cache::PrefixCache>,
 }
 
-impl<'c> RunState<'c> {
-    fn fresh(cache: Option<&'c crate::cache::PrefixCache>) -> Self {
+impl RunState {
+    fn fresh() -> Self {
         RunState {
             vars: HashMap::new(),
             last_frame_var: None,
             steps: 0,
             fuel_used: 0,
             cells: 0,
-            cache,
         }
     }
 
@@ -221,7 +215,7 @@ impl Interpreter {
     /// Like [`Interpreter::run`], but also reports the resources the run
     /// consumed — for successful *and* failed runs.
     pub fn run_with_usage(&self, module: &Module) -> (Result<ExecOutcome>, BudgetUsage) {
-        let mut state = RunState::fresh(self.cache.as_ref());
+        let mut state = RunState::fresh();
         let res = self.run_inner(&module_refs(module), &mut state);
         Self::finish(res, state)
     }
@@ -234,12 +228,12 @@ impl Interpreter {
     ///
     /// Exactly the errors [`Interpreter::run`] reports.
     pub fn run_shared(&self, stmts: &[StmtRef<'_>]) -> Result<ExecOutcome> {
-        let mut state = RunState::fresh(self.cache.as_ref());
+        let mut state = RunState::fresh();
         let res = self.run_inner(stmts, &mut state);
         Self::finish(res, state).0
     }
 
-    fn finish(res: Result<()>, state: RunState<'_>) -> (Result<ExecOutcome>, BudgetUsage) {
+    fn finish(res: Result<()>, state: RunState) -> (Result<ExecOutcome>, BudgetUsage) {
         let usage = state.usage();
         match res {
             Ok(()) => (
@@ -254,18 +248,18 @@ impl Interpreter {
     }
 
     /// The single governed execution loop behind every `run*` entry point:
-    /// optional prefix-cache resume (through `state.cache`, which also
-    /// carries the fit memo), statement cap, budget metering, fault
+    /// optional prefix-cache resume (through [`Interpreter::cache`], which
+    /// also carries the fit memo), statement cap, budget metering, fault
     /// injection, span recording. Prefixes executed before a failing
     /// statement are still cached: candidates that fail late make their
     /// siblings cheaper.
-    fn run_inner(&self, stmts: &[StmtRef<'_>], state: &mut RunState<'_>) -> Result<()> {
+    fn run_inner(&self, stmts: &[StmtRef<'_>], state: &mut RunState) -> Result<()> {
         // Allocator attribution: every interpreter execution — candidate
         // checks, verification runs, the user's own script — counts as
         // the Execute phase, overriding any outer search-phase tag for
         // the duration of the run.
         let _mem = lucid_obs::alloc::PhaseGuard::enter(lucid_obs::alloc::Phase::Execute);
-        let cache = state.cache;
+        let cache = self.cache.as_ref();
         let keys = cache.map(|_| {
             crate::cache::prefix_keys_from_hashes(
                 self.seed,
@@ -740,6 +734,40 @@ mod tests {
         i.run(&module).unwrap();
         i.run(&module).unwrap();
         assert_eq!(reg.histogram_count(Metric::StmtAssign), 2);
+    }
+
+    #[test]
+    fn times_model_fits_and_predictions_when_a_registry_is_attached() {
+        let script = |extra: &str| {
+            parse_module(&format!(
+                "import pandas as pd\n\
+                 from sklearn.linear_model import LogisticRegression\n\
+                 df = pd.read_csv('t.csv')\n\
+                 {extra}\n\
+                 X = df[['a']]\n\
+                 y = df['y']\n\
+                 model = LogisticRegression()\n\
+                 model = model.fit(X, y)\n\
+                 acc = model.score(X, y)\n\
+                 p = model.predict(X)\n"
+            ))
+            .unwrap()
+        };
+        let mut i = interp();
+        let reg = Arc::new(Registry::traced());
+        i.obs = Some(Arc::clone(&reg));
+        i.run(&script("n = 1")).unwrap();
+        assert_eq!(reg.histogram_count(Metric::KernelFit), 1);
+        assert_eq!(reg.histogram_count(Metric::KernelPredict), 2);
+        // A fit-memo hit trains nothing and times nothing, the debug
+        // build's re-fit check included.
+        let cache = crate::cache::PrefixCache::default();
+        i.cache = Some(cache.clone());
+        i.run(&script("n = 1")).unwrap();
+        i.run(&script("n = 2")).unwrap();
+        assert_eq!((cache.fit_hits(), cache.fit_misses()), (1, 1));
+        assert_eq!(reg.histogram_count(Metric::KernelFit), 2);
+        assert_eq!(reg.histogram_count(Metric::KernelPredict), 6);
     }
 
     #[test]

@@ -180,7 +180,7 @@ impl Interpreter {
         if let Expr::Attribute { value, attr } = func {
             let recv = self.eval(value, state)?;
             let args = self.eval_args(raw_args, state)?;
-            return self.dispatch_method(recv, attr, args, state.cache);
+            return self.dispatch_method(recv, attr, args);
         }
         // Plain call: f(args)
         let callee = self.eval(func, state)?;
@@ -194,15 +194,8 @@ impl Interpreter {
         }
     }
 
-    /// Dispatches `receiver.method(args)` to the builtin layers. `cache`
-    /// is the run's execution cache, whose fit memo estimator fits use.
-    fn dispatch_method(
-        &self,
-        recv: RtValue,
-        method: &str,
-        args: Args,
-        cache: Option<&crate::cache::PrefixCache>,
-    ) -> Result<RtValue> {
+    /// Dispatches `receiver.method(args)` to the builtin layers.
+    fn dispatch_method(&self, recv: RtValue, method: &str, args: Args) -> Result<RtValue> {
         match recv {
             RtValue::Module(ModuleKind::Pandas) => {
                 crate::pandas::call_pandas_fn(self, method, args)
@@ -221,8 +214,8 @@ impl Interpreter {
             RtValue::Series(s) => crate::pandas::call_series_method(self, s, method, args),
             RtValue::StrAccessor(s) => crate::pandas::call_str_method(&s, method, args),
             RtValue::GroupBy(g) => crate::pandas::call_groupby_method(self, *g, method, args),
-            RtValue::Estimator(e) => crate::sklearn::call_estimator_method(e, method, args, cache),
-            RtValue::Fitted(m) => crate::sklearn::call_fitted_method(&m, method, args),
+            RtValue::Estimator(e) => crate::sklearn::call_estimator_method(self, e, method, args),
+            RtValue::Fitted(m) => crate::sklearn::call_fitted_method(self, &m, method, args),
             RtValue::Callable(b) => {
                 // e.g. `LogisticRegression().fit(...)` — calling a method on
                 // the class object itself is an error; instantiate first.

@@ -1,7 +1,7 @@
 //! The sklearn-flavored builtin layer: `train_test_split`, estimators,
 //! scaling — backed by `lucid-ml`.
 
-use crate::cache::{fit_key, FittedFit, PrefixCache};
+use crate::cache::{fit_key, FittedFit};
 use crate::env::Interpreter;
 use crate::error::{InterpError, Result};
 use crate::eval::Args;
@@ -13,6 +13,7 @@ use lucid_ml::logreg::LogisticRegression;
 use lucid_ml::matrix::Matrix;
 use lucid_ml::scale::StandardScaler;
 use lucid_ml::tree::DecisionTree;
+use lucid_obs::Metric;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -116,12 +117,12 @@ fn train_test_split(interp: &Interpreter, args: Args) -> Result<RtValue> {
 }
 
 /// `estimator.<method>(...)` — `fit`, `fit_transform`. Model fits go
-/// through `cache`'s fit memo when the run has an execution cache.
+/// through the fit memo of `interp`'s execution cache when it has one.
 pub(crate) fn call_estimator_method(
+    interp: &Interpreter,
     est: Estimator,
     method: &str,
     args: Args,
-    cache: Option<&PrefixCache>,
 ) -> Result<RtValue> {
     match (est, method) {
         (Estimator::LogReg { epochs }, "fit") => {
@@ -136,7 +137,7 @@ pub(crate) fn call_estimator_method(
                 lr.learning_rate.to_bits(),
                 lr.l2.to_bits(),
             ];
-            let fitted = memoized_fit(cache, &params, &x, &labels, || {
+            let fitted = memoized_fit(interp, &params, &x, &labels, || {
                 lr.fit(&x, &labels).map(FittedFit::LogReg)
             })?;
             Ok(fitted_value(fitted, features))
@@ -152,7 +153,7 @@ pub(crate) fn call_estimator_method(
                 tree.max_depth as u64,
                 tree.min_samples_split as u64,
             ];
-            let fitted = memoized_fit(cache, &params, &x, &labels, || {
+            let fitted = memoized_fit(interp, &params, &x, &labels, || {
                 tree.fit(&x, &labels).map(FittedFit::Tree)
             })?;
             Ok(fitted_value(fitted, features))
@@ -182,31 +183,45 @@ pub(crate) fn call_estimator_method(
     }
 }
 
-/// `model.<method>(...)` — `score`, `predict`, `transform`.
-pub(crate) fn call_fitted_method(m: &FittedModel, method: &str, args: Args) -> Result<RtValue> {
+/// `model.<method>(...)` — `score`, `predict`, `transform`. The model
+/// calls of `score` and `predict` are timed as `kernel.predict`.
+pub(crate) fn call_fitted_method(
+    interp: &Interpreter,
+    m: &FittedModel,
+    method: &str,
+    args: Args,
+) -> Result<RtValue> {
     match (m, method) {
         (FittedModel::LogReg { model, features }, "score") => {
             let (x, labels) = score_inputs(&args, features)?;
+            let _k = interp.time(Metric::KernelPredict);
             Ok(RtValue::Scalar(lucid_frame::Value::Float(
                 model.score(&x, &labels),
             )))
         }
         (FittedModel::Tree { model, features }, "score") => {
             let (x, labels) = score_inputs(&args, features)?;
+            let _k = interp.time(Metric::KernelPredict);
             Ok(RtValue::Scalar(lucid_frame::Value::Float(
                 model.score(&x, &labels),
             )))
         }
         (FittedModel::LogReg { model, features }, "predict") => {
             let x = aligned_features(&args, features)?;
-            let preds = model.predict(&x);
+            let preds = {
+                let _k = interp.time(Metric::KernelPredict);
+                model.predict(&x)
+            };
             Ok(RtValue::Series(SeriesVal::anon(Column::from_ints(
                 preds.into_iter().map(|p| Some(p as i64)).collect(),
             ))))
         }
         (FittedModel::Tree { model, features }, "predict") => {
             let x = aligned_features(&args, features)?;
-            let preds = model.predict(&x);
+            let preds = {
+                let _k = interp.time(Metric::KernelPredict);
+                model.predict(&x)
+            };
             Ok(RtValue::Series(SeriesVal::anon(Column::from_ints(
                 preds.into_iter().map(|p| Some(p as i64)).collect(),
             ))))
@@ -232,19 +247,25 @@ pub(crate) fn call_fitted_method(m: &FittedModel, method: &str, args: Args) -> R
 const FIT_KIND_LOGREG: u64 = 1;
 const FIT_KIND_TREE: u64 = 2;
 
-/// Trains through the fit memo when the run has an execution cache: the
+/// Trains through the fit memo when `interp` has an execution cache: the
 /// key covers the estimator (`params`), the encoded training matrix, and
-/// the labels, so a hit is the model `train` would produce.
+/// the labels, so a hit is the model `train` would produce. Each training
+/// is timed as `kernel.fit`; a memo hit trains nothing and records
+/// nothing.
 fn memoized_fit(
-    cache: Option<&PrefixCache>,
+    interp: &Interpreter,
     params: &[u64],
     x: &Matrix,
     labels: &[u32],
     train: impl Fn() -> lucid_ml::error::Result<FittedFit>,
 ) -> Result<FittedFit> {
-    Ok(match cache {
-        Some(cache) => cache.fit_or_train(fit_key(params, x, labels), train)?,
-        None => train()?,
+    let timed = || {
+        let _k = interp.time(Metric::KernelFit);
+        train()
+    };
+    Ok(match &interp.cache {
+        Some(cache) => cache.fit_or_train(fit_key(params, x, labels), timed, &train)?,
+        None => timed()?,
     })
 }
 

@@ -21,9 +21,9 @@
 
 use crate::metrics::Registry;
 use crate::sink::Record;
-use crate::summary::{int, text, TraceSummary};
+use crate::summary::TraceSummary;
 use crate::timings::Metric;
-use serde::Serialize;
+use serde::{FromJson, Serialize};
 use serde_json::Value;
 use std::collections::BTreeMap;
 
@@ -31,7 +31,7 @@ use std::collections::BTreeMap;
 /// receives exactly one disposition, and the drop counters it moves are a
 /// function of it ([`Drops::count`]), which is what makes the
 /// reconciliation in [`TraceSummary::reconcile`] exact.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, FromJson)]
 pub enum Disposition {
     /// Survived every constraint and became the output script.
     Selected,
@@ -97,42 +97,6 @@ impl Disposition {
             other => other.kind().to_string(),
         }
     }
-
-    /// Decodes a serialized disposition (an externally tagged enum: a
-    /// bare string for unit variants, a one-key map for data variants).
-    fn from_value(v: &Value) -> Option<Disposition> {
-        match v {
-            Value::String(name) => match name.as_str() {
-                "Selected" => Some(Disposition::Selected),
-                "PrunedMonotonicity" => Some(Disposition::PrunedMonotonicity),
-                "Panicked" => Some(Disposition::Panicked),
-                "FailedApply" => Some(Disposition::FailedApply),
-                "FailedExecution" => Some(Disposition::FailedExecution),
-                "RejectedIntent" => Some(Disposition::RejectedIntent),
-                _ => None,
-            },
-            Value::Object(map) if map.len() == 1 => {
-                let (name, inner) = map.iter().next()?;
-                Some(match name.as_str() {
-                    "OutRanked" => Disposition::OutRanked {
-                        at_step: int(inner, "at_step") as usize,
-                        score_gap: inner.get("score_gap").and_then(Value::as_f64)?,
-                    },
-                    "Deduped" => Disposition::Deduped {
-                        against: int(inner, "against"),
-                    },
-                    "BudgetTripped" => Disposition::BudgetTripped {
-                        kind: text(inner, "kind"),
-                    },
-                    "BeamCut" => Disposition::BeamCut {
-                        rank: int(inner, "rank") as usize,
-                    },
-                    _ => return None,
-                })
-            }
-            _ => None,
-        }
-    }
 }
 
 /// The drop counters of one search phase (a beam step, or verification)
@@ -140,7 +104,7 @@ impl Disposition {
 /// the only live instance and hands it over once per phase, to the
 /// registry ([`Drops::record`]) and to the phase's trace record; `lucid
 /// why` counts the `cand` records back into one with [`Drops::count`].
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, FromJson)]
 pub struct Drops {
     /// Edge-driven adds refused by the monotonicity cursor.
     pub pruned_monotonicity: u64,
@@ -213,34 +177,10 @@ impl Drops {
             reg.counter(metric).add(n);
         }
     }
-
-    /// Reads the `drops` object of a `step` or `verify` record. Total: a
-    /// missing or malformed field reads as zero (or no payloads).
-    pub fn from_record(record: &Value) -> Drops {
-        let d = record.get("drops").unwrap_or(&Value::Null);
-        Drops {
-            pruned_monotonicity: int(d, "pruned_monotonicity"),
-            candidates_deduped: int(d, "candidates_deduped"),
-            rejected_execution: int(d, "rejected_execution"),
-            candidates_panicked: int(d, "candidates_panicked"),
-            budget_trips_fuel: int(d, "budget_trips_fuel"),
-            budget_trips_cells: int(d, "budget_trips_cells"),
-            budget_trips_deadline: int(d, "budget_trips_deadline"),
-            rejected_intent: int(d, "rejected_intent"),
-            panic_payloads: d
-                .get("panic_payloads")
-                .and_then(Value::as_array)
-                .into_iter()
-                .flatten()
-                .filter_map(Value::as_str)
-                .map(str::to_string)
-                .collect(),
-        }
-    }
 }
 
 /// One candidate's identity, lineage, and fate (`"cand"`).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, FromJson)]
 pub struct CandRecord {
     /// Stable, thread-count-independent candidate ID (0 = the input).
     pub id: u64,
@@ -256,21 +196,8 @@ pub struct CandRecord {
     pub disposition: Disposition,
 }
 
-impl CandRecord {
-    fn from_value(v: &Value) -> Option<CandRecord> {
-        Some(CandRecord {
-            id: int(v, "id"),
-            parent: int(v, "parent"),
-            step: int(v, "step") as usize,
-            op: text(v, "op"),
-            re: v.get("re").and_then(Value::as_f64),
-            disposition: Disposition::from_value(v.get("disposition")?)?,
-        })
-    }
-}
-
 /// The selected chain, input first (`"lineage"`).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, FromJson)]
 pub struct LineageRecord {
     /// Candidate IDs from the input (0) to the selected candidate.
     pub ids: Vec<u64>,
@@ -278,28 +205,9 @@ pub struct LineageRecord {
     pub ops: Vec<String>,
 }
 
-impl LineageRecord {
-    fn from_value(v: &Value) -> Option<LineageRecord> {
-        let ids = v.get("ids")?.as_array()?;
-        let ops = v.get("ops")?.as_array()?;
-        Some(LineageRecord {
-            ids: ids
-                .iter()
-                .filter_map(Value::as_f64)
-                .map(|f| f as u64)
-                .collect(),
-            ops: ops
-                .iter()
-                .filter_map(Value::as_str)
-                .map(str::to_string)
-                .collect(),
-        })
-    }
-}
-
 /// One line of the final diff joined to the candidate that introduced it
 /// (`"diff_line"`).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, FromJson)]
 pub struct DiffLineRecord {
     /// `"+"` for an added line, `"-"` for a removed one.
     pub change: String,
@@ -317,26 +225,10 @@ pub struct DiffLineRecord {
     pub rationale: String,
 }
 
-impl DiffLineRecord {
-    fn from_value(v: &Value) -> Option<DiffLineRecord> {
-        Some(DiffLineRecord {
-            change: v.get("change")?.as_str()?.to_string(),
-            atom: text(v, "atom"),
-            cand: v.get("cand").and_then(Value::as_f64).map(|f| f as u64),
-            chain_index: v
-                .get("chain_index")
-                .and_then(Value::as_f64)
-                .map(|f| f as usize),
-            op: v.get("op").and_then(Value::as_str).map(str::to_string),
-            rationale: text(v, "rationale"),
-        })
-    }
-}
-
 /// The trailer (`"decision_end"`): how many `cand` and `diff_line`
 /// records precede it and which candidate was selected. Written last,
 /// so its presence proves the stream was not cut short.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, FromJson)]
 pub struct DecisionEndRecord {
     /// Candidates minted (== number of `cand` records).
     pub total: u64,
@@ -346,22 +238,11 @@ pub struct DecisionEndRecord {
     pub diff_lines: u64,
 }
 
-impl DecisionEndRecord {
-    fn from_value(v: &Value) -> Option<DecisionEndRecord> {
-        v.get("total")?;
-        Some(DecisionEndRecord {
-            total: int(v, "total"),
-            selected: int(v, "selected"),
-            diff_lines: int(v, "diff_lines"),
-        })
-    }
-}
-
 /// Batch mode: a script served entirely from the result memo
 /// (`"memo_hit"`). Written as the single record of that script's trace
 /// file, pointing at the representative whose traced search produced the
 /// shared result.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, FromJson)]
 pub struct MemoHitRecord {
     /// The memoized script.
     pub script: String,
@@ -376,13 +257,6 @@ impl MemoHitRecord {
             "memo hit: '{}' served from the traced search of '{}'\n",
             self.script, self.against
         )
-    }
-
-    fn from_value(v: &Value) -> Option<MemoHitRecord> {
-        Some(MemoHitRecord {
-            script: v.get("script")?.as_str()?.to_string(),
-            against: text(v, "against"),
-        })
     }
 }
 
@@ -402,28 +276,6 @@ pub struct Decisions {
 }
 
 impl Decisions {
-    /// Folds one decision record into the set. Returns `false` when the
-    /// record is malformed (the parser counts it as a skipped line).
-    pub(crate) fn absorb(&mut self, event: &str, record: &Value) -> bool {
-        match event {
-            CandRecord::EVENT => CandRecord::from_value(record).map(|c| self.cands.push(c)),
-            LineageRecord::EVENT => {
-                LineageRecord::from_value(record).map(|l| self.lineage = Some(l))
-            }
-            DiffLineRecord::EVENT => {
-                DiffLineRecord::from_value(record).map(|d| self.diff_lines.push(d))
-            }
-            DecisionEndRecord::EVENT => {
-                DecisionEndRecord::from_value(record).map(|e| self.end = Some(e))
-            }
-            MemoHitRecord::EVENT => {
-                MemoHitRecord::from_value(record).map(|m| self.memo_hit = Some(m))
-            }
-            _ => None,
-        }
-        .is_some()
-    }
-
     /// Whether `event` tags a decision record.
     pub(crate) fn is_decision(event: &str) -> bool {
         [
@@ -461,7 +313,8 @@ impl TraceSummary {
     /// Checks the decision records against the trailer and the
     /// `search_end` counters of the same stream: the trailer must be
     /// present (it is written last) and its counts must match the
-    /// records, candidate IDs must run 0, 1, 2, … in order, the `cand`
+    /// records, every diff line must be an addition or a removal,
+    /// candidate IDs must run 0, 1, 2, … in order, the `cand`
     /// dispositions counted through [`Drops::count`] must equal the
     /// `search_end` drop counters, and exactly one candidate, the
     /// lineage's last, may be `Selected`. A memo-hit stub has nothing to
@@ -495,6 +348,16 @@ impl TraceSummary {
                 d.diff_lines.len()
             ));
         }
+        // A diff line that read with defaults was not written whole.
+        if let Some(i) = d
+            .diff_lines
+            .iter()
+            .position(|l| !["+", "-"].contains(&&*l.change))
+        {
+            return Err(format!(
+                "diff_line record {i} is neither an addition nor a removal"
+            ));
+        }
         if let Some((i, c)) = d.cands.iter().enumerate().find(|(i, c)| c.id != *i as u64) {
             return Err(format!("cand record {i} carries ID #{}", c.id));
         }
@@ -503,7 +366,7 @@ impl TraceSummary {
             seen.count(&cand.disposition);
         }
         for (metric, records) in seen.counters() {
-            let counter = self.timings.value(metric);
+            let counter = self.end.timings.value(metric);
             if records as f64 != counter {
                 return Err(format!(
                     "{}: {records} records vs search_end counter {counter}",
@@ -815,7 +678,7 @@ mod tests {
     #[test]
     fn reconcile_flags_counter_and_trailer_mismatches() {
         let mut summary = parse_trace(&sample_stream()).unwrap();
-        summary.timings.candidates_deduped = 7;
+        summary.end.timings.candidates_deduped = 7;
         let err = summary.reconcile().unwrap_err();
         assert!(err.contains("search_end counter 7"), "{err}");
         assert!(summary.render_why().contains("reconciliation: MISMATCH"));
@@ -829,6 +692,12 @@ mod tests {
         summary.decisions.diff_lines.clear();
         let err = summary.reconcile().unwrap_err();
         assert!(err.contains("trailer claims 1 diff lines"), "{err}");
+
+        // A diff_line record that read with defaults (no `change`).
+        let mut summary = parse_trace(&sample_stream()).unwrap();
+        summary.decisions.diff_lines[0].change.clear();
+        let err = summary.reconcile().unwrap_err();
+        assert!(err.contains("neither an addition nor a removal"), "{err}");
     }
 
     #[test]

@@ -15,11 +15,11 @@
 //! for a given span tree regardless of record order.
 
 use crate::span::SpanRecord;
-use serde::Serialize;
+use serde::{FromJson, Serialize};
 use std::collections::BTreeMap;
 
 /// One aggregated stack line of a folded flamegraph.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, FromJson)]
 pub struct FoldedFrame {
     /// `;`-joined frame names, root first (e.g. `interp.run;stmt.assign`).
     pub stack: String,

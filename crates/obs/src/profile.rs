@@ -9,13 +9,11 @@
 use crate::flame::{fold_spans, to_folded, FoldedFrame};
 use crate::metrics::Registry;
 use crate::sink::record_line;
-use crate::summary::int;
-use serde::Serialize;
-use serde_json::Value;
+use serde::{FromJson, Serialize};
 use std::path::Path;
 
 /// Percentile summary of one registry histogram.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, FromJson)]
 pub struct PercentileRow {
     /// Histogram name (`search.get_steps`, `stmt.assign`, ...).
     pub name: String,
@@ -35,7 +33,7 @@ pub struct PercentileRow {
 
 /// Everything `lucid profile` renders for one search: the payload of the
 /// `"profile"` trace record.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, FromJson)]
 pub struct ProfileReport {
     /// Folded flamegraph stacks (root-first, self-time in µs).
     pub folded: Vec<FoldedFrame>,
@@ -120,45 +118,6 @@ impl ProfileReport {
         std::fs::write(dir.join("profile.json"), record_line(self) + "\n")?;
         Ok(())
     }
-
-    /// Decodes a `profile` record. Entries without their name are
-    /// dropped; missing numbers read as 0.
-    pub(crate) fn from_record(record: &Value) -> ProfileReport {
-        let entries = |key: &str| {
-            record
-                .get(key)
-                .and_then(Value::as_array)
-                .cloned()
-                .unwrap_or_default()
-        };
-        ProfileReport {
-            folded: entries("folded")
-                .iter()
-                .filter_map(|f| {
-                    Some(FoldedFrame {
-                        stack: f.get("stack")?.as_str()?.to_string(),
-                        self_us: int(f, "self_us"),
-                        count: int(f, "count"),
-                    })
-                })
-                .collect(),
-            percentiles: entries("percentiles")
-                .iter()
-                .filter_map(|r| {
-                    Some(PercentileRow {
-                        name: r.get("name")?.as_str()?.to_string(),
-                        count: int(r, "count"),
-                        sum_ns: int(r, "sum_ns"),
-                        p50_ns: int(r, "p50_ns"),
-                        p90_ns: int(r, "p90_ns"),
-                        p99_ns: int(r, "p99_ns"),
-                        max_ns: int(r, "max_ns"),
-                    })
-                })
-                .collect(),
-            spans_dropped: int(record, "spans_dropped"),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -186,20 +145,6 @@ mod tests {
             .iter()
             .find(|r| r.name == "search.get_steps");
         assert_eq!(steps.map(|r| (r.count, r.sum_ns)), Some((2, 4_000_000)));
-    }
-
-    #[test]
-    fn report_round_trips_through_a_trace_record() {
-        let report = sample_report();
-        assert!(!report.is_empty());
-        let line = record_line(&report);
-        // Other trace lines, including garbage, don't disturb extraction.
-        let trace = format!(
-            "{{\"v\":{v},\"event\":\"search_start\"}}\n\nnot json\n{line}\n{{\"v\":{v},\"event\":\"sea",
-            v = crate::event::TRACE_SCHEMA_VERSION
-        );
-        let parsed = crate::summary::parse_trace(&trace).unwrap().profile.unwrap();
-        assert_eq!(parsed, report);
     }
 
     #[test]

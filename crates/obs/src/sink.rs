@@ -27,6 +27,7 @@ use crate::event::{
 };
 use crate::profile::ProfileReport;
 use serde::{Json, Serialize};
+use serde_json::FromJson;
 use std::fmt;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -219,8 +220,10 @@ impl TraceSink {
 }
 
 /// A trace record kind: a named struct holding the record's payload
-/// fields, and the `"event"` tag its lines carry.
-pub trait Record: Serialize {
+/// fields, and the `"event"` tag its lines carry. The struct's
+/// `Serialize` derive writes the fields and its `FromJson` derive reads
+/// them back, so each record's schema is spelled once.
+pub trait Record: Serialize + FromJson {
     /// The `"event"` tag.
     const EVENT: &'static str;
 }
@@ -266,7 +269,7 @@ mod tests {
     use super::*;
 
     /// A one-field record for exercising the sink.
-    #[derive(Serialize)]
+    #[derive(Serialize, serde::FromJson)]
     struct Note {
         text: String,
     }

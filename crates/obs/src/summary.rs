@@ -11,15 +11,20 @@
 //! [`read_trace`] reads a file, folding a rotated `<FILE>.1` segment back
 //! in front, and ties every error to that file.
 //!
-//! Unknown event kinds and unknown fields are ignored (the schema's
+//! Each record reads back through the struct that writes it, by the one
+//! read rule of `serde_json::FromJson`: unknown fields are ignored, and a
+//! field that is absent, `null` or of the wrong type reads as its
+//! default. Unknown event kinds are counted (the schema's
 //! forward-compatibility rule). Blank, truncated, and otherwise malformed
-//! lines are *skipped and counted*, not fatal: a trace cut off mid-write
-//! (crash, full disk, sink rotation) must still summarize, and the
-//! decision reconciliation reports the cut. Only a well-formed record
-//! with another `"v"`, or a stream with no readable record at all, is an
-//! error.
+//! lines, and a `cand` record without a known disposition, are *skipped
+//! and counted*, not fatal: a trace cut off mid-write (crash, full disk,
+//! sink rotation) must still summarize, and the decision reconciliation
+//! reports the cut. Only a well-formed record with another `"v"`, or a
+//! stream with no readable record at all, is an error.
 
-use crate::decision::{Decisions, Drops};
+use crate::decision::{
+    CandRecord, DecisionEndRecord, Decisions, DiffLineRecord, Drops, LineageRecord, MemoHitRecord,
+};
 use crate::event::{
     SearchEndEvent, SearchStartEvent, StepEvent, VerifyEvent, TRACE_SCHEMA_VERSION,
 };
@@ -27,94 +32,38 @@ use crate::metrics::Registry;
 use crate::profile::ProfileReport;
 use crate::sink::{rotated_path, Record};
 use crate::timings::{Metric, Timings};
-use serde_json::Value;
+use serde_json::{FromJson, Value};
 use std::path::{Path, PathBuf};
 
-/// One `step` record, flattened for display.
-#[derive(Debug, Clone)]
-pub struct StepRow {
-    /// 0-based step index.
-    pub step: usize,
-    /// Beams entering the step.
-    pub beams_in: usize,
-    /// Transformations enumerated.
-    pub enumerated: usize,
-    /// Jobs scored successfully.
-    pub scored: usize,
-    /// The candidates the step dropped, by counter.
-    pub drops: Drops,
-    /// Beams kept after the step.
-    pub kept: usize,
-    /// Best (lowest) RE among kept beams.
-    pub best_re: Option<f64>,
-    /// Prefix-cache hits / misses / evictions this step.
-    pub cache_hits: u64,
-    /// Prefix-cache misses this step.
-    pub cache_misses: u64,
-    /// Prefix-cache evictions this step.
-    pub cache_evictions: u64,
-    /// Bytes allocated during this step (0 when allocator telemetry was
-    /// off when the trace was written).
-    pub alloc_bytes: u64,
-    /// Phase wall ms.
-    pub get_steps_ms: f64,
-    /// `GetTopKBeams` wall ms.
-    pub get_top_k_ms: f64,
-    /// `CheckIfExecutes` wall ms.
-    pub check_execute_ms: f64,
-    /// Whether the beams converged here.
-    pub converged: bool,
-}
-
-/// Everything a trace file says about one search.
+/// Everything a trace file says about one search: its records, each read
+/// back through the struct that wrote it.
 #[derive(Debug, Clone, Default)]
 pub struct TraceSummary {
-    /// Config snapshot from `search_start` (field, value) — kept untyped
-    /// for display.
-    pub config: Vec<(String, String)>,
-    /// Per-step rows in order.
-    pub steps: Vec<StepRow>,
-    /// Candidates scored (`search_end.explored`).
-    pub explored: u64,
-    /// The search's phase times and counters, from `search_end`. On a
-    /// trace cut before that record, the four phase times, the step
-    /// count and the cache, drop and allocated-byte counters fall back to
-    /// their sums over the step and verify records (allocated bytes then
-    /// cover those phases only) and the rest, `total_ms` included, read
-    /// as zero.
-    pub timings: Timings,
-    /// Whether verification accepted a candidate.
-    pub accepted: Option<bool>,
-    /// Panic payloads captured in step/verify records, in record order.
-    pub panic_payloads: Vec<String>,
+    /// The `search_start` record: the search's configuration.
+    pub start: Option<SearchStartEvent>,
+    /// The `step` records, in order.
+    pub steps: Vec<StepEvent>,
+    /// The last `verify` record.
+    pub verify: Option<VerifyEvent>,
+    /// The `search_end` record: candidates explored and the search's
+    /// phase times and counters. On a trace cut before it, the timings'
+    /// four phase times, step count and cache, drop and allocated-byte
+    /// counters are their sums over the step and verify records
+    /// (allocated bytes then cover those phases only) and the rest,
+    /// `explored` and `total_ms` included, read as zero.
+    pub end: SearchEndEvent,
+    /// Whether the stream holds its `search_end` record.
+    pub complete: bool,
     /// Records that parsed but carried an unrecognized `event`.
     pub unknown_events: usize,
     /// Blank-after-trim, truncated, or malformed lines skipped during
     /// parsing (surfaced as a warning, never an error).
     pub skipped_lines: usize,
-    /// Whether the stream holds its `search_end` record (`timings` falls
-    /// back to step sums when it does not).
-    pub complete: bool,
     /// The decision records (rendered by `lucid why`).
     pub decisions: Decisions,
     /// The last `profile` record, when present (rendered by
     /// `lucid profile`).
     pub profile: Option<ProfileReport>,
-}
-
-/// A record's number field, 0 when absent or not a number.
-pub(crate) fn num(v: &Value, key: &str) -> f64 {
-    v.get(key).and_then(Value::as_f64).unwrap_or(0.0)
-}
-
-/// A record's count field (saturating: negatives and NaN read as 0).
-pub(crate) fn int(v: &Value, key: &str) -> u64 {
-    num(v, key) as u64
-}
-
-/// A record's string field, empty when absent.
-pub(crate) fn text(v: &Value, key: &str) -> String {
-    v.get(key).and_then(Value::as_str).unwrap_or("").to_string()
 }
 
 /// Why a trace could not be read.
@@ -197,9 +146,9 @@ pub fn read_trace(path: &Path) -> Result<TraceSummary, TraceError> {
 
 /// Parses a JSONL trace into a [`TraceSummary`]. Total: never panics.
 ///
-/// Blank, truncated, and malformed lines, and well-formed records
-/// missing `v` or `event` or malformed within, are skipped and counted
-/// in [`TraceSummary::skipped_lines`].
+/// Blank, truncated, and malformed lines, well-formed records missing `v`
+/// or `event`, and records that do not read by the rule of [`FromJson`]
+/// are skipped and counted in [`TraceSummary::skipped_lines`].
 ///
 /// # Errors
 ///
@@ -208,35 +157,6 @@ pub fn read_trace(path: &Path) -> Result<TraceSummary, TraceError> {
 pub fn parse_trace(text: &str) -> Result<TraceSummary, TraceError> {
     let mut summary = TraceSummary::default();
     let mut any = false;
-    // Counters and phase times summed from the step + verify records; the
-    // fallback when the trace is truncated before `search_end`.
-    let sums = Registry::new();
-    let add_phase = |record: &Value, summary: &mut TraceSummary| {
-        let drops = Drops::from_record(record);
-        drops.record(&sums);
-        for (metric, key) in [
-            (Metric::CacheHits, "cache_hits"),
-            (Metric::CacheMisses, "cache_misses"),
-            (Metric::CacheEvictions, "cache_evictions"),
-            (Metric::MemBytesTotal, "alloc_bytes"),
-        ] {
-            sums.counter(metric).add(int(record, key));
-        }
-        for (metric, key) in [
-            (Metric::GetSteps, "get_steps_ms"),
-            (Metric::GetTopK, "get_top_k_ms"),
-            (Metric::CheckExecute, "check_execute_ms"),
-            (Metric::Verify, "verify_ms"),
-        ] {
-            // Saturating: absent fields, negatives and NaN read as 0.
-            sums.histogram(metric)
-                .record_ns((num(record, key) * 1e6).round() as u64);
-        }
-        summary
-            .panic_payloads
-            .extend(drops.panic_payloads.iter().cloned());
-        drops
-    };
     for line in text.lines() {
         let line = line.trim();
         if line.is_empty() {
@@ -261,79 +181,8 @@ pub fn parse_trace(text: &str) -> Result<TraceSummary, TraceError> {
             continue;
         };
         any = true;
-        match event {
-            SearchStartEvent::EVENT => {
-                for key in [
-                    "seq_len",
-                    "beam_k",
-                    "threads",
-                    "diversity",
-                    "early_check",
-                    "prefix_cache",
-                    "objective",
-                ] {
-                    if let Some(val) = record.get(key) {
-                        let shown = match val {
-                            Value::String(s) => s.clone(),
-                            Value::Bool(b) => b.to_string(),
-                            Value::Number(n) => format!("{n}"),
-                            other => format!("{other:?}"),
-                        };
-                        summary.config.push((key.to_string(), shown));
-                    }
-                }
-            }
-            StepEvent::EVENT => {
-                let kept = record
-                    .get("kept")
-                    .and_then(Value::as_array)
-                    .cloned()
-                    .unwrap_or_default();
-                let best_re = kept
-                    .iter()
-                    .filter_map(|k| k.get("re").and_then(Value::as_f64))
-                    .fold(None, |best: Option<f64>, re| {
-                        Some(best.map_or(re, |b| b.min(re)))
-                    });
-                let row = StepRow {
-                    step: int(&record, "step") as usize,
-                    beams_in: int(&record, "beams_in") as usize,
-                    enumerated: int(&record, "enumerated") as usize,
-                    scored: int(&record, "scored") as usize,
-                    drops: add_phase(&record, &mut summary),
-                    kept: kept.len(),
-                    best_re,
-                    cache_hits: int(&record, "cache_hits"),
-                    cache_misses: int(&record, "cache_misses"),
-                    cache_evictions: int(&record, "cache_evictions"),
-                    alloc_bytes: int(&record, "alloc_bytes"),
-                    get_steps_ms: num(&record, "get_steps_ms"),
-                    get_top_k_ms: num(&record, "get_top_k_ms"),
-                    check_execute_ms: num(&record, "check_execute_ms"),
-                    converged: record
-                        .get("converged")
-                        .and_then(Value::as_bool)
-                        .unwrap_or(false),
-                };
-                sums.counter(Metric::Steps).add(1);
-                summary.steps.push(row);
-            }
-            VerifyEvent::EVENT => {
-                summary.accepted = record.get("accepted").and_then(Value::as_bool);
-                add_phase(&record, &mut summary);
-            }
-            SearchEndEvent::EVENT => {
-                summary.complete = true;
-                summary.explored = int(&record, "explored");
-                summary.timings = Timings::from_record(&record);
-            }
-            ProfileReport::EVENT => summary.profile = Some(ProfileReport::from_record(&record)),
-            _ if Decisions::is_decision(event) => {
-                if !summary.decisions.absorb(event, &record) {
-                    summary.skipped_lines += 1;
-                }
-            }
-            _ => summary.unknown_events += 1,
+        if !summary.absorb(event, &record) {
+            summary.skipped_lines += 1;
         }
     }
     if !any {
@@ -347,17 +196,117 @@ pub fn parse_trace(text: &str) -> Result<TraceSummary, TraceError> {
     if !summary.complete {
         // Fall back to the phase sums so a truncated trace still
         // summarizes.
-        summary.timings = Timings::from_registry(&sums);
+        summary.end.timings = summary.phase_sums();
     }
     Ok(summary)
 }
 
 impl TraceSummary {
+    /// Folds one record into the summary by its `event` tag (an unknown
+    /// tag is counted). Returns `false` when the record does not read.
+    fn absorb(&mut self, event: &str, record: &Value) -> bool {
+        let d = &mut self.decisions;
+        match event {
+            SearchStartEvent::EVENT => FromJson::from_json(record).map(|r| self.start = Some(r)),
+            StepEvent::EVENT => FromJson::from_json(record).map(|r| self.steps.push(r)),
+            VerifyEvent::EVENT => FromJson::from_json(record).map(|r| self.verify = Some(r)),
+            SearchEndEvent::EVENT => FromJson::from_json(record).map(|r| {
+                self.end = r;
+                self.complete = true;
+            }),
+            ProfileReport::EVENT => FromJson::from_json(record).map(|r| self.profile = Some(r)),
+            CandRecord::EVENT => FromJson::from_json(record).map(|r| d.cands.push(r)),
+            LineageRecord::EVENT => FromJson::from_json(record).map(|r| d.lineage = Some(r)),
+            DiffLineRecord::EVENT => FromJson::from_json(record).map(|r| d.diff_lines.push(r)),
+            DecisionEndRecord::EVENT => FromJson::from_json(record).map(|r| d.end = Some(r)),
+            MemoHitRecord::EVENT => FromJson::from_json(record).map(|r| d.memo_hit = Some(r)),
+            _ => {
+                self.unknown_events += 1;
+                Some(())
+            }
+        }
+        .is_some()
+    }
+
+    /// The timings the step and verify records sum to: the fallback for
+    /// a trace cut before `search_end`.
+    fn phase_sums(&self) -> Timings {
+        let sums = Registry::new();
+        let add = |drops: &Drops, counts: [u64; 4], times: &[(Metric, f64)]| {
+            drops.record(&sums);
+            let counters = [
+                Metric::CacheHits,
+                Metric::CacheMisses,
+                Metric::CacheEvictions,
+                Metric::MemBytesTotal,
+            ];
+            for (metric, n) in counters.into_iter().zip(counts) {
+                sums.counter(metric).add(n);
+            }
+            for &(metric, ms) in times {
+                // Saturating: negatives and NaN read as 0.
+                sums.histogram(metric).record_ns((ms * 1e6).round() as u64);
+            }
+        };
+        for s in &self.steps {
+            let counts = [
+                s.cache_hits,
+                s.cache_misses,
+                s.cache_evictions,
+                s.alloc_bytes,
+            ];
+            add(
+                &s.drops,
+                counts,
+                &[
+                    (Metric::GetSteps, s.get_steps_ms),
+                    (Metric::GetTopK, s.get_top_k_ms),
+                    (Metric::CheckExecute, s.check_execute_ms),
+                ],
+            );
+            sums.counter(Metric::Steps).add(1);
+        }
+        if let Some(v) = &self.verify {
+            let counts = [
+                v.cache_hits,
+                v.cache_misses,
+                v.cache_evictions,
+                v.alloc_bytes,
+            ];
+            add(
+                &v.drops,
+                counts,
+                &[
+                    (Metric::CheckExecute, v.check_execute_ms),
+                    (Metric::Verify, v.verify_ms),
+                ],
+            );
+        }
+        Timings::from_registry(&sums)
+    }
+
+    /// The panic payloads the step and verify records captured, in record
+    /// order.
+    pub fn panic_payloads(&self) -> impl Iterator<Item = &String> {
+        let verify = self.verify.iter().map(|v| &v.drops);
+        self.steps
+            .iter()
+            .map(|s| &s.drops)
+            .chain(verify)
+            .flat_map(|d| &d.panic_payloads)
+    }
+
+    /// Whether verification accepted a candidate (`None` without a
+    /// `verify` record).
+    pub fn accepted(&self) -> Option<bool> {
+        self.verify.as_ref().map(|v| v.accepted)
+    }
+
     /// The Figure 7 phase totals (GetSteps, GetTopKBeams, CheckIfExecutes,
-    /// VerifyConstraints, Total) in that order, in ms, read from
-    /// [`TraceSummary::timings`].
+    /// VerifyConstraints, Total) in that order, in ms, read from the
+    /// `search_end` timings.
     pub fn figure7(&self) -> [(&'static str, f64); 5] {
-        let t = &self.timings;
+        let t = &self.end.timings;
         [
             ("GetSteps", t.get_steps_ms),
             ("GetTopKBeams", t.get_top_k_ms),
@@ -373,15 +322,18 @@ impl TraceSummary {
             return m.describe();
         }
         let mut out = String::new();
-        if !self.config.is_empty() {
-            out.push_str("search: ");
-            let parts: Vec<String> = self
-                .config
-                .iter()
-                .map(|(k, v)| format!("{k}={v}"))
-                .collect();
-            out.push_str(&parts.join("  "));
-            out.push('\n');
+        if let Some(c) = &self.start {
+            out.push_str(&format!(
+                "search: seq_len={}  beam_k={}  threads={}  diversity={}  early_check={}  \
+                 prefix_cache={}  objective={}\n",
+                c.seq_len,
+                c.beam_k,
+                c.threads,
+                c.diversity,
+                c.early_check,
+                c.prefix_cache,
+                c.objective
+            ));
         }
         if !self.steps.is_empty() {
             out.push('\n');
@@ -393,6 +345,7 @@ impl TraceSummary {
                 .steps
                 .iter()
                 .map(|s| {
+                    let best_re = s.kept.iter().map(|k| k.re).reduce(f64::min);
                     vec![
                         format!("{}{}", s.step, if s.converged { "*" } else { "" }),
                         s.beams_in.to_string(),
@@ -403,8 +356,8 @@ impl TraceSummary {
                         ),
                         s.scored.to_string(),
                         s.drops.rejected_execution.to_string(),
-                        s.kept.to_string(),
-                        s.best_re.map_or("-".to_string(), |re| format!("{re:.4}")),
+                        s.kept.len().to_string(),
+                        best_re.map_or("-".to_string(), |re| format!("{re:.4}")),
                         format!("{:.2}", s.get_steps_ms),
                         format!("{:.2}", s.get_top_k_ms),
                         format!("{:.2}", s.check_execute_ms),
@@ -422,10 +375,10 @@ impl TraceSummary {
         }
         out.push_str(&format!(
             "\nexplored {} candidates over {} steps",
-            self.explored,
+            self.end.explored,
             self.steps.len()
         ));
-        if let Some(accepted) = self.accepted {
+        if let Some(accepted) = self.accepted() {
             out.push_str(if accepted {
                 ", candidate accepted"
             } else {
@@ -433,7 +386,7 @@ impl TraceSummary {
             });
         }
         out.push('\n');
-        let t = &self.timings;
+        let t = &self.end.timings;
         let probes = t.prefix_cache_hits + t.prefix_cache_misses;
         if probes > 0 {
             out.push_str(&format!(
@@ -484,7 +437,7 @@ impl TraceSummary {
                 t.budget_trips_cells,
                 t.budget_trips_deadline,
             ));
-            for payload in self.panic_payloads.iter().take(3) {
+            for payload in self.panic_payloads().take(3) {
                 out.push_str(&format!("  panic: {payload}\n"));
             }
         }
@@ -553,7 +506,7 @@ pub struct AggregateRow {
     pub name: String,
     /// Candidates scored.
     pub explored: u64,
-    /// This search's phase times and counters ([`TraceSummary::timings`]).
+    /// This search's phase times and counters (its `search_end` timings).
     pub timings: Timings,
     /// Verification outcome (None on a truncated trace).
     pub accepted: Option<bool>,
@@ -605,9 +558,9 @@ pub fn aggregate_summaries(inputs: &[(String, TraceSummary)]) -> AggregateReport
     for (name, s) in inputs {
         let row = AggregateRow {
             name: name.clone(),
-            explored: s.explored,
-            timings: s.timings,
-            accepted: s.accepted,
+            explored: s.end.explored as u64,
+            timings: s.end.timings,
+            accepted: s.accepted(),
             memo_hit: s.memo_stub().map(|m| m.against.clone()),
         };
         if row.memo_hit.is_some() {
@@ -855,16 +808,16 @@ mod tests {
     fn round_trip_reconstructs_phase_totals() {
         let summary = parse_trace(&sample_trace()).unwrap();
         assert_eq!(summary.steps.len(), 2);
-        assert_eq!(summary.explored, 18);
-        let t = &summary.timings;
+        assert_eq!(summary.end.explored, 18);
+        let t = &summary.end.timings;
         assert_eq!(t.prefix_cache_hits, 7);
         assert_eq!((t.fit_memo_hits, t.fit_memo_misses), (5, 3));
         assert_eq!(t.get_steps_cpu_ms, 35.0);
         assert!(summary
             .render()
             .contains("fit memo: 5 hits, 3 misses (62% of fits"));
-        assert_eq!(summary.accepted, Some(true));
-        assert_eq!(summary.steps[1].best_re, Some(1.0));
+        assert_eq!(summary.accepted(), Some(true));
+        assert_eq!(summary.steps[1].kept[0].re, 1.0);
         assert!(summary.steps[1].converged);
         assert!(summary.render().contains(
             "interpreter time by statement kind:\n  stmt.assign            1x       8.50 ms\n"
@@ -885,7 +838,7 @@ mod tests {
         assert_eq!(t.candidates_panicked, 2);
         assert_eq!(t.budget_trips_cells, 2);
         assert_eq!(t.budget_trips_fuel, 0);
-        assert_eq!(summary.panic_payloads.len(), 2);
+        assert_eq!(summary.panic_payloads().count(), 2);
         assert_eq!(summary.steps[0].drops.candidates_panicked, 1);
         assert_eq!(summary.steps[0].drops.budget_trips_cells, 1);
         // Interner stats come from the search_end record.
@@ -1032,7 +985,7 @@ mod tests {
         );
         let summary = parse_trace(&text).unwrap();
         assert_eq!(summary.skipped_lines, 4); // blank lines aren't counted
-        assert_eq!(summary.config.len(), 1);
+        assert_eq!(summary.start.as_ref().map(|s| s.seq_len), Some(4));
         assert!(summary
             .render()
             .contains("warning: 4 blank/truncated/malformed line(s) skipped"));
@@ -1062,7 +1015,7 @@ mod tests {
         let full = sample_trace();
         let truncated: Vec<&str> = full.lines().take(3).collect(); // start + 2 steps
         let summary = parse_trace(&truncated.join("\n")).unwrap();
-        let t = &summary.timings;
+        let t = &summary.end.timings;
         assert_eq!(t.prefix_cache_hits, 6); // 3 + 3 from steps
         // Phase times and the step count fall back to the step sums; the
         // end-to-end time only exists in the (missing) search_end record.
@@ -1111,13 +1064,13 @@ mod tests {
             t.get_steps_ms,
             report.rows.iter().map(|r| r.timings.get_steps_ms).sum::<f64>()
         );
-        assert_eq!(t.total_ms, a.timings.total_ms + b.timings.total_ms);
-        assert_eq!(report.explored, a.explored + b.explored);
+        assert_eq!(t.total_ms, a.end.timings.total_ms + b.end.timings.total_ms);
+        assert_eq!(report.explored, (a.end.explored + b.end.explored) as u64);
         assert_eq!(t.search_steps, a.steps.len() + b.steps.len());
-        assert_eq!(t.alloc_bytes_total, a.timings.alloc_bytes_total * 2);
+        assert_eq!(t.alloc_bytes_total, a.end.timings.alloc_bytes_total * 2);
         // Gauges take the max, not the sum.
-        assert_eq!(t.peak_live_bytes, a.timings.peak_live_bytes);
-        assert_eq!(t.threads, a.timings.threads);
+        assert_eq!(t.peak_live_bytes, a.end.timings.peak_live_bytes);
+        assert_eq!(t.threads, a.end.timings.threads);
         assert_eq!(report.accepted, 2);
         // Identical searches collapse the latency percentiles.
         assert_eq!(report.p50_total_ms, 40.0);
@@ -1136,12 +1089,15 @@ mod tests {
     #[test]
     fn aggregate_percentiles_use_nearest_rank_over_searches() {
         let mk = |total_ms: f64, peak: u64| TraceSummary {
-            timings: Timings {
-                total_ms,
-                peak_live_bytes: peak,
+            end: SearchEndEvent {
+                timings: Timings {
+                    total_ms,
+                    peak_live_bytes: peak,
+                    ..Default::default()
+                },
                 ..Default::default()
             },
-            accepted: Some(false),
+            verify: Some(VerifyEvent::default()),
             ..Default::default()
         };
         let inputs: Vec<(String, TraceSummary)> = (1..=10)

@@ -2,9 +2,10 @@
 //!
 //! Each row names the field and its type, the registry metric the search
 //! records it under, and how two runs fold (`Sum`, or `Max` for gauges).
-//! One macro expands the table into the [`Timings`] struct, `accumulate`,
-//! [`Timings::from_registry`], [`Timings::from_record`] and the [`Metric`]
-//! handles with their fold rule, so adding a metric is one row here plus
+//! One macro expands the table into the [`Timings`] struct (which reads
+//! itself back from a trace through its `FromJson` derive), `accumulate`,
+//! [`Timings::from_registry`] and the [`Metric`] handles with their fold
+//! rule, so adding a metric is one row here plus
 //! its record site. The fold column is the only roll-up rule:
 //! [`Timings::accumulate`] and `Registry::merge` both read it, so folding
 //! projections and projecting a merged registry agree.
@@ -18,22 +19,16 @@
 //! [`Metric`], so no code can invent a name.
 
 use crate::metrics::Registry;
-use serde::Serialize;
-use serde_json::Value;
+use serde::{FromJson, Serialize};
 
-/// A `Timings` field type: how it is read from a registry and from a
-/// trace record.
+/// A `Timings` field type: how it is read from a registry.
 trait Field: Sized {
     fn from_registry(reg: &Registry, metric: Metric) -> Self;
-    fn from_json(v: Option<&Value>) -> Self;
 }
 
 impl Field for f64 {
     fn from_registry(reg: &Registry, metric: Metric) -> f64 {
         reg.histogram_sum_ms(metric)
-    }
-    fn from_json(v: Option<&Value>) -> f64 {
-        v.and_then(Value::as_f64).unwrap_or(0.0)
     }
 }
 
@@ -41,18 +36,11 @@ impl Field for u64 {
     fn from_registry(reg: &Registry, metric: Metric) -> u64 {
         reg.counter_value(metric)
     }
-    fn from_json(v: Option<&Value>) -> u64 {
-        // Saturating: negatives and NaN read as 0.
-        f64::from_json(v) as u64
-    }
 }
 
 impl Field for usize {
     fn from_registry(reg: &Registry, metric: Metric) -> usize {
         usize::try_from(reg.counter_value(metric)).unwrap_or(usize::MAX)
-    }
-    fn from_json(v: Option<&Value>) -> usize {
-        f64::from_json(v) as usize
     }
 }
 
@@ -97,7 +85,7 @@ macro_rules! metric_table {
         /// ([`Timings::from_registry`]). The trace's `search_end` record
         /// carries this same struct, so a trace summary and the report hold
         /// identical values.
-        #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, FromJson)]
         pub struct Timings {
             $(
                 $(#[doc = $doc])*
@@ -125,17 +113,6 @@ macro_rules! metric_table {
             pub fn from_registry(reg: &Registry) -> Timings {
                 Timings {
                     $( $field: Field::from_registry(reg, Metric::$variant), )*
-                }
-            }
-
-            /// Reads the `timings` object of a `search_end` trace record.
-            /// Total: a missing or non-numeric field reads as zero.
-            pub fn from_record(record: &Value) -> Timings {
-                let timings = record.get("timings");
-                Timings {
-                    $( $field: Field::from_json(
-                        timings.and_then(|t| t.get(stringify!($field))),
-                    ), )*
                 }
             }
 
@@ -296,6 +273,11 @@ metric_table! {
     KernelFillna("kernel.fillna"),
     /// One group-by aggregation.
     KernelGroupby("kernel.groupby"),
+    /// One model training (a fit-memo hit trains nothing and records
+    /// nothing).
+    KernelFit("kernel.fit"),
+    /// One fitted model's `score` or `predict` call.
+    KernelPredict("kernel.predict"),
     /// One table-Jaccard intent evaluation in verification.
     IntentTableJaccard("intent.table_jaccard"),
     /// One model-performance intent evaluation (two model fits).
@@ -376,8 +358,8 @@ mod tests {
         let mut names: Vec<&str> = Metric::ALL.iter().map(|m| m.name()).collect();
         assert_eq!(
             names.len(),
-            48,
-            "31 Timings rows + 17 registry-only metrics"
+            50,
+            "31 Timings rows + 19 registry-only metrics"
         );
         names.sort_unstable();
         names.dedup();
@@ -402,24 +384,6 @@ mod tests {
              \"alloc_bytes_unattributed\":25,\"alloc_bytes_total\":400,\"alloc_count\":8,\
              \"peak_live_bytes\":1048576}"
         );
-    }
-
-    #[test]
-    fn from_record_reads_back_what_serialization_wrote() {
-        let mut t = sample();
-        t.get_steps_ms = 0.1 + 0.2; // not exactly representable in short form
-        t.total_ms = 1_234.567_890_123;
-        let record = format!(
-            "{{\"event\":\"search_end\",\"timings\":{}}}",
-            serde_json::to_string(&t).unwrap()
-        );
-        let parsed = Timings::from_record(&serde_json::from_str(&record).unwrap());
-        assert_eq!(parsed, t);
-        // Missing or malformed fields read as zero.
-        let bare = serde_json::from_str("{\"timings\":{\"threads\":\"x\",\"alloc_count\":-3}}");
-        assert_eq!(Timings::from_record(&bare.unwrap()), Timings::default());
-        let none = serde_json::from_str("{\"event\":\"search_end\"}").unwrap();
-        assert_eq!(Timings::from_record(&none), Timings::default());
     }
 
     #[test]

@@ -4,18 +4,18 @@
 //! only ever derives `Serialize` and feeds values to
 //! `serde_json::to_string(_pretty)`, so the stand-in collapses the design
 //! to one pass: [`Serialize::serialize`] writes the value's JSON straight
-//! into a [`Json`] writer, with no intermediate tree. Nothing in the
-//! workspace deserializes typed values (only untyped `serde_json::Value`
-//! parsing is used), so there is no `Deserialize`.
+//! into a [`Json`] writer, with no intermediate tree. It implements
+//! `Serialize` only for the types the workspace writes. There is no
+//! `Deserialize`: records read themselves back from a parsed
+//! `serde_json::Value` through `serde_json::FromJson`.
 //!
-//! The derive macro lives in the vendored `serde_derive` crate and is
-//! re-exported under the usual name when the `derive` feature is on.
+//! Both derive macros live in the vendored `serde_derive` crate and are
+//! re-exported here when the `derive` feature is on.
 
-use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write;
 
 #[cfg(feature = "derive")]
-pub use serde_derive::Serialize;
+pub use serde_derive::{FromJson, Serialize};
 
 /// Types that write themselves as JSON.
 pub trait Serialize {
@@ -221,23 +221,15 @@ macro_rules! serialize_with {
 }
 
 serialize_with! {
-    i8 => |v, out| out.i64((*v).into());
-    i16 => |v, out| out.i64((*v).into());
-    i32 => |v, out| out.i64((*v).into());
     i64 => |v, out| out.i64(*v);
-    isize => |v, out| out.i64(*v as i64);
-    u8 => |v, out| out.u64((*v).into());
-    u16 => |v, out| out.u64((*v).into());
     u32 => |v, out| out.u64((*v).into());
     u64 => |v, out| out.u64(*v);
     usize => |v, out| out.u64(*v as u64);
-    f32 => |v, out| out.f64((*v).into());
     f64 => |v, out| out.f64(*v);
     bool => |v, out| out.bool(*v);
     String => |v, out| out.str(v);
     str => |v, out| out.str(v);
     char => |v, out| out.str(v.encode_utf8(&mut [0; 4]));
-    () => |_v, out| out.null();
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
@@ -267,12 +259,6 @@ impl<T: Serialize> Serialize for Vec<T> {
     }
 }
 
-impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn serialize(&self, out: &mut Json) {
-        self.as_slice().serialize(out);
-    }
-}
-
 impl<T: Serialize> Serialize for [T] {
     fn serialize(&self, out: &mut Json) {
         out.begin_seq();
@@ -281,32 +267,6 @@ impl<T: Serialize> Serialize for [T] {
         }
         out.end_seq();
     }
-}
-
-impl<V: Serialize, S> Serialize for HashMap<String, V, S> {
-    fn serialize(&self, out: &mut Json) {
-        // Deterministic output: sort keys (HashMap iteration order is not).
-        let mut entries: Vec<(&String, &V)> = self.iter().collect();
-        entries.sort_by(|a, b| a.0.cmp(b.0));
-        write_object(out, entries);
-    }
-}
-
-impl<V: Serialize> Serialize for BTreeMap<String, V> {
-    fn serialize(&self, out: &mut Json) {
-        write_object(out, self);
-    }
-}
-
-fn write_object<'a, V: Serialize + 'a>(
-    out: &mut Json,
-    entries: impl IntoIterator<Item = (&'a String, &'a V)>,
-) {
-    out.begin_object();
-    for (k, v) in entries {
-        out.field(k, v);
-    }
-    out.end_object();
 }
 
 macro_rules! tuple_impls {
@@ -322,50 +282,23 @@ macro_rules! tuple_impls {
 }
 
 tuple_impls! {
-    (A.0)
     (A.0, B.1)
     (A.0, B.1, C.2)
-    (A.0, B.1, C.2, D.3)
-    (A.0, B.1, C.2, D.3, E.4)
-    (A.0, B.1, C.2, D.3, E.4, F.5)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn compact<T: Serialize + ?Sized>(value: &T) -> String {
-        let mut out = Json::compact();
-        value.serialize(&mut out);
-        out.into_string()
-    }
-
-    #[test]
-    fn primitives_write() {
-        assert_eq!(compact(&5i32), "5");
-        assert_eq!(compact(&u64::MAX), "18446744073709551615");
-        assert_eq!(compact(&true), "true");
-        assert_eq!(compact("hi"), "\"hi\"");
-        assert_eq!(compact(&Option::<i64>::None), "null");
-    }
-
-    #[test]
-    fn containers_write() {
-        assert_eq!(compact(&vec![1i64, 2]), "[1,2]");
-        assert_eq!(compact(&("a", 1.5f64, vec![true])), "[\"a\",1.5,[true]]");
-        let mut m = HashMap::new();
-        m.insert("b".to_string(), 2i64);
-        m.insert("a".to_string(), 1i64);
-        assert_eq!(compact(&m), "{\"a\":1,\"b\":2}");
-    }
-
     #[test]
     fn lead_fires_once_on_the_next_object() {
         let mut out = Json::compact();
-        out.lead_next_object(|out| out.field("v", &1u8));
-        let mut inner = BTreeMap::new();
-        inner.insert("k".to_string(), BTreeMap::<String, u8>::new());
-        inner.serialize(&mut out);
+        out.lead_next_object(|out| out.field("v", &1u64));
+        out.begin_object();
+        out.key("k");
+        out.begin_object();
+        out.end_object();
+        out.end_object();
         assert_eq!(out.into_string(), "{\"v\":1,\"k\":{}}");
     }
 }

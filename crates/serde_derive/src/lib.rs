@@ -1,21 +1,27 @@
 //! Offline stand-in for `serde_derive`.
 //!
-//! A hand-rolled derive macro — no `syn`/`quote` (unavailable offline).
-//! A small token-tree walker extracts the item's shape (struct with
-//! named/tuple/unit fields, or enum with unit/tuple/struct variants) and
-//! emits an impl of the vendored `serde::Serialize` trait whose body
-//! calls the `serde::Json` writer directly, in one pass. Named structs
-//! become objects, tuple structs arrays, newtype structs their inner
-//! value and unit structs `null`. Externally-tagged enum encoding matches
-//! real serde: unit variants become strings, newtype variants wrap the
-//! inner value, longer tuple variants wrap an array, struct variants wrap
-//! an object.
+//! Hand-rolled derive macros — no `syn`/`quote` (unavailable offline).
+//! A small token-tree walker extracts the item's shape (struct with named
+//! or tuple fields, or enum with unit/tuple/struct variants), and both
+//! derives read that one shape.
+//!
+//! `Serialize` emits an impl of the vendored `serde::Serialize` trait
+//! whose body calls the `serde::Json` writer directly, in one pass. Named
+//! structs become objects, tuple structs arrays and newtype structs their
+//! inner value. Externally-tagged enum encoding matches real serde: unit
+//! variants become strings, newtype variants wrap the inner value, longer
+//! tuple variants wrap an array, struct variants wrap an object.
+//!
+//! `FromJson` emits the inverse, an impl of `serde_json::FromJson`, for
+//! the shapes records use: named structs, and enums of unit and struct
+//! variants. Each field reads through `serde_json::field`, so the read
+//! rule stated on that trait is the only one.
 //!
 //! Limitations (checked, with clear panics): no generic parameters, no
 //! `#[serde(...)]` attribute processing. Neither occurs in this
 //! workspace.
 
-use proc_macro::{Delimiter, TokenStream, TokenTree};
+use proc_macro::{Delimiter, Group, TokenStream, TokenTree};
 
 /// Derives the vendored `serde::Serialize`.
 #[proc_macro_derive(Serialize, attributes(serde))]
@@ -33,21 +39,11 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
         ItemKind::Enum(variants) => {
             let mut arms = String::new();
             for v in variants {
-                // Bind fields as `f_<name>` so no field shadows `out`.
+                // Bind fields as `f_<name>` so no field shadows `out`; a
+                // brace pattern binds tuple fields by index too (`{ 0: f_0 }`).
                 let names = v.fields.names();
                 let binds: Vec<String> = names.iter().map(|f| format!("f_{f}")).collect();
-                let pat = match &v.fields {
-                    Fields::Unit => String::new(),
-                    Fields::Tuple(_) => format!("({})", binds.join(", ")),
-                    Fields::Named(_) => {
-                        let pairs: Vec<String> = names
-                            .iter()
-                            .zip(&binds)
-                            .map(|(f, b)| format!("{f}: {b}"))
-                            .collect();
-                        format!(" {{ {} }}", pairs.join(", "))
-                    }
-                };
+                let pat: String = names.iter().map(|f| format!("{f}: f_{f},")).collect();
                 let body = match &v.fields {
                     Fields::Unit => format!("out.str(\"{}\");", v.name),
                     fields => format!(
@@ -56,7 +52,10 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
                         write_fields(fields, &binds)
                     ),
                 };
-                arms.push_str(&format!("{}::{}{pat} => {{ {body} }}\n", item.name, v.name));
+                arms.push_str(&format!(
+                    "{}::{} {{ {pat} }} => {{ {body} }}\n",
+                    item.name, v.name
+                ));
             }
             format!("match self {{ {arms} }}")
         }
@@ -69,44 +68,89 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     .expect("generated Serialize impl parses")
 }
 
-/// The writer calls for one set of fields, each value an expression of
-/// reference type: `null` for unit, the value itself for one unnamed
-/// field, an array for several, an object for named fields.
-fn write_fields(fields: &Fields, values: &[String]) -> String {
-    let calls = |f: &dyn Fn(usize, &String) -> String| {
-        values
-            .iter()
-            .enumerate()
-            .map(|(i, v)| f(i, v))
-            .collect::<String>()
+/// Derives the vendored `serde_json::FromJson`.
+#[proc_macro_derive(FromJson)]
+pub fn derive_from_json(input: TokenStream) -> TokenStream {
+    let item = parse_item(input);
+    let name = &item.name;
+    // A struct or struct variant reads its fields from an object only.
+    let object = "let v = ::serde_json::object(v)?;";
+    let field = |f: &str| format!("::serde_json::field(v, \"{f}\")?");
+    let (from_json, absent) = match &item.kind {
+        ItemKind::Struct(fields) => (
+            format!("{object} {}", construct(name, fields, &field)),
+            construct(name, fields, &|_| "::serde_json::FromJson::absent()?".to_string()),
+        ),
+        ItemKind::Enum(variants) => {
+            let arms: String = variants
+                .iter()
+                .map(|v| match &v.fields {
+                    Fields::Unit => format!("(\"{0}\", _) => Some({name}::{0}),", v.name),
+                    fields => format!(
+                        "(\"{}\", v) => {{ {object} {} }}",
+                        v.name,
+                        construct(&format!("{name}::{}", v.name), fields, &field)
+                    ),
+                })
+                .collect();
+            let tagged = format!("match ::serde_json::variant(v)? {{ {arms} _ => None }}");
+            (tagged, "None".to_string())
+        }
     };
+    format!(
+        "impl ::serde_json::FromJson for {name} {{ \
+         fn from_json(v: &::serde_json::Value) -> Option<Self> {{ {from_json} }} \
+         fn absent() -> Option<Self> {{ {absent} }} }}"
+    )
+    .parse()
+    .expect("generated FromJson impl parses")
+}
+
+/// `Some(<path> { f: <read(f)>, ... })` for named fields.
+fn construct(path: &str, fields: &Fields, read: &dyn Fn(&str) -> String) -> String {
+    let Fields::Named(names) = fields else {
+        panic!("FromJson derives only named structs and struct variants, not `{path}`");
+    };
+    let inits: String = names.iter().map(|f| format!("{f}: {},", read(f))).collect();
+    format!("Some({path} {{ {inits} }})")
+}
+
+/// The writer calls for one set of fields, each value an expression of
+/// reference type: the value itself for one unnamed field, an array for
+/// several, an object for named fields.
+fn write_fields(fields: &Fields, values: &[String]) -> String {
     match fields {
-        Fields::Unit => "out.null();".to_string(),
-        Fields::Tuple(1) => format!("::serde::Serialize::serialize({}, out);", values[0]),
-        Fields::Tuple(_) => format!(
-            "out.begin_seq(); {} out.end_seq();",
-            calls(&|_, v| format!("out.element({v});"))
-        ),
-        Fields::Named(names) => format!(
-            "out.begin_object(); {} out.end_object();",
-            calls(&|i, v| format!("out.field(\"{}\", {v});", names[i]))
-        ),
+        Fields::Tuple(_) if values.len() == 1 => {
+            format!("::serde::Serialize::serialize({}, out);", values[0])
+        }
+        Fields::Named(names) => {
+            let calls: String = names
+                .iter()
+                .zip(values)
+                .map(|(n, v)| format!("out.field(\"{n}\", {v});"))
+                .collect();
+            format!("out.begin_object(); {calls} out.end_object();")
+        }
+        _ => {
+            let calls: String = values.iter().map(|v| format!("out.element({v});")).collect();
+            format!("out.begin_seq(); {calls} out.end_seq();")
+        }
     }
 }
 
+/// A struct's or variant's fields: a unit variant has none, tuple fields
+/// are named by index.
 enum Fields {
     Unit,
-    Tuple(usize),
+    Tuple(Vec<String>),
     Named(Vec<String>),
 }
 
 impl Fields {
-    /// Field names, with tuple fields named by index.
-    fn names(&self) -> Vec<String> {
+    fn names(&self) -> &[String] {
         match self {
-            Fields::Unit => Vec::new(),
-            Fields::Tuple(n) => (0..*n).map(|i| i.to_string()).collect(),
-            Fields::Named(names) => names.clone(),
+            Fields::Unit => &[],
+            Fields::Tuple(names) | Fields::Named(names) => names,
         }
     }
 }
@@ -146,20 +190,14 @@ impl Cursor {
     }
 
     fn next(&mut self) -> Option<TokenTree> {
-        let t = self.tokens.get(self.pos).cloned();
-        if t.is_some() {
-            self.pos += 1;
-        }
+        let t = self.peek().cloned();
+        self.pos += usize::from(t.is_some());
         t
     }
 
     fn skip_attributes(&mut self) {
         while matches!(self.peek(), Some(TokenTree::Punct(p)) if p.as_char() == '#') {
-            self.next(); // '#'
-            match self.next() {
-                Some(TokenTree::Group(_)) => {}
-                other => panic!("expected attribute body after '#', got {other:?}"),
-            }
+            self.pos += 2; // '#' and its `[...]` group
         }
     }
 
@@ -215,29 +253,18 @@ fn parse_item(input: TokenStream) -> Item {
     if matches!(c.peek(), Some(TokenTree::Punct(p)) if p.as_char() == '<') {
         panic!("derive stand-in does not support generic parameters on `{name}`");
     }
-    let kind = match keyword.as_str() {
-        "struct" => ItemKind::Struct(parse_struct_fields(&mut c)),
-        "enum" => ItemKind::Enum(parse_enum_variants(&mut c)),
-        other => panic!("expected `struct` or `enum`, got `{other}`"),
+    let kind = match (keyword.as_str(), c.next()) {
+        ("struct", Some(TokenTree::Group(g))) => ItemKind::Struct(parse_fields(&g)),
+        ("enum", Some(TokenTree::Group(g))) => ItemKind::Enum(parse_enum_variants(&g)),
+        (other, body) => panic!("expected a struct or enum body, got `{other}` {body:?}"),
     };
     Item { name, kind }
 }
 
-fn parse_struct_fields(c: &mut Cursor) -> Fields {
-    match c.next() {
-        Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-            Fields::Named(parse_named_fields(g.stream()))
-        }
-        Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-            Fields::Tuple(count_tuple_fields(g.stream()))
-        }
-        Some(TokenTree::Punct(p)) if p.as_char() == ';' => Fields::Unit,
-        other => panic!("unsupported struct body: {other:?}"),
-    }
-}
-
-fn parse_named_fields(stream: TokenStream) -> Vec<String> {
-    let mut c = Cursor::new(stream);
+/// The fields of a brace (named) or parenthesis (tuple) group.
+fn parse_fields(group: &Group) -> Fields {
+    let named = group.delimiter() == Delimiter::Brace;
+    let mut c = Cursor::new(group.stream());
     let mut names = Vec::new();
     loop {
         c.skip_attributes();
@@ -245,40 +272,20 @@ fn parse_named_fields(stream: TokenStream) -> Vec<String> {
             break;
         }
         c.skip_visibility();
-        names.push(c.expect_ident());
-        match c.next() {
-            Some(TokenTree::Punct(p)) if p.as_char() == ':' => {}
-            other => panic!("expected ':' after field name, got {other:?}"),
-        }
+        // A named field's type follows its name and is skipped with it.
+        names.push(if named { c.expect_ident() } else { names.len().to_string() });
         if !c.skip_until_top_level_comma() {
             break;
         }
     }
-    names
-}
-
-fn count_tuple_fields(stream: TokenStream) -> usize {
-    let mut c = Cursor::new(stream);
-    let mut count = 0;
-    loop {
-        c.skip_attributes();
-        if c.peek().is_none() {
-            break;
-        }
-        c.skip_visibility();
-        count += 1;
-        if !c.skip_until_top_level_comma() {
-            break;
-        }
+    if named {
+        Fields::Named(names)
+    } else {
+        Fields::Tuple(names)
     }
-    count
 }
 
-fn parse_enum_variants(c: &mut Cursor) -> Vec<Variant> {
-    let group = match c.next() {
-        Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => g,
-        other => panic!("expected enum body, got {other:?}"),
-    };
+fn parse_enum_variants(group: &Group) -> Vec<Variant> {
     let mut c = Cursor::new(group.stream());
     let mut variants = Vec::new();
     loop {
@@ -288,15 +295,10 @@ fn parse_enum_variants(c: &mut Cursor) -> Vec<Variant> {
         }
         let name = c.expect_ident();
         let fields = match c.peek() {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                let stream = g.stream();
+            Some(TokenTree::Group(g)) => {
+                let fields = parse_fields(g);
                 c.next();
-                Fields::Tuple(count_tuple_fields(stream))
-            }
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                let stream = g.stream();
-                c.next();
-                Fields::Named(parse_named_fields(stream))
+                fields
             }
             _ => Fields::Unit,
         };

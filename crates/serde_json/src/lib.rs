@@ -3,11 +3,11 @@
 //! Covers exactly what this workspace uses: rendering any
 //! `serde::Serialize` value to a JSON string (`to_string`,
 //! `to_string_pretty`, thin wrappers over the one-pass `serde::Json`
-//! writer, which owns the float, escape and indent rules) and parsing
-//! bytes/str into an untyped [`Value`] (`from_slice`, `from_str`).
-//! `Value` is for parsing only: it is not `Serialize`. Typed
-//! deserialization is intentionally absent — nothing in the workspace
-//! requests it.
+//! writer, which owns the float, escape and indent rules), parsing text
+//! into an untyped [`Value`] (`from_str`), and reading a record back from
+//! that `Value` through [`FromJson`], which `serde_derive` derives from
+//! the same walk that derives `Serialize`. `Value` is for parsing only: it
+//! is not `Serialize`.
 
 use serde::{Json, Serialize};
 use std::collections::BTreeMap;
@@ -16,13 +16,11 @@ use std::fmt;
 /// Error raised by JSON parsing (serialization here is infallible, but
 /// `to_string` keeps the real crate's `Result` signature).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Error {
-    message: String,
-}
+pub struct Error(String);
 
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "JSON error: {}", self.message)
+        write!(f, "JSON error: {}", self.0)
     }
 }
 
@@ -30,9 +28,7 @@ impl std::error::Error for Error {}
 
 impl Error {
     fn new(message: impl Into<String>) -> Error {
-        Error {
-            message: message.into(),
-        }
+        Error(message.into())
     }
 }
 
@@ -95,6 +91,96 @@ impl Value {
     }
 }
 
+/// Types that read themselves back from a parsed [`Value`]: the inverse
+/// of `serde::Serialize` for the shapes records use. `#[derive(FromJson)]`
+/// (re-exported by `serde`) covers named structs and externally tagged
+/// enums of unit and struct variants.
+///
+/// One read rule holds for every type:
+/// - a struct field that is absent, `null` or of the wrong type reads as
+///   its type's default ([`FromJson::absent`]); numbers cast saturating,
+///   so a negative or NaN count reads 0;
+/// - an enum needs a known variant, so it has no default: a struct whose
+///   enum field does not read does not read either (a trace record that
+///   does not read is skipped and counted);
+/// - unknown keys are ignored, and array elements that do not read are
+///   dropped.
+pub trait FromJson: Sized {
+    /// Reads `v`; `None` when it holds another type or an unknown variant.
+    fn from_json(v: &Value) -> Option<Self>;
+
+    /// What an absent or unreadable field reads as: the type's default,
+    /// or `None` for an enum and a struct that holds one.
+    fn absent() -> Option<Self>;
+}
+
+/// Reads field `key` of `v` by the read rule of [`FromJson`].
+pub fn field<T: FromJson>(v: &Value, key: &str) -> Option<T> {
+    v.get(key).and_then(T::from_json).or_else(T::absent)
+}
+
+/// `v` when it is an object, the only value a struct reads from.
+pub fn object(v: &Value) -> Option<&Value> {
+    matches!(v, Value::Object(_)).then_some(v)
+}
+
+/// The tag and body of an externally tagged enum value: a unit variant
+/// is its tag as a string (body `null`), a data variant a one-key object.
+pub fn variant(v: &Value) -> Option<(&str, &Value)> {
+    static NULL: Value = Value::Null;
+    match v {
+        Value::String(tag) => Some((tag, &NULL)),
+        Value::Object(map) if map.len() == 1 => {
+            map.iter().next().map(|(tag, body)| (tag.as_str(), body))
+        }
+        _ => None,
+    }
+}
+
+/// `impl FromJson` for types read by one `Value` accessor, absent as
+/// their `Default`.
+macro_rules! from_json_with {
+    ($($t:ty => |$v:ident| $read:expr;)*) => {$(
+        impl FromJson for $t {
+            fn from_json($v: &Value) -> Option<$t> {
+                $read
+            }
+            fn absent() -> Option<$t> {
+                Some(<$t>::default())
+            }
+        }
+    )*};
+}
+
+from_json_with! {
+    f64 => |v| v.as_f64();
+    u64 => |v| v.as_f64().map(|f| f as u64);
+    usize => |v| v.as_f64().map(|f| f as usize);
+    bool => |v| v.as_bool();
+    String => |v| v.as_str().map(str::to_string);
+}
+
+impl<T: FromJson> FromJson for Option<T> {
+    fn from_json(v: &Value) -> Option<Option<T>> {
+        match v {
+            Value::Null => Some(None),
+            v => T::from_json(v).map(Some),
+        }
+    }
+    fn absent() -> Option<Option<T>> {
+        Some(None)
+    }
+}
+
+impl<T: FromJson> FromJson for Vec<T> {
+    fn from_json(v: &Value) -> Option<Vec<T>> {
+        Some(v.as_array()?.iter().filter_map(T::from_json).collect())
+    }
+    fn absent() -> Option<Vec<T>> {
+        Some(Vec::new())
+    }
+}
+
 /// Serializes `value` to a compact JSON string.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     Ok(write(value, Json::compact()))
@@ -108,12 +194,6 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Erro
 fn write<T: Serialize + ?Sized>(value: &T, mut out: Json) -> String {
     value.serialize(&mut out);
     out.into_string()
-}
-
-/// Parses a byte slice into an untyped [`Value`].
-pub fn from_slice(bytes: &[u8]) -> Result<Value, Error> {
-    let text = std::str::from_utf8(bytes).map_err(|e| Error::new(e.to_string()))?;
-    from_str(text)
 }
 
 /// Parses a string into an untyped [`Value`].
@@ -189,15 +269,13 @@ impl<'a> Parser<'a> {
             Some(b't') => self.parse_literal("true", Value::Bool(true)),
             Some(b'f') => self.parse_literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::String(self.parse_string()?)),
-            Some(b'[') => {
+            Some(open @ (b'[' | b'{')) => {
                 self.depth += 1;
-                let value = self.parse_array();
-                self.depth -= 1;
-                value
-            }
-            Some(b'{') => {
-                self.depth += 1;
-                let value = self.parse_object();
+                let value = if open == b'[' {
+                    self.parse_array()
+                } else {
+                    self.parse_object()
+                };
                 self.depth -= 1;
                 value
             }
@@ -260,16 +338,11 @@ impl<'a> Parser<'a> {
                         Some(b'b') => s.push('\u{8}'),
                         Some(b'f') => s.push('\u{c}'),
                         Some(b'u') => {
-                            let hex = self
-                                .bytes
+                            let code = self
+                                .text
                                 .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| Error::new("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex)
-                                    .map_err(|_| Error::new("invalid \\u escape"))?,
-                                16,
-                            )
-                            .map_err(|_| Error::new("invalid \\u escape"))?;
+                                .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                                .ok_or_else(|| Error::new("invalid \\u escape"))?;
                             // Surrogate pairs are not needed for this
                             // workspace's ASCII-dominated reports.
                             s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
@@ -352,17 +425,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn renders_compact_and_pretty() {
-        let value = vec![("a".to_string(), 1i64)];
-        // A Vec of tuples renders as nested arrays.
-        assert_eq!(to_string(&value).unwrap(), r#"[["a",1]]"#);
-        let floats = vec![1.0f64, 2.5];
-        assert_eq!(to_string(&floats).unwrap(), "[1.0,2.5]");
-        let pretty = to_string_pretty(&floats).unwrap();
-        assert!(pretty.contains("\n  1.0"));
-    }
-
-    #[test]
     fn parses_round_trip() {
         let v = from_str(r#"{"improvement_pct": 12.5, "name": "df", "tags": [1, null, true]}"#)
             .unwrap();
@@ -378,7 +440,6 @@ mod tests {
         let v = from_str(r#""a\n\"bA""#).unwrap();
         assert_eq!(v.as_str(), Some("a\n\"bA"));
         assert!(from_str("{,}").is_err());
-        assert!(from_slice(b"[1, 2]").is_ok());
         let err = from_str("nope").unwrap_err();
         assert!(err.to_string().contains("JSON error"));
     }

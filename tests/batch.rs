@@ -14,7 +14,7 @@
 //!    boundaries — and the pooled store and interner really are shared:
 //!    the batch sees more hits than the same searches run standalone.
 
-use lucidscript::core::batch::{standardize_corpus, BatchOptions, BatchScript};
+use lucidscript::core::batch::{standardize_corpus, BatchOptions, BatchScript, ScriptResult};
 use lucidscript::core::config::SearchConfig;
 use lucidscript::core::intent::IntentMeasure;
 use lucidscript::core::standardizer::Standardizer;
@@ -231,6 +231,55 @@ fn batch_decision_records_are_byte_identical_across_jobs_and_memo() {
 /// byte-identical copy is served the same error as a memo hit, and the
 /// report matches the memo-off run. Neither leaves a trace file: the
 /// failed search wrote no record, and its copy has no stream to point at.
+/// The deterministic content of one batch entry: name, memo flag, and
+/// the output (source, RE bits, applied ops, explored count) or error.
+fn entry(r: &ScriptResult) -> impl PartialEq + std::fmt::Debug {
+    let outcome = r.outcome.as_ref().map(|rep| {
+        (
+            rep.output_source.clone(),
+            rep.re_before.to_bits(),
+            rep.re_after.to_bits(),
+            rep.applied.clone(),
+            rep.candidates_explored,
+        )
+    });
+    (r.name.clone(), r.memo_hit, outcome.map_err(String::clone))
+}
+
+/// No input may abort the process: a script nested 200 000 levels deep
+/// in a batch fails alone, with a parse error naming it, and every other
+/// script's entry is the one the batch gives without it.
+#[test]
+fn a_deeply_nested_script_fails_alone_with_a_parse_error() {
+    const N: usize = 200_000;
+    let deep = BatchScript::new("deep.py", format!("x = {}1{}\n", "(".repeat(N), ")".repeat(N)));
+    for jobs in [1, 2] {
+        let run = |scripts: &[BatchScript]| {
+            let opts = BatchOptions {
+                jobs,
+                ..BatchOptions::default()
+            };
+            standardize_corpus(scripts, Profile::titanic().file, mini_data(), mini_config(), &opts)
+                .expect("batch runs")
+        };
+        let clean = run(&mini_scripts());
+        let mut scripts = mini_scripts();
+        scripts.insert(2, deep.clone());
+        let mut hostile = run(&scripts).scripts;
+        let deep_result = hostile.remove(2);
+        assert_eq!(deep_result.name, "deep.py");
+        let err = deep_result.outcome.expect_err("the deep script fails");
+        assert!(
+            err.starts_with("script parse error: parse error at 1:")
+                && err.contains("nests deeper than 200 levels"),
+            "jobs={jobs}: {err}"
+        );
+        let others: Vec<_> = hostile.iter().map(entry).collect();
+        let expected: Vec<_> = clean.scripts.iter().map(entry).collect();
+        assert_eq!(others, expected, "jobs={jobs}");
+    }
+}
+
 #[test]
 fn failing_scripts_dedup_like_working_ones() {
     let a = mini_scripts()[0].source.clone();
@@ -558,7 +607,7 @@ fn batch_trace_and_timings_reconcile() {
             .unwrap_or_else(|e| panic!("trace for {}: {e}", script.name));
         let summary = lucidscript::obs::parse_trace(&text)
             .unwrap_or_else(|e| panic!("trace for {}: {e}", script.name));
-        let s = &summary.timings;
+        let s = &summary.end.timings;
         trace_hits += s.prefix_cache_hits;
         trace_misses += s.prefix_cache_misses;
         trace_evictions += s.prefix_cache_evictions;
@@ -659,7 +708,7 @@ fn traced_batch_searches_each_profile_one_search() {
         assert_eq!(totals, [1], "search.total rows for {}", script.name);
         let report = result.outcome.as_ref().expect("script standardizes");
         assert_eq!(
-            work(&summary.timings),
+            work(&summary.end.timings),
             work(&report.timings),
             "work counters of {}",
             script.name

@@ -88,7 +88,7 @@ fn standardize_emits_json_reports() {
         .expect("runs");
     assert!(out.status.success());
     let json: serde_json::Value =
-        serde_json::from_slice(&out.stdout).expect("valid JSON report");
+        serde_json::from_str(&String::from_utf8_lossy(&out.stdout)).expect("valid JSON report");
     assert!(json.get("improvement_pct").is_some());
     assert!(json.get("output_source").is_some());
 }

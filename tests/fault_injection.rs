@@ -123,7 +123,7 @@ fn mixed_classes_at_ten_percent_reconcile_with_the_trace() {
     // a projection of the same registry).
     let lines = sink.memory_lines().unwrap();
     let summary = lucidscript::obs::parse_trace(&lines.join("\n")).unwrap();
-    let s = &summary.timings;
+    let s = &summary.end.timings;
     assert_eq!(s.candidates_panicked, report.timings.candidates_panicked);
     assert_eq!(s.budget_trips_fuel, report.timings.budget_trips_fuel);
     assert_eq!(s.budget_trips_cells, report.timings.budget_trips_cells);
@@ -149,18 +149,18 @@ fn mixed_classes_at_ten_percent_reconcile_with_the_trace() {
             t.candidates_panicked,
         ]
     };
-    assert_eq!(drop_counters(&fallback.timings), drop_counters(&report.timings));
+    assert_eq!(drop_counters(&fallback.end.timings), drop_counters(&report.timings));
     assert_eq!(
-        fallback.panic_payloads.len() as u64,
+        fallback.panic_payloads().count() as u64,
         report.timings.candidates_panicked
     );
     // Every caught panic carried its payload into the step/verify events
     // (up to the per-event cap, which these small searches stay under).
     assert_eq!(
-        summary.panic_payloads.len() as u64,
+        summary.panic_payloads().count() as u64,
         report.timings.candidates_panicked
     );
-    for payload in &summary.panic_payloads {
+    for payload in summary.panic_payloads() {
         assert!(payload.starts_with("injected panic"), "{payload}");
     }
     if report.timings.candidates_panicked > 0 || report.timings.budget_trips_total() > 0 {

@@ -81,7 +81,7 @@ fn phase_bytes_sum_to_total_and_reach_trace_and_report() {
 
     // The same numbers ride the trace's search_end record.
     let summary = parse_trace(&sink.memory_lines().unwrap().join("\n")).unwrap();
-    let s = &summary.timings;
+    let s = &summary.end.timings;
     assert_eq!(s.alloc_bytes_total, t.alloc_bytes_total);
     assert_eq!(s.alloc_count, t.alloc_count);
     assert_eq!(s.peak_live_bytes, t.peak_live_bytes);
