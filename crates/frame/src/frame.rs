@@ -88,7 +88,11 @@ impl DataFrame {
     }
 
     /// The shared handle for a column by name (for zero-copy reuse).
-    fn column_arc(&self, name: &str) -> Result<&Arc<Column>> {
+    ///
+    /// # Errors
+    ///
+    /// Fails if the column does not exist.
+    pub fn column_arc(&self, name: &str) -> Result<&Arc<Column>> {
         self.index
             .get(name)
             .map(|&i| &self.columns[i])
@@ -131,9 +135,18 @@ impl DataFrame {
         Ok(())
     }
 
-    /// Adds or replaces a column (pandas `df[name] = series`).
-    pub fn set_column(&mut self, name: impl Into<String>, col: Column) -> Result<()> {
-        let name = name.into();
+    /// Adds or replaces a column (pandas `df[name] = series`). An
+    /// already-shared column is stored without a copy.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the length differs from the frame's (for non-empty frames).
+    pub fn set_column(
+        &mut self,
+        name: impl Into<String>,
+        col: impl Into<Arc<Column>>,
+    ) -> Result<()> {
+        let (name, col) = (name.into(), col.into());
         if let Some(&i) = self.index.get(&name) {
             if col.len() != self.n_rows() {
                 return Err(FrameError::LengthMismatch {
@@ -141,10 +154,10 @@ impl DataFrame {
                     actual: col.len(),
                 });
             }
-            self.columns[i] = Arc::new(col);
+            self.columns[i] = col;
             Ok(())
         } else {
-            self.add_column(name, col)
+            self.add_column_shared(name, col)
         }
     }
 

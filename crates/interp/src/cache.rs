@@ -15,13 +15,25 @@
 //! variable map; frame columns inside it are `Arc`-shared copy-on-write,
 //! so a resumed run can never observe a mutation by another.
 //!
-//! **Fit memo.** Every corpus script ends in `fit` → `score`, and an edit
-//! upstream of that tail re-runs it even when the training inputs come
-//! out unchanged. Model training is a pure function of the estimator's
-//! parameters and the encoded training data, so fitted models are memoized
-//! under a 128-bit fingerprint of exactly those ([`fit_key`]): one fit per
-//! distinct input. Only successful fits are stored, and in debug builds
-//! every hit re-fits and asserts a bit-identical model.
+//! **Fit memo.** Every corpus script ends in `fit` → `score`, and nothing
+//! the search reads uses the trained weights, so a classifier `fit` only
+//! decodes, encodes and checks its inputs and returns a lazy handle
+//! ([`crate::sklearn::LazyFit`]) that trains when a `predict` or a read
+//! `score` first needs it. An edit upstream of the tail re-runs the `fit`
+//! even when the training inputs come out unchanged. Training is a pure
+//! function of the estimator's parameters and the encoded training data,
+//! so the handles are memoized under a 128-bit fingerprint of exactly
+//! those ([`fit_key`]): a fit of an input that a live handle holds gets
+//! that handle back, so each distinct input trains at most once while it
+//! is in use, and only if something forces it. The memo holds its handles
+//! weakly: a handle, and the training frame and labels it holds, lives
+//! only while a run's variables or a prefix snapshot hold it, so the memo
+//! keeps no training input alive by itself; a fit whose handle is gone
+//! makes a new one (a miss). A handle carries no feature names a fit can
+//! see — each fit keeps the names of its own `X`, since two inputs with
+//! the same bits may name their columns differently. Failed fits never
+//! reach the memo. In debug builds every hit asserts that the stored
+//! handle holds the same input, bit for bit — a check that trains nothing.
 //!
 //! Both maps are bounded by the same capacity with least-recently-used
 //! eviction in amortized O(1).
@@ -32,41 +44,40 @@
 //! concurrent searches (batch mode): each search holds its own
 //! [`PrefixCache`] *view* of the store, which counts probes, evictions
 //! and fit-memo traffic straight into that search's metrics
-//! [`Registry`], while snapshots and fitted models themselves are pooled.
+//! [`Registry`], while snapshots and training handles themselves are pooled.
 //! Nothing else keeps a count: a pool total is the sum of the searches'
 //! registries. The chain keys already fold the interpreter's seed and
 //! sampling configuration, so runs under different input setups can never
 //! collide inside a shared store; fit keys are content fingerprints and
 //! need no such folding.
 
+use crate::sklearn::LazyFit;
 use crate::value::RtValue;
-use lucid_ml::logreg::FittedLogReg;
 use lucid_ml::matrix::Matrix;
-use lucid_ml::tree::FittedTree;
 use lucid_obs::{Counter, Metric, Registry};
 use lucid_pyast::{Span, Stmt};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
 
 /// Default bound on retained snapshots (see [`PrefixCache::with_capacity`]).
 pub const DEFAULT_PREFIX_CACHE_CAPACITY: usize = 4096;
 
 /// The shared store behind one or more [`PrefixCache`] views: the
-/// snapshot and fitted-model LRU maps plus the retention peak, a gauge of
-/// the store itself.
+/// snapshot and training-handle LRU maps plus the retention peak, a gauge of
+/// the store itself. Training handles are held weakly.
 #[derive(Debug)]
 struct CacheStore {
     snapshots: Mutex<Lru<u64, CachedPrefix>>,
-    fits: Mutex<Lru<u128, FittedFit>>,
+    fits: Mutex<Lru<u128, Weak<LazyFit>>>,
     capacity: usize,
     peak_len: AtomicU64,
 }
 
 /// A per-search view of a bounded, thread-safe store of execution
-/// snapshots keyed by statement prefix and fitted models keyed by
+/// snapshots keyed by statement prefix and training handles keyed by
 /// training input ([`fit_key`]).
 ///
 /// A view holds the handles of the registry counters it counts into
@@ -168,25 +179,6 @@ impl<K: Copy + Eq + Hash, V: Clone> Lru<K, V> {
     }
 }
 
-/// A fitted model as the fit memo stores it: the bare model, without the
-/// feature names of the call that trained it.
-#[derive(Debug, Clone)]
-pub(crate) enum FittedFit {
-    LogReg(FittedLogReg),
-    Tree(FittedTree),
-}
-
-impl FittedFit {
-    /// Bit-for-bit model equality (the memo's debug oracle).
-    pub(crate) fn bit_eq(&self, other: &FittedFit) -> bool {
-        match (self, other) {
-            (FittedFit::LogReg(a), FittedFit::LogReg(b)) => a.bit_eq(b),
-            (FittedFit::Tree(a), FittedFit::Tree(b)) => a.bit_eq(b),
-            _ => false,
-        }
-    }
-}
-
 /// The environment after executing a statement prefix.
 #[derive(Debug, Clone)]
 pub(crate) struct CachedPrefix {
@@ -238,7 +230,7 @@ impl PrefixCache {
     }
 
     /// A new view of the same store counting into `reg`. Snapshots and
-    /// fitted models are shared; hit/miss/eviction counts go to `reg`.
+    /// training handles are shared; hit/miss/eviction counts go to `reg`.
     pub fn view(&self, reg: &Registry) -> Self {
         PrefixCache::over(Arc::clone(&self.store), reg)
     }
@@ -270,13 +262,14 @@ impl PrefixCache {
         self.evictions.get()
     }
 
-    /// Model fits served from the fit memo, as counted in this view's
-    /// registry.
+    /// Model fits served a memoized training handle, as counted in this
+    /// view's registry.
     pub fn fit_hits(&self) -> u64 {
         self.fit_hits.get()
     }
 
-    /// Model fits that had to train, as counted in this view's registry.
+    /// Model fits that made a new training handle (which trains only if
+    /// forced), as counted in this view's registry.
     pub fn fit_misses(&self) -> u64 {
         self.fit_misses.get()
     }
@@ -298,7 +291,7 @@ impl PrefixCache {
     }
 
     /// The retention bound the store was built with (for snapshots and,
-    /// separately, for fitted models).
+    /// separately, for training handles).
     pub fn capacity(&self) -> usize {
         self.store.capacity
     }
@@ -329,33 +322,30 @@ impl PrefixCache {
             .fetch_max(snapshots.len() as u64, Ordering::Relaxed);
     }
 
-    /// The memoized model for fit key `key`, or the result of `train` —
-    /// stored when it succeeds. Counts one hit or miss into this view's
-    /// registry. The lock is not held while training, so concurrent
-    /// searches may both train the same input once; the models are
-    /// identical, and the second insert keeps the first's recency.
+    /// The memoized training handle for fit key `key` if one is still
+    /// alive, or `fresh` — stored, weakly, for the next fit of the same
+    /// input. Counts one hit or miss into this view's registry. Lookup and
+    /// insert happen under one lock (building a handle trains nothing), so
+    /// concurrent searches fitting the same input share one handle, and it
+    /// trains at most once.
     ///
-    /// In debug builds a hit also re-trains through `refit` and asserts
-    /// that the stored model is bit-identical to a fresh fit.
-    pub(crate) fn fit_or_train<E>(
-        &self,
-        key: u128,
-        train: impl FnOnce() -> Result<FittedFit, E>,
-        refit: impl FnOnce() -> Result<FittedFit, E>,
-    ) -> Result<FittedFit, E> {
-        let hit = lock(&self.store.fits).get(&key);
-        if let Some(model) = hit {
+    /// In debug builds a hit also asserts that the stored handle holds
+    /// the training input `fresh` holds — a check that trains nothing, so
+    /// a debug build trains exactly what a release build trains.
+    pub(crate) fn fit_handle(&self, key: u128, fresh: LazyFit) -> Arc<LazyFit> {
+        let mut fits = lock(&self.store.fits);
+        if let Some(held) = fits.get(&key).and_then(|weak| weak.upgrade()) {
             self.fit_hits.add(1);
             debug_assert!(
-                refit().is_ok_and(|fresh| fresh.bit_eq(&model)),
-                "fit memo served a model that differs from a fresh fit"
+                held.same_input(&fresh),
+                "fit memo served a handle for another training input"
             );
-            return Ok(model);
+            return held;
         }
         self.fit_misses.add(1);
-        let model = train()?;
-        lock(&self.store.fits).put(key, model.clone());
-        Ok(model)
+        let handle = Arc::new(fresh);
+        fits.put(key, Arc::downgrade(&handle));
+        handle
     }
 }
 
@@ -608,30 +598,40 @@ mod tests {
         (x, vec![0, 0, 1, 1])
     }
 
-    fn train_logreg(x: &Matrix, y: &[u32]) -> Result<FittedFit, lucid_ml::MlError> {
-        lucid_ml::LogisticRegression::default()
-            .fit(x, y)
-            .map(FittedFit::LogReg)
+    /// An untrained handle over `tiny_fit`'s input.
+    fn tiny_handle() -> LazyFit {
+        use lucid_frame::{Column, DataFrame};
+        let x = DataFrame::from_columns(vec![
+            (
+                "a",
+                Column::from_floats(vec![Some(0.0), Some(1.0), Some(2.0), Some(3.0)]),
+            ),
+            (
+                "b",
+                Column::from_floats(vec![Some(1.0), Some(0.5), Some(0.0), Some(2.5)]),
+            ),
+        ])
+        .unwrap();
+        let y = Column::from_ints(vec![Some(0), Some(0), Some(1), Some(1)]);
+        LazyFit {
+            classifier: crate::sklearn::Classifier::LogReg(lucid_ml::LogisticRegression::default()),
+            inputs: crate::sklearn::ModelInputs { x, y: Arc::new(y) },
+            model: std::sync::OnceLock::new(),
+        }
     }
 
     #[test]
-    fn fit_memo_trains_once_per_key_and_counts_per_view() {
+    fn fit_memo_shares_one_handle_per_key_and_counts_per_view() {
         let store = PrefixCache::with_capacity(8);
         let (reg_a, reg_b) = (Registry::new(), Registry::new());
         let (a, b) = (store.view(&reg_a), store.view(&reg_b));
         let (x, y) = tiny_fit();
         let key = fit_key(&[1, 200], &x, &y);
-        let trains = std::cell::Cell::new(0);
-        let train = || {
-            trains.set(trains.get() + 1);
-            train_logreg(&x, &y)
-        };
-        let first = a.fit_or_train(key, train, train).unwrap();
-        let second = b.fit_or_train(key, train, train).unwrap();
-        assert!(first.bit_eq(&second));
-        // Release builds train once; debug builds re-train on the hit to
-        // check it.
-        assert_eq!(trains.get(), if cfg!(debug_assertions) { 2 } else { 1 });
+        let first = a.fit_handle(key, tiny_handle());
+        let second = b.fit_handle(key, tiny_handle());
+        assert!(Arc::ptr_eq(&first, &second));
+        // Neither the fits nor the debug build's check on the hit trained.
+        assert!(first.model.get().is_none());
         let fit_counts = |reg: &Registry| {
             (
                 reg.counter_value(Metric::FitMemoHits),
@@ -645,21 +645,34 @@ mod tests {
     }
 
     #[test]
-    fn fit_memo_stores_only_successful_fits_and_respects_zero_capacity() {
+    fn fit_memo_keeps_no_handle_alive() {
         let cache = PrefixCache::with_capacity(8);
         let (x, y) = tiny_fit();
-        let key = fit_key(&[1], &x, &y);
-        let boom = || Err("boom");
-        let failed: Result<FittedFit, &str> = cache.fit_or_train(key, boom, boom);
-        assert!(failed.is_err());
-        assert_eq!(fitted_models(&cache), 0);
-        let train = || train_logreg(&x, &y);
-        assert!(cache.fit_or_train(key, train, train).is_ok());
+        let key = fit_key(&[1, 200], &x, &y);
+        let first = cache.fit_handle(key, tiny_handle());
+        let labels = Arc::downgrade(&first.inputs.y);
+        // The memo's entry is not an owner: the caller holds the only one.
+        assert_eq!(Arc::strong_count(&first), 1);
+        drop(first);
+        // Dropping the last holder freed the training input, and the next
+        // fit of the same input makes a new handle.
+        assert!(labels.upgrade().is_none());
+        let second = cache.fit_handle(key, tiny_handle());
         assert_eq!((cache.fit_hits(), cache.fit_misses()), (0, 2));
+        let third = cache.fit_handle(key, tiny_handle());
+        assert!(Arc::ptr_eq(&second, &third));
+        assert_eq!((cache.fit_hits(), cache.fit_misses()), (1, 2));
+        assert_eq!(fitted_models(&cache), 1);
+    }
+
+    #[test]
+    fn fit_memo_respects_zero_capacity() {
         let off = PrefixCache::with_capacity(0);
-        for _ in 0..2 {
-            assert!(off.fit_or_train(key, train, train).is_ok());
-        }
+        let (x, y) = tiny_fit();
+        let key = fit_key(&[1], &x, &y);
+        let first = off.fit_handle(key, tiny_handle());
+        let second = off.fit_handle(key, tiny_handle());
+        assert!(!Arc::ptr_eq(&first, &second));
         assert_eq!(
             (off.fit_hits(), off.fit_misses(), fitted_models(&off)),
             (0, 2, 0)

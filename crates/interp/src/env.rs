@@ -49,6 +49,11 @@ pub struct Interpreter {
     /// the cache's fit memo. The outcome, budget accounting included, is
     /// the uncached run's (see [`crate::cache`]). `None` runs cold.
     pub cache: Option<crate::cache::PrefixCache>,
+    /// Trains a classifier at its `fit` and scores at its `score`: the
+    /// eager model path, kept as the test oracle of the lazy one
+    /// ([`crate::naive`]).
+    #[cfg(test)]
+    pub(crate) eager_models: bool,
 }
 
 impl Default for Interpreter {
@@ -61,6 +66,8 @@ impl Default for Interpreter {
             fault_plan: None,
             obs: None,
             cache: None,
+            #[cfg(test)]
+            eager_models: false,
         }
     }
 }
@@ -117,7 +124,9 @@ impl ExecOutcome {
         }
     }
 
-    /// A variable's value, if bound.
+    /// A variable's value, if bound. A model `score` bound to a name and
+    /// never read in the run comes back as its [`RtValue::Deferred`]
+    /// handle: nothing is trained or scored outside a run.
     pub fn get(&self, name: &str) -> Option<&RtValue> {
         self.vars.get(name)
     }
@@ -365,7 +374,8 @@ impl Interpreter {
                     self.bind(var, result, state);
                     return Ok(());
                 }
-                self.eval(value, state)?;
+                // The value is dropped, so a deferred score stays unforced.
+                self.eval_lazy(value, state)?;
                 Ok(())
             }
         }
@@ -374,7 +384,7 @@ impl Interpreter {
     fn exec_assign(&self, target: &Expr, value: &Expr, state: &mut RunState) -> Result<()> {
         match target {
             Expr::Name(name) => {
-                let v = self.eval(value, state)?;
+                let v = self.eval_lazy(value, state)?;
                 self.bind(name.clone(), v, state);
                 Ok(())
             }
@@ -545,7 +555,7 @@ impl Interpreter {
         if !inplace {
             return Ok(None);
         }
-        let result = self.eval(expr, state)?;
+        let result = self.eval_lazy(expr, state)?;
         if matches!(result, RtValue::Frame(_) | RtValue::Series(_)) {
             Ok(Some((var.clone(), result)))
         } else {
@@ -738,7 +748,7 @@ mod tests {
 
     #[test]
     fn times_model_fits_and_predictions_when_a_registry_is_attached() {
-        let script = |extra: &str| {
+        let script = |extra: &str, tail: &str| {
             parse_module(&format!(
                 "import pandas as pd\n\
                  from sklearn.linear_model import LogisticRegression\n\
@@ -749,25 +759,43 @@ mod tests {
                  model = LogisticRegression()\n\
                  model = model.fit(X, y)\n\
                  acc = model.score(X, y)\n\
-                 p = model.predict(X)\n"
+                 {tail}\n"
             ))
             .unwrap()
         };
+        let counts = |reg: &Registry| {
+            (
+                reg.histogram_count(Metric::KernelFit),
+                reg.histogram_count(Metric::KernelPredict),
+            )
+        };
+        // An unread `fit` plus `score` trains and predicts nothing.
         let mut i = interp();
         let reg = Arc::new(Registry::traced());
         i.obs = Some(Arc::clone(&reg));
-        i.run(&script("n = 1")).unwrap();
-        assert_eq!(reg.histogram_count(Metric::KernelFit), 1);
-        assert_eq!(reg.histogram_count(Metric::KernelPredict), 2);
-        // A fit-memo hit trains nothing and times nothing, the debug
-        // build's re-fit check included.
+        let out = i.run(&script("n = 1", "")).unwrap();
+        assert!(matches!(out.get("acc"), Some(RtValue::Deferred(_))));
+        assert_eq!(counts(&reg), (0, 0));
+        // So does a `score` whose value a statement drops.
+        i.run(&script("n = 1", "model.score(X, y)
+model.score(X, y, inplace=True)"))
+            .unwrap();
+        assert_eq!(counts(&reg), (0, 0));
+        // Reading `acc` trains once and scores once.
+        i.run(&script("n = 1", "r = acc + 1")).unwrap();
+        assert_eq!(counts(&reg), (1, 1));
+        // `predict` trains too; the read score then reuses the weights.
+        i.run(&script("n = 1", "p = model.predict(X)\nr = acc + 1")).unwrap();
+        assert_eq!(counts(&reg), (2, 3));
+        // A fit-memo hit shares the first fit's handle, so reading its
+        // score scores again but trains nothing more; the debug build's
+        // check on the hit trains nothing either.
         let cache = crate::cache::PrefixCache::default();
         i.cache = Some(cache.clone());
-        i.run(&script("n = 1")).unwrap();
-        i.run(&script("n = 2")).unwrap();
+        i.run(&script("n = 1", "r = acc + 1")).unwrap();
+        i.run(&script("n = 2", "r = acc + 1")).unwrap();
         assert_eq!((cache.fit_hits(), cache.fit_misses()), (1, 1));
-        assert_eq!(reg.histogram_count(Metric::KernelFit), 2);
-        assert_eq!(reg.histogram_count(Metric::KernelPredict), 6);
+        assert_eq!(counts(&reg), (3, 5));
     }
 
     #[test]

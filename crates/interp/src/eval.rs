@@ -9,6 +9,7 @@ use lucid_frame::ops::{self, ArithOp, CmpOp, Operand};
 use lucid_frame::{BoolMask, Column, Value};
 use lucid_obs::Metric;
 use lucid_pyast::{Arg, BinOpKind, CmpOpKind, Expr, UnaryOpKind};
+use std::sync::Arc;
 
 /// Evaluated call arguments, preserving position/keyword structure.
 pub(crate) struct Args {
@@ -36,12 +37,26 @@ impl Args {
 }
 
 impl Interpreter {
-    /// Evaluates an expression to a runtime value.
+    /// Evaluates an expression to a runtime value, forcing a deferred
+    /// model `score` ([`RtValue::Deferred`]) it produces or reads from a
+    /// name. Every use of a value goes through here except binding it
+    /// straight to a name ([`Interpreter::eval_lazy`]), so this is the one
+    /// place a deferred score is forced.
+    pub(crate) fn eval(&self, expr: &Expr, state: &mut RunState) -> Result<RtValue> {
+        match self.eval_lazy(expr, state)? {
+            RtValue::Deferred(score) => Ok(RtValue::Scalar(Value::Float(score.force(self)?))),
+            value => Ok(value),
+        }
+    }
+
+    /// Evaluates an expression, leaving a model `score` call, or a name
+    /// bound to one, deferred: the right-hand side of `name = expr`.
+    /// Sub-expressions go through [`Interpreter::eval`].
     ///
     /// Charges one unit of fuel per expression node, so the fuel budget
     /// governs per-op work (deeply nested expressions included), not just
     /// statement count.
-    pub(crate) fn eval(&self, expr: &Expr, state: &mut RunState) -> Result<RtValue> {
+    pub(crate) fn eval_lazy(&self, expr: &Expr, state: &mut RunState) -> Result<RtValue> {
         state.charge_fuel(1, &self.budget)?;
         match expr {
             Expr::Name(name) => state
@@ -295,7 +310,7 @@ impl Interpreter {
     fn subscript_frame(&self, f: FrameVal, idx: RtValue) -> Result<RtValue> {
         match idx {
             RtValue::Scalar(Value::Str(name)) => {
-                let col = f.df.column(&name)?.clone();
+                let col = Arc::clone(f.df.column_arc(&name)?);
                 Ok(RtValue::Series(SeriesVal::named(name, col)))
             }
             RtValue::List(items) => {
@@ -323,13 +338,13 @@ impl Interpreter {
             }
             RtValue::Mask(m) => Ok(RtValue::Series(SeriesVal {
                 name: s.name.clone(),
-                col: s.col.filter(&m)?,
+                col: s.col.filter(&m)?.into(),
             })),
             RtValue::Series(mask_series) => {
                 let mask = series_to_mask(&mask_series)?;
                 Ok(RtValue::Series(SeriesVal {
                     name: s.name.clone(),
-                    col: s.col.filter(&mask)?,
+                    col: s.col.filter(&mask)?.into(),
                 }))
             }
             other => Err(InterpError::TypeError(format!(
@@ -359,7 +374,7 @@ impl Interpreter {
                 };
                 match &parts[1] {
                     RtValue::Scalar(Value::Str(col)) => {
-                        let col_data = frame.df.column(col)?.clone();
+                        let col_data = Arc::clone(frame.df.column_arc(col)?);
                         Ok(RtValue::Series(SeriesVal::named(col.clone(), col_data)))
                     }
                     other => Err(InterpError::TypeError(format!(
@@ -436,7 +451,7 @@ impl Interpreter {
                 let positions: Vec<usize> = (lo..hi).collect();
                 Ok(RtValue::Series(SeriesVal {
                     name: s.name.clone(),
-                    col: s.col.take(&positions)?,
+                    col: s.col.take(&positions)?.into(),
                 }))
             }
             other => Err(InterpError::TypeError(format!(
@@ -697,8 +712,8 @@ pub(crate) fn scalar_arith(a: &Value, op: ArithOp, b: &Value) -> Result<Value> {
 }
 
 /// Converts a runtime value to a column of length `n_rows` (scalar
-/// broadcast, mask → 0/1, series length-checked).
-pub(crate) fn to_column(v: &RtValue, n_rows: usize) -> Result<Column> {
+/// broadcast, mask → 0/1, series length-checked and shared).
+pub(crate) fn to_column(v: &RtValue, n_rows: usize) -> Result<Arc<Column>> {
     match v {
         RtValue::Series(s) => {
             if s.col.len() != n_rows {
@@ -707,16 +722,16 @@ pub(crate) fn to_column(v: &RtValue, n_rows: usize) -> Result<Column> {
                     s.col.len()
                 )));
             }
-            Ok(s.col.clone())
+            Ok(Arc::clone(&s.col))
         }
         RtValue::Mask(m) => {
             if m.len() != n_rows {
                 return Err(InterpError::ValueError("mask length mismatch".to_string()));
             }
-            Ok(Column::from_mask(m))
+            Ok(Column::from_mask(m).into())
         }
-        RtValue::Scalar(val) => Ok(Column::splat(val, n_rows)),
-        RtValue::NoneVal => Ok(Column::from_floats(vec![None; n_rows])),
+        RtValue::Scalar(val) => Ok(Column::splat(val, n_rows).into()),
+        RtValue::NoneVal => Ok(Column::from_floats(vec![None; n_rows]).into()),
         other => Err(InterpError::TypeError(format!(
             "cannot build a column from {}",
             other.type_name()

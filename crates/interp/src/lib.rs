@@ -43,6 +43,8 @@ pub mod cache;
 pub mod env;
 pub mod error;
 pub mod eval;
+#[cfg(test)]
+mod naive;
 pub mod numpy;
 pub mod pandas;
 pub mod sklearn;

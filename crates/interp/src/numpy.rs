@@ -39,7 +39,7 @@ pub(crate) fn call_numpy_fn(name: &str, args: Args) -> Result<RtValue> {
         return match arg {
             RtValue::Series(s) => Ok(RtValue::Series(SeriesVal {
                 name: s.name.clone(),
-                col: ops::map_f64(&s.col, name, f)?,
+                col: ops::map_f64(&s.col, name, f)?.into(),
             })),
             RtValue::Scalar(_) => Ok(RtValue::Scalar(Value::Float(f(expect_float(arg)?)))),
             other => Err(InterpError::TypeError(format!(

@@ -61,7 +61,7 @@ pub(crate) fn call_pandas_fn(interp: &Interpreter, name: &str, args: Args) -> Re
             let col = s.col.cast(DType::Float64)?;
             Ok(RtValue::Series(SeriesVal {
                 name: s.name.clone(),
-                col,
+                col: col.into(),
             }))
         }
         "isna" | "isnull" => {
@@ -424,7 +424,7 @@ pub(crate) fn call_series_method(
             let m = s.col.mode()?;
             Ok(RtValue::Series(SeriesVal {
                 name: s.name.clone(),
-                col: Column::from_values(&[m]),
+                col: Column::from_values(&[m]).into(),
             }))
         }
         "unique" => Ok(RtValue::List(
@@ -454,14 +454,14 @@ pub(crate) fn call_series_method(
             let _k = interp.time(Metric::KernelFillna);
             Ok(RtValue::Series(SeriesVal {
                 name: s.name.clone(),
-                col: s.col.fill_na(&fill)?,
+                col: s.col.fill_na(&fill)?.into(),
             }))
         }
         "dropna" => {
             let keep = s.col.is_na().not();
             Ok(RtValue::Series(SeriesVal {
                 name: s.name.clone(),
-                col: s.col.filter(&keep)?,
+                col: s.col.filter(&keep)?.into(),
             }))
         }
         "isna" | "isnull" => Ok(RtValue::Mask(s.col.is_na())),
@@ -494,7 +494,7 @@ pub(crate) fn call_series_method(
             let _k = interp.time(Metric::KernelAstype);
             Ok(RtValue::Series(SeriesVal {
                 name: s.name.clone(),
-                col: s.col.cast(dtype)?,
+                col: s.col.cast(dtype)?.into(),
             }))
         }
         "map" | "replace" => {
@@ -519,7 +519,7 @@ pub(crate) fn call_series_method(
             };
             Ok(RtValue::Series(SeriesVal {
                 name: s.name.clone(),
-                col,
+                col: col.into(),
             }))
         }
         "clip" => {
@@ -533,12 +533,12 @@ pub(crate) fn call_series_method(
             };
             Ok(RtValue::Series(SeriesVal {
                 name: s.name.clone(),
-                col: ops::clip(&s.col, lower, upper)?,
+                col: ops::clip(&s.col, lower, upper)?.into(),
             }))
         }
         "abs" => Ok(RtValue::Series(SeriesVal {
             name: s.name.clone(),
-            col: ops::map_f64(&s.col, "abs", f64::abs)?,
+            col: ops::map_f64(&s.col, "abs", f64::abs)?.into(),
         })),
         "round" => {
             let digits = match args.pos_or_kw(0, "decimals") {
@@ -548,7 +548,7 @@ pub(crate) fn call_series_method(
             let factor = 10f64.powi(digits as i32);
             Ok(RtValue::Series(SeriesVal {
                 name: s.name.clone(),
-                col: ops::map_f64(&s.col, "round", move |x| (x * factor).round() / factor)?,
+                col: ops::map_f64(&s.col, "round", move |x| (x * factor).round() / factor)?.into(),
             }))
         }
         "copy" => Ok(RtValue::Series(s)),
@@ -564,7 +564,7 @@ pub(crate) fn call_str_method(s: &SeriesVal, method: &str, args: Args) -> Result
     let mk = |col: Column| {
         Ok(RtValue::Series(SeriesVal {
             name: s.name.clone(),
-            col,
+            col: col.into(),
         }))
     };
     match method {

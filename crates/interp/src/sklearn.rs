@@ -1,7 +1,7 @@
 //! The sklearn-flavored builtin layer: `train_test_split`, estimators,
 //! scaling — backed by `lucid-ml`.
 
-use crate::cache::{fit_key, FittedFit};
+use crate::cache::fit_key;
 use crate::env::Interpreter;
 use crate::error::{InterpError, Result};
 use crate::eval::Args;
@@ -9,14 +9,15 @@ use crate::pandas::{expect_float, expect_frame, expect_series, kw_int};
 use crate::value::{Builtin, Estimator, FittedModel, RtValue, SeriesVal};
 use lucid_frame::{Column, DataFrame};
 use lucid_ml::encode::{encode_features, encode_labels};
-use lucid_ml::logreg::LogisticRegression;
+use lucid_ml::logreg::{FittedLogReg, LogisticRegression};
 use lucid_ml::matrix::Matrix;
 use lucid_ml::scale::StandardScaler;
-use lucid_ml::tree::DecisionTree;
+use lucid_ml::tree::{DecisionTree, FittedTree};
 use lucid_obs::Metric;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::sync::{Arc, OnceLock};
 
 /// Resolves `from <module> import <name>`.
 pub(crate) fn resolve_import(module: &str, name: &str) -> Result<RtValue> {
@@ -102,11 +103,11 @@ fn train_test_split(interp: &Interpreter, args: Args) -> Result<RtValue> {
     let x_test = x.take(test_pos)?;
     let y_train = SeriesVal {
         name: y.name.clone(),
-        col: y.col.take(train_pos)?,
+        col: y.col.take(train_pos)?.into(),
     };
     let y_test = SeriesVal {
         name: y.name.clone(),
-        col: y.col.take(test_pos)?,
+        col: y.col.take(test_pos)?.into(),
     };
     Ok(RtValue::Tuple(vec![
         RtValue::Frame(x_train),
@@ -116,8 +117,9 @@ fn train_test_split(interp: &Interpreter, args: Args) -> Result<RtValue> {
     ]))
 }
 
-/// `estimator.<method>(...)` — `fit`, `fit_transform`. Model fits go
-/// through the fit memo of `interp`'s execution cache when it has one.
+/// `estimator.<method>(...)` — `fit`, `fit_transform`. Classifier fits
+/// are lazy ([`LazyFit`]) and go through the fit memo of `interp`'s
+/// execution cache when it has one.
 pub(crate) fn call_estimator_method(
     interp: &Interpreter,
     est: Estimator,
@@ -126,37 +128,18 @@ pub(crate) fn call_estimator_method(
 ) -> Result<RtValue> {
     match (est, method) {
         (Estimator::LogReg { epochs }, "fit") => {
-            let (x, features, labels) = fit_inputs(&args)?;
             let lr = LogisticRegression {
                 epochs,
                 ..Default::default()
             };
-            let params = [
-                FIT_KIND_LOGREG,
-                lr.epochs as u64,
-                lr.learning_rate.to_bits(),
-                lr.l2.to_bits(),
-            ];
-            let fitted = memoized_fit(interp, &params, &x, &labels, || {
-                lr.fit(&x, &labels).map(FittedFit::LogReg)
-            })?;
-            Ok(fitted_value(fitted, features))
+            fit_classifier(interp, Classifier::LogReg(lr), &args)
         }
         (Estimator::Tree { max_depth }, "fit") => {
-            let (x, features, labels) = fit_inputs(&args)?;
             let tree = DecisionTree {
                 max_depth,
                 ..Default::default()
             };
-            let params = [
-                FIT_KIND_TREE,
-                tree.max_depth as u64,
-                tree.min_samples_split as u64,
-            ];
-            let fitted = memoized_fit(interp, &params, &x, &labels, || {
-                tree.fit(&x, &labels).map(FittedFit::Tree)
-            })?;
-            Ok(fitted_value(fitted, features))
+            fit_classifier(interp, Classifier::Tree(tree), &args)
         }
         (Estimator::Scaler, "fit") => {
             let frame = expect_frame(args.require(0, "X")?)?;
@@ -183,8 +166,10 @@ pub(crate) fn call_estimator_method(
     }
 }
 
-/// `model.<method>(...)` — `score`, `predict`, `transform`. The model
-/// calls of `score` and `predict` are timed as `kernel.predict`.
+/// `model.<method>(...)` — `score`, `predict`, `transform`. A classifier's
+/// `score` checks its inputs and defers the rest ([`DeferredScore`]);
+/// `predict` trains the model if nothing has yet. The model calls are
+/// timed as `kernel.predict`.
 pub(crate) fn call_fitted_method(
     interp: &Interpreter,
     m: &FittedModel,
@@ -192,35 +177,24 @@ pub(crate) fn call_fitted_method(
     args: Args,
 ) -> Result<RtValue> {
     match (m, method) {
-        (FittedModel::LogReg { model, features }, "score") => {
-            let (x, labels) = score_inputs(&args, features)?;
-            let _k = interp.time(Metric::KernelPredict);
-            Ok(RtValue::Scalar(lucid_frame::Value::Float(
-                model.score(&x, &labels),
-            )))
+        (FittedModel::Classifier { fit, features }, "score") => {
+            #[cfg(test)]
+            if interp.eager_models {
+                return crate::naive::eager_score(interp, fit, features, &args);
+            }
+            let (inputs, _, _) = score_inputs(&args, features)?;
+            Ok(RtValue::Deferred(Arc::new(DeferredScore {
+                model: Arc::clone(fit),
+                inputs,
+                value: OnceLock::new(),
+            })))
         }
-        (FittedModel::Tree { model, features }, "score") => {
-            let (x, labels) = score_inputs(&args, features)?;
-            let _k = interp.time(Metric::KernelPredict);
-            Ok(RtValue::Scalar(lucid_frame::Value::Float(
-                model.score(&x, &labels),
-            )))
-        }
-        (FittedModel::LogReg { model, features }, "predict") => {
-            let x = aligned_features(&args, features)?;
+        (FittedModel::Classifier { fit, features }, "predict") => {
+            let (_, x) = aligned_features(&args, features)?;
+            let trained = fit.trained(interp)?;
             let preds = {
                 let _k = interp.time(Metric::KernelPredict);
-                model.predict(&x)
-            };
-            Ok(RtValue::Series(SeriesVal::anon(Column::from_ints(
-                preds.into_iter().map(|p| Some(p as i64)).collect(),
-            ))))
-        }
-        (FittedModel::Tree { model, features }, "predict") => {
-            let x = aligned_features(&args, features)?;
-            let preds = {
-                let _k = interp.time(Metric::KernelPredict);
-                model.predict(&x)
+                trained.predict(&x)
             };
             Ok(RtValue::Series(SeriesVal::anon(Column::from_ints(
                 preds.into_iter().map(|p| Some(p as i64)).collect(),
@@ -247,38 +221,195 @@ pub(crate) fn call_fitted_method(
 const FIT_KIND_LOGREG: u64 = 1;
 const FIT_KIND_TREE: u64 = 2;
 
-/// Trains through the fit memo when `interp` has an execution cache: the
-/// key covers the estimator (`params`), the encoded training matrix, and
-/// the labels, so a hit is the model `train` would produce. Each training
-/// is timed as `kernel.fit`; a memo hit trains nothing and records
-/// nothing.
-fn memoized_fit(
-    interp: &Interpreter,
-    params: &[u64],
-    x: &Matrix,
-    labels: &[u32],
-    train: impl Fn() -> lucid_ml::error::Result<FittedFit>,
-) -> Result<FittedFit> {
-    let timed = || {
-        let _k = interp.time(Metric::KernelFit);
-        train()
+/// A classifier's hyper-parameters: what a `fit` trains.
+#[derive(Debug, Clone)]
+pub(crate) enum Classifier {
+    LogReg(LogisticRegression),
+    Tree(DecisionTree),
+}
+
+impl Classifier {
+    /// The fit-memo parameter words, a kind tag first.
+    fn params(&self) -> [u64; 4] {
+        match self {
+            Classifier::LogReg(lr) => [
+                FIT_KIND_LOGREG,
+                lr.epochs as u64,
+                lr.learning_rate.to_bits(),
+                lr.l2.to_bits(),
+            ],
+            Classifier::Tree(tree) => [
+                FIT_KIND_TREE,
+                tree.max_depth as u64,
+                tree.min_samples_split as u64,
+                0,
+            ],
+        }
+    }
+
+    /// Every check training makes before its epochs: once this passes,
+    /// [`Classifier::train`] on the same inputs cannot fail.
+    fn check(&self, x: &Matrix, labels: &[u32]) -> lucid_ml::error::Result<()> {
+        match self {
+            Classifier::LogReg(lr) => lr.check(x, labels),
+            Classifier::Tree(tree) => tree.check(x, labels),
+        }
+    }
+
+    /// Trains the model.
+    pub(crate) fn train(&self, x: &Matrix, labels: &[u32]) -> lucid_ml::error::Result<FittedFit> {
+        match self {
+            Classifier::LogReg(lr) => lr.fit(x, labels).map(FittedFit::LogReg),
+            Classifier::Tree(tree) => tree.fit(x, labels).map(FittedFit::Tree),
+        }
+    }
+}
+
+/// A trained classifier.
+#[derive(Debug, Clone)]
+pub(crate) enum FittedFit {
+    LogReg(FittedLogReg),
+    Tree(FittedTree),
+}
+
+impl FittedFit {
+    fn predict(&self, x: &Matrix) -> Vec<u32> {
+        match self {
+            FittedFit::LogReg(model) => model.predict(x),
+            FittedFit::Tree(model) => model.predict(x),
+        }
+    }
+
+    pub(crate) fn score(&self, x: &Matrix, labels: &[u32]) -> f64 {
+        match self {
+            FittedFit::LogReg(model) => model.score(x, labels),
+            FittedFit::Tree(model) => model.score(x, labels),
+        }
+    }
+}
+
+/// A model call's `(X, y)` as the script passed them: the feature frame
+/// and the label column, both sharing the script's `Arc`'d columns, so
+/// holding them copies no buffer and no matrix.
+#[derive(Debug)]
+pub(crate) struct ModelInputs {
+    pub(crate) x: DataFrame,
+    pub(crate) y: Arc<Column>,
+}
+
+impl ModelInputs {
+    /// The encoded features and labels, as the model reads them.
+    fn encode(&self) -> Result<(Matrix, Vec<u32>)> {
+        Ok((encode_features(&self.x, &[])?, encode_labels(&self.y)?))
+    }
+}
+
+/// A classifier `fit` has accepted. Everything that can fail (decoding,
+/// encoding, shape, empty input, parameters) ran at the `fit` statement;
+/// the epochs run the first time something needs the weights
+/// ([`LazyFit::trained`]: a `predict`, or a deferred `score` that is
+/// read). The result is shared by every holder of the handle — prefix-cache
+/// snapshots, other threads, other fits of the same input found through
+/// the fit memo — so a handle trains at most once, and always to the same
+/// model. The handle's column names are those of the fit that made it;
+/// each fit's [`FittedModel::Classifier`] carries its own.
+#[derive(Debug)]
+pub struct LazyFit {
+    pub(crate) classifier: Classifier,
+    /// The training inputs, encoded again if the model trains.
+    pub(crate) inputs: ModelInputs,
+    pub(crate) model: OnceLock<Result<FittedFit>>,
+}
+
+impl LazyFit {
+    /// The trained model, training it now if no holder has yet. The
+    /// training is timed as `kernel.fit` into `interp`'s registry; a
+    /// handle already trained records nothing.
+    pub(crate) fn trained(&self, interp: &Interpreter) -> Result<&FittedFit> {
+        self.model
+            .get_or_init(|| {
+                let (x, labels) = self.inputs.encode()?;
+                let _k = interp.time(Metric::KernelFit);
+                Ok(self.classifier.train(&x, &labels)?)
+            })
+            .as_ref()
+            .map_err(Clone::clone)
+    }
+
+    /// Whether `other` trains exactly this handle's model: the same
+    /// parameters, the same encoded features bit for bit and the same
+    /// labels. Trains nothing (the fit memo's debug oracle).
+    pub(crate) fn same_input(&self, other: &LazyFit) -> bool {
+        let bits = |fit: &LazyFit| {
+            fit.inputs.encode().ok().map(|(m, labels)| {
+                let bits: Vec<u64> = m.as_slice().iter().map(|v| v.to_bits()).collect();
+                (m.n_rows(), m.n_cols(), bits, labels)
+            })
+        };
+        self.classifier.params() == other.classifier.params() && bits(self) == bits(other)
+    }
+}
+
+/// A classifier `score` bound straight to a name. Its inputs were decoded,
+/// aligned, encoded and checked at the `score` statement; the accuracy —
+/// and the training behind it — is computed the first time the name is
+/// read ([`DeferredScore::force`]), once for every holder.
+#[derive(Debug)]
+pub struct DeferredScore {
+    model: Arc<LazyFit>,
+    /// Test features aligned to the training schema, and the labels.
+    inputs: ModelInputs,
+    value: OnceLock<Result<f64>>,
+}
+
+impl DeferredScore {
+    /// The accuracy, computing it (and training the model) if no holder
+    /// has yet. Runs inside a run, which isolates it like any statement.
+    pub(crate) fn force(&self, interp: &Interpreter) -> Result<f64> {
+        self.value
+            .get_or_init(|| {
+                let trained = self.model.trained(interp)?;
+                let (x, labels) = self.inputs.encode()?;
+                let _k = interp.time(Metric::KernelPredict);
+                Ok(trained.score(&x, &labels))
+            })
+            .clone()
+    }
+}
+
+/// `fit(X, y)` for a classifier: decodes, encodes and checks the inputs
+/// at the `fit` statement and returns a [`LazyFit`] that trains on first
+/// use, with the names of this fit's own feature columns. With an
+/// execution cache, a fit of an input a live handle holds gets that handle
+/// back from the fit memo, so the input trains at most once however many
+/// candidates fit it.
+fn fit_classifier(interp: &Interpreter, classifier: Classifier, args: &Args) -> Result<RtValue> {
+    #[cfg(test)]
+    if interp.eager_models {
+        return crate::naive::eager_fit(classifier, args);
+    }
+    let (inputs, x, labels) = fit_inputs(args)?;
+    classifier.check(&x, &labels)?;
+    let features = inputs.x.names().to_vec();
+    let params = classifier.params();
+    let fresh = LazyFit {
+        classifier,
+        inputs,
+        model: OnceLock::new(),
     };
-    Ok(match &interp.cache {
-        Some(cache) => cache.fit_or_train(fit_key(params, x, labels), timed, &train)?,
-        None => timed()?,
-    })
+    let fit = match &interp.cache {
+        Some(cache) => cache.fit_handle(fit_key(&params, &x, &labels), fresh),
+        None => Arc::new(fresh),
+    };
+    Ok(RtValue::Fitted(Box::new(FittedModel::Classifier {
+        fit,
+        features,
+    })))
 }
 
-/// A trained model bound to the feature names of the call that fit it.
-fn fitted_value(fitted: FittedFit, features: Vec<String>) -> RtValue {
-    RtValue::Fitted(Box::new(match fitted {
-        FittedFit::LogReg(model) => FittedModel::LogReg { model, features },
-        FittedFit::Tree(model) => FittedModel::Tree { model, features },
-    }))
-}
-
-/// Common `fit(X, y)` decoding: encode features + labels.
-fn fit_inputs(args: &Args) -> Result<(Matrix, Vec<String>, Vec<u32>)> {
+/// Common `fit(X, y)` decoding: the inputs, the feature matrix and the
+/// encoded labels.
+pub(crate) fn fit_inputs(args: &Args) -> Result<(ModelInputs, Matrix, Vec<u32>)> {
     let frame = expect_frame(args.require(0, "X")?)?;
     let y = expect_series(args.require(1, "y")?)?;
     if frame.df.n_rows() != y.col.len() {
@@ -288,15 +419,22 @@ fn fit_inputs(args: &Args) -> Result<(Matrix, Vec<String>, Vec<u32>)> {
             y.col.len()
         )));
     }
-    let features: Vec<String> = frame.df.names().to_vec();
-    let x = encode_features(&frame.df, &[])?;
-    let labels = encode_labels(&y.col)?;
-    Ok((x, features, labels))
+    let inputs = ModelInputs {
+        x: frame.df,
+        y: y.col,
+    };
+    let (x, labels) = inputs.encode()?;
+    Ok((inputs, x, labels))
 }
 
-/// Common `score(X, y)`: align columns to training schema, then encode.
-fn score_inputs(args: &Args, features: &[String]) -> Result<(Matrix, Vec<u32>)> {
-    let x = aligned_features(args, features)?;
+/// Common `score(X, y)`: align columns to the training schema, encode,
+/// check the rows. Returns the aligned inputs, the feature matrix and the
+/// labels.
+pub(crate) fn score_inputs(
+    args: &Args,
+    features: &[String],
+) -> Result<(ModelInputs, Matrix, Vec<u32>)> {
+    let (aligned, x) = aligned_features(args, features)?;
     let y = expect_series(args.require(1, "y")?)?;
     let labels = encode_labels(&y.col)?;
     if x.n_rows() != labels.len() {
@@ -306,14 +444,19 @@ fn score_inputs(args: &Args, features: &[String]) -> Result<(Matrix, Vec<u32>)> 
             labels.len()
         )));
     }
-    Ok((x, labels))
+    let inputs = ModelInputs {
+        x: aligned,
+        y: y.col,
+    };
+    Ok((inputs, x, labels))
 }
 
-fn aligned_features(args: &Args, features: &[String]) -> Result<Matrix> {
+fn aligned_features(args: &Args, features: &[String]) -> Result<(DataFrame, Matrix)> {
     let frame = expect_frame(args.require(0, "X")?)?;
     // Missing training columns raise, like sklearn's feature-name check.
     let aligned = frame.df.select(features).map_err(InterpError::Frame)?;
-    Ok(encode_features(&aligned, &[])?)
+    let x = encode_features(&aligned, &[])?;
+    Ok((aligned, x))
 }
 
 fn matrix_to_frame(m: &Matrix, names: &[String]) -> Result<DataFrame> {
@@ -335,6 +478,16 @@ mod tests {
     use lucid_frame::csv::read_csv_str;
     use lucid_frame::Value;
     use lucid_pyast::parse_module;
+
+    /// A float variable's value, forcing a deferred score (only a test
+    /// forces outside a run).
+    fn float_of(interp: &Interpreter, out: &crate::ExecOutcome, var: &str) -> f64 {
+        match out.get(var) {
+            Some(RtValue::Scalar(Value::Float(v))) => *v,
+            Some(RtValue::Deferred(d)) => d.force(interp).unwrap(),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
 
     fn interp() -> Interpreter {
         // Linearly separable toy data: y = x > 5.
@@ -361,11 +514,9 @@ model = LogisticRegression(max_iter=300)
 model = model.fit(X_train, y_train)
 acc = model.score(X_test, y_test)
 ";
-        let out = interp().run(&parse_module(src).unwrap()).unwrap();
-        match out.get("acc") {
-            Some(RtValue::Scalar(Value::Float(a))) => assert!((0.0..=1.0).contains(a)),
-            other => panic!("unexpected {other:?}"),
-        }
+        let i = interp();
+        let out = i.run(&parse_module(src).unwrap()).unwrap();
+        assert!((0.0..=1.0).contains(&float_of(&i, &out, "acc")));
     }
 
     #[test]
@@ -395,23 +546,63 @@ tacc = clf.score(X, y)
         let mut i = interp();
         let cache = crate::cache::PrefixCache::default();
         i.cache = Some(cache.clone());
+        let reg = std::sync::Arc::new(lucid_obs::Registry::traced());
+        i.obs = Some(std::sync::Arc::clone(&reg));
         let a = i.run(&parse_module(&make("n = 1")).unwrap()).unwrap();
         assert_eq!((cache.fit_hits(), cache.fit_misses()), (0, 2));
         let b = i.run(&parse_module(&make("n = 2")).unwrap()).unwrap();
         assert_eq!((cache.fit_hits(), cache.fit_misses()), (2, 2));
-        let cold = interp().run(&parse_module(&make("n = 2")).unwrap()).unwrap();
+        let cold_interp = interp();
+        let cold = cold_interp
+            .run(&parse_module(&make("n = 2")).unwrap())
+            .unwrap();
         for var in ["acc", "tacc"] {
-            let bits = |o: &crate::ExecOutcome| match o.get(var) {
-                Some(RtValue::Scalar(Value::Float(v))) => v.to_bits(),
-                other => panic!("unexpected {other:?}"),
-            };
-            assert_eq!(bits(&a), bits(&b));
-            assert_eq!(bits(&b), bits(&cold));
+            let bits = |i: &Interpreter, o: &crate::ExecOutcome| float_of(i, o, var).to_bits();
+            assert_eq!(bits(&i, &a), bits(&i, &b));
+            assert_eq!(bits(&i, &b), bits(&cold_interp, &cold));
         }
+        // The two runs share each memoized handle: reading both runs'
+        // scores trained each model once.
+        assert_eq!(reg.histogram_count(Metric::KernelFit), 2);
         // A different estimator parameter is a different key.
         let other = make("n = 3").replace("max_iter=50", "max_iter=51");
         i.run(&parse_module(&other).unwrap()).unwrap();
         assert_eq!((cache.fit_hits(), cache.fit_misses()), (3, 3));
+    }
+
+    #[test]
+    fn a_memo_hit_aligns_on_the_fits_own_column_names() {
+        // Two scripts whose training columns hold the same values under
+        // different names share one training handle; each script's score
+        // and predict select its own columns.
+        let make = |rename: &str| {
+            format!(
+                "\
+import pandas as pd
+from sklearn.linear_model import LogisticRegression
+df = pd.read_csv('d.csv')
+{rename}
+X = df.drop('y', axis=1)
+y = df['y']
+model = LogisticRegression(max_iter=50)
+model = model.fit(X, y)
+acc = model.score(X, y)
+r = acc + 0
+df['p'] = model.predict(X)
+"
+            )
+        };
+        let mut i = interp();
+        let cache = crate::cache::PrefixCache::default();
+        i.cache = Some(cache.clone());
+        let a = i.run(&parse_module(&make("n = 1")).unwrap()).unwrap();
+        let renamed = make("df = df.rename(columns={'x': 'xx'})");
+        let b = i.run(&parse_module(&renamed).unwrap()).unwrap();
+        assert_eq!((cache.fit_hits(), cache.fit_misses()), (1, 1));
+        assert_eq!(float_of(&i, &a, "r").to_bits(), float_of(&i, &b, "r").to_bits());
+        let (pa, pb) = (a.output_frame().unwrap(), b.output_frame().unwrap());
+        assert_eq!(pa.column("p").unwrap(), pb.column("p").unwrap());
+        assert_eq!(pb.names(), &["xx", "z", "y", "p"]);
     }
 
     #[test]

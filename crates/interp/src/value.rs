@@ -1,9 +1,9 @@
 //! Runtime values flowing through the interpreter.
 
+use crate::sklearn::{DeferredScore, LazyFit};
 use lucid_frame::{BoolMask, Column, DataFrame, Value};
-use lucid_ml::logreg::FittedLogReg;
 use lucid_ml::scale::StandardScaler;
-use lucid_ml::tree::FittedTree;
+use std::sync::Arc;
 
 /// A dataframe plus its *row provenance*: `index[i]` is the position the
 /// i-th row held in the originally loaded table. pandas keeps this as the
@@ -65,22 +65,26 @@ impl FrameVal {
 pub struct SeriesVal {
     /// Column name if it came from a frame.
     pub name: Option<String>,
-    /// The data.
-    pub col: Column,
+    /// The data, shared like a frame's columns: cloning a series (into a
+    /// prefix-cache snapshot, or a model's lazy inputs) copies no buffer.
+    pub col: Arc<Column>,
 }
 
 impl SeriesVal {
     /// A named series.
-    pub fn named(name: impl Into<String>, col: Column) -> Self {
+    pub fn named(name: impl Into<String>, col: impl Into<Arc<Column>>) -> Self {
         SeriesVal {
             name: Some(name.into()),
-            col,
+            col: col.into(),
         }
     }
 
     /// An anonymous series.
-    pub fn anon(col: Column) -> Self {
-        SeriesVal { name: None, col }
+    pub fn anon(col: impl Into<Arc<Column>>) -> Self {
+        SeriesVal {
+            name: None,
+            col: col.into(),
+        }
     }
 }
 
@@ -128,18 +132,15 @@ pub enum Estimator {
 /// A fitted model bound to the feature schema it was trained on.
 #[derive(Debug, Clone)]
 pub enum FittedModel {
-    /// Fitted logistic regression.
-    LogReg {
-        /// The trained model.
-        model: FittedLogReg,
-        /// Feature column names, in training order.
-        features: Vec<String>,
-    },
-    /// Fitted decision tree.
-    Tree {
-        /// The trained model.
-        model: FittedTree,
-        /// Feature column names, in training order.
+    /// A fitted logistic regression or decision tree, trained the first
+    /// time something needs its weights.
+    Classifier {
+        /// The training handle, shared by every clone of this value and,
+        /// through the fit memo, by other fits of the same input.
+        fit: Arc<LazyFit>,
+        /// This fit's own feature column names, in training order. They
+        /// stay out of the shared handle: two fits of the same values may
+        /// name their columns differently.
         features: Vec<String>,
     },
     /// Fitted scaler.
@@ -187,6 +188,10 @@ pub enum RtValue {
     Estimator(Estimator),
     /// A fitted model.
     Fitted(Box<FittedModel>),
+    /// A model `score` bound straight to a name, not computed yet: it
+    /// stands for the float `Scalar` it forces to, and reports that
+    /// value's type name and cell count.
+    Deferred(Arc<DeferredScore>),
     /// A group-by handle.
     GroupBy(Box<GroupByVal>),
     /// `df.loc` accessor.
@@ -210,7 +215,7 @@ impl RtValue {
             RtValue::Frame(_) => "DataFrame",
             RtValue::Series(_) => "Series",
             RtValue::Mask(_) => "BooleanMask",
-            RtValue::Scalar(_) => "scalar",
+            RtValue::Scalar(_) | RtValue::Deferred(_) => "scalar",
             RtValue::List(_) => "list",
             RtValue::Tuple(_) => "tuple",
             RtValue::Dict(_) => "dict",

@@ -48,6 +48,13 @@ pub use metrics::{accuracy, f1_score};
 pub use split::train_test_split;
 pub use tree::DecisionTree;
 
+/// `a.partial_cmp(b)` made total by ordering NaN after every number (and
+/// equal to itself). On non-NaN values it is exactly `partial_cmp`, so
+/// `-0.0` and `0.0` stay equal, unlike `f64::total_cmp`.
+pub(crate) fn cmp_nan_last(a: &f64, b: &f64) -> std::cmp::Ordering {
+    a.partial_cmp(b).unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
+}
+
 /// Whether two float slices are equal bit for bit (`-0.0 != 0.0`).
 pub(crate) fn bits_eq(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())

@@ -56,15 +56,14 @@ impl LogisticRegression {
         self.fit_with(x, y, Self::fit_binary)
     }
 
-    /// [`LogisticRegression::fit`] with the binary-head trainer passed in,
-    /// so the reference loop in [`crate::naive`] trains through exactly the
-    /// same validation, scaling, and one-vs-rest wiring.
-    pub(crate) fn fit_with(
-        &self,
-        x: &Matrix,
-        y: &[u32],
-        head: fn(&Self, &Matrix, &[u32], u32) -> Vec<f64>,
-    ) -> Result<FittedLogReg> {
+    /// Every check [`LogisticRegression::fit`] makes before it trains:
+    /// once this passes on `(x, y)`, `fit` on them cannot fail.
+    ///
+    /// # Errors
+    ///
+    /// Shape mismatch, empty input, or a non-positive learning rate or
+    /// epoch count.
+    pub fn check(&self, x: &Matrix, y: &[u32]) -> Result<()> {
         if x.n_rows() != y.len() {
             return Err(MlError::ShapeMismatch {
                 rows: x.n_rows(),
@@ -79,6 +78,19 @@ impl LogisticRegression {
                 "learning_rate must be > 0 and epochs > 0".to_string(),
             ));
         }
+        Ok(())
+    }
+
+    /// [`LogisticRegression::fit`] with the binary-head trainer passed in,
+    /// so the reference loop in [`crate::naive`] trains through exactly the
+    /// same validation, scaling, and one-vs-rest wiring.
+    pub(crate) fn fit_with(
+        &self,
+        x: &Matrix,
+        y: &[u32],
+        head: fn(&Self, &Matrix, &[u32], u32) -> Vec<f64>,
+    ) -> Result<FittedLogReg> {
+        self.check(x, y)?;
         let scaler = StandardScaler::fit(x)?;
         let xs = scaler.transform(x)?;
 
@@ -169,7 +181,8 @@ impl LogisticRegression {
 }
 
 impl FittedLogReg {
-    /// Predicts a class label per row.
+    /// Predicts a class label per row. Total over non-finite features:
+    /// a NaN head score ranks above every number.
     pub fn predict(&self, x: &Matrix) -> Vec<u32> {
         let xs = match self.scaler.transform(x) {
             Ok(xs) => xs,
@@ -192,7 +205,7 @@ impl FittedLogReg {
                         .iter()
                         .enumerate()
                         .map(|(i, w)| (i, xs.row_dot(r, &w[..d]) + w[d]))
-                        .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
+                        .max_by(|a, b| crate::cmp_nan_last(&a.1, &b.1))
                         .expect("at least one head");
                     self.classes[best]
                 }
@@ -277,6 +290,56 @@ mod tests {
         let a = LogisticRegression::default().fit(&x, &y).unwrap();
         let b = LogisticRegression::default().fit(&x, &y).unwrap();
         assert_eq!(a.predict(&x), b.predict(&x));
+    }
+
+    #[test]
+    fn multiclass_predict_is_total_over_non_finite_features() {
+        // An `inf` feature makes the scaler's mean infinite, so every
+        // scaled cell and every head score is NaN.
+        let x = Matrix::from_rows(&[vec![1.0], vec![f64::INFINITY], vec![3.0], vec![4.0]]);
+        let y = vec![0, 1, 2, 1];
+        let model = LogisticRegression::default().fit(&x, &y).unwrap();
+        let preds = model.predict(&x);
+        assert_eq!(preds.len(), 4);
+        assert!(preds.iter().all(|p| model.classes().contains(p)));
+        assert_eq!(preds, model.predict(&x), "deterministic");
+    }
+
+    #[test]
+    fn nan_last_order_matches_partial_cmp_on_numbers() {
+        use std::cmp::Ordering;
+        let nums = [f64::NEG_INFINITY, -1.5, -0.0, 0.0, 2.0, f64::INFINITY];
+        for a in nums {
+            for b in nums {
+                assert_eq!(Some(crate::cmp_nan_last(&a, &b)), a.partial_cmp(&b));
+            }
+            assert_eq!(crate::cmp_nan_last(&a, &f64::NAN), Ordering::Less);
+            assert_eq!(crate::cmp_nan_last(&f64::NAN, &a), Ordering::Greater);
+        }
+        assert_eq!(crate::cmp_nan_last(&f64::NAN, &f64::NAN), Ordering::Equal);
+    }
+
+    #[test]
+    fn check_reports_exactly_the_errors_fit_reports() {
+        let (x, y) = linearly_separable(10);
+        let cases: [(LogisticRegression, &Matrix, &[u32]); 3] = [
+            (LogisticRegression::default(), &x, &y[..5]),
+            (
+                LogisticRegression {
+                    epochs: 0,
+                    ..Default::default()
+                },
+                &x,
+                &y,
+            ),
+            (LogisticRegression::default(), &x, &y),
+        ];
+        for (lr, x, y) in cases {
+            assert_eq!(lr.check(x, y).err(), lr.fit(x, y).err());
+        }
+        let empty = Matrix::zeros(0, 2);
+        let lr = LogisticRegression::default();
+        assert_eq!(lr.check(&empty, &[]).err(), lr.fit(&empty, &[]).err());
     }
 
     #[test]

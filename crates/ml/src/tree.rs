@@ -63,17 +63,10 @@ impl DecisionTree {
     ///
     /// # Errors
     ///
-    /// Fails on shape mismatch or empty input.
+    /// Fails on shape mismatch or empty input ([`DecisionTree::check`]).
+    /// Total over non-finite features.
     pub fn fit(&self, x: &Matrix, y: &[u32]) -> Result<FittedTree> {
-        if x.n_rows() != y.len() {
-            return Err(MlError::ShapeMismatch {
-                rows: x.n_rows(),
-                labels: y.len(),
-            });
-        }
-        if x.n_rows() == 0 || x.n_cols() == 0 {
-            return Err(MlError::EmptyInput("DecisionTree::fit".to_string()));
-        }
+        self.check(x, y)?;
         let mut classes: Vec<u32> = y.to_vec();
         classes.sort_unstable();
         classes.dedup();
@@ -89,6 +82,25 @@ impl DecisionTree {
         };
         self.build(x, &labels, &idx, 0, &mut nodes);
         Ok(FittedTree { nodes })
+    }
+
+    /// Every check [`DecisionTree::fit`] makes before it trains: once this
+    /// passes on `(x, y)`, `fit` on them cannot fail.
+    ///
+    /// # Errors
+    ///
+    /// Shape mismatch or empty input.
+    pub fn check(&self, x: &Matrix, y: &[u32]) -> Result<()> {
+        if x.n_rows() != y.len() {
+            return Err(MlError::ShapeMismatch {
+                rows: x.n_rows(),
+                labels: y.len(),
+            });
+        }
+        if x.n_rows() == 0 || x.n_cols() == 0 {
+            return Err(MlError::EmptyInput("DecisionTree::fit".to_string()));
+        }
+        Ok(())
     }
 
     /// Builds a subtree over `idx`; returns its node id.
@@ -116,7 +128,9 @@ impl DecisionTree {
         let (mut lc, mut rc) = (vec![0usize; k], vec![0usize; k]);
         for f in 0..x.n_cols() {
             let mut vals: Vec<f64> = idx.iter().map(|&i| x.get(i, f)).collect();
-            vals.sort_by(|a, b| a.partial_cmp(b).expect("finite features"));
+            // NaN (a null filled with the mean of `inf` and `-inf`) sorts
+            // last; a NaN threshold sends every row right.
+            vals.sort_by(crate::cmp_nan_last);
             vals.dedup();
             // Candidate thresholds: midpoints between consecutive distinct values.
             for pair in vals.windows(2) {
@@ -344,6 +358,41 @@ mod tests {
         let x = Matrix::from_rows(&[vec![1.0], vec![1.0], vec![1.0], vec![1.0]]);
         let t = DecisionTree::default().fit(&x, &[7, 3, 7, 3]).unwrap();
         assert_eq!(t.predict(&x), vec![3; 4]);
+    }
+
+    #[test]
+    fn fit_is_total_over_non_finite_features() {
+        // `inf`, `-inf` and a null filled with their mean (NaN).
+        let x = Matrix::from_rows(&[
+            vec![f64::INFINITY, 1.0],
+            vec![f64::NEG_INFINITY, 2.0],
+            vec![f64::NAN, 3.0],
+            vec![f64::INFINITY, 4.0],
+            vec![f64::NAN, 5.0],
+        ]);
+        let y = vec![0, 1, 0, 1, 2];
+        let t = DecisionTree::default().fit(&x, &y).unwrap();
+        let again = DecisionTree::default().fit(&x, &y).unwrap();
+        assert!(t.bit_eq(&again));
+        assert_eq!(t.predict(&x).len(), 5);
+        // A column of NaN only still fits, to a single leaf or a split
+        // that sends every row right.
+        let nans = Matrix::from_rows(&[vec![f64::NAN], vec![f64::NAN], vec![f64::NAN]]);
+        let t = DecisionTree::default().fit(&nans, &[0, 1, 1]).unwrap();
+        assert_eq!(t.predict(&nans), vec![1, 1, 1]);
+    }
+
+    #[test]
+    fn check_reports_exactly_the_errors_fit_reports() {
+        let x = Matrix::from_rows(&[vec![1.0], vec![2.0]]);
+        let tree = DecisionTree::default();
+        for (x, y) in [
+            (&x, &[1][..]),
+            (&Matrix::zeros(0, 1), &[][..]),
+            (&x, &[0, 1][..]),
+        ] {
+            assert_eq!(tree.check(x, y).err(), tree.fit(x, y).err());
+        }
     }
 
     #[test]

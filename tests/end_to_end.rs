@@ -157,3 +157,46 @@ fn report_serializes_to_json() {
     assert!(json.contains("improvement_pct"));
     assert!(json.contains("timings"));
 }
+
+#[test]
+fn non_finite_model_features_give_a_typed_result_not_a_panic() {
+    // `g` holds `inf`, `-inf` and nulls; encoding fills the nulls with the
+    // column mean, which is NaN. Each script trains on it and forces the
+    // training with `predict`: a three-class logistic regression, whose
+    // head scores are all NaN, and a decision tree, which sorts NaN
+    // thresholds. Both used to panic inside `lucid_ml`.
+    let mut csv = String::from("a,g,y\n");
+    for i in 0..30 {
+        let g = ["inf", "-inf", "", "2.5"][i % 4];
+        csv.push_str(&format!("{i},{g},{}\n", i % 3));
+    }
+    let data = lucidscript::frame::csv::read_csv_str(&csv).expect("valid csv");
+    let script = |import: &str, estimator: &str| {
+        format!(
+            "import pandas as pd\n{import}\ndf = pd.read_csv('d.csv')\nX = df.drop('y', axis=1)\n\
+             y = df['y']\nmodel = {estimator}\nmodel = model.fit(X, y)\ndf['p'] = model.predict(X)\n"
+        )
+    };
+    let scripts = [
+        script(
+            "from sklearn.linear_model import LogisticRegression",
+            "LogisticRegression()",
+        ),
+        script(
+            "from sklearn.tree import DecisionTreeClassifier",
+            "DecisionTreeClassifier(max_depth=3)",
+        ),
+    ];
+    let config = SearchConfig {
+        seq_len: 3,
+        intent: IntentMeasure::jaccard(0.5),
+        ..SearchConfig::default()
+    };
+    let std = Standardizer::build(&scripts, "d.csv", data, config).expect("builds");
+    for src in &scripts {
+        let report = std
+            .standardize(&parse_module(src).expect("parses"))
+            .expect("the script runs, so it standardizes");
+        assert!(report.improvement_pct >= -1e-9);
+    }
+}

@@ -420,3 +420,63 @@ fn cli_writes_and_summarizes_a_trace() {
     assert!(stdout.contains("GetSteps"), "{stdout}");
     assert!(stdout.contains("VerifyConstraints"), "{stdout}");
 }
+
+/// The spaceship templates' model step is `model = model.fit(X_train,
+/// y_train)` then `acc = model.score(X_test, y_test)`, and nothing reads
+/// `acc`: a traced search from a script with that step trains no model (its profile holds no
+/// `kernel.fit` observation) and decides exactly what the untraced
+/// search decides.
+#[test]
+fn a_traced_spaceship_search_trains_no_model() {
+    let profile = lucidscript::corpus::Profile::spaceship();
+    let data = profile.generate_data(1, 0.05);
+    let corpus: Vec<String> = profile
+        .generate_corpus(1)
+        .into_iter()
+        .map(|s| s.source)
+        .collect();
+    let input = corpus
+        .iter()
+        .find(|s| s.contains(".fit(X_train, y_train)"))
+        .expect("a corpus script fits a model");
+    let run = |trace: Option<TraceSink>, prefix_cache: bool| {
+        let config = SearchConfig {
+            seq_len: 4,
+            beam_k: 2,
+            intent: IntentMeasure::model_perf(5.0, profile.target),
+            prefix_cache,
+            trace,
+            ..Default::default()
+        };
+        let s = Standardizer::build(&corpus, profile.file, data.clone(), config).unwrap();
+        s.standardize_source(input).unwrap()
+    };
+    let sink = TraceSink::in_memory();
+    let traced = run(Some(sink.clone()), true);
+    let untraced = run(None, true);
+    assert_eq!(traced.output_source, untraced.output_source);
+    assert_eq!(traced.re_after.to_bits(), untraced.re_after.to_bits());
+    assert_eq!(traced.applied, untraced.applied);
+    assert_eq!(traced.candidates_explored, untraced.candidates_explored);
+    // The candidates did fit models: each fit made or shared a handle.
+    let t = &traced.timings;
+    assert!(t.fit_memo_misses > 0);
+
+    let text = sink.memory_lines().unwrap().join("\n");
+    let profile_record = parse_trace(&text).unwrap().profile.expect("a profile record");
+    let fits = profile_record
+        .percentiles
+        .iter()
+        .find(|row| row.name == "kernel.fit")
+        .map_or(0, |row| row.count);
+    assert_eq!(fits, 0, "a traced search trained a model nothing reads");
+    assert!(profile_record.folded.iter().all(|f| !f.stack.contains("kernel.fit")));
+
+    // Every candidate run cold, with no fit memo, decides the same.
+    let cold = TraceSink::in_memory();
+    run(Some(cold.clone()), false);
+    let cold_text = cold.memory_lines().unwrap().join("\n");
+    let decisions = lucidscript::obs::decision::decision_lines;
+    assert!(decisions(&text).len() > 2);
+    assert_eq!(decisions(&text), decisions(&cold_text));
+}
