@@ -241,10 +241,10 @@ pub struct BatchReport {
     /// run no search and contribute none). Counts add up over the
     /// searches; `threads`, the snapshot peak, `unique_stmts` (the
     /// batch-shared interner's population) and the live-heap peak take
-    /// the max. At `jobs` > 1 the pooled prefix-cache hit/miss split and
-    /// the fit-memo counts depend on scheduling (which search stores a
-    /// shared prefix or model first) and are measurement only; the
-    /// probe total (hits + misses) is fixed by the search decisions.
+    /// the max. At `jobs` > 1 the pooled prefix-cache hit/miss split
+    /// depends on scheduling (which search stores a shared prefix first)
+    /// and is measurement only; the probe total (hits + misses) is fixed
+    /// by the search decisions.
     pub timings: Timings,
     /// Scripts served by another script's search.
     pub memo_hits: u64,
@@ -373,10 +373,6 @@ impl BatchReport {
         out.push_str(&format!(
             "prefix cache (pooled): {} hits, {} misses, {} evictions\n",
             t.prefix_cache_hits, t.prefix_cache_misses, t.prefix_cache_evictions
-        ));
-        out.push_str(&format!(
-            "fit memo (pooled): {} hits, {} misses\n",
-            t.fit_memo_hits, t.fit_memo_misses
         ));
         out.push_str(&format!(
             "interner: {} unique statements across the batch\n",

@@ -1,11 +1,11 @@
-//! The execution cache: statement-prefix snapshots plus a memo of fitted
-//! models, so candidate scripts pay once for work they share.
+//! The execution cache: statement-prefix snapshots, so candidate scripts
+//! pay once for the prefixes they share.
 //!
-//! **Prefix snapshots.** The environment after each executed statement is
-//! snapshotted so candidate scripts sharing a prefix resume from a cloned
-//! snapshot instead of re-running the prefix. During beam search,
-//! monotonicity fixes every statement below a candidate's cursor, so the
-//! many candidates expanded from one beam share long immutable prefixes.
+//! The environment after each executed statement is snapshotted so
+//! candidate scripts sharing a prefix resume from a cloned snapshot
+//! instead of re-running the prefix. During beam search, monotonicity
+//! fixes every statement below a candidate's cursor, so the many
+//! candidates expanded from one beam share long immutable prefixes.
 //! Re-executing those prefixes dominated `CheckIfExecutes()` cost; with
 //! the cache each distinct prefix executes once per search.
 //!
@@ -13,77 +13,52 @@
 //! code at different source locations shares snapshots), folded over the
 //! interpreter's seed and sampling configuration. A snapshot clones the
 //! variable map; frame columns inside it are `Arc`-shared copy-on-write,
-//! so a resumed run can never observe a mutation by another.
+//! so a resumed run can never observe a mutation by another. A fitted
+//! model in a snapshot is a shared [`crate::sklearn::LazyFit`] handle, so
+//! every run resumed from the snapshot reads the same model, trained at
+//! most once.
 //!
-//! **Fit memo.** Every corpus script ends in `fit` → `score`, and nothing
-//! the search reads uses the trained weights, so a classifier `fit` only
-//! decodes, encodes and checks its inputs and returns a lazy handle
-//! ([`crate::sklearn::LazyFit`]) that trains when a `predict` or a read
-//! `score` first needs it. An edit upstream of the tail re-runs the `fit`
-//! even when the training inputs come out unchanged. Training is a pure
-//! function of the estimator's parameters and the encoded training data,
-//! so the handles are memoized under a 128-bit fingerprint of exactly
-//! those ([`fit_key`]): a fit of an input that a live handle holds gets
-//! that handle back, so each distinct input trains at most once while it
-//! is in use, and only if something forces it. The memo holds its handles
-//! weakly: a handle, and the training frame and labels it holds, lives
-//! only while a run's variables or a prefix snapshot hold it, so the memo
-//! keeps no training input alive by itself; a fit whose handle is gone
-//! makes a new one (a miss). A handle carries no feature names a fit can
-//! see — each fit keeps the names of its own `X`, since two inputs with
-//! the same bits may name their columns differently. Failed fits never
-//! reach the memo. In debug builds every hit asserts that the stored
-//! handle holds the same input, bit for bit — a check that trains nothing.
-//!
-//! Both maps are bounded by the same capacity with least-recently-used
+//! The snapshots are bounded by a capacity with least-recently-used
 //! eviction in amortized O(1).
 //!
 //! A cache is only valid for one registered-table configuration: it must
 //! not be shared between interpreters holding different tables. Within one
 //! table configuration, a single *store* may be shared by many
 //! concurrent searches (batch mode): each search holds its own
-//! [`PrefixCache`] *view* of the store, which counts probes, evictions
-//! and fit-memo traffic straight into that search's metrics
-//! [`Registry`], while snapshots and training handles themselves are pooled.
-//! Nothing else keeps a count: a pool total is the sum of the searches'
-//! registries. The chain keys already fold the interpreter's seed and
-//! sampling configuration, so runs under different input setups can never
-//! collide inside a shared store; fit keys are content fingerprints and
-//! need no such folding.
+//! [`PrefixCache`] *view* of the store, which counts probes and evictions
+//! straight into that search's metrics [`Registry`], while the snapshots
+//! themselves are pooled. Nothing else keeps a count: a pool total is the
+//! sum of the searches' registries. The chain keys already fold the
+//! interpreter's seed and sampling configuration, so runs under different
+//! input setups can never collide inside a shared store.
 
-use crate::sklearn::LazyFit;
 use crate::value::RtValue;
-use lucid_ml::matrix::Matrix;
 use lucid_obs::{Counter, Metric, Registry};
 use lucid_pyast::{Span, Stmt};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, Weak};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Default bound on retained snapshots (see [`PrefixCache::with_capacity`]).
 pub const DEFAULT_PREFIX_CACHE_CAPACITY: usize = 4096;
 
 /// The shared store behind one or more [`PrefixCache`] views: the
-/// snapshot and training-handle LRU maps plus the retention peak, a gauge of
-/// the store itself. Training handles are held weakly.
+/// snapshot LRU map plus the retention peak, a gauge of the store itself.
 #[derive(Debug)]
 struct CacheStore {
     snapshots: Mutex<Lru<u64, CachedPrefix>>,
-    fits: Mutex<Lru<u128, Weak<LazyFit>>>,
     capacity: usize,
     peak_len: AtomicU64,
 }
 
 /// A per-search view of a bounded, thread-safe store of execution
-/// snapshots keyed by statement prefix and training handles keyed by
-/// training input ([`fit_key`]).
+/// snapshots keyed by statement prefix.
 ///
 /// A view holds the handles of the registry counters it counts into
 /// ([`Metric::CacheHits`], [`Metric::CacheMisses`],
-/// [`Metric::CacheEvictions`], [`Metric::FitMemoHits`],
-/// [`Metric::FitMemoMisses`]), fetched once when the view is built, so a
+/// [`Metric::CacheEvictions`]), fetched once when the view is built, so a
 /// probe is one atomic add and never takes the registry lock.
 /// [`PrefixCache::counting_into`] builds a fresh store with a view
 /// counting into a given registry ([`PrefixCache::with_capacity`]: into a
@@ -96,8 +71,6 @@ pub struct PrefixCache {
     hits: Arc<Counter>,
     misses: Arc<Counter>,
     evictions: Arc<Counter>,
-    fit_hits: Arc<Counter>,
-    fit_misses: Arc<Counter>,
 }
 
 /// A bounded map with least-recently-used eviction. Every insert and hit
@@ -222,15 +195,14 @@ impl PrefixCache {
     pub fn counting_into(capacity: usize, reg: &Registry) -> Self {
         let store = CacheStore {
             snapshots: Mutex::new(Lru::new(capacity)),
-            fits: Mutex::new(Lru::new(capacity)),
             capacity,
             peak_len: AtomicU64::new(0),
         };
         PrefixCache::over(Arc::new(store), reg)
     }
 
-    /// A new view of the same store counting into `reg`. Snapshots and
-    /// training handles are shared; hit/miss/eviction counts go to `reg`.
+    /// A new view of the same store counting into `reg`. Snapshots are
+    /// shared; hit/miss/eviction counts go to `reg`.
     pub fn view(&self, reg: &Registry) -> Self {
         PrefixCache::over(Arc::clone(&self.store), reg)
     }
@@ -241,8 +213,6 @@ impl PrefixCache {
             hits: reg.counter(Metric::CacheHits),
             misses: reg.counter(Metric::CacheMisses),
             evictions: reg.counter(Metric::CacheEvictions),
-            fit_hits: reg.counter(Metric::FitMemoHits),
-            fit_misses: reg.counter(Metric::FitMemoMisses),
         }
     }
 
@@ -262,18 +232,6 @@ impl PrefixCache {
         self.evictions.get()
     }
 
-    /// Model fits served a memoized training handle, as counted in this
-    /// view's registry.
-    pub fn fit_hits(&self) -> u64 {
-        self.fit_hits.get()
-    }
-
-    /// Model fits that made a new training handle (which trains only if
-    /// forced), as counted in this view's registry.
-    pub fn fit_misses(&self) -> u64 {
-        self.fit_misses.get()
-    }
-
     /// The largest number of snapshots the store retained at any point
     /// (a store property, shared by all views).
     pub fn peak_snapshots(&self) -> u64 {
@@ -290,8 +248,7 @@ impl PrefixCache {
         self.len() == 0
     }
 
-    /// The retention bound the store was built with (for snapshots and,
-    /// separately, for training handles).
+    /// The retention bound the store was built with.
     pub fn capacity(&self) -> usize {
         self.store.capacity
     }
@@ -320,90 +277,6 @@ impl PrefixCache {
         self.store
             .peak_len
             .fetch_max(snapshots.len() as u64, Ordering::Relaxed);
-    }
-
-    /// The memoized training handle for fit key `key` if one is still
-    /// alive, or `fresh` — stored, weakly, for the next fit of the same
-    /// input. Counts one hit or miss into this view's registry. Lookup and
-    /// insert happen under one lock (building a handle trains nothing), so
-    /// concurrent searches fitting the same input share one handle, and it
-    /// trains at most once.
-    ///
-    /// In debug builds a hit also asserts that the stored handle holds
-    /// the training input `fresh` holds — a check that trains nothing, so
-    /// a debug build trains exactly what a release build trains.
-    pub(crate) fn fit_handle(&self, key: u128, fresh: LazyFit) -> Arc<LazyFit> {
-        let mut fits = lock(&self.store.fits);
-        if let Some(held) = fits.get(&key).and_then(|weak| weak.upgrade()) {
-            self.fit_hits.add(1);
-            debug_assert!(
-                held.same_input(&fresh),
-                "fit memo served a handle for another training input"
-            );
-            return held;
-        }
-        self.fit_misses.add(1);
-        let handle = Arc::new(fresh);
-        fits.put(key, Arc::downgrade(&handle));
-        handle
-    }
-}
-
-/// Fit-memo key: a 128-bit fingerprint of everything a fit depends on —
-/// the estimator kind and parameters (`params`, first word a kind tag),
-/// the training matrix's shape and exact `f64` bit patterns, and the
-/// encoded labels. The buffers are hashed a word at a time through two
-/// independent multiply–rotate lanes, each finalized with murmur3's
-/// `fmix64`.
-pub(crate) fn fit_key(params: &[u64], x: &Matrix, labels: &[u32]) -> u128 {
-    let mut fp = Fingerprint::new();
-    for &p in params {
-        fp.word(p);
-    }
-    fp.word(x.n_rows() as u64);
-    fp.word(x.n_cols() as u64);
-    for v in x.as_slice() {
-        fp.word(v.to_bits());
-    }
-    fp.word(labels.len() as u64);
-    for pair in labels.chunks(2) {
-        let hi = pair.get(1).map_or(u64::from(u32::MAX), |&l| u64::from(l));
-        fp.word(u64::from(pair[0]) | hi << 32);
-    }
-    fp.finish()
-}
-
-/// Two-lane word-at-a-time hash state behind [`fit_key`].
-struct Fingerprint {
-    a: u64,
-    b: u64,
-}
-
-impl Fingerprint {
-    fn new() -> Self {
-        Fingerprint {
-            a: 0x243f_6a88_85a3_08d3,
-            b: 0x1319_8a2e_0370_7344,
-        }
-    }
-
-    #[inline]
-    fn word(&mut self, w: u64) {
-        self.a = (self.a ^ w)
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .rotate_left(31);
-        self.b = (self.b.rotate_left(23) ^ w).wrapping_mul(0xc2b2_ae3d_27d4_eb4f);
-    }
-
-    fn finish(self) -> u128 {
-        fn fmix64(mut h: u64) -> u64 {
-            h ^= h >> 33;
-            h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-            h ^= h >> 33;
-            h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-            h ^ (h >> 33)
-        }
-        (u128::from(fmix64(self.a ^ self.b.rotate_left(17))) << 64) | u128::from(fmix64(self.b))
     }
 }
 
@@ -582,118 +455,6 @@ mod tests {
         // Re-inserting a live key replaces its value without evicting.
         assert_eq!(lru.put(3, 30), 0);
         assert_eq!(lru.get(&3), Some(30));
-    }
-
-    fn fitted_models(cache: &PrefixCache) -> usize {
-        lock(&cache.store.fits).len()
-    }
-
-    fn tiny_fit() -> (Matrix, Vec<u32>) {
-        let x = Matrix::from_rows(&[
-            vec![0.0, 1.0],
-            vec![1.0, 0.5],
-            vec![2.0, 0.0],
-            vec![3.0, 2.5],
-        ]);
-        (x, vec![0, 0, 1, 1])
-    }
-
-    /// An untrained handle over `tiny_fit`'s input.
-    fn tiny_handle() -> LazyFit {
-        use lucid_frame::{Column, DataFrame};
-        let x = DataFrame::from_columns(vec![
-            (
-                "a",
-                Column::from_floats(vec![Some(0.0), Some(1.0), Some(2.0), Some(3.0)]),
-            ),
-            (
-                "b",
-                Column::from_floats(vec![Some(1.0), Some(0.5), Some(0.0), Some(2.5)]),
-            ),
-        ])
-        .unwrap();
-        let y = Column::from_ints(vec![Some(0), Some(0), Some(1), Some(1)]);
-        LazyFit {
-            classifier: crate::sklearn::Classifier::LogReg(lucid_ml::LogisticRegression::default()),
-            inputs: crate::sklearn::ModelInputs { x, y: Arc::new(y) },
-            model: std::sync::OnceLock::new(),
-        }
-    }
-
-    #[test]
-    fn fit_memo_shares_one_handle_per_key_and_counts_per_view() {
-        let store = PrefixCache::with_capacity(8);
-        let (reg_a, reg_b) = (Registry::new(), Registry::new());
-        let (a, b) = (store.view(&reg_a), store.view(&reg_b));
-        let (x, y) = tiny_fit();
-        let key = fit_key(&[1, 200], &x, &y);
-        let first = a.fit_handle(key, tiny_handle());
-        let second = b.fit_handle(key, tiny_handle());
-        assert!(Arc::ptr_eq(&first, &second));
-        // Neither the fits nor the debug build's check on the hit trained.
-        assert!(first.model.get().is_none());
-        let fit_counts = |reg: &Registry| {
-            (
-                reg.counter_value(Metric::FitMemoHits),
-                reg.counter_value(Metric::FitMemoMisses),
-            )
-        };
-        assert_eq!(fit_counts(&reg_a), (0, 1));
-        assert_eq!(fit_counts(&reg_b), (1, 0));
-        assert_eq!((store.fit_hits(), store.fit_misses()), (0, 0));
-        assert_eq!(fitted_models(&store), 1);
-    }
-
-    #[test]
-    fn fit_memo_keeps_no_handle_alive() {
-        let cache = PrefixCache::with_capacity(8);
-        let (x, y) = tiny_fit();
-        let key = fit_key(&[1, 200], &x, &y);
-        let first = cache.fit_handle(key, tiny_handle());
-        let labels = Arc::downgrade(&first.inputs.y);
-        // The memo's entry is not an owner: the caller holds the only one.
-        assert_eq!(Arc::strong_count(&first), 1);
-        drop(first);
-        // Dropping the last holder freed the training input, and the next
-        // fit of the same input makes a new handle.
-        assert!(labels.upgrade().is_none());
-        let second = cache.fit_handle(key, tiny_handle());
-        assert_eq!((cache.fit_hits(), cache.fit_misses()), (0, 2));
-        let third = cache.fit_handle(key, tiny_handle());
-        assert!(Arc::ptr_eq(&second, &third));
-        assert_eq!((cache.fit_hits(), cache.fit_misses()), (1, 2));
-        assert_eq!(fitted_models(&cache), 1);
-    }
-
-    #[test]
-    fn fit_memo_respects_zero_capacity() {
-        let off = PrefixCache::with_capacity(0);
-        let (x, y) = tiny_fit();
-        let key = fit_key(&[1], &x, &y);
-        let first = off.fit_handle(key, tiny_handle());
-        let second = off.fit_handle(key, tiny_handle());
-        assert!(!Arc::ptr_eq(&first, &second));
-        assert_eq!(
-            (off.fit_hits(), off.fit_misses(), fitted_models(&off)),
-            (0, 2, 0)
-        );
-    }
-
-    #[test]
-    fn fit_keys_cover_parameters_shape_bits_and_labels() {
-        let (x, y) = tiny_fit();
-        let base = fit_key(&[1, 200], &x, &y);
-        assert_eq!(base, fit_key(&[1, 200], &x.clone(), &y.clone()));
-        assert_ne!(base, fit_key(&[1, 201], &x, &y));
-        assert_ne!(base, fit_key(&[2, 200], &x, &y));
-        assert_ne!(base, fit_key(&[1, 200], &x, &[0, 1, 1, 1]));
-        // Same buffer, other shape.
-        let reshaped = Matrix::from_vec(2, 4, x.as_slice().to_vec());
-        assert_ne!(base, fit_key(&[1, 200], &reshaped, &y));
-        // Signed zero is a different bit pattern, hence a different key.
-        let mut bits = x.as_slice().to_vec();
-        bits[0] = -0.0;
-        assert_ne!(base, fit_key(&[1, 200], &Matrix::from_vec(4, 2, bits), &y));
     }
 
     fn prefix_keys(stmts: &[Stmt], seed: u64, sample_rows: Option<usize>) -> Vec<u64> {

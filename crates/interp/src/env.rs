@@ -45,9 +45,9 @@ pub struct Interpreter {
     pub obs: Option<Arc<Registry>>,
     /// The execution cache every run goes through (a search's own view):
     /// a run resumes from the longest cached statement prefix and
-    /// snapshots every prefix it executes, and estimator fits go through
-    /// the cache's fit memo. The outcome, budget accounting included, is
-    /// the uncached run's (see [`crate::cache`]). `None` runs cold.
+    /// snapshots every prefix it executes. The outcome, budget accounting
+    /// included, is the uncached run's (see [`crate::cache`]). `None` runs
+    /// cold.
     pub cache: Option<crate::cache::PrefixCache>,
     /// Trains a classifier at its `fit` and scores at its `score`: the
     /// eager model path, kept as the test oracle of the lazy one
@@ -257,11 +257,10 @@ impl Interpreter {
     }
 
     /// The single governed execution loop behind every `run*` entry point:
-    /// optional prefix-cache resume (through [`Interpreter::cache`], which
-    /// also carries the fit memo), statement cap, budget metering, fault
-    /// injection, span recording. Prefixes executed before a failing
-    /// statement are still cached: candidates that fail late make their
-    /// siblings cheaper.
+    /// optional prefix-cache resume (through [`Interpreter::cache`]),
+    /// statement cap, budget metering, fault injection, span recording.
+    /// Prefixes executed before a failing statement are still cached:
+    /// candidates that fail late make their siblings cheaper.
     fn run_inner(&self, stmts: &[StmtRef<'_>], state: &mut RunState) -> Result<()> {
         // Allocator attribution: every interpreter execution — candidate
         // checks, verification runs, the user's own script — counts as
@@ -367,15 +366,16 @@ impl Interpreter {
             }
             Stmt::Assign { target, value, .. } => self.exec_assign(target, value, state),
             Stmt::ExprStmt { value, .. } => {
-                // Support the in-place mutation idiom
-                // `df.dropna(inplace=True)` by assigning the method result
-                // back to the receiver variable.
-                if let Some((var, result)) = self.eval_inplace_method(value, state)? {
-                    self.bind(var, result, state);
-                    return Ok(());
+                // The value is evaluated once and dropped, so a deferred
+                // score stays unforced — except for the in-place mutation
+                // idiom `df.dropna(inplace=True)`, whose frame or series
+                // result is assigned back to the receiver variable.
+                let result = self.eval_lazy(value, state)?;
+                if let Some(var) = inplace_receiver(value) {
+                    if matches!(result, RtValue::Frame(_) | RtValue::Series(_)) {
+                        self.bind(var.to_string(), result, state);
+                    }
                 }
-                // The value is dropped, so a deferred score stays unforced.
-                self.eval_lazy(value, state)?;
                 Ok(())
             }
         }
@@ -533,36 +533,6 @@ impl Interpreter {
         Ok(())
     }
 
-    /// Detects `var.method(..., inplace=True)` expression statements and
-    /// returns `(var, result_frame)` when the pattern applies.
-    fn eval_inplace_method(
-        &self,
-        expr: &Expr,
-        state: &mut RunState,
-    ) -> Result<Option<(String, RtValue)>> {
-        let Expr::Call { func, args } = expr else {
-            return Ok(None);
-        };
-        let Expr::Attribute { value, .. } = &**func else {
-            return Ok(None);
-        };
-        let Expr::Name(var) = &**value else {
-            return Ok(None);
-        };
-        let inplace = args.iter().any(|a| {
-            a.name.as_deref() == Some("inplace") && matches!(a.value, Expr::Bool(true))
-        });
-        if !inplace {
-            return Ok(None);
-        }
-        let result = self.eval_lazy(expr, state)?;
-        if matches!(result, RtValue::Frame(_) | RtValue::Series(_)) {
-            Ok(Some((var.clone(), result)))
-        } else {
-            Ok(None)
-        }
-    }
-
     pub(crate) fn bind(&self, name: String, value: RtValue, state: &mut RunState) {
         state.cells = state.cells.saturating_add(value_cells(&value));
         if matches!(value, RtValue::Frame(_)) {
@@ -601,6 +571,23 @@ fn module_kind(module: &str) -> Result<ModuleKind> {
         "sklearn" => Ok(ModuleKind::Sklearn),
         other => Err(InterpError::ImportError(other.to_string())),
     }
+}
+
+/// The receiver `var` of an expression statement
+/// `var.method(..., inplace=True)`, if the statement has that shape.
+fn inplace_receiver(expr: &Expr) -> Option<&str> {
+    let Expr::Call { func, args } = expr else {
+        return None;
+    };
+    let Expr::Attribute { value, .. } = &**func else {
+        return None;
+    };
+    let Expr::Name(var) = &**value else {
+        return None;
+    };
+    args.iter()
+        .any(|a| a.name.as_deref() == Some("inplace") && matches!(a.value, Expr::Bool(true)))
+        .then_some(var.as_str())
 }
 
 #[cfg(test)]
@@ -748,12 +735,11 @@ mod tests {
 
     #[test]
     fn times_model_fits_and_predictions_when_a_registry_is_attached() {
-        let script = |extra: &str, tail: &str| {
+        let script = |tail: &str| {
             parse_module(&format!(
                 "import pandas as pd\n\
                  from sklearn.linear_model import LogisticRegression\n\
                  df = pd.read_csv('t.csv')\n\
-                 {extra}\n\
                  X = df[['a']]\n\
                  y = df['y']\n\
                  model = LogisticRegression()\n\
@@ -773,29 +759,20 @@ mod tests {
         let mut i = interp();
         let reg = Arc::new(Registry::traced());
         i.obs = Some(Arc::clone(&reg));
-        let out = i.run(&script("n = 1", "")).unwrap();
+        let out = i.run(&script("")).unwrap();
         assert!(matches!(out.get("acc"), Some(RtValue::Deferred(_))));
         assert_eq!(counts(&reg), (0, 0));
         // So does a `score` whose value a statement drops.
-        i.run(&script("n = 1", "model.score(X, y)
+        i.run(&script("model.score(X, y)
 model.score(X, y, inplace=True)"))
             .unwrap();
         assert_eq!(counts(&reg), (0, 0));
         // Reading `acc` trains once and scores once.
-        i.run(&script("n = 1", "r = acc + 1")).unwrap();
+        i.run(&script("r = acc + 1")).unwrap();
         assert_eq!(counts(&reg), (1, 1));
         // `predict` trains too; the read score then reuses the weights.
-        i.run(&script("n = 1", "p = model.predict(X)\nr = acc + 1")).unwrap();
+        i.run(&script("p = model.predict(X)\nr = acc + 1")).unwrap();
         assert_eq!(counts(&reg), (2, 3));
-        // A fit-memo hit shares the first fit's handle, so reading its
-        // score scores again but trains nothing more; the debug build's
-        // check on the hit trains nothing either.
-        let cache = crate::cache::PrefixCache::default();
-        i.cache = Some(cache.clone());
-        i.run(&script("n = 1", "r = acc + 1")).unwrap();
-        i.run(&script("n = 2", "r = acc + 1")).unwrap();
-        assert_eq!((cache.fit_hits(), cache.fit_misses()), (1, 1));
-        assert_eq!(counts(&reg), (3, 5));
     }
 
     #[test]
@@ -814,6 +791,12 @@ model.score(X, y, inplace=True)"))
         assert!(usage.fuel_used > 2, "statements + expression nodes charge");
         assert!(usage.cells >= 12, "4x3 frame bound");
         assert_eq!(usage.steps, 2);
+        // An in-place call whose result is neither a frame nor a series is
+        // evaluated once: it charges its keyword's node and no more.
+        let fuel = |src: &str| i.run_with_usage(&parse_module(src).unwrap()).1.fuel_used;
+        let head = "import pandas as pd\ndf = pd.read_csv('t.csv')\ny = df['a']\n";
+        assert_eq!(fuel(&format!("{head}y.sum()\n")), 12);
+        assert_eq!(fuel(&format!("{head}y.sum(inplace=True)\n")), 13);
     }
 
     #[test]

@@ -21,14 +21,12 @@ use std::sync::{Arc, OnceLock};
 pub(crate) fn eager_fit(classifier: Classifier, args: &Args) -> Result<RtValue> {
     let (inputs, x, labels) = fit_inputs(args)?;
     let fitted = classifier.train(&x, &labels)?;
-    let features = inputs.x.names().to_vec();
     Ok(RtValue::Fitted(Box::new(FittedModel::Classifier {
         fit: Arc::new(LazyFit {
             classifier,
             inputs,
             model: OnceLock::from(Ok(fitted)),
         }),
-        features,
     })))
 }
 
@@ -36,10 +34,9 @@ pub(crate) fn eager_fit(classifier: Classifier, args: &Args) -> Result<RtValue> 
 pub(crate) fn eager_score(
     interp: &Interpreter,
     model: &LazyFit,
-    features: &[String],
     args: &Args,
 ) -> Result<RtValue> {
-    let (_, x, labels) = score_inputs(args, features)?;
+    let (_, x, labels) = score_inputs(args, model.features())?;
     let trained = model.trained(interp)?;
     Ok(RtValue::Scalar(Value::Float(trained.score(&x, &labels))))
 }
@@ -231,9 +228,8 @@ model = LogisticRegression(max_iter=20)
             let lazy = interp();
             prop_assert_eq!(&outcome_key(&lazy, &lazy.run(&module)), &expected);
             // Through an execution cache: the second run resumes from the
-            // first's snapshots, and its fits hit the memo. A sibling run
-            // first fits the same values under another column name, so
-            // the memo may hand the script a handle that sibling made.
+            // first's snapshots. A sibling run first fits the same values
+            // under another column name through the same cache.
             let mut cached = interp();
             cached.cache = Some(PrefixCache::default());
             let sibling = src.replace("'a'", "'a_'").replacen(

@@ -1,7 +1,6 @@
 //! The sklearn-flavored builtin layer: `train_test_split`, estimators,
 //! scaling — backed by `lucid-ml`.
 
-use crate::cache::fit_key;
 use crate::env::Interpreter;
 use crate::error::{InterpError, Result};
 use crate::eval::Args;
@@ -118,8 +117,7 @@ fn train_test_split(interp: &Interpreter, args: Args) -> Result<RtValue> {
 }
 
 /// `estimator.<method>(...)` — `fit`, `fit_transform`. Classifier fits
-/// are lazy ([`LazyFit`]) and go through the fit memo of `interp`'s
-/// execution cache when it has one.
+/// are lazy ([`LazyFit`]).
 pub(crate) fn call_estimator_method(
     interp: &Interpreter,
     est: Estimator,
@@ -177,20 +175,20 @@ pub(crate) fn call_fitted_method(
     args: Args,
 ) -> Result<RtValue> {
     match (m, method) {
-        (FittedModel::Classifier { fit, features }, "score") => {
+        (FittedModel::Classifier { fit }, "score") => {
             #[cfg(test)]
             if interp.eager_models {
-                return crate::naive::eager_score(interp, fit, features, &args);
+                return crate::naive::eager_score(interp, fit, &args);
             }
-            let (inputs, _, _) = score_inputs(&args, features)?;
+            let (inputs, _, _) = score_inputs(&args, fit.features())?;
             Ok(RtValue::Deferred(Arc::new(DeferredScore {
                 model: Arc::clone(fit),
                 inputs,
                 value: OnceLock::new(),
             })))
         }
-        (FittedModel::Classifier { fit, features }, "predict") => {
-            let (_, x) = aligned_features(&args, features)?;
+        (FittedModel::Classifier { fit }, "predict") => {
+            let (_, x) = aligned_features(&args, fit.features())?;
             let trained = fit.trained(interp)?;
             let preds = {
                 let _k = interp.time(Metric::KernelPredict);
@@ -216,11 +214,6 @@ pub(crate) fn call_fitted_method(
     }
 }
 
-/// Fit-memo kind tags: the first parameter word of a [`fit_key`], so two
-/// estimator kinds can never share a key.
-const FIT_KIND_LOGREG: u64 = 1;
-const FIT_KIND_TREE: u64 = 2;
-
 /// A classifier's hyper-parameters: what a `fit` trains.
 #[derive(Debug, Clone)]
 pub(crate) enum Classifier {
@@ -229,24 +222,6 @@ pub(crate) enum Classifier {
 }
 
 impl Classifier {
-    /// The fit-memo parameter words, a kind tag first.
-    fn params(&self) -> [u64; 4] {
-        match self {
-            Classifier::LogReg(lr) => [
-                FIT_KIND_LOGREG,
-                lr.epochs as u64,
-                lr.learning_rate.to_bits(),
-                lr.l2.to_bits(),
-            ],
-            Classifier::Tree(tree) => [
-                FIT_KIND_TREE,
-                tree.max_depth as u64,
-                tree.min_samples_split as u64,
-                0,
-            ],
-        }
-    }
-
     /// Every check training makes before its epochs: once this passes,
     /// [`Classifier::train`] on the same inputs cannot fail.
     fn check(&self, x: &Matrix, labels: &[u32]) -> lucid_ml::error::Result<()> {
@@ -309,10 +284,8 @@ impl ModelInputs {
 /// the epochs run the first time something needs the weights
 /// ([`LazyFit::trained`]: a `predict`, or a deferred `score` that is
 /// read). The result is shared by every holder of the handle — prefix-cache
-/// snapshots, other threads, other fits of the same input found through
-/// the fit memo — so a handle trains at most once, and always to the same
-/// model. The handle's column names are those of the fit that made it;
-/// each fit's [`FittedModel::Classifier`] carries its own.
+/// snapshots and other threads — so a handle trains at most once, and
+/// always to the same model.
 #[derive(Debug)]
 pub struct LazyFit {
     pub(crate) classifier: Classifier,
@@ -322,6 +295,12 @@ pub struct LazyFit {
 }
 
 impl LazyFit {
+    /// The feature column names, in training order: the schema a `score`
+    /// or `predict` aligns its `X` to.
+    pub(crate) fn features(&self) -> &[String] {
+        self.inputs.x.names()
+    }
+
     /// The trained model, training it now if no holder has yet. The
     /// training is timed as `kernel.fit` into `interp`'s registry; a
     /// handle already trained records nothing.
@@ -334,19 +313,6 @@ impl LazyFit {
             })
             .as_ref()
             .map_err(Clone::clone)
-    }
-
-    /// Whether `other` trains exactly this handle's model: the same
-    /// parameters, the same encoded features bit for bit and the same
-    /// labels. Trains nothing (the fit memo's debug oracle).
-    pub(crate) fn same_input(&self, other: &LazyFit) -> bool {
-        let bits = |fit: &LazyFit| {
-            fit.inputs.encode().ok().map(|(m, labels)| {
-                let bits: Vec<u64> = m.as_slice().iter().map(|v| v.to_bits()).collect();
-                (m.n_rows(), m.n_cols(), bits, labels)
-            })
-        };
-        self.classifier.params() == other.classifier.params() && bits(self) == bits(other)
     }
 }
 
@@ -379,10 +345,8 @@ impl DeferredScore {
 
 /// `fit(X, y)` for a classifier: decodes, encodes and checks the inputs
 /// at the `fit` statement and returns a [`LazyFit`] that trains on first
-/// use, with the names of this fit's own feature columns. With an
-/// execution cache, a fit of an input a live handle holds gets that handle
-/// back from the fit memo, so the input trains at most once however many
-/// candidates fit it.
+/// use. `interp` is read only by tests, to select the eager oracle.
+#[cfg_attr(not(test), allow(unused_variables))]
 fn fit_classifier(interp: &Interpreter, classifier: Classifier, args: &Args) -> Result<RtValue> {
     #[cfg(test)]
     if interp.eager_models {
@@ -390,21 +354,12 @@ fn fit_classifier(interp: &Interpreter, classifier: Classifier, args: &Args) -> 
     }
     let (inputs, x, labels) = fit_inputs(args)?;
     classifier.check(&x, &labels)?;
-    let features = inputs.x.names().to_vec();
-    let params = classifier.params();
-    let fresh = LazyFit {
+    let fit = Arc::new(LazyFit {
         classifier,
         inputs,
         model: OnceLock::new(),
-    };
-    let fit = match &interp.cache {
-        Some(cache) => cache.fit_handle(fit_key(&params, &x, &labels), fresh),
-        None => Arc::new(fresh),
-    };
-    Ok(RtValue::Fitted(Box::new(FittedModel::Classifier {
-        fit,
-        features,
-    })))
+    });
+    Ok(RtValue::Fitted(Box::new(FittedModel::Classifier { fit })))
 }
 
 /// Common `fit(X, y)` decoding: the inputs, the feature matrix and the
@@ -520,10 +475,10 @@ acc = model.score(X_test, y_test)
     }
 
     #[test]
-    fn cached_runs_fit_each_training_input_once() {
+    fn cached_and_cold_runs_score_identically() {
         // Two scripts that differ only in a statement the training inputs
         // do not depend on: the second run resumes no prefix past the
-        // edit, but its fits hit the memo and score identically.
+        // edit, so it fits again, and scores bit for bit as a cold run.
         let make = |extra: &str| {
             format!(
                 "\
@@ -544,14 +499,11 @@ tacc = clf.score(X, y)
             )
         };
         let mut i = interp();
-        let cache = crate::cache::PrefixCache::default();
-        i.cache = Some(cache.clone());
+        i.cache = Some(crate::cache::PrefixCache::default());
         let reg = std::sync::Arc::new(lucid_obs::Registry::traced());
         i.obs = Some(std::sync::Arc::clone(&reg));
         let a = i.run(&parse_module(&make("n = 1")).unwrap()).unwrap();
-        assert_eq!((cache.fit_hits(), cache.fit_misses()), (0, 2));
         let b = i.run(&parse_module(&make("n = 2")).unwrap()).unwrap();
-        assert_eq!((cache.fit_hits(), cache.fit_misses()), (2, 2));
         let cold_interp = interp();
         let cold = cold_interp
             .run(&parse_module(&make("n = 2")).unwrap())
@@ -561,20 +513,16 @@ tacc = clf.score(X, y)
             assert_eq!(bits(&i, &a), bits(&i, &b));
             assert_eq!(bits(&i, &b), bits(&cold_interp, &cold));
         }
-        // The two runs share each memoized handle: reading both runs'
-        // scores trained each model once.
-        assert_eq!(reg.histogram_count(Metric::KernelFit), 2);
-        // A different estimator parameter is a different key.
-        let other = make("n = 3").replace("max_iter=50", "max_iter=51");
-        i.run(&parse_module(&other).unwrap()).unwrap();
-        assert_eq!((cache.fit_hits(), cache.fit_misses()), (3, 3));
+        // Each run's fits are its own handles: reading both runs' scores
+        // trained each model once per run.
+        assert_eq!(reg.histogram_count(Metric::KernelFit), 4);
     }
 
     #[test]
-    fn a_memo_hit_aligns_on_the_fits_own_column_names() {
-        // Two scripts whose training columns hold the same values under
-        // different names share one training handle; each script's score
-        // and predict select its own columns.
+    fn renamed_training_columns_score_and_predict_through_one_cache() {
+        // Two runs through one cache whose training columns hold the same
+        // values under different names: each script's score and predict
+        // select its own columns.
         let make = |rename: &str| {
             format!(
                 "\
@@ -593,12 +541,10 @@ df['p'] = model.predict(X)
             )
         };
         let mut i = interp();
-        let cache = crate::cache::PrefixCache::default();
-        i.cache = Some(cache.clone());
+        i.cache = Some(crate::cache::PrefixCache::default());
         let a = i.run(&parse_module(&make("n = 1")).unwrap()).unwrap();
         let renamed = make("df = df.rename(columns={'x': 'xx'})");
         let b = i.run(&parse_module(&renamed).unwrap()).unwrap();
-        assert_eq!((cache.fit_hits(), cache.fit_misses()), (1, 1));
         assert_eq!(float_of(&i, &a, "r").to_bits(), float_of(&i, &b, "r").to_bits());
         let (pa, pb) = (a.output_frame().unwrap(), b.output_frame().unwrap());
         assert_eq!(pa.column("p").unwrap(), pb.column("p").unwrap());

@@ -135,13 +135,9 @@ pub enum FittedModel {
     /// A fitted logistic regression or decision tree, trained the first
     /// time something needs its weights.
     Classifier {
-        /// The training handle, shared by every clone of this value and,
-        /// through the fit memo, by other fits of the same input.
+        /// The training handle, shared by every clone of this value. Its
+        /// training frame's column names are the feature schema.
         fit: Arc<LazyFit>,
-        /// This fit's own feature column names, in training order. They
-        /// stay out of the shared handle: two fits of the same values may
-        /// name their columns differently.
-        features: Vec<String>,
     },
     /// Fitted scaler.
     Scaler {

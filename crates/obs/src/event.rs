@@ -1,7 +1,7 @@
 //! The versioned trace schema (JSONL, one record per line): the
 //! measurement records of a search.
 //!
-//! Every line carries `"v": 6` (the schema version) and an `"event"`
+//! Every line carries `"v": 7` (the schema version) and an `"event"`
 //! discriminator, stamped by the sink ([`crate::sink::record_line`]);
 //! the record structs hold only their payload. A traced standardization
 //! writes one stream, in order:
@@ -28,7 +28,9 @@
 //! in one `drops` object ([`Drops`]) and gives `verify` the cache and
 //! allocation windows `step` has; version 6 drops `search_end`'s copy of
 //! the per-statement interpreter time and of the span-drop count, which
-//! the `profile` record carries (its percentile rows gained `sum_ns`).
+//! the `profile` record carries (its percentile rows gained `sum_ns`);
+//! version 7 drops the two fit-memo hit and miss counters from
+//! `search_end`'s `timings`, with the memo.
 //! Files of the older versions are rejected by name, not read.
 
 use crate::decision::Drops;
@@ -36,7 +38,7 @@ use crate::timings::Timings;
 use serde::{FromJson, Serialize};
 
 /// Version the sink stamps into every record's `"v"` field.
-pub const TRACE_SCHEMA_VERSION: u64 = 6;
+pub const TRACE_SCHEMA_VERSION: u64 = 7;
 
 /// Emitted once when a search begins: the configuration snapshot.
 #[derive(Debug, Clone, PartialEq, Serialize, FromJson)]

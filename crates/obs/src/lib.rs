@@ -52,7 +52,7 @@
 //! let sink = TraceSink::in_memory();
 //! sink.emit(&lucid_obs::DecisionEndRecord { total: 1, selected: 0, diff_lines: 0 });
 //! let line = &sink.memory_lines().unwrap()[0];
-//! assert!(line.starts_with("{\"v\":6,\"event\":\"decision_end\",\"total\":1,"));
+//! assert!(line.starts_with("{\"v\":7,\"event\":\"decision_end\",\"total\":1,"));
 //! ```
 
 pub mod alloc;

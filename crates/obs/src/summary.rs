@@ -1,6 +1,6 @@
 //! The one trace parser, and the `lucid trace` view.
 //!
-//! [`parse_trace`] reads a JSONL stream of schema v6 (see [`crate::event`]
+//! [`parse_trace`] reads a JSONL stream of schema v7 (see [`crate::event`]
 //! and [`crate::decision`]) into one [`TraceSummary`] that carries all
 //! three views of a traced search: the measurement records as the
 //! paper's Figure 7 phase breakdown ([`TraceSummary::render`],
@@ -398,15 +398,6 @@ impl TraceSummary {
                 t.prefix_cache_peak_snapshots,
             ));
         }
-        let fits = t.fit_memo_hits + t.fit_memo_misses;
-        if fits > 0 {
-            out.push_str(&format!(
-                "fit memo: {} hits, {} misses ({:.0}% of fits served without training)\n",
-                t.fit_memo_hits,
-                t.fit_memo_misses,
-                t.fit_memo_hits as f64 / fits as f64 * 100.0,
-            ));
-        }
         if t.unique_stmts > 0 || t.intern_hits > 0 || t.candidates_deduped > 0 {
             out.push_str(&format!(
                 "interned IR: {} unique statements, {} intern hits, {} incremental DAG updates, {} duplicate candidates skipped\n",
@@ -776,8 +767,6 @@ mod tests {
                 prefix_cache_misses: 2,
                 prefix_cache_evictions: 0,
                 prefix_cache_peak_snapshots: 12,
-                fit_memo_hits: 5,
-                fit_memo_misses: 3,
                 search_steps: 2,
                 candidates_panicked: 2,
                 budget_trips_fuel: 0,
@@ -811,11 +800,7 @@ mod tests {
         assert_eq!(summary.end.explored, 18);
         let t = &summary.end.timings;
         assert_eq!(t.prefix_cache_hits, 7);
-        assert_eq!((t.fit_memo_hits, t.fit_memo_misses), (5, 3));
         assert_eq!(t.get_steps_cpu_ms, 35.0);
-        assert!(summary
-            .render()
-            .contains("fit memo: 5 hits, 3 misses (62% of fits"));
         assert_eq!(summary.accepted(), Some(true));
         assert_eq!(summary.steps[1].kept[0].re, 1.0);
         assert!(summary.steps[1].converged);

@@ -194,11 +194,6 @@ metric_table! {
     prefix_cache_evictions: u64 => CacheEvictions("cache.evictions", Sum),
     /// Peak number of prefix snapshots retained at once.
     prefix_cache_peak_snapshots: u64 => CachePeak("cache.peak_snapshots", Max),
-    /// Estimator fits served from the execution cache's fit memo (zero
-    /// with the prefix cache off).
-    fit_memo_hits: u64 => FitMemoHits("cache.fit_memo_hits", Sum),
-    /// Estimator fits that trained a model through the fit memo.
-    fit_memo_misses: u64 => FitMemoMisses("cache.fit_memo_misses", Sum),
     /// Beam steps the search executed (its depth).
     search_steps: usize => Steps("search.steps", Sum),
     /// Candidate executions that panicked and were isolated into scored
@@ -273,8 +268,8 @@ metric_table! {
     KernelFillna("kernel.fillna"),
     /// One group-by aggregation.
     KernelGroupby("kernel.groupby"),
-    /// One model training (a fit-memo hit trains nothing and records
-    /// nothing).
+    /// One model training (a `fit` that nothing reads trains nothing and
+    /// records nothing).
     KernelFit("kernel.fit"),
     /// One fitted model's `score` or `predict` call.
     KernelPredict("kernel.predict"),
@@ -330,8 +325,6 @@ mod tests {
             prefix_cache_misses: 2,
             prefix_cache_evictions: 1,
             prefix_cache_peak_snapshots: 9,
-            fit_memo_hits: 5,
-            fit_memo_misses: 3,
             search_steps: 3,
             candidates_panicked: 2,
             budget_trips_fuel: 1,
@@ -358,8 +351,8 @@ mod tests {
         let mut names: Vec<&str> = Metric::ALL.iter().map(|m| m.name()).collect();
         assert_eq!(
             names.len(),
-            50,
-            "31 Timings rows + 19 registry-only metrics"
+            48,
+            "29 Timings rows + 19 registry-only metrics"
         );
         names.sort_unstable();
         names.dedup();
@@ -375,9 +368,8 @@ mod tests {
              \"verify_constraints_ms\":4.0,\"total_ms\":10.0,\"get_steps_cpu_ms\":2.0,\
              \"threads\":4,\"prefix_cache_hits\":6,\"prefix_cache_misses\":2,\
              \"prefix_cache_evictions\":1,\"prefix_cache_peak_snapshots\":9,\
-             \"fit_memo_hits\":5,\"fit_memo_misses\":3,\"search_steps\":3,\
-             \"candidates_panicked\":2,\"budget_trips_fuel\":1,\"budget_trips_cells\":3,\
-             \"budget_trips_deadline\":5,\"candidates_deduped\":4,\"pruned_monotonicity\":7,\
+             \"search_steps\":3,\"candidates_panicked\":2,\"budget_trips_fuel\":1,\
+             \"budget_trips_cells\":3,\"budget_trips_deadline\":5,\"candidates_deduped\":4,\"pruned_monotonicity\":7,\
              \"unique_stmts\":11,\"intern_hits\":30,\"dag_incremental_updates\":20,\
              \"alloc_bytes_enumerate\":100,\"alloc_bytes_execute\":200,\
              \"alloc_bytes_score\":50,\"alloc_bytes_verify\":25,\
@@ -398,7 +390,6 @@ mod tests {
         assert_eq!(a.prefix_cache_misses, 4);
         assert_eq!(a.prefix_cache_evictions, 2);
         assert_eq!(a.prefix_cache_peak_snapshots, 9);
-        assert_eq!((a.fit_memo_hits, a.fit_memo_misses), (10, 6));
         assert_eq!(a.search_steps, 6);
         assert_eq!(a.candidates_panicked, 4);
         assert_eq!(a.budget_trips_fuel, 2);
@@ -480,8 +471,6 @@ mod tests {
         reg.counter(Metric::CacheMisses).add(3);
         reg.counter(Metric::CacheEvictions).add(1);
         reg.counter(Metric::CachePeak).set_max(12);
-        reg.counter(Metric::FitMemoHits).add(13);
-        reg.counter(Metric::FitMemoMisses).add(8);
         reg.counter(Metric::Panicked).add(2);
         reg.counter(Metric::BudgetFuel).add(3);
         reg.counter(Metric::BudgetCells).add(4);
@@ -512,7 +501,6 @@ mod tests {
         assert_eq!(t.prefix_cache_misses, 3);
         assert_eq!(t.prefix_cache_evictions, 1);
         assert_eq!(t.prefix_cache_peak_snapshots, 12);
-        assert_eq!((t.fit_memo_hits, t.fit_memo_misses), (13, 8));
         assert_eq!(t.candidates_panicked, 2);
         assert_eq!(t.budget_trips_fuel, 3);
         assert_eq!(t.budget_trips_cells, 4);

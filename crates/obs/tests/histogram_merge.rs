@@ -172,7 +172,7 @@ proptest! {
 fn merged_snapshot_lists_every_counter_zeros_included() {
     let search = Registry::new();
     search.counter(Metric::Steps).add(3);
-    search.counter(Metric::FitMemoHits).add(0);
+    search.counter(Metric::CacheEvictions).add(0);
     search.counter(Metric::Panicked).add(0);
     search.counter(Metric::BudgetFuel).add(0);
     let fleet = Registry::new();

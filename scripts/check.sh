@@ -55,7 +55,7 @@ echo "==> byte regression gate (lucid bench --compare BENCH_search.json)"
 # trips it. search-titanic pins the scoring path; exec-spaceship, where
 # failing candidates are most common, pins the candidate-drop paths;
 # batch-house, whose jobs share one pooled execution cache, pins the
-# cross-search sharing of prefix snapshots and fitted models.
+# cross-search sharing of prefix snapshots.
 stability_smoke() {
   local workload="$1" digest="$2" out
   echo "==> decision-stability smoke (benchmark $workload seed 1)"

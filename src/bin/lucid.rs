@@ -109,7 +109,7 @@ OPTIONS (bench):
                       around one standardization, arms interleaved rep by rep
 
 `lucid trace`, `lucid why` and `lucid profile` are three views of one
-trace file written by `--trace` (schema v6; files of earlier versions are
+trace file written by `--trace` (schema v7; files of earlier versions are
 rejected by name). Each folds a rotated `<FILE>.1` segment back in front
 of the current one.
 `lucid trace` shows the per-step table, the Figure 7 phase totals, and

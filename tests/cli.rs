@@ -4,8 +4,11 @@ use lucidscript::obs::TRACE_SCHEMA_VERSION;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-fn workdir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("lucid_cli_test_{}", std::process::id()));
+/// A fresh working directory for the test named `test`, holding D_IN, a
+/// corpus and a draft. Each test gets its own directory, so tests running
+/// in parallel never write files another test is reading.
+fn workdir(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("lucid_cli_test_{}_{test}", std::process::id()));
     let corpus = dir.join("corpus");
     std::fs::create_dir_all(&corpus).expect("mkdir");
 
@@ -42,7 +45,7 @@ fn lucid() -> Command {
 
 #[test]
 fn standardize_improves_a_draft() {
-    let dir = workdir();
+    let dir = workdir("standardize_improves_a_draft");
     let out = lucid()
         .args([
             "standardize",
@@ -70,7 +73,7 @@ fn standardize_improves_a_draft() {
 
 #[test]
 fn standardize_emits_json_reports() {
-    let dir = workdir();
+    let dir = workdir("standardize_emits_json_reports");
     let out = lucid()
         .args([
             "standardize",
@@ -95,7 +98,7 @@ fn standardize_emits_json_reports() {
 
 #[test]
 fn score_prints_a_number() {
-    let dir = workdir();
+    let dir = workdir("score_prints_a_number");
     let out = lucid()
         .args([
             "score",
@@ -118,7 +121,7 @@ fn hostile_nesting_fails_with_a_parse_error_not_an_abort() {
     // other two by the parser's operator and attribute loops. All used
     // to overflow the stack and abort the process (exit 134).
     const N: usize = 200_000;
-    let dir = workdir();
+    let dir = workdir("hostile_nesting_fails_with_a_parse_error_not_an_abort");
     for (name, src) in [
         ("parens", format!("x = {}1{}\n", "(".repeat(N), ")".repeat(N))),
         ("sum", format!("x = 1{}\n", "+1".repeat(N - 1))),
@@ -151,7 +154,7 @@ fn scripts_at_the_nesting_limit_standardize_on_worker_threads() {
     // (lemmatizer, printer, interner, interpreter, drop) must fit a tree
     // at the parser's limit.
     let limit = lucidscript::pyast::parser::MAX_NESTING;
-    let dir = workdir();
+    let dir = workdir("scripts_at_the_nesting_limit_standardize_on_worker_threads");
     let script = dir.join("at_limit.py");
     std::fs::write(
         &script,
@@ -185,7 +188,7 @@ fn scripts_at_the_nesting_limit_standardize_on_worker_threads() {
 
 #[test]
 fn corpus_stats_summarizes() {
-    let dir = workdir();
+    let dir = workdir("corpus_stats_summarizes");
     let out = lucid()
         .args(["corpus-stats", "--corpus", dir.join("corpus").to_str().unwrap()])
         .output()
@@ -214,7 +217,7 @@ fn bad_usage_fails_with_usage_text() {
 
 #[test]
 fn bad_flag_values_fail_with_usage_text() {
-    let dir = workdir();
+    let dir = workdir("bad_flag_values_fail_with_usage_text");
     let out = lucid()
         .args([
             "standardize",
@@ -237,7 +240,7 @@ fn bad_flag_values_fail_with_usage_text() {
 
 #[test]
 fn data_errors_fail_without_usage_text() {
-    let dir = workdir();
+    let dir = workdir("data_errors_fail_without_usage_text");
     std::fs::write(dir.join("broken.csv"), "Age,Outcome\n1,\"open\n").expect("write csv");
     let corpus = dir.join("corpus");
     let corpus = corpus.to_str().unwrap();
@@ -266,7 +269,7 @@ fn data_errors_fail_without_usage_text() {
 
 #[test]
 fn profile_renders_a_traced_search() {
-    let dir = workdir();
+    let dir = workdir("profile_renders_a_traced_search");
     let trace = dir.join("profile_trace.jsonl");
     let out = lucid()
         .args([
@@ -332,7 +335,7 @@ fn profile_renders_a_traced_search() {
 /// unknown, so a second sink can no longer truncate the first.
 #[test]
 fn one_trace_file_renders_all_three_views() {
-    let dir = workdir();
+    let dir = workdir("one_trace_file_renders_all_three_views");
     let trace = dir.join("one.jsonl");
     let standardize = |extra: &[&str]| {
         let mut args = vec![
@@ -387,13 +390,14 @@ fn one_trace_file_renders_all_three_views() {
 /// interpreter time in `search_end`.
 #[test]
 fn old_trace_schemas_are_rejected_by_name() {
-    let dir = workdir();
+    let dir = workdir("old_trace_schemas_are_rejected_by_name");
     let old = dir.join("old.jsonl");
     for (v, record) in [
         (2, "{\"v\":2,\"event\":\"cand\",\"id\":0}\n"),
         (3, "{\"v\":3,\"event\":\"search_end\",\"steps\":1,\"cache_hits\":0}\n"),
         (4, "{\"v\":4,\"event\":\"step\",\"step\":0,\"candidates_deduped\":1}\n"),
         (5, "{\"v\":5,\"event\":\"search_end\",\"stmt_spans\":[]}\n"),
+        (6, "{\"v\":6,\"event\":\"search_end\",\"timings\":{\"fit_memo_hits\":0}}\n"),
     ] {
         std::fs::write(&old, record).expect("write");
         for cmd in ["trace", "why", "profile"] {
@@ -415,7 +419,7 @@ fn old_trace_schemas_are_rejected_by_name() {
 /// command, and the error names that file.
 #[test]
 fn corpus_parse_errors_name_the_file() {
-    let dir = workdir();
+    let dir = workdir("corpus_parse_errors_name_the_file");
     let corpus = dir.join("bad_corpus");
     std::fs::create_dir_all(&corpus).expect("mkdir");
     std::fs::write(
@@ -463,7 +467,7 @@ fn corpus_parse_errors_name_the_file() {
 
 #[test]
 fn bench_appends_schema_v4_entries_and_gates_regressions() {
-    let dir = workdir();
+    let dir = workdir("bench_appends_schema_v4_entries_and_gates_regressions");
     let traj = dir.join("trajectory.json");
     let traj_arg = traj.to_str().unwrap();
 
@@ -589,7 +593,7 @@ fn bench_appends_schema_v4_entries_and_gates_regressions() {
 
 #[test]
 fn tau_m_requires_target() {
-    let dir = workdir();
+    let dir = workdir("tau_m_requires_target");
     let out = lucid()
         .args([
             "standardize",
