@@ -63,8 +63,6 @@ pub struct Workload {
     pub beam_k: usize,
     /// Worker threads.
     pub threads: usize,
-    /// Prefix-execution cache on/off.
-    pub prefix_cache: bool,
     /// `D_IN` row cap during constraint checks.
     pub sample_rows: usize,
 }
@@ -74,8 +72,8 @@ impl Workload {
     /// results so a reader knows what a row measured without re-running it.
     pub fn params(&self) -> String {
         format!(
-            "seq={} beam={} threads={} cache={} sample={}",
-            self.seq_len, self.beam_k, self.threads, self.prefix_cache, self.sample_rows
+            "seq={} beam={} threads={} sample={}",
+            self.seq_len, self.beam_k, self.threads, self.sample_rows
         )
     }
 
@@ -98,7 +96,6 @@ impl Workload {
             intent: IntentMeasure::jaccard(0.5),
             sample_rows: Some(self.sample_rows),
             threads: self.threads,
-            prefix_cache: self.prefix_cache,
             trace,
             ..SearchConfig::default()
         };
@@ -123,16 +120,6 @@ pub fn suite() -> Vec<Workload> {
             seq_len: 5,
             beam_k: 2,
             threads: 1,
-            prefix_cache: true,
-            sample_rows: 150,
-        },
-        Workload {
-            name: "titanic-seq5-k2-nocache",
-            profile: Profile::titanic,
-            seq_len: 5,
-            beam_k: 2,
-            threads: 1,
-            prefix_cache: false,
             sample_rows: 150,
         },
         Workload {
@@ -141,7 +128,6 @@ pub fn suite() -> Vec<Workload> {
             seq_len: 4,
             beam_k: 2,
             threads: 2,
-            prefix_cache: true,
             sample_rows: 150,
         },
     ]
@@ -552,14 +538,15 @@ pub struct Comparison {
     /// Per-workload rows, in suite order.
     pub rows: Vec<DeltaRow>,
     /// Current workloads with no baseline of the same name and
-    /// parameters (not compared), as `name [params]`.
+    /// parameters, as `name [params]`. Each fails the gate: a run that
+    /// compares nothing must not pass as one that compared clean.
     pub unmatched: Vec<String>,
 }
 
 impl Comparison {
-    /// Whether any row regressed.
+    /// Whether any row regressed or any current workload went unmatched.
     pub fn regressed(&self) -> bool {
-        self.rows.iter().any(|r| r.regressed)
+        !self.unmatched.is_empty() || self.rows.iter().any(|r| r.regressed)
     }
 
     /// Renders the per-row delta table (bytes shown as MiB).
@@ -583,7 +570,7 @@ impl Comparison {
         }
         for name in &self.unmatched {
             out.push_str(&format!(
-                "{name} (no baseline with this name and parameters — skipped)\n"
+                "{name}: no baseline with this name and parameters  UNMATCHED\n"
             ));
         }
         out
@@ -726,7 +713,7 @@ mod tests {
         let workloads = last.get("workloads").and_then(Value::as_array).unwrap();
         assert_eq!(
             workloads[0].get("params").and_then(Value::as_str),
-            Some("seq=5 beam=2 threads=1 cache=true sample=150")
+            Some("seq=5 beam=2 threads=1 sample=150")
         );
         let rows = workloads[0].get("rows").and_then(Value::as_array).unwrap();
         assert_eq!(rows.len(), MEM_ROWS.len());
@@ -834,7 +821,7 @@ mod tests {
     #[test]
     fn workloads_join_on_name_and_parameters() {
         // A renamed search and a kernel re-run at another row count are
-        // both reported as unmatched, never compared.
+        // both reported as unmatched, never compared, and fail the gate.
         let mut cur = synthetic_entry(5.0, 1.0);
         cur.workloads[0].name = "renamed-workload".to_string();
         cur.workloads[1].params = "rows=50000".to_string();
@@ -847,18 +834,36 @@ mod tests {
                 "kernel-groupby [rows=50000]".to_string()
             ]
         );
-        assert!(!cmp.regressed());
+        assert!(cmp.regressed(), "an unmatched workload passed the gate");
         assert!(cmp
             .render()
-            .contains("kernel-groupby [rows=50000] (no baseline"));
+            .contains("kernel-groupby [rows=50000]: no baseline"));
+    }
+
+    #[test]
+    fn a_gate_that_compares_nothing_fails() {
+        // The baseline was recorded under other parameters: nothing joins,
+        // so nothing can be called clean.
+        let mut base = synthetic_entry(1.0, 1.0);
+        for w in &mut base.workloads {
+            w.params.push_str(" cache=true");
+        }
+        let cmp = gate("nothing", &base, &synthetic_entry(1.0, 1.0));
+        assert!(cmp.rows.is_empty());
+        assert_eq!(cmp.unmatched.len(), 2);
+        assert!(cmp.regressed(), "{}", cmp.render());
+        assert!(
+            cmp.render().contains("titanic-seq5-k2-cache ["),
+            "{}",
+            cmp.render()
+        );
     }
 
     #[test]
     fn params_are_distinct_across_the_suite() {
         let params: Vec<String> = suite().iter().map(Workload::params).collect();
-        assert_eq!(params[0], "seq=5 beam=2 threads=1 cache=true sample=150");
+        assert_eq!(params[0], "seq=5 beam=2 threads=1 sample=150");
         assert_ne!(params[0], params[1]);
-        assert_ne!(params[1], params[2]);
     }
 
     #[test]

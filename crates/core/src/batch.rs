@@ -459,13 +459,11 @@ pub fn standardize_corpus(
 
     // The one construction site of cross-search shared state; the batch
     // registry collects every search's metrics via `Registry::merge`.
-    let shared = Arc::new(SharedSearchState::for_config(&config));
+    let shared = SharedSearchState::default();
     let batch_registry = Arc::new(Registry::new());
     let outer_registry = config.stats_registry.clone();
     let mut search_config = config;
-    search_config.shared = Some(shared);
     search_config.stats_registry = Some(Arc::clone(&batch_registry));
-    search_config.trace = None;
 
     let base = Standardizer::from_model(model, data_path, data, search_config)?;
 
@@ -477,14 +475,16 @@ pub fn standardize_corpus(
     let run_one = |i: usize| -> std::result::Result<StandardizeReport, String> {
         let module = parsed[i].as_ref().map(|&m| &modules[m])?;
         let Some(dir) = &opts.trace_dir else {
-            return base.standardize(module).map_err(|e| e.to_string());
+            return base
+                .standardize_with(module, None, &shared)
+                .map_err(|e| e.to_string());
         };
         let path = dir.join(format!("{}.trace.jsonl", scripts[i].name));
         let sink = TraceSink::to_file(&path)
             .map_err(|e| format!("cannot open trace file {}: {e}", path.display()))?;
-        let mut cfg = base.config().clone();
-        cfg.trace = Some(sink.clone());
-        let outcome = base.standardize_with(module, &cfg).map_err(|e| e.to_string());
+        let outcome = base
+            .standardize_with(module, Some(&sink), &shared)
+            .map_err(|e| e.to_string());
         if outcome.is_err() && sink.records() == 0 {
             drop(sink);
             let _ = std::fs::remove_file(&path);

@@ -47,9 +47,6 @@ pub struct SearchConfig {
     /// path, `0` = auto (one per available core). Results are reassembled
     /// in enumeration order, so every thread count ranks identically.
     pub threads: usize,
-    /// Whether execution checks reuse interpreter snapshots of shared
-    /// statement prefixes (off reproduces cold re-execution exactly).
-    pub prefix_cache: bool,
     /// The trace: one JSONL stream per standardization (schema
     /// [`lucid_obs::TRACE_SCHEMA_VERSION`], see [`lucid_obs::event`]). When set, the search writes its measurement
     /// records (start, one per beam step, verify, end, profile) and the
@@ -57,10 +54,11 @@ pub struct SearchConfig {
     /// stable ID, lineage and terminal [`lucid_obs::Disposition`], the
     /// selected lineage, the final-diff join and a trailer follow
     /// (`lucid trace`, `lucid why` and `lucid profile` render it). The
-    /// decision records are byte-identical across thread counts, cache
-    /// modes, budgets and batch memoization, and tracing never changes a
-    /// search decision. `None` keeps the whole observability layer on its
-    /// no-op path.
+    /// decision records are byte-identical across thread counts, budgets
+    /// and batch memoization, and tracing never changes a search
+    /// decision. `None` keeps the whole observability layer on its no-op
+    /// path. [`crate::Standardizer::standardize`] writes to this sink;
+    /// a batch gives each script a sink of its own instead.
     pub trace: Option<lucid_obs::TraceSink>,
     /// Per-candidate resource budget (fuel / cells / wall-clock deadline).
     /// Unlimited by default; tripped candidates are pruned like failed
@@ -80,13 +78,6 @@ pub struct SearchConfig {
     /// the CLI's `--stats-out` exporters snapshot. Measurement-only:
     /// search decisions and output never read it.
     pub stats_registry: Option<std::sync::Arc<lucid_obs::Registry>>,
-    /// Cross-search shared state (batch mode): one statement interner and
-    /// one pooled prefix-cache store spanning every search that carries
-    /// this handle. `None` (the default) keeps both per search. Sharing is
-    /// decision-invariant — see [`crate::search::SharedSearchState`] — but
-    /// requires every sharing search to run against the same registered
-    /// tables.
-    pub shared: Option<std::sync::Arc<crate::search::SharedSearchState>>,
 }
 
 impl Default for SearchConfig {
@@ -106,12 +97,10 @@ impl Default for SearchConfig {
             diversity_clusters: 3,
             objective: Objective::Edges,
             threads: 1,
-            prefix_cache: true,
             trace: None,
             budget: lucid_interp::Budget::unlimited(),
             fault_plan: None,
             stats_registry: None,
-            shared: None,
         }
     }
 }
@@ -246,7 +235,6 @@ mod tests {
         // Serial by default: parallelism is opt-in.
         assert_eq!(c.threads, 1);
         assert_eq!(c.resolved_threads(), 1);
-        assert!(c.prefix_cache);
         // Auto resolves to at least one worker.
         let auto = SearchConfig {
             threads: 0,

@@ -63,12 +63,11 @@ impl StmtInfo {
 /// [`Metric::InternHits`] and incremental DAG updates into
 /// [`Metric::DagIncremental`], through counter handles fetched once when
 /// the view is built. One search owns one view; its scoring workers share
-/// it by reference. Each search counts into its own registry, through
-/// [`StmtInterner::counting_into`] over a store of its own or a
-/// [`StmtInterner::view`] of the batch-shared one, so a statement
-/// interned by any search is shared by all while each search's hit and
-/// DAG-update counts stay its own. [`StmtInterner::new`] counts into
-/// counters of its own.
+/// it by reference. Each search counts into its own registry, through a
+/// [`StmtInterner::view`] of the store it is handed, so a statement
+/// interned by any search of a batch is shared by all while each search's
+/// hit and DAG-update counts stay its own. [`StmtInterner::new`] counts
+/// into counters of its own.
 ///
 /// Buckets are keyed by structural hash but membership is decided by
 /// structural *equality*, so a (vanishingly unlikely) 64-bit collision
@@ -104,20 +103,11 @@ impl StmtInterner {
         StmtInterner::default()
     }
 
-    /// An empty interner counting its hits and DAG updates into `reg`.
-    pub fn counting_into(reg: &Registry) -> StmtInterner {
-        StmtInterner::over(Arc::default(), reg)
-    }
-
     /// Another view of the same store, counting its hits and DAG updates
     /// into `reg`.
     pub fn view(&self, reg: &Registry) -> StmtInterner {
-        StmtInterner::over(Arc::clone(&self.store), reg)
-    }
-
-    fn over(store: Arc<InternStore>, reg: &Registry) -> StmtInterner {
         StmtInterner {
-            store,
+            store: Arc::clone(&self.store),
             hits: reg.counter(Metric::InternHits),
             dag_updates: reg.counter(Metric::DagIncremental),
         }

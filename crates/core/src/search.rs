@@ -4,18 +4,18 @@
 //! beams, k-means diversity, monotonicity, early/late execution checking,
 //! and `D_IN` sampling (applied via the interpreter's row cap).
 //!
-//! Two execution-model knobs accelerate the search without changing its
-//! results (see `DESIGN.md`, "Execution model & caching"):
+//! Two execution-model mechanisms accelerate the search without changing
+//! its results (see `DESIGN.md`, "Execution model & caching"):
 //!
 //! - [`SearchConfig::threads`] fans the apply→DAG→score work of
 //!   `GetSteps` across the [`crate::pool`] workers — for *all* beams of a
 //!   step at once — and gets results back in enumeration order, so ranking,
 //!   clustering, and tie-breaking are byte-identical to the serial path.
-//! - [`SearchConfig::prefix_cache`] routes every `CheckIfExecutes()` and
-//!   verification run through an interpreter prefix cache: candidates
-//!   sharing an immutable statement prefix (monotonicity guarantees the
-//!   lines below the cursor never change) resume from a snapshot instead
-//!   of re-running the prefix.
+//! - Every `CheckIfExecutes()` and verification run goes through a view
+//!   of the [`SharedSearchState`]'s prefix cache: candidates sharing an
+//!   immutable statement prefix (monotonicity guarantees the lines below
+//!   the cursor never change) resume from a snapshot instead of
+//!   re-running the prefix.
 
 use crate::config::{Objective, SearchConfig};
 use crate::dag::ScriptDag;
@@ -27,11 +27,10 @@ use crate::report::Timings;
 use crate::transform::{enumerate, Enumerated, TransformKind, Transformation};
 use crate::vocab::CorpusModel;
 use lucid_frame::DataFrame;
-use lucid_interp::cache::DEFAULT_PREFIX_CACHE_CAPACITY;
 use lucid_interp::{ExecOutcome, Interpreter, PrefixCache};
 use lucid_obs::alloc::{self, AllocSnapshot};
 use lucid_obs::event::{KeptBeam, SearchEndEvent, SearchStartEvent, StepEvent, VerifyEvent};
-use lucid_obs::{Disposition, Drops, Metric, ProfileReport, Record, Registry};
+use lucid_obs::{Disposition, Drops, Metric, ProfileReport, Record, Registry, TraceSink};
 use lucid_pyast::Module;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -76,12 +75,18 @@ pub struct SearchContext<'a> {
     pub config: &'a SearchConfig,
     /// Output of the *input* script, for the intent constraint.
     pub base_output: &'a DataFrame,
+    /// Where the search writes its trace records (`None`: untraced).
+    pub trace: Option<&'a TraceSink>,
+    /// The stores the search interns into and caches in, through views
+    /// of its own.
+    pub shared: &'a SharedSearchState,
 }
 
-/// State shared *between* searches standardizing scripts against the same
-/// corpus and registered tables (batch mode, and any future long-lived
-/// service): one content-addressed statement interner and one pooled
-/// prefix-cache store.
+/// The stores a search runs over: one content-addressed statement
+/// interner and one prefix-cache store. A search is handed them in its
+/// [`SearchContext`]; [`crate::Standardizer::standardize`] builds a fresh
+/// state per call, and a batch builds one for all of its searches
+/// against the same corpus and registered tables.
 ///
 /// Sharing is decision-invariant: the interner is content-addressed (the
 /// same statement interns to the same facts regardless of who interned it
@@ -92,39 +97,28 @@ pub struct SearchContext<'a> {
 /// against the same registered-table configuration, which whole-corpus
 /// batch satisfies by construction.
 ///
-/// This is the **only** place batch-path code may construct an interner or
-/// a prefix cache (`tests/batch.rs` fails if a batch search gets its own);
-/// each search then takes a [`StmtInterner::view`] and a
+/// The search builds no store of its own (`tests/batch.rs` fails if a
+/// batch search gets its own); it takes a [`StmtInterner::view`] and a
 /// [`PrefixCache::view`] counting into its own registry, so hit,
 /// DAG-update, miss and eviction counts stay attributed per search.
 #[derive(Debug, Default)]
 pub struct SharedSearchState {
     interner: StmtInterner,
-    cache: Option<PrefixCache>,
+    cache: PrefixCache,
 }
 
 impl SharedSearchState {
-    /// Builds shared state matching `config`: a fresh interner, plus a
-    /// pooled prefix-cache store when the config enables caching.
-    pub fn for_config(config: &SearchConfig) -> Self {
-        SharedSearchState {
-            interner: StmtInterner::new(),
-            cache: config.prefix_cache.then(PrefixCache::default),
-        }
-    }
-
     /// The owning view of the shared statement interner. Its counters
     /// stay zero (searches intern through their own views).
     pub fn interner(&self) -> &StmtInterner {
         &self.interner
     }
 
-    /// The owning view of the pooled prefix cache, when caching is on.
-    /// Its counters stay zero (this view never probes); the pool's
-    /// traffic is the sum of the searches' registries, which a batch rolls
-    /// up into its `Timings`.
-    pub fn cache(&self) -> Option<&PrefixCache> {
-        self.cache.as_ref()
+    /// The owning view of the prefix cache. Its counters stay zero (this
+    /// view never probes); the store's traffic is the sum of the
+    /// searches' registries, which a batch rolls up into its `Timings`.
+    pub fn cache(&self) -> &PrefixCache {
+        &self.cache
     }
 }
 
@@ -213,7 +207,7 @@ impl Search<'_, '_> {
         PhaseWindow {
             counts: PHASE_COUNTS.map(|m| self.reg.counter_value(m)),
             times: PHASE_TIMES.map(|m| self.reg.histogram_sum_ms(m)),
-            mem: self.ctx.config.trace.as_ref().map(|_| alloc::snapshot()),
+            mem: self.ctx.trace.map(|_| alloc::snapshot()),
         }
     }
 
@@ -239,7 +233,7 @@ impl Search<'_, '_> {
         }
         let drops = self.prov.take_counts();
         drops.record(&self.reg);
-        if let Some(sink) = &self.ctx.config.trace {
+        if let Some(sink) = self.ctx.trace {
             sink.emit(&record(counts, times, alloc_bytes, drops));
         }
     }
@@ -641,7 +635,7 @@ pub fn standardize_search(ctx: &SearchContext, input: &Module) -> SearchOutcome 
     // own, which keeps spans when the search is traced. The returned
     // `Timings` is a projection of it, and the trace records carry the
     // same measured values — the two views cannot disagree.
-    let trace = ctx.config.trace.as_ref();
+    let trace = ctx.trace;
     let reg = Arc::new(match trace {
         Some(_) => Registry::traced(),
         None => Registry::new(),
@@ -657,7 +651,6 @@ pub fn standardize_search(ctx: &SearchContext, input: &Module) -> SearchOutcome 
             threads: ctx.config.resolved_threads(),
             diversity: ctx.config.diversity,
             early_check: ctx.config.early_check,
-            prefix_cache: ctx.config.prefix_cache,
             objective: match ctx.config.objective {
                 Objective::Edges => "edges",
                 Objective::Atoms => "atoms",
@@ -665,16 +658,13 @@ pub fn standardize_search(ctx: &SearchContext, input: &Module) -> SearchOutcome 
             .to_string(),
         });
     }
-    // One interner view per search, over the batch-shared store when
-    // present: every candidate the search ever holds is a list of
-    // pointers into that store, and each per-statement fact (hash, atom
-    // key, def/use sets) is computed once per unique statement (per
-    // batch, when shared). The view counts this search's hits and DAG
-    // updates into the search's registry.
-    let interner = match ctx.config.shared.as_deref() {
-        Some(shared) => shared.interner().view(&reg),
-        None => StmtInterner::counting_into(&reg),
-    };
+    // One interner view per search, over the store it is handed: every
+    // candidate the search ever holds is a list of pointers into that
+    // store, and each per-statement fact (hash, atom key, def/use sets)
+    // is computed once per unique statement (per batch, when a batch
+    // hands every search one store). The view counts this search's hits
+    // and DAG updates into the search's registry.
+    let interner = ctx.shared.interner().view(&reg);
     let program = Program::from_module(input, &interner);
     let dag = Arc::new(program.full_dag());
     let input_re = score_dag(&dag, ctx.corpus, ctx.config.objective);
@@ -687,21 +677,15 @@ pub fn standardize_search(ctx: &SearchContext, input: &Module) -> SearchOutcome 
         // The input always carries the ledger's pre-minted ID 0.
         id: 0,
     };
-    // The search's interpreter. Its prefix-cache view counts into the
-    // search's registry: over the pooled store when shared, else over a
-    // store scoped to this search — either way never spanning different
-    // registered tables (the cache-validity invariant). When traced, the
-    // interpreter times its statements and kernels into the same
-    // registry, so they nest under the search's phases. The fault plan
-    // sits here only, so the user's input (run on the context's
+    // The search's interpreter. Its prefix-cache view, over the store it
+    // is handed (never spanning different registered tables: the
+    // cache-validity invariant), counts into the search's registry. When
+    // traced, the interpreter times its statements and kernels into the
+    // same registry, so they nest under the search's phases. The fault
+    // plan sits here only, so the user's input (run on the context's
     // interpreter) never faults.
     let mut interp = ctx.interp.clone();
-    interp.cache = ctx.config.prefix_cache.then(|| {
-        match ctx.config.shared.as_deref().and_then(SharedSearchState::cache) {
-            Some(pooled) => pooled.view(&reg),
-            None => PrefixCache::counting_into(DEFAULT_PREFIX_CACHE_CAPACITY, &reg),
-        }
-    });
+    interp.cache = Some(ctx.shared.cache().view(&reg));
     interp.obs = trace.map(|_| Arc::clone(&reg));
     interp.fault_plan = ctx.config.fault_plan.clone();
     let mut search = Search {
@@ -735,7 +719,6 @@ pub fn standardize_search(ctx: &SearchContext, input: &Module) -> SearchOutcome 
 
     let Search {
         reg,
-        interp,
         mut prov,
         explored,
         ..
@@ -757,12 +740,11 @@ pub fn standardize_search(ctx: &SearchContext, input: &Module) -> SearchOutcome 
         (input_candidate, intent)
     });
     // Unique statements and the snapshot peak are gauges over the stores
-    // (the batch-shared ones when sharing); every count was recorded into
-    // the registry where it happened.
+    // (shared by every search handed the same state); every count was
+    // recorded into the registry where it happened.
     reg.counter(Metric::UniqueStmts).set_max(interner.unique_stmts());
-    if let Some(cache) = &interp.cache {
-        reg.counter(Metric::CachePeak).set_max(cache.peak_snapshots());
-    }
+    reg.counter(Metric::CachePeak)
+        .set_max(ctx.shared.cache().peak_snapshots());
     // Allocator attribution for this search's window. The total is
     // recorded as the sum of the same per-phase deltas, so "phase bytes
     // sum to the total" holds exactly even when concurrent searches
@@ -924,17 +906,21 @@ mod tests {
         .unwrap()
     }
 
+    /// A context over `config`'s trace sink and the stores of `shared`.
     fn context<'a>(
         corpus: &'a CorpusModel,
         interp: &'a Interpreter,
         config: &'a SearchConfig,
         base: &'a DataFrame,
+        shared: &'a SharedSearchState,
     ) -> SearchContext<'a> {
         SearchContext {
             corpus,
             interp,
             config,
             base_output: base,
+            trace: config.trace.as_ref(),
+            shared,
         }
     }
 
@@ -966,7 +952,8 @@ mod tests {
         };
         let re_before =
             entropy::relative_entropy(&crate::dag::build_dag(&input), &corpus);
-        let ctx = context(&corpus, &interp, &config, &base);
+        let shared = SharedSearchState::default();
+        let ctx = context(&corpus, &interp, &config, &base, &shared);
         (standardize_search(&ctx, &input), re_before)
     }
 
@@ -1013,7 +1000,8 @@ y = df['Survived']
         interp.register_table("train.csv", titanic_like_table());
         let input = crate::lemma::lemmatize(&parse_module(NONSTANDARD).unwrap());
         let base = interp.run(&input).unwrap().output_frame().unwrap().clone();
-        let ctx = context(&corpus, &interp, &config, &base);
+        let shared = SharedSearchState::default();
+        let ctx = context(&corpus, &interp, &config, &base, &shared);
         let outcome = standardize_search(&ctx, &input);
         assert!(interp.check_executes(&outcome.best.program.to_module()));
     }
@@ -1100,7 +1088,8 @@ y = df['Survived']
         interp.register_table("train.csv", titanic_like_table());
         let input = crate::lemma::lemmatize(&parse_module(NONSTANDARD).unwrap());
         let base = interp.run(&input).unwrap().output_frame().unwrap().clone();
-        let ctx = context(&corpus, &interp, &config, &base);
+        let shared = SharedSearchState::default();
+        let ctx = context(&corpus, &interp, &config, &base, &shared);
         let outcome = standardize_search(&ctx, &input);
         assert!(interp.check_executes(&outcome.best.program.to_module()));
     }
@@ -1122,7 +1111,8 @@ y = df['Survived']
         interp.register_table("train.csv", titanic_like_table());
         let input = crate::lemma::lemmatize(&parse_module(NONSTANDARD).unwrap());
         let base = interp.run(&input).unwrap().output_frame().unwrap().clone();
-        let ctx = context(&corpus, &interp, &config, &base);
+        let shared = SharedSearchState::default();
+        let ctx = context(&corpus, &interp, &config, &base, &shared);
         let outcome = standardize_search(&ctx, &input);
         assert!(!outcome.best.applied.is_empty());
         let lines = sink.memory_lines().unwrap();
@@ -1150,46 +1140,45 @@ y = df['Survived']
     }
 
     #[test]
-    fn parallel_cached_search_is_byte_identical_to_serial() {
+    fn parallel_search_is_byte_identical_to_serial() {
         // The golden determinism contract: fanning GetSteps across
-        // threads and resuming execution checks from cached prefixes must
-        // not change a single search decision.
+        // threads must not change a single search decision. (That a
+        // prefix-cache resume equals a cold run is pinned at the
+        // interpreter, in `interp/tests/prefix_cache.rs`.)
         let serial = SearchConfig {
             seq_len: 6,
             intent: IntentMeasure::jaccard(0.3),
             threads: 1,
-            prefix_cache: false,
             ..Default::default()
         };
         let (reference, _) = run_search(NONSTANDARD, &serial);
-        for (threads, prefix_cache) in [(4, true), (2, false), (1, true), (0, true)] {
+        for threads in [4, 2, 0] {
             let config = SearchConfig {
                 threads,
-                prefix_cache,
                 ..serial.clone()
             };
             let (outcome, _) = run_search(NONSTANDARD, &config);
             assert_eq!(
                 outcome.best.dag.atoms, reference.best.dag.atoms,
-                "best script diverged at threads={threads} cache={prefix_cache}"
+                "best script diverged at threads={threads}"
             );
             assert_eq!(
                 print_module(&outcome.best.program.to_module()),
                 print_module(&reference.best.program.to_module()),
-                "printed output diverged at threads={threads} cache={prefix_cache}"
+                "printed output diverged at threads={threads}"
             );
             assert!(
                 (outcome.best.re - reference.best.re).abs() < 1e-15,
-                "RE diverged at threads={threads} cache={prefix_cache}"
+                "RE diverged at threads={threads}"
             );
             assert_eq!(
                 outcome.explored, reference.explored,
-                "explored count diverged at threads={threads} cache={prefix_cache}"
+                "explored count diverged at threads={threads}"
             );
             assert_eq!(
                 outcome.best.applied.len(),
                 reference.best.applied.len(),
-                "applied sequence diverged at threads={threads} cache={prefix_cache}"
+                "applied sequence diverged at threads={threads}"
             );
         }
     }
@@ -1200,7 +1189,6 @@ y = df['Survived']
             seq_len: 4,
             intent: IntentMeasure::jaccard(0.3),
             threads: 2,
-            prefix_cache: true,
             ..Default::default()
         };
         let (outcome, _) = run_search(NONSTANDARD, &config);
@@ -1217,53 +1205,6 @@ y = df['Survived']
             outcome.timings.prefix_cache_peak_snapshots > 0,
             "a probed cache must have retained snapshots"
         );
-        // With the cache off, counters stay zero.
-        let cold = SearchConfig {
-            prefix_cache: false,
-            ..config.clone()
-        };
-        let (outcome, _) = run_search(NONSTANDARD, &cold);
-        assert_eq!(outcome.timings.prefix_cache_hits, 0);
-        assert_eq!(outcome.timings.prefix_cache_misses, 0);
-    }
-
-    #[test]
-    fn cached_and_cold_searches_over_a_model_script_agree() {
-        // The model trains on X/y taken before the edited `df` lines, so
-        // every candidate editing those lines re-runs `fit` on the same
-        // inputs. The search's decisions match the uncached run bit for
-        // bit.
-        const FITS: &str = "\
-import pandas as pd
-from sklearn.linear_model import LogisticRegression
-df = pd.read_csv('train.csv')
-X = df[['Fare']]
-y = df['Survived']
-df = df.fillna(df.median())
-model = LogisticRegression(max_iter=20)
-model = model.fit(X, y)
-acc = model.score(X, y)
-";
-        let config = SearchConfig {
-            seq_len: 3,
-            intent: IntentMeasure::jaccard(0.3),
-            prefix_cache: true,
-            ..Default::default()
-        };
-        let (cached, _) = run_search(FITS, &config);
-        let (cold, _) = run_search(
-            FITS,
-            &SearchConfig {
-                prefix_cache: false,
-                ..config
-            },
-        );
-        assert_eq!(
-            print_module(&cached.best.program.to_module()),
-            print_module(&cold.best.program.to_module())
-        );
-        assert_eq!(cached.best.re.to_bits(), cold.best.re.to_bits());
-        assert_eq!(cached.explored, cold.explored);
     }
 
     #[test]
@@ -1360,7 +1301,8 @@ acc = model.score(X, y)
             fault_plan: Some(plan.clone()),
             ..Default::default()
         };
-        let ctx = context(&corpus, &interp, &config, &base);
+        let shared = SharedSearchState::default();
+        let ctx = context(&corpus, &interp, &config, &base, &shared);
         let outcome = standardize_search(&ctx, &input);
         // Every candidate execution panics; the search must survive,
         // count each caught panic, and fall back to the input.
@@ -1392,7 +1334,8 @@ acc = model.score(X, y)
             intent: IntentMeasure::jaccard(0.3),
             ..Default::default()
         };
-        let ctx = context(&corpus, &interp, &config, &base);
+        let shared = SharedSearchState::default();
+        let ctx = context(&corpus, &interp, &config, &base, &shared);
         let outcome = standardize_search(&ctx, &input);
         assert!(outcome.best.applied.is_empty());
         assert!(outcome.timings.budget_trips_fuel > 0);
@@ -1546,29 +1489,23 @@ acc = model.score(X, y)
     }
 
     #[test]
-    fn decision_bytes_identical_across_threads_and_cache() {
+    fn decision_bytes_identical_across_threads() {
         let mut streams = Vec::new();
         for threads in [1usize, 2, 8] {
-            for cache in [false, true] {
-                let config = SearchConfig {
-                    seq_len: 5,
-                    intent: IntentMeasure::jaccard(0.3),
-                    threads,
-                    prefix_cache: cache,
-                    ..Default::default()
-                };
-                let (_, text) = run_traced(&config);
-                let decisions = lucid_obs::decision::decision_lines(&text).join("\n");
-                streams.push((threads, cache, decisions));
-            }
+            let config = SearchConfig {
+                seq_len: 5,
+                intent: IntentMeasure::jaccard(0.3),
+                threads,
+                ..Default::default()
+            };
+            let (_, text) = run_traced(&config);
+            let decisions = lucid_obs::decision::decision_lines(&text).join("\n");
+            streams.push((threads, decisions));
         }
-        let (_, _, reference) = &streams[0];
+        let (_, reference) = &streams[0];
         assert!(reference.contains("\"event\":\"decision_end\""));
-        for (threads, cache, text) in &streams[1..] {
-            assert_eq!(
-                text, reference,
-                "decision records diverged at threads={threads} cache={cache}"
-            );
+        for (threads, text) in &streams[1..] {
+            assert_eq!(text, reference, "decision records diverged at threads={threads}");
         }
     }
 

@@ -7,11 +7,11 @@ use crate::error::{CoreError, Result};
 use crate::ir::Program;
 use crate::lemma::lemmatize;
 use crate::report::StandardizeReport;
-use crate::search::{standardize_search, SearchContext, SearchOutcome};
+use crate::search::{standardize_search, SearchContext, SearchOutcome, SharedSearchState};
 use crate::vocab::CorpusModel;
 use lucid_frame::DataFrame;
 use lucid_interp::Interpreter;
-use lucid_obs::DiffLineRecord;
+use lucid_obs::{DiffLineRecord, TraceSink};
 use lucid_pyast::{parse_module, print_module, Module};
 use std::sync::Arc;
 
@@ -114,17 +114,21 @@ impl Standardizer {
     /// Fails if the input script does not execute on `D_IN` (the paper
     /// treats the input as a working sketch).
     pub fn standardize(&self, user_script: &Module) -> Result<StandardizeReport> {
-        self.standardize_with(user_script, &self.config)
+        self.standardize_with(
+            user_script,
+            self.config.trace.as_ref(),
+            &SharedSearchState::default(),
+        )
     }
 
-    /// [`Standardizer::standardize`] under `config` instead of the
-    /// standardizer's own — batch mode gives each traced script its own
-    /// sink this way. `config` must match the standardizer's in every
-    /// interpreter-facing knob (seed, sampling, budget).
+    /// [`Standardizer::standardize`] writing to `trace` instead of the
+    /// config's sink, over the stores of `shared`: a batch hands every
+    /// search one state and each traced script a sink of its own.
     pub(crate) fn standardize_with(
         &self,
         user_script: &Module,
-        config: &SearchConfig,
+        trace: Option<&TraceSink>,
+        shared: &SharedSearchState,
     ) -> Result<StandardizeReport> {
         let input = lemmatize(user_script);
         // The input is the user's working sketch, not a search candidate:
@@ -141,8 +145,10 @@ impl Standardizer {
         let ctx = SearchContext {
             corpus: &self.corpus,
             interp: &self.interp,
-            config,
+            config: &self.config,
             base_output: &base_output,
+            trace,
+            shared,
         };
         let SearchOutcome {
             best,
@@ -158,7 +164,7 @@ impl Standardizer {
         // The decision records close the trace, after every measurement
         // record: the final diff is joined onto the selected lineage first,
         // so the trailer can count the diff lines it follows.
-        if let Some(sink) = &config.trace {
+        if let Some(sink) = trace {
             let diff_lines = diff_line_records(
                 &self.corpus,
                 &input,
@@ -176,7 +182,7 @@ impl Standardizer {
             re_after: best.re,
             improvement_pct: entropy::improvement_pct(re_before, best.re),
             intent_delta: intent.delta,
-            intent_kind: config.intent.kind().to_string(),
+            intent_kind: self.config.intent.kind().to_string(),
             intent_satisfied: intent.satisfied,
             applied: best.applied.iter().map(|t| t.describe()).collect(),
             candidates_explored: explored,

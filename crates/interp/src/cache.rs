@@ -60,11 +60,11 @@ struct CacheStore {
 /// ([`Metric::CacheHits`], [`Metric::CacheMisses`],
 /// [`Metric::CacheEvictions`]), fetched once when the view is built, so a
 /// probe is one atomic add and never takes the registry lock.
-/// [`PrefixCache::counting_into`] builds a fresh store with a view
-/// counting into a given registry ([`PrefixCache::with_capacity`]: into a
-/// registry of its own); [`PrefixCache::view`] builds another view of the
-/// same store. A clone is another handle to the same view: the same store
-/// and the same counters.
+/// [`PrefixCache::with_capacity`] builds a fresh store with a view
+/// counting into a registry of its own; [`PrefixCache::view`] builds
+/// another view of the same store, counting into a given registry. A
+/// clone is another handle to the same view: the same store and the same
+/// counters.
 #[derive(Debug, Clone)]
 pub struct PrefixCache {
     store: Arc<CacheStore>,
@@ -187,18 +187,12 @@ impl PrefixCache {
     /// (LRU eviction), counting into a registry of its own. A zero
     /// capacity disables storage; probes then always miss.
     pub fn with_capacity(capacity: usize) -> Self {
-        PrefixCache::counting_into(capacity, &Registry::new())
-    }
-
-    /// A view over a fresh store retaining at most `capacity` snapshots,
-    /// counting into `reg`.
-    pub fn counting_into(capacity: usize, reg: &Registry) -> Self {
         let store = CacheStore {
             snapshots: Mutex::new(Lru::new(capacity)),
             capacity,
             peak_len: AtomicU64::new(0),
         };
-        PrefixCache::over(Arc::new(store), reg)
+        PrefixCache::over(Arc::new(store), &Registry::new())
     }
 
     /// A new view of the same store counting into `reg`. Snapshots are

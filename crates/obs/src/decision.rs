@@ -15,8 +15,8 @@
 //! Decision records share the search's determinism contract: they carry
 //! only structural data (IDs, REs, ops, ranks, never timestamps), IDs are
 //! minted serially in enumeration order before any parallel fan-out, and
-//! the records are byte-identical across thread counts, cache modes,
-//! budgets, batch jobs and batch memoization. `lucid why` reconciles them
+//! the records are byte-identical across thread counts, budgets, batch
+//! jobs and batch memoization. `lucid why` reconciles them
 //! against the `search_end` counters of the same file.
 
 use crate::metrics::Registry;
@@ -501,8 +501,7 @@ impl TraceSummary {
 
 /// The decision records of a JSONL trace, as written: the part of a
 /// traced search's stream that is byte-identical across thread counts,
-/// cache modes, budgets and batch settings (the measurement records carry
-/// timings).
+/// budgets and batch settings (the measurement records carry timings).
 pub fn decision_lines(text: &str) -> Vec<&str> {
     text.lines()
         .filter(|line| {

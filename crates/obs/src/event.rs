@@ -1,7 +1,7 @@
 //! The versioned trace schema (JSONL, one record per line): the
 //! measurement records of a search.
 //!
-//! Every line carries `"v": 7` (the schema version) and an `"event"`
+//! Every line carries `"v": 8` (the schema version) and an `"event"`
 //! discriminator, stamped by the sink ([`crate::sink::record_line`]);
 //! the record structs hold only their payload. A traced standardization
 //! writes one stream, in order:
@@ -30,7 +30,8 @@
 //! the per-statement interpreter time and of the span-drop count, which
 //! the `profile` record carries (its percentile rows gained `sum_ns`);
 //! version 7 drops the two fit-memo hit and miss counters from
-//! `search_end`'s `timings`, with the memo.
+//! `search_end`'s `timings`, with the memo; version 8 drops
+//! `search_start`'s `prefix_cache` flag, since every search caches.
 //! Files of the older versions are rejected by name, not read.
 
 use crate::decision::Drops;
@@ -38,7 +39,7 @@ use crate::timings::Timings;
 use serde::{FromJson, Serialize};
 
 /// Version the sink stamps into every record's `"v"` field.
-pub const TRACE_SCHEMA_VERSION: u64 = 7;
+pub const TRACE_SCHEMA_VERSION: u64 = 8;
 
 /// Emitted once when a search begins: the configuration snapshot.
 #[derive(Debug, Clone, PartialEq, Serialize, FromJson)]
@@ -53,8 +54,6 @@ pub struct SearchStartEvent {
     pub diversity: bool,
     /// Whether execution checks run early (α) or late.
     pub early_check: bool,
-    /// Whether the prefix-execution cache is on.
-    pub prefix_cache: bool,
     /// RE objective vocabulary (`"edges"` / `"atoms"`).
     pub objective: String,
 }
@@ -164,7 +163,6 @@ mod tests {
             threads: 4,
             diversity: true,
             early_check: true,
-            prefix_cache: true,
             objective: "edges".to_string(),
         };
         let json = record_line(&start);

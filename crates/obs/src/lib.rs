@@ -52,7 +52,7 @@
 //! let sink = TraceSink::in_memory();
 //! sink.emit(&lucid_obs::DecisionEndRecord { total: 1, selected: 0, diff_lines: 0 });
 //! let line = &sink.memory_lines().unwrap()[0];
-//! assert!(line.starts_with("{\"v\":7,\"event\":\"decision_end\",\"total\":1,"));
+//! assert!(line.starts_with("{\"v\":8,\"event\":\"decision_end\",\"total\":1,"));
 //! ```
 
 pub mod alloc;
@@ -77,7 +77,7 @@ pub use export::{prometheus_text, snapshot_json};
 pub use flame::{fold_spans, to_folded, FoldedFrame};
 pub use metrics::{Counter, Histogram, Percentiles, Registry};
 pub use profile::{PercentileRow, ProfileReport};
-pub use sink::{record_line, rotated_path, Record, TraceSink};
+pub use sink::{record_line, Record, TraceSink};
 pub use span::{SpanRecord, Timer};
 pub use summary::{
     aggregate_summaries, parse_trace, read_trace, AggregateReport, TraceError, TraceErrorKind,

@@ -5,13 +5,7 @@
 //! share one underlying destination. Emission is best-effort: a full disk
 //! must never fail a search, so I/O errors are counted, not raised.
 //!
-//! File sinks can be capped ([`TraceSink::to_file_capped`]): when the
-//! next line would push the file past `max_bytes`, the current file is
-//! rotated to `<path>.1` (replacing any previous rotation) and a fresh
-//! file begins, so a long search's disk footprint is bounded at roughly
-//! `2 × max_bytes`. A line is always written to a freshly started file
-//! even if it alone exceeds the cap — rotation never silently drops
-//! records, it only segments them.
+//! A file sink writes one whole file: a trace is never split.
 //!
 //! The sink also owns the record envelope. A record type carries only
 //! its payload; [`record_line`] stamps `"v"` ([`TRACE_SCHEMA_VERSION`])
@@ -44,31 +38,14 @@ struct Inner {
     target: Target,
     records: AtomicU64,
     errors: AtomicU64,
-    rotations: AtomicU64,
-}
-
-struct FileState {
-    writer: std::io::BufWriter<std::fs::File>,
-    /// Bytes written to the *current* segment (rotation resets it).
-    written: u64,
 }
 
 enum Target {
     File {
         path: PathBuf,
-        /// Segment size cap; `u64::MAX` disables rotation.
-        max_bytes: u64,
-        state: Mutex<FileState>,
+        writer: Mutex<std::io::BufWriter<std::fs::File>>,
     },
     Memory(Mutex<Vec<String>>),
-}
-
-/// The rotation destination for `path`: `<path>.1`. Public so trace
-/// consumers (`lucid trace`) can fold the rotated segment back in.
-pub fn rotated_path(path: &Path) -> PathBuf {
-    let mut os = path.as_os_str().to_os_string();
-    os.push(".1");
-    PathBuf::from(os)
 }
 
 impl fmt::Debug for TraceSink {
@@ -83,40 +60,22 @@ impl fmt::Debug for TraceSink {
 }
 
 impl TraceSink {
-    /// A sink appending lines to `path` (truncates an existing file),
-    /// with no size cap.
+    /// A sink appending lines to `path` (truncates an existing file).
     ///
     /// # Errors
     ///
     /// Fails when the file cannot be created.
     pub fn to_file(path: impl AsRef<Path>) -> std::io::Result<TraceSink> {
-        TraceSink::to_file_capped(path, u64::MAX)
-    }
-
-    /// A file sink whose segments are capped at `max_bytes`: when a line
-    /// would push the current segment past the cap, the segment rotates
-    /// to `<path>.1` (replacing a previous rotation) and writing resumes
-    /// in a fresh `path`. Total disk use stays around `2 × max_bytes`.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the file cannot be created.
-    pub fn to_file_capped(path: impl AsRef<Path>, max_bytes: u64) -> std::io::Result<TraceSink> {
         let path = path.as_ref().to_path_buf();
         let file = std::fs::File::create(&path)?;
         Ok(TraceSink {
             inner: Arc::new(Inner {
                 target: Target::File {
                     path,
-                    max_bytes,
-                    state: Mutex::new(FileState {
-                        writer: std::io::BufWriter::new(file),
-                        written: 0,
-                    }),
+                    writer: Mutex::new(std::io::BufWriter::new(file)),
                 },
                 records: AtomicU64::new(0),
                 errors: AtomicU64::new(0),
-                rotations: AtomicU64::new(0),
             }),
         })
     }
@@ -128,7 +87,6 @@ impl TraceSink {
                 target: Target::Memory(Mutex::new(Vec::new())),
                 records: AtomicU64::new(0),
                 errors: AtomicU64::new(0),
-                rotations: AtomicU64::new(0),
             }),
         }
     }
@@ -138,40 +96,11 @@ impl TraceSink {
     pub fn emit<R: Record>(&self, record: &R) {
         let line = record_line(record);
         match &self.inner.target {
-            Target::File {
-                path,
-                max_bytes,
-                state,
-            } => {
-                let mut s = state.lock().expect("sink lock");
-                let needed = line.len() as u64 + 1; // trailing newline
-                // Rotate before the write that would breach the cap — but
-                // never on an empty segment, so every line lands somewhere.
-                if s.written > 0 && s.written.saturating_add(needed) > *max_bytes {
-                    if s.writer.flush().is_err() {
-                        self.inner.errors.fetch_add(1, Ordering::Relaxed);
-                    }
-                    match std::fs::rename(path, rotated_path(path))
-                        .and_then(|()| std::fs::File::create(path))
-                    {
-                        Ok(file) => {
-                            s.writer = std::io::BufWriter::new(file);
-                            s.written = 0;
-                            self.inner.rotations.fetch_add(1, Ordering::Relaxed);
-                        }
-                        // Rotation failure (e.g. read-only dir): keep
-                        // appending to the old segment rather than lose
-                        // records.
-                        Err(_) => {
-                            self.inner.errors.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-                if writeln!(s.writer, "{line}").is_err() {
+            Target::File { writer, .. } => {
+                if writeln!(writer.lock().expect("sink lock"), "{line}").is_err() {
                     self.inner.errors.fetch_add(1, Ordering::Relaxed);
                     return;
                 }
-                s.written += needed;
             }
             Target::Memory(lines) => lines.lock().expect("sink lock").push(line),
         }
@@ -188,11 +117,6 @@ impl TraceSink {
         self.inner.errors.load(Ordering::Relaxed)
     }
 
-    /// Segment rotations performed so far (0 for uncapped/memory sinks).
-    pub fn rotations(&self) -> u64 {
-        self.inner.rotations.load(Ordering::Relaxed)
-    }
-
     /// The file path, for file-backed sinks.
     pub fn path(&self) -> Option<&Path> {
         match &self.inner.target {
@@ -203,8 +127,8 @@ impl TraceSink {
 
     /// Flushes buffered lines to disk (no-op for memory sinks).
     pub fn flush(&self) {
-        if let Target::File { state, .. } = &self.inner.target {
-            if state.lock().expect("sink lock").writer.flush().is_err() {
+        if let Target::File { writer, .. } = &self.inner.target {
+            if writer.lock().expect("sink lock").flush().is_err() {
                 self.inner.errors.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -337,68 +261,5 @@ mod tests {
     #[test]
     fn unwritable_path_errors_at_creation() {
         assert!(TraceSink::to_file("/nonexistent_dir_zzz/trace.jsonl").is_err());
-    }
-
-    #[test]
-    fn capped_sink_rotates_and_bounds_disk() {
-        let path = std::env::temp_dir().join(format!(
-            "lucid_obs_rotate_{}.jsonl",
-            std::process::id()
-        ));
-        let rotated = rotated_path(&path);
-        std::fs::remove_file(&rotated).ok();
-        // Each line holds the envelope and a 64-char string: two lines
-        // fit a 200-byte segment, a third does not.
-        let sink = TraceSink::to_file_capped(&path, 200).unwrap();
-        let payload = note(&"x".repeat(64));
-        assert!((67..=100).contains(&record_line(&payload).len()));
-        for _ in 0..10 {
-            sink.emit(&payload);
-        }
-        sink.flush();
-        assert_eq!(sink.records(), 10);
-        assert!(sink.rotations() >= 2, "expected rotations, got {}", sink.rotations());
-        assert_eq!(sink.errors(), 0);
-        let current = std::fs::metadata(&path).unwrap().len();
-        let previous = std::fs::metadata(&rotated).unwrap().len();
-        assert!(current <= 200, "current segment {current} over cap");
-        assert!(previous <= 200, "rotated segment {previous} over cap");
-        // No record vanished: current + rotated hold the newest lines.
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.lines().all(|l| l.contains("xxxx")));
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_file(&rotated).ok();
-    }
-
-    #[test]
-    fn oversized_first_line_is_still_written() {
-        let path = std::env::temp_dir().join(format!(
-            "lucid_obs_rotate_big_{}.jsonl",
-            std::process::id()
-        ));
-        let sink = TraceSink::to_file_capped(&path, 10).unwrap();
-        sink.emit(&note("a line far larger than the ten-byte cap"));
-        sink.flush();
-        assert_eq!(sink.records(), 1);
-        assert_eq!(sink.rotations(), 0); // empty segment never rotates
-        assert!(std::fs::metadata(&path).unwrap().len() > 10);
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_file(rotated_path(&path)).ok();
-    }
-
-    #[test]
-    fn uncapped_sink_never_rotates() {
-        let path = std::env::temp_dir().join(format!(
-            "lucid_obs_uncapped_{}.jsonl",
-            std::process::id()
-        ));
-        let sink = TraceSink::to_file(&path).unwrap();
-        for _ in 0..100 {
-            sink.emit(&note("steady"));
-        }
-        sink.flush();
-        assert_eq!(sink.rotations(), 0);
-        assert!(!rotated_path(&path).exists());
-        std::fs::remove_file(&path).ok();
     }
 }

@@ -1,6 +1,6 @@
 //! The one trace parser, and the `lucid trace` view.
 //!
-//! [`parse_trace`] reads a JSONL stream of schema v7 (see [`crate::event`]
+//! [`parse_trace`] reads a JSONL stream of schema v8 (see [`crate::event`]
 //! and [`crate::decision`]) into one [`TraceSummary`] that carries all
 //! three views of a traced search: the measurement records as the
 //! paper's Figure 7 phase breakdown ([`TraceSummary::render`],
@@ -8,8 +8,7 @@
 //! verify windows when the trace is cut before it), the decision records
 //! ([`TraceSummary::render_why`], `lucid why`), and the last `profile`
 //! record (`lucid profile`).
-//! [`read_trace`] reads a file, folding a rotated `<FILE>.1` segment back
-//! in front, and ties every error to that file.
+//! [`read_trace`] reads one file and ties every error to it.
 //!
 //! Each record reads back through the struct that writes it, by the one
 //! read rule of `serde_json::FromJson`: unknown fields are ignored, and a
@@ -17,8 +16,8 @@
 //! default. Unknown event kinds are counted (the schema's
 //! forward-compatibility rule). Blank, truncated, and otherwise malformed
 //! lines, and a `cand` record without a known disposition, are *skipped
-//! and counted*, not fatal: a trace cut off mid-write (crash, full disk,
-//! sink rotation) must still summarize, and the decision reconciliation
+//! and counted*, not fatal: a trace cut off mid-write (crash, full disk)
+//! must still summarize, and the decision reconciliation
 //! reports the cut. Only a well-formed record with another `"v"`, or a
 //! stream with no readable record at all, is an error.
 
@@ -30,7 +29,7 @@ use crate::event::{
 };
 use crate::metrics::Registry;
 use crate::profile::ProfileReport;
-use crate::sink::{rotated_path, Record};
+use crate::sink::Record;
 use crate::timings::{Metric, Timings};
 use serde_json::{FromJson, Value};
 use std::path::{Path, PathBuf};
@@ -78,7 +77,7 @@ pub struct TraceError {
 /// The kinds of [`TraceError`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceErrorKind {
-    /// The file (or its rotated segment) could not be read.
+    /// The file could not be read.
     Unreadable(String),
     /// A well-formed record declares a schema version this build does
     /// not read.
@@ -117,27 +116,17 @@ impl std::fmt::Display for TraceError {
 
 impl std::error::Error for TraceError {}
 
-/// Reads and parses the trace at `path`, prepending its rotated
-/// `<path>.1` segment when one exists: the rotation holds the *older*
-/// records, so the folded stream replays in emission order.
+/// Reads and parses the trace at `path`.
 ///
 /// # Errors
 ///
-/// An unreadable file or segment, or any [`parse_trace`] error, each
-/// naming the file.
+/// An unreadable file, or any [`parse_trace`] error, each naming the
+/// file.
 pub fn read_trace(path: &Path) -> Result<TraceSummary, TraceError> {
-    let read = |p: &Path| {
-        std::fs::read_to_string(p).map_err(|e| TraceError {
-            file: Some(p.to_path_buf()),
-            kind: TraceErrorKind::Unreadable(e.to_string()),
-        })
-    };
-    let rotated = rotated_path(path);
-    let mut text = if rotated.exists() { read(&rotated)? } else { String::new() };
-    if !text.is_empty() && !text.ends_with('\n') {
-        text.push('\n');
-    }
-    text.push_str(&read(path)?);
+    let text = std::fs::read_to_string(path).map_err(|e| TraceError {
+        file: Some(path.to_path_buf()),
+        kind: TraceErrorKind::Unreadable(e.to_string()),
+    })?;
     parse_trace(&text).map_err(|e| TraceError {
         file: Some(path.to_path_buf()),
         ..e
@@ -325,13 +314,12 @@ impl TraceSummary {
         if let Some(c) = &self.start {
             out.push_str(&format!(
                 "search: seq_len={}  beam_k={}  threads={}  diversity={}  early_check={}  \
-                 prefix_cache={}  objective={}\n",
+                 objective={}\n",
                 c.seq_len,
                 c.beam_k,
                 c.threads,
                 c.diversity,
                 c.early_check,
-                c.prefix_cache,
                 c.objective
             ));
         }
@@ -687,7 +675,6 @@ mod tests {
         beam_k: usize,
         threads: usize,
         diversity: bool,
-        prefix_cache: bool,
     ) -> SearchStartEvent {
         SearchStartEvent {
             seq_len,
@@ -695,14 +682,13 @@ mod tests {
             threads,
             diversity,
             early_check: true,
-            prefix_cache,
             objective: "edges".to_string(),
         }
     }
 
     fn sample_trace() -> String {
         let sink = TraceSink::in_memory();
-        sink.emit(&start_event(4, 3, 2, true, true));
+        sink.emit(&start_event(4, 3, 2, true));
         for step in 0..2 {
             sink.emit(&StepEvent {
                 step,
@@ -878,7 +864,7 @@ mod tests {
         // A trace with zero panics/trips must render exactly as before
         // the fault-isolation fields existed (old goldens stay valid).
         let sink = TraceSink::in_memory();
-        sink.emit(&start_event(2, 1, 1, false, false));
+        sink.emit(&start_event(2, 1, 1, false));
         let summary = parse_trace(&sink.memory_lines().unwrap().join("\n")).unwrap();
         assert!(!summary.render().contains("fault isolation"));
         assert!(!summary.render().contains("interned IR"));
@@ -896,14 +882,18 @@ mod tests {
         // Earlier schemas (v1 measurement files, v2 decision files) are
         // rejected by version, not half-read, and so are v3 files, whose
         // search_end counters carried other names, v4 files, whose step
-        // and verify drop counters were flat, and v5 files, whose
-        // search_end carried its own copy of the statement times.
+        // and verify drop counters were flat, v5 files, whose
+        // search_end carried its own copy of the statement times, v6
+        // files, with the fit-memo counters, and v7 files, whose
+        // search_start carried the prefix-cache flag.
         let old_versions = [
             (1, "step"),
             (2, "cand"),
             (3, "search_end"),
             (4, "step"),
             (5, "search_end"),
+            (6, "search_end"),
+            (7, "search_start"),
         ];
         for (old, kind) in old_versions {
             let line = format!("{{\"v\":{old},\"event\":\"{kind}\"}}");
@@ -941,20 +931,22 @@ mod tests {
     }
 
     #[test]
-    fn read_trace_folds_the_rotated_segment_in_front() {
-        let dir = std::env::temp_dir().join(format!("lucid_read_rotated_{}", std::process::id()));
+    fn read_trace_reads_only_the_named_file() {
+        let dir = std::env::temp_dir().join(format!("lucid_read_one_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.jsonl");
         let lines = sample_trace();
+        // A stale `<FILE>.1` beside the trace is another file, not a
+        // segment of it.
         let v = opening();
-        let (older, newer) = lines.split_at(lines.find(&format!("{v},\"event\":\"verify")).unwrap());
-        std::fs::write(rotated_path(&path), older.trim_end()).unwrap();
-        std::fs::write(&path, newer).unwrap();
-        let folded = read_trace(&path).unwrap();
+        let stale = &lines[..lines.find(&format!("{v},\"event\":\"verify")).unwrap()];
+        std::fs::write(dir.join("t.jsonl.1"), stale).unwrap();
+        std::fs::write(&path, &lines).unwrap();
+        let read = read_trace(&path).unwrap();
         let whole = parse_trace(&lines).unwrap();
-        assert_eq!(folded.steps.len(), whole.steps.len());
-        assert_eq!(folded.skipped_lines, 0);
-        assert!(folded.complete);
+        assert_eq!(read.steps.len(), whole.steps.len());
+        assert_eq!(read.skipped_lines, 0);
+        assert!(read.complete);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -38,7 +38,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 # Byte regression gate: the quick search's allocation rows, two reps,
 # against the last committed entry of BENCH_search.json (workloads join
-# on name and parameters). A row fails when its median grows by more
+# on name and parameters, and a workload with no match fails the gate by
+# name, so a run that compares nothing cannot pass). A row fails when its median grows by more
 # than 50%, 1.5x the run-to-run spread and 1 MiB. Search allocation is
 # deterministic, so this gate cannot flake. The kernel rows are wall
 # time and are not gated here: the 2-vCPU host's speed moves by up to

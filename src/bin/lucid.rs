@@ -49,7 +49,6 @@ OPTIONS (standardize):
   --beam <K>          beam size (default 3)
   --sample <N>        row-sample D_IN during constraint checks
   --threads <N>       beam-expansion worker threads (0 = all cores, default 1)
-  --no-cache          disable prefix-execution snapshot caching
   --fuel <N>          per-candidate fuel budget (ops; default unlimited)
   --max-cells <N>     per-candidate materialized-cell cap (default unlimited)
   --deadline-ms <N>   per-candidate wall-clock deadline in ms (default unlimited;
@@ -58,8 +57,6 @@ OPTIONS (standardize):
                       measurements, then one record per candidate with its
                       lineage and terminal disposition; render it with
                       `lucid trace`, `lucid why` or `lucid profile`
-  --trace-max-bytes <N>  rotate the trace file at N bytes (<FILE>.1 keeps the
-                      previous segment; disk use stays around 2×N)
   --stats-out <FILE>  write a metrics snapshot after the search (.prom/.txt
                       get Prometheus text exposition, anything else JSON)
   --explain           print per-change explanations
@@ -69,8 +66,8 @@ OPTIONS (batch):
   standardizes every .py script of --corpus against that corpus in one
   process, sharing the statement interner and the prefix-cache store
   across searches. Accepts the standardize search knobs (--tau-j, --tau-m,
-  --target, --seq, --beam, --sample, --threads, --no-cache, --fuel,
-  --max-cells, --deadline-ms, --stats-out) plus:
+  --target, --seq, --beam, --sample, --threads, --fuel, --max-cells,
+  --deadline-ms, --stats-out) plus:
   --jobs <N>          concurrent per-script searches (0 = all cores,
                       default 1); output is byte-identical at any value
   --memo              run one search per group of structurally identical
@@ -99,7 +96,8 @@ OPTIONS (bench):
   --compare <BASELINE>  diff this run against the last entry of BASELINE and
                       exit non-zero when a row's median grows by more than 50%,
                       1.5x the run-to-run spread and its unit's floor (1 ms,
-                      1 MiB), all three
+                      1 MiB), all three, or when a workload has no baseline
+                      of the same name and parameters
   --telemetry-overhead  measure telemetry cost instead of appending: run each
                       workload with allocator counting off and on and fail
                       when counting exceeds 5% relative overhead and a 2 ms
@@ -109,9 +107,8 @@ OPTIONS (bench):
                       around one standardization, arms interleaved rep by rep
 
 `lucid trace`, `lucid why` and `lucid profile` are three views of one
-trace file written by `--trace` (schema v7; files of earlier versions are
-rejected by name). Each folds a rotated `<FILE>.1` segment back in front
-of the current one.
+trace file written by `--trace` (schema v8; files of earlier versions are
+rejected by name).
 `lucid trace` shows the per-step table, the Figure 7 phase totals, and
 cache/interpreter statistics; `lucid trace --aggregate` merges several
 trace files into one cross-search table with per-phase totals and memory
@@ -186,11 +183,11 @@ fn bad(name: &str) -> CliError {
 }
 
 /// Boolean switches of the standardize/score/corpus-stats family.
-const SWITCH_FLAGS: &[&str] = &["explain", "json", "no-cache"];
+const SWITCH_FLAGS: &[&str] = &["explain", "json"];
 /// `--name value` flags of the standardize/score/corpus-stats family.
 const VALUE_FLAGS: &[&str] = &[
     "corpus", "data", "script", "tau-j", "tau-m", "target", "seq", "beam", "sample", "threads",
-    "trace", "trace-max-bytes", "fuel", "max-cells", "deadline-ms", "stats-out",
+    "trace", "fuel", "max-cells", "deadline-ms", "stats-out",
 ];
 /// Switches of `lucid bench`.
 const BENCH_SWITCH_FLAGS: &[&str] = &["quick", "kernels", "telemetry-overhead"];
@@ -199,7 +196,7 @@ const BENCH_VALUE_FLAGS: &[&str] = &["reps", "out", "compare"];
 /// `--name value` flags of `lucid profile` (after the positional file).
 const PROFILE_VALUE_FLAGS: &[&str] = &["out"];
 /// Switches of `lucid batch`.
-const BATCH_SWITCH_FLAGS: &[&str] = &["memo", "no-cache", "json", "explain"];
+const BATCH_SWITCH_FLAGS: &[&str] = &["memo", "json", "explain"];
 /// `--name value` flags of `lucid batch`: the standardize search knobs
 /// minus the single-script/trace/profile ones, plus the batch fan-out.
 const BATCH_VALUE_FLAGS: &[&str] = &[
@@ -346,16 +343,8 @@ fn trace_report(rest: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Parses the trace at `path` (its rotated `<path>.1` segment folded in
-/// front); errors name the file.
+/// Parses the trace at `path`; errors name the file.
 fn read_trace(path: &str) -> Result<lucidscript::obs::TraceSummary, CliError> {
-    let rotated = lucidscript::obs::rotated_path(Path::new(path));
-    if rotated.exists() {
-        eprintln!(
-            "note: folded rotated segment {} in front of {path}",
-            rotated.display()
-        );
-    }
     lucidscript::obs::read_trace(Path::new(path)).map_err(|e| CliError::Failed(e.to_string()))
 }
 
@@ -580,23 +569,12 @@ fn write_stats(flags: &Flags, fleet: Option<&lucidscript::obs::Registry>) -> Res
     Ok(())
 }
 
-/// Builds the `--trace` sink, honoring `--trace-max-bytes` rotation.
+/// Builds the `--trace` sink.
 fn trace_sink_from(flags: &Flags) -> Result<Option<lucidscript::obs::TraceSink>, CliError> {
-    let max_bytes: u64 = flags
-        .get("trace-max-bytes")
-        .map_or(Ok(u64::MAX), |v| {
-            v.parse()
-                .ok()
-                .filter(|&n| n > 0)
-                .ok_or_else(|| bad("trace-max-bytes"))
-        })?;
     let Some(path) = flags.get("trace") else {
-        if flags.get("trace-max-bytes").is_some() {
-            return Err(CliError::Usage("--trace-max-bytes requires --trace".to_string()));
-        }
         return Ok(None);
     };
-    Ok(lucidscript::obs::TraceSink::to_file_capped(path, max_bytes)
+    Ok(lucidscript::obs::TraceSink::to_file(path)
         .map(Some)
         .map_err(|e| format!("cannot create trace file '{path}': {e}"))?)
 }
@@ -617,7 +595,6 @@ fn search_config_from(
             .map(|v| v.parse().map_err(|_| bad("sample")))
             .transpose()?,
         threads: flags.parse_or("threads", 1)?,
-        prefix_cache: !flags.has("no-cache"),
         budget: budget_from(flags)?,
         trace: trace_sink_from(flags)?,
         stats_registry: fleet,
@@ -823,7 +800,7 @@ mod tests {
         for args in [
             &["standardize", "--copus", "dir"][..],
             &["bench", "--quick", "--rel-threshold", "0.1"],
-            &["standardize", "--trace-max-bytes", "9"],
+            &["standardize", "--threads"],
             &["bench", "--reps", "x"],
             &["batch", "--data", "d.csv"],
             &["why"],
@@ -868,19 +845,14 @@ mod tests {
 
     #[test]
     fn no_cache_and_trace_flags_parse() {
-        let flags = Flags::parse(&argv(&[
-            "--no-cache",
-            "--trace",
-            "t.jsonl",
-            "--threads",
-            "2",
-        ]))
-        .unwrap();
-        assert!(flags.has("no-cache"));
+        let flags = Flags::parse(&argv(&["--trace", "t.jsonl", "--threads", "2"])).unwrap();
         assert_eq!(flags.get("trace"), Some("t.jsonl"));
         assert_eq!(flags.get("threads"), Some("2"));
         assert!(!flags.has("json"));
         assert_eq!(flags.get("missing"), None);
+        // Every search caches: there is no switch to turn the cache off.
+        let err = Flags::parse(&argv(&["--no-cache"])).err().expect("rejected");
+        assert_eq!(err, "unknown flag '--no-cache'");
     }
 
     #[test]
@@ -948,29 +920,17 @@ mod tests {
         // A temp path: creating the sink must not litter the cwd.
         let trace = std::env::temp_dir()
             .join(format!("lucid_flagparse_{}.jsonl", std::process::id()));
-        let flags = Flags::parse(&argv(&[
-            "--trace",
-            trace.to_str().unwrap(),
-            "--trace-max-bytes",
-            "65536",
-        ]))
-        .unwrap();
-        // Profile exports come from the trace (`lucid profile --out`).
-        let err = Flags::parse(&argv(&["--profile-out", "prof/"]))
-            .err()
-            .expect("rejected");
-        assert_eq!(err, "unknown flag '--profile-out'");
-        let sink = trace_sink_from(&flags);
+        let flags = Flags::parse(&argv(&["--trace", trace.to_str().unwrap()])).unwrap();
+        let sink = trace_sink_from(&flags).unwrap().expect("a sink");
+        assert_eq!(sink.path(), Some(trace.as_path()));
         drop(sink);
         std::fs::remove_file(&trace).ok();
-        // Rotation without a trace target is a user error.
-        let flags = Flags::parse(&argv(&["--trace-max-bytes", "1024"])).unwrap();
-        assert_eq!(
-            trace_sink_from(&flags).unwrap_err(),
-            "--trace-max-bytes requires --trace"
-        );
-        let flags = Flags::parse(&argv(&["--trace", "t", "--trace-max-bytes", "0"])).unwrap();
-        assert_eq!(trace_sink_from(&flags).unwrap_err(), "bad --trace-max-bytes");
+        // Profile exports come from the trace (`lucid profile --out`), and
+        // a trace is one whole file: neither old flag parses.
+        for flag in ["--profile-out", "--trace-max-bytes"] {
+            let err = Flags::parse(&argv(&[flag, "1"])).err().expect("rejected");
+            assert_eq!(err, format!("unknown flag '{flag}'").as_str());
+        }
     }
 
     #[test]
@@ -1042,6 +1002,20 @@ mod tests {
             &["standardize", "--stats-interval-ms", "5"],
             &["batch", "--stats-interval-ms", "5"],
             &["bench", "--counting-only", "--telemetry-overhead"],
+        ] {
+            let err = run(&argv(args)).unwrap_err();
+            assert_eq!(err, format!("unknown flag '{}'", args[1]).as_str());
+            assert!(matches!(err, CliError::Usage(_)));
+        }
+    }
+
+    #[test]
+    fn removed_search_and_trace_knobs_are_unknown_flags() {
+        // Every search caches, and a trace is one whole file.
+        for args in [
+            &["standardize", "--no-cache"][..],
+            &["batch", "--no-cache"],
+            &["standardize", "--trace-max-bytes", "65536"],
         ] {
             let err = run(&argv(args)).unwrap_err();
             assert_eq!(err, format!("unknown flag '{}'", args[1]).as_str());

@@ -1,14 +1,18 @@
 //! Integration tests for the `lucid` CLI binary.
 
+mod common;
+
+use common::TempDir;
 use lucidscript::obs::TRACE_SCHEMA_VERSION;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::Command;
 
 /// A fresh working directory for the test named `test`, holding D_IN, a
-/// corpus and a draft. Each test gets its own directory, so tests running
-/// in parallel never write files another test is reading.
-fn workdir(test: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("lucid_cli_test_{}_{test}", std::process::id()));
+/// corpus and a draft, and removed when the test ends. Each test gets its
+/// own directory, so tests running in parallel never write files another
+/// test is reading.
+fn workdir(test: &str) -> TempDir {
+    let dir = TempDir::new(&format!("lucid_cli_test_{}_{test}", std::process::id()));
     let corpus = dir.join("corpus");
     std::fs::create_dir_all(&corpus).expect("mkdir");
 
@@ -383,6 +387,67 @@ fn one_trace_file_renders_all_three_views() {
     }
 }
 
+/// A trace is one whole file: a `<FILE>.1` left beside it by an older
+/// run is another file, and no view folds it in.
+#[test]
+fn a_stale_segment_beside_the_trace_is_never_read() {
+    let dir = workdir("a_stale_segment_beside_the_trace_is_never_read");
+    let standardize = |seq: &str, trace: &Path| {
+        let out = lucid()
+            .args([
+                "standardize",
+                "--corpus",
+                dir.join("corpus").to_str().unwrap(),
+                "--data",
+                dir.join("diabetes.csv").to_str().unwrap(),
+                "--script",
+                dir.join("draft.py").to_str().unwrap(),
+                "--tau-j",
+                "0.5",
+                "--seq",
+                seq,
+                "--trace",
+                trace.to_str().unwrap(),
+            ])
+            .output()
+            .expect("runs");
+        assert!(
+            out.status.success(),
+            "stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    };
+    // An older, shorter search's whole trace sits where a rotated
+    // segment used to.
+    let trace = dir.join("t.jsonl");
+    let older = dir.join("older.jsonl");
+    standardize("2", &older);
+    std::fs::rename(&older, dir.join("t.jsonl.1")).expect("rename");
+    standardize("4", &trace);
+
+    let view = |cmd: &str| {
+        let out = lucid()
+            .args([cmd, trace.to_str().unwrap()])
+            .output()
+            .expect("runs");
+        assert!(
+            out.status.success(),
+            "{cmd}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        (
+            String::from_utf8_lossy(&out.stdout).into_owned(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    let (why, _) = view("why");
+    assert!(why.trim_end().ends_with("reconciliation: ok"), "{why}");
+    let (summary, stderr) = view("trace");
+    assert!(summary.contains("Figure 7"), "{summary}");
+    assert!(!stderr.contains("folded"), "{stderr}");
+    assert!(!summary.contains("folded"), "{summary}");
+}
+
 /// Files of the earlier schemas are rejected with an error naming the
 /// file and its version, by every view. v3 files carried the
 /// `search_end` counters under other names, v4 files the step and
@@ -398,6 +463,7 @@ fn old_trace_schemas_are_rejected_by_name() {
         (4, "{\"v\":4,\"event\":\"step\",\"step\":0,\"candidates_deduped\":1}\n"),
         (5, "{\"v\":5,\"event\":\"search_end\",\"stmt_spans\":[]}\n"),
         (6, "{\"v\":6,\"event\":\"search_end\",\"timings\":{\"fit_memo_hits\":0}}\n"),
+        (7, "{\"v\":7,\"event\":\"search_start\",\"prefix_cache\":true}\n"),
     ] {
         std::fs::write(&old, record).expect("write");
         for cmd in ["trace", "why", "profile"] {
@@ -496,7 +562,7 @@ fn bench_appends_schema_v4_entries_and_gates_regressions() {
         let w = &last.get("workloads").and_then(|v| v.as_array()).expect("workloads")[0];
         assert_eq!(
             w.get("params").and_then(|v| v.as_str()),
-            Some("seq=5 beam=2 threads=1 cache=true sample=150")
+            Some("seq=5 beam=2 threads=1 sample=150")
         );
         let rows = w.get("rows").and_then(|v| v.as_array()).expect("rows");
         let num = |r: &serde_json::Value, k: &str| r.get(k).and_then(|v| v.as_f64()).unwrap();
@@ -548,7 +614,7 @@ fn bench_appends_schema_v4_entries_and_gates_regressions() {
         format!(
             "{{\"schema\": 4, \"entries\": [{{\"schema\": 4, \"commit\": \"x\", \"date\": \"2026-01-01\", \
              \"available_parallelism\": 1, \"reps\": 1, \"workloads\": [{{\"name\": \"titanic-seq5-k2-cache\", \
-             \"params\": \"seq=5 beam=2 threads=1 cache=true sample=150\", \"reps\": 1, \"rows\": [{}], \
+             \"params\": \"seq=5 beam=2 threads=1 sample=150\", \"reps\": 1, \"rows\": [{}], \
              \"counters\": null}}]}}]}}",
             rows.join(", ")
         ),

@@ -1,6 +1,7 @@
 //! The golden determinism contract, end to end: with the same seed, the
 //! standardized script and its RE are byte-identical across worker-thread
-//! counts, prefix-cache modes, and (non-deadline) budget configurations.
+//! counts and (non-deadline) budget configurations. (A prefix-cache resume
+//! equals a cold run: `interp/tests/prefix_cache.rs` pins that.)
 //! Budget accounting is budget-independent and the fuel/cells axes are
 //! pure functions of execution, so a *generous* budget that never trips
 //! must be indistinguishable from no budget at all.
@@ -13,7 +14,7 @@ use lucidscript::interp::Budget;
 use lucidscript::obs::decision::decision_lines;
 use lucidscript::obs::{parse_trace, TraceSink};
 
-fn run_arm(threads: usize, prefix_cache: bool, budget: Budget) -> (String, f64, usize) {
+fn run_arm(threads: usize, budget: Budget) -> (String, f64, usize) {
     let profile = Profile::titanic();
     let data = profile.generate_data(5, 0.05);
     let corpus: Vec<String> = profile
@@ -27,7 +28,6 @@ fn run_arm(threads: usize, prefix_cache: bool, budget: Budget) -> (String, f64, 
         intent: IntentMeasure::jaccard(0.5),
         sample_rows: Some(150),
         threads,
-        prefix_cache,
         budget,
         ..SearchConfig::default()
     };
@@ -52,25 +52,23 @@ fn generous() -> Budget {
 }
 
 #[test]
-fn search_is_byte_identical_across_threads_cache_and_budget() {
-    let (ref_src, ref_re, ref_explored) = run_arm(1, false, Budget::unlimited());
+fn search_is_byte_identical_across_threads_and_budget() {
+    let (ref_src, ref_re, ref_explored) = run_arm(1, Budget::unlimited());
     for threads in [1, 4] {
-        for prefix_cache in [false, true] {
-            for budget in [Budget::unlimited(), generous()] {
-                let (src, re, explored) = run_arm(threads, prefix_cache, budget);
-                assert_eq!(
-                    src, ref_src,
-                    "output diverged at threads={threads} cache={prefix_cache} budget={budget:?}"
-                );
-                assert!(
-                    (re - ref_re).abs() < 1e-15,
-                    "RE diverged at threads={threads} cache={prefix_cache} budget={budget:?}"
-                );
-                assert_eq!(
-                    explored, ref_explored,
-                    "explored diverged at threads={threads} cache={prefix_cache} budget={budget:?}"
-                );
-            }
+        for budget in [Budget::unlimited(), generous()] {
+            let (src, re, explored) = run_arm(threads, budget);
+            assert_eq!(
+                src, ref_src,
+                "output diverged at threads={threads} budget={budget:?}"
+            );
+            assert!(
+                (re - ref_re).abs() < 1e-15,
+                "RE diverged at threads={threads} budget={budget:?}"
+            );
+            assert_eq!(
+                explored, ref_explored,
+                "explored diverged at threads={threads} budget={budget:?}"
+            );
         }
     }
 }
@@ -82,8 +80,8 @@ fn search_is_byte_identical_across_threads_cache_and_budget() {
 fn search_is_byte_identical_with_profiling_on_and_off() {
     // A traced search profiles its interpreter (the trace's `profile`
     // record); an untraced one attaches no span collector at all.
-    let (ref_src, ref_re, ref_explored) = run_arm(1, true, Budget::unlimited());
-    let (src, re, explored, trace) = run_arm_traced(1, true, Budget::unlimited());
+    let (ref_src, ref_re, ref_explored) = run_arm(1, Budget::unlimited());
+    let (src, re, explored, trace) = run_arm_traced(1, Budget::unlimited());
     assert_eq!(src, ref_src, "output diverged with profiling on");
     assert!((re - ref_re).abs() < 1e-15, "RE diverged with profiling on");
     assert_eq!(explored, ref_explored, "explored diverged with profiling on");
@@ -102,11 +100,7 @@ fn search_is_byte_identical_with_profiling_on_and_off() {
 /// Runs one traced arm: same workload as [`run_arm`], with an in-memory
 /// `--trace` sink attached. Returns the deterministic outputs plus the
 /// whole trace.
-fn run_arm_traced(
-    threads: usize,
-    prefix_cache: bool,
-    budget: Budget,
-) -> (String, f64, usize, String) {
+fn run_arm_traced(threads: usize, budget: Budget) -> (String, f64, usize, String) {
     let profile = Profile::titanic();
     let data = profile.generate_data(5, 0.05);
     let corpus: Vec<String> = profile
@@ -121,7 +115,6 @@ fn run_arm_traced(
         intent: IntentMeasure::jaccard(0.5),
         sample_rows: Some(150),
         threads,
-        prefix_cache,
         budget,
         trace: Some(sink.clone()),
         ..SearchConfig::default()
@@ -138,36 +131,31 @@ fn run_arm_traced(
 
 /// The decision records join the determinism contract: tracing must not
 /// perturb the search, and the decision records themselves must be
-/// byte-identical across threads × cache × (non-deadline) budget —
+/// byte-identical across threads × (non-deadline) budget —
 /// candidate IDs come from enumeration order, never scheduling.
 #[test]
 fn decision_records_are_byte_identical_and_decision_invariant() {
-    let (ref_src, ref_re, ref_explored) = run_arm(1, false, Budget::unlimited());
-    let (_, _, _, ref_trace) = run_arm_traced(1, false, Budget::unlimited());
+    let (ref_src, ref_re, ref_explored) = run_arm(1, Budget::unlimited());
+    let (_, _, _, ref_trace) = run_arm_traced(1, Budget::unlimited());
     let ref_decisions = decision_lines(&ref_trace);
     assert!(ref_decisions.len() > 2, "decision records populated");
     for threads in [1, 4] {
-        for prefix_cache in [false, true] {
-            for budget in [Budget::unlimited(), generous()] {
-                let (src, re, explored, trace) = run_arm_traced(threads, prefix_cache, budget);
-                assert_eq!(
-                    src, ref_src,
-                    "traced output diverged at threads={threads} cache={prefix_cache}"
-                );
-                assert!(
-                    (re - ref_re).abs() < 1e-15,
-                    "traced RE diverged at threads={threads} cache={prefix_cache}"
-                );
-                assert_eq!(
-                    explored, ref_explored,
-                    "traced explored diverged at threads={threads} cache={prefix_cache}"
-                );
-                assert_eq!(
-                    decision_lines(&trace),
-                    ref_decisions,
-                    "decision records diverged at threads={threads} cache={prefix_cache} budget={budget:?}"
-                );
-            }
+        for budget in [Budget::unlimited(), generous()] {
+            let (src, re, explored, trace) = run_arm_traced(threads, budget);
+            assert_eq!(src, ref_src, "traced output diverged at threads={threads}");
+            assert!(
+                (re - ref_re).abs() < 1e-15,
+                "traced RE diverged at threads={threads}"
+            );
+            assert_eq!(
+                explored, ref_explored,
+                "traced explored diverged at threads={threads}"
+            );
+            assert_eq!(
+                decision_lines(&trace),
+                ref_decisions,
+                "decision records diverged at threads={threads} budget={budget:?}"
+            );
         }
     }
     // The stream parses, reconciles, and renders all three views.
