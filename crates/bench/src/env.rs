@@ -153,15 +153,24 @@ mod tests {
 
     #[test]
     fn write_json_creates_files() {
-        let dir = std::env::temp_dir().join("lucid_bench_env_test");
+        /// Removes the directory when the test ends, also on a panic.
+        struct Cleanup(PathBuf);
+        impl Drop for Cleanup {
+            fn drop(&mut self) {
+                let _ = std::fs::remove_dir_all(&self.0);
+            }
+        }
+        let dir = Cleanup(
+            std::env::temp_dir().join(format!("lucid_bench_env_test_{}", std::process::id())),
+        );
         let env = ExpEnv {
             seed: 1,
             fast: true,
-            results_dir: dir.clone(),
+            results_dir: dir.0.clone(),
             eval_override: None,
         };
         env.write_json("probe", &vec![1u64, 2, 3]);
-        let content = std::fs::read_to_string(dir.join("probe.json")).unwrap();
+        let content = std::fs::read_to_string(dir.0.join("probe.json")).unwrap();
         assert!(content.contains('2'));
     }
 

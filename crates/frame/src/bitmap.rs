@@ -81,6 +81,28 @@ impl Bitmap {
         }
     }
 
+    /// The bits at `indices`, in that order (duplicates allowed; every
+    /// index must be in range). An all-set source gathers to an all-set
+    /// map without reading a bit.
+    pub fn gather(&self, indices: &[usize]) -> Bitmap {
+        if self.all_set() {
+            return Bitmap::new_set(indices.len());
+        }
+        let words = indices
+            .chunks(WORD_BITS)
+            .map(|chunk| {
+                chunk
+                    .iter()
+                    .enumerate()
+                    .fold(0u64, |word, (bit, &i)| word | u64::from(self.get(i)) << bit)
+            })
+            .collect();
+        Bitmap {
+            words,
+            len: indices.len(),
+        }
+    }
+
     /// Appends one bit.
     pub fn push(&mut self, value: bool) {
         if self.len.is_multiple_of(WORD_BITS) {

@@ -957,31 +957,20 @@ impl Column {
             }
         }
         fn gather<T: Copy>(b: &Buffer<T>, idx: &[usize]) -> Buffer<T> {
-            let mut values = Vec::with_capacity(idx.len());
-            let mut validity = Bitmap::new_clear(0);
-            for &i in idx {
-                values.push(b.values[i]);
-                validity.push(b.validity.get(i));
+            Buffer {
+                values: idx.iter().map(|&i| b.values[i]).collect(),
+                validity: b.validity.gather(idx),
             }
-            Buffer { values, validity }
         }
         Ok(match self {
             Column::Int(b) => Column::Int(gather(b, indices)),
             Column::Float(b) => Column::Float(gather(b, indices)),
             Column::Bool(b) => Column::Bool(gather(b, indices)),
-            Column::Str(d) => {
-                let mut codes = Vec::with_capacity(indices.len());
-                let mut validity = Bitmap::new_clear(0);
-                for &i in indices {
-                    codes.push(d.codes[i]);
-                    validity.push(d.validity.get(i));
-                }
-                Column::Str(StrData {
-                    codes,
-                    validity,
-                    pool: d.pool.clone(),
-                })
-            }
+            Column::Str(d) => Column::Str(StrData {
+                codes: indices.iter().map(|&i| d.codes[i]).collect(),
+                validity: d.validity.gather(indices),
+                pool: d.pool.clone(),
+            }),
         })
     }
 
@@ -1504,6 +1493,33 @@ mod tests {
         );
         assert!(c.take(&[9]).is_err());
         assert!(c.filter(&BoolMask::new(vec![true])).is_err());
+        // Nulls on either side of word boundaries (rows 63, 64, 127), read
+        // forwards, backwards and repeated, gather bit for bit like the
+        // per-cell oracle; a column without nulls gathers an all-set map.
+        let n = 130;
+        let nullable = |null_at: &[usize]| {
+            let cells = (0..n).map(|i| (!null_at.contains(&i)).then_some(i as i64));
+            Column::from_ints(cells.collect())
+        };
+        let orders: [Vec<usize>; 4] = [
+            (0..n).collect(),
+            (0..n).rev().collect(),
+            vec![127, 64, 63, 0, 63, 129, 64, 64],
+            (60..70).chain(120..130).collect(),
+        ];
+        for col in [nullable(&[63, 64, 127]), nullable(&[]), nullable(&[0, 62, 65, 126, 128])] {
+            for idx in &orders {
+                let t = col.take(idx).unwrap();
+                let want: Vec<Value> = idx.iter().map(|&i| col.get(i).unwrap()).collect();
+                assert_eq!(naive_values(&t), want);
+                assert_eq!(t.null_count(), want.iter().filter(|v| v.is_null()).count());
+                let mut bits = Bitmap::new_clear(0);
+                for &i in idx {
+                    bits.push(col.validity().get(i));
+                }
+                assert_eq!(t.validity(), &bits, "tail bits stay clear");
+            }
+        }
     }
 
     #[test]

@@ -245,14 +245,22 @@ mod tests {
 
     #[test]
     fn file_roundtrip() {
-        let dir = std::env::temp_dir().join("lucid_frame_csv_test");
+        /// Removes the directory when the test ends, also on a panic.
+        struct Cleanup(std::path::PathBuf);
+        impl Drop for Cleanup {
+            fn drop(&mut self) {
+                let _ = std::fs::remove_dir_all(&self.0);
+            }
+        }
+        let dir = std::env::temp_dir().join(format!("lucid_frame_csv_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.csv");
+        let dir = Cleanup(dir);
+        let path = dir.0.join("t.csv");
         let df = read_csv_str("x,y\n1,a\n2,b\n").unwrap();
         write_csv(&df, &path).unwrap();
         let back = read_csv(&path).unwrap();
         assert_eq!(df, back);
-        assert!(read_csv(dir.join("missing.csv")).is_err());
+        assert!(read_csv(dir.0.join("missing.csv")).is_err());
     }
 
     #[test]

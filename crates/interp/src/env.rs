@@ -113,20 +113,28 @@ impl ExecOutcome {
     /// The script's output table: the `df` variable if it is a frame,
     /// otherwise the frame most recently assigned to any variable —
     /// the convention the paper's prototype uses to compare `D_OUT`.
+    ///
+    /// A `train_test_split` part bound there is the frame it gathers to:
+    /// reading it here gathers its rows, if nothing has yet.
     pub fn output_frame(&self) -> Option<&DataFrame> {
-        if let Some(RtValue::Frame(f)) = self.vars.get("df") {
-            return Some(&f.df);
+        fn frame(value: &RtValue) -> Option<&DataFrame> {
+            match value {
+                RtValue::Frame(f) => Some(&f.df),
+                RtValue::FramePart(part) => part.get(None).ok().map(|f| &f.df),
+                _ => None,
+            }
         }
-        let name = self.last_frame_var.as_ref()?;
-        match self.vars.get(name) {
-            Some(RtValue::Frame(f)) => Some(&f.df),
-            _ => None,
+        if let Some(df) = self.vars.get("df").and_then(frame) {
+            return Some(df);
         }
+        frame(self.vars.get(self.last_frame_var.as_ref()?)?)
     }
 
     /// A variable's value, if bound. A model `score` bound to a name and
     /// never read in the run comes back as its [`RtValue::Deferred`]
-    /// handle: nothing is trained or scored outside a run.
+    /// handle, and a `train_test_split` part no statement read as its
+    /// [`RtValue::FramePart`] or [`RtValue::SeriesPart`]: nothing is
+    /// trained, scored or gathered outside a run.
     pub fn get(&self, name: &str) -> Option<&RtValue> {
         self.vars.get(name)
     }
@@ -175,10 +183,13 @@ impl RunState {
 
 /// Cells a value materializes when bound: `rows × columns` for frames,
 /// element count for series/masks, recursive for containers, 1 otherwise.
+/// A `train_test_split` part counts the cells it gathers to.
 fn value_cells(v: &RtValue) -> u64 {
     match v {
         RtValue::Frame(f) => (f.df.n_rows() as u64).saturating_mul(f.df.n_cols() as u64),
+        RtValue::FramePart(p) => (p.len() as u64).saturating_mul(p.source().df.n_cols() as u64),
         RtValue::Series(s) => s.col.len() as u64,
+        RtValue::SeriesPart(p) => p.len() as u64,
         RtValue::Mask(m) => m.len() as u64,
         RtValue::List(items) | RtValue::Tuple(items) => {
             items.iter().map(value_cells).fold(0, u64::saturating_add)
@@ -394,7 +405,9 @@ impl Interpreter {
                 index,
             } => self.exec_subscript_assign(recv, index, value, state),
             Expr::Tuple(targets) => {
-                let v = self.eval(value, state)?;
+                // Unpacking binds each item to a name: split parts stay
+                // ungathered.
+                let v = self.eval_ungathered(value, state)?;
                 let items = match v {
                     RtValue::Tuple(items) | RtValue::List(items) => items,
                     other => {
@@ -535,7 +548,7 @@ impl Interpreter {
 
     pub(crate) fn bind(&self, name: String, value: RtValue, state: &mut RunState) {
         state.cells = state.cells.saturating_add(value_cells(&value));
-        if matches!(value, RtValue::Frame(_)) {
+        if matches!(value, RtValue::Frame(_) | RtValue::FramePart(_)) {
             state.last_frame_var = Some(name.clone());
         }
         state.vars.insert(name, value);
@@ -544,6 +557,7 @@ impl Interpreter {
     pub(crate) fn expect_frame_var(&self, var: &str, state: &RunState) -> Result<FrameVal> {
         match state.vars.get(var) {
             Some(RtValue::Frame(f)) => Ok(f.clone()),
+            Some(RtValue::FramePart(part)) => Ok(part.get(self.obs.as_deref())?.clone()),
             Some(other) => Err(InterpError::TypeError(format!(
                 "'{var}' is a {}, expected DataFrame",
                 other.type_name()

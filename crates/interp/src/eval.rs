@@ -38,15 +38,47 @@ impl Args {
 
 impl Interpreter {
     /// Evaluates an expression to a runtime value, forcing a deferred
-    /// model `score` ([`RtValue::Deferred`]) it produces or reads from a
-    /// name. Every use of a value goes through here except binding it
-    /// straight to a name ([`Interpreter::eval_lazy`]), so this is the one
-    /// place a deferred score is forced.
+    /// model `score` ([`RtValue::Deferred`]) and gathering a
+    /// `train_test_split` part ([`RtValue::FramePart`],
+    /// [`RtValue::SeriesPart`]), also one inside the tuple the split
+    /// returns, that it produces or reads from a name. Every use of a value
+    /// goes through here except binding it straight to a name
+    /// ([`Interpreter::eval_lazy`]) and the uses
+    /// [`Interpreter::eval_ungathered`] serves, so this is the one place a
+    /// deferred score is forced and a part gathered.
     pub(crate) fn eval(&self, expr: &Expr, state: &mut RunState) -> Result<RtValue> {
+        let value = self.eval_ungathered(expr, state)?;
+        self.gathered(value)
+    }
+
+    /// Evaluates an expression forcing a deferred score, but leaving split
+    /// parts ungathered: for a tuple unpacked to names, and for the
+    /// arguments of a classifier's `fit` and a fitted classifier's
+    /// `score`, which read their inputs' schema only.
+    pub(crate) fn eval_ungathered(&self, expr: &Expr, state: &mut RunState) -> Result<RtValue> {
         match self.eval_lazy(expr, state)? {
             RtValue::Deferred(score) => Ok(RtValue::Scalar(Value::Float(score.force(self)?))),
             value => Ok(value),
         }
+    }
+
+    /// `value` with its split parts gathered: a part becomes the frame or
+    /// series it stands for, also inside the tuple `train_test_split`
+    /// returns (every other tuple or list is built from evaluated, so
+    /// gathered, items). The gathers are timed as `kernel.split`.
+    pub(crate) fn gathered(&self, value: RtValue) -> Result<RtValue> {
+        let obs = self.obs.as_deref();
+        Ok(match value {
+            RtValue::FramePart(part) => RtValue::Frame(part.get(obs)?.clone()),
+            RtValue::SeriesPart(part) => RtValue::Series(part.get(obs)?.clone()),
+            RtValue::Tuple(items) if items.iter().any(is_part) => RtValue::Tuple(
+                items
+                    .into_iter()
+                    .map(|v| self.gathered(v))
+                    .collect::<Result<_>>()?,
+            ),
+            value => value,
+        })
     }
 
     /// Evaluates an expression, leaving a model `score` call, or a name
@@ -177,11 +209,17 @@ impl Interpreter {
         }
     }
 
-    fn eval_args(&self, args: &[Arg], state: &mut RunState) -> Result<Args> {
+    /// Evaluates call arguments; `gather` false leaves split parts
+    /// ungathered ([`Interpreter::eval_ungathered`]).
+    fn eval_args(&self, args: &[Arg], gather: bool, state: &mut RunState) -> Result<Args> {
         let mut pos = Vec::new();
         let mut kw = Vec::new();
         for a in args {
-            let v = self.eval(&a.value, state)?;
+            let v = if gather {
+                self.eval(&a.value, state)?
+            } else {
+                self.eval_ungathered(&a.value, state)?
+            };
             match &a.name {
                 Some(n) => kw.push((n.clone(), v)),
                 None => pos.push(v),
@@ -194,12 +232,13 @@ impl Interpreter {
         // Method call: receiver.attr(args)
         if let Expr::Attribute { value, attr } = func {
             let recv = self.eval(value, state)?;
-            let args = self.eval_args(raw_args, state)?;
+            let gather = !crate::sklearn::takes_parts(&recv, attr);
+            let args = self.eval_args(raw_args, gather, state)?;
             return self.dispatch_method(recv, attr, args);
         }
         // Plain call: f(args)
         let callee = self.eval(func, state)?;
-        let args = self.eval_args(raw_args, state)?;
+        let args = self.eval_args(raw_args, true, state)?;
         match callee {
             RtValue::Callable(b) => crate::sklearn::call_builtin(self, b, args),
             other => Err(InterpError::TypeError(format!(
@@ -663,6 +702,10 @@ impl Interpreter {
             ))),
         }
     }
+}
+
+fn is_part(v: &RtValue) -> bool {
+    matches!(v, RtValue::FramePart(_) | RtValue::SeriesPart(_))
 }
 
 /// Scalar-scalar arithmetic with Python numeric semantics.

@@ -5,9 +5,11 @@ use crate::env::Interpreter;
 use crate::error::{InterpError, Result};
 use crate::eval::Args;
 use crate::pandas::{expect_float, expect_frame, expect_series, kw_int};
-use crate::value::{Builtin, Estimator, FittedModel, RtValue, SeriesVal};
+use crate::value::{
+    Builtin, Estimator, FittedModel, FrameVal, Gather, RtValue, SeriesVal, SplitPart,
+};
 use lucid_frame::{Column, DataFrame};
-use lucid_ml::encode::{encode_features, encode_labels};
+use lucid_ml::encode::{check_features, check_labels, encode_features, encode_labels};
 use lucid_ml::logreg::{FittedLogReg, LogisticRegression};
 use lucid_ml::matrix::Matrix;
 use lucid_ml::scale::StandardScaler;
@@ -97,23 +99,43 @@ fn train_test_split(interp: &Interpreter, args: Args) -> Result<RtValue> {
     let mut positions: Vec<usize> = (0..n).collect();
     let mut rng = StdRng::seed_from_u64(seed);
     positions.shuffle(&mut rng);
-    let (test_pos, train_pos) = positions.split_at(n_test);
-    let x_train = x.take(train_pos)?;
-    let x_test = x.take(test_pos)?;
-    let y_train = SeriesVal {
-        name: y.name.clone(),
-        col: y.col.take(train_pos)?.into(),
+    // The first `n_test` shuffled positions are the test rows. The parts
+    // gather their rows when something reads them.
+    let positions: Arc<[usize]> = positions.into();
+    let (x, y) = (Arc::new(x), Arc::new(y));
+    let frame = |rows| {
+        let part = SplitPart::new(Arc::clone(&x), Arc::clone(&positions), rows);
+        RtValue::FramePart(Arc::new(part))
     };
-    let y_test = SeriesVal {
-        name: y.name.clone(),
-        col: y.col.take(test_pos)?.into(),
+    let series = |rows| {
+        let part = SplitPart::new(Arc::clone(&y), Arc::clone(&positions), rows);
+        RtValue::SeriesPart(Arc::new(part))
     };
-    Ok(RtValue::Tuple(vec![
-        RtValue::Frame(x_train),
-        RtValue::Frame(x_test),
-        RtValue::Series(y_train),
-        RtValue::Series(y_test),
-    ]))
+    let parts = RtValue::Tuple(vec![
+        frame(n_test..n),
+        frame(0..n_test),
+        series(n_test..n),
+        series(0..n_test),
+    ]);
+    // The eager model path gathers every part at the split, as every split
+    // did before parts were lazy.
+    #[cfg(test)]
+    if interp.eager_models {
+        return interp.gathered(parts);
+    }
+    Ok(parts)
+}
+
+/// Whether `recv.method(...)` takes `train_test_split` parts ungathered: a
+/// classifier's `fit` and a fitted classifier's `score` check their inputs
+/// by schema and gather the rows only if the model trains or the score is
+/// read.
+pub(crate) fn takes_parts(recv: &RtValue, method: &str) -> bool {
+    match (recv, method) {
+        (RtValue::Estimator(Estimator::LogReg { .. } | Estimator::Tree { .. }), "fit") => true,
+        (RtValue::Fitted(model), "score") => matches!(**model, FittedModel::Classifier { .. }),
+        _ => false,
+    }
 }
 
 /// `estimator.<method>(...)` — `fit`, `fit_transform`. Classifier fits
@@ -180,7 +202,7 @@ pub(crate) fn call_fitted_method(
             if interp.eager_models {
                 return crate::naive::eager_score(interp, fit, &args);
             }
-            let (inputs, _, _) = score_inputs(&args, fit.features())?;
+            let inputs = score_inputs(&args, fit.features())?;
             Ok(RtValue::Deferred(Arc::new(DeferredScore {
                 model: Arc::clone(fit),
                 inputs,
@@ -188,7 +210,7 @@ pub(crate) fn call_fitted_method(
             })))
         }
         (FittedModel::Classifier { fit }, "predict") => {
-            let (_, x) = aligned_features(&args, fit.features())?;
+            let x = aligned_features(&args, fit.features())?;
             let trained = fit.trained(interp)?;
             let preds = {
                 let _k = interp.time(Metric::KernelPredict);
@@ -222,12 +244,13 @@ pub(crate) enum Classifier {
 }
 
 impl Classifier {
-    /// Every check training makes before its epochs: once this passes,
-    /// [`Classifier::train`] on the same inputs cannot fail.
-    fn check(&self, x: &Matrix, labels: &[u32]) -> lucid_ml::error::Result<()> {
+    /// Every check training makes before its epochs, on the inputs' shape:
+    /// once this passes, [`Classifier::train`] on inputs of that shape
+    /// cannot fail.
+    fn check(&self, rows: usize, cols: usize, labels: usize) -> lucid_ml::error::Result<()> {
         match self {
-            Classifier::LogReg(lr) => lr.check(x, labels),
-            Classifier::Tree(tree) => tree.check(x, labels),
+            Classifier::LogReg(lr) => lr.check(rows, cols, labels),
+            Classifier::Tree(tree) => tree.check(rows, cols, labels),
         }
     }
 
@@ -263,25 +286,103 @@ impl FittedFit {
     }
 }
 
-/// A model call's `(X, y)` as the script passed them: the feature frame
-/// and the label column, both sharing the script's `Arc`'d columns, so
+/// A model call's `X` or `y` as the script passed it: a whole frame or
+/// series, or a `train_test_split` part of one whose rows are gathered only
+/// if the model reads them.
+#[derive(Debug)]
+pub(crate) enum Input<T> {
+    Whole(T),
+    Part(Arc<SplitPart<T>>),
+}
+
+impl<T: Gather> Input<T> {
+    /// The value whose schema the input has: a part's is the value split.
+    fn source(&self) -> &T {
+        match self {
+            Input::Whole(v) => v,
+            Input::Part(part) => part.source(),
+        }
+    }
+
+    /// The number of rows.
+    fn len(&self) -> usize {
+        match self {
+            Input::Whole(v) => v.n_rows(),
+            Input::Part(part) => part.len(),
+        }
+    }
+
+    /// The rows, gathering a part's now if no holder has yet.
+    fn get(&self, interp: &Interpreter) -> Result<&T> {
+        match self {
+            Input::Whole(v) => Ok(v),
+            Input::Part(part) => Ok(part.get(interp.obs.as_deref())?),
+        }
+    }
+}
+
+impl Input<SeriesVal> {
+    /// The null labels among the rows, counted from the validity bits
+    /// without gathering a part.
+    fn null_count(&self) -> usize {
+        match self {
+            Input::Whole(s) => s.col.null_count(),
+            Input::Part(part) => {
+                let col = &part.source().col;
+                if col.null_count() == 0 {
+                    return 0;
+                }
+                let validity = col.validity();
+                part.rows().iter().filter(|&&i| !validity.get(i)).count()
+            }
+        }
+    }
+}
+
+/// `X` of a model call: a frame or a frame part.
+fn frame_input(v: &RtValue) -> Result<Input<FrameVal>> {
+    match v {
+        RtValue::FramePart(part) => Ok(Input::Part(Arc::clone(part))),
+        other => expect_frame(other).map(Input::Whole),
+    }
+}
+
+/// `y` of a model call: a series or a series part.
+fn series_input(v: &RtValue) -> Result<Input<SeriesVal>> {
+    match v {
+        RtValue::SeriesPart(part) => Ok(Input::Part(Arc::clone(part))),
+        other => expect_series(other).map(Input::Whole),
+    }
+}
+
+/// A model call's `(X, y)` as the script passed them: frames and series
+/// share the script's `Arc`'d columns and parts their split's source, so
 /// holding them copies no buffer and no matrix.
 #[derive(Debug)]
 pub(crate) struct ModelInputs {
-    pub(crate) x: DataFrame,
-    pub(crate) y: Arc<Column>,
+    pub(crate) x: Input<FrameVal>,
+    pub(crate) y: Input<SeriesVal>,
 }
 
 impl ModelInputs {
-    /// The encoded features and labels, as the model reads them.
-    fn encode(&self) -> Result<(Matrix, Vec<u32>)> {
-        Ok((encode_features(&self.x, &[])?, encode_labels(&self.y)?))
+    /// The column names of `X`: for a `fit`, the training schema.
+    fn features(&self) -> &[String] {
+        self.x.source().df.names()
+    }
+
+    /// The features aligned to `features` and the labels, encoded as the
+    /// model reads them. Gathers a part's rows if no holder has yet.
+    fn encode(&self, interp: &Interpreter, features: &[String]) -> Result<(Matrix, Vec<u32>)> {
+        let x = self.x.get(interp)?.df.select(features)?;
+        let y = self.y.get(interp)?;
+        Ok((encode_features(&x, &[])?, encode_labels(&y.col)?))
     }
 }
 
 /// A classifier `fit` has accepted. Everything that can fail (decoding,
-/// encoding, shape, empty input, parameters) ran at the `fit` statement;
-/// the epochs run the first time something needs the weights
+/// shape, empty input, labels, parameters) was checked by schema at the
+/// `fit` statement; the rows are gathered and encoded, and the epochs run,
+/// the first time something needs the weights
 /// ([`LazyFit::trained`]: a `predict`, or a deferred `score` that is
 /// read). The result is shared by every holder of the handle — prefix-cache
 /// snapshots and other threads — so a handle trains at most once, and
@@ -289,7 +390,7 @@ impl ModelInputs {
 #[derive(Debug)]
 pub struct LazyFit {
     pub(crate) classifier: Classifier,
-    /// The training inputs, encoded again if the model trains.
+    /// The training inputs, encoded if the model trains.
     pub(crate) inputs: ModelInputs,
     pub(crate) model: OnceLock<Result<FittedFit>>,
 }
@@ -298,7 +399,7 @@ impl LazyFit {
     /// The feature column names, in training order: the schema a `score`
     /// or `predict` aligns its `X` to.
     pub(crate) fn features(&self) -> &[String] {
-        self.inputs.x.names()
+        self.inputs.features()
     }
 
     /// The trained model, training it now if no holder has yet. The
@@ -307,7 +408,7 @@ impl LazyFit {
     pub(crate) fn trained(&self, interp: &Interpreter) -> Result<&FittedFit> {
         self.model
             .get_or_init(|| {
-                let (x, labels) = self.inputs.encode()?;
+                let (x, labels) = self.inputs.encode(interp, self.features())?;
                 let _k = interp.time(Metric::KernelFit);
                 Ok(self.classifier.train(&x, &labels)?)
             })
@@ -316,14 +417,15 @@ impl LazyFit {
     }
 }
 
-/// A classifier `score` bound straight to a name. Its inputs were decoded,
-/// aligned, encoded and checked at the `score` statement; the accuracy —
-/// and the training behind it — is computed the first time the name is
-/// read ([`DeferredScore::force`]), once for every holder.
+/// A classifier `score` bound straight to a name. Its inputs were decoded
+/// and checked by schema at the `score` statement; the accuracy — and the
+/// gathering, encoding and training behind it — is computed the first time
+/// the name is read ([`DeferredScore::force`]), once for every holder.
 #[derive(Debug)]
 pub struct DeferredScore {
     model: Arc<LazyFit>,
-    /// Test features aligned to the training schema, and the labels.
+    /// Test features (aligned to the training schema when encoded), and
+    /// the labels.
     inputs: ModelInputs,
     value: OnceLock<Result<f64>>,
 }
@@ -335,7 +437,7 @@ impl DeferredScore {
         self.value
             .get_or_init(|| {
                 let trained = self.model.trained(interp)?;
-                let (x, labels) = self.inputs.encode()?;
+                let (x, labels) = self.inputs.encode(interp, self.model.features())?;
                 let _k = interp.time(Metric::KernelPredict);
                 Ok(trained.score(&x, &labels))
             })
@@ -343,17 +445,18 @@ impl DeferredScore {
     }
 }
 
-/// `fit(X, y)` for a classifier: decodes, encodes and checks the inputs
-/// at the `fit` statement and returns a [`LazyFit`] that trains on first
-/// use. `interp` is read only by tests, to select the eager oracle.
+/// `fit(X, y)` for a classifier: decodes the inputs and checks them by
+/// schema at the `fit` statement, and returns a [`LazyFit`] that gathers,
+/// encodes and trains on first use. `interp` is read only by tests, to
+/// select the eager oracle.
 #[cfg_attr(not(test), allow(unused_variables))]
 fn fit_classifier(interp: &Interpreter, classifier: Classifier, args: &Args) -> Result<RtValue> {
     #[cfg(test)]
     if interp.eager_models {
         return crate::naive::eager_fit(classifier, args);
     }
-    let (inputs, x, labels) = fit_inputs(args)?;
-    classifier.check(&x, &labels)?;
+    let inputs = fit_inputs(args)?;
+    classifier.check(inputs.x.len(), inputs.features().len(), inputs.y.len())?;
     let fit = Arc::new(LazyFit {
         classifier,
         inputs,
@@ -362,56 +465,53 @@ fn fit_classifier(interp: &Interpreter, classifier: Classifier, args: &Args) -> 
     Ok(RtValue::Fitted(Box::new(FittedModel::Classifier { fit })))
 }
 
-/// Common `fit(X, y)` decoding: the inputs, the feature matrix and the
-/// encoded labels.
-pub(crate) fn fit_inputs(args: &Args) -> Result<(ModelInputs, Matrix, Vec<u32>)> {
-    let frame = expect_frame(args.require(0, "X")?)?;
-    let y = expect_series(args.require(1, "y")?)?;
-    if frame.df.n_rows() != y.col.len() {
+/// Common `fit(X, y)` decoding, checked by schema in the order encoding
+/// checks: the row counts, the feature columns and rows, the labels.
+fn fit_inputs(args: &Args) -> Result<ModelInputs> {
+    let x = frame_input(args.require(0, "X")?)?;
+    let y = series_input(args.require(1, "y")?)?;
+    if x.len() != y.len() {
         return Err(InterpError::ValueError(format!(
             "X has {} rows, y has {}",
-            frame.df.n_rows(),
-            y.col.len()
+            x.len(),
+            y.len()
         )));
     }
-    let inputs = ModelInputs {
-        x: frame.df,
-        y: y.col,
-    };
-    let (x, labels) = inputs.encode()?;
-    Ok((inputs, x, labels))
+    check_features(x.source().df.n_cols(), x.len())?;
+    check_labels(y.len(), y.null_count())?;
+    Ok(ModelInputs { x, y })
 }
 
-/// Common `score(X, y)`: align columns to the training schema, encode,
-/// check the rows. Returns the aligned inputs, the feature matrix and the
-/// labels.
-pub(crate) fn score_inputs(
-    args: &Args,
-    features: &[String],
-) -> Result<(ModelInputs, Matrix, Vec<u32>)> {
-    let (aligned, x) = aligned_features(args, features)?;
-    let y = expect_series(args.require(1, "y")?)?;
-    let labels = encode_labels(&y.col)?;
-    if x.n_rows() != labels.len() {
+/// Common `score(X, y)` decoding, checked by schema in the order aligning
+/// and encoding check: the training columns, the feature rows, the labels,
+/// the row counts.
+fn score_inputs(args: &Args, features: &[String]) -> Result<ModelInputs> {
+    let x = frame_input(args.require(0, "X")?)?;
+    // Missing training columns raise, like sklearn's feature-name check
+    // (the first one missing, as aligning by `select` would).
+    for name in features {
+        x.source().df.column_arc(name)?;
+    }
+    check_features(features.len(), x.len())?;
+    let y = series_input(args.require(1, "y")?)?;
+    check_labels(y.len(), y.null_count())?;
+    if x.len() != y.len() {
         return Err(InterpError::ValueError(format!(
             "X has {} rows, y has {}",
-            x.n_rows(),
-            labels.len()
+            x.len(),
+            y.len()
         )));
     }
-    let inputs = ModelInputs {
-        x: aligned,
-        y: y.col,
-    };
-    Ok((inputs, x, labels))
+    Ok(ModelInputs { x, y })
 }
 
-fn aligned_features(args: &Args, features: &[String]) -> Result<(DataFrame, Matrix)> {
+/// `X` of a `predict` (or the eager oracle's `score`): aligned to the
+/// training schema and encoded.
+pub(crate) fn aligned_features(args: &Args, features: &[String]) -> Result<Matrix> {
     let frame = expect_frame(args.require(0, "X")?)?;
     // Missing training columns raise, like sklearn's feature-name check.
     let aligned = frame.df.select(features).map_err(InterpError::Frame)?;
-    let x = encode_features(&aligned, &[])?;
-    Ok((aligned, x))
+    Ok(encode_features(&aligned, &[])?)
 }
 
 fn matrix_to_frame(m: &Matrix, names: &[String]) -> Result<DataFrame> {
@@ -619,9 +719,10 @@ a, b, c, d = train_test_split(X, y, test_size=0.5, random_state=3)
 ";
         let o1 = interp().run(&parse_module(src).unwrap()).unwrap();
         let o2 = interp().run(&parse_module(src).unwrap()).unwrap();
+        // Unread parts come back ungathered; gathered, they are equal.
         match (o1.get("a"), o2.get("a")) {
-            (Some(RtValue::Frame(f1)), Some(RtValue::Frame(f2))) => {
-                assert_eq!(f1.df, f2.df);
+            (Some(RtValue::FramePart(p1)), Some(RtValue::FramePart(p2))) => {
+                assert_eq!(p1.get(None).unwrap().df, p2.get(None).unwrap().df);
             }
             other => panic!("unexpected {other:?}"),
         }

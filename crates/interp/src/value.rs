@@ -1,9 +1,11 @@
 //! Runtime values flowing through the interpreter.
 
 use crate::sklearn::{DeferredScore, LazyFit};
-use lucid_frame::{BoolMask, Column, DataFrame, Value};
+use lucid_frame::{BoolMask, Column, DataFrame, FrameError, Value};
 use lucid_ml::scale::StandardScaler;
-use std::sync::Arc;
+use lucid_obs::{Metric, Registry};
+use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 
 /// A dataframe plus its *row provenance*: `index[i]` is the position the
 /// i-th row held in the originally loaded table. pandas keeps this as the
@@ -85,6 +87,95 @@ impl SeriesVal {
             name: None,
             col: col.into(),
         }
+    }
+}
+
+/// A value whose rows a [`SplitPart`] selects: a frame or a series.
+pub trait Gather: Sized {
+    /// The number of rows.
+    fn n_rows(&self) -> usize;
+
+    /// The rows at `positions`, in that order.
+    fn gather(&self, positions: &[usize]) -> Result<Self, FrameError>;
+}
+
+impl Gather for FrameVal {
+    fn n_rows(&self) -> usize {
+        self.df.n_rows()
+    }
+
+    fn gather(&self, positions: &[usize]) -> Result<Self, FrameError> {
+        self.take(positions)
+    }
+}
+
+impl Gather for SeriesVal {
+    fn n_rows(&self) -> usize {
+        self.col.len()
+    }
+
+    fn gather(&self, positions: &[usize]) -> Result<Self, FrameError> {
+        Ok(SeriesVal {
+            name: self.name.clone(),
+            col: self.col.take(positions)?.into(),
+        })
+    }
+}
+
+/// One part of a `train_test_split` call (`X_train`, `X_test`, `y_train`
+/// or `y_test`) whose rows are not gathered yet: the frame or series the
+/// call split, shared with the call's other part of it, and this part's
+/// slice of the call's shuffled positions, shared by all four parts. It
+/// has the shape and schema of the value it gathers to. The rows are
+/// gathered the first time something reads them ([`SplitPart::get`]), once
+/// for every holder: prefix-cache snapshots, other threads and the model
+/// inputs that hold the part.
+#[derive(Debug)]
+pub struct SplitPart<T> {
+    source: Arc<T>,
+    positions: Arc<[usize]>,
+    rows: Range<usize>,
+    gathered: OnceLock<Result<T, FrameError>>,
+}
+
+impl<T: Gather> SplitPart<T> {
+    /// The part selecting `positions[rows]` from `source`.
+    pub(crate) fn new(source: Arc<T>, positions: Arc<[usize]>, rows: Range<usize>) -> Self {
+        SplitPart {
+            source,
+            positions,
+            rows,
+            gathered: OnceLock::new(),
+        }
+    }
+
+    /// The value the call split, ungathered: its column names, dtypes and
+    /// validity are the part's.
+    pub(crate) fn source(&self) -> &T {
+        &self.source
+    }
+
+    /// The source positions the part selects, in order.
+    pub(crate) fn rows(&self) -> &[usize] {
+        &self.positions[self.rows.clone()]
+    }
+
+    /// The number of rows the part holds.
+    pub(crate) fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// The gathered rows, gathering them now if no holder has yet. The
+    /// gather is timed as `kernel.split` into `obs`; a part already
+    /// gathered records nothing.
+    pub(crate) fn get(&self, obs: Option<&Registry>) -> Result<&T, FrameError> {
+        self.gathered
+            .get_or_init(|| {
+                let _k = obs.map(|reg| reg.time(Metric::KernelSplit));
+                self.source.gather(self.rows())
+            })
+            .as_ref()
+            .map_err(Clone::clone)
     }
 }
 
@@ -188,6 +279,13 @@ pub enum RtValue {
     /// stands for the float `Scalar` it forces to, and reports that
     /// value's type name and cell count.
     Deferred(Arc<DeferredScore>),
+    /// A `train_test_split` frame part whose rows are not gathered yet: it
+    /// stands for the `Frame` it gathers to, and reports that value's type
+    /// name and cell count.
+    FramePart(Arc<SplitPart<FrameVal>>),
+    /// A `train_test_split` series part whose rows are not gathered yet,
+    /// standing for its `Series` like a [`RtValue::FramePart`].
+    SeriesPart(Arc<SplitPart<SeriesVal>>),
     /// A group-by handle.
     GroupBy(Box<GroupByVal>),
     /// `df.loc` accessor.
@@ -208,8 +306,8 @@ impl RtValue {
     /// Short type name for error messages.
     pub fn type_name(&self) -> &'static str {
         match self {
-            RtValue::Frame(_) => "DataFrame",
-            RtValue::Series(_) => "Series",
+            RtValue::Frame(_) | RtValue::FramePart(_) => "DataFrame",
+            RtValue::Series(_) | RtValue::SeriesPart(_) => "Series",
             RtValue::Mask(_) => "BooleanMask",
             RtValue::Scalar(_) | RtValue::Deferred(_) => "scalar",
             RtValue::List(_) => "list",

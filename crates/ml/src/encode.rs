@@ -25,12 +25,7 @@ pub fn encode_features(df: &DataFrame, exclude: &[&str]) -> Result<Matrix> {
         .map(String::as_str)
         .filter(|n| !exclude.contains(n))
         .collect();
-    if names.is_empty() {
-        return Err(MlError::Encoding("no feature columns".to_string()));
-    }
-    if df.n_rows() == 0 {
-        return Err(MlError::EmptyInput("zero rows".to_string()));
-    }
+    check_features(names.len(), df.n_rows())?;
     // Columnar: each column writes its cells straight into its slot of
     // the row-major buffer from the typed buffers (no per-row `Vec`, no
     // per-cell `Value`).
@@ -41,6 +36,23 @@ pub fn encode_features(df: &DataFrame, exclude: &[&str]) -> Result<Matrix> {
         encode_column(col, data.iter_mut().skip(c).step_by(d));
     }
     Ok(Matrix::from_vec(n, d, data))
+}
+
+/// Every check [`encode_features`] makes, on the feature matrix's shape:
+/// once this passes on `(n_cols, n_rows)`, encoding a frame of that shape
+/// cannot fail.
+///
+/// # Errors
+///
+/// Fails if there are no feature columns, then if there are no rows.
+pub fn check_features(n_cols: usize, n_rows: usize) -> Result<()> {
+    if n_cols == 0 {
+        return Err(MlError::Encoding("no feature columns".to_string()));
+    }
+    if n_rows == 0 {
+        return Err(MlError::EmptyInput("zero rows".to_string()));
+    }
+    Ok(())
 }
 
 /// Encodes one column to `f64`s into `out` (one slot per row): numerics
@@ -92,15 +104,26 @@ fn fill<'a, T: Copy>(
 ///
 /// Fails if the column is empty or entirely null.
 pub fn encode_labels(col: &Column) -> Result<Vec<u32>> {
-    if col.is_empty() {
-        return Err(MlError::EmptyInput("label column".to_string()));
-    }
+    check_labels(col.len(), col.null_count())?;
     let (ids, n_classes) = col.factorize();
-    if n_classes == 0 {
-        return Err(MlError::BadLabels("all labels are null".to_string()));
-    }
     let null_class = n_classes as u32;
     Ok(ids.into_iter().map(|id| id.unwrap_or(null_class)).collect())
+}
+
+/// Every check [`encode_labels`] makes, on the label column's length and
+/// null count: a column with a valid row has at least one class.
+///
+/// # Errors
+///
+/// Fails if the column is empty, then if it is entirely null.
+pub fn check_labels(len: usize, nulls: usize) -> Result<()> {
+    if len == 0 {
+        return Err(MlError::EmptyInput("label column".to_string()));
+    }
+    if nulls == len {
+        return Err(MlError::BadLabels("all labels are null".to_string()));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -160,6 +183,36 @@ mod tests {
         let col = Column::from_ints(vec![None, None]);
         assert!(encode_labels(&col).is_err());
         assert!(encode_labels(&Column::from_ints(vec![])).is_err());
+    }
+
+    #[test]
+    fn shape_checks_report_exactly_the_errors_encoding_reports() {
+        let frames = [df(), df().head(0), DataFrame::new()];
+        for (frame, exclude) in frames
+            .iter()
+            .flat_map(|f| [(f, &[][..]), (f, &["age", "sex", "y"][..])])
+        {
+            let n_cols = frame
+                .names()
+                .iter()
+                .filter(|n| !exclude.contains(&n.as_str()))
+                .count();
+            assert_eq!(
+                check_features(n_cols, frame.n_rows()).err(),
+                encode_features(frame, exclude).err()
+            );
+        }
+        for col in [
+            Column::from_ints(vec![]),
+            Column::from_ints(vec![None, None]),
+            Column::from_strs(vec![None, Some("a".into())]),
+            Column::from_floats(vec![Some(f64::NAN)]),
+        ] {
+            assert_eq!(
+                check_labels(col.len(), col.null_count()).err(),
+                encode_labels(&col).err()
+            );
+        }
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub mod scale;
 pub mod split;
 pub mod tree;
 
-pub use encode::{encode_features, encode_labels};
+pub use encode::{check_features, check_labels, encode_features, encode_labels};
 pub use error::MlError;
 pub use logreg::LogisticRegression;
 pub use metrics::{accuracy, f1_score};

@@ -57,20 +57,18 @@ impl LogisticRegression {
     }
 
     /// Every check [`LogisticRegression::fit`] makes before it trains:
-    /// once this passes on `(x, y)`, `fit` on them cannot fail.
+    /// once this passes on the shape of `(x, y)` (rows, feature columns,
+    /// labels), `fit` on them cannot fail. It reads no cell.
     ///
     /// # Errors
     ///
     /// Shape mismatch, empty input, or a non-positive learning rate or
     /// epoch count.
-    pub fn check(&self, x: &Matrix, y: &[u32]) -> Result<()> {
-        if x.n_rows() != y.len() {
-            return Err(MlError::ShapeMismatch {
-                rows: x.n_rows(),
-                labels: y.len(),
-            });
+    pub fn check(&self, rows: usize, cols: usize, labels: usize) -> Result<()> {
+        if rows != labels {
+            return Err(MlError::ShapeMismatch { rows, labels });
         }
-        if x.n_rows() == 0 || x.n_cols() == 0 {
+        if rows == 0 || cols == 0 {
             return Err(MlError::EmptyInput("LogisticRegression::fit".to_string()));
         }
         if self.learning_rate <= 0.0 || self.epochs == 0 {
@@ -90,7 +88,7 @@ impl LogisticRegression {
         y: &[u32],
         head: fn(&Self, &Matrix, &[u32], u32) -> Vec<f64>,
     ) -> Result<FittedLogReg> {
-        self.check(x, y)?;
+        self.check(x.n_rows(), x.n_cols(), y.len())?;
         let scaler = StandardScaler::fit(x)?;
         let xs = scaler.transform(x)?;
 
@@ -335,11 +333,14 @@ mod tests {
             (LogisticRegression::default(), &x, &y),
         ];
         for (lr, x, y) in cases {
-            assert_eq!(lr.check(x, y).err(), lr.fit(x, y).err());
+            assert_eq!(
+                lr.check(x.n_rows(), x.n_cols(), y.len()).err(),
+                lr.fit(x, y).err()
+            );
         }
         let empty = Matrix::zeros(0, 2);
         let lr = LogisticRegression::default();
-        assert_eq!(lr.check(&empty, &[]).err(), lr.fit(&empty, &[]).err());
+        assert_eq!(lr.check(0, 2, 0).err(), lr.fit(&empty, &[]).err());
     }
 
     #[test]

@@ -66,7 +66,7 @@ impl DecisionTree {
     /// Fails on shape mismatch or empty input ([`DecisionTree::check`]).
     /// Total over non-finite features.
     pub fn fit(&self, x: &Matrix, y: &[u32]) -> Result<FittedTree> {
-        self.check(x, y)?;
+        self.check(x.n_rows(), x.n_cols(), y.len())?;
         let mut classes: Vec<u32> = y.to_vec();
         classes.sort_unstable();
         classes.dedup();
@@ -85,19 +85,17 @@ impl DecisionTree {
     }
 
     /// Every check [`DecisionTree::fit`] makes before it trains: once this
-    /// passes on `(x, y)`, `fit` on them cannot fail.
+    /// passes on the shape of `(x, y)` (rows, feature columns, labels),
+    /// `fit` on them cannot fail. It reads no cell.
     ///
     /// # Errors
     ///
     /// Shape mismatch or empty input.
-    pub fn check(&self, x: &Matrix, y: &[u32]) -> Result<()> {
-        if x.n_rows() != y.len() {
-            return Err(MlError::ShapeMismatch {
-                rows: x.n_rows(),
-                labels: y.len(),
-            });
+    pub fn check(&self, rows: usize, cols: usize, labels: usize) -> Result<()> {
+        if rows != labels {
+            return Err(MlError::ShapeMismatch { rows, labels });
         }
-        if x.n_rows() == 0 || x.n_cols() == 0 {
+        if rows == 0 || cols == 0 {
             return Err(MlError::EmptyInput("DecisionTree::fit".to_string()));
         }
         Ok(())
@@ -391,7 +389,10 @@ mod tests {
             (&Matrix::zeros(0, 1), &[][..]),
             (&x, &[0, 1][..]),
         ] {
-            assert_eq!(tree.check(x, y).err(), tree.fit(x, y).err());
+            assert_eq!(
+                tree.check(x.n_rows(), x.n_cols(), y.len()).err(),
+                tree.fit(x, y).err()
+            );
         }
     }
 

@@ -273,6 +273,9 @@ metric_table! {
     KernelFit("kernel.fit"),
     /// One fitted model's `score` or `predict` call.
     KernelPredict("kernel.predict"),
+    /// One `train_test_split` part gathering its rows (a part that nothing
+    /// reads gathers nothing and records nothing).
+    KernelSplit("kernel.split"),
     /// One table-Jaccard intent evaluation in verification.
     IntentTableJaccard("intent.table_jaccard"),
     /// One model-performance intent evaluation (two model fits).
@@ -351,8 +354,8 @@ mod tests {
         let mut names: Vec<&str> = Metric::ALL.iter().map(|m| m.name()).collect();
         assert_eq!(
             names.len(),
-            48,
-            "29 Timings rows + 19 registry-only metrics"
+            49,
+            "29 Timings rows + 20 registry-only metrics"
         );
         names.sort_unstable();
         names.dedup();
